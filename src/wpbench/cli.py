@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import FinSet, SizeGuardError, format_rational, parse_rational
 from .healthiness import CONDITIONS, ProbeGrid, run_condition
-from .modalities import builtin_modality, check_algebra_laws, lifting_check
+from .modalities import BOOLEAN, INSTANCES, builtin_modality, check_algebra_laws, lifting_check
 from .monads import (
     BOT,
     DistV,
@@ -40,8 +40,7 @@ from .semantics import (
     pt_modality,
 )
 from .sweep import THEOREM_IDS, TheoremInstance, enum_verify
-from .synthesis import INSTANCES, UnhealthyInputError
-from .synthesis import roundtrip_verify
+from .synthesis import UnhealthyInputError, roundtrip_verify, synthesize
 from .verdicts import Verdict
 
 __all__ = ["SpecError", "SpecDocument", "parse_spec", "run", "main"]
@@ -50,17 +49,6 @@ EXIT_HEALTHY = 0
 EXIT_UNHEALTHY = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
-
-_MODALITY_INSTANCE = {
-    "diamond": "may",
-    "box": "must",
-    "total": "subdist_total",
-    "partial": "subdist_partial",
-    "convex": "dist_convex",
-    "game": "game",
-    "dijkstra": "dijkstra",
-    "demonic_prob": "cv_sublinear",
-}
 
 
 class SpecError(ValueError):
@@ -87,9 +75,21 @@ class SpecDocument:
         preds = self.probes.get("predicates")
         scalars = self.probes.get("scalars")
         random_count = self.probes.get("random", 0 if preds else 50)
+        if type(random_count) is not int or random_count < 0:
+            raise SpecError("E_SCHEMA", "random must be a nonnegative integer", "$.probes.random")
+        for key, value in (("predicates", preds), ("scalars", scalars)):
+            if value is not None and not isinstance(value, list):
+                raise SpecError("E_SCHEMA", f"{key} must be a list", f"$.probes.{key}")
+        if scalars is not None:
+            scalars = [_rat(s, f"$.probes.scalars[{k}]") for k, s in enumerate(scalars)]
         if preds is None:
             return ProbeGrid.default(domain, seed=self.seed, random_count=random_count)
-        tuples = [tuple(v) for v in preds]
+        tuples = []
+        for k, p in enumerate(preds):
+            path = f"$.probes.predicates[{k}]"
+            if not isinstance(p, list):
+                raise SpecError("E_SCHEMA", "each probe predicate is a list of values", path)
+            tuples.append(tuple(_rat(v, f"{path}[{j}]") for j, v in enumerate(p)))
         for t in tuples:
             if len(t) != len(domain):
                 raise SpecError("E_PROBE", "probe predicate length mismatch", "$.probes")
@@ -501,14 +501,12 @@ def _cmd_synth(args) -> int:
     if not name:
         raise SpecError("E_MODALITY", "synth needs a modality to pick the inverse construction")
     mod = builtin_modality(name)
-    base = mod.name.split(":")[0]
-    instance = _MODALITY_INSTANCE.get(base)
-    if instance is None:
+    if mod.theorem is None:
         raise SpecError("E_MODALITY", f"no synthesis instance for modality {mod.name!r}")
     phi = _doc_transformer(doc, args)
     grid = doc.grid_for(phi.source) if isinstance(phi, RationalTransformer) else None
     try:
-        result = INSTANCES[instance]["synth"](phi, grid)
+        result = synthesize(mod, phi, grid)
     except UnhealthyInputError as exc:
         _emit(f"synthesis rejected: {exc.verdict.describe()}\n", args.out)
         return _verdict_exit(exc.verdict)
@@ -530,10 +528,7 @@ def _cmd_roundtrip(args) -> int:
     if doc.computation is None:
         raise SpecError("E_SCHEMA", "roundtrip needs a computation", "$.computation")
     name = args.modality or doc.modality
-    instance = None
-    if name:
-        mod = builtin_modality(name)
-        instance = _MODALITY_INSTANCE.get(mod.name.split(":")[0])
+    instance = builtin_modality(name).theorem if name else None
     grid = None
     if doc.computation.kind in (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST):
         grid = doc.grid_for(doc.computation.target)
@@ -590,8 +585,9 @@ def _cmd_enum_verify(args) -> int:
             "E_SCHEMA", f"unknown theorem {args.theorem!r}; ids: {', '.join(THEOREM_IDS)}"
         )
     sizes = tuple(args.sizes or (2, 2))
-    mode = "exhaustive" if args.theorem in ("may", "must", "game", "dijkstra") else "sampled"
-    count = 100 if args.theorem == "cv_sublinear" else 200
+    mod = INSTANCES[args.theorem]
+    mode = "exhaustive" if mod.carrier == BOOLEAN else "sampled"
+    count = 100 if mod.monad == MonadKind.CV_DIST else 200
     instance = TheoremInstance(args.theorem, sizes, mode, seed=args.seed, count=count)
     t0 = time.perf_counter()
     report = enum_verify(instance, max_enum=args.max_enum, jobs=args.jobs)

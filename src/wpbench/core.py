@@ -8,6 +8,7 @@ any enumeration produce identical streams.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -216,19 +217,14 @@ def count_transformers(source: FinSet, target: FinSet) -> int:
 
 
 def enumerate_transformer_tables(
-    source: FinSet,
-    target: FinSet,
-    max_enum: int = DEFAULT_ENUM_GUARD,
-    start: int = 0,
-    stop: int | None = None,
+    source: FinSet, target: FinSet, max_enum: int = DEFAULT_ENUM_GUARD
 ) -> Iterator[tuple]:
     """Stream every dense Boolean transformer 2^source -> 2^target.
 
     Yields tables: tuples of length 2^|source| whose k-th entry is the
     output mask (over target) for the k-th predicate on source.  Stream
     index i encodes the table little-endian: table[k] = digit k of i in
-    base 2^|target|.  ``start``/``stop`` select an index range so streams
-    can be partitioned across workers and merged in index order.
+    base 2^|target|.
     """
     total = count_transformers(source, target)
     if total > max_enum:
@@ -236,32 +232,7 @@ def enumerate_transformer_tables(
             f"{total} transformers exceed the enumeration guard ({max_enum}); "
             "raise max_enum to force"
         )
-    n_preds = 1 << len(source)
-    base = 1 << len(target)
-    if stop is None:
-        stop = total
-    if start == 0 and stop == total:
-        import itertools
-
-        # product varies its last factor fastest, so reversed tuples walk
-        # the stream in canonical (little-endian) index order.
-        for rev in itertools.product(range(base), repeat=n_preds):
-            yield rev[::-1]
-        return
-    for i in range(start, stop):
-        yield table_of_index(i, n_preds, base)
-
-
-def table_of_index(i: int, n_preds: int, base: int) -> tuple:
-    digits = []
-    for _ in range(n_preds):
-        digits.append(i % base)
-        i //= base
-    return tuple(digits)
-
-
-def index_of_table(table: Sequence[int], base: int) -> int:
-    i = 0
-    for d in reversed(table):
-        i = i * base + d
-    return i
+    # product varies its last factor fastest, so reversed tuples walk the
+    # stream in canonical (little-endian) index order.
+    for rev in itertools.product(range(1 << len(target)), repeat=1 << len(source)):
+        yield rev[::-1]

@@ -15,9 +15,19 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
 
 from .core import FinSet
+from .modalities import (
+    BOOLEAN,
+    DEFAULT_SCALARS,
+    MASK_SIDES,
+    STRUCTURE_CLASSES,
+    LawCheck,
+    StructureClass,
+    arg_names,
+    check_dense,
+)
+from .monads import support
 from .semantics import BooleanTransformer, MissingProbeError, RationalTransformer
 from .verdicts import Verdict, Witness, register_law
 
@@ -38,7 +48,6 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-DEFAULT_SCALARS = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 
 @dataclass(frozen=True)
@@ -106,350 +115,101 @@ class ProbeGrid:
         have = set(self.predicates)
         return all(p in have for p in self._core(len(self.domain)))
 
-    def extended(self, extra_count: int, seed_shift: int = 1) -> "ProbeGrid":
-        more = self.random_tuples(self.domain, self.seed + seed_shift, extra_count)
-        return ProbeGrid(self.domain, self.predicates + tuple(more), self.scalars, self.seed)
-
 
 # ---------------------------------------------------------------------------
-# Boolean conditions (dense tables, exact)
+# The transformer checks of the law table
+
+# condition name -> structure class; every class is also a condition
+_CLASSES = {cls.condition: cls for cls in STRUCTURE_CLASSES.values()}
+CONDITIONS = tuple(_CLASSES) + ("finitary",)
+
+# transformer law id -> law, definedness laws included
+_LAW_OF_ID = {
+    law_id if law is laws[-1] else f"{law_id}_defined": law
+    for cls in STRUCTURE_CLASSES.values()
+    for laws, law_id in cls.groups
+    for law in laws
+}
 
 
-def _law_bool(subject, args):
-    phi: BooleanTransformer = subject
-    law = args["law"]
-    if law == "join.bottom":
-        return phi.apply_mask(0), 0
-    if law == "join.binary":
-        f, g = args["f"], args["g"]
-        return phi.apply_mask(f | g), phi.apply_mask(f) | phi.apply_mask(g)
-    if law == "meet.top":
-        top = (1 << len(phi.source)) - 1
-        return phi.apply_mask(top), (1 << len(phi.target)) - 1
-    if law == "meet.binary":
-        f, g = args["f"], args["g"]
-        return phi.apply_mask(f & g), phi.apply_mask(f) & phi.apply_mask(g)
-    if law == "strict.bottom":
-        return phi.apply_mask(0), 0
-    if law == "monotone":
-        f, g = args["f"], args["g"]
-        lhs = phi.apply_mask(f)
-        return lhs, lhs & phi.apply_mask(g)  # violated iff phi(f) not below phi(g)
-    raise ValueError(f"unknown Boolean law {law!r}")
+def _replay_boolean(subject, args):
+    law = _LAW_OF_ID[args["law"]]
+    f = args.get("f", 0 if law.shape == "bottom" else len(subject.table) - 1)
+    return MASK_SIDES[law.name](subject.table, (1 << len(subject.target)) - 1, f, args.get("g", 0))
 
 
-register_law("transformer.boolean", _law_bool)
+def _replay_rational(subject, args):
+    law = _LAW_OF_ID[args["law"]]
+    check = LawCheck(subject.apply_values, len(subject.target))
+    lhs, rhs = check.sides(law, tuple(args[k] for k in arg_names(law.shape, "p", "q")))
+    return lhs[args["x"]], rhs[args["x"]]
 
 
-def _bool_verdict(phi: BooleanTransformer, laws: Sequence[str]) -> Verdict:
-    n_preds = 1 << len(phi.source)
-    checked = 0
-    for law in laws:
-        if law in ("join.bottom", "meet.top", "strict.bottom"):
-            args = {"law": law}
-            lhs, rhs = _law_bool(phi, args)
-            checked += 1
-            if lhs != rhs:
-                return Verdict.unhealthy(Witness("transformer.boolean", args, lhs, rhs), checked)
-        elif law in ("join.binary", "meet.binary"):
-            for f in range(n_preds):
-                for g in range(f, n_preds):
-                    args = {"law": law, "f": f, "g": g}
-                    lhs, rhs = _law_bool(phi, args)
-                    checked += 1
-                    if lhs != rhs:
-                        return Verdict.unhealthy(
-                            Witness("transformer.boolean", args, lhs, rhs), checked
-                        )
-        elif law == "monotone":
-            for f in range(n_preds):
-                for g in range(n_preds):
-                    if f & ~g == 0:
-                        args = {"law": "monotone", "f": f, "g": g}
-                        lhs, rhs = _law_bool(phi, args)
-                        checked += 1
-                        if lhs != rhs:
-                            return Verdict.unhealthy(
-                                Witness("transformer.boolean", args, lhs, rhs), checked
-                            )
-        else:
-            raise ValueError(law)
-    return Verdict.healthy(checked)
+register_law("transformer.boolean", _replay_boolean)
+register_law("transformer.rational", _replay_rational)
 
 
-def _require_boolean(phi) -> BooleanTransformer:
+def _dense_verdict(phi, cls: StructureClass) -> Verdict:
+    """Exact check over every predicate (pair) of a dense table."""
     if not isinstance(phi, BooleanTransformer):
         raise TypeError("this condition needs a dense Boolean transformer")
-    return phi
+    found, checked = check_dense(phi.table, (1 << len(phi.target)) - 1, cls)
+    if found is None:
+        return Verdict.healthy(checked)
+    law, law_id, f, g, lhs, rhs = found
+    named = {"law": law_id} if law.shape in ("bottom", "top") else {"law": law_id, "f": f, "g": g}
+    return Verdict.unhealthy(Witness("transformer.boolean", named, lhs, rhs), checked)
+
+
+def _grid_verdict(phi, grid, cls: StructureClass) -> Verdict:
+    """Check every law over the grid.  Each law instance counts once per
+    output coordinate, and a violated law that is not a constant law counts
+    its coordinates once more."""
+    grid = grid if grid is not None else ProbeGrid.default(phi.source)
+    if not grid.meets_minimum():
+        return Verdict.inconclusive("grid below the minimum invariant (diracs/constants/core sums)")
+    if not isinstance(phi, RationalTransformer):
+        raise TypeError("rational conditions need a rational transformer")
+    if grid.domain.elements != phi.source.elements:
+        raise ValueError("grid domain does not match the transformer source")
+    n = len(phi.target)
+    check = LawCheck(phi.apply_values, n, grid.predicates, grid.scalars, len(phi.source))
+    try:
+        for laws, law_id in cls.groups:
+            found = check.first_violation(laws, n * len(laws))
+            if found is not None:
+                law, args, lhs, rhs, x = found
+                if law.shape not in ("bottom", "top"):
+                    check.checked += n
+                law_id = law_id if law is laws[-1] else f"{law_id}_defined"
+                named = {**dict(zip(arg_names(law.shape, "p", "q"), args)), "law": law_id, "x": x}
+                witness = Witness("transformer.rational", named, lhs, rhs)
+                return Verdict.unhealthy(witness, check.checked)
+    except MissingProbeError as exc:
+        note = f"probe table lacks a required evaluation point: {exc}"
+        return Verdict.inconclusive(note, check.checked)
+    return Verdict.healthy(check.checked)
 
 
 def check_join_preserving(phi) -> Verdict:
     """Healthy iff phi preserves the empty and all binary joins."""
-    return _bool_verdict(_require_boolean(phi), ("join.bottom", "join.binary"))
+    return _dense_verdict(phi, STRUCTURE_CLASSES["cl_join"])
 
 
 def check_meet_preserving(phi) -> Verdict:
     """Healthy iff phi preserves the top predicate and all binary meets."""
-    return _bool_verdict(_require_boolean(phi), ("meet.top", "meet.binary"))
+    return _dense_verdict(phi, STRUCTURE_CLASSES["cl_meet"])
 
 
 def check_monotone(phi) -> Verdict:
     """Healthy iff f <= g pointwise implies phi(f) <= phi(g)."""
-    return _bool_verdict(_require_boolean(phi), ("monotone",))
+    return _dense_verdict(phi, STRUCTURE_CLASSES["pos"])
 
 
 def check_strict_nonempty_meets(phi) -> Verdict:
     """Healthy iff phi(0) = 0 and phi preserves binary (hence nonempty) meets;
     top preservation is deliberately not required."""
-    return _bool_verdict(_require_boolean(phi), ("strict.bottom", "meet.binary"))
-
-
-# ---------------------------------------------------------------------------
-# Rational conditions (probe grids, exact on the grid)
-
-
-def _law_rational(subject, args):
-    phi: RationalTransformer = subject
-    law = args["law"]
-    i = args["x"]
-
-    def ev(values):
-        return phi.apply_values(values)[i]
-
-    if law == "gemod.zero":
-        return ev(args["zero"]), ZERO
-    if law == "gemod.one":
-        return ev(args["one"]), ONE
-    if law == "gemod.sum":
-        p, q = args["p"], args["q"]
-        return ev(tuple(a + b for a, b in zip(p, q))), ev(p) + ev(q)
-    if law == "gemod.sum_defined":
-        p, q = args["p"], args["q"]
-        s = ev(p) + ev(q)
-        return s, min(s, ONE)
-    if law == "gemod.scale":
-        p, r = args["p"], args["r"]
-        return ev(tuple(r * a for a in p)), r * ev(p)
-    if law == "gemod_dual.zero":
-        return ev(args["one"]), ONE
-    if law == "gemod_dual.sum":
-        p, q = args["p"], args["q"]
-        return ev(tuple(a + b - 1 for a, b in zip(p, q))), ev(p) + ev(q) - 1
-    if law == "gemod_dual.sum_defined":
-        p, q = args["p"], args["q"]
-        s = ev(p) + ev(q) - 1
-        return s, max(s, ZERO)
-    if law == "gemod_dual.scale":
-        p, r = args["p"], args["r"]
-        return ev(tuple(r * a + (1 - r) for a in p)), r * ev(p) + (1 - r)
-    if law == "sublinear.subadditive":
-        p, q = args["p"], args["q"]
-        lhs = ev(p) + ev(q)
-        return lhs, min(lhs, ev(tuple(a + b for a, b in zip(p, q))))
-    if law == "sublinear.subadditive_defined":
-        p, q = args["p"], args["q"]
-        s = ev(p) + ev(q)
-        return s, min(s, ONE)
-    if law == "sublinear.scale":
-        p, r = args["p"], args["r"]
-        return ev(tuple(r * a for a in p)), r * ev(p)
-    if law == "sublinear.translate":
-        p, lam = args["p"], args["lam"]
-        return ev(tuple(a + lam for a in p)), ev(p) + lam
-    if law == "sublinear.translate_defined":
-        p, lam = args["p"], args["lam"]
-        s = ev(p) + lam
-        return s, min(s, ONE)
-    raise ValueError(f"unknown rational law {law!r}")
-
-
-register_law("transformer.rational", _law_rational)
-
-
-def _first_bad_coord(lhs_vec, rhs_vec):
-    for i, (a, b) in enumerate(zip(lhs_vec, rhs_vec)):
-        if a != b:
-            return i
-    return None
-
-
-class _GridChecker:
-    """Shared driver: evaluates vector laws over a grid, returns verdicts
-    with per-coordinate witnesses.  The pairwise loops are inlined integer
-    arithmetic on Fractions; the law() path reconstructs witnesses in the
-    replayable format when a violation is found."""
-
-    def __init__(self, phi: RationalTransformer, grid: ProbeGrid):
-        if not isinstance(phi, (RationalTransformer,)):
-            raise TypeError("rational conditions need a rational transformer")
-        if grid.domain.elements != phi.source.elements:
-            raise ValueError("grid domain does not match the transformer source")
-        self.phi = phi
-        self.grid = grid
-        self.checked = 0
-
-    def ev(self, values: tuple) -> tuple:
-        return self.phi.apply_values(values)
-
-    def law(self, law: str, args: dict):
-        """Evaluate one vector law; return a Witness at the first bad
-        coordinate or None."""
-        full_args = dict(args)
-        full_args["law"] = law
-        if law == "gemod.zero":
-            lhs = self.ev(args["zero"])
-            rhs = (ZERO,) * len(lhs)
-        elif law in ("gemod_dual.zero", "gemod.one"):
-            lhs = self.ev(args["one"])
-            rhs = (ONE,) * len(lhs)
-        elif law.endswith(".sum"):
-            p, q = args["p"], args["q"]
-            if law.startswith("gemod_dual"):
-                lhs = self.ev(tuple(a + b - 1 for a, b in zip(p, q)))
-                ep, eq = self.ev(p), self.ev(q)
-                rhs = tuple(a + b - 1 for a, b in zip(ep, eq))
-            else:
-                lhs = self.ev(tuple(a + b for a, b in zip(p, q)))
-                ep, eq = self.ev(p), self.ev(q)
-                rhs = tuple(a + b for a, b in zip(ep, eq))
-        elif law.endswith(".sum_defined"):
-            p, q = args["p"], args["q"]
-            ep, eq = self.ev(p), self.ev(q)
-            if law.startswith("gemod_dual"):
-                lhs = tuple(a + b - 1 for a, b in zip(ep, eq))
-                rhs = tuple(max(v, ZERO) for v in lhs)
-            else:
-                lhs = tuple(a + b for a, b in zip(ep, eq))
-                rhs = tuple(min(v, ONE) for v in lhs)
-        elif law.endswith(".subadditive"):
-            p, q = args["p"], args["q"]
-            ep, eq = self.ev(p), self.ev(q)
-            lhs = tuple(a + b for a, b in zip(ep, eq))
-            esum = self.ev(tuple(a + b for a, b in zip(p, q)))
-            rhs = tuple(min(a, b) for a, b in zip(lhs, esum))
-        elif law.endswith(".subadditive_defined"):
-            p, q = args["p"], args["q"]
-            ep, eq = self.ev(p), self.ev(q)
-            lhs = tuple(a + b for a, b in zip(ep, eq))
-            rhs = tuple(min(v, ONE) for v in lhs)
-        elif law.endswith(".scale"):
-            p, r = args["p"], args["r"]
-            if law.startswith("gemod_dual"):
-                lhs = self.ev(tuple(r * a + (1 - r) for a in p))
-                rhs = tuple(r * v + (1 - r) for v in self.ev(p))
-            else:
-                lhs = self.ev(tuple(r * a for a in p))
-                rhs = tuple(r * v for v in self.ev(p))
-        elif law.endswith(".translate"):
-            p, lam = args["p"], args["lam"]
-            lhs = self.ev(tuple(a + lam for a in p))
-            rhs = tuple(v + lam for v in self.ev(p))
-        elif law.endswith(".translate_defined"):
-            p, lam = args["p"], args["lam"]
-            lhs = tuple(v + lam for v in self.ev(p))
-            rhs = tuple(min(v, ONE) for v in lhs)
-        else:
-            raise ValueError(law)
-        self.checked += len(lhs)
-        bad = _first_bad_coord(lhs, rhs)
-        if bad is None:
-            return None
-        full_args["x"] = bad
-        return Witness("transformer.rational", full_args, lhs[bad], rhs[bad])
-
-    def sum_pairs(self, dual: bool):
-        preds = self.grid.predicates
-        # extreme-value prefilter avoids the pointwise scan for most pairs
-        maxima = [max(p) for p in preds]
-        minima = [min(p) for p in preds]
-        for i, p in enumerate(preds):
-            for j in range(i, len(preds)):
-                q = preds[j]
-                if dual:
-                    if minima[i] + minima[j] >= 1:
-                        yield p, q
-                    elif maxima[i] + maxima[j] < 1:
-                        continue
-                    elif all(a + b >= 1 for a, b in zip(p, q)):
-                        yield p, q
-                else:
-                    if maxima[i] + maxima[j] <= 1:
-                        yield p, q
-                    elif minima[i] + minima[j] > 1:
-                        continue
-                    elif all(a + b <= 1 for a, b in zip(p, q)):
-                        yield p, q
-
-    def run_sum_laws(self, family: str, dual: bool):
-        """Definedness and sum preservation over all defined grid pairs,
-        inlined; returns the first witness (built via law()) or None."""
-        ev = self.phi.apply_values
-        for p, q in self.sum_pairs(dual):
-            ep, eq = ev(p), ev(q)
-            if dual:
-                combined = tuple(a + b - 1 for a, b in zip(p, q))
-                image = tuple(a + b - 1 for a, b in zip(ep, eq))
-                defined_ok = all(v >= 0 for v in image)
-            else:
-                combined = tuple(a + b for a, b in zip(p, q))
-                image = tuple(a + b for a, b in zip(ep, eq))
-                defined_ok = all(v <= 1 for v in image)
-            self.checked += 2 * len(image)
-            if not defined_ok:
-                return self.law(f"{family}.{'sum' if family != 'sublinear' else 'subadditive'}_defined", {"p": p, "q": q})
-            actual = ev(combined)
-            if family == "sublinear":
-                if any(a > b for a, b in zip(image, actual)):
-                    return self.law("sublinear.subadditive", {"p": p, "q": q})
-            elif actual != image:
-                prefix = "gemod_dual" if dual else "gemod"
-                return self.law(f"{prefix}.sum", {"p": p, "q": q})
-        return None
-
-    def run_scale_laws(self, family: str, dual: bool):
-        ev = self.phi.apply_values
-        for p in self.grid.predicates:
-            base = ev(p)
-            for r in self.grid.scalars:
-                if dual:
-                    scaled = tuple(r * a + (1 - r) for a in p)
-                    expect = tuple(r * v + (1 - r) for v in base)
-                else:
-                    scaled = tuple(r * a for a in p)
-                    expect = tuple(r * v for v in base)
-                self.checked += len(expect)
-                if ev(scaled) != expect:
-                    law = "gemod_dual.scale" if dual else f"{family}.scale"
-                    return self.law(law, {"p": p, "r": r})
-        return None
-
-    def run_translate_laws(self):
-        ev = self.phi.apply_values
-        for p in self.grid.predicates:
-            base = ev(p)
-            for lam in self.grid.scalars:
-                if all(a + lam <= 1 for a in p):
-                    expect = tuple(v + lam for v in base)
-                    self.checked += 2 * len(expect)
-                    if any(v > 1 for v in expect):
-                        return self.law("sublinear.translate_defined", {"p": p, "lam": lam})
-                    if ev(tuple(a + lam for a in p)) != expect:
-                        return self.law("sublinear.translate", {"p": p, "lam": lam})
-        return None
-
-
-def _grid_run(phi, grid, laws_fn) -> Verdict:
-    grid = grid if grid is not None else ProbeGrid.default(phi.source)
-    if not grid.meets_minimum():
-        return Verdict.inconclusive("grid below the minimum invariant (diracs/constants/core sums)")
-    chk = _GridChecker(phi, grid)
-    try:
-        witness = laws_fn(chk)
-    except MissingProbeError as exc:
-        return Verdict.inconclusive(f"probe table lacks a required evaluation point: {exc}", chk.checked)
-    if witness is not None:
-        return Verdict.unhealthy(witness, chk.checked)
-    return Verdict.healthy(chk.checked)
+    return _dense_verdict(phi, STRUCTURE_CLASSES["strict_cl_meet"])
 
 
 def check_gemod_morphism(phi, grid: ProbeGrid = None, variant: str = "total") -> Verdict:
@@ -461,51 +221,19 @@ def check_gemod_morphism(phi, grid: ProbeGrid = None, variant: str = "total") ->
     """
     if variant not in ("total", "partial"):
         raise ValueError("variant must be 'total' or 'partial'")
-
-    def run(chk: _GridChecker):
-        n = len(chk.phi.source)
-        if variant == "total":
-            return (
-                chk.law("gemod.zero", {"zero": (ZERO,) * n})
-                or chk.run_sum_laws("gemod", dual=False)
-                or chk.run_scale_laws("gemod", dual=False)
-            )
-        return (
-            chk.law("gemod_dual.zero", {"one": (ONE,) * n})
-            or chk.run_sum_laws("gemod_dual", dual=True)
-            or chk.run_scale_laws("gemod_dual", dual=True)
-        )
-
-    return _grid_run(phi, grid, run)
+    cls = STRUCTURE_CLASSES["gemod" if variant == "total" else "gemod_dual"]
+    return _grid_verdict(phi, grid, cls)
 
 
 def check_emod_morphism(phi, grid: ProbeGrid = None) -> Verdict:
     """Effect-module morphism: the total laws plus preservation of 1."""
-
-    def run(chk: _GridChecker):
-        n = len(chk.phi.source)
-        return (
-            chk.law("gemod.zero", {"zero": (ZERO,) * n})
-            or chk.law("gemod.one", {"one": (ONE,) * n})
-            or chk.run_sum_laws("gemod", dual=False)
-            or chk.run_scale_laws("gemod", dual=False)
-        )
-
-    return _grid_run(phi, grid, run)
+    return _grid_verdict(phi, grid, STRUCTURE_CLASSES["emod"])
 
 
 def check_regular_sublinear(phi, grid: ProbeGrid = None) -> Verdict:
     """Regular-sublinear laws: subadditivity (with definedness), exact
     scaling, and exact translation by scalar multiples of 1."""
-
-    def run(chk: _GridChecker):
-        return (
-            chk.run_sum_laws("sublinear", dual=False)
-            or chk.run_scale_laws("sublinear", dual=False)
-            or chk.run_translate_laws()
-        )
-
-    return _grid_run(phi, grid, run)
+    return _grid_verdict(phi, grid, STRUCTURE_CLASSES["emod_sublinear"])
 
 
 # ---------------------------------------------------------------------------
@@ -543,24 +271,7 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
         return frozenset(phi.source.elements[j] for j in sorted(relevant))
 
     if phi.arrow is not None:
-        from .monads import BOT, MonadKind
-
-        row = phi.arrow.row(x)
-        kind = MonadKind(phi.arrow.kind)
-        if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-            return frozenset(y for y in row if y is not BOT)
-        if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-            return row.support
-        if kind == MonadKind.UP_POWERSET:
-            out = set()
-            for s in row:
-                out |= s
-            return frozenset(out)
-        if kind == MonadKind.CV_DIST:
-            out = set()
-            for mu in row:
-                out |= mu.support
-            return frozenset(out)
+        return support(phi.arrow.kind, phi.arrow.row(x))
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     xi = phi.target.index(x)
     relevant = set()
@@ -584,24 +295,17 @@ def finitary_report(phi, grid: ProbeGrid = None) -> Verdict:
     return Verdict.healthy(len(supports), note=f"supports: {note}")
 
 
-CONDITIONS = {
-    "join": lambda phi, grid=None: check_join_preserving(phi),
-    "meet": lambda phi, grid=None: check_meet_preserving(phi),
-    "monotone": lambda phi, grid=None: check_monotone(phi),
-    "strict_meets": lambda phi, grid=None: check_strict_nonempty_meets(phi),
-    "gemod_total": lambda phi, grid=None: check_gemod_morphism(phi, grid, "total"),
-    "gemod_partial": lambda phi, grid=None: check_gemod_morphism(phi, grid, "partial"),
-    "emod": lambda phi, grid=None: check_emod_morphism(phi, grid),
-    "regular_sublinear": lambda phi, grid=None: check_regular_sublinear(phi, grid),
-    "finitary": lambda phi, grid=None: finitary_report(phi, grid),
-}
-
-
 def run_condition(name: str, phi, grid: ProbeGrid = None) -> Verdict:
-    try:
-        fn = CONDITIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown condition {name!r}; choose from {'|'.join(sorted(CONDITIONS))}"
-        ) from None
-    return fn(phi, grid)
+    if name == "finitary":
+        return finitary_report(phi, grid)
+    cls = _CLASSES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown condition {name!r}; choose from {'|'.join(sorted(CONDITIONS))}")
+    if cls.carrier == BOOLEAN:
+        return _dense_verdict(phi, cls)
+    # the grid checkers are looked up when called, so wrappers around them see every check
+    if cls.tag == "emod":
+        return check_emod_morphism(phi, grid)
+    if cls.tag == "emod_sublinear":
+        return check_regular_sublinear(phi, grid)
+    return check_gemod_morphism(phi, grid, "total" if cls.tag == "gemod" else "partial")

@@ -1,18 +1,27 @@
 """Truth-value algebras (modalities), the algebra/monad-map correspondence,
-structure-class law lists, and lifting-condition checks.
+the healthiness law table, and lifting-condition checks.
 
 A modality is an algebra ``TOmega -> Omega`` over the truth values,
 represented by its induced evaluation rule ``eval(t, f) = alg(T f (t))``
 which works uniformly over every finite carrier.  The correspondence
 between algebras and monad maps into the continuation-like monad is
 implemented in both directions and is finitely testable.
+
+Two tables drive the rest of the package.  The modality catalog has one
+row per theorem instance (monad, modality, structure class).  The law
+table defines every healthiness law once; a structure class is a list of
+those laws, and the same list is both the transformer healthiness
+condition and the lifting condition on the modality's components.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, and_, mul, or_
 from random import Random
 from typing import Callable, Sequence
 
@@ -25,7 +34,9 @@ from .monads import (
     MonadMapSpec,
     _compose_value,
     enumerate_tvalues,
+    is_enumerable,
     random_tvalue,
+    support,
     unit_value,
 )
 from .verdicts import Verdict, Witness, register_law
@@ -35,8 +46,12 @@ __all__ = [
     "RATIONAL",
     "Modality",
     "FiniteAlgebra",
+    "INSTANCES",
+    "Law",
+    "LAWS",
     "StructureClass",
     "STRUCTURE_CLASSES",
+    "check_dense",
     "builtin_modality",
     "builtin_modality_names",
     "algebra_to_monad_map",
@@ -50,6 +65,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+DEFAULT_SCALARS = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
 
 BOOLEAN = "boolean"
 RATIONAL = "rational"
@@ -72,6 +88,12 @@ class Modality:
     evaluate: Callable
     param: Fraction | None = None
     pair: tuple | None = None  # (inner, outer) description for alternating instances
+    theorem: str | None = None  # the theorem instance this catalog row realizes
+
+    @property
+    def condition(self) -> str:
+        """The healthiness condition of the modality's structure class."""
+        return STRUCTURE_CLASSES[self.structure_class].condition
 
     def apply_algebra(self, tvalue):
         """The structure map itself: evaluate with the identity valuation."""
@@ -113,10 +135,65 @@ def _eval_demonic_prob(vertices, f):
     return min(mu.expect(f) for mu in vertices)
 
 
+# The catalog: one row per theorem instance, in theorem order.
+INSTANCES = {
+    mod.theorem: mod
+    for mod in (
+        Modality("diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", _eval_diamond, theorem="may"),
+        Modality("box", MonadKind.POWERSET, BOOLEAN, "cl_meet", _eval_box, theorem="must"),
+        Modality(
+            "game",
+            MonadKind.UP_POWERSET,
+            BOOLEAN,
+            "pos",
+            _eval_game,
+            pair=("meet within the chosen set", "join over the family"),
+            theorem="game",
+        ),
+        Modality(
+            "dijkstra",
+            MonadKind.LIFT_POWERSET,
+            BOOLEAN,
+            "strict_cl_meet",
+            _eval_dijkstra,
+            pair=("nonempty-meet over chosen states", "strict bottom"),
+            theorem="dijkstra",
+        ),
+        Modality(
+            "total",
+            MonadKind.SUBDIST,
+            RATIONAL,
+            "gemod",
+            _eval_tau_r(ZERO),
+            param=ZERO,
+            theorem="subdist_total",
+        ),
+        Modality(
+            "partial",
+            MonadKind.SUBDIST,
+            RATIONAL,
+            "gemod_dual",
+            _eval_tau_r(ONE),
+            param=ONE,
+            theorem="subdist_partial",
+        ),
+        Modality("convex", MonadKind.DIST, RATIONAL, "emod", _eval_convex, theorem="dist_convex"),
+        Modality(
+            "demonic_prob",
+            MonadKind.CV_DIST,
+            RATIONAL,
+            "emod_sublinear",
+            _eval_demonic_prob,
+            pair=("expectation", "min over the polytope"),
+            theorem="cv_sublinear",
+        ),
+    )
+}
+
+
 def builtin_modality(name: str) -> Modality:
     """Look up a catalog modality; ``tau_r:p/q`` selects the r-parametrized one."""
     key = name.strip()
-    r = None
     if key.startswith("tau_r"):
         rest = key[len("tau_r") :].lstrip(":(").rstrip(")")
         if not rest:
@@ -124,56 +201,17 @@ def builtin_modality(name: str) -> Modality:
         r = parse_rational(rest)
         if not (ZERO <= r <= ONE):
             raise ValueError(f"tau_r parameter {r} outside [0, 1]")
-        key = "tau_r"
-    table = {
-        "diamond": lambda: Modality("diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", _eval_diamond),
-        "box": lambda: Modality("box", MonadKind.POWERSET, BOOLEAN, "cl_meet", _eval_box),
-        "total": lambda: Modality(
-            "total", MonadKind.SUBDIST, RATIONAL, "gemod", _eval_tau_r(ZERO), param=ZERO
-        ),
-        "partial": lambda: Modality(
-            "partial", MonadKind.SUBDIST, RATIONAL, "gemod_dual", _eval_tau_r(ONE), param=ONE
-        ),
-        "convex": lambda: Modality("convex", MonadKind.DIST, RATIONAL, "emod", _eval_convex),
-        "dijkstra": lambda: Modality(
-            "dijkstra",
-            MonadKind.LIFT_POWERSET,
-            BOOLEAN,
-            "strict_cl_meet",
-            _eval_dijkstra,
-            pair=("nonempty-meet over chosen states", "strict bottom"),
-        ),
-        "game": lambda: Modality(
-            "game",
-            MonadKind.UP_POWERSET,
-            BOOLEAN,
-            "pos",
-            _eval_game,
-            pair=("meet within the chosen set", "join over the family"),
-        ),
-        "demonic_prob": lambda: Modality(
-            "demonic_prob",
-            MonadKind.CV_DIST,
-            RATIONAL,
-            "emod_sublinear",
-            _eval_demonic_prob,
-            pair=("expectation", "min over the polytope"),
-        ),
-    }
-    if key == "tau_r":
-        if r == 0:
-            return builtin_modality("total")
-        if r == 1:
-            return builtin_modality("partial")
+        if r in (ZERO, ONE):
+            return INSTANCES["subdist_total" if r == ZERO else "subdist_partial"]
         return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, _eval_tau_r(r), param=r)
-    try:
-        return table[key]()
-    except KeyError:
-        raise ValueError(f"unknown modality {name!r}") from None
+    for mod in INSTANCES.values():
+        if mod.name == key:
+            return mod
+    raise ValueError(f"unknown modality {name!r}")
 
 
 def builtin_modality_names() -> tuple:
-    return ("diamond", "box", "total", "partial", "convex", "dijkstra", "game", "demonic_prob")
+    return tuple(mod.name for mod in INSTANCES.values())
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +232,7 @@ class _RationalContinuationTarget(ContinuationTarget):
     """Continuation target over [0,1]; equality is probe-based."""
 
     name = "continuation[0,1]"
-    probe_values = (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE)
-
-    def densify(self, carrier: Sequence, value) -> tuple:
-        elems = tuple(carrier)
-        out = []
-        for vals in itertools.product(self.probe_values, repeat=len(elems)):
-            table = dict(zip(elems, vals))
-            out.append(value(lambda x, table=table: table[x]))
-        return tuple(out)
+    probe_values = DEFAULT_SCALARS
 
 
 def monad_map_to_algebra(spec: MonadMapSpec, name: str | None = None) -> Modality:
@@ -216,29 +246,9 @@ def monad_map_to_algebra(spec: MonadMapSpec, name: str | None = None) -> Modalit
     carrier = BOOLEAN if type(spec.target) is ContinuationTarget else RATIONAL
 
     def evaluate(tvalue, f):
-        return spec.at(_occurring(spec.source, tvalue), tvalue)(f)
+        return spec.at(tuple(support(spec.source, tvalue)), tvalue)(f)
 
     return Modality(name or f"alg[{spec.name}]", spec.source, carrier, None, evaluate)
-
-
-def _occurring(kind: MonadKind, tvalue) -> tuple:
-    """Elements mentioned by one T-value (a sufficient carrier for evaluation)."""
-    kind = MonadKind(kind)
-    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-        return tuple(x for x in tvalue if x is not BOT)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return tuple(tvalue.support)
-    if kind == MonadKind.UP_POWERSET:
-        out = set()
-        for s in tvalue:
-            out |= s
-        return tuple(out)
-    if kind == MonadKind.CV_DIST:
-        out = set()
-        for mu in tvalue:
-            out |= mu.support
-        return tuple(out)
-    raise ValueError(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +292,7 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
     rng = Random(seed)
     values = _BOOL_VALUES if mod.carrier == BOOLEAN else _RAT_VALUES
     omega = _omega_carrier(values)
-    enumerable = mod.monad in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
+    enumerable = is_enumerable(mod.monad)
 
     A = FinSet("a", ("a0", "a1"))
     valuations = [dict(zip(A.elements, vals)) for vals in itertools.product(values, repeat=len(A))]
@@ -324,106 +334,319 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 
 
 # ---------------------------------------------------------------------------
-# Structure classes and their law lists
+# The law table and the structure classes
+
+
+def _dual_add(a, b):
+    return a + b - 1
+
+
+def _dual_mul(a, r):
+    return r * a + (1 - r)
+
+
+@dataclass(frozen=True)
+class Law:
+    """One healthiness law: ``lhs rel rhs`` at every argument of its shape.
+
+    Shapes and their arguments: "bottom" and "top" (the constant predicate
+    0, resp. 1), "pair" (two Boolean predicates), "order" (two Boolean
+    predicates with f <= g), "sum" and "dual_sum" (two predicates whose
+    pointwise sum, resp. sum minus one, stays in [0, 1]), "scale" (a
+    predicate and a scalar r) and "shift" (a predicate and a scalar lam
+    with p + lam <= 1).  A side is a term: ``("arg", k)`` is F at argument
+    k, ``("at", op)`` is F at op applied pointwise to the arguments,
+    ``("of", op)`` is op applied to F's values at the arguments, and
+    ``("const", c)`` is the truth value c in {0, 1}.
+
+    ``rel`` is "=", "<=" or ">=".  Inequalities use the clamp encoding: a
+    witness records meet(lhs, rhs) (for ">=", join) as its rhs, so a law
+    is violated exactly when its recorded sides differ.
+    """
+
+    name: str
+    shape: str
+    lhs: tuple
+    rhs: tuple
+    rel: str = "="
+
+
+LAWS = {
+    law.name: law
+    for law in (
+        Law("bottom", "bottom", ("arg", 0), ("const", 0)),
+        Law("top", "top", ("arg", 0), ("const", 1)),
+        Law("binary_join", "pair", ("at", or_), ("of", or_)),
+        Law("binary_meet", "pair", ("at", and_), ("of", and_)),
+        Law("monotone", "order", ("arg", 0), ("arg", 1), "<="),
+        Law("zero", "bottom", ("arg", 0), ("const", 0)),
+        Law("one", "top", ("arg", 0), ("const", 1)),
+        Law("dual_zero", "top", ("arg", 0), ("const", 1)),
+        Law("sum_defined", "sum", ("of", add), ("const", 1), "<="),
+        Law("sum", "sum", ("at", add), ("of", add)),
+        Law("dual_sum_defined", "dual_sum", ("of", _dual_add), ("const", 0), ">="),
+        Law("dual_sum", "dual_sum", ("at", _dual_add), ("of", _dual_add)),
+        Law("subadditive_defined", "sum", ("of", add), ("const", 1), "<="),
+        Law("subadditive", "sum", ("of", add), ("at", add), "<="),
+        Law("scale", "scale", ("at", mul), ("of", mul)),
+        Law("dual_scale", "scale", ("at", _dual_mul), ("of", _dual_mul)),
+        Law("translate_defined", "shift", ("of", add), ("const", 1), "<="),
+        Law("translate", "shift", ("at", add), ("of", add)),
+    )
+}
+
+# shapes whose two arguments are both predicates
+_BINARY = ("pair", "order", "sum", "dual_sum")
+
+
+def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
+    """Witness argument names of a shape, given the names of predicates."""
+    names = {"bottom": ("zero",), "top": ("one",), "scale": (p, "r"), "shift": (p, "lam")}
+    return names.get(shape, (p, q))
 
 
 @dataclass(frozen=True)
 class StructureClass:
-    """A finite law list deciding whether a map Omega^n -> Omega (or a
-    transformer, pointwise) is a morphism of the class."""
+    """A list of table laws deciding whether a map Omega^n -> Omega (or a
+    transformer, per output coordinate) is a morphism of the class.
+
+    ``condition`` names the same list as a transformer healthiness
+    condition.  ``laws`` pairs each law with the id the transformer checks
+    report for it; a definedness law reports that id plus ``_defined``.
+    """
 
     tag: str
+    condition: str
     carrier: str
     laws: tuple
+
+    @functools.cached_property
+    def groups(self) -> tuple:
+        """(laws, transformer law id) per law in check order, the laws being
+        its definedness law ``<name>_defined`` when the table has one, then it."""
+        return tuple(
+            (tuple(LAWS[n] for n in (f"{name}_defined", name) if n in LAWS), law_id)
+            for name, law_id in self.laws
+        )
 
     def __repr__(self):
         return f"StructureClass({self.tag!r})"
 
 
 STRUCTURE_CLASSES = {
-    "cl_join": StructureClass("cl_join", BOOLEAN, ("bottom", "binary_join")),
-    "cl_meet": StructureClass("cl_meet", BOOLEAN, ("top", "binary_meet")),
-    "pos": StructureClass("pos", BOOLEAN, ("monotone",)),
-    "strict_cl_meet": StructureClass("strict_cl_meet", BOOLEAN, ("bottom", "binary_meet")),
-    "gemod": StructureClass("gemod", RATIONAL, ("zero", "sum", "scale")),
-    "gemod_dual": StructureClass("gemod_dual", RATIONAL, ("dual_zero", "dual_sum", "dual_scale")),
-    "emod": StructureClass("emod", RATIONAL, ("zero", "one", "sum", "scale")),
-    "emod_sublinear": StructureClass(
-        "emod_sublinear", RATIONAL, ("subadditive", "scale", "translate")
-    ),
+    cls.tag: cls
+    for cls in (
+        StructureClass(
+            "cl_join", "join", BOOLEAN, (("bottom", "join.bottom"), ("binary_join", "join.binary"))
+        ),
+        StructureClass(
+            "cl_meet", "meet", BOOLEAN, (("top", "meet.top"), ("binary_meet", "meet.binary"))
+        ),
+        StructureClass("pos", "monotone", BOOLEAN, (("monotone", "monotone"),)),
+        StructureClass(
+            "strict_cl_meet",
+            "strict_meets",
+            BOOLEAN,
+            (("bottom", "strict.bottom"), ("binary_meet", "meet.binary")),
+        ),
+        StructureClass(
+            "gemod",
+            "gemod_total",
+            RATIONAL,
+            (("zero", "gemod.zero"), ("sum", "gemod.sum"), ("scale", "gemod.scale")),
+        ),
+        StructureClass(
+            "gemod_dual",
+            "gemod_partial",
+            RATIONAL,
+            (
+                ("dual_zero", "gemod_dual.zero"),
+                ("dual_sum", "gemod_dual.sum"),
+                ("dual_scale", "gemod_dual.scale"),
+            ),
+        ),
+        StructureClass(
+            "emod",
+            "emod",
+            RATIONAL,
+            (
+                ("zero", "gemod.zero"),
+                ("one", "gemod.one"),
+                ("sum", "gemod.sum"),
+                ("scale", "gemod.scale"),
+            ),
+        ),
+        StructureClass(
+            "emod_sublinear",
+            "regular_sublinear",
+            RATIONAL,
+            (
+                ("subadditive", "sublinear.subadditive"),
+                ("scale", "sublinear.scale"),
+                ("translate", "sublinear.translate"),
+            ),
+        ),
+    )
 }
 
 
-def _law_functional(subject, args):
-    """Shared replay: subject is (functional, domain_size); args carry the law id
-    and the concrete valuation tuples/scalars."""
-    F = subject
-    law = args["law"]
-    if law == "bottom":
-        n = len(args["zero"])
-        return F(args["zero"]), 0
-    if law == "top":
-        return F(args["one"]), 1
-    if law == "binary_join":
-        f, g = args["f"], args["g"]
-        joined = tuple(max(a, b) for a, b in zip(f, g))
-        return F(joined), max(F(f), F(g))
-    if law == "binary_meet":
-        f, g = args["f"], args["g"]
-        met = tuple(min(a, b) for a, b in zip(f, g))
-        return F(met), min(F(f), F(g))
-    if law == "monotone":
-        # inequality law F(f) <= F(g); clamp encoding makes violation = lhs != rhs
-        f, g = args["f"], args["g"]
-        lhs = F(f)
-        return lhs, min(lhs, F(g))
-    if law == "zero":
-        return F(args["zero"]), ZERO
-    if law == "one":
-        return F(args["one"]), ONE
-    if law == "sum":
-        f, g = args["f"], args["g"]
-        return F(tuple(a + b for a, b in zip(f, g))), F(f) + F(g)
-    if law == "sum_defined":
-        # inequality: the image sum must stay defined, F(f) + F(g) <= 1
-        f, g = args["f"], args["g"]
-        s = F(f) + F(g)
-        return s, min(s, ONE)
-    if law == "scale":
-        f, r = args["f"], args["r"]
-        return F(tuple(r * a for a in f)), r * F(f)
-    if law == "dual_zero":
-        return F(args["one"]), ONE
-    if law == "dual_sum":
-        f, g = args["f"], args["g"]
-        return F(tuple(a + b - 1 for a, b in zip(f, g))), F(f) + F(g) - 1
-    if law == "dual_sum_defined":
-        f, g = args["f"], args["g"]
-        s = F(f) + F(g) - 1
-        return s, max(s, ZERO)
-    if law == "dual_scale":
-        f, r = args["f"], args["r"]
-        return F(tuple(r * a + (1 - r) for a in f)), r * F(f) + (1 - r)
-    if law == "subadditive":
-        # inequality: F(f) + F(g) <= F(f + g)
-        f, g = args["f"], args["g"]
-        lhs = F(f) + F(g)
-        return lhs, min(lhs, F(tuple(a + b for a, b in zip(f, g))))
-    if law == "subadditive_defined":
-        f, g = args["f"], args["g"]
-        s = F(f) + F(g)
-        return s, min(s, ONE)
-    if law == "translate":
-        f, lam = args["f"], args["lam"]
-        return F(tuple(a + lam for a in f)), F(f) + lam
-    raise ValueError(f"unknown law {law!r}")
+class LawCheck:
+    """Checks rational table laws of a map F over probe predicates and scalars.
+
+    F takes a predicate (a value tuple) to a tuple with one entry per output
+    coordinate (one entry for a functional).  Predicate arguments are
+    addressed by index into ``preds``, the probes followed by the constant
+    predicates 0 and 1; F is evaluated at each once, when first needed and
+    before the argument needing it counts as checked.
+    """
+
+    def __init__(self, F: Callable, outputs: int, probes=(), scalars=(), width: int = 0):
+        self.F = F
+        self.preds = list(probes) + [(ZERO,) * width, (ONE,) * width]
+        self.scalars = tuple(scalars)
+        self.checked = 0
+        self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
+        self._values = [None] * len(self.preds)
+        self._max = [max(p, default=ZERO) for p in probes]
+        self._min = [min(p, default=ZERO) for p in probes]
+
+    def value(self, i: int) -> tuple:
+        v = self._values[i]
+        if v is None:
+            v = self._values[i] = self.F(self.preds[i])
+        return v
+
+    def arguments(self, shape: str):
+        """(predicate indices, args) for every argument of a shape."""
+        k, preds = len(self._max), self.preds
+        if shape in ("bottom", "top"):
+            i = k if shape == "bottom" else k + 1
+            return [((i,), (preds[i],))]
+        if shape in ("scale", "shift"):
+            return (
+                ((i,), (preds[i], s))
+                for i in range(k)
+                for s in self.scalars
+                if shape == "scale" or self._max[i] + s <= 1
+            )
+        dual = shape == "dual_sum"
+        return (
+            ((i, j), (preds[i], preds[j]))
+            for i in range(k)
+            for j in range(i, k)
+            if self._defined(i, j, dual)
+        )
+
+    def _defined(self, i: int, j: int, dual: bool) -> bool:
+        """Whether probes i and j sum (dual: sum minus one) into [0, 1]; the
+        extreme values decide most pairs without a pointwise scan."""
+        hi, lo, p, q = self._max, self._min, self.preds[i], self.preds[j]
+        if dual:
+            return lo[i] + lo[j] >= 1 or (
+                hi[i] + hi[j] >= 1 and all(a + b >= 1 for a, b in zip(p, q))
+            )
+        return hi[i] + hi[j] <= 1 or (lo[i] + lo[j] <= 1 and all(a + b <= 1 for a, b in zip(p, q)))
+
+    def side(self, term: tuple, shape: str, args: tuple, fargs: list, memo: dict) -> tuple:
+        kind, x = term
+        if kind == "arg":
+            return fargs[x]
+        if kind == "const":
+            return self._consts[x]
+        if kind == "of":
+            image = memo.get(x)
+            if image is None:
+                second = fargs[1] if shape in _BINARY else repeat(args[1])
+                image = memo[x] = tuple(map(x, fargs[0], second))
+            return image
+        return self.F(tuple(map(x, args[0], args[1] if shape in _BINARY else repeat(args[1]))))
+
+    def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None) -> tuple:
+        """Both sides of a law at one argument, the rhs clamped, so the law
+        holds iff they are equal; ``fargs`` is F at the predicate arguments."""
+        if fargs is None:
+            fargs = [self.F(a) for a in args[: 2 if law.shape in _BINARY else 1]]
+        memo = {} if memo is None else memo
+        lhs = self.side(law.lhs, law.shape, args, fargs, memo)
+        rhs = self.side(law.rhs, law.shape, args, fargs, memo)
+        if law.rel != "=":
+            rhs = tuple(map(min if law.rel == "<=" else max, lhs, rhs))
+        return lhs, rhs
+
+    def first_violation(self, laws: tuple, weight: int):
+        """(law, args, lhs, rhs, coordinate) at the first failing argument, or
+        None; every argument adds ``weight`` to the checked count.  A group's
+        laws share one image of F per argument."""
+        for idx, args in self.arguments(laws[0].shape):
+            fargs = [self.value(i) for i in idx]
+            self.checked += weight
+            memo = {}
+            for law in laws:
+                lhs, rhs = self.sides(law, args, fargs, memo)
+                if lhs != rhs:
+                    i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                    return law, args, lhs[i], rhs[i], i
+        return None
 
 
-register_law("class.law", _law_functional)
+def _replay_functional(subject, args):
+    law = LAWS[args["law"]]
+    check = LawCheck(lambda p: (subject(p),), 1)
+    (lhs,), (rhs,) = check.sides(law, tuple(args[k] for k in arg_names(law.shape)))
+    return lhs, rhs
 
 
-def _boolean_tuples(n: int):
-    return list(itertools.product((0, 1), repeat=n))
+register_law("class.law", _replay_functional)
+
+
+def _mask_term(term: tuple) -> Callable:
+    kind, x = term
+    if kind == "arg":
+        return lambda T, top, f, g: T[g] if x else T[f]
+    if kind == "const":
+        return lambda T, top, f, g: top if x else 0
+    if kind == "at":
+        return lambda T, top, f, g: T[x(f, g)]
+    return lambda T, top, f, g: x(T[f], T[g])
+
+
+def _mask_law(law: Law) -> Callable:
+    lhs, rhs = _mask_term(law.lhs), _mask_term(law.rhs)
+    if law.rel == "=":
+        return lambda T, top, f, g: (lhs(T, top, f, g), rhs(T, top, f, g))
+    clamp = and_ if law.rel == "<=" else or_
+    return lambda T, top, f, g: (a := lhs(T, top, f, g), clamp(a, rhs(T, top, f, g)))
+
+
+# law name -> (T, top, f, g) -> both sides of the law on a dense table T
+# (predicate mask -> output mask, ``top`` the full output mask) at predicate
+# masks f and g, or at the constant predicate f; the rhs is clamped
+MASK_SIDES = {name: _mask_law(law) for name, law in LAWS.items()}
+
+
+def check_dense(T: Sequence, top: int, cls: StructureClass, all_pairs: bool = False):
+    """Check a Boolean class exactly on a dense table T (see MASK_SIDES).
+
+    Binary laws take every ordered pair of predicates, or only pairs f <= g
+    as indices; the order law takes f inside g.  Returns (violation,
+    checked) with violation (law, law_id, f, g, lhs, rhs) or None.
+    """
+    size = len(T)
+    checked = 0
+    for (law,), law_id in cls.groups:
+        if law.shape in ("bottom", "top"):
+            pairs = [(0 if law.shape == "bottom" else size - 1, 0)]
+        elif law.shape == "pair":
+            pairs = ((f, g) for f in range(size) for g in range(0 if all_pairs else f, size))
+        else:
+            pairs = ((f, g) for f in range(size) for g in range(size) if f & ~g == 0)
+        sides = MASK_SIDES[law.name]
+        for f, g in pairs:
+            checked += 1
+            lhs, rhs = sides(T, top, f, g)
+            if lhs != rhs:
+                return (law, law_id, f, g, lhs, rhs), checked
+    return None, checked
 
 
 def check_functional_laws(
@@ -436,129 +659,38 @@ def check_functional_laws(
     """Check one functional Omega^n -> Omega against a class law list.
 
     Returns (witness_or_None, checked_count).  Boolean classes sweep all
-    valuation pairs; rational classes quantify over the supplied probe
-    tuples and scalars.
+    ordered valuation pairs; rational classes quantify over the supplied
+    probe tuples and scalars.  Each law instance counts once, except that
+    a defined pair counts twice (its definedness and its law); translation
+    counts once and reports its definedness failures as ``translate``.
     """
-    checked = 0
     if cls.carrier == BOOLEAN:
-        tuples = _boolean_tuples(n)
-        zero = (0,) * n
-        one = (1,) * n
-        for law in cls.laws:
-            if law == "bottom":
-                args = {"law": "bottom", "zero": zero}
-                lhs, rhs = _law_functional(F, args)
-                checked += 1
-                if lhs != rhs:
-                    return Witness("class.law", args, lhs, rhs), checked
-            elif law == "top":
-                args = {"law": "top", "one": one}
-                lhs, rhs = _law_functional(F, args)
-                checked += 1
-                if lhs != rhs:
-                    return Witness("class.law", args, lhs, rhs), checked
-            elif law in ("binary_join", "binary_meet"):
-                for f in tuples:
-                    for g in tuples:
-                        args = {"law": law, "f": f, "g": g}
-                        lhs, rhs = _law_functional(F, args)
-                        checked += 1
-                        if lhs != rhs:
-                            return Witness("class.law", args, lhs, rhs), checked
-            elif law == "monotone":
-                for f in tuples:
-                    for g in tuples:
-                        if all(a <= b for a, b in zip(f, g)):
-                            args = {"law": "monotone", "f": f, "g": g}
-                            lhs, rhs = _law_functional(F, args)
-                            checked += 1
-                            if lhs != rhs:
-                                return Witness("class.law", args, lhs, rhs), checked
-            else:
-                raise ValueError(f"law {law!r} is not Boolean")
-        return None, checked
-
-    preds = list(rational_preds or [])
-    scals = list(scalars if scalars is not None else (ZERO, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), ONE))
-    zero = (ZERO,) * n
-    one = (ONE,) * n
-    vals = [F(p) for p in preds]
-    maxima = [max(p) if p else ZERO for p in preds]
-    minima = [min(p) if p else ZERO for p in preds]
-
-    def fail(law, **args):
-        args["law"] = law
-        lhs, rhs = _law_functional(F, args)
-        return Witness("class.law", args, lhs, rhs)
-
-    for law in cls.laws:
-        if law in ("zero", "one", "dual_zero"):
-            args = {"law": law, "zero": zero, "one": one}
-            lhs, rhs = _law_functional(F, args)
-            checked += 1
-            if lhs != rhs:
-                return Witness("class.law", args, lhs, rhs), checked
-        elif law in ("sum", "subadditive", "dual_sum"):
-            dual = law == "dual_sum"
-            for i, f in enumerate(preds):
-                for j in range(i, len(preds)):
-                    g = preds[j]
-                    if dual:
-                        if maxima[i] + maxima[j] < 1:
-                            continue
-                        if minima[i] + minima[j] < 1 and not all(
-                            a + b >= 1 for a, b in zip(f, g)
-                        ):
-                            continue
-                        image = vals[i] + vals[j] - 1
-                        combined = tuple(a + b - 1 for a, b in zip(f, g))
-                        defined_ok = image >= 0
-                    else:
-                        if minima[i] + minima[j] > 1:
-                            continue
-                        if maxima[i] + maxima[j] > 1 and not all(
-                            a + b <= 1 for a, b in zip(f, g)
-                        ):
-                            continue
-                        image = vals[i] + vals[j]
-                        combined = tuple(a + b for a, b in zip(f, g))
-                        defined_ok = image <= 1
-                    checked += 2
-                    if not defined_ok:
-                        name = "dual_sum_defined" if dual else (
-                            "subadditive_defined" if law == "subadditive" else "sum_defined"
-                        )
-                        return fail(name, f=f, g=g), checked
-                    actual = F(combined)
-                    if law == "subadditive":
-                        if image > actual:
-                            return fail("subadditive", f=f, g=g), checked
-                    elif actual != image:
-                        return fail(law, f=f, g=g), checked
-        elif law in ("scale", "dual_scale"):
-            for i, f in enumerate(preds):
-                for r in scals:
-                    if law == "scale":
-                        expect = r * vals[i]
-                        actual = F(tuple(r * a for a in f))
-                    else:
-                        expect = r * vals[i] + (1 - r)
-                        actual = F(tuple(r * a + (1 - r) for a in f))
-                    checked += 1
-                    if actual != expect:
-                        return fail(law, f=f, r=r), checked
-        elif law == "translate":
-            for i, f in enumerate(preds):
-                for lam in scals:
-                    # lam*1 is constant, so the max decides definedness exactly
-                    if maxima[i] + lam <= 1:
-                        checked += 1
-                        expect = vals[i] + lam
-                        if expect > 1 or F(tuple(a + lam for a in f)) != expect:
-                            return fail("translate", f=f, lam=lam), checked
+        # valuation tuples in product order, indexed as bit masks (the
+        # lattice operations do not depend on the bit order)
+        tuples = list(itertools.product((0, 1), repeat=n))
+        found, checked = check_dense([F(t) for t in tuples], 1, cls, all_pairs=True)
+        if found is None:
+            return None, checked
+        law, _, f, g, lhs, rhs = found
+        named = dict(zip(arg_names(law.shape), (tuples[f], tuples[g])))
+        return Witness("class.law", {"law": law.name, **named}, lhs, rhs), checked
+    scalars = DEFAULT_SCALARS if scalars is None else scalars
+    check = LawCheck(lambda p: (F(p),), 1, rational_preds or [], scalars, n)
+    for laws, _ in cls.groups:
+        shape = laws[-1].shape
+        found = check.first_violation(laws, 1 if shape == "shift" else len(laws))
+        if found is None:
+            continue
+        law, args, lhs, rhs, _ = found
+        if shape == "shift":
+            law = laws[-1]
+            (lhs,), (rhs,) = check.sides(law, args)
+        if shape in ("bottom", "top"):
+            named = {"law": law.name, "zero": check.preds[-2], "one": check.preds[-1]}
         else:
-            raise ValueError(f"law {law!r} is not rational")
-    return None, checked
+            named = {**dict(zip(arg_names(shape), args)), "law": law.name}
+        return Witness("class.law", named, lhs, rhs), check.checked
+    return None, check.checked
 
 
 def _rational_probe_tuples(n: int, seed: int, count: int = 24) -> list:
@@ -599,10 +731,9 @@ def lifting_check(
         raise ValueError("n_max must be at least 1")
     checked = 0
     rng = Random(seed)
-    enumerable = mod.monad in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
     for n in range(1, n_max + 1):
         X = FinSet(f"n{n}", tuple(f"e{i}" for i in range(n)))
-        if enumerable:
+        if is_enumerable(mod.monad):
             ts = enumerate_tvalues(mod.monad, X)
         else:
             ts = [random_tvalue(mod.monad, rng, X, max_den) for _ in range(samples_per_n)]

@@ -44,7 +44,8 @@ __all__ = [
     "dedup_vertices",
     "enumerate_tvalues",
     "enumerate_arrows",
-    "count_arrows",
+    "is_enumerable",
+    "support",
     "random_tvalue",
     "random_arrow",
     "check_monad_laws",
@@ -340,8 +341,27 @@ def kleisli_compose(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
     return KleisliArrow(f.kind, f.source, g.target, [_compose_value(f.kind, r, g) for r in f.rows])
 
 
+def support(kind: MonadKind, value) -> frozenset:
+    """The carrier elements one T-value mentions (bottom excluded)."""
+    kind = MonadKind(kind)
+    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
+        return frozenset(y for y in value if y is not BOT)
+    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
+        return value.support
+    if kind == MonadKind.UP_POWERSET:
+        return frozenset().union(*value)
+    if kind == MonadKind.CV_DIST:
+        return frozenset().union(*(mu.support for mu in value))
+    raise ValueError(f"unknown monad kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # Enumeration and sampling of T-values and arrows
+
+
+def is_enumerable(kind: MonadKind) -> bool:
+    """Whether every T-value over a finite carrier can be listed."""
+    return MonadKind(kind) in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
 
 
 def enumerate_tvalues(kind: MonadKind, target: FinSet, max_enum: int = 1 << 20) -> list:
@@ -374,10 +394,6 @@ def enumerate_tvalues(kind: MonadKind, target: FinSet, max_enum: int = 1 << 20) 
                 out.append(fam)
         return out
     raise SizeGuardError(f"{kind} values are not enumerable; sample them instead")
-
-
-def count_arrows(kind: MonadKind, source: FinSet, target: FinSet) -> int:
-    return len(enumerate_tvalues(kind, target)) ** len(source)
 
 
 def enumerate_arrows(
@@ -493,8 +509,14 @@ def _values_equal(kind: MonadKind, a, b, target: FinSet = None) -> bool:
     return a == b
 
 
-def _arrows_equal(f: KleisliArrow, g: KleisliArrow) -> bool:
-    return all(_values_equal(f.kind, a, b, f.target) for a, b in zip(f.rows, g.rows))
+def _assoc_failure(f, g, h, left: KleisliArrow, right: KleisliArrow):
+    """The associativity witness at the first state where (f;g);h and
+    f;(g;h) differ, or None."""
+    for x in f.source.elements:
+        if not _values_equal(f.kind, left.row(x), right.row(x), left.target):
+            args = {"f": f, "g": g, "h": h, "x": x}
+            return Witness("monad.assoc", args, left.row(x), right.row(x))
+    return None
 
 
 def _law_left_unit(subject, args):
@@ -558,8 +580,7 @@ def check_monad_laws(
     """
     kind = MonadKind(kind)
     checked = 0
-    enumerable = kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
-    if enumerable:
+    if is_enumerable(kind):
         counts = {
             (X.name, Y.name): len(enumerate_tvalues(kind, Y, max_enum)) ** len(X)
             for X in carriers
@@ -595,24 +616,10 @@ def check_monad_laws(
                             ghs = [(h, compose(g, h)) for h in hs]
                             for f, fg in fgs:
                                 for h, gh in ghs:
-                                    left = compose(fg, h)
-                                    right = compose(f, gh)
                                     checked += 1
-                                    if not _arrows_equal(left, right):
-                                        x = next(
-                                            x
-                                            for x in X.elements
-                                            if not _values_equal(kind, left.row(x), right.row(x), left.target)
-                                        )
-                                        return Verdict.unhealthy(
-                                            Witness(
-                                                "monad.assoc",
-                                                {"f": f, "g": g, "h": h, "x": x},
-                                                left.row(x),
-                                                right.row(x),
-                                            ),
-                                            checked,
-                                        )
+                                    w = _assoc_failure(f, g, h, compose(fg, h), compose(f, gh))
+                                    if w is not None:
+                                        return Verdict.unhealthy(w, checked)
         return Verdict.healthy(checked)
 
     rng = Random(seed)
@@ -639,17 +646,10 @@ def check_monad_laws(
         checked += 1
         if g is None:
             continue
-        left = compose(compose(f, g), h)
-        right = compose(f, compose(g, h))
         checked += 1
-        if not _arrows_equal(left, right):
-            x = next(
-                x for x in f.source.elements if not _values_equal(kind, left.row(x), right.row(x), left.target)
-            )
-            return Verdict.unhealthy(
-                Witness("monad.assoc", {"f": f, "g": g, "h": h, "x": x}, left.row(x), right.row(x)),
-                checked,
-            )
+        w = _assoc_failure(f, g, h, compose(compose(f, g), h), compose(f, compose(g, h)))
+        if w is not None:
+            return Verdict.unhealthy(w, checked)
     return Verdict.healthy(checked)
 
 
@@ -684,10 +684,11 @@ class ContinuationTarget:
     """The continuation-like monad X -> ((X -> Omega) -> Omega) for Boolean Omega.
 
     Values are callables on valuations.  Equality at a finite carrier is
-    decided by densifying over all Boolean valuations.
+    decided by densifying over all valuations into ``probe_values``.
     """
 
     name = "continuation[2]"
+    probe_values = (0, 1)
 
     def unit(self, carrier, x):
         return lambda f: f(x)
@@ -701,8 +702,8 @@ class ContinuationTarget:
     def densify(self, carrier: Sequence, value) -> tuple:
         elems = tuple(carrier)
         out = []
-        for bits in itertools.product((0, 1), repeat=len(elems)):
-            table = dict(zip(elems, bits))
+        for vals in itertools.product(self.probe_values, repeat=len(elems)):
+            table = dict(zip(elems, vals))
             out.append(value(lambda x, table=table: table[x]))
         return tuple(out)
 
@@ -718,11 +719,7 @@ class KindTarget:
         self.name = str(self.kind)
 
     def unit(self, carrier, x):
-        return (
-            frozenset((x,))
-            if self.kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET)
-            else DistV.dirac(x)
-        )
+        return unit_value(self.kind, carrier, x)
 
     def fmap(self, fn, value):
         return fmap_value(self.kind, fn, value)
@@ -763,28 +760,17 @@ def _lattice_membership(join: bool):
     functionals; checked densely over Boolean valuations."""
 
     def check(elems, value):
-        elems = tuple(elems)
-        n = len(elems)
-        masks = list(itertools.product((0, 1), repeat=n))
-        dense = {}
-        for bits in masks:
-            table = dict(zip(elems, bits))
-            dense[bits] = value(lambda x, table=table: table[x])
-        unit_bits = tuple([0] * n) if join else tuple([1] * n)
-        unit_expect = 0 if join else 1
-        if dense[unit_bits] != unit_expect:
-            return ({"f": unit_bits}, dense[unit_bits], unit_expect)
-        for fa in masks:
-            for fb in masks:
-                if join:
-                    combined = tuple(a | b for a, b in zip(fa, fb))
-                    expect = dense[fa] | dense[fb]
-                else:
-                    combined = tuple(a & b for a, b in zip(fa, fb))
-                    expect = dense[fa] & dense[fb]
-                if dense[combined] != expect:
-                    return ({"f": fa, "g": fb}, dense[combined], expect)
-        return None
+        from .modalities import STRUCTURE_CLASSES, check_dense  # modalities imports this module
+
+        bits = list(itertools.product((0, 1), repeat=len(elems)))
+        table = [value(dict(zip(elems, b)).__getitem__) for b in bits]
+        cls = STRUCTURE_CLASSES["cl_join" if join else "cl_meet"]
+        found, _ = check_dense(table, 1, cls, all_pairs=True)
+        if found is None:
+            return None
+        law, _, f, g, lhs, rhs = found
+        extra = {"f": bits[f]} if law.shape in ("bottom", "top") else {"f": bits[f], "g": bits[g]}
+        return extra, lhs, rhs
 
     return check
 

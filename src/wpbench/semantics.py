@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import FinSet, Predicate
-from .modalities import BOOLEAN, RATIONAL, Modality, builtin_modality
+from .modalities import BOOLEAN, INSTANCES, RATIONAL, Modality, builtin_modality
 from .monads import KleisliArrow, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
@@ -28,7 +28,6 @@ __all__ = [
     "pt_modality",
     "pt_alternating",
     "check_functoriality",
-    "transformers_equal",
     "table_wp_diamond",
     "table_wp_box",
 ]
@@ -255,31 +254,14 @@ def _closed_form_eval(mod: Modality, arrow: KleisliArrow, idx: dict):
     return None
 
 
-_ALTERNATING = {
-    MonadKind.UP_POWERSET: "game",
-    MonadKind.LIFT_POWERSET: "dijkstra",
-    MonadKind.CV_DIST: "demonic_prob",
-}
-
-
 def pt_alternating(pair, arrow: KleisliArrow):
     """Alternating-branching semantics; the pair may be a catalog name,
     a Modality for the composite monad, or omitted (None) to pick the
     canonical pair for the arrow's monad."""
-    if pair is None:
-        pair = _ALTERNATING[MonadKind(arrow.kind)]
-    mod = builtin_modality(pair) if isinstance(pair, str) else pair
-    if MonadKind(arrow.kind) not in _ALTERNATING:
+    alternating = {mod.monad: mod for mod in INSTANCES.values() if mod.pair}
+    if arrow.kind not in alternating:
         raise ValueError(f"{arrow.kind} is not an alternating (composite) monad")
-    return pt_modality(mod, arrow)
-
-
-def transformers_equal(a, b, probes: Sequence | None = None) -> bool:
-    if isinstance(a, BooleanTransformer) and isinstance(b, BooleanTransformer):
-        return a.table == b.table and a.source.elements == b.source.elements
-    if probes is None:
-        raise ValueError("rational transformer equality needs probe predicates")
-    return all(tuple(a.apply_values(p)) == tuple(b.apply_values(p)) for p in probes)
+    return pt_modality(alternating[arrow.kind] if pair is None else pair, arrow)
 
 
 def _law_functor_compose(subject, args):

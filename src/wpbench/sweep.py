@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .core import FinSet, SizeGuardError, count_transformers
+from .core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
 from .healthiness import ProbeGrid, run_condition
-from .modalities import builtin_modality
-from .monads import enumerate_arrows, random_arrow
+from .modalities import BOOLEAN, INSTANCES
+from .monads import MonadKind, enumerate_arrows, random_arrow
 from .semantics import (
     BooleanTransformer,
     RationalTransformer,
@@ -32,7 +32,7 @@ from .semantics import (
     table_wp_box,
     table_wp_diamond,
 )
-from .synthesis import INSTANCES, roundtrip_verify, synth_polytope
+from .synthesis import roundtrip_verify, synth_polytope, synthesize
 from .verdicts import Witness
 
 __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "THEOREM_IDS"]
@@ -40,18 +40,7 @@ __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "THEOREM_IDS"]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-THEOREM_IDS = (
-    "may",
-    "must",
-    "game",
-    "dijkstra",
-    "subdist_total",
-    "subdist_partial",
-    "dist_convex",
-    "cv_sublinear",
-)
-
-_BOOLEAN_IDS = ("may", "must", "game", "dijkstra")
+THEOREM_IDS = tuple(INSTANCES)
 
 
 @dataclass(frozen=True)
@@ -267,24 +256,19 @@ def _sweep_relation(law: str, nx: int, ny: int, max_enum: int, jobs: int) -> dic
 
 def _sweep_alternating(theorem: str, nx: int, ny: int, max_enum: int) -> dict:
     """Exhaustive Boolean sweep for the game/dijkstra instances."""
-    info = INSTANCES[theorem]
+    mod = INSTANCES[theorem]
     X, Y = _carrier("x", nx), _carrier("y", ny)
     total = count_transformers(Y, X)
-    if total > max_enum:
-        raise SizeGuardError(f"{total} transformers exceed the guard")
-    base = 1 << nx
-    n_preds = 1 << ny
-    mod = builtin_modality(info["modality"])
     healthy_set = set()
     witness = None
-    for table in itertools.product(range(base), repeat=n_preds):
+    for table in enumerate_transformer_tables(Y, X, max_enum):
         phi = BooleanTransformer(Y, X, table)
-        verdict = run_condition(info["condition"], phi)
+        verdict = run_condition(mod.condition, phi)
         if verdict.is_healthy:
             healthy_set.add(phi.table)
     image = set()
     n_arrows = 0
-    for arrow in enumerate_arrows(info["kind"], X, Y, max_enum):
+    for arrow in enumerate_arrows(mod.monad, X, Y, max_enum):
         n_arrows += 1
         phi = pt_modality(mod, arrow)
         image.add(phi.table)
@@ -344,18 +328,17 @@ def _random_coefficient_transformer(
 
 
 def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dict:
-    info = INSTANCES[theorem]
+    mod = INSTANCES[theorem]
     X, Y = _carrier("x", nx), _carrier("y", ny)
     rng = Random(seed)
     grid = ProbeGrid.default(Y, seed=seed)
-    mod = builtin_modality(info["modality"])
     witness = None
     healthy_images = 0
     roundtrips = 0
     for i in range(count):
-        arrow = random_arrow(info["kind"], rng, X, Y)
+        arrow = random_arrow(mod.monad, rng, X, Y)
         phi = pt_modality(mod, arrow)
-        verdict = run_condition(info["condition"], phi, grid)
+        verdict = run_condition(mod.condition, phi, grid)
         if not verdict.is_healthy:
             witness = witness or Witness(
                 "sweep.image_health",
@@ -365,33 +348,21 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
             )
             continue
         healthy_images += 1
-        if theorem == "cv_sublinear":
-            result = synth_polytope(phi, grid)
-            if result.residual.is_healthy:
-                roundtrips += 1
-            elif witness is None:
-                witness = Witness(
-                    "sweep.roundtrip",
-                    {"theorem": theorem, "sample": i},
-                    result.residual.status,
-                    "healthy",
-                )
+        if mod.monad == MonadKind.CV_DIST:
+            rt = synth_polytope(phi, grid).residual
         else:
             rt = roundtrip_verify(arrow, theorem, grid)
-            if rt.is_healthy:
-                roundtrips += 1
-            elif witness is None:
-                witness = Witness(
-                    "sweep.roundtrip",
-                    {"theorem": theorem, "sample": i},
-                    rt.status,
-                    "healthy",
-                )
+        if rt.is_healthy:
+            roundtrips += 1
+        elif witness is None:
+            witness = Witness(
+                "sweep.roundtrip", {"theorem": theorem, "sample": i}, rt.status, "healthy"
+            )
     synth_side = 0
-    if theorem in ("subdist_total", "subdist_partial", "dist_convex"):
+    if mod.monad != MonadKind.CV_DIST:
         for i in range(count):
             phi = _random_coefficient_transformer(theorem, rng, X, Y)
-            verdict = run_condition(info["condition"], phi, grid)
+            verdict = run_condition(mod.condition, phi, grid)
             if not verdict.is_healthy:
                 if witness is None:
                     witness = Witness(
@@ -401,7 +372,7 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
                         "healthy",
                     )
                 continue
-            result = info["synth"](phi, grid)
+            result = synthesize(mod, phi, grid)
             if result.residual.is_healthy:
                 synth_side += 1
             elif witness is None:
@@ -427,14 +398,12 @@ def enum_verify(
     """Run one theorem sweep; see the module docstring for the method."""
     t0 = time.perf_counter()
     nx, ny = instance.sizes
-    if instance.theorem in ("may", "must"):
-        if instance.mode != "exhaustive":
-            raise ValueError("may/must sweeps are exhaustive")
-        law = "join" if instance.theorem == "may" else "meet"
-        out = _sweep_relation(law, nx, ny, max_enum, jobs)
-    elif instance.theorem in ("game", "dijkstra"):
-        if instance.mode != "exhaustive":
-            raise ValueError("game/dijkstra sweeps are exhaustive")
+    mod = INSTANCES[instance.theorem]
+    if mod.carrier == BOOLEAN and instance.mode != "exhaustive":
+        raise ValueError(f"{instance.theorem} sweeps are exhaustive")
+    if mod.theorem in ("may", "must"):
+        out = _sweep_relation(mod.condition, nx, ny, max_enum, jobs)
+    elif mod.carrier == BOOLEAN:
         out = _sweep_alternating(instance.theorem, nx, ny, max_enum)
     else:
         out = _sweep_sampled(instance.theorem, nx, ny, instance.seed, instance.count)
@@ -442,7 +411,7 @@ def enum_verify(
     return SweepReport(
         theorem=instance.theorem,
         sizes=instance.sizes,
-        mode=instance.mode if instance.theorem not in _BOOLEAN_IDS else "exhaustive",
+        mode=instance.mode,
         counts=out["counts"],
         equal=out["equal"],
         witness=out["witness"],

@@ -27,7 +27,7 @@ from .healthiness import (
     check_regular_sublinear,
     check_strict_nonempty_meets,
 )
-from .modalities import builtin_modality
+from .modalities import INSTANCES, Modality, builtin_modality
 from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
 from .semantics import (
     BooleanTransformer,
@@ -49,6 +49,7 @@ __all__ = [
     "synth_dijkstra",
     "synth_polytope",
     "roundtrip_verify",
+    "synthesize",
     "INSTANCES",
     "instance_for_arrow",
     "cv_semantically_equal",
@@ -453,74 +454,30 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
 
 
 # ---------------------------------------------------------------------------
-# Instance registry and round trips
+# Instances and round trips
 
 
-def _pt_for(instance: str, arrow: KleisliArrow):
-    mod = INSTANCES[instance]["modality"]
-    return pt_modality(builtin_modality(mod), arrow)
-
-
-INSTANCES = {
-    "may": {
-        "kind": MonadKind.POWERSET,
-        "modality": "diamond",
-        "condition": "join",
-        "synth": lambda phi, grid=None: synth_relation(phi, "diamond"),
-    },
-    "must": {
-        "kind": MonadKind.POWERSET,
-        "modality": "box",
-        "condition": "meet",
-        "synth": lambda phi, grid=None: synth_relation(phi, "box"),
-    },
-    "game": {
-        "kind": MonadKind.UP_POWERSET,
-        "modality": "game",
-        "condition": "monotone",
-        "synth": lambda phi, grid=None: synth_upfamily(phi),
-    },
-    "dijkstra": {
-        "kind": MonadKind.LIFT_POWERSET,
-        "modality": "dijkstra",
-        "condition": "strict_meets",
-        "synth": lambda phi, grid=None: synth_dijkstra(phi),
-    },
-    "subdist_total": {
-        "kind": MonadKind.SUBDIST,
-        "modality": "total",
-        "condition": "gemod_total",
-        "synth": lambda phi, grid=None: synth_subdist(phi, "total", grid),
-    },
-    "subdist_partial": {
-        "kind": MonadKind.SUBDIST,
-        "modality": "partial",
-        "condition": "gemod_partial",
-        "synth": lambda phi, grid=None: synth_subdist(phi, "partial", grid),
-    },
-    "dist_convex": {
-        "kind": MonadKind.DIST,
-        "modality": "convex",
-        "condition": "emod",
-        "synth": lambda phi, grid=None: synth_dist(phi, grid),
-    },
-    "cv_sublinear": {
-        "kind": MonadKind.CV_DIST,
-        "modality": "demonic_prob",
-        "condition": "regular_sublinear",
-        "synth": lambda phi, grid=None: synth_polytope(phi, grid),
-    },
-}
+def synthesize(mod: Modality, phi, grid: ProbeGrid = None) -> SynthesisResult:
+    """The inverse construction of a catalog instance, chosen by its monad."""
+    kind = MonadKind(mod.monad)
+    if kind == MonadKind.POWERSET:
+        return synth_relation(phi, mod.name)
+    if kind == MonadKind.UP_POWERSET:
+        return synth_upfamily(phi)
+    if kind == MonadKind.LIFT_POWERSET:
+        return synth_dijkstra(phi)
+    if kind == MonadKind.SUBDIST:
+        return synth_subdist(phi, mod.name, grid)
+    if kind == MonadKind.DIST:
+        return synth_dist(phi, grid)
+    return synth_polytope(phi, grid)
 
 
 def instance_for_arrow(arrow: KleisliArrow, variant: str = None) -> str:
-    kind = MonadKind(arrow.kind)
-    if kind == MonadKind.SUBDIST:
-        return "subdist_partial" if variant == "partial" else "subdist_total"
-    for name, info in INSTANCES.items():
-        if info["kind"] == kind and name not in ("subdist_partial", "must"):
-            return name
-    raise ValueError(f"no instance for monad {kind}")
+    """The first catalog instance of the arrow's monad, or the one whose
+    modality is named ``variant``."""
+    rows = [mod for mod in INSTANCES.values() if mod.monad == arrow.kind]
+    return next((mod for mod in rows if mod.name == variant), rows[0]).theorem
 
 
 def _normalize_arrow(instance: str, arrow: KleisliArrow):
@@ -536,13 +493,13 @@ def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = No
     """synth(pt(f)) must equal f up to the documented normalization, and
     pt(synth(pt(f))) must reproduce pt(f) exactly (dense) or on the grid."""
     instance = instance or instance_for_arrow(f)
-    info = INSTANCES[instance]
-    if MonadKind(f.kind) != info["kind"]:
-        raise ValueError(f"instance {instance!r} expects {info['kind']}, got {f.kind}")
-    phi = _pt_for(instance, f)
+    mod = INSTANCES[instance]
+    if MonadKind(f.kind) != mod.monad:
+        raise ValueError(f"instance {instance!r} expects {mod.monad}, got {f.kind}")
+    phi = pt_modality(mod, f)
     if grid is None and isinstance(phi, RationalTransformer):
         grid = ProbeGrid.default(phi.source)
-    result = info["synth"](phi, grid)
+    result = synthesize(mod, phi, grid)
     if not result.ok:
         if result.residual.status == "inconclusive":
             return result.residual

@@ -187,13 +187,12 @@ def test_criterion_6_probabilistic_roundtrips():
         ("dist_convex", "dist"),
     ):
         rng = Random(42)
-        info = INSTANCES[instance]
-        mod = builtin_modality(info["modality"])
+        mod = INSTANCES[instance]
         violations = 0
         for _ in range(200):
             f = random_arrow(kind, rng, X, Y)
             phi = pt_modality(mod, f)
-            if not run_condition(info["condition"], phi, grid).is_healthy:
+            if not run_condition(mod.condition, phi, grid).is_healthy:
                 violations += 1
                 continue
             if not roundtrip_verify(f, instance, grid).is_healthy:

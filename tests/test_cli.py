@@ -361,3 +361,33 @@ def test_probe_table_backed_by_computation_mismatch(tmp_path):
     with pytest.raises(SpecError) as err:
         parse_spec(json.dumps(doc))
     assert err.value.code == "E_PROBE"
+
+
+@pytest.mark.parametrize(
+    "probes, code, path",
+    [
+        ({"predicates": [["2", "0"]], "random": 0}, "E_RAT", "$.probes.predicates[0][0]"),
+        ({"predicates": [["0", "abc"]], "random": 0}, "E_RAT", "$.probes.predicates[0][1]"),
+        ({"scalars": ["0", "3/2"]}, "E_RAT", "$.probes.scalars[1]"),
+        ({"predicates": "01"}, "E_SCHEMA", "$.probes.predicates"),
+        ({"scalars": "01"}, "E_SCHEMA", "$.probes.scalars"),
+        ({"random": -1}, "E_SCHEMA", "$.probes.random"),
+        ({"random": 1.5}, "E_SCHEMA", "$.probes.random"),
+    ],
+)
+def test_probe_overrides_are_validated(tmp_path, capsys, probes, code, path):
+    doc = {
+        "sets": {"X": ["x"], "Y": ["y0", "y1"]},
+        "computation": {
+            "monad": "subdist",
+            "source": "X",
+            "target": "Y",
+            "rows": {"x": {"y0": "1/2", "y1": "1/4"}},
+        },
+        "modality": "total",
+        "probes": probes,
+    }
+    spec = write(tmp_path, doc)
+    assert run(["wp", "--spec", spec]) == EXIT_INPUT
+    assert f"[{code}] at {path}:" in capsys.readouterr().err
+    assert run(["check", "--spec", spec, "--condition", "gemod_total"]) == EXIT_INPUT

@@ -14,11 +14,9 @@ from wpbench.core import (
     enumerate_subsets,
     enumerate_transformer_tables,
     format_rational,
-    index_of_table,
     parse_rational,
     predicate_index,
     subset_index,
-    table_of_index,
 )
 
 
@@ -97,21 +95,8 @@ def test_transformer_stream_order_and_size_guard():
     one = FinSet("A", ("a",))
     tables = list(enumerate_transformer_tables(one, one))
     assert tables == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    for i, t in enumerate(tables):
-        assert index_of_table(t, 2) == i
-        assert table_of_index(i, 2, 2) == t
     with pytest.raises(SizeGuardError):
         next(enumerate_transformer_tables(FinSet("C", tuple("abc")), FinSet("C", tuple("abc")), max_enum=100))
-
-
-def test_transformer_stream_partition_matches_full():
-    src = FinSet("Y", ("a", "b"))
-    tgt = FinSet("X", ("u",))
-    full = list(enumerate_transformer_tables(src, tgt))
-    split = list(enumerate_transformer_tables(src, tgt, start=0, stop=7)) + list(
-        enumerate_transformer_tables(src, tgt, start=7, stop=len(full))
-    )
-    assert full == split
 
 
 def test_finset_rejects_duplicates():
@@ -177,5 +162,6 @@ def test_stream_index_identity(nx, ny):
     total = count_transformers(src, tgt)
     if total > 4096:
         return
+    base = 1 << nx
     for i, t in enumerate(enumerate_transformer_tables(src, tgt)):
-        assert index_of_table(t, 1 << nx) == i
+        assert t == tuple(i // base**k % base for k in range(1 << ny))

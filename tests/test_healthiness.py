@@ -208,7 +208,7 @@ def test_grid_monotone_enlarging_never_heals(Y3):
     square = RationalTransformer(Y3, X, lambda v: (v[0] * v[0],), label="square")
     grid = ProbeGrid.default(Y3, seed=7)
     assert check_gemod_morphism(square, grid, "total").is_unhealthy
-    bigger = grid.extended(40)
+    bigger = ProbeGrid.default(Y3, seed=7, random_count=90)
     assert check_gemod_morphism(square, bigger, "total").is_unhealthy
 
 
