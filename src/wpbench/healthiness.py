@@ -11,6 +11,7 @@ probe tables that lack a required evaluation point).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,6 +23,7 @@ from .modalities import (
     DEFAULT_SCALARS,
     MASK_SIDES,
     STRUCTURE_CLASSES,
+    Lattice,
     LawCheck,
     StructureClass,
     arg_names,
@@ -65,14 +67,14 @@ class ProbeGrid:
     seed: int = 0
 
     @staticmethod
-    def _core(n: int) -> list:
-        diracs = [tuple(ONE if j == i else ZERO for j in range(n)) for i in range(n)]
-        consts = [(ZERO,) * n, (ONE,) * n]
+    def _core(n: int, zero=ZERO, one=ONE) -> list:
+        diracs = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+        consts = [(zero,) * n, (one,) * n]
         core = diracs + consts
         sums = []
         for p, q in itertools.combinations(core, 2):
             s = tuple(a + b for a, b in zip(p, q))
-            if all(v <= 1 for v in s):
+            if all(v <= one for v in s):
                 sums.append(s)
         return core + sums
 
@@ -108,12 +110,17 @@ class ProbeGrid:
             scals = tuple(s if isinstance(s, Fraction) else Fraction(s) for s in scalars)
         return cls(domain, preds, scals, seed)
 
+    @functools.cached_property
+    def lattice(self) -> Lattice:
+        """The predicates and scalars over one common integer denominator."""
+        return Lattice.of(self.predicates, self.scalars)
+
     def value_tuples(self) -> list:
         return list(self.predicates)
 
     def meets_minimum(self) -> bool:
-        have = set(self.predicates)
-        return all(p in have for p in self._core(len(self.domain)))
+        have = set(self.lattice.preds)
+        return all(p in have for p in self._core(len(self.domain), 0, self.lattice.one))
 
 
 # ---------------------------------------------------------------------------
@@ -165,15 +172,17 @@ def _grid_verdict(phi, grid, cls: StructureClass) -> Verdict:
     """Check every law over the grid.  Each law instance counts once per
     output coordinate, and a violated law that is not a constant law counts
     its coordinates once more."""
-    grid = grid if grid is not None else ProbeGrid.default(phi.source)
-    if not grid.meets_minimum():
-        return Verdict.inconclusive("grid below the minimum invariant (diracs/constants/core sums)")
     if not isinstance(phi, RationalTransformer):
         raise TypeError("rational conditions need a rational transformer")
+    grid = grid if grid is not None else ProbeGrid.default(phi.source)
     if grid.domain.elements != phi.source.elements:
         raise ValueError("grid domain does not match the transformer source")
+    if not grid.meets_minimum():
+        return Verdict.inconclusive("grid below the minimum invariant (diracs/constants/core sums)")
     n = len(phi.target)
-    check = LawCheck(phi.apply_values, n, grid.predicates, grid.scalars, len(phi.source))
+    check = LawCheck(
+        phi.apply_values, n, grid.predicates, grid.scalars, len(phi.source), grid.lattice, phi.rows
+    )
     try:
         for laws, law_id in cls.groups:
             found = check.first_violation(laws, n * len(laws))

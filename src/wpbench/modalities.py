@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -337,12 +338,38 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 # The law table and the structure classes
 
 
-def _dual_add(a, b):
-    return a + b - 1
+# A law's operations are families indexed by the "one" of the representation
+# they run in: 1 for Fractions, the common denominator for integers over it
+# (see LawCheck); the Boolean ones do not depend on it.  A scalar r acts as a
+# multiplier: a Fraction, or a _Ratio on lattice integers.
 
 
-def _dual_mul(a, r):
-    return r * a + (1 - r)
+def _join(one):
+    return or_
+
+
+def _meet(one):
+    return and_
+
+
+def _add(one):
+    return add
+
+
+def _mul(one):
+    return mul
+
+
+def _shift(one):
+    return lambda a, lam: a + lam * one
+
+
+def _dual_add(one):
+    return lambda a, b: a + b - one
+
+
+def _dual_mul(one):
+    return lambda a, r: r * a + one - r * one
 
 
 @dataclass(frozen=True)
@@ -376,27 +403,29 @@ LAWS = {
     for law in (
         Law("bottom", "bottom", ("arg", 0), ("const", 0)),
         Law("top", "top", ("arg", 0), ("const", 1)),
-        Law("binary_join", "pair", ("at", or_), ("of", or_)),
-        Law("binary_meet", "pair", ("at", and_), ("of", and_)),
+        Law("binary_join", "pair", ("at", _join), ("of", _join)),
+        Law("binary_meet", "pair", ("at", _meet), ("of", _meet)),
         Law("monotone", "order", ("arg", 0), ("arg", 1), "<="),
         Law("zero", "bottom", ("arg", 0), ("const", 0)),
         Law("one", "top", ("arg", 0), ("const", 1)),
         Law("dual_zero", "top", ("arg", 0), ("const", 1)),
-        Law("sum_defined", "sum", ("of", add), ("const", 1), "<="),
-        Law("sum", "sum", ("at", add), ("of", add)),
+        Law("sum_defined", "sum", ("of", _add), ("const", 1), "<="),
+        Law("sum", "sum", ("at", _add), ("of", _add)),
         Law("dual_sum_defined", "dual_sum", ("of", _dual_add), ("const", 0), ">="),
         Law("dual_sum", "dual_sum", ("at", _dual_add), ("of", _dual_add)),
-        Law("subadditive_defined", "sum", ("of", add), ("const", 1), "<="),
-        Law("subadditive", "sum", ("of", add), ("at", add), "<="),
-        Law("scale", "scale", ("at", mul), ("of", mul)),
+        Law("subadditive_defined", "sum", ("of", _add), ("const", 1), "<="),
+        Law("subadditive", "sum", ("of", _add), ("at", _add), "<="),
+        Law("scale", "scale", ("at", _mul), ("of", _mul)),
         Law("dual_scale", "scale", ("at", _dual_mul), ("of", _dual_mul)),
-        Law("translate_defined", "shift", ("of", add), ("const", 1), "<="),
-        Law("translate", "shift", ("at", add), ("of", add)),
+        Law("translate_defined", "shift", ("of", _shift), ("const", 1), "<="),
+        Law("translate", "shift", ("at", _shift), ("of", _shift)),
     )
 }
 
-# shapes whose two arguments are both predicates
+# shapes whose two arguments are both predicates, and those of a predicate
+# and a scalar
 _BINARY = ("pair", "order", "sum", "dual_sum")
+_SCALED = ("scale", "shift")
 
 
 def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
@@ -490,6 +519,42 @@ STRUCTURE_CLASSES = {
 }
 
 
+class _Ratio:
+    """A scalar r acting on lattice integers.  ``r * a`` is exact when r's
+    denominator divides a; it divides every integer the checks scale (a
+    lattice vector, a value of integer rows at one, one itself), since the
+    lattice's one is a multiple of every scalar denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, r: Fraction):
+        self.num, self.den = r.numerator, r.denominator
+
+    def __mul__(self, a: int) -> int:
+        return a // self.den * self.num
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Probe predicates and scalars over one integer denominator ``one``:
+    the lcm of the predicate denominators times the lcm of the scalar
+    denominators, so every predicate, and its product with any scalar, is
+    an integer vector over it."""
+
+    one: int
+    preds: tuple  # integer numerator vectors over one
+    scalars: tuple  # _Ratio multipliers
+
+    @classmethod
+    def of(cls, preds, scalars) -> "Lattice":
+        one = math.lcm(*(v.denominator for p in preds for v in p))
+        one *= math.lcm(*(r.denominator for r in scalars))
+        ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
+        return cls(one, ints, tuple(_Ratio(r) for r in scalars))
+
+
 class LawCheck:
     """Checks rational table laws of a map F over probe predicates and scalars.
 
@@ -498,54 +563,80 @@ class LawCheck:
     addressed by index into ``preds``, the probes followed by the constant
     predicates 0 and 1; F is evaluated at each once, when first needed and
     before the argument needing it counts as checked.
+
+    Arguments are enumerated on the probes' ``lattice`` (computed when not
+    given), so definedness is decided on integers.  The table terms are
+    evaluated in one of two representations, each with its own one: F on
+    Fraction tuples (one is 1), or, when the integer ``rows`` of a
+    closed-form transformer are given (``semantics.IntegerRows``, with
+    denominator E), the rows on lattice vectors over U with values over U*E
+    (one is U for arguments and U*E for values).  Violations are reported
+    in Fractions either way.
     """
 
-    def __init__(self, F: Callable, outputs: int, probes=(), scalars=(), width: int = 0):
-        self.F = F
+    def __init__(
+        self,
+        F: Callable,
+        outputs: int,
+        probes=(),
+        scalars=(),
+        width: int = 0,
+        lattice: Lattice = None,
+        rows=None,
+    ):
+        lattice = self._lattice = lattice or Lattice.of(probes, scalars)
+        U = lattice.one
         self.preds = list(probes) + [(ZERO,) * width, (ONE,) * width]
         self.scalars = tuple(scalars)
         self.checked = 0
-        self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
+        self._ints = list(lattice.preds) + [(0,) * width, (U,) * width]
+        self._max = [max(p, default=0) for p in lattice.preds]
+        self._min = [min(p, default=0) for p in lattice.preds]
+        self._lam = [r * U for r in lattice.scalars]
+        self._integer = rows is not None
+        if self._integer:
+            self.F, self._one_in, self._one_out = lambda v: rows.ints(v, U), U, U * rows.den
+            self._args, self._scalar_args = self._ints, lattice.scalars
+        else:
+            self.F, self._one_in, self._one_out = F, ONE, ONE
+            self._args, self._scalar_args = self.preds, self.scalars
+        self._consts = ((0 * self._one_out,) * outputs, (self._one_out,) * outputs)
         self._values = [None] * len(self.preds)
-        self._max = [max(p, default=ZERO) for p in probes]
-        self._min = [min(p, default=ZERO) for p in probes]
 
     def value(self, i: int) -> tuple:
         v = self._values[i]
         if v is None:
-            v = self._values[i] = self.F(self.preds[i])
+            v = self._values[i] = self.F(self._args[i])
         return v
 
     def arguments(self, shape: str):
-        """(predicate indices, args) for every argument of a shape."""
-        k, preds = len(self._max), self.preds
+        """Every argument of a shape as indices: into ``preds``, and for
+        "scale" and "shift" then into ``scalars``."""
+        k, U, hi, lo = len(self._max), self._lattice.one, self._max, self._min
         if shape in ("bottom", "top"):
-            i = k if shape == "bottom" else k + 1
-            return [((i,), (preds[i],))]
-        if shape in ("scale", "shift"):
+            return [(k if shape == "bottom" else k + 1,)]
+        if shape == "scale":
+            return ((i, s) for i in range(k) for s in range(len(self.scalars)))
+        if shape == "shift":
+            lam = self._lam
+            return ((i, s) for i in range(k) for s in range(len(lam)) if hi[i] + lam[s] <= U)
+        # whether probes i and j sum (dual: sum minus one) into [0, 1]; the
+        # extreme values decide most pairs without a pointwise scan
+        ints = self._ints
+        if shape == "dual_sum":
             return (
-                ((i,), (preds[i], s))
+                (i, j)
                 for i in range(k)
-                for s in self.scalars
-                if shape == "scale" or self._max[i] + s <= 1
+                for j in range(i, k)
+                if lo[i] + lo[j] >= U
+                or (hi[i] + hi[j] >= U and min(map(add, ints[i], ints[j])) >= U)
             )
-        dual = shape == "dual_sum"
         return (
-            ((i, j), (preds[i], preds[j]))
+            (i, j)
             for i in range(k)
             for j in range(i, k)
-            if self._defined(i, j, dual)
+            if hi[i] + hi[j] <= U or (lo[i] + lo[j] <= U and max(map(add, ints[i], ints[j])) <= U)
         )
-
-    def _defined(self, i: int, j: int, dual: bool) -> bool:
-        """Whether probes i and j sum (dual: sum minus one) into [0, 1]; the
-        extreme values decide most pairs without a pointwise scan."""
-        hi, lo, p, q = self._max, self._min, self.preds[i], self.preds[j]
-        if dual:
-            return lo[i] + lo[j] >= 1 or (
-                hi[i] + hi[j] >= 1 and all(a + b >= 1 for a, b in zip(p, q))
-            )
-        return hi[i] + hi[j] <= 1 or (lo[i] + lo[j] <= 1 and all(a + b <= 1 for a, b in zip(p, q)))
 
     def side(self, term: tuple, shape: str, args: tuple, fargs: list, memo: dict) -> tuple:
         kind, x = term
@@ -557,9 +648,10 @@ class LawCheck:
             image = memo.get(x)
             if image is None:
                 second = fargs[1] if shape in _BINARY else repeat(args[1])
-                image = memo[x] = tuple(map(x, fargs[0], second))
+                image = memo[x] = tuple(map(x(self._one_out), fargs[0], second))
             return image
-        return self.F(tuple(map(x, args[0], args[1] if shape in _BINARY else repeat(args[1]))))
+        second = args[1] if shape in _BINARY else repeat(args[1])
+        return self.F(tuple(map(x(self._one_in), args[0], second)))
 
     def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None) -> tuple:
         """Both sides of a law at one argument, the rhs clamped, so the law
@@ -577,16 +669,30 @@ class LawCheck:
         """(law, args, lhs, rhs, coordinate) at the first failing argument, or
         None; every argument adds ``weight`` to the checked count.  A group's
         laws share one image of F per argument."""
-        for idx, args in self.arguments(laws[0].shape):
-            fargs = [self.value(i) for i in idx]
+        shape = laws[0].shape
+        npreds = 1 if shape in _SCALED else 2
+        for idx in self.arguments(shape):
+            fargs = [self.value(i) for i in idx[:npreds]]
+            args = self._at(shape, idx, self._args, self._scalar_args)
             self.checked += weight
             memo = {}
             for law in laws:
                 lhs, rhs = self.sides(law, args, fargs, memo)
                 if lhs != rhs:
-                    i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                    return law, args, lhs[i], rhs[i], i
+                    x = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                    args = self._at(shape, idx, self.preds, self.scalars)
+                    return law, args, self._fraction(lhs[x]), self._fraction(rhs[x]), x
         return None
+
+    @staticmethod
+    def _at(shape: str, idx: tuple, preds, scalars) -> tuple:
+        """The argument with indices idx, in the given representation."""
+        if shape in _SCALED:
+            return preds[idx[0]], scalars[idx[1]]
+        return tuple(preds[i] for i in idx)
+
+    def _fraction(self, v):
+        return Fraction(v, self._one_out) if self._integer else v
 
 
 def _replay_functional(subject, args):
@@ -605,9 +711,10 @@ def _mask_term(term: tuple) -> Callable:
         return lambda T, top, f, g: T[g] if x else T[f]
     if kind == "const":
         return lambda T, top, f, g: top if x else 0
+    op = x(None)
     if kind == "at":
-        return lambda T, top, f, g: T[x(f, g)]
-    return lambda T, top, f, g: x(T[f], T[g])
+        return lambda T, top, f, g: T[op(f, g)]
+    return lambda T, top, f, g: op(T[f], T[g])
 
 
 def _mask_law(law: Law) -> Callable:

@@ -10,6 +10,7 @@ stay evaluation rules backed by their defining computation, since
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -102,6 +103,11 @@ class RationalTransformer:
     @property
     def carrier(self) -> str:
         return RATIONAL
+
+    @property
+    def rows(self):
+        """The integer rows of a closed-form transformer; None for a rule."""
+        return self.fn if isinstance(self.fn, IntegerRows) else None
 
     def apply_values(self, values: Sequence[Fraction]) -> tuple:
         vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
@@ -199,9 +205,9 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
             table.append(bits)
         return BooleanTransformer(Y, X, tuple(table))
 
-    idx = {y: i for i, y in enumerate(Y.elements)}
-    fn = _closed_form_eval(mod, arrow, idx)
+    fn = _closed_form_eval(mod, arrow)
     if fn is None:
+        idx = {y: i for i, y in enumerate(Y.elements)}
 
         def fn(values):
             val = lambda y: values[idx[y]]
@@ -210,48 +216,73 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
     return RationalTransformer(Y, X, fn, arrow=arrow, label=mod.name)
 
 
-def _closed_form_eval(mod: Modality, arrow: KleisliArrow, idx: dict):
-    """Inline evaluators for the linear modalities (expectation plus an
-    r-weighted divergence offset; min over polytope vertices).  These are
-    the concrete forms the modalities denote; agreement with the generic
-    evaluation route is property-tested."""
+class IntegerRows:
+    """A closed-form transformer compiled to integer coefficient rows.
+
+    Output x is the minimum, over the vertex rows of x, of
+    ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
+    divergence offset is one vertex row, a polytope has one per vertex.
+    ``ints`` evaluates a predicate given as integers over ``one``, with the
+    checks of ``RationalTransformer.apply_values``; called on Fractions,
+    the rows scale them to their common denominator first, so the
+    arithmetic exists once.
+    """
+
+    __slots__ = ("rows", "den", "width")
+
+    def __init__(self, rows: Sequence, width: int):
+        # rows: per output, its vertex rows (offset, coefficients), in Fractions
+        den = self.den = math.lcm(
+            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
+        )
+        scaled = lambda q: q.numerator * (den // q.denominator)
+        self.width = width
+        self.rows = tuple(
+            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
+        )
+
+    def ints(self, values: Sequence[int], one: int) -> tuple:
+        """The outputs, over one * den, at a predicate given over one."""
+        if len(values) != self.width:
+            raise ValueError("predicate length does not match the source carrier")
+        top = one * self.den
+        out = []
+        for verts in self.rows:
+            best = None
+            for c0, cs in verts:
+                acc = c0 * one
+                for c, v in zip(cs, values):
+                    acc += c * v
+                if best is None or acc < best:
+                    best = acc
+            if not 0 <= best <= top:
+                raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
+            out.append(best)
+        return tuple(out)
+
+    def __call__(self, values: Sequence[Fraction]) -> tuple:
+        """The outputs at a predicate given in Fractions."""
+        one = math.lcm(*(v.denominator for v in values))
+        top = one * self.den
+        ints = [v.numerator * (one // v.denominator) for v in values]
+        return tuple(Fraction(v, top) for v in self.ints(ints, one))
+
+
+def _closed_form_eval(mod: Modality, arrow: KleisliArrow):
+    """The linear modalities (expectation plus an r-weighted divergence
+    offset; min over polytope vertices) compiled to integer rows, or None
+    for the generic evaluation route.  These are the concrete forms the
+    modalities denote; agreement with the generic route is property-tested."""
+    Y = arrow.target.elements
     linear = mod.name in ("total", "partial", "convex") or mod.name.startswith("tau_r")
     if linear and arrow.kind in (MonadKind.SUBDIST, MonadKind.DIST):
         r = mod.param if mod.param is not None else ZERO
-        rows = [
-            ([(idx[y], q) for y, q in row.items()], ONE - row.mass) for row in arrow.rows
-        ]
-
-        def fn(values):
-            out = []
-            for pairs, gap in rows:
-                acc = r * gap
-                for i, q in pairs:
-                    acc += q * values[i]
-                out.append(acc)
-            return tuple(out)
-
-        return fn
-    if mod.name == "demonic_prob" and arrow.kind == MonadKind.CV_DIST:
-        rows = [
-            [[(idx[y], q) for y, q in mu.items()] for mu in row] for row in arrow.rows
-        ]
-
-        def fn(values):
-            out = []
-            for verts in rows:
-                best = None
-                for pairs in verts:
-                    acc = ZERO
-                    for i, q in pairs:
-                        acc += q * values[i]
-                    if best is None or acc < best:
-                        best = acc
-                out.append(best)
-            return tuple(out)
-
-        return fn
-    return None
+        rows = [[(r * (ONE - row.mass), [row.weight(y) for y in Y])] for row in arrow.rows]
+    elif mod.name == "demonic_prob" and arrow.kind == MonadKind.CV_DIST:
+        rows = [[(ZERO, [mu.weight(y) for y in Y]) for mu in row] for row in arrow.rows]
+    else:
+        return None
+    return IntegerRows(rows, len(Y))
 
 
 def pt_alternating(pair, arrow: KleisliArrow):
@@ -264,22 +295,27 @@ def pt_alternating(pair, arrow: KleisliArrow):
     return pt_modality(alternating[arrow.kind] if pair is None else pair, arrow)
 
 
-def _law_functor_compose(subject, args):
-    mod, f, g, pred = args["modality"], args["f"], args["g"], args["pred"]
-    composed = pt_modality(mod, kleisli_compose(f, g))
-    pf = pt_modality(mod, f)
-    pg = pt_modality(mod, g)
+def _compose_sides(composed, pf, pg, pred) -> tuple:
     if isinstance(composed, BooleanTransformer):
         return composed.apply_mask(pred), pf.apply_mask(pg.apply_mask(pred))
     return composed.apply_values(pred), pf.apply_values(pg.apply_values(pred))
 
 
-def _law_functor_identity(subject, args):
-    mod, carrier, pred = args["modality"], args["carrier"], args["pred"]
-    ident = pt_modality(mod, unit(mod.monad, carrier))
+def _identity_sides(ident, pred) -> tuple:
     if isinstance(ident, BooleanTransformer):
         return ident.apply_mask(pred), pred
     return ident.apply_values(pred), tuple(pred)
+
+
+def _law_functor_compose(subject, args):
+    mod, f, g = args["modality"], args["f"], args["g"]
+    composed = pt_modality(mod, kleisli_compose(f, g))
+    return _compose_sides(composed, pt_modality(mod, f), pt_modality(mod, g), args["pred"])
+
+
+def _law_functor_identity(subject, args):
+    mod, carrier = args["modality"], args["carrier"]
+    return _identity_sides(pt_modality(mod, unit(mod.monad, carrier)), args["pred"])
 
 
 register_law("functor.compose", _law_functor_compose)
@@ -313,16 +349,20 @@ def check_functoriality(
                 probes = probes + ProbeGrid.random_tuples(g.target, seed + 1, 100 - len(probes))
         preds = list(probes)
         id_preds = ProbeGrid.default(f.source, seed=seed).value_tuples()
+    # the replay evaluators rebuild these per witness; the check builds them once
+    composed = pt_modality(mod, kleisli_compose(f, g))
+    pf, pg = pt_modality(mod, f), pt_modality(mod, g)
     for pred in preds:
-        args = {"modality": mod, "f": f, "g": g, "pred": pred}
-        lhs, rhs = _law_functor_compose(None, args)
+        lhs, rhs = _compose_sides(composed, pf, pg, pred)
         checked += 1
         if lhs != rhs:
+            args = {"modality": mod, "f": f, "g": g, "pred": pred}
             return Verdict.unhealthy(Witness("functor.compose", args, lhs, rhs), checked)
+    ident = pt_modality(mod, unit(mod.monad, f.source))
     for pred in id_preds:
-        args = {"modality": mod, "carrier": f.source, "pred": pred}
-        lhs, rhs = _law_functor_identity(None, args)
+        lhs, rhs = _identity_sides(ident, pred)
         checked += 1
         if lhs != rhs:
+            args = {"modality": mod, "carrier": f.source, "pred": pred}
             return Verdict.unhealthy(Witness("functor.identity", args, lhs, rhs), checked)
     return Verdict.healthy(checked)

@@ -203,6 +203,19 @@ def test_grid_minimum_invariant(Y2):
     assert verdict.status == "inconclusive"
 
 
+def test_grid_check_rejects_a_boolean_transformer(Y2):
+    bare = ProbeGrid.explicit(Y2, [(F(0), F(0))])
+    with pytest.raises(TypeError):
+        check_gemod_morphism(identity_transformer(Y2), bare, "total")
+
+
+def test_grid_check_rejects_a_grid_over_another_carrier(Y2, Y3):
+    bare = ProbeGrid.explicit(Y2, [(F(0), F(0))])
+    phi = linear_transformer(Y3, Y3, [[F(int(i == j)) for j in range(3)] for i in range(3)])
+    with pytest.raises(ValueError):
+        check_gemod_morphism(phi, bare, "total")
+
+
 def test_grid_monotone_enlarging_never_heals(Y3):
     X = FinSet("X", ("x",))
     square = RationalTransformer(Y3, X, lambda v: (v[0] * v[0],), label="square")
@@ -286,3 +299,43 @@ def test_boolean_verdicts_sound(table_index):
         verdict = check(phi)
         if verdict.is_unhealthy:
             assert witness_is_sound(phi, verdict.witness)
+
+
+RATIONAL_CONDITIONS = ("gemod_total", "gemod_partial", "emod", "regular_sublinear")
+
+
+def _verdict_fields(verdict):
+    w = verdict.witness
+    witness = None if w is None else (w.law, list(w.args.items()), w.lhs, w.rhs)
+    return verdict.status, verdict.checked, witness, verdict.describe()
+
+
+def test_integer_kernel_agrees_with_fraction_route(Y3):
+    # each closed form, once with its integer rows and once wrapped as an
+    # opaque rule, under every rational condition (healthy or not) and on two
+    # grids with different common denominators
+    X = FinSet("X", ("x0", "x1"))
+    rng = Random(31)
+    core = ProbeGrid.default(Y3, random_count=0).predicates
+    off_lattice = [tuple(F(rng.randint(0, d), d) for _ in range(3)) for d in (7, 9) * 6]
+    grids = (
+        ProbeGrid.default(Y3),
+        ProbeGrid.explicit(Y3, core + tuple(off_lattice), scalars=(0, F(1, 3), F(1, 2), 1)),
+    )
+    assert [g.lattice.one for g in grids] == [840 * 4, 63 * 6]
+    statuses = set()
+    for name in ("total", "partial", "convex", "tau_r:1/3", "demonic_prob"):
+        mod = builtin_modality(name)
+        for _ in range(2):
+            phi = pt_modality(mod, random_arrow(mod.monad, rng, X, Y3))
+            opaque = RationalTransformer(Y3, X, lambda v, phi=phi: phi.fn(v), label="opaque")
+            assert phi.rows is not None and opaque.rows is None
+            for grid in grids:
+                for condition in RATIONAL_CONDITIONS:
+                    kernel = run_condition(condition, phi, grid)
+                    fraction = run_condition(condition, opaque, grid)
+                    assert _verdict_fields(kernel) == _verdict_fields(fraction)
+                    if kernel.is_unhealthy:
+                        assert witness_is_sound(phi, kernel.witness)
+                    statuses.add(kernel.status)
+    assert statuses == {"healthy", "unhealthy"}

@@ -3,7 +3,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wpbench import semantics
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid
 from wpbench.modalities import builtin_modality
@@ -199,6 +202,38 @@ def test_functoriality_corrupted_composition_detected(Y2):
     composed_tables = tuple(rhs_f.apply_mask(rhs_g.apply_mask(m)) for m in range(4))
     assert lhs.table != composed_tables
     assert pt_modality(diamond, composed).table == composed_tables
+
+
+def test_functoriality_builds_each_transformer_once(Y2, monkeypatch):
+    calls = []
+    compose = semantics.kleisli_compose
+    monkeypatch.setattr(semantics, "kleisli_compose", lambda f, g: calls.append(1) or compose(f, g))
+    rng = Random(8)
+    Z = FinSet("Z", ("z0", "z1"))
+    f = random_arrow("subdist", rng, Y2, Y2)
+    g = random_arrow("subdist", rng, Y2, Z)
+    verdict = check_functoriality(builtin_modality("total"), f, g)
+    assert verdict.is_healthy and verdict.checked > 100
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("total", "partial", "convex", "tau_r:1/3", "demonic_prob")),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.lists(st.tuples(st.sampled_from((1, 2, 7, 9, 11)), st.integers(0, 11)), min_size=3, max_size=3),
+)
+def test_closed_forms_agree_with_generic_evaluation(name, seed, pred):
+    # denominators 7, 9 and 11 lie outside the default grid's lattice, so the
+    # Fraction entry point of the integer rows does the scaling
+    mod = builtin_modality(name)
+    X, Y = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1", "y2"))
+    arrow = random_arrow(mod.monad, Random(seed), X, Y)
+    p = tuple(F(min(k, d), d) for d, k in pred)
+    phi = pt_modality(mod, arrow)
+    assert phi.rows is not None
+    val = lambda y: p[Y.index(y)]
+    assert phi.apply_values(p) == tuple(mod.evaluate(row, val) for row in arrow.rows)
 
 
 def test_rational_output_denominators_divide_products(Y3):
