@@ -211,9 +211,16 @@ def predicate_index(pred: Predicate) -> int:
     return pred.mask
 
 
-def count_transformers(source: FinSet, target: FinSet) -> int:
-    """Number of dense Boolean transformers 2^source -> 2^target."""
-    return (1 << len(target)) ** (1 << len(source))
+def count_transformers(source: FinSet, target: FinSet, max_enum: int | None = None) -> int:
+    """Number of dense Boolean transformers 2^source -> 2^target; with
+    ``max_enum``, refuse a space larger than it with SizeGuardError."""
+    total = (1 << len(target)) ** (1 << len(source))
+    if max_enum is not None and total > max_enum:
+        raise SizeGuardError(
+            f"{total} transformers exceed the enumeration guard ({max_enum}); "
+            "raise max_enum to force"
+        )
+    return total
 
 
 def enumerate_transformer_tables(
@@ -226,12 +233,7 @@ def enumerate_transformer_tables(
     index i encodes the table little-endian: table[k] = digit k of i in
     base 2^|target|.
     """
-    total = count_transformers(source, target)
-    if total > max_enum:
-        raise SizeGuardError(
-            f"{total} transformers exceed the enumeration guard ({max_enum}); "
-            "raise max_enum to force"
-        )
+    count_transformers(source, target, max_enum)
     # product varies its last factor fastest, so reversed tuples walk the
     # stream in canonical (little-endian) index order.
     for rev in itertools.product(range(1 << len(target)), repeat=1 << len(source)):

@@ -52,6 +52,13 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _unit(value, what: str) -> Fraction:
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    if not ZERO <= q <= ONE:
+        raise ValueError(f"{what} {q} outside [0, 1]")
+    return q
+
+
 @dataclass(frozen=True)
 class ProbeGrid:
     """A finite set of rational predicates (value tuples) plus scalars.
@@ -101,13 +108,13 @@ class ProbeGrid:
 
     @classmethod
     def explicit(cls, domain: FinSet, predicates, scalars=None, seed: int = 0) -> "ProbeGrid":
-        preds = tuple(
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in p) for p in predicates
-        )
-        if scalars is None:
-            scals = DEFAULT_SCALARS
-        else:
-            scals = tuple(s if isinstance(s, Fraction) else Fraction(s) for s in scalars)
+        """A grid of the given value tuples, one value per element of the
+        domain, and scalars; every value and scalar must lie in [0, 1]."""
+        preds = tuple(tuple(_unit(v, "predicate value") for v in p) for p in predicates)
+        for p in preds:
+            if len(p) != len(domain):
+                raise ValueError(f"probe predicate {p} needs {len(domain)} values")
+        scals = DEFAULT_SCALARS if scalars is None else tuple(_unit(s, "scalar") for s in scalars)
         return cls(domain, preds, scals, seed)
 
     @functools.cached_property

@@ -53,6 +53,7 @@ __all__ = [
     "StructureClass",
     "STRUCTURE_CLASSES",
     "check_dense",
+    "dense_instances",
     "builtin_modality",
     "builtin_modality_names",
     "algebra_to_monad_map",
@@ -731,28 +732,39 @@ def _mask_law(law: Law) -> Callable:
 MASK_SIDES = {name: _mask_law(law) for name, law in LAWS.items()}
 
 
-def check_dense(T: Sequence, top: int, cls: StructureClass, all_pairs: bool = False):
-    """Check a Boolean class exactly on a dense table T (see MASK_SIDES).
+def dense_instances(cls: StructureClass, size: int, all_pairs: bool = False):
+    """The law instances (law, law_id, f, g) of a Boolean class on a dense
+    table of ``size`` entries, in check order.
 
     Binary laws take every ordered pair of predicates, or only pairs f <= g
-    as indices; the order law takes f inside g.  Returns (violation,
-    checked) with violation (law, law_id, f, g, lhs, rhs) or None.
+    as indices; the order law takes f inside g; the constant laws take the
+    constant predicate as f.
     """
-    size = len(T)
-    checked = 0
     for (law,), law_id in cls.groups:
         if law.shape in ("bottom", "top"):
-            pairs = [(0 if law.shape == "bottom" else size - 1, 0)]
+            yield law, law_id, 0 if law.shape == "bottom" else size - 1, 0
         elif law.shape == "pair":
-            pairs = ((f, g) for f in range(size) for g in range(0 if all_pairs else f, size))
+            for f in range(size):
+                for g in range(0 if all_pairs else f, size):
+                    yield law, law_id, f, g
         else:
-            pairs = ((f, g) for f in range(size) for g in range(size) if f & ~g == 0)
-        sides = MASK_SIDES[law.name]
-        for f, g in pairs:
-            checked += 1
-            lhs, rhs = sides(T, top, f, g)
-            if lhs != rhs:
-                return (law, law_id, f, g, lhs, rhs), checked
+            for f in range(size):
+                for g in range(size):
+                    if f & ~g == 0:
+                        yield law, law_id, f, g
+
+
+def check_dense(T: Sequence, top: int, cls: StructureClass, all_pairs: bool = False):
+    """Check a Boolean class exactly on a dense table T (see MASK_SIDES) at
+    every instance of ``dense_instances``.  Returns (violation, checked)
+    with violation (law, law_id, f, g, lhs, rhs) or None.
+    """
+    checked = 0
+    for law, law_id, f, g in dense_instances(cls, len(T), all_pairs):
+        checked += 1
+        lhs, rhs = MASK_SIDES[law.name](T, top, f, g)
+        if lhs != rhs:
+            return (law, law_id, f, g, lhs, rhs), checked
     return None, checked
 
 

@@ -2,10 +2,13 @@
 
 Each instance realizes one healthiness equivalence as a finite check:
 the set of transformers passing the intrinsic condition must coincide
-with the image of the semantics over all computations.  Small Boolean
-sizes materialize both sets and compare them; the 3x3 may/must sweeps
-stream all 16.7M dense tables through a code-generated law check and
-certify the two inclusions without materializing anything.
+with the image of the semantics over all computations.  The Boolean
+sweeps find the healthy set by an exact search compiled from the law
+table: the dense tables are built one entry at a time and a prefix that
+violates a law instance is cut off, so the 16.7M tables of a 3x3 sweep
+are decided without visiting them one by one.  Every healthy
+may/must table must also synthesize back to its computation, and at most
+2^16 tables the two sets are compared outright.
 
 Rational instances are sampled: every sampled computation must produce a
 transformer that passes its grid check, and independently constructed
@@ -19,23 +22,27 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from random import Random
 
-from .core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
+from .core import FinSet, SizeGuardError, count_transformers
 from .healthiness import ProbeGrid, run_condition
-from .modalities import BOOLEAN, INSTANCES
-from .monads import MonadKind, enumerate_arrows, random_arrow
-from .semantics import (
-    BooleanTransformer,
-    RationalTransformer,
-    pt_modality,
-    table_wp_box,
-    table_wp_diamond,
+from .modalities import (
+    BOOLEAN,
+    INSTANCES,
+    MASK_SIDES,
+    STRUCTURE_CLASSES,
+    Modality,
+    StructureClass,
+    check_dense,
+    dense_instances,
 )
+from .monads import MonadKind, enumerate_arrows, random_arrow
+from .semantics import RationalTransformer, pt_modality, table_wp_box, table_wp_diamond
 from .synthesis import roundtrip_verify, synth_polytope, synthesize
-from .verdicts import Witness
+from .verdicts import Witness, register_law
 
-__all__ = ["TheoremInstance", "SweepReport", "enum_verify", "THEOREM_IDS"]
+__all__ = ["TheoremInstance", "SweepReport", "enum_verify", "healthy_tables", "THEOREM_IDS"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -90,46 +97,39 @@ def _carrier(prefix: str, n: int) -> FinSet:
 
 
 # ---------------------------------------------------------------------------
-# Code-generated streaming law checks for the may/must sweeps.
-#
-# A dense table over Y->X is streamed as a reversed tuple T (the last
-# component is the entry for predicate 0).  Join preservation is
-# equivalent to: entry(0) = 0 and every non-singleton entry equals the
-# union of its singleton generators; meet preservation dually with
-# co-singletons.  These are exactly the binary-generation laws of the
-# dense checkers, inlined for speed.
+# The Boolean sweeps.  The healthy side is an exact search compiled from the
+# law table: every instance that check_dense tests on a dense table is
+# attached to the largest table index it reads, the entries are bound in
+# ascending predicate-mask order, and an instance is tested as soon as its
+# last entry is bound, so a failed instance cuts off every extension.
 
 
-def _law_terms(law: str, nx: int, ny: int) -> list:
-    n_preds = 1 << ny
-    base = 1 << nx
-    pos = lambda k: n_preds - 1 - k
-    terms = []
-    if law == "join":
-        terms.append(f"T[{pos(0)}] == 0")
-        for m in range(1, n_preds):
-            if m & (m - 1):
-                gens = "|".join(f"T[{pos(1 << j)}]" for j in range(ny) if (m >> j) & 1)
-                terms.append(f"T[{pos(m)}] == {gens}")
-    elif law == "meet":
-        full = n_preds - 1
-        terms.append(f"T[{pos(full)}] == {base - 1}")
-        for m in range(n_preds - 1):
-            missing = [j for j in range(ny) if not (m >> j) & 1]
-            if len(missing) >= 2:
-                gens = "&".join(f"T[{pos(full ^ (1 << j))}]" for j in missing)
-                terms.append(f"T[{pos(m)}] == {gens}")
-    else:
-        raise ValueError(law)
-    return terms
+class _Reads(list):
+    """A dense table that records the indices read from it."""
+
+    def __getitem__(self, k):
+        self.append(k)
+        return 0
 
 
-def _make_scanner(law: str, nx: int, ny: int):
-    cond = " and ".join(_law_terms(law, nx, ny)) or "True"
-    src = f"def _scan(stream):\n    for T in stream:\n        if {cond}:\n            yield T\n"
-    ns: dict = {}
-    exec(src, ns)  # self-generated source, no external input
-    return ns["_scan"]
+def healthy_tables(cls: StructureClass, nx: int, ny: int) -> list:
+    """Every dense table 2^ny -> 2^nx that check_dense passes for the class,
+    in the stream order of core.enumerate_transformer_tables."""
+    size, top = 1 << ny, (1 << nx) - 1
+    due = [[] for _ in range(size)]
+    for law, _, f, g in dense_instances(cls, size):
+        sides, reads = MASK_SIDES[law.name], _Reads()
+        sides(reads, top, f, g)
+        due[max(reads, default=0)].append((sides, f, g))
+    tables = [()]
+    for checks in due:
+        tables = [
+            t
+            for p in tables
+            for t in (p + (v,) for v in range(top + 1))
+            if all(eq(*sides(t, top, f, g)) for sides, f, g in checks)
+        ]
+    return sorted(tables, key=lambda t: t[::-1])
 
 
 def _synth_table(law: str, table: tuple, nx: int, ny: int) -> tuple:
@@ -154,71 +154,37 @@ def _synth_table(law: str, table: tuple, nx: int, ny: int) -> tuple:
     return tuple(rows)
 
 
-def _scan_chunk(law: str, nx: int, ny: int, lead_digits):
-    """Stream one chunk (fixed leading digit) of the transformer space;
-    verify synthesis for each law-passing table.  Returns
-    (checked, healthy, first_witness)."""
-    n_preds = 1 << ny
-    base = 1 << nx
-    scanner = _make_scanner(law, nx, ny)
-    rebuild = table_wp_diamond if law == "join" else table_wp_box
-    checked = 0
-    healthy = 0
-    witness = None
-    for d in lead_digits:
-        if n_preds == 1:
-            stream = iter([(d,)])
-            chunk_size = 1
-        else:
-            stream = ((d,) + rest for rest in itertools.product(range(base), repeat=n_preds - 1))
-            chunk_size = base ** (n_preds - 1)
-        checked += chunk_size
-        for T in scanner(stream):
-            healthy += 1
-            table = T[::-1]
-            rows = _synth_table(law, table, nx, ny)
-            if rebuild(rows, ny) != table:
-                witness = Witness(
-                    "sweep.synthesis",
-                    {"law": law, "table": table, "rows": rows},
-                    rebuild(rows, ny),
-                    table,
-                )
-                return checked, healthy, witness
-    return checked, healthy, witness
+def _rebuild(law: str):
+    return table_wp_diamond if law == "join" else table_wp_box
 
 
-def _sweep_relation(law: str, nx: int, ny: int, max_enum: int, jobs: int) -> dict:
+def _sweep_relation(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
     total = count_transformers(_carrier("y", ny), _carrier("x", nx))
     if total > max_enum:
         raise SizeGuardError(
             f"{total} transformers exceed the guard ({max_enum}); raise --max-enum to force"
         )
-    base = 1 << nx
-    n_preds = 1 << ny
-    lead_values = list(range(base)) if n_preds > 1 else [0]
-
-    if jobs > 1 and len(lead_values) > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        chunks = [(law, nx, ny, [d]) for d in lead_values]
-        with ctx.Pool(min(jobs, len(chunks))) as pool:
-            results = pool.starmap(_scan_chunk, chunks)
-        checked = sum(r[0] for r in results)
-        healthy = sum(r[1] for r in results)
-        witness = next((r[2] for r in results if r[2] is not None), None)
-    else:
-        checked, healthy, witness = _scan_chunk(law, nx, ny, lead_values)
+    law, n_preds, rebuild = mod.condition, 1 << ny, _rebuild(mod.condition)
+    healthy = healthy_tables(STRUCTURE_CLASSES[mod.structure_class], nx, ny)
+    witness = None
+    for table in healthy:
+        rows = _synth_table(law, table, nx, ny)
+        if rebuild(rows, ny) != table:
+            witness = Witness(
+                "sweep.synthesis",
+                {"law": law, "table": table, "rows": rows},
+                rebuild(rows, ny),
+                table,
+            )
+            break
 
     # image side: every computation's transformer must pass the law check
-    rebuild = table_wp_diamond if law == "join" else table_wp_box
-    scanner = _make_scanner(law, nx, ny)
+    healthy_set = set(healthy)
     image = set()
     for rows in itertools.product(range(n_preds), repeat=nx):
         table = rebuild(rows, ny)
         image.add(table)
-        if witness is None and not any(True for _ in scanner(iter([table[::-1]]))):
+        if witness is None and table not in healthy_set:
             witness = Witness(
                 "sweep.image_health",
                 {"law": law, "rows": rows, "table": table},
@@ -228,44 +194,34 @@ def _sweep_relation(law: str, nx: int, ny: int, max_enum: int, jobs: int) -> dic
     injective = len(image) == n_preds**nx
 
     counts = {
-        "transformers": checked,
-        "healthy": healthy,
+        "transformers": total,
+        "healthy": len(healthy),
         "computations": n_preds**nx,
         "image": len(image),
         "wp_injective": "yes" if injective else "no",
     }
     if total <= (1 << 16):
-        s1 = set()
-        for T in _make_scanner(law, nx, ny)(
-            itertools.product(range(base), repeat=n_preds)
-        ):
-            s1.add(T[::-1])
         counts["set_equality"] = "checked"
-        if s1 != image and witness is None:
-            diff = sorted(s1 ^ image)[0]
+        if healthy_set != image and witness is None:
+            diff = sorted(healthy_set ^ image)[0]
             witness = Witness(
-                "sweep.set_equality", {"law": law, "table": diff}, diff in s1, diff in image
+                "sweep.set_equality",
+                {"law": law, "table": diff},
+                diff in healthy_set,
+                diff in image,
             )
-    equal = witness is None and healthy == len(image)
-    if witness is None and healthy != len(image):
-        witness = Witness(
-            "sweep.count", {"law": law}, healthy, len(image)
-        )
+    equal = witness is None and len(healthy) == len(image)
+    if witness is None and len(healthy) != len(image):
+        witness = Witness("sweep.count", {"law": law}, len(healthy), len(image))
     return {"counts": counts, "equal": equal, "witness": witness}
 
 
-def _sweep_alternating(theorem: str, nx: int, ny: int, max_enum: int) -> dict:
+def _sweep_alternating(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
     """Exhaustive Boolean sweep for the game/dijkstra instances."""
-    mod = INSTANCES[theorem]
     X, Y = _carrier("x", nx), _carrier("y", ny)
-    total = count_transformers(Y, X)
-    healthy_set = set()
+    total = count_transformers(Y, X, max_enum)
+    healthy_set = set(healthy_tables(STRUCTURE_CLASSES[mod.structure_class], nx, ny))
     witness = None
-    for table in enumerate_transformer_tables(Y, X, max_enum):
-        phi = BooleanTransformer(Y, X, table)
-        verdict = run_condition(mod.condition, phi)
-        if verdict.is_healthy:
-            healthy_set.add(phi.table)
     image = set()
     n_arrows = 0
     for arrow in enumerate_arrows(mod.monad, X, Y, max_enum):
@@ -275,7 +231,7 @@ def _sweep_alternating(theorem: str, nx: int, ny: int, max_enum: int) -> dict:
         if witness is None and phi.table not in healthy_set:
             witness = Witness(
                 "sweep.image_health",
-                {"theorem": theorem, "arrow": repr(arrow), "table": phi.table},
+                {"theorem": mod.theorem, "arrow": repr(arrow), "table": phi.table},
                 "unhealthy",
                 "healthy",
             )
@@ -283,7 +239,10 @@ def _sweep_alternating(theorem: str, nx: int, ny: int, max_enum: int) -> dict:
     if witness is None and missing:
         table = sorted(missing)[0]
         witness = Witness(
-            "sweep.realizability", {"theorem": theorem, "table": table}, "unrealized", "realized"
+            "sweep.realizability",
+            {"theorem": mod.theorem, "table": table},
+            "unrealized",
+            "realized",
         )
     counts = {
         "transformers": total,
@@ -293,6 +252,28 @@ def _sweep_alternating(theorem: str, nx: int, ny: int, max_enum: int) -> dict:
         "set_equality": "checked",
     }
     return {"counts": counts, "equal": witness is None, "witness": witness}
+
+
+# Replay of the Boolean sweep witnesses; the subject is the TheoremInstance.
+
+
+def _replay_synthesis(subject, args):
+    nx, ny = subject.sizes
+    return _rebuild(INSTANCES[subject.theorem].condition)(args["rows"], ny), args["table"]
+
+
+def _replay_image_health(subject, args):
+    if "table" not in args:
+        raise ValueError("a sampled image-health witness records no table to replay")
+    mod = INSTANCES[subject.theorem]
+    found, _ = check_dense(
+        args["table"], (1 << subject.sizes[0]) - 1, STRUCTURE_CLASSES[mod.structure_class]
+    )
+    return "healthy" if found is None else "unhealthy", "healthy"
+
+
+register_law("sweep.synthesis", _replay_synthesis)
+register_law("sweep.image_health", _replay_image_health)
 
 
 def _random_coefficient_transformer(
@@ -395,16 +376,18 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
 def enum_verify(
     instance: TheoremInstance, max_enum: int = 1 << 28, jobs: int = 1
 ) -> SweepReport:
-    """Run one theorem sweep; see the module docstring for the method."""
+    """Run one theorem sweep; see the module docstring for the method.
+    ``jobs`` is accepted for compatibility and has no effect: every sweep
+    runs in this process."""
     t0 = time.perf_counter()
     nx, ny = instance.sizes
     mod = INSTANCES[instance.theorem]
     if mod.carrier == BOOLEAN and instance.mode != "exhaustive":
         raise ValueError(f"{instance.theorem} sweeps are exhaustive")
     if mod.theorem in ("may", "must"):
-        out = _sweep_relation(mod.condition, nx, ny, max_enum, jobs)
+        out = _sweep_relation(mod, nx, ny, max_enum)
     elif mod.carrier == BOOLEAN:
-        out = _sweep_alternating(instance.theorem, nx, ny, max_enum)
+        out = _sweep_alternating(mod, nx, ny, max_enum)
     else:
         out = _sweep_sampled(instance.theorem, nx, ny, instance.seed, instance.count)
     elapsed = time.perf_counter() - t0

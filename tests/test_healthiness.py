@@ -274,6 +274,27 @@ def test_finitary_support_rational_uses_arrow(Y2):
     assert report.is_healthy and "y0" in report.note
 
 
+def test_explicit_grid_rejects_values_outside_the_unit_interval(Y2):
+    # a value of 3/2 is no predicate; the grid used to check the law over it
+    # and report "healthy (36 instances checked)"
+    from wpbench.monads import KleisliArrow
+
+    f = KleisliArrow("subdist", FinSet("X", ("x",)), Y2, {"x": {"y0": F(1, 2)}})
+    phi = pt_modality(builtin_modality("total"), f)
+    core = list(ProbeGrid.default(Y2, random_count=0).predicates)
+    assert run_condition("gemod_total", phi, ProbeGrid.explicit(Y2, core)).is_healthy
+    with pytest.raises(ValueError, match="outside"):
+        run_condition("gemod_total", phi, ProbeGrid.explicit(Y2, core + [(F(3, 2), 0)]))
+    with pytest.raises(ValueError, match="outside"):
+        ProbeGrid.explicit(Y2, core + [(F(-1, 2), 0)])
+    with pytest.raises(ValueError, match="outside"):
+        ProbeGrid.explicit(Y2, core, scalars=(0, F(5, 4)))
+    with pytest.raises(ValueError, match="needs 2 values"):
+        ProbeGrid.explicit(Y2, core + [(F(1, 2),)])
+    with pytest.raises(ValueError, match="needs 2 values"):
+        ProbeGrid.explicit(Y2, core + [(0, 0, 1)])
+
+
 def test_run_condition_names(Y2):
     assert run_condition("join", identity_transformer(Y2)).is_healthy
     with pytest.raises(ValueError):

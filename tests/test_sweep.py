@@ -1,7 +1,11 @@
 import pytest
 
-from wpbench.core import SizeGuardError
-from wpbench.sweep import TheoremInstance, enum_verify
+from wpbench import sweep
+from wpbench.core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
+from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
+from wpbench.semantics import BooleanTransformer
+from wpbench.sweep import TheoremInstance, enum_verify, healthy_tables
+from wpbench.verdicts import Witness, witness_is_sound
 
 
 def test_may_2x2_partition():
@@ -85,3 +89,63 @@ def test_jobs_partition_matches_serial():
     serial = enum_verify(TheoremInstance("may", (2, 2)), jobs=1)
     parallel = enum_verify(TheoremInstance("may", (2, 2)), jobs=4)
     assert serial.render() == parallel.render()
+
+
+BOOLEAN_THEOREMS = ("may", "must", "game", "dijkstra")
+# every size pair with at most 2^16 dense tables (ny <= 4; nx = 0 leaves one table)
+ORACLE_SIZES = [
+    (nx, ny)
+    for ny in range(5)
+    for nx in range(17)
+    if count_transformers(FinSet("Y", range(ny)), FinSet("X", range(nx))) <= 1 << 16
+]
+
+
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_pruned_search_matches_the_filtered_stream(theorem):
+    cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
+    for nx, ny in ORACLE_SIZES:
+        X, Y = FinSet("X", range(nx)), FinSet("Y", range(ny))
+        top = (1 << nx) - 1
+        oracle = [
+            t for t in enumerate_transformer_tables(Y, X) if check_dense(t, top, cls)[0] is None
+        ]
+        assert healthy_tables(cls, nx, ny) == oracle, (theorem, nx, ny)
+
+
+def test_synthesis_witness_replays(monkeypatch):
+    # a seeded fault in the inverse formulas: the first row loses its last bit
+    synth = sweep._synth_table
+
+    def faulty(law, table, nx, ny):
+        rows = synth(law, table, nx, ny)
+        return (rows[0] ^ 2,) + rows[1:]
+
+    monkeypatch.setattr(sweep, "_synth_table", faulty)
+    for theorem in ("may", "must"):
+        instance = TheoremInstance(theorem, (2, 2))
+        report = enum_verify(instance)
+        assert not report.equal
+        assert report.witness.law == "sweep.synthesis"
+        assert witness_is_sound(instance, report.witness)
+
+
+def test_image_health_witness_replays(monkeypatch):
+    # a seeded fault in the semantics: every transformer maps the empty
+    # postcondition to the full precondition set
+    pt_modality = sweep.pt_modality
+
+    def faulty(mod, arrow):
+        phi = pt_modality(mod, arrow)
+        return BooleanTransformer(phi.source, phi.target, (3,) + phi.table[1:])
+
+    monkeypatch.setattr(sweep, "pt_modality", faulty)
+    for theorem in ("game", "dijkstra"):
+        instance = TheoremInstance(theorem, (2, 2))
+        report = enum_verify(instance)
+        assert report.witness.law == "sweep.image_health"
+        assert witness_is_sound(instance, report.witness)
+    # a healthy table does not replay as a violation
+    instance = TheoremInstance("may", (2, 2))
+    healthy = Witness("sweep.image_health", {"table": (0, 1, 2, 3)}, "unhealthy", "healthy")
+    assert not witness_is_sound(instance, healthy)
