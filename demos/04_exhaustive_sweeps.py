@@ -3,9 +3,10 @@ exhaustion at desk scale.
 
 At |X| = |Y| = 2, the 256 transformers are partitioned and both sets are
 compared outright; at 3x3 the healthy ones among the 16.7 million are found
-by a search that cuts off every table prefix violating a law, and are
-matched against the image of the semantics.  Pass --big to run the four
-3x3 sweeps (a few seconds, most of it evaluating the game computations).
+by a search that sets every entry a law fixes and cuts off every partial
+table violating a law, and are matched against the image of the
+semantics.  Pass --big to run the four 3x3 sweeps (under a second, most
+of it building the 8000 game computations).
 """
 
 import sys

@@ -46,6 +46,7 @@ __all__ = [
     "BOOLEAN",
     "RATIONAL",
     "Modality",
+    "TauR",
     "FiniteAlgebra",
     "INSTANCES",
     "Law",
@@ -113,11 +114,16 @@ def _eval_box(s, f):
     return min((f(y) for y in s), default=1)
 
 
-def _eval_tau_r(r):
-    def ev(p, f):
-        return p.expect(f) + r * (1 - p.mass)
+@dataclass(frozen=True)
+class TauR:
+    """The rule of tau_r: the expectation plus r times the missing mass.
+    The closed forms of ``semantics`` recognize the built-in rule by this
+    type, and read r from it."""
 
-    return ev
+    r: Fraction
+
+    def __call__(self, p, f):
+        return p.expect(f) + self.r * (1 - p.mass)
 
 
 def _eval_convex(p, f):
@@ -166,7 +172,7 @@ INSTANCES = {
             MonadKind.SUBDIST,
             RATIONAL,
             "gemod",
-            _eval_tau_r(ZERO),
+            TauR(ZERO),
             param=ZERO,
             theorem="subdist_total",
         ),
@@ -175,7 +181,7 @@ INSTANCES = {
             MonadKind.SUBDIST,
             RATIONAL,
             "gemod_dual",
-            _eval_tau_r(ONE),
+            TauR(ONE),
             param=ONE,
             theorem="subdist_partial",
         ),
@@ -205,7 +211,7 @@ def builtin_modality(name: str) -> Modality:
             raise ValueError(f"tau_r parameter {r} outside [0, 1]")
         if r in (ZERO, ONE):
             return INSTANCES["subdist_total" if r == ZERO else "subdist_partial"]
-        return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, _eval_tau_r(r), param=r)
+        return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, TauR(r), param=r)
     for mod in INSTANCES.values():
         if mod.name == key:
             return mod
@@ -706,7 +712,8 @@ def _replay_functional(subject, args):
 register_law("class.law", _replay_functional)
 
 
-def _mask_term(term: tuple) -> Callable:
+def mask_term(term: tuple) -> Callable:
+    """One side of a law as a function (T, top, f, g) -> mask (see MASK_SIDES)."""
     kind, x = term
     if kind == "arg":
         return lambda T, top, f, g: T[g] if x else T[f]
@@ -718,8 +725,17 @@ def _mask_term(term: tuple) -> Callable:
     return lambda T, top, f, g: op(T[f], T[g])
 
 
+def term_entry(term: tuple, f: int, g: int):
+    """The index k when a side at f and g is the table entry T[k] itself
+    (an "arg" or "at" term), else None."""
+    kind, x = term
+    if kind == "arg":
+        return g if x else f
+    return x(None)(f, g) if kind == "at" else None
+
+
 def _mask_law(law: Law) -> Callable:
-    lhs, rhs = _mask_term(law.lhs), _mask_term(law.rhs)
+    lhs, rhs = mask_term(law.lhs), mask_term(law.rhs)
     if law.rel == "=":
         return lambda T, top, f, g: (lhs(T, top, f, g), rhs(T, top, f, g))
     clamp = and_ if law.rel == "<=" else or_

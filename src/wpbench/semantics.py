@@ -6,18 +6,26 @@ ones are always materialized as dense tables (2^|Y| rows of output
 masks) so exhaustive checks can compare them bit for bit; rational ones
 stay evaluation rules backed by their defining computation, since
 [0,1]^Y is infinite.
+
+Catalog modalities have closed forms, chosen by what the modality is (a
+catalog row, or a built-in tau_r rule), never by its name.  The four
+Boolean rows compile each T-value to a basis of masks, and a state is in
+phi(m) iff some basis mask lies inside m (``mask_table``); the rational
+ones compile to integer coefficient rows (``IntegerRows``).  Every other
+modality goes through its generic evaluation rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import FinSet, Predicate
-from .modalities import BOOLEAN, INSTANCES, RATIONAL, Modality, builtin_modality
-from .monads import KleisliArrow, MonadKind, kleisli_compose, unit
+from .modalities import BOOLEAN, INSTANCES, RATIONAL, Modality, TauR, builtin_modality
+from .monads import BOT, KleisliArrow, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -29,8 +37,8 @@ __all__ = [
     "pt_modality",
     "pt_alternating",
     "check_functoriality",
-    "table_wp_diamond",
-    "table_wp_box",
+    "mask_table",
+    "MASK_BASES",
 ]
 
 ZERO = Fraction(0)
@@ -133,60 +141,81 @@ class RationalTransformer:
         return f"RationalTransformer({self.source.name}->{self.target.name}, {tag})"
 
 
-def table_wp_diamond(rows: Sequence[int], n_source: int) -> tuple:
-    """Dense may-table from row masks: x is in phi(f) iff row(x) meets f."""
+@functools.lru_cache(maxsize=16)
+def _superset_words(n: int, width: int) -> tuple:
+    """Per mask b over n elements, the masks m containing b as one packed
+    integer: word m (``width`` bytes, little-endian) is 1 iff b lies inside m."""
+    shift = 8 * width
+    return tuple(
+        sum(1 << shift * m for m in range(1 << n) if b & ~m == 0) for b in range(1 << n)
+    )
+
+
+def mask_table(bases: Sequence, n_source: int) -> tuple:
+    """The dense table of a Boolean closed form: bit i of entry m is set iff
+    some mask of ``bases[i]`` lies inside m.
+
+    Each row's indicator over all m is the union of its basis masks'
+    superset words, so a table costs one integer OR per basis mask; the
+    words of the rows, shifted to their bits, are unpacked by byte.
+    """
+    width = (len(bases) + 7) // 8 or 1  # bytes per output mask
+    words = _superset_words(n_source, width)
+    packed = 0
+    for i, basis in enumerate(bases):
+        row = 0
+        for b in basis:
+            row |= words[b]
+        packed |= row << i
+    raw = packed.to_bytes(width << n_source, "little")
+    if width == 1:
+        return tuple(raw)
+    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
+
+
+def _singletons(m: int) -> list:
     out = []
-    for m in range(1 << n_source):
-        bits = 0
-        for i, r in enumerate(rows):
-            if r & m:
-                bits |= 1 << i
-        out.append(bits)
-    return tuple(out)
+    while m:
+        out.append(m & -m)
+        m &= m - 1
+    return out
 
 
-def table_wp_box(rows: Sequence[int], n_source: int) -> tuple:
-    """Dense must-table from row masks: x is in phi(f) iff row(x) is inside f."""
-    out = []
-    for m in range(1 << n_source):
-        bits = 0
-        for i, r in enumerate(rows):
-            if r & ~m == 0:
-                bits |= 1 << i
-        out.append(bits)
-    return tuple(out)
+# The Boolean catalog rows as mask bases, by theorem: x is in phi(m) iff some
+# basis mask of x's row lies inside m.  ``mask`` maps a subset of Y to its
+# mask (for a relation given by row masks, ``int``).
+MASK_BASES = {
+    "may": lambda row, mask: _singletons(mask(row)),
+    "must": lambda row, mask: (mask(row),),
+    "game": lambda row, mask: [mask(s) for s in row],
+    "dijkstra": lambda row, mask: () if BOT in row else (mask(row),),
+}
 
 
-def _relation_row_masks(arrow: KleisliArrow) -> list:
-    masks = []
-    for row in arrow.rows:
-        m = 0
-        for y in row:
-            m |= 1 << arrow.target.index(y)
-        masks.append(m)
-    return masks
+def _catalog_theorem(mod: Modality):
+    """The theorem id when mod is a catalog row itself, else None."""
+    return mod.theorem if INSTANCES.get(mod.theorem) is mod else None
 
 
 def wp_diamond(arrow: KleisliArrow) -> BooleanTransformer:
     """May-semantics of a relation: phi(f)(x) = exists y. xRy and f(y)."""
     if arrow.kind != MonadKind.POWERSET:
         raise ValueError("wp_diamond interprets POWERSET computations")
-    rows = _relation_row_masks(arrow)
-    return BooleanTransformer(arrow.target, arrow.source, table_wp_diamond(rows, len(arrow.target)))
+    return pt_modality(INSTANCES["may"], arrow)
 
 
 def wp_box(arrow: KleisliArrow) -> BooleanTransformer:
     """Must-semantics of a relation: phi(f)(x) = forall y. xRy implies f(y)."""
     if arrow.kind != MonadKind.POWERSET:
         raise ValueError("wp_box interprets POWERSET computations")
-    rows = _relation_row_masks(arrow)
-    return BooleanTransformer(arrow.target, arrow.source, table_wp_box(rows, len(arrow.target)))
+    return pt_modality(INSTANCES["must"], arrow)
 
 
 def pt_modality(mod: Modality, arrow: KleisliArrow):
     """The generic backward semantics: phi(h)(x) = eval(arrow(x), h).
 
-    Boolean modalities produce dense tables; rational ones produce an
+    Boolean modalities produce dense tables, through the mask kernel for
+    the catalog rows (see ``MASK_BASES``); rational ones produce an
     evaluation rule carrying the defining arrow.
     """
     if isinstance(mod, str):
@@ -194,6 +223,12 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
     if mod.monad != arrow.kind:
         raise ValueError(f"modality {mod.name!r} interprets {mod.monad}, got {arrow.kind}")
     Y, X = arrow.target, arrow.source
+    theorem = _catalog_theorem(mod)
+    if theorem in MASK_BASES:
+        bit = {y: 1 << i for i, y in enumerate(Y.elements)}
+        mask = lambda s: sum(bit[y] for y in s)
+        basis = MASK_BASES[theorem]
+        return BooleanTransformer(Y, X, mask_table([basis(row, mask) for row in arrow.rows], len(Y)))
     if mod.carrier == BOOLEAN:
         table = []
         for m in range(1 << len(Y)):
@@ -271,14 +306,14 @@ class IntegerRows:
 def _closed_form_eval(mod: Modality, arrow: KleisliArrow):
     """The linear modalities (expectation plus an r-weighted divergence
     offset; min over polytope vertices) compiled to integer rows, or None
-    for the generic evaluation route.  These are the concrete forms the
-    modalities denote; agreement with the generic route is property-tested."""
-    Y = arrow.target.elements
-    linear = mod.name in ("total", "partial", "convex") or mod.name.startswith("tau_r")
-    if linear and arrow.kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        r = mod.param if mod.param is not None else ZERO
+    for the generic evaluation route.  A closed form is chosen by what the
+    modality is, a catalog row or a built-in tau_r rule, never by its name;
+    agreement with the generic route is property-tested."""
+    Y, theorem = arrow.target.elements, _catalog_theorem(mod)
+    if isinstance(mod.evaluate, TauR) or theorem == "dist_convex":
+        r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
         rows = [[(r * (ONE - row.mass), [row.weight(y) for y in Y])] for row in arrow.rows]
-    elif mod.name == "demonic_prob" and arrow.kind == MonadKind.CV_DIST:
+    elif theorem == "cv_sublinear":
         rows = [[(ZERO, [mu.weight(y) for y in Y]) for mu in row] for row in arrow.rows]
     else:
         return None

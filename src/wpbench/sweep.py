@@ -4,11 +4,14 @@ Each instance realizes one healthiness equivalence as a finite check:
 the set of transformers passing the intrinsic condition must coincide
 with the image of the semantics over all computations.  The Boolean
 sweeps find the healthy set by an exact search compiled from the law
-table: the dense tables are built one entry at a time and a prefix that
-violates a law instance is cut off, so the 16.7M tables of a 3x3 sweep
-are decided without visiting them one by one.  Every healthy
-may/must table must also synthesize back to its computation, and at most
-2^16 tables the two sets are compared outright.
+table: the dense tables are built one entry at a time, an entry that an
+`=` law instance fixes from the entries bound before it is set rather
+than tried, and a partial table that violates a law instance is cut off,
+so the 16.7M tables of a 3x3 sweep are decided without visiting them one
+by one.  The image side evaluates every computation through the Boolean
+closed forms of ``semantics`` (mask bases).  Every healthy may/must
+table must also synthesize back to its computation, and at most 2^16
+tables the two sets are compared outright.
 
 Rational instances are sampled: every sampled computation must produce a
 transformer that passes its grid check, and independently constructed
@@ -36,10 +39,12 @@ from .modalities import (
     StructureClass,
     check_dense,
     dense_instances,
+    mask_term,
+    term_entry,
 )
 from .monads import MonadKind, enumerate_arrows, random_arrow
-from .semantics import RationalTransformer, pt_modality, table_wp_box, table_wp_diamond
-from .synthesis import roundtrip_verify, synth_polytope, synthesize
+from .semantics import MASK_BASES, BooleanTransformer, RationalTransformer, mask_table, pt_modality
+from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
 from .verdicts import Witness, register_law
 
 __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "healthy_tables", "THEOREM_IDS"]
@@ -98,10 +103,13 @@ def _carrier(prefix: str, n: int) -> FinSet:
 
 # ---------------------------------------------------------------------------
 # The Boolean sweeps.  The healthy side is an exact search compiled from the
-# law table: every instance that check_dense tests on a dense table is
-# attached to the largest table index it reads, the entries are bound in
-# ascending predicate-mask order, and an instance is tested as soon as its
-# last entry is bound, so a failed instance cuts off every extension.
+# law table.  The entries are bound in an order where an entry produced by a
+# law's operation comes after the operation's arguments: ascending for join,
+# descending for meet.  Every instance that check_dense tests on a dense table
+# is attached to the last entry it reads and tested as soon as that entry is
+# bound, so a failed instance cuts off every extension.  An entry that an `=`
+# instance equates with a side reading only earlier entries is not tried at
+# every value but set from that side.
 
 
 class _Reads(list):
@@ -112,24 +120,71 @@ class _Reads(list):
         return 0
 
 
+def _reads(side, top: int, f: int, g: int) -> list:
+    reads = _Reads()
+    side(reads, top, f, g)
+    return reads
+
+
+def _forcing(law, f: int, g: int, top: int, pos: dict):
+    """(k, side) when the `=` instance of the law at f and g equates the
+    entry T[k] with a side reading only entries bound before k, else None."""
+    if law.rel != "=":
+        return None
+    for exact, other in ((law.lhs, law.rhs), (law.rhs, law.lhs)):
+        k, side = term_entry(exact, f, g), mask_term(other)
+        if k is not None and all(pos[j] < pos[k] for j in _reads(side, top, f, g)):
+            return k, side
+    return None
+
+
 def healthy_tables(cls: StructureClass, nx: int, ny: int) -> list:
     """Every dense table 2^ny -> 2^nx that check_dense passes for the class,
     in the stream order of core.enumerate_transformer_tables."""
     size, top = 1 << ny, (1 << nx) - 1
-    due = [[] for _ in range(size)]
-    for law, _, f, g in dense_instances(cls, size):
-        sides, reads = MASK_SIDES[law.name], _Reads()
-        sides(reads, top, f, g)
-        due[max(reads, default=0)].append((sides, f, g))
-    tables = [()]
-    for checks in due:
-        tables = [
-            t
-            for p in tables
-            for t in (p + (v,) for v in range(top + 1))
-            if all(eq(*sides(t, top, f, g)) for sides, f, g in checks)
-        ]
-    return sorted(tables, key=lambda t: t[::-1])
+    instances = list(dense_instances(cls, size))
+    below = any(
+        term_entry(term, f, g) < max(f, g)
+        for law, _, f, g in instances
+        for term in (law.lhs, law.rhs)
+        if term[0] == "at"
+    )
+    order = list(range(size - 1, -1, -1) if below else range(size))
+    pos = {k: i for i, k in enumerate(order)}
+    # by binding position: the instances due there, and the (side, f, g)
+    # setting the entry; a forcing instance holds by construction
+    due = [[] for _ in order]
+    forced = [None] * size
+    for law, _, f, g in instances:
+        forcing = _forcing(law, f, g, top, pos)
+        if forcing is not None and forced[pos[forcing[0]]] is None:
+            k, side = forcing
+            forced[pos[k]] = (side, f, g)
+            continue
+        sides = MASK_SIDES[law.name]
+        due[max((pos[k] for k in _reads(sides, top, f, g)), default=0)].append((sides, f, g))
+    table, found = [0] * size, []
+
+    def bind(at: int) -> None:
+        # depth first on one table: entries bound after position `at` may
+        # still hold values of an abandoned branch, and nothing due at `at`
+        # reads them
+        if at == size:
+            found.append(tuple(table))
+            return
+        k, checks, force = order[at], due[at], forced[at]
+        if force is None:
+            values = range(top + 1)
+        else:
+            side, f, g = force
+            values = (side(table, top, f, g),)
+        for v in values:
+            table[k] = v
+            if all(eq(*sides(table, top, f, g)) for sides, f, g in checks):
+                bind(at + 1)
+
+    bind(0)
+    return sorted(found, key=lambda t: t[::-1])
 
 
 def _synth_table(law: str, table: tuple, nx: int, ny: int) -> tuple:
@@ -154,8 +209,10 @@ def _synth_table(law: str, table: tuple, nx: int, ny: int) -> tuple:
     return tuple(rows)
 
 
-def _rebuild(law: str):
-    return table_wp_diamond if law == "join" else table_wp_box
+def _rebuild(theorem: str, rows: tuple, ny: int) -> tuple:
+    """The dense table of a relation given by row masks."""
+    basis = MASK_BASES[theorem]
+    return mask_table([basis(r, int) for r in rows], ny)
 
 
 def _sweep_relation(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
@@ -164,16 +221,17 @@ def _sweep_relation(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
         raise SizeGuardError(
             f"{total} transformers exceed the guard ({max_enum}); raise --max-enum to force"
         )
-    law, n_preds, rebuild = mod.condition, 1 << ny, _rebuild(mod.condition)
+    law, n_preds = mod.condition, 1 << ny
+    rebuild = lambda rows: _rebuild(mod.theorem, rows, ny)
     healthy = healthy_tables(STRUCTURE_CLASSES[mod.structure_class], nx, ny)
     witness = None
     for table in healthy:
         rows = _synth_table(law, table, nx, ny)
-        if rebuild(rows, ny) != table:
+        if rebuild(rows) != table:
             witness = Witness(
                 "sweep.synthesis",
                 {"law": law, "table": table, "rows": rows},
-                rebuild(rows, ny),
+                rebuild(rows),
                 table,
             )
             break
@@ -182,7 +240,7 @@ def _sweep_relation(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
     healthy_set = set(healthy)
     image = set()
     for rows in itertools.product(range(n_preds), repeat=nx):
-        table = rebuild(rows, ny)
+        table = rebuild(rows)
         image.add(table)
         if witness is None and table not in healthy_set:
             witness = Witness(
@@ -259,21 +317,49 @@ def _sweep_alternating(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
 
 def _replay_synthesis(subject, args):
     nx, ny = subject.sizes
-    return _rebuild(INSTANCES[subject.theorem].condition)(args["rows"], ny), args["table"]
+    return _rebuild(subject.theorem, args["rows"], ny), args["table"]
+
+
+def _healthy(subject, table: tuple) -> bool:
+    mod = INSTANCES[subject.theorem]
+    found, _ = check_dense(table, (1 << subject.sizes[0]) - 1, STRUCTURE_CLASSES[mod.structure_class])
+    return found is None
+
+
+def _realized(subject, table: tuple) -> bool:
+    """Image membership, decided through the inverse synthesis: a healthy
+    table is in the image iff the computation synthesized from it
+    re-evaluates to it.  The synthesis refuses an unhealthy table, which no
+    computation realizes (the image side of every sweep checks that)."""
+    nx, ny = subject.sizes
+    phi = BooleanTransformer(_carrier("y", ny), _carrier("x", nx), table)
+    try:
+        return synthesize(INSTANCES[subject.theorem], phi).ok
+    except UnhealthyInputError:
+        return False
 
 
 def _replay_image_health(subject, args):
     if "table" not in args:
         raise ValueError("a sampled image-health witness records no table to replay")
-    mod = INSTANCES[subject.theorem]
-    found, _ = check_dense(
-        args["table"], (1 << subject.sizes[0]) - 1, STRUCTURE_CLASSES[mod.structure_class]
-    )
-    return "healthy" if found is None else "unhealthy", "healthy"
+    return "healthy" if _healthy(subject, args["table"]) else "unhealthy", "healthy"
+
+
+def _replay_set_equality(subject, args):
+    return _healthy(subject, args["table"]), _realized(subject, args["table"])
+
+
+def _replay_realizability(subject, args):
+    table = args["table"]
+    if not _healthy(subject, table):
+        return "unhealthy", "realized"
+    return "realized" if _realized(subject, table) else "unrealized", "realized"
 
 
 register_law("sweep.synthesis", _replay_synthesis)
 register_law("sweep.image_health", _replay_image_health)
+register_law("sweep.set_equality", _replay_set_equality)
+register_law("sweep.realizability", _replay_realizability)
 
 
 def _random_coefficient_transformer(

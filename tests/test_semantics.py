@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 from wpbench import semantics
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid
-from wpbench.modalities import builtin_modality
+from wpbench.modalities import (
+    BOOLEAN,
+    INSTANCES,
+    Modality,
+    algebra_to_monad_map,
+    builtin_modality,
+    monad_map_to_algebra,
+)
 from wpbench.monads import (
     BOT,
     DistV,
@@ -234,6 +241,43 @@ def test_closed_forms_agree_with_generic_evaluation(name, seed, pred):
     assert phi.rows is not None
     val = lambda y: p[Y.index(y)]
     assert phi.apply_values(p) == tuple(mod.evaluate(row, val) for row in arrow.rows)
+
+
+@pytest.mark.parametrize("theorem", ("may", "must", "game", "dijkstra"))
+def test_boolean_closed_forms_agree_with_generic_evaluation(theorem):
+    # every T-value over up to three elements as a one-row arrow (empty rows,
+    # rows holding bottom, the empty family and families holding the empty
+    # set), and random arrows with up to ten rows, two bytes per output mask
+    mod, rng = INSTANCES[theorem], Random(11)
+    arrows = []
+    for ny in range(4):
+        Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
+        arrows += enumerate_arrows(mod.monad, FinSet("X", ("x0",)), Y)
+        for nx in (2, 3, 9, 10):
+            X = FinSet("X", tuple(f"x{i}" for i in range(nx)))
+            arrows += [random_arrow(mod.monad, rng, X, Y) for _ in range(4)]
+    for arrow in arrows:
+        Y = arrow.target
+        table = pt_modality(mod, arrow).table
+        for m in range(1 << len(Y)):
+            val = lambda y: (m >> Y.index(y)) & 1
+            want = sum(1 << i for i, row in enumerate(arrow.rows) if mod.evaluate(row, val))
+            assert table[m] == want, (arrow, m)
+
+
+def test_closed_forms_are_chosen_by_what_the_modality_is(X1, Y2):
+    # the partial algebra, recovered from its monad map and named "total",
+    # is no catalog row: it takes the generic route and keeps its value
+    f = KleisliArrow("subdist", X1, Y2, {"x0": DistV({"y0": F(1, 2)})})
+    partial = monad_map_to_algebra(algebra_to_monad_map(INSTANCES["subdist_partial"]), name="total")
+    phi = pt_modality(partial, f)
+    assert phi.rows is None
+    assert phi.apply_values((0, 0)) == (F(1, 2),)
+    assert pt_modality("tau_r:1/3", f).rows is not None
+    # a Boolean modality named "diamond" with the box rule evaluates as box
+    boxed = Modality("diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", INSTANCES["must"].evaluate)
+    R = KleisliArrow("powerset", X1, Y2, {"x0": ["y0", "y1"]})
+    assert pt_modality(boxed, R).table == wp_box(R).table == (0, 0, 0, 1)
 
 
 def test_rational_output_denominators_divide_products(Y3):

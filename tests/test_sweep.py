@@ -1,6 +1,9 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
-from wpbench import sweep
+from wpbench import semantics, sweep
 from wpbench.core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
 from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
 from wpbench.semantics import BooleanTransformer
@@ -149,3 +152,83 @@ def test_image_health_witness_replays(monkeypatch):
     instance = TheoremInstance("may", (2, 2))
     healthy = Witness("sweep.image_health", {"table": (0, 1, 2, 3)}, "unhealthy", "healthy")
     assert not witness_is_sound(instance, healthy)
+
+
+# The per-state sets of functionals 2^Y -> 2, by brute force over all of them:
+# every Boolean class constrains each output bit on its own, so the healthy
+# tables at nx x ny are the products of nx per-state sets.
+DEDEKIND = {2: 6, 3: 20, 4: 168}  # monotone Boolean functions, OEIS A000372
+
+
+def _per_state(cls, ny):
+    tables = itertools.product((0, 1), repeat=1 << ny)
+    return [t for t in tables if check_dense(t, 1, cls)[0] is None]
+
+
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_per_state_counts_match_independent_oracles(theorem):
+    cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
+    for ny in (2, 3, 4):
+        want = DEDEKIND[ny] if cls.condition == "monotone" else 1 << ny
+        assert len(_per_state(cls, ny)) == want, (theorem, ny)
+
+
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_search_is_the_product_of_per_state_sets(theorem):
+    cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
+    nx, ny = 3, 3
+    states = _per_state(cls, ny)
+    product = [
+        tuple(sum(s[m] << i for i, s in enumerate(rows)) for m in range(1 << ny))
+        for rows in itertools.product(states, repeat=nx)
+    ]
+    # stream index: table[k] is digit k in base 2^nx
+    product.sort(key=lambda t: sum(v << (nx * k) for k, v in enumerate(t)))
+    assert healthy_tables(cls, nx, ny) == product
+
+
+def test_set_equality_witness_replays(monkeypatch):
+    # a seeded fault in the sweep's enumeration of computations: the last one
+    # is skipped, so a healthy table seems to lie outside the image; the
+    # inverse synthesis realizes it, so the witness does not replay
+    product = itertools.product
+    skip_last = lambda *args, **kw: list(product(*args, **kw))[:-1]
+    monkeypatch.setattr(sweep, "itertools", SimpleNamespace(product=skip_last))
+    instance = TheoremInstance("may", (2, 2))
+    report = enum_verify(instance)
+    assert report.witness.law == "sweep.set_equality"
+    assert (report.witness.lhs, report.witness.rhs) == (True, False)
+    assert not witness_is_sound(instance, report.witness)
+    monkeypatch.undo()
+    # a seeded fault in the semantics: every state of a relation also reaches
+    # y0, so no computation realizes the zero table, which is healthy
+    diamond = semantics.MASK_BASES["may"]
+    monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
+    zero = Witness("sweep.set_equality", {"law": "join", "table": (0, 0, 0, 0)}, True, False)
+    assert witness_is_sound(instance, zero)
+    monkeypatch.undo()
+    assert not witness_is_sound(instance, zero)
+
+
+def test_realizability_witness_replays(monkeypatch):
+    # a seeded fault in the semantics: every chosen set also holds y0, so no
+    # computation realizes the healthy tables whose chosen sets miss it
+    dijkstra = semantics.MASK_BASES["dijkstra"]
+    faulty = lambda row, mask: tuple(b | 1 for b in dijkstra(row, mask))
+    monkeypatch.setitem(semantics.MASK_BASES, "dijkstra", faulty)
+    instance = TheoremInstance("dijkstra", (2, 2))
+    report = enum_verify(instance)
+    assert report.witness.law == "sweep.realizability"
+    assert witness_is_sound(instance, report.witness)
+    monkeypatch.undo()
+    # a seeded fault in the sweep's enumeration of computations: the last one
+    # is skipped, and the inverse synthesis realizes the table it produced
+    arrows = sweep.enumerate_arrows
+    monkeypatch.setattr(sweep, "enumerate_arrows", lambda *args: list(arrows(*args))[:-1])
+    instance = TheoremInstance("game", (2, 2))
+    report = enum_verify(instance)
+    assert report.witness.law == "sweep.realizability"
+    assert not witness_is_sound(instance, report.witness)
+    # an unhealthy table is no realizability witness
+    bad = Witness("sweep.realizability", {"table": (3, 0, 0, 0)}, "unrealized", "realized")
+    assert not witness_is_sound(instance, bad)
