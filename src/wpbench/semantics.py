@@ -17,7 +17,6 @@ modality goes through its generic evaluation rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +36,6 @@ __all__ = [
     "pt_modality",
     "pt_alternating",
     "check_functoriality",
-    "mask_table",
-    "MASK_BASES",
 ]
 
 ZERO = Fraction(0)
@@ -141,36 +138,21 @@ class RationalTransformer:
         return f"RationalTransformer({self.source.name}->{self.target.name}, {tag})"
 
 
-@functools.lru_cache(maxsize=16)
-def _superset_words(n: int, width: int) -> tuple:
-    """Per mask b over n elements, the masks m containing b as one packed
-    integer: word m (``width`` bytes, little-endian) is 1 iff b lies inside m."""
-    shift = 8 * width
-    return tuple(
-        sum(1 << shift * m for m in range(1 << n) if b & ~m == 0) for b in range(1 << n)
-    )
-
-
 def mask_table(bases: Sequence, n_source: int) -> tuple:
     """The dense table of a Boolean closed form: bit i of entry m is set iff
-    some mask of ``bases[i]`` lies inside m.
-
-    Each row's indicator over all m is the union of its basis masks'
-    superset words, so a table costs one integer OR per basis mask; the
-    words of the rows, shifted to their bits, are unpacked by byte.
-    """
-    width = (len(bases) + 7) // 8 or 1  # bytes per output mask
-    words = _superset_words(n_source, width)
-    packed = 0
+    some mask of ``bases[i]`` lies inside m.  Each basis mask sets bit i
+    in the entries of its supersets, walked in ascending order."""
+    full = (1 << n_source) - 1
+    table = [0] * (full + 1)
     for i, basis in enumerate(bases):
-        row = 0
         for b in basis:
-            row |= words[b]
-        packed |= row << i
-    raw = packed.to_bytes(width << n_source, "little")
-    if width == 1:
-        return tuple(raw)
-    return tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width))
+            m = b
+            while True:
+                table[m] |= 1 << i
+                if m == full:
+                    break
+                m = (m + 1) | b
+    return tuple(table)
 
 
 def _singletons(m: int) -> list:

@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -247,7 +249,7 @@ def test_closed_forms_agree_with_generic_evaluation(name, seed, pred):
 def test_boolean_closed_forms_agree_with_generic_evaluation(theorem):
     # every T-value over up to three elements as a one-row arrow (empty rows,
     # rows holding bottom, the empty family and families holding the empty
-    # set), and random arrows with up to ten rows, two bytes per output mask
+    # set), and random arrows with up to ten rows (output masks above 255)
     mod, rng = INSTANCES[theorem], Random(11)
     arrows = []
     for ny in range(4):
@@ -263,6 +265,27 @@ def test_boolean_closed_forms_agree_with_generic_evaluation(theorem):
             val = lambda y: (m >> Y.index(y)) & 1
             want = sum(1 << i for i, row in enumerate(arrow.rows) if mod.evaluate(row, val))
             assert table[m] == want, (arrow, m)
+
+
+def test_boolean_closed_forms_stay_linear_in_the_table_size():
+    # a relation into 16 states: 2^16 output masks, built in time and memory
+    # proportional to the table, checked against the generic rule at samples
+    X = FinSet("X", ("x0", "x1", "x2"))
+    Y = FinSet("Y", tuple(f"y{j}" for j in range(16)))
+    R = KleisliArrow("powerset", X, Y, {"x0": Y.elements, "x1": [], "x2": ("y3", "y9", "y15")})
+    tracemalloc.start()
+    start = time.perf_counter()
+    tables = {"may": wp_diamond(R).table, "must": wp_box(R).table}
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 30 and peak < 16 << 20, (elapsed, peak)
+    rng = Random(4)
+    for m in [0, (1 << 16) - 1, 1 << 3 | 1 << 9 | 1 << 15] + [rng.getrandbits(16) for _ in range(40)]:
+        val = lambda y: (m >> Y.index(y)) & 1
+        for theorem, table in tables.items():
+            mod = INSTANCES[theorem]
+            assert table[m] == sum(1 << i for i, row in enumerate(R.rows) if mod.evaluate(row, val))
 
 
 def test_closed_forms_are_chosen_by_what_the_modality_is(X1, Y2):
