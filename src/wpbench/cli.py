@@ -590,7 +590,7 @@ def _cmd_enum_verify(args) -> int:
     count = 100 if mod.monad == MonadKind.CV_DIST else 200
     instance = TheoremInstance(args.theorem, sizes, mode, seed=args.seed, count=count)
     t0 = time.perf_counter()
-    report = enum_verify(instance, max_enum=args.max_enum, jobs=args.jobs)
+    report = enum_verify(instance, max_enum=args.max_enum)
     sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
     _emit(report.render(), args.out)
     return EXIT_HEALTHY if report.equal else EXIT_UNHEALTHY
@@ -622,7 +622,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--theorem", help="theorem id for enum-verify")
         p.add_argument("--sizes", nargs=2, type=int, metavar=("A", "B"))
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
         p.add_argument("--max-enum", dest="max_enum", type=int, default=1 << 28)
         p.add_argument("--monad", help="monad name for the laws command")
         p.add_argument("--out", help="write the report to a file")

@@ -182,7 +182,11 @@ def up_closure(family: Iterable, universe) -> frozenset:
 
 
 def is_up_closed(family: frozenset, universe) -> bool:
-    return up_closure(family, universe) == frozenset(frozenset(s) for s in family)
+    """Every member extended by one element is a member, which reaches
+    every superset one element at a time."""
+    elems = tuple(universe.elements) if isinstance(universe, FinSet) else tuple(universe)
+    fam = frozenset(frozenset(s) for s in family)
+    return all(s | {y} in fam for s in fam for y in elems if y not in s)
 
 
 def dedup_vertices(vertices: Iterable[DistV]) -> tuple:
@@ -267,6 +271,15 @@ class KleisliArrow:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "rows", validated)
+
+    @classmethod
+    def _of_valid_rows(cls, kind: MonadKind, source: FinSet, target: FinSet, rows: tuple):
+        """An arrow whose rows are T-values over target already validated,
+        as enumerated ones are."""
+        arrow = object.__new__(cls)
+        for field, value in zip(("kind", "source", "target", "rows"), (kind, source, target, rows)):
+            object.__setattr__(arrow, field, value)
+        return arrow
 
     def row(self, x):
         return self.rows[self.source.index(x)]
@@ -364,6 +377,24 @@ def is_enumerable(kind: MonadKind) -> bool:
     return MonadKind(kind) in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
 
 
+def _up_closed_masks(n: int) -> list:
+    """The up-closed families over n elements, ascending, as masks whose bit
+    s stands for the subset with mask s.  Subsets are decided in descending
+    order, so a subset may join once its one-element extensions have."""
+    out = []
+
+    def extend(s: int, fam: int) -> None:
+        if s < 0:
+            out.append(fam)
+            return
+        extend(s - 1, fam)
+        if all((fam >> (s | 1 << j)) & 1 for j in range(n) if not (s >> j) & 1):
+            extend(s - 1, fam | 1 << s)
+
+    extend((1 << n) - 1, 0)
+    return sorted(out)
+
+
 def enumerate_tvalues(kind: MonadKind, target: FinSet, max_enum: int = 1 << 20) -> list:
     """All T-values over a carrier, for the Boolean-enumerable monads."""
     kind = MonadKind(kind)
@@ -387,12 +418,10 @@ def enumerate_tvalues(kind: MonadKind, target: FinSet, max_enum: int = 1 << 20) 
         if n > 4 or (1 << (1 << n)) > max_enum:
             raise SizeGuardError("up-closed family space exceeds guard")
         subsets = enumerate_tvalues(MonadKind.POWERSET, target)
-        out = []
-        for m in range(1 << len(subsets)):
-            fam = frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1)
-            if is_up_closed(fam, target):
-                out.append(fam)
-        return out
+        return [
+            frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1)
+            for m in _up_closed_masks(n)
+        ]
     raise SizeGuardError(f"{kind} values are not enumerable; sample them instead")
 
 
@@ -400,12 +429,13 @@ def enumerate_arrows(
     kind: MonadKind, source: FinSet, target: FinSet, max_enum: int = 1 << 20
 ) -> Iterable[KleisliArrow]:
     """All arrows X -> T Y in canonical order (first row varies fastest)."""
+    kind = MonadKind(kind)
     values = enumerate_tvalues(kind, target, max_enum)
     total = len(values) ** len(source)
     if total > max_enum:
         raise SizeGuardError(f"{total} arrows exceed the enumeration guard")
     for rev in itertools.product(values, repeat=len(source)):
-        yield KleisliArrow(kind, source, target, rev[::-1])
+        yield KleisliArrow._of_valid_rows(kind, source, target, rev[::-1])
 
 
 _DENOMS = (2, 3, 4, 5, 6, 8, 12, 16)

@@ -2,16 +2,21 @@
 
 Each instance realizes one healthiness equivalence as a finite check:
 the set of transformers passing the intrinsic condition must coincide
-with the image of the semantics over all computations.  The Boolean
-sweeps find the healthy set by an exact search compiled from the law
-table: the dense tables are built one entry at a time, an entry that an
-`=` law instance fixes from the entries bound before it is set rather
-than tried, and a partial table that violates a law instance is cut off,
-so the 16.7M tables of a 3x3 sweep are decided without visiting them one
-by one.  The image side evaluates every computation through the Boolean
-closed forms of ``semantics`` (mask bases).  Every healthy may/must
-table must also synthesize back to its computation, and at most 2^16
-tables the two sets are compared outright.
+with the image of the semantics over all computations.
+
+The four Boolean theorems are decided per state.  Omega^X is the X-fold
+product of Omega, and every Boolean law acts on each output bit on its
+own, so at nx x ny the healthy tables and the image are the nx-fold
+products of their 1 x ny sets, and the theorem holds there iff it holds
+at 1 x ny.  The healthy functionals 2^Y -> 2 come from an exact search
+compiled from the law table: the table is built one entry at a time, an
+entry that an `=` law instance fixes from the entries bound before it is
+set rather than tried, and a partial table that violates a law instance
+is cut off.  The image evaluates every T-value over Y through the Boolean
+closed forms of ``semantics`` (mask bases).  Every image point must be
+healthy, and every healthy functional must be an image point that the
+inverse synthesis rebuilds.  The report gives the nx x ny counts as
+powers of the per-state counts.
 
 Rational instances are sampled: every sampled computation must produce a
 transformer that passes its grid check, and independently constructed
@@ -21,14 +26,13 @@ exact re-evaluation.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import eq
 from random import Random
 
-from .core import FinSet, SizeGuardError, count_transformers
+from .core import FinSet, count_transformers
 from .healthiness import ProbeGrid, run_condition
 from .modalities import (
     BOOLEAN,
@@ -43,7 +47,7 @@ from .modalities import (
     term_entry,
 )
 from .monads import MonadKind, enumerate_arrows, random_arrow
-from .semantics import MASK_BASES, BooleanTransformer, RationalTransformer, mask_table, pt_modality
+from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
 from .verdicts import Witness, register_law
 
@@ -187,137 +191,62 @@ def healthy_tables(cls: StructureClass, nx: int, ny: int) -> list:
     return sorted(found, key=lambda t: t[::-1])
 
 
-def _synth_table(law: str, table: tuple, nx: int, ny: int) -> tuple:
-    """Row masks read off the probe predicates, as the inverse formulas say."""
-    if law == "join":
-        rows = []
-        for i in range(nx):
-            m = 0
-            for j in range(ny):
-                if (table[1 << j] >> i) & 1:
-                    m |= 1 << j
-            rows.append(m)
-        return tuple(rows)
-    full = (1 << ny) - 1
-    rows = []
-    for i in range(nx):
-        m = 0
-        for j in range(ny):
-            if not (table[full ^ (1 << j)] >> i) & 1:
-                m |= 1 << j
-        rows.append(m)
-    return tuple(rows)
+def _realized(mod: Modality, X: FinSet, Y: FinSet, table: tuple) -> bool:
+    """Image membership, decided through the inverse synthesis: a healthy
+    table is in the image iff the computation synthesized from it
+    re-evaluates to it.  The synthesis refuses an unhealthy table, which no
+    computation realizes (the image side of every sweep checks that)."""
+    try:
+        return synthesize(mod, BooleanTransformer(Y, X, table)).ok
+    except UnhealthyInputError:
+        return False
 
 
-def _rebuild(theorem: str, rows: tuple, ny: int) -> tuple:
-    """The dense table of a relation given by row masks."""
-    basis = MASK_BASES[theorem]
-    return mask_table([basis(r, int) for r in rows], ny)
-
-
-def _sweep_relation(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
-    total = count_transformers(_carrier("y", ny), _carrier("x", nx))
-    if total > max_enum:
-        raise SizeGuardError(
-            f"{total} transformers exceed the guard ({max_enum}); raise --max-enum to force"
-        )
-    law, n_preds = mod.condition, 1 << ny
-    rebuild = lambda rows: _rebuild(mod.theorem, rows, ny)
-    healthy = healthy_tables(STRUCTURE_CLASSES[mod.structure_class], nx, ny)
+def _sweep_boolean(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
+    """Decide a Boolean theorem at 1 x ny (see the module docstring): every
+    T-value's functional must be healthy, and every healthy functional must
+    be in the image and synthesize back.  The counts are nx-th powers, and a
+    per-state witness is lifted to a full table whose other states hold the
+    first healthy functional."""
+    X1, Y = _carrier("x", 1), _carrier("y", ny)
+    total = count_transformers(Y, _carrier("x", nx), max_enum)
+    healthy = healthy_tables(STRUCTURE_CLASSES[mod.structure_class], 1, ny)
+    arrows = list(enumerate_arrows(mod.monad, X1, Y, max_enum))
+    tables = [pt_modality(mod, arrow).table for arrow in arrows]
+    healthy_set, image = set(healthy), set(tables)
+    found = next(
+        (("sweep.image_health", t, "unhealthy", "healthy") for t in tables if t not in healthy_set),
+        None,
+    ) or next(
+        (
+            ("sweep.realizability", t, "unrealized", "realized")
+            for t in healthy
+            # the dijkstra inverse refuses an empty Y, where membership decides
+            if t not in image or ny and not _realized(mod, X1, Y, t)
+        ),
+        None,
+    )
     witness = None
-    for table in healthy:
-        rows = _synth_table(law, table, nx, ny)
-        if rebuild(rows) != table:
-            witness = Witness(
-                "sweep.synthesis",
-                {"law": law, "table": table, "rows": rows},
-                rebuild(rows),
-                table,
-            )
-            break
-
-    # image side: every computation's transformer must pass the law check
-    healthy_set = set(healthy)
-    image = set()
-    for rows in itertools.product(range(n_preds), repeat=nx):
-        table = rebuild(rows)
-        image.add(table)
-        if witness is None and table not in healthy_set:
-            witness = Witness(
-                "sweep.image_health",
-                {"law": law, "rows": rows, "table": table},
-                "unhealthy",
-                "healthy",
-            )
-    injective = len(image) == n_preds**nx
-
+    if found and nx:  # with no state, both sides are the one empty table
+        law, point, lhs, rhs = found
+        fill = healthy[0] if healthy else point
+        table = tuple(p | ((1 << nx) - 2) * f for p, f in zip(point, fill))
+        witness = Witness(law, {"theorem": mod.theorem, "table": table}, lhs, rhs)
     counts = {
         "transformers": total,
-        "healthy": len(healthy),
-        "computations": n_preds**nx,
-        "image": len(image),
-        "wp_injective": "yes" if injective else "no",
+        "healthy": len(healthy) ** nx,
+        "computations": len(arrows) ** nx,
+        "image": len(image) ** nx,
     }
-    if total <= (1 << 16):
+    # the may/must reports also print these lines
+    if mod.monad == MonadKind.POWERSET:
+        counts["wp_injective"] = "yes" if counts["image"] == counts["computations"] else "no"
+    if mod.monad != MonadKind.POWERSET or total <= 1 << 16:
         counts["set_equality"] = "checked"
-        if healthy_set != image and witness is None:
-            diff = sorted(healthy_set ^ image)[0]
-            witness = Witness(
-                "sweep.set_equality",
-                {"law": law, "table": diff},
-                diff in healthy_set,
-                diff in image,
-            )
-    equal = witness is None and len(healthy) == len(image)
-    if witness is None and len(healthy) != len(image):
-        witness = Witness("sweep.count", {"law": law}, len(healthy), len(image))
-    return {"counts": counts, "equal": equal, "witness": witness}
-
-
-def _sweep_alternating(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
-    """Exhaustive Boolean sweep for the game/dijkstra instances."""
-    X, Y = _carrier("x", nx), _carrier("y", ny)
-    total = count_transformers(Y, X, max_enum)
-    healthy_set = set(healthy_tables(STRUCTURE_CLASSES[mod.structure_class], nx, ny))
-    witness = None
-    image = set()
-    n_arrows = 0
-    for arrow in enumerate_arrows(mod.monad, X, Y, max_enum):
-        n_arrows += 1
-        phi = pt_modality(mod, arrow)
-        image.add(phi.table)
-        if witness is None and phi.table not in healthy_set:
-            witness = Witness(
-                "sweep.image_health",
-                {"theorem": mod.theorem, "arrow": repr(arrow), "table": phi.table},
-                "unhealthy",
-                "healthy",
-            )
-    missing = healthy_set - image
-    if witness is None and missing:
-        table = sorted(missing)[0]
-        witness = Witness(
-            "sweep.realizability",
-            {"theorem": mod.theorem, "table": table},
-            "unrealized",
-            "realized",
-        )
-    counts = {
-        "transformers": total,
-        "healthy": len(healthy_set),
-        "computations": n_arrows,
-        "image": len(image),
-        "set_equality": "checked",
-    }
     return {"counts": counts, "equal": witness is None, "witness": witness}
 
 
 # Replay of the Boolean sweep witnesses; the subject is the TheoremInstance.
-
-
-def _replay_synthesis(subject, args):
-    nx, ny = subject.sizes
-    return _rebuild(subject.theorem, args["rows"], ny), args["table"]
 
 
 def _healthy(subject, table: tuple) -> bool:
@@ -326,39 +255,23 @@ def _healthy(subject, table: tuple) -> bool:
     return found is None
 
 
-def _realized(subject, table: tuple) -> bool:
-    """Image membership, decided through the inverse synthesis: a healthy
-    table is in the image iff the computation synthesized from it
-    re-evaluates to it.  The synthesis refuses an unhealthy table, which no
-    computation realizes (the image side of every sweep checks that)."""
-    nx, ny = subject.sizes
-    phi = BooleanTransformer(_carrier("y", ny), _carrier("x", nx), table)
-    try:
-        return synthesize(INSTANCES[subject.theorem], phi).ok
-    except UnhealthyInputError:
-        return False
-
-
 def _replay_image_health(subject, args):
     if "table" not in args:
         raise ValueError("a sampled image-health witness records no table to replay")
     return "healthy" if _healthy(subject, args["table"]) else "unhealthy", "healthy"
 
 
-def _replay_set_equality(subject, args):
-    return _healthy(subject, args["table"]), _realized(subject, args["table"])
-
-
 def _replay_realizability(subject, args):
     table = args["table"]
     if not _healthy(subject, table):
         return "unhealthy", "realized"
-    return "realized" if _realized(subject, table) else "unrealized", "realized"
+    nx, ny = subject.sizes
+    mod = INSTANCES[subject.theorem]
+    realized = _realized(mod, _carrier("x", nx), _carrier("y", ny), table)
+    return "realized" if realized else "unrealized", "realized"
 
 
-register_law("sweep.synthesis", _replay_synthesis)
 register_law("sweep.image_health", _replay_image_health)
-register_law("sweep.set_equality", _replay_set_equality)
 register_law("sweep.realizability", _replay_realizability)
 
 
@@ -459,21 +372,15 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
     return {"counts": counts, "equal": equal, "witness": witness}
 
 
-def enum_verify(
-    instance: TheoremInstance, max_enum: int = 1 << 28, jobs: int = 1
-) -> SweepReport:
-    """Run one theorem sweep; see the module docstring for the method.
-    ``jobs`` is accepted for compatibility and has no effect: every sweep
-    runs in this process."""
+def enum_verify(instance: TheoremInstance, max_enum: int = 1 << 28) -> SweepReport:
+    """Run one theorem sweep; see the module docstring for the method."""
     t0 = time.perf_counter()
     nx, ny = instance.sizes
     mod = INSTANCES[instance.theorem]
     if mod.carrier == BOOLEAN and instance.mode != "exhaustive":
         raise ValueError(f"{instance.theorem} sweeps are exhaustive")
-    if mod.theorem in ("may", "must"):
-        out = _sweep_relation(mod, nx, ny, max_enum)
-    elif mod.carrier == BOOLEAN:
-        out = _sweep_alternating(mod, nx, ny, max_enum)
+    if mod.carrier == BOOLEAN:
+        out = _sweep_boolean(mod, nx, ny, max_enum)
     else:
         out = _sweep_sampled(instance.theorem, nx, ny, instance.seed, instance.count)
     elapsed = time.perf_counter() - t0

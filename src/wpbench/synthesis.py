@@ -457,17 +457,29 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
 # Instances and round trips
 
 
+def _value_at_empty(mod: Modality):
+    """The modality's value at the empty T-value: 0 for diamond and 1 for
+    box on relations, r for tau_r on subdistributions."""
+    empty = frozenset() if mod.monad == MonadKind.POWERSET else DistV()
+    return mod.evaluate(empty, lambda y: ZERO)
+
+
 def synthesize(mod: Modality, phi, grid: ProbeGrid = None) -> SynthesisResult:
-    """The inverse construction of a catalog instance, chosen by its monad."""
+    """The inverse construction of a catalog instance, chosen by its monad
+    and, for relations and subdistributions, by what the modality is (its
+    value at the empty T-value), never by its name."""
     kind = MonadKind(mod.monad)
     if kind == MonadKind.POWERSET:
-        return synth_relation(phi, mod.name)
+        return synth_relation(phi, "diamond" if _value_at_empty(mod) == ZERO else "box")
     if kind == MonadKind.UP_POWERSET:
         return synth_upfamily(phi)
     if kind == MonadKind.LIFT_POWERSET:
         return synth_dijkstra(phi)
     if kind == MonadKind.SUBDIST:
-        return synth_subdist(phi, mod.name, grid)
+        r = _value_at_empty(mod)
+        if r not in (ZERO, ONE):
+            raise ValueError(f"no inverse construction for {mod.name!r} (r = {r})")
+        return synth_subdist(phi, "total" if r == ZERO else "partial", grid)
     if kind == MonadKind.DIST:
         return synth_dist(phi, grid)
     return synth_polytope(phi, grid)

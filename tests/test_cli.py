@@ -219,10 +219,12 @@ def test_cmd_enum_verify(tmp_path, capsys):
 
 
 def test_cmd_enum_verify_deterministic_output(tmp_path):
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--out", str(a)])
     run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    # --jobs is accepted and leaves the report unchanged
+    run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--jobs", "4", "--out", str(c)])
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
 def test_cmd_laws(capsys):

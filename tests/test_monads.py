@@ -112,6 +112,22 @@ def test_up_closure_idempotent_random(mask):
     assert is_up_closed(closed, Y)
 
 
+def test_up_closed_families_match_the_closure_filter():
+    # every family over n <= 3 elements, in mask order, kept iff its closure
+    # adds nothing; 168 at n = 4 is the Dedekind number (OEIS A000372)
+    for n in range(4):
+        Y = FinSet("Y", tuple(f"y{i}" for i in range(n)))
+        subsets = enumerate_tvalues(MonadKind.POWERSET, Y)
+        families = [
+            frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1) for m in range(1 << (1 << n))
+        ]
+        closed = [fam for fam in families if up_closure(fam, Y) == fam]
+        assert [is_up_closed(fam, Y) for fam in families] == [fam in closed for fam in families]
+        assert enumerate_tvalues(MonadKind.UP_POWERSET, Y) == closed
+    Y4 = FinSet("Y", ("a", "b", "c", "d"))
+    assert len(enumerate_tvalues(MonadKind.UP_POWERSET, Y4)) == 168
+
+
 def test_monad_laws_enumerable_exhaustive(carriers):
     for kind in ("powerset", "lift_powerset", "up_powerset"):
         verdict = check_monad_laws(kind, carriers)

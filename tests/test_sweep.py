@@ -6,6 +6,7 @@ import pytest
 from wpbench import semantics, sweep
 from wpbench.core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
 from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
+from wpbench.monads import KleisliArrow, enumerate_arrows
 from wpbench.semantics import BooleanTransformer
 from wpbench.sweep import TheoremInstance, enum_verify, healthy_tables
 from wpbench.verdicts import Witness, witness_is_sound
@@ -88,12 +89,6 @@ def test_report_rendering_deterministic():
     assert "wall_time_s" in timed
 
 
-def test_jobs_partition_matches_serial():
-    serial = enum_verify(TheoremInstance("may", (2, 2)), jobs=1)
-    parallel = enum_verify(TheoremInstance("may", (2, 2)), jobs=4)
-    assert serial.render() == parallel.render()
-
-
 BOOLEAN_THEOREMS = ("may", "must", "game", "dijkstra")
 # every size pair with at most 2^16 dense tables (ny <= 4; nx = 0 leaves one table)
 ORACLE_SIZES = [
@@ -116,41 +111,42 @@ def test_pruned_search_matches_the_filtered_stream(theorem):
         assert healthy_tables(cls, nx, ny) == oracle, (theorem, nx, ny)
 
 
-def test_synthesis_witness_replays(monkeypatch):
-    # a seeded fault in the inverse formulas: the first row loses its last bit
-    synth = sweep._synth_table
-
-    def faulty(law, table, nx, ny):
-        rows = synth(law, table, nx, ny)
-        return (rows[0] ^ 2,) + rows[1:]
-
-    monkeypatch.setattr(sweep, "_synth_table", faulty)
-    for theorem in ("may", "must"):
-        instance = TheoremInstance(theorem, (2, 2))
-        report = enum_verify(instance)
-        assert not report.equal
-        assert report.witness.law == "sweep.synthesis"
-        assert witness_is_sound(instance, report.witness)
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_factorized_sweep_matches_the_direct_sweep(theorem):
+    mod = INSTANCES[theorem]
+    cls = STRUCTURE_CLASSES[mod.structure_class]
+    for nx, ny in ORACLE_SIZES:
+        X, Y = FinSet("X", range(nx)), FinSet("Y", range(ny))
+        healthy = healthy_tables(cls, nx, ny)
+        arrows = list(enumerate_arrows(mod.monad, X, Y))
+        image = {semantics.pt_modality(mod, arrow).table for arrow in arrows}
+        report = enum_verify(TheoremInstance(theorem, (nx, ny)))
+        counts = report.counts
+        got = (counts["healthy"], counts["computations"], counts["image"], report.equal)
+        assert got == (len(healthy), len(arrows), len(image), set(healthy) == image), (nx, ny)
 
 
-def test_image_health_witness_replays(monkeypatch):
+@pytest.mark.parametrize("nx", (1, 2, 3))
+def test_image_health_witness_replays(monkeypatch, nx):
     # a seeded fault in the semantics: every transformer maps the empty
     # postcondition to the full precondition set
     pt_modality = sweep.pt_modality
 
     def faulty(mod, arrow):
         phi = pt_modality(mod, arrow)
-        return BooleanTransformer(phi.source, phi.target, (3,) + phi.table[1:])
+        top = (1 << len(phi.target)) - 1
+        return BooleanTransformer(phi.source, phi.target, (top,) + phi.table[1:])
 
     monkeypatch.setattr(sweep, "pt_modality", faulty)
     for theorem in ("game", "dijkstra"):
-        instance = TheoremInstance(theorem, (2, 2))
+        instance = TheoremInstance(theorem, (nx, 2))
         report = enum_verify(instance)
         assert report.witness.law == "sweep.image_health"
         assert witness_is_sound(instance, report.witness)
     # a healthy table does not replay as a violation
-    instance = TheoremInstance("may", (2, 2))
-    healthy = Witness("sweep.image_health", {"table": (0, 1, 2, 3)}, "unhealthy", "healthy")
+    instance = TheoremInstance("may", (nx, 2))
+    table = healthy_tables(STRUCTURE_CLASSES["cl_join"], nx, 2)[-1]
+    healthy = Witness("sweep.image_health", {"table": table}, "unhealthy", "healthy")
     assert not witness_is_sound(instance, healthy)
 
 
@@ -187,48 +183,57 @@ def test_search_is_the_product_of_per_state_sets(theorem):
     assert healthy_tables(cls, nx, ny) == product
 
 
-def test_set_equality_witness_replays(monkeypatch):
-    # a seeded fault in the sweep's enumeration of computations: the last one
-    # is skipped, so a healthy table seems to lie outside the image; the
-    # inverse synthesis realizes it, so the witness does not replay
-    product = itertools.product
-    skip_last = lambda *args, **kw: list(product(*args, **kw))[:-1]
-    monkeypatch.setattr(sweep, "itertools", SimpleNamespace(product=skip_last))
-    instance = TheoremInstance("may", (2, 2))
-    report = enum_verify(instance)
-    assert report.witness.law == "sweep.set_equality"
-    assert (report.witness.lhs, report.witness.rhs) == (True, False)
-    assert not witness_is_sound(instance, report.witness)
-    monkeypatch.undo()
-    # a seeded fault in the semantics: every state of a relation also reaches
-    # y0, so no computation realizes the zero table, which is healthy
-    diamond = semantics.MASK_BASES["may"]
-    monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
-    zero = Witness("sweep.set_equality", {"law": "join", "table": (0, 0, 0, 0)}, True, False)
-    assert witness_is_sound(instance, zero)
-    monkeypatch.undo()
-    assert not witness_is_sound(instance, zero)
-
-
-def test_realizability_witness_replays(monkeypatch):
+@pytest.mark.parametrize("nx", (1, 2, 3))
+def test_realizability_witness_replays(monkeypatch, nx):
     # a seeded fault in the semantics: every chosen set also holds y0, so no
     # computation realizes the healthy tables whose chosen sets miss it
     dijkstra = semantics.MASK_BASES["dijkstra"]
     faulty = lambda row, mask: tuple(b | 1 for b in dijkstra(row, mask))
     monkeypatch.setitem(semantics.MASK_BASES, "dijkstra", faulty)
-    instance = TheoremInstance("dijkstra", (2, 2))
+    instance = TheoremInstance("dijkstra", (nx, 2))
     report = enum_verify(instance)
     assert report.witness.law == "sweep.realizability"
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
     # a seeded fault in the sweep's enumeration of computations: the last one
-    # is skipped, and the inverse synthesis realizes the table it produced
+    # is skipped, so a healthy table seems to lie outside the image; the
+    # inverse synthesis realizes it, so the witness does not replay
     arrows = sweep.enumerate_arrows
     monkeypatch.setattr(sweep, "enumerate_arrows", lambda *args: list(arrows(*args))[:-1])
-    instance = TheoremInstance("game", (2, 2))
-    report = enum_verify(instance)
-    assert report.witness.law == "sweep.realizability"
-    assert not witness_is_sound(instance, report.witness)
+    for theorem in ("may", "game"):
+        instance = TheoremInstance(theorem, (nx, 2))
+        report = enum_verify(instance)
+        assert report.witness.law == "sweep.realizability"
+        assert (report.witness.lhs, report.witness.rhs) == ("unrealized", "realized")
+        assert not witness_is_sound(instance, report.witness)
     # an unhealthy table is no realizability witness
-    bad = Witness("sweep.realizability", {"table": (3, 0, 0, 0)}, "unrealized", "realized")
+    top = (1 << nx) - 1
+    bad = Witness("sweep.realizability", {"table": (top, 0, 0, 0)}, "unrealized", "realized")
     assert not witness_is_sound(instance, bad)
+    monkeypatch.undo()
+    # a seeded fault in the semantics: every state of a relation also reaches
+    # y0, so no computation realizes the zero table, which is healthy
+    instance = TheoremInstance("may", (nx, 2))
+    diamond = semantics.MASK_BASES["may"]
+    monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
+    zero = Witness("sweep.realizability", {"table": (0, 0, 0, 0)}, "unrealized", "realized")
+    assert witness_is_sound(instance, zero)
+    monkeypatch.undo()
+    assert not witness_is_sound(instance, zero)
+    # a seeded fault in the inverse: the first state's row loses or gains
+    # its last element, so the synthesized relation re-evaluates wrongly
+    synthesize = sweep.synthesize
+
+    def faulty_inverse(mod, phi, grid=None):
+        arrow = synthesize(mod, phi, grid).arrow
+        rows = [arrow.rows[0] ^ {phi.source.elements[-1]}, *arrow.rows[1:]]
+        rebuilt = semantics.pt_modality(mod, KleisliArrow(arrow.kind, arrow.source, arrow.target, rows))
+        return SimpleNamespace(ok=rebuilt.table == phi.table)
+
+    monkeypatch.setattr(sweep, "synthesize", faulty_inverse)
+    for theorem in ("may", "must"):
+        instance = TheoremInstance(theorem, (nx, 2))
+        report = enum_verify(instance)
+        assert not report.equal
+        assert report.witness.law == "sweep.realizability"
+        assert witness_is_sound(instance, report.witness)

@@ -5,6 +5,7 @@ import pytest
 
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid
+from wpbench.modalities import BOOLEAN, INSTANCES, Modality, algebra_to_monad_map, monad_map_to_algebra
 from wpbench.monads import (
     BOT,
     DistV,
@@ -20,6 +21,7 @@ from wpbench.semantics import (
     MissingProbeError,
     RationalTransformer,
     pt_alternating,
+    pt_modality,
     wp_box,
     wp_diamond,
 )
@@ -33,6 +35,7 @@ from wpbench.synthesis import (
     synth_relation,
     synth_subdist,
     synth_upfamily,
+    synthesize,
 )
 from wpbench.verdicts import witness_is_sound
 
@@ -319,3 +322,19 @@ def test_grid_core_sums_expose_overweight_masses(Y3):
     assert witness_is_sound(phi, verdict.witness)
     with pytest.raises(UnhealthyInputError):
         synth_subdist(phi, "total", grid)
+
+
+def test_inverse_is_chosen_by_what_the_modality_is(X1, Y2):
+    # the partial algebra, recovered from its monad map and named "total":
+    # its value 1/2 at the zero predicate is no total transformer's value
+    partial = monad_map_to_algebra(algebra_to_monad_map(INSTANCES["subdist_partial"]), name="total")
+    f = KleisliArrow("subdist", X1, Y2, {"x0": DistV({"y0": F(1, 2)})})
+    result = synthesize(partial, pt_modality(partial, f), ProbeGrid.default(Y2))
+    assert result.ok
+    assert result.arrow.rows == f.rows
+    # a relation modality named "diamond" with the box rule inverts as box
+    boxed = Modality("diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", INSTANCES["must"].evaluate)
+    R = KleisliArrow("powerset", X1, Y2, {"x0": ["y0"]})
+    result = synthesize(boxed, wp_box(R))
+    assert result.ok
+    assert result.arrow.rows == R.rows
