@@ -99,6 +99,10 @@ ORACLE_SIZES = [
 ]
 
 
+# per-state witnesses are lifted to full tables; replay them at several sizes
+WITNESS_SIZES = (1, 2, 3)
+
+
 @pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
 def test_pruned_search_matches_the_filtered_stream(theorem):
     cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
@@ -126,8 +130,7 @@ def test_factorized_sweep_matches_the_direct_sweep(theorem):
         assert got == (len(healthy), len(arrows), len(image), set(healthy) == image), (nx, ny)
 
 
-@pytest.mark.parametrize("nx", (1, 2, 3))
-def test_image_health_witness_replays(monkeypatch, nx):
+def test_image_health_witness_replays(monkeypatch):
     # a seeded fault in the semantics: every transformer maps the empty
     # postcondition to the full precondition set
     pt_modality = sweep.pt_modality
@@ -137,17 +140,20 @@ def test_image_health_witness_replays(monkeypatch, nx):
         top = (1 << len(phi.target)) - 1
         return BooleanTransformer(phi.source, phi.target, (top,) + phi.table[1:])
 
-    monkeypatch.setattr(sweep, "pt_modality", faulty)
-    for theorem in ("game", "dijkstra"):
-        instance = TheoremInstance(theorem, (nx, 2))
-        report = enum_verify(instance)
-        assert report.witness.law == "sweep.image_health"
-        assert witness_is_sound(instance, report.witness)
-    # a healthy table does not replay as a violation
-    instance = TheoremInstance("may", (nx, 2))
-    table = healthy_tables(STRUCTURE_CLASSES["cl_join"], nx, 2)[-1]
-    healthy = Witness("sweep.image_health", {"table": table}, "unhealthy", "healthy")
-    assert not witness_is_sound(instance, healthy)
+    # the per-state witness is lifted to a full table at several sizes
+    for nx in WITNESS_SIZES:
+        monkeypatch.setattr(sweep, "pt_modality", faulty)
+        for theorem in ("game", "dijkstra"):
+            instance = TheoremInstance(theorem, (nx, 2))
+            report = enum_verify(instance)
+            assert report.witness.law == "sweep.image_health", nx
+            assert witness_is_sound(instance, report.witness), nx
+        monkeypatch.undo()
+        # a healthy table does not replay as a violation
+        instance = TheoremInstance("may", (nx, 2))
+        table = healthy_tables(STRUCTURE_CLASSES["cl_join"], nx, 2)[-1]
+        healthy = Witness("sweep.image_health", {"table": table}, "unhealthy", "healthy")
+        assert not witness_is_sound(instance, healthy), nx
 
 
 # The per-state sets of functionals 2^Y -> 2, by brute force over all of them:
@@ -183,45 +189,54 @@ def test_search_is_the_product_of_per_state_sets(theorem):
     assert healthy_tables(cls, nx, ny) == product
 
 
-@pytest.mark.parametrize("nx", (1, 2, 3))
-def test_realizability_witness_replays(monkeypatch, nx):
-    # a seeded fault in the semantics: every chosen set also holds y0, so no
-    # computation realizes the healthy tables whose chosen sets miss it
-    dijkstra = semantics.MASK_BASES["dijkstra"]
-    faulty = lambda row, mask: tuple(b | 1 for b in dijkstra(row, mask))
-    monkeypatch.setitem(semantics.MASK_BASES, "dijkstra", faulty)
-    instance = TheoremInstance("dijkstra", (nx, 2))
-    report = enum_verify(instance)
-    assert report.witness.law == "sweep.realizability"
-    assert witness_is_sound(instance, report.witness)
-    monkeypatch.undo()
-    # a seeded fault in the sweep's enumeration of computations: the last one
-    # is skipped, so a healthy table seems to lie outside the image; the
-    # inverse synthesis realizes it, so the witness does not replay
-    arrows = sweep.enumerate_arrows
-    monkeypatch.setattr(sweep, "enumerate_arrows", lambda *args: list(arrows(*args))[:-1])
-    for theorem in ("may", "game"):
-        instance = TheoremInstance(theorem, (nx, 2))
+def test_realizability_witness_replays(monkeypatch):
+    for nx in WITNESS_SIZES:
+        # a seeded fault in the semantics: every chosen set also holds y0, so
+        # no computation realizes the healthy tables whose chosen sets miss it
+        dijkstra = semantics.MASK_BASES["dijkstra"]
+        faulty = lambda row, mask: tuple(b | 1 for b in dijkstra(row, mask))
+        monkeypatch.setitem(semantics.MASK_BASES, "dijkstra", faulty)
+        instance = TheoremInstance("dijkstra", (nx, 2))
         report = enum_verify(instance)
-        assert report.witness.law == "sweep.realizability"
-        assert (report.witness.lhs, report.witness.rhs) == ("unrealized", "realized")
-        assert not witness_is_sound(instance, report.witness)
-    # an unhealthy table is no realizability witness
-    top = (1 << nx) - 1
-    bad = Witness("sweep.realizability", {"table": (top, 0, 0, 0)}, "unrealized", "realized")
-    assert not witness_is_sound(instance, bad)
-    monkeypatch.undo()
-    # a seeded fault in the semantics: every state of a relation also reaches
-    # y0, so no computation realizes the zero table, which is healthy
-    instance = TheoremInstance("may", (nx, 2))
-    diamond = semantics.MASK_BASES["may"]
-    monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
-    zero = Witness("sweep.realizability", {"table": (0, 0, 0, 0)}, "unrealized", "realized")
-    assert witness_is_sound(instance, zero)
-    monkeypatch.undo()
-    assert not witness_is_sound(instance, zero)
-    # a seeded fault in the inverse: the first state's row loses or gains
-    # its last element, so the synthesized relation re-evaluates wrongly
+        assert report.witness.law == "sweep.realizability", nx
+        assert witness_is_sound(instance, report.witness), nx
+        monkeypatch.undo()
+        # an unhealthy table is no realizability witness
+        top = (1 << nx) - 1
+        bad = Witness("sweep.realizability", {"table": (top, 0, 0, 0)}, "unrealized", "realized")
+        assert not witness_is_sound(TheoremInstance("game", (nx, 2)), bad), nx
+
+
+def test_set_equality_witness_replays(monkeypatch):
+    # the image equals the healthy set exactly when every healthy table is
+    # realized, so a set-equality failure is reported as sweep.realizability
+    for nx in WITNESS_SIZES:
+        # a seeded fault in the sweep's enumeration of computations: the last
+        # one is skipped, so a healthy table seems to lie outside the image;
+        # the inverse synthesis realizes it, so the witness does not replay
+        arrows = sweep.enumerate_arrows
+        monkeypatch.setattr(sweep, "enumerate_arrows", lambda *args: list(arrows(*args))[:-1])
+        for theorem in ("may", "game"):
+            instance = TheoremInstance(theorem, (nx, 2))
+            report = enum_verify(instance)
+            assert report.witness.law == "sweep.realizability", (theorem, nx)
+            assert (report.witness.lhs, report.witness.rhs) == ("unrealized", "realized")
+            assert not witness_is_sound(instance, report.witness), (theorem, nx)
+        monkeypatch.undo()
+        # a seeded fault in the semantics: every state of a relation also
+        # reaches y0, so no computation realizes the zero table, which is healthy
+        instance = TheoremInstance("may", (nx, 2))
+        diamond = semantics.MASK_BASES["may"]
+        monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
+        zero = Witness("sweep.realizability", {"table": (0, 0, 0, 0)}, "unrealized", "realized")
+        assert witness_is_sound(instance, zero), nx
+        monkeypatch.undo()
+        assert not witness_is_sound(instance, zero), nx
+
+
+def test_synthesis_witness_replays(monkeypatch):
+    # a seeded fault in the inverse: the first state's row loses or gains its
+    # last element, so the synthesized relation re-evaluates wrongly
     synthesize = sweep.synthesize
 
     def faulty_inverse(mod, phi, grid=None):
@@ -231,9 +246,10 @@ def test_realizability_witness_replays(monkeypatch, nx):
         return SimpleNamespace(ok=rebuilt.table == phi.table)
 
     monkeypatch.setattr(sweep, "synthesize", faulty_inverse)
-    for theorem in ("may", "must"):
-        instance = TheoremInstance(theorem, (nx, 2))
-        report = enum_verify(instance)
-        assert not report.equal
-        assert report.witness.law == "sweep.realizability"
-        assert witness_is_sound(instance, report.witness)
+    for nx in WITNESS_SIZES:
+        for theorem in ("may", "must"):
+            instance = TheoremInstance(theorem, (nx, 2))
+            report = enum_verify(instance)
+            assert not report.equal, (theorem, nx)
+            assert report.witness.law == "sweep.realizability", (theorem, nx)
+            assert witness_is_sound(instance, report.witness), (theorem, nx)
