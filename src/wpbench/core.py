@@ -218,7 +218,7 @@ def count_transformers(source: FinSet, target: FinSet, max_enum: int | None = No
     if max_enum is not None and total > max_enum:
         raise SizeGuardError(
             f"{total} transformers exceed the enumeration guard ({max_enum}); "
-            "raise max_enum to force"
+            "raise max_enum (--max-enum) to force"
         )
     return total
 

@@ -52,11 +52,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _unit(value, what: str) -> Fraction:
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    if not ZERO <= q <= ONE:
-        raise ValueError(f"{what} {q} outside [0, 1]")
-    return q
+def _check_unit(values, what: str) -> None:
+    # on integers: Fraction comparisons would slow every grid built
+    for q in values:
+        if not 0 <= q.numerator <= q.denominator:
+            raise ValueError(f"{what} {q} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -65,13 +65,23 @@ class ProbeGrid:
 
     The minimum contents for a conclusive verdict: every Dirac predicate,
     the two constants, and the pairwise-defined sums of that core.  Seeded
-    random predicates extend the grid beyond the minimum.
+    random predicates extend the grid beyond the minimum.  Every value and
+    scalar must lie in [0, 1], and every tuple needs one value per element
+    of the domain (``ValueError`` otherwise).
     """
 
     domain: FinSet
     predicates: tuple
     scalars: tuple
     seed: int = 0
+
+    def __post_init__(self):
+        for p in self.predicates:
+            _check_unit(p, "predicate value")
+        for p in self.predicates:
+            if len(p) != len(self.domain):
+                raise ValueError(f"probe predicate {p} needs {len(self.domain)} values")
+        _check_unit(self.scalars, "scalar")
 
     @staticmethod
     def _core(n: int, zero=ZERO, one=ONE) -> list:
@@ -109,12 +119,10 @@ class ProbeGrid:
     @classmethod
     def explicit(cls, domain: FinSet, predicates, scalars=None, seed: int = 0) -> "ProbeGrid":
         """A grid of the given value tuples, one value per element of the
-        domain, and scalars; every value and scalar must lie in [0, 1]."""
-        preds = tuple(tuple(_unit(v, "predicate value") for v in p) for p in predicates)
-        for p in preds:
-            if len(p) != len(domain):
-                raise ValueError(f"probe predicate {p} needs {len(domain)} values")
-        scals = DEFAULT_SCALARS if scalars is None else tuple(_unit(s, "scalar") for s in scalars)
+        domain, and scalars, converted to Fractions (the constructor checks
+        that every value and scalar lies in [0, 1])."""
+        preds = tuple(tuple(map(Fraction, p)) for p in predicates)
+        scals = DEFAULT_SCALARS if scalars is None else tuple(map(Fraction, scalars))
         return cls(domain, preds, scals, seed)
 
     @functools.cached_property

@@ -117,8 +117,8 @@ def _eval_box(s, f):
 @dataclass(frozen=True)
 class TauR:
     """The rule of tau_r: the expectation plus r times the missing mass.
-    The closed forms of ``semantics`` recognize the built-in rule by this
-    type, and read r from it."""
+    The closed forms (``_closed_form_eval``) recognize the built-in rule by
+    this type, and read r from it."""
 
     r: Fraction
 
@@ -220,6 +220,86 @@ def builtin_modality(name: str) -> Modality:
 
 def builtin_modality_names() -> tuple:
     return tuple(mod.name for mod in INSTANCES.values())
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the rational catalog modalities
+
+
+def _catalog_theorem(mod: Modality):
+    """The theorem id when mod is a catalog row itself, else None."""
+    return mod.theorem if INSTANCES.get(mod.theorem) is mod else None
+
+
+class IntegerRows:
+    """A closed-form transformer compiled to integer coefficient rows.
+
+    Output x is the minimum, over the vertex rows of x, of
+    ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
+    divergence offset is one vertex row, a polytope has one per vertex.
+    ``ints`` evaluates a predicate given as integers over ``one``, with the
+    checks of ``RationalTransformer.apply_values``; called on Fractions,
+    the rows scale them to their common denominator first, so the
+    arithmetic exists once.
+    """
+
+    __slots__ = ("rows", "den", "width")
+
+    def __init__(self, rows: Sequence, width: int):
+        # rows: per output, its vertex rows (offset, coefficients), in Fractions
+        den = self.den = math.lcm(
+            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
+        )
+        scaled = lambda q: q.numerator * (den // q.denominator)
+        self.width = width
+        self.rows = tuple(
+            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
+        )
+
+    def ints(self, values: Sequence[int], one: int) -> tuple:
+        """The outputs, over one * den, at a predicate given over one."""
+        if len(values) != self.width:
+            raise ValueError("predicate length does not match the source carrier")
+        top = one * self.den
+        out = []
+        for verts in self.rows:
+            best = None
+            for c0, cs in verts:
+                acc = c0 * one
+                for c, v in zip(cs, values):
+                    acc += c * v
+                if best is None or acc < best:
+                    best = acc
+            if not 0 <= best <= top:
+                raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
+            out.append(best)
+        return tuple(out)
+
+    def __call__(self, values: Sequence[Fraction]) -> tuple:
+        """The outputs at a predicate given in Fractions."""
+        one = math.lcm(*(v.denominator for v in values))
+        top = one * self.den
+        ints = [v.numerator * (one // v.denominator) for v in values]
+        return tuple(Fraction(v, top) for v in self.ints(ints, one))
+
+
+def _closed_form_eval(mod: Modality, tvalues: Sequence, targets: Sequence):
+    """The integer rows of the map sending a predicate over ``targets`` to
+    its values at each of ``tvalues`` (the rows of an arrow, or the one
+    T-value of a component alpha_n(t)), or None for the generic evaluation
+    route.  The linear modalities (expectation plus an r-weighted divergence
+    offset; min over polytope vertices) have them.  A closed form is chosen
+    by what the modality is, a catalog row or a built-in tau_r rule, never
+    by its name; agreement with the generic route is property-tested."""
+    theorem = _catalog_theorem(mod)
+    if isinstance(mod.evaluate, TauR) or theorem == "dist_convex":
+        r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
+        rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
+    elif theorem == "cv_sublinear":
+        rows = [[(ZERO, [mu.weight(y) for y in targets]) for mu in t] for t in tvalues]
+    else:
+        return None
+    return IntegerRows(rows, len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +655,7 @@ class LawCheck:
     given), so definedness is decided on integers.  The table terms are
     evaluated in one of two representations, each with its own one: F on
     Fraction tuples (one is 1), or, when the integer ``rows`` of a
-    closed-form transformer are given (``semantics.IntegerRows``, with
+    closed-form transformer are given (``IntegerRows``, with
     denominator E), the rows on lattice vectors over U with values over U*E
     (one is U for arguments and U*E for values).  Violations are reported
     in Fractions either way.
@@ -810,7 +890,14 @@ def check_functional_laws(
         named = dict(zip(arg_names(law.shape), (tuples[f], tuples[g])))
         return Witness("class.law", {"law": law.name, **named}, lhs, rhs), checked
     scalars = DEFAULT_SCALARS if scalars is None else scalars
-    check = LawCheck(lambda p: (F(p),), 1, rational_preds or [], scalars, n)
+    return _rational_functional_laws(lambda p: (F(p),), n, cls, rational_preds or [], scalars)
+
+
+def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None):
+    """The rational branch of ``check_functional_laws`` for F returning a
+    1-tuple, run on the integer ``rows`` of a closed form when given (see
+    ``LawCheck``); F evaluates in Fractions, as the witness does."""
+    check = LawCheck(F, 1, preds, scalars, n, lattice, rows)
     for laws, _ in cls.groups:
         shape = laws[-1].shape
         found = check.first_violation(laws, 1 if shape == "shift" else len(laws))
@@ -819,7 +906,7 @@ def check_functional_laws(
         law, args, lhs, rhs, _ = found
         if shape == "shift":
             law = laws[-1]
-            (lhs,), (rhs,) = check.sides(law, args)
+            (lhs,), (rhs,) = LawCheck(F, 1).sides(law, args)
         if shape in ("bottom", "top"):
             named = {"law": law.name, "zero": check.preds[-2], "one": check.preds[-1]}
         else:
@@ -858,7 +945,9 @@ def lifting_check(
     morphism of the given structure class, for n <= n_max.
 
     Boolean-enumerable monads sweep all t in T(n); the distribution monads
-    draw seeded samples (the domain is infinite).
+    draw seeded samples (the domain is infinite).  Under a rational class,
+    alpha_n(t) of a closed-form modality is its one-state transformer at t,
+    checked on its integer rows over a lattice built once per n.
     """
     if isinstance(cls, str):
         cls = STRUCTURE_CLASSES[cls]
@@ -872,11 +961,20 @@ def lifting_check(
             ts = enumerate_tvalues(mod.monad, X)
         else:
             ts = [random_tvalue(mod.monad, rng, X, max_den) for _ in range(samples_per_n)]
-        preds = _rational_probe_tuples(n, seed + n) if cls.carrier == RATIONAL else None
+        if cls.carrier == RATIONAL:
+            preds = _rational_probe_tuples(n, seed + n)
+            lattice = Lattice.of(preds, DEFAULT_SCALARS)
         idx = {x: i for i, x in enumerate(X.elements)}
         for t in ts:
             F = lambda tup, t=t: mod.evaluate(t, lambda x: tup[idx[x]])
-            witness, c = check_functional_laws(F, n, cls, preds)
+            if cls.carrier == BOOLEAN:
+                witness, c = check_functional_laws(F, n, cls)
+            else:
+                rows = _closed_form_eval(mod, (t,), X.elements)
+                F1 = (lambda p: (F(p),)) if rows is None else rows
+                witness, c = _rational_functional_laws(
+                    F1, n, cls, preds, DEFAULT_SCALARS, lattice, rows
+                )
             checked += c
             if witness is not None:
                 args = dict(witness.args)

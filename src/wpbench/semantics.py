@@ -11,19 +11,28 @@ Catalog modalities have closed forms, chosen by what the modality is (a
 catalog row, or a built-in tau_r rule), never by its name.  The four
 Boolean rows compile each T-value to a basis of masks, and a state is in
 phi(m) iff some basis mask lies inside m (``mask_table``); the rational
-ones compile to integer coefficient rows (``IntegerRows``).  Every other
-modality goes through its generic evaluation rule.
+ones compile to integer coefficient rows (``modalities.IntegerRows``, the
+same compiler ``lifting_check`` runs on each component functional).  Every
+other modality goes through its generic evaluation rule.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import FinSet, Predicate
-from .modalities import BOOLEAN, INSTANCES, RATIONAL, Modality, TauR, builtin_modality
+from .modalities import (
+    BOOLEAN,
+    INSTANCES,
+    RATIONAL,
+    IntegerRows,
+    Modality,
+    _catalog_theorem,
+    _closed_form_eval,
+    builtin_modality,
+)
 from .monads import BOT, KleisliArrow, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
@@ -174,11 +183,6 @@ MASK_BASES = {
 }
 
 
-def _catalog_theorem(mod: Modality):
-    """The theorem id when mod is a catalog row itself, else None."""
-    return mod.theorem if INSTANCES.get(mod.theorem) is mod else None
-
-
 def wp_diamond(arrow: KleisliArrow) -> BooleanTransformer:
     """May-semantics of a relation: phi(f)(x) = exists y. xRy and f(y)."""
     if arrow.kind != MonadKind.POWERSET:
@@ -222,7 +226,7 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
             table.append(bits)
         return BooleanTransformer(Y, X, tuple(table))
 
-    fn = _closed_form_eval(mod, arrow)
+    fn = _closed_form_eval(mod, arrow.rows, Y.elements)
     if fn is None:
         idx = {y: i for i, y in enumerate(Y.elements)}
 
@@ -231,75 +235,6 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
             return tuple(mod.evaluate(row, val) for row in arrow.rows)
 
     return RationalTransformer(Y, X, fn, arrow=arrow, label=mod.name)
-
-
-class IntegerRows:
-    """A closed-form transformer compiled to integer coefficient rows.
-
-    Output x is the minimum, over the vertex rows of x, of
-    ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
-    divergence offset is one vertex row, a polytope has one per vertex.
-    ``ints`` evaluates a predicate given as integers over ``one``, with the
-    checks of ``RationalTransformer.apply_values``; called on Fractions,
-    the rows scale them to their common denominator first, so the
-    arithmetic exists once.
-    """
-
-    __slots__ = ("rows", "den", "width")
-
-    def __init__(self, rows: Sequence, width: int):
-        # rows: per output, its vertex rows (offset, coefficients), in Fractions
-        den = self.den = math.lcm(
-            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
-        )
-        scaled = lambda q: q.numerator * (den // q.denominator)
-        self.width = width
-        self.rows = tuple(
-            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
-        )
-
-    def ints(self, values: Sequence[int], one: int) -> tuple:
-        """The outputs, over one * den, at a predicate given over one."""
-        if len(values) != self.width:
-            raise ValueError("predicate length does not match the source carrier")
-        top = one * self.den
-        out = []
-        for verts in self.rows:
-            best = None
-            for c0, cs in verts:
-                acc = c0 * one
-                for c, v in zip(cs, values):
-                    acc += c * v
-                if best is None or acc < best:
-                    best = acc
-            if not 0 <= best <= top:
-                raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
-            out.append(best)
-        return tuple(out)
-
-    def __call__(self, values: Sequence[Fraction]) -> tuple:
-        """The outputs at a predicate given in Fractions."""
-        one = math.lcm(*(v.denominator for v in values))
-        top = one * self.den
-        ints = [v.numerator * (one // v.denominator) for v in values]
-        return tuple(Fraction(v, top) for v in self.ints(ints, one))
-
-
-def _closed_form_eval(mod: Modality, arrow: KleisliArrow):
-    """The linear modalities (expectation plus an r-weighted divergence
-    offset; min over polytope vertices) compiled to integer rows, or None
-    for the generic evaluation route.  A closed form is chosen by what the
-    modality is, a catalog row or a built-in tau_r rule, never by its name;
-    agreement with the generic route is property-tested."""
-    Y, theorem = arrow.target.elements, _catalog_theorem(mod)
-    if isinstance(mod.evaluate, TauR) or theorem == "dist_convex":
-        r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
-        rows = [[(r * (ONE - row.mass), [row.weight(y) for y in Y])] for row in arrow.rows]
-    elif theorem == "cv_sublinear":
-        rows = [[(ZERO, [mu.weight(y) for y in Y]) for mu in row] for row in arrow.rows]
-    else:
-        return None
-    return IntegerRows(rows, len(Y))
 
 
 def pt_alternating(pair, arrow: KleisliArrow):

@@ -221,8 +221,7 @@ def _sweep_boolean(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
         (
             ("sweep.realizability", t, "unrealized", "realized")
             for t in healthy
-            # the dijkstra inverse refuses an empty Y, where membership decides
-            if t not in image or ny and not _realized(mod, X1, Y, t)
+            if t not in image or not _realized(mod, X1, Y, t)
         ),
         None,
     )

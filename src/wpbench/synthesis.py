@@ -154,11 +154,11 @@ def synth_dijkstra(phi: BooleanTransformer) -> SynthesisResult:
 
     States where the everywhere-true postcondition already fails are sent
     to {bottom}; elsewhere the chosen set is read off co-singleton
-    probes, and strictness plus meet preservation make it nonempty.
+    probes, and strictness plus meet preservation make it nonempty.  With
+    Y empty the everywhere-true postcondition is the zero one, so
+    strictness sends every state to {bottom}.
     """
     X, Y = phi.target, phi.source
-    if len(Y) == 0:
-        raise ValueError("the divergence instance needs a nonempty postcondition carrier")
     _guard(check_strict_nonempty_meets(phi), "strict_meets")
     full = (1 << len(Y)) - 1
     rows = []

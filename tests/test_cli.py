@@ -215,7 +215,9 @@ def test_cmd_enum_verify(tmp_path, capsys):
     assert "transformers: 256" in out
     assert "equivalence: holds" in out
     assert run(["enum-verify", "--theorem", "bogus"]) == EXIT_INPUT
+    capsys.readouterr()
     assert run(["enum-verify", "--theorem", "may", "--sizes", "4", "4"]) == EXIT_INPUT
+    assert "raise max_enum (--max-enum) to force" in capsys.readouterr().err
 
 
 def test_cmd_enum_verify_deterministic_output(tmp_path):

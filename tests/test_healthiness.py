@@ -19,7 +19,7 @@ from wpbench.healthiness import (
     finitary_support,
     run_condition,
 )
-from wpbench.modalities import builtin_modality
+from wpbench.modalities import DEFAULT_SCALARS, builtin_modality
 from wpbench.monads import MonadKind, enumerate_arrows, random_arrow
 from wpbench.semantics import (
     BooleanTransformer,
@@ -293,6 +293,20 @@ def test_explicit_grid_rejects_values_outside_the_unit_interval(Y2):
         ProbeGrid.explicit(Y2, core + [(F(1, 2),)])
     with pytest.raises(ValueError, match="needs 2 values"):
         ProbeGrid.explicit(Y2, core + [(0, 0, 1)])
+    # the constructor checks the same, on Fractions and on ints
+    grid = ProbeGrid.explicit(Y2, core)
+    assert ProbeGrid(Y2, grid.predicates, grid.scalars) == grid
+    for preds, scalars, message in (
+        (core + [(F(3, 2), F(0))], DEFAULT_SCALARS, "predicate value 3/2 outside"),
+        (core + [(F(-1, 2), F(0))], DEFAULT_SCALARS, "predicate value -1/2 outside"),
+        (core + [(2, 0)], DEFAULT_SCALARS, "predicate value 2 outside"),
+        (core, (F(0), F(5, 4)), "scalar 5/4 outside"),
+        (core, (-1,), "scalar -1 outside"),
+        (core + [(F(1, 2),)], DEFAULT_SCALARS, "needs 2 values"),
+        (core + [(0, 0, 1)], DEFAULT_SCALARS, "needs 2 values"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ProbeGrid(Y2, tuple(preds), scalars)
 
 
 def test_run_condition_names(Y2):

@@ -10,6 +10,8 @@ from wpbench.core import FinSet, SizeGuardError
 from wpbench.modalities import (
     BOOLEAN,
     RATIONAL,
+    STRUCTURE_CLASSES,
+    IntegerRows,
     Modality,
     algebra_to_monad_map,
     builtin_modality,
@@ -184,6 +186,45 @@ def test_lifting_binary_meet_violation_exists():
 def test_lifting_rejects_bad_nmax():
     with pytest.raises(ValueError):
         lifting_check(builtin_modality("diamond"), "cl_join", n_max=0)
+
+
+def _verdict_fields(verdict):
+    w = verdict.witness
+    witness = None if w is None else (w.law, list(w.args.items()), w.lhs, w.rhs)
+    return verdict.status, verdict.checked, witness, verdict.describe()
+
+
+def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
+    # each closed-form catalog modality under every rational class, once as
+    # the catalog row (its components run on integer rows) and once wrapped
+    # as a rule with no closed form (the Fraction route)
+    calls = []
+    ints = IntegerRows.ints
+    monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
+    rational = [tag for tag, cls in STRUCTURE_CLASSES.items() if cls.carrier == RATIONAL]
+    laws = {}
+    for name in ("total", "partial", "tau_r:1/3", "convex", "demonic_prob"):
+        mod = builtin_modality(name)
+        rule = Modality(name, mod.monad, RATIONAL, None, lambda t, f, mod=mod: mod.evaluate(t, f))
+        for cls in rational:
+            calls.clear()
+            kernel = lifting_check(mod, cls, n_max=3, seed=5, samples_per_n=12)
+            assert calls, f"{name}:{cls} did not take the integer route"
+            calls.clear()
+            generic = lifting_check(rule, cls, n_max=3, seed=5, samples_per_n=12)
+            assert not calls
+            assert _verdict_fields(kernel) == _verdict_fields(generic), f"{name}:{cls}"
+            laws[name, cls] = kernel.witness and kernel.witness.args["law"]
+            if kernel.is_unhealthy:
+                # the witness replays on alpha_n(t), states named e0, e1, ...
+                t = kernel.witness.args["t"]
+                F = lambda tup: mod.evaluate(t, lambda x: tup[int(x[1:])])
+                assert witness_is_sound(F, kernel.witness)
+    assert laws["convex", "emod"] is None and laws["demonic_prob", "emod_sublinear"] is None
+    assert laws["total", "gemod_dual"] == "dual_zero"
+    assert laws["demonic_prob", "emod"] == "sum"
+    # a translate witness is re-evaluated in Fractions, off the lattice
+    assert laws["total", "emod_sublinear"] == "translate"
 
 
 def test_free_algebra_morphisms_counts(Y2):

@@ -171,11 +171,16 @@ def test_synth_dijkstra_examples(Y2):
     assert res.ok and res.arrow.row("x") == frozenset({"y0", "y1"})
 
 
-def test_synth_dijkstra_rejects_empty_carrier(X2):
+def test_synth_dijkstra_on_an_empty_carrier(X2):
+    # with Y empty, strictness sends every state to {bottom}
     empty = FinSet("E", ())
-    phi = BooleanTransformer(empty, X2, (0,))
-    with pytest.raises(ValueError):
-        synth_dijkstra(phi)
+    res = synth_dijkstra(BooleanTransformer(empty, X2, (0,)))
+    assert res.ok
+    assert res.arrow.rows == (frozenset((BOT,)),) * len(X2)
+    f = KleisliArrow(MonadKind.LIFT_POWERSET, X2, empty, [frozenset((BOT,))] * len(X2))
+    assert roundtrip_verify(f, "dijkstra").is_healthy
+    with pytest.raises(UnhealthyInputError):
+        synth_dijkstra(BooleanTransformer(empty, X2, (1,)))
 
 
 def test_synth_polytope_dirac_pinned(Y2):
