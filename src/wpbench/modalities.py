@@ -510,9 +510,10 @@ LAWS = {
 }
 
 # shapes whose two arguments are both predicates, and those of a predicate
-# and a scalar
+# and a scalar; the rational shapes LawCheck decides on packed lanes
 _BINARY = ("pair", "order", "sum", "dual_sum")
 _SCALED = ("scale", "shift")
+_PACKED = ("sum", "dual_sum", "scale", "shift")
 
 
 def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
@@ -641,6 +642,28 @@ class Lattice:
         ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
         return cls(one, ints, tuple(_Ratio(r) for r in scalars))
 
+    @functools.cached_property
+    def _lanes(self) -> dict:
+        return {}
+
+    def lanes(self, w: int) -> tuple:
+        """(ones, coords): the predicates packed into w-bit lanes, lane j
+        holding predicate j.  ``ones`` has a 1 in every lane, and
+        ``coords[y]`` holds coordinate y of every predicate.  Cached per
+        lane width; the size is linear in the grid."""
+        packed = self._lanes.get(w)
+        if packed is None:
+            k, width = len(self.preds), len(self.preds[0]) if self.preds else 0
+            ones = ((1 << w * k) - 1) // ((1 << w) - 1)
+            coords = []
+            for y in range(width):
+                acc = 0
+                for p in reversed(self.preds):
+                    acc = acc << w | p[y]
+                coords.append(acc)
+            packed = self._lanes[w] = (ones, tuple(coords))
+        return packed
+
 
 class LawCheck:
     """Checks rational table laws of a map F over probe predicates and scalars.
@@ -658,7 +681,9 @@ class LawCheck:
     closed-form transformer are given (``IntegerRows``, with
     denominator E), the rows on lattice vectors over U with values over U*E
     (one is U for arguments and U*E for values).  Violations are reported
-    in Fractions either way.
+    in Fractions either way.  On integer rows, the groups of the shapes in
+    ``_PACKED`` are first decided at all their arguments at once on packed
+    lanes (``_PackedRows``).
     """
 
     def __init__(
@@ -681,6 +706,7 @@ class LawCheck:
         self._min = [min(p, default=0) for p in lattice.preds]
         self._lam = [r * U for r in lattice.scalars]
         self._integer = rows is not None
+        self._rows, self._packed = rows, None
         if self._integer:
             self.F, self._one_in, self._one_out = lambda v: rows.ints(v, U), U, U * rows.den
             self._args, self._scalar_args = self._ints, lattice.scalars
@@ -755,8 +781,17 @@ class LawCheck:
     def first_violation(self, laws: tuple, weight: int):
         """(law, args, lhs, rhs, coordinate) at the first failing argument, or
         None; every argument adds ``weight`` to the checked count.  A group's
-        laws share one image of F per argument."""
+        laws share one image of F per argument.  The packed pass passes a
+        group or leaves it to the loop below, which re-runs it from its
+        first argument and builds the witness."""
         shape = laws[0].shape
+        if self._integer and shape in _PACKED:
+            if self._packed is None:
+                self._packed = _PackedRows(self._rows, self._lattice, len(self._consts[0]))
+            count = self._packed.count_if_holds(laws)
+            if count is not None:
+                self.checked += weight * count
+                return None
         npreds = 1 if shape in _SCALED else 2
         for idx in self.arguments(shape):
             fargs = [self.value(i) for i in idx[:npreds]]
@@ -780,6 +815,155 @@ class LawCheck:
 
     def _fraction(self, v):
         return Fraction(v, self._one_out) if self._integer else v
+
+
+class _LaneFailure(Exception):
+    """A lane of a defined argument left [0, top] in the packed pass."""
+
+
+class _PackedRows:
+    """The integer rows of a closed form evaluated at many arguments at
+    once: each integer of a pass is packed into one Python int with a
+    w-bit signed lane per argument (Lamport 1975, "Multiple byte processing
+    with full-word instructions").  The lanes run over the second argument:
+    one pass per first predicate i for "sum" and "dual_sum" (lanes j >= i),
+    one pass per scalar for "scale" and "shift" (a lane per predicate).
+
+    Packed ints add, subtract and take integer multiples lane by lane, and
+    a ``_Ratio`` divides every lane exactly, so the ``LAWS`` terms run
+    through ``LawCheck.side`` unchanged, with the packed one ``one * ones``.
+    The minimum over vertex rows, the clamps of "<=" and ">=" and the
+    [0, top] checks of ``IntegerRows.ints`` read the guard bit (bit w-1) of
+    each lane after a bias of 2^(w-1).  The width bounds every lane of
+    every value compared (arguments within 2U, values within 2U times the
+    rows' coefficient sum) by 2^(w-2), so no lane borrows from the next.
+
+    ``count_if_holds`` never decides a violation: it returns a group's
+    argument count when every law holds at every defined lane, and None on
+    a failing lane, a value out of range or F out of range at a probe, so
+    the per-argument loop stays the one source of verdicts and witnesses.
+    """
+
+    side = LawCheck.side
+
+    def __init__(self, rows: IntegerRows, lattice: Lattice, outputs: int):
+        self._lattice, self._U, self._top = lattice, lattice.one, lattice.one * rows.den
+        bound = max((abs(c0) + sum(map(abs, cs)) for vs in rows.rows for c0, cs in vs), default=0)
+        w = self._w = (4 * lattice.one * (bound + rows.den)).bit_length() + 2
+        self._lane, self._half = (1 << w) - 1, 1 << (w - 1)
+        self._terms = tuple(
+            tuple((c0, tuple((y, c) for y, c in enumerate(cs) if c)) for c0, cs in verts)
+            for verts in rows.rows
+        )
+        self._all, self._coords = lattice.lanes(w)
+        # F at every probe, each lane in range; the loop decides every group
+        # when no probe is, or when the rows do not fit the lattice (on an
+        # empty carrier no pair of the dual shape is defined)
+        self._probes = None
+        if len(self._coords) == rows.width > 0 and len(rows.rows) == outputs:
+            self._pass(self._all)
+            self._defined = self._guard
+            try:
+                self._probes = self.F(self._coords)
+            except _LaneFailure:
+                pass
+
+    def _pass(self, ones: int) -> None:
+        """Set the packed constants of a pass over the lanes of ``ones``;
+        the pass then sets ``_defined``, the guard bits of the lanes whose
+        arguments are defined."""
+        self._bias, self._guard = self._half * ones, ones << (self._w - 1)
+        self._one_in, self._one_out = self._U * ones, self._top * ones
+        self._consts = ((0,) * len(self._terms), (self._one_out,) * len(self._terms))
+
+    def F(self, coords: Sequence[int]) -> tuple:
+        """The rows at packed coordinates: per output, the lane-wise minimum
+        over its vertex rows; a defined lane outside [0, top] raises."""
+        one, bias, guard, lane, half = self._one_in, self._bias, self._guard, self._lane, self._half
+        top, defined, shift = self._one_out, self._defined, self._w - 1
+        out = []
+        for verts in self._terms:
+            best = None
+            for c0, cs in verts:
+                acc = c0 * one
+                for y, c in cs:
+                    acc += c * coords[y]
+                if best is None:
+                    best = acc
+                    continue
+                d = acc - best + bias
+                below = ((d & guard) ^ guard) >> shift  # 1 in the lanes where acc < best
+                best += (d & below * lane) - below * half
+            if (best + bias) & (top - best + bias) & defined != defined:
+                raise _LaneFailure
+            out.append(best)
+        return tuple(out)
+
+    def _holds(self, laws: tuple, shape: str, args: tuple, fargs: list) -> bool:
+        """Whether every law holds at every defined lane of a pass."""
+        bias, defined, memo = self._bias, self._defined, {}
+        full = (defined >> (self._w - 1)) * self._lane
+        for law in laws:
+            lhs = self.side(law.lhs, shape, args, fargs, memo)
+            rhs = self.side(law.rhs, shape, args, fargs, memo)
+            for a, b in zip(lhs, rhs):
+                if law.rel == "=":
+                    if ((a - b + bias) ^ bias) & full:
+                        return False
+                elif ((b - a if law.rel == "<=" else a - b) + bias) & defined != defined:
+                    return False
+        return True
+
+    def count_if_holds(self, laws: tuple):
+        """The number of arguments of the group's shape when every law
+        holds at each of them, else None."""
+        if self._probes is None:
+            return None
+        try:
+            if laws[0].shape in _SCALED:
+                return self._scaled(laws, laws[0].shape)
+            return self._pairs(laws, laws[0].shape)
+        except _LaneFailure:
+            return None
+
+    def _pairs(self, laws: tuple, shape: str):
+        U, w, lane, count = self._U, self._w, self._lane, 0
+        for i, v in enumerate(self._lattice.preds):
+            s = w * i
+            ones = self._all >> s
+            self._pass(ones)
+            second = tuple(c >> s for c in self._coords)
+            # the lanes j >= i whose sum with predicate i (dual: minus one)
+            # stays in [0, U] pointwise
+            defined = self._guard
+            for a, c in zip(v, second):
+                defined &= ((a - U) * ones + c if shape == "dual_sum" else (U - a) * ones - c) + self._bias
+            if not defined:
+                continue
+            count += defined.bit_count()
+            self._defined = defined
+            first = tuple(a * ones for a in v)
+            fargs = [tuple((f >> s & lane) * ones for f in self._probes), [f >> s for f in self._probes]]
+            if not self._holds(laws, shape, (first, second), fargs):
+                return None
+        return count
+
+    def _scaled(self, laws: tuple, shape: str):
+        U, ones, count = self._U, self._all, 0
+        self._pass(ones)
+        for r in self._lattice.scalars:
+            # every predicate scales; it shifts when p + lam stays within U
+            defined = self._guard
+            if shape == "shift":
+                for c in self._coords:
+                    defined &= (U - r * U) * ones - c + self._bias
+            if not defined:
+                continue
+            count += defined.bit_count()
+            self._defined = defined
+            if not self._holds(laws, shape, (self._coords, r), [self._probes]):
+                return None
+        return count
 
 
 def _replay_functional(subject, args):

@@ -39,6 +39,7 @@ from .modalities import (
     INSTANCES,
     MASK_SIDES,
     STRUCTURE_CLASSES,
+    IntegerRows,
     Modality,
     StructureClass,
     check_dense,
@@ -279,7 +280,8 @@ def _random_coefficient_transformer(
 ) -> RationalTransformer:
     """A law-respecting transformer built directly from coefficients
     (not via any arrow): the independent construction for the
-    healthy-side sampling."""
+    healthy-side sampling.  It is a closed form, an offset plus a row of
+    coefficients per state, so its checks run on the integer lattice."""
     n, k = len(Y), len(X)
     dist_like = theorem == "dist_convex"
     rows = []
@@ -293,16 +295,8 @@ def _random_coefficient_transformer(
             remaining -= w
         rng.shuffle(weights)
         rows.append(tuple(weights))
-    offset = []
-    for i in range(k):
-        mass = sum(rows[i], ZERO)
-        offset.append(ONE - mass if theorem == "subdist_partial" else ZERO)
-
-    def fn(values):
-        return tuple(
-            sum((c * v for c, v in zip(rows[i], values)), offset[i]) for i in range(k)
-        )
-
+    partial = theorem == "subdist_partial"
+    fn = IntegerRows([[(ONE - sum(row, ZERO) if partial else ZERO, row)] for row in rows], n)
     return RationalTransformer(Y, X, fn, label=f"coef[{theorem}]")
 
 

@@ -207,6 +207,18 @@ def _grid_residual(phi: RationalTransformer, rebuilt: RationalTransformer, grid:
     return Verdict.healthy(checked)
 
 
+def _coefficients(phi: RationalTransformer, variant: str) -> list:
+    """Per state x, its row read off Dirac probes and the mass the row must
+    have: phi(dirac_y)(x) and phi(1)(x), or for the partial variant
+    phi(dirac_y)(x) - phi(0)(x) and 1 - phi(0)(x)."""
+    n = len(phi.source)
+    cols = [phi.apply_values(_dirac_tuple(n, j)) for j in range(n)]
+    if variant == "partial":
+        zeros = phi.apply_values((ZERO,) * n)
+        return [([c[i] - base for c in cols], ONE - base) for i, base in enumerate(zeros)]
+    return [([c[i] for c in cols], one) for i, one in enumerate(phi.apply_values((ONE,) * n))]
+
+
 def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeGrid = None) -> SynthesisResult:
     """Subdistribution rows from Dirac probes.
 
@@ -216,27 +228,16 @@ def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeG
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(check_gemod_morphism(phi, grid, variant), f"gemod_{variant}")
     X, Y = phi.target, phi.source
-    n = len(Y)
-    dirac_cols = [phi.apply_values(_dirac_tuple(n, j)) for j in range(n)]
-    ones = phi.apply_values((ONE,) * n)
-    zeros = phi.apply_values((ZERO,) * n)
     rows = []
-    for i, x in enumerate(X.elements):
-        if variant == "total":
-            coefs = [dirac_cols[j][i] for j in range(n)]
-            mass_expected = ones[i]
-        else:
-            base = zeros[i]
-            coefs = [dirac_cols[j][i] - base for j in range(n)]
-            mass_expected = ONE - base
-        for j, c in enumerate(coefs):
+    for i, (x, (coefs, mass_expected)) in enumerate(zip(X.elements, _coefficients(phi, variant))):
+        for y, c in zip(Y.elements, coefs):
             if c < 0 or c > 1:
                 return SynthesisResult(
                     None,
                     Verdict.unhealthy(
                         Witness(
                             "synthesis.coefficient",
-                            {"x": x, "y": Y.elements[j]},
+                            {"x": x, "y": y, "variant": variant},
                             c,
                             max(min(c, ONE), ZERO),
                         ),
@@ -268,14 +269,10 @@ def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisRes
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(check_emod_morphism(phi, grid), "emod")
     X, Y = phi.target, phi.source
-    n = len(Y)
-    dirac_cols = [phi.apply_values(_dirac_tuple(n, j)) for j in range(n)]
-    ones = phi.apply_values((ONE,) * n)
     rows = []
-    for i, x in enumerate(X.elements):
-        coefs = [dirac_cols[j][i] for j in range(n)]
+    for i, (x, (coefs, one)) in enumerate(zip(X.elements, _coefficients(phi, "total"))):
         total_mass = sum(coefs, ZERO)
-        if total_mass != ONE or ones[i] != ONE:
+        if total_mass != ONE or one != ONE:
             return SynthesisResult(
                 None,
                 Verdict.unhealthy(
@@ -287,6 +284,27 @@ def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisRes
     arrow = KleisliArrow(MonadKind.DIST, X, Y, rows)
     rebuilt = pt_modality(builtin_modality("convex"), arrow)
     return SynthesisResult(arrow, _grid_residual(phi, rebuilt, grid))
+
+
+def _law_synth_coefficient(subject, args):
+    """Replay on the transformer: a coefficient read off its Dirac probe,
+    and that coefficient clamped to [0, 1]."""
+    coefs, _ = _coefficients(subject, args["variant"])[subject.target.index(args["x"])]
+    c = coefs[subject.source.index(args["y"])]
+    return c, max(min(c, ONE), ZERO)
+
+
+def _law_synth_mass(subject, args):
+    """Replay on the transformer: the mass of a row read off Dirac probes,
+    and the mass it must have (one for a distribution)."""
+    variant = args["variant"]
+    rows = _coefficients(subject, "total" if variant == "dist" else variant)
+    coefs, mass = rows[subject.target.index(args["x"])]
+    return sum(coefs, ZERO), ONE if variant == "dist" else min(mass, ONE)
+
+
+register_law("synthesis.coefficient", _law_synth_coefficient)
+register_law("synthesis.mass", _law_synth_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +519,16 @@ def _normalize_arrow(instance: str, arrow: KleisliArrow):
     return arrow, ()
 
 
+def _resynthesize(f: KleisliArrow, instance: str, grid: ProbeGrid | None) -> tuple:
+    """synth(pt(f)) for the instance, and the grid it ran on: the default
+    grid of a rational transformer when none is given."""
+    mod = INSTANCES[instance]
+    phi = pt_modality(mod, f)
+    if grid is None and isinstance(phi, RationalTransformer):
+        grid = ProbeGrid.default(phi.source)
+    return synthesize(mod, phi, grid), grid
+
+
 def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = None) -> Verdict:
     """synth(pt(f)) must equal f up to the documented normalization, and
     pt(synth(pt(f))) must reproduce pt(f) exactly (dense) or on the grid."""
@@ -508,10 +536,7 @@ def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = No
     mod = INSTANCES[instance]
     if MonadKind(f.kind) != mod.monad:
         raise ValueError(f"instance {instance!r} expects {mod.monad}, got {f.kind}")
-    phi = pt_modality(mod, f)
-    if grid is None and isinstance(phi, RationalTransformer):
-        grid = ProbeGrid.default(phi.source)
-    result = synthesize(mod, phi, grid)
+    result, grid = _resynthesize(f, instance, grid)
     if not result.ok:
         if result.residual.status == "inconclusive":
             return result.residual
@@ -557,4 +582,19 @@ def _law_synth_reevaluate(subject, args):
     return rebuilt.apply_values(p)[i], phi.apply_values(p)[i]
 
 
+def _law_roundtrip_arrow(subject, args):
+    """Replay on (f, grid), the arrow and the grid the round trip ran on:
+    synth(pt(f)) against f normalized, at the witness state, or as a whole
+    for polytopes (equal reprs when they agree on the grid)."""
+    f, grid = subject
+    instance = args["instance"]
+    result, grid = _resynthesize(f, instance, grid)
+    normalized, _ = _normalize_arrow(instance, f)
+    if instance == "cv_sublinear":
+        same = cv_semantically_equal(normalized, result.arrow, grid)
+        return repr(normalized if same else result.arrow), repr(normalized)
+    return result.arrow.row(args["x"]), normalized.row(args["x"])
+
+
 register_law("synthesis.reevaluate", _law_synth_reevaluate)
+register_law("roundtrip.arrow", _law_roundtrip_arrow)

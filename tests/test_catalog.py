@@ -1,5 +1,6 @@
 """The law table and the instance catalog: replay coverage and docs sync."""
 
+import ast
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,10 @@ from wpbench.verdicts import _LAW_EVALUATORS, witness_is_sound
 
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "wpbench"
+# witness laws the package emits with no replay evaluator yet; the set may
+# only shrink
+UNREPLAYED = {"sweep.roundtrip", "sweep.constructed_health", "sweep.constructed_synth"}
 
 # One seeded violation per law.  Boolean laws: a one-output dense table over
 # two postcondition states.  Rational laws: a one-dimensional rule (identity
@@ -110,3 +115,36 @@ def test_docs_and_messages_follow_the_catalog(tmp_path, capsys):
     assert f"choose from {'|'.join(sorted(conditions))}" in capsys.readouterr().err
     with pytest.raises(ValueError, match=re.escape(f"choose from {'|'.join(sorted(conditions))}")):
         run_condition("bogus", None)
+
+
+def _emitted_laws() -> tuple:
+    """(laws, expressions): the law of every ``Witness(...)`` call in the
+    package, and the source of each law not written as a string.  A law
+    held in a name is collected from the function's tuples that start with
+    a law string; one read off another witness re-wraps a law emitted
+    elsewhere."""
+    is_law = lambda node: isinstance(node, ast.Constant) and re.fullmatch(r"[a-z_]+\.[a-z_]+", str(node.value))
+    laws, expressions = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Witness"):
+                    continue
+                law = call.args[0]
+                if isinstance(law, ast.Constant):
+                    laws.add(law.value)
+                    continue
+                expressions.add(ast.unparse(law))
+                if isinstance(law, ast.Name):
+                    tuples = (t for t in ast.walk(func) if isinstance(t, ast.Tuple) and t.elts)
+                    laws |= {t.elts[0].value for t in tuples if is_law(t.elts[0])}
+    return laws, expressions
+
+
+def test_every_emitted_witness_law_replays():
+    laws, expressions = _emitted_laws()
+    assert expressions == {"law", "witness.law"}
+    assert {"transformer.rational", "sweep.realizability", "roundtrip.arrow", "synthesis.mass"} <= laws
+    assert {law for law in laws if law not in _LAW_EVALUATORS} == UNREPLAYED

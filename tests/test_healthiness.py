@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -19,8 +20,16 @@ from wpbench.healthiness import (
     finitary_support,
     run_condition,
 )
-from wpbench.modalities import DEFAULT_SCALARS, builtin_modality
-from wpbench.monads import MonadKind, enumerate_arrows, random_arrow
+from wpbench.modalities import (
+    _PACKED,
+    DEFAULT_SCALARS,
+    RATIONAL,
+    STRUCTURE_CLASSES,
+    IntegerRows,
+    LawCheck,
+    builtin_modality,
+)
+from wpbench.monads import DistV, KleisliArrow, MonadKind, enumerate_arrows, random_arrow
 from wpbench.semantics import (
     BooleanTransformer,
     RationalTransformer,
@@ -345,10 +354,38 @@ def _verdict_fields(verdict):
     return verdict.status, verdict.checked, witness, verdict.describe()
 
 
-def test_integer_kernel_agrees_with_fraction_route(Y3):
+def _group_alone(phi, grid, laws, rows):
+    """One law group checked on its own: its first violation and the
+    checked count, or the message of the ValueError it raises."""
+    check = LawCheck(
+        phi.apply_values, len(phi.target), grid.predicates, grid.scalars, len(phi.source), grid.lattice, rows
+    )
+    try:
+        return check.first_violation(laws, 1), check.checked
+    except ValueError as exc:
+        return str(exc)
+
+
+def _opaque(phi):
+    return RationalTransformer(phi.source, phi.target, lambda v, phi=phi: phi.fn(v), label="opaque")
+
+
+def test_integer_kernel_agrees_with_fraction_route(Y3, monkeypatch):
     # each closed form, once with its integer rows and once wrapped as an
-    # opaque rule, under every rational condition (healthy or not) and on two
-    # grids with different common denominators
+    # opaque rule, under every rational condition (healthy or not), on every
+    # group of a rational class alone, and on two grids with different
+    # common denominators; the integer route must find violations of each
+    # shape the packed pass decides, which it leaves to the per-argument loop
+    violated = set()
+    first_violation = LawCheck.first_violation
+
+    def spy(self, laws, weight):
+        found = first_violation(self, laws, weight)
+        if found is not None and self._rows is not None:
+            violated.add(laws[0].shape)
+        return found
+
+    monkeypatch.setattr(LawCheck, "first_violation", spy)
     X = FinSet("X", ("x0", "x1"))
     rng = Random(31)
     core = ProbeGrid.default(Y3, random_count=0).predicates
@@ -358,19 +395,103 @@ def test_integer_kernel_agrees_with_fraction_route(Y3):
         ProbeGrid.explicit(Y3, core + tuple(off_lattice), scalars=(0, F(1, 3), F(1, 2), 1)),
     )
     assert [g.lattice.one for g in grids] == [840 * 4, 63 * 6]
-    statuses = set()
+    phis = []
     for name in ("total", "partial", "convex", "tau_r:1/3", "demonic_prob"):
         mod = builtin_modality(name)
-        for _ in range(2):
-            phi = pt_modality(mod, random_arrow(mod.monad, rng, X, Y3))
-            opaque = RationalTransformer(Y3, X, lambda v, phi=phi: phi.fn(v), label="opaque")
-            assert phi.rows is not None and opaque.rows is None
-            for grid in grids:
-                for condition in RATIONAL_CONDITIONS:
-                    kernel = run_condition(condition, phi, grid)
-                    fraction = run_condition(condition, opaque, grid)
-                    assert _verdict_fields(kernel) == _verdict_fields(fraction)
-                    if kernel.is_unhealthy:
-                        assert witness_is_sound(phi, kernel.witness)
-                    statuses.add(kernel.status)
+        phis += [pt_modality(mod, random_arrow(mod.monad, rng, X, Y3)) for _ in range(2)]
+    # polytopes of several vertices (superadditive, not additive), and
+    # affine rows that are neither homogeneous nor translation invariant
+    d = DistV.dirac
+    polytopes = {
+        "x0": (d("y0"), d("y1")),
+        "x1": (DistV({"y0": F(1, 2), "y2": F(1, 2)}), DistV({"y1": F(1, 3), "y2": F(2, 3)}), d("y2")),
+    }
+    phis.append(pt_modality(builtin_modality("demonic_prob"), KleisliArrow(MonadKind.CV_DIST, X, Y3, polytopes)))
+    affine = [[(F(1, 4), (F(1, 2), F(1, 4), F(0)))], [(F(0), (F(1, 3), F(0), F(1, 3)))]]
+    phis.append(RationalTransformer(Y3, X, IntegerRows(affine, 3), label="affine"))
+    statuses = set()
+    groups = [g for cls in STRUCTURE_CLASSES.values() if cls.carrier == RATIONAL for g, _ in cls.groups]
+    for phi in phis:
+        opaque = _opaque(phi)
+        assert phi.rows is not None and opaque.rows is None
+        for grid in grids:
+            for condition in RATIONAL_CONDITIONS:
+                kernel = run_condition(condition, phi, grid)
+                fraction = run_condition(condition, opaque, grid)
+                assert _verdict_fields(kernel) == _verdict_fields(fraction)
+                if kernel.is_unhealthy:
+                    assert witness_is_sound(phi, kernel.witness)
+                statuses.add(kernel.status)
+            for laws in groups:
+                assert _group_alone(phi, grid, laws, phi.rows) == _group_alone(opaque, grid, laws, None)
     assert statuses == {"healthy", "unhealthy"}
+    assert violated >= set(_PACKED)
+
+
+def test_integer_kernel_raises_the_fraction_routes_range_error(Y3):
+    # rows in [0, 1] at every probe but at 3/2 on the sum of the two halves:
+    # the loop meets that value after the packed pass falls back, and raises
+    # as the opaque rule does; with the core first, a violation of the sum
+    # law comes earlier and wins on both routes
+    X = FinSet("X", ("x0",))
+    peak = IntegerRows([[(F(0), (F(3), F(0), F(0))), (F(0), (F(0), F(3), F(0))), (F(2), (F(-1, 2), F(-1, 2), F(0)))]], 3)
+    phi = RationalTransformer(Y3, X, peak, label="peak")
+    opaque = _opaque(phi)
+    core = ProbeGrid.default(Y3, random_count=0).predicates
+    halves = ((F(1, 2), F(0), F(0)), (F(0), F(1, 2), F(0)))
+    first, last = ProbeGrid.explicit(Y3, halves + core), ProbeGrid.explicit(Y3, core + halves)
+    message = "transformer produced 3/2 outside [0, 1]"
+    for subject in (phi, opaque):
+        with pytest.raises(ValueError) as exc:
+            run_condition("gemod_total", subject, first)
+        assert str(exc.value) == message
+    kernel, fraction = (run_condition("gemod_total", subject, last) for subject in (phi, opaque))
+    assert _verdict_fields(kernel) == _verdict_fields(fraction)
+    assert kernel.witness.args["law"] == "gemod.sum"
+    # each group alone; the subadditive law holds at the sum of the halves,
+    # so there only the range check makes the packed pass fall back
+    groups = [g for cls in STRUCTURE_CLASSES.values() if cls.carrier == RATIONAL for g, _ in cls.groups]
+    for grid in (first, last):
+        for laws in groups:
+            assert _group_alone(phi, grid, laws, peak) == _group_alone(opaque, grid, laws, None)
+    assert _group_alone(phi, first, STRUCTURE_CLASSES["emod_sublinear"].groups[0][0], peak) == message
+
+
+def test_packed_pass_decides_healthy_closed_forms(Y3, monkeypatch):
+    # a healthy closed form under each rational condition: the per-argument
+    # loop evaluates no argument of a shape the packed pass decides
+    shapes = []
+    sides = LawCheck.sides
+    monkeypatch.setattr(LawCheck, "sides", lambda self, law, *a: shapes.append(law.shape) or sides(self, law, *a))
+    X = FinSet("X", ("x0", "x1"))
+    rng = Random(8)
+    grid = ProbeGrid.default(Y3)
+    for name in ("total", "partial", "convex", "demonic_prob"):
+        mod = builtin_modality(name)
+        for _ in range(3):
+            verdict = run_condition(mod.condition, pt_modality(mod, random_arrow(mod.monad, rng, X, Y3)), grid)
+            assert verdict.is_healthy
+    assert set(shapes) == {"bottom", "top"}
+
+
+def test_packed_pass_memory_is_linear_in_the_grid():
+    # the packed pass holds a few ints with one lane per predicate: growing a
+    # grid at |Y| = 4 from 150 to 600 predicates grows the peak about as a
+    # linear term does (at most four times), where a table with a lane per
+    # pair of predicates would grow it sixteen times (over 0.6 MB at 600)
+    Y4 = FinSet("Y", tuple(f"y{i}" for i in range(4)))
+    X = FinSet("X", ("x0", "x1"))
+    phi = pt_modality(builtin_modality("convex"), random_arrow(MonadKind.DIST, Random(12), X, Y4))
+    core = ProbeGrid.default(Y4, random_count=0).predicates
+    peaks = []
+    for count in (150, 600):
+        grid = ProbeGrid.explicit(Y4, core + tuple(ProbeGrid.random_tuples(Y4, 5, count)))
+        assert grid.lattice.one == 840 * 4
+        tracemalloc.start()
+        try:
+            verdict = run_condition("emod", phi, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_healthy
+    assert peaks[1] < 6 * peaks[0] and peaks[1] < 1 << 19, peaks

@@ -13,6 +13,7 @@ from wpbench.modalities import (
     STRUCTURE_CLASSES,
     IntegerRows,
     Modality,
+    _PackedRows,
     algebra_to_monad_map,
     builtin_modality,
     builtin_modality_names,
@@ -197,10 +198,12 @@ def _verdict_fields(verdict):
 def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
     # each closed-form catalog modality under every rational class, once as
     # the catalog row (its components run on integer rows) and once wrapped
-    # as a rule with no closed form (the Fraction route)
+    # as a rule with no closed form (the Fraction route); the integer route
+    # evaluates the rows one argument at a time or on packed lanes
     calls = []
-    ints = IntegerRows.ints
-    monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
+    for owner, name in ((IntegerRows, "ints"), (_PackedRows, "F")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda self, *a, fn=fn: calls.append(1) or fn(self, *a))
     rational = [tag for tag, cls in STRUCTURE_CLASSES.items() if cls.carrier == RATIONAL]
     laws = {}
     for name in ("total", "partial", "tau_r:1/3", "convex", "demonic_prob"):

@@ -3,9 +3,17 @@ from random import Random
 
 import pytest
 
+from wpbench import synthesis
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid
-from wpbench.modalities import BOOLEAN, INSTANCES, Modality, algebra_to_monad_map, monad_map_to_algebra
+from wpbench.modalities import (
+    BOOLEAN,
+    INSTANCES,
+    IntegerRows,
+    Modality,
+    algebra_to_monad_map,
+    monad_map_to_algebra,
+)
 from wpbench.monads import (
     BOT,
     DistV,
@@ -26,6 +34,7 @@ from wpbench.semantics import (
     wp_diamond,
 )
 from wpbench.synthesis import (
+    SynthesisResult,
     UnhealthyInputError,
     cv_semantically_equal,
     roundtrip_verify,
@@ -343,3 +352,72 @@ def test_inverse_is_chosen_by_what_the_modality_is(X1, Y2):
     result = synthesize(boxed, wp_box(R))
     assert result.ok
     assert result.arrow.rows == R.rows
+
+
+def _affine(Y, X, rows):
+    """A closed-form transformer with one (offset, coefficients) row per state."""
+    rows = [[(F(offset), tuple(map(F, coefs)))] for offset, coefs in rows]
+    return RationalTransformer(Y, X, IntegerRows(rows, len(Y)), label="affine")
+
+
+@pytest.mark.parametrize(
+    "synth, rows, law",
+    [
+        # phi(1) = 3/4, but the Dirac coefficients 3/4 and 1/4 have mass 1
+        (lambda phi: synth_subdist(phi, "total"), [(F(1, 4), (F(1, 2), 0))], "synthesis.mass"),
+        # phi(dirac_y0) - phi(0) = -1/4
+        (lambda phi: synth_subdist(phi, "partial"), [(F(1, 2), (F(-1, 4), 0))], "synthesis.coefficient"),
+        # the coefficients 1/2 and 0 have mass 1/2, against 1 - phi(0) = 3/4
+        (lambda phi: synth_subdist(phi, "partial"), [(F(1, 4), (F(1, 2), 0))], "synthesis.mass"),
+        (synth_dist, [(0, (F(1, 2), 0))], "synthesis.mass"),
+    ],
+)
+def test_synthesis_mass_and_coefficient_witnesses_replay(monkeypatch, X1, Y2, synth, rows, law):
+    # with the precondition check switched off, a transformer outside the
+    # class reaches the checks on the rows read off the Dirac probes
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    phi = _affine(Y2, X1, rows)
+    witness = synth(phi).residual.witness
+    assert witness.law == law
+    assert witness_is_sound(phi, witness)
+    # a transformer in the class gives no witness, and the witness above
+    # does not replay on it
+    clean = _affine(Y2, X1, [(0, (F(1, 4), F(3, 4)))])
+    result = synth(clean)
+    assert result.ok and result.residual.witness is None
+    assert not witness_is_sound(clean, witness)
+
+
+@pytest.mark.parametrize(
+    "instance, rows",
+    [
+        ("dist_convex", {"x0": DistV.dirac("y0"), "x1": DistV({"y0": F(1, 3), "y1": F(2, 3)})}),
+        (
+            "cv_sublinear",
+            {
+                "x0": (DistV.dirac("y0"),),
+                "x1": (DistV.dirac("y1"), DistV({"y0": F(1, 2), "y1": F(1, 2)})),
+            },
+        ),
+    ],
+)
+def test_roundtrip_arrow_witness_replays(monkeypatch, X2, Y2, instance, rows):
+    f = KleisliArrow(INSTANCES[instance].monad, X2, Y2, rows)
+    grid = ProbeGrid.default(Y2, seed=5)
+    assert roundtrip_verify(f, instance, grid).is_healthy
+    # seeded fault: the synthesis hands back its rows in reverse state order
+    real = synthesis.synthesize
+
+    def reversed_rows(mod, phi, grid=None):
+        result = real(mod, phi, grid)
+        arrow = result.arrow
+        flipped = KleisliArrow(arrow.kind, arrow.source, arrow.target, arrow.rows[::-1])
+        return SynthesisResult(flipped, result.residual)
+
+    monkeypatch.setattr(synthesis, "synthesize", reversed_rows)
+    verdict = roundtrip_verify(f, instance, grid)
+    assert verdict.is_unhealthy and verdict.witness.law == "roundtrip.arrow"
+    assert witness_is_sound((f, grid), verdict.witness)
+    # replayed without the fault, the synthesis rebuilds f
+    monkeypatch.setattr(synthesis, "synthesize", real)
+    assert not witness_is_sound((f, grid), verdict.witness)
