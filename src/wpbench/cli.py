@@ -554,7 +554,8 @@ def _cmd_laws(args) -> int:
 
     kinds = [MonadKind(args.monad)] if args.monad else list(MonadKind)
     for kind in kinds:
-        record(f"monad {kind.value}", check_monad_laws(kind, carriers, seed=args.seed))
+        verdict = check_monad_laws(kind, carriers, seed=args.seed, max_enum=args.max_enum)
+        record(f"monad {kind.value}", verdict)
     if args.monad is None or args.monad == "powerset":
         record("monad-map sigma", check_monad_map_laws(sigma_spec(), carriers, seed=args.seed))
         record(

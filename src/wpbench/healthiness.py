@@ -133,9 +133,14 @@ class ProbeGrid:
     def value_tuples(self) -> list:
         return list(self.predicates)
 
-    def meets_minimum(self) -> bool:
+    @functools.cached_property
+    def _minimum_met(self) -> bool:
         have = set(self.lattice.preds)
         return all(p in have for p in self._core(len(self.domain), 0, self.lattice.one))
+
+    def meets_minimum(self) -> bool:
+        """Whether the grid holds the core; decided once, as the grid is frozen."""
+        return self._minimum_met
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ other modality goes through its generic evaluation rule.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -274,6 +275,19 @@ register_law("functor.compose", _law_functor_compose)
 register_law("functor.identity", _law_functor_identity)
 
 
+@functools.lru_cache(maxsize=32)
+def _functor_probes(n: int, seed: int) -> tuple:
+    """The default probe grid's value tuples over n points, and the same
+    padded with seeded random tuples to at least 100.  Both depend only on
+    n and the seed, so functoriality checks share them; the grids
+    themselves are not shared."""
+    from .healthiness import ProbeGrid
+
+    domain = FinSet("probe", range(n))
+    grid = tuple(ProbeGrid.default(domain, seed=seed).value_tuples())
+    return grid, grid + tuple(ProbeGrid.random_tuples(domain, seed + 1, max(0, 100 - len(grid))))
+
+
 def check_functoriality(
     mod, f: KleisliArrow, g: KleisliArrow, probes: Sequence | None = None, seed: int = 3
 ) -> Verdict:
@@ -293,14 +307,8 @@ def check_functoriality(
         preds = list(range(1 << len(g.target)))
         id_preds = list(range(1 << len(f.source)))
     else:
-        from .healthiness import ProbeGrid
-
-        if probes is None:
-            probes = ProbeGrid.default(g.target, seed=seed).value_tuples()
-            if len(probes) < 100:
-                probes = probes + ProbeGrid.random_tuples(g.target, seed + 1, 100 - len(probes))
-        preds = list(probes)
-        id_preds = ProbeGrid.default(f.source, seed=seed).value_tuples()
+        preds = list(_functor_probes(len(g.target), seed)[1] if probes is None else probes)
+        id_preds = _functor_probes(len(f.source), seed)[0]
     # the replay evaluators rebuild these per witness; the check builds them once
     composed = pt_modality(mod, kleisli_compose(f, g))
     pf, pg = pt_modality(mod, f), pt_modality(mod, g)

@@ -236,6 +236,14 @@ def test_cmd_laws(capsys):
     assert "monad-map sigma" in out
 
 
+def test_cmd_laws_forwards_max_enum(capsys):
+    # at sizes 2 2 the lift_powerset suite has 1882384 associativity triples
+    assert run(["laws", "--monad", "lift_powerset"]) == EXIT_HEALTHY
+    assert "monad lift_powerset: healthy (1882580 instances checked)" in capsys.readouterr().out
+    assert run(["laws", "--monad", "lift_powerset", "--max-enum", "1000"]) == EXIT_INPUT
+    assert "1882384 associativity triples exceed the guard (1000)" in capsys.readouterr().err
+
+
 def test_unknown_command_and_flags():
     assert run(["frobnicate"]) == EXIT_INPUT
     assert run(["check", "--no-such-flag"]) == EXIT_INPUT

@@ -1,6 +1,7 @@
 """The narrative demos run end to end, each in its own interpreter, against
-this checkout's sources.  Demo 05 (about 10 s of law suites) is left to
-the acceptance criteria that cover the same checks."""
+this checkout's sources, and the lines that carry their verdicts are
+checked: the equivalences of demo 04, and the monad laws and the replayed
+witness of demo 05."""
 
 import os
 import subprocess
@@ -10,11 +11,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted((ROOT / "demos").glob("0[1-4]_*.py"))
+DEMOS = sorted((ROOT / "demos").glob("0[1-5]_*.py"))
 
 
 def test_the_demos_are_found():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
+    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -34,3 +35,12 @@ def test_demo_runs(demo):
         verdicts = [line for line in lines if line.startswith("equivalence: ")]
         assert len(reports) == 7
         assert verdicts == ["equivalence: holds"] * len(reports)
+    if demo.name.startswith("05"):
+        lines = proc.stdout.splitlines()
+        start = lines.index("== monad laws ==") + 1
+        monad_lines = lines[start : lines.index("", start)]
+        assert [line.split()[:2] for line in monad_lines] == [
+            [kind, "healthy"]
+            for kind in ("powerset", "lift_powerset", "subdist", "dist", "up_powerset", "cv_dist")
+        ]
+        assert "  witness replays to a strict violation: True" in lines

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpbench import monads
 from wpbench.core import FinSet
 from wpbench.monads import (
     BOT,
@@ -15,10 +16,12 @@ from wpbench.monads import (
     MonadKind,
     MonadMapSpec,
     _lattice_membership,
+    _validate_value,
     check_monad_laws,
     check_monad_map_laws,
     cv_values_equal,
     dedup_vertices,
+    enumerate_arrows,
     enumerate_tvalues,
     is_up_closed,
     kleisli_compose,
@@ -156,6 +159,81 @@ def test_monad_laws_corrupted_composition_witnessed(carriers):
     verdict = check_monad_laws("powerset", carriers, compose=bad_compose)
     assert verdict.is_unhealthy
     assert verdict.witness.law in ("monad.left_unit", "monad.right_unit", "monad.assoc")
+
+
+ENUMERABLE = ("powerset", "lift_powerset", "up_powerset")
+
+
+def _supplied_compose(f, g):
+    # any supplied composition runs the loop over every triple of arrows
+    return kleisli_compose(f, g)
+
+
+@pytest.mark.parametrize("kind", ENUMERABLE)
+def test_monad_law_routes_agree_on_healthy_monads(kind, carriers):
+    per_value = check_monad_laws(kind, carriers)
+    per_triple = check_monad_laws(kind, carriers, compose=_supplied_compose)
+    assert per_value.is_healthy and per_triple.is_healthy
+    expected = {"powerset": 7458, "lift_powerset": 169492, "up_powerset": 75060}[kind]
+    assert per_value.checked == per_triple.checked == expected
+
+
+# the largest T-value over a two-point carrier, composed into a one-point
+# carrier, goes to the smallest; unit arrows never meet it
+ROW_FAULTS = {
+    "powerset": (lambda Y: frozenset(Y.elements), frozenset()),
+    "lift_powerset": (lambda Y: frozenset(Y.elements), frozenset({BOT})),
+    "up_powerset": (lambda Y: frozenset(enumerate_tvalues(MonadKind.POWERSET, Y)), frozenset()),
+}
+
+
+@pytest.mark.parametrize("kind", ENUMERABLE)
+def test_monad_law_routes_agree_on_a_row_wise_fault(kind, carriers, monkeypatch):
+    largest, smallest = ROW_FAULTS[kind]
+    compose_value = monads._compose_value
+
+    def faulty(k, value, g):
+        if len(g.source) == 2 and len(g.target) == 1 and value == largest(g.source):
+            return smallest
+        return compose_value(k, value, g)
+
+    monkeypatch.setattr(monads, "_compose_value", faulty)
+    per_value = check_monad_laws(kind, carriers)
+    per_triple = check_monad_laws(kind, carriers, compose=_supplied_compose)
+    assert per_value.is_unhealthy and per_value.witness.law == "monad.assoc"
+    assert per_value.status == per_triple.status
+    assert per_value.checked == per_triple.checked
+    assert per_value.witness == per_triple.witness
+    assert witness_is_sound(kleisli_compose, per_value.witness)
+    if kind == "powerset":
+        assert per_value.checked == 272
+
+
+def _assert_valid_rows(arrow):
+    for row in arrow.rows:
+        assert _validate_value(arrow.kind, arrow.target, row) == row
+
+
+def test_composites_and_units_are_valid_tvalues():
+    # kleisli_compose and unit do not validate their rows again
+    small = [FinSet(f"C{n}", tuple(f"c{i}" for i in range(n))) for n in range(3)]
+    for kind in ENUMERABLE:
+        for X, Y, Z in itertools.product(small, repeat=3):
+            gs = list(enumerate_arrows(kind, Y, Z))
+            for f in enumerate_arrows(kind, X, Y):
+                for g in gs:
+                    _assert_valid_rows(kleisli_compose(f, g))
+    for kind in MonadKind:
+        for C in small:
+            _assert_valid_rows(unit(kind, C))
+    rng = Random(12)
+    nonempty = small[1:] + [FinSet("C3", ("c0", "c1", "c2"))]
+    for kind in ("subdist", "dist", "cv_dist"):
+        for _ in range(150):
+            X, Y, Z = (rng.choice(nonempty) for _ in range(3))
+            f = random_arrow(kind, rng, X, Y, max_den=rng.choice((2, 6, 16)))
+            g = random_arrow(kind, rng, Y, Z, max_den=rng.choice((2, 6, 16)))
+            _assert_valid_rows(kleisli_compose(f, g))
 
 
 def test_cv_composition_vertex_order_independent(X1, Y2):

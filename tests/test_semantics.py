@@ -226,6 +226,23 @@ def test_functoriality_builds_each_transformer_once(Y2, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seed", (3, 8))
+def test_functoriality_default_probes(Y2, seed):
+    # the default grid over g's target padded to 100 probes, then the
+    # default grid over f's source; the tuples are shared between calls
+    rng = Random(seed)
+    X = FinSet("X", ("x0",))
+    Z = FinSet("Z", ("z0", "z1", "z2"))
+    f, g = random_arrow("subdist", rng, X, Y2), random_arrow("subdist", rng, Y2, Z)
+    probes = ProbeGrid.default(Z, seed=seed).value_tuples()
+    probes += ProbeGrid.random_tuples(Z, seed + 1, 100 - len(probes))
+    expected = len(probes) + len(ProbeGrid.default(X, seed=seed).value_tuples())
+    for _ in range(2):
+        verdict = check_functoriality("total", f, g, seed=seed)
+        assert verdict.is_healthy and verdict.checked == expected
+    assert check_functoriality("total", f, g, probes=probes, seed=seed) == verdict
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(("total", "partial", "convex", "tau_r:1/3", "demonic_prob")),
