@@ -22,7 +22,7 @@ for theorem in ("may", "must", "game", "dijkstra"):
     print(report.render(include_timing=True))
 
 for theorem in ("subdist_total", "dist_convex", "cv_sublinear"):
-    report = enum_verify(TheoremInstance(theorem, (2, 2), "sampled", seed=1, count=40))
+    report = enum_verify(TheoremInstance(theorem, (2, 2), seed=1, count=40))
     print(report.render(include_timing=True))
 
 if BIG:

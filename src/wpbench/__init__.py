@@ -12,10 +12,7 @@ brute-forces the equivalences at desk scale.
 from .core import (
     DEFAULT_ENUM_GUARD,
     FinSet,
-    Predicate,
     SizeGuardError,
-    enumerate_predicates,
-    enumerate_subsets,
     enumerate_transformer_tables,
     parse_rational,
 )

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .core import FinSet, SizeGuardError, format_rational, parse_rational
 from .healthiness import CONDITIONS, ProbeGrid, run_condition
-from .modalities import BOOLEAN, INSTANCES, builtin_modality, check_algebra_laws, lifting_check
+from .modalities import INSTANCES, builtin_modality, check_algebra_laws, lifting_check
 from .monads import (
     BOT,
     DistV,
@@ -538,10 +538,9 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    sizes = args.sizes or [2, 2]
     carriers = [
-        FinSet("A", tuple(f"a{i}" for i in range(sizes[0]))),
-        FinSet("B", tuple(f"b{i}" for i in range(sizes[1]))),
+        FinSet("A", tuple(f"a{i}" for i in range(args.sizes[0]))),
+        FinSet("B", tuple(f"b{i}" for i in range(args.sizes[1]))),
     ]
     lines = []
     failures = 0
@@ -585,16 +584,19 @@ def _cmd_enum_verify(args) -> int:
         raise SpecError(
             "E_SCHEMA", f"unknown theorem {args.theorem!r}; ids: {', '.join(THEOREM_IDS)}"
         )
-    sizes = tuple(args.sizes or (2, 2))
-    mod = INSTANCES[args.theorem]
-    mode = "exhaustive" if mod.carrier == BOOLEAN else "sampled"
-    count = 100 if mod.monad == MonadKind.CV_DIST else 200
-    instance = TheoremInstance(args.theorem, sizes, mode, seed=args.seed, count=count)
+    count = 100 if INSTANCES[args.theorem].monad == MonadKind.CV_DIST else 200
+    instance = TheoremInstance(args.theorem, tuple(args.sizes), seed=args.seed, count=count)
     t0 = time.perf_counter()
     report = enum_verify(instance, max_enum=args.max_enum)
     sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
     _emit(report.render(), args.out)
     return EXIT_HEALTHY if report.equal else EXIT_UNHEALTHY
+
+
+def _size(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"size must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -621,7 +623,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--condition", help="healthiness condition name")
         p.add_argument("--modality", help="modality name (e.g. diamond, tau_r:1/3)")
         p.add_argument("--theorem", help="theorem id for enum-verify")
-        p.add_argument("--sizes", nargs=2, type=int, metavar=("A", "B"))
+        p.add_argument("--sizes", nargs=2, type=_size, default=(2, 2), metavar=("A", "B"))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
         p.add_argument("--max-enum", dest="max_enum", type=int, default=1 << 28)

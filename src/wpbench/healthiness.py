@@ -55,8 +55,17 @@ ONE = Fraction(1)
 def _check_unit(values, what: str) -> None:
     # on integers: Fraction comparisons would slow every grid built
     for q in values:
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"{what} {q!r} is not an int or a Fraction")
         if not 0 <= q.numerator <= q.denominator:
             raise ValueError(f"{what} {q} outside [0, 1]")
+
+
+def _exact(v) -> Fraction:
+    # Fraction(0.1) is the binary 3602879701896397/2^55, not 1/10
+    if isinstance(v, float):
+        raise TypeError(f"probe value {v!r} is a float, not an exact rational")
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,9 @@ class ProbeGrid:
     The minimum contents for a conclusive verdict: every Dirac predicate,
     the two constants, and the pairwise-defined sums of that core.  Seeded
     random predicates extend the grid beyond the minimum.  Every value and
-    scalar must lie in [0, 1], and every tuple needs one value per element
-    of the domain (``ValueError`` otherwise).
+    scalar is an int or a Fraction (``TypeError`` otherwise) in [0, 1], and
+    every tuple needs one value per element of the domain (``ValueError``
+    otherwise).
     """
 
     domain: FinSet
@@ -119,10 +129,10 @@ class ProbeGrid:
     @classmethod
     def explicit(cls, domain: FinSet, predicates, scalars=None, seed: int = 0) -> "ProbeGrid":
         """A grid of the given value tuples, one value per element of the
-        domain, and scalars, converted to Fractions (the constructor checks
-        that every value and scalar lies in [0, 1])."""
-        preds = tuple(tuple(map(Fraction, p)) for p in predicates)
-        scals = DEFAULT_SCALARS if scalars is None else tuple(map(Fraction, scalars))
+        domain, and scalars, converted to Fractions; a float is refused
+        (the constructor checks that every value and scalar lies in [0, 1])."""
+        preds = tuple(tuple(map(_exact, p)) for p in predicates)
+        scals = DEFAULT_SCALARS if scalars is None else tuple(map(_exact, scalars))
         return cls(domain, preds, scals, seed)
 
     @functools.cached_property

@@ -237,10 +237,11 @@ class IntegerRows:
     Output x is the minimum, over the vertex rows of x, of
     ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
     divergence offset is one vertex row, a polytope has one per vertex.
-    ``ints`` evaluates a predicate given as integers over ``one``, with the
-    checks of ``RationalTransformer.apply_values``; called on Fractions,
-    the rows scale them to their common denominator first, so the
-    arithmetic exists once.
+    Called on Fractions, as the rule of a ``RationalTransformer``, the rows
+    scale them to their common denominator and evaluate them on integers
+    (``ints``, with the checks of ``RationalTransformer.apply_values``);
+    the law checks evaluate them at many arguments at once on packed lanes
+    (``_PackedRows``).
     """
 
     __slots__ = ("rows", "den", "width")
@@ -426,9 +427,9 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 
 
 # A law's operations are families indexed by the "one" of the representation
-# they run in: 1 for Fractions, the common denominator for integers over it
-# (see LawCheck); the Boolean ones do not depend on it.  A scalar r acts as a
-# multiplier: a Fraction, or a _Ratio on lattice integers.
+# they run in: 1 for Fractions (LawCheck), the packed common denominator for
+# lattice integers (_PackedRows); the Boolean ones do not depend on it.  A
+# scalar r acts as a multiplier: a Fraction, or a _Ratio on lattice integers.
 
 
 def _join(one):
@@ -675,16 +676,15 @@ class LawCheck:
     before the argument needing it counts as checked.
 
     Arguments are enumerated on the probes' ``lattice`` (computed when not
-    given), so definedness is decided on integers.  The table terms are
-    evaluated in one of two representations, each with its own one: F on
-    Fraction tuples (one is 1), or, when the integer ``rows`` of a
-    closed-form transformer are given (``IntegerRows``, with
-    denominator E), the rows on lattice vectors over U with values over U*E
-    (one is U for arguments and U*E for values).  Violations are reported
-    in Fractions either way.  On integer rows, the groups of the shapes in
-    ``_PACKED`` are first decided at all their arguments at once on packed
-    lanes (``_PackedRows``).
+    given), so definedness is decided on integers; the table terms are
+    evaluated on Fraction tuples.  When the integer ``rows`` of a
+    closed-form transformer are given (``IntegerRows``), the groups of the
+    shapes in ``_PACKED`` are first decided at all their arguments at once
+    on packed lanes (``_PackedRows``); the constant laws, and a group the
+    pass refuses, run the per-argument loop on F.
     """
+
+    _one_in = _one_out = ONE  # the one of the law operations (see _PackedRows)
 
     def __init__(
         self,
@@ -701,25 +701,17 @@ class LawCheck:
         self.preds = list(probes) + [(ZERO,) * width, (ONE,) * width]
         self.scalars = tuple(scalars)
         self.checked = 0
-        self._ints = list(lattice.preds) + [(0,) * width, (U,) * width]
         self._max = [max(p, default=0) for p in lattice.preds]
         self._min = [min(p, default=0) for p in lattice.preds]
         self._lam = [r * U for r in lattice.scalars]
-        self._integer = rows is not None
-        self._rows, self._packed = rows, None
-        if self._integer:
-            self.F, self._one_in, self._one_out = lambda v: rows.ints(v, U), U, U * rows.den
-            self._args, self._scalar_args = self._ints, lattice.scalars
-        else:
-            self.F, self._one_in, self._one_out = F, ONE, ONE
-            self._args, self._scalar_args = self.preds, self.scalars
-        self._consts = ((0 * self._one_out,) * outputs, (self._one_out,) * outputs)
+        self.F, self._rows, self._packed = F, rows, None
+        self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
         self._values = [None] * len(self.preds)
 
     def value(self, i: int) -> tuple:
         v = self._values[i]
         if v is None:
-            v = self._values[i] = self.F(self._args[i])
+            v = self._values[i] = self.F(self.preds[i])
         return v
 
     def arguments(self, shape: str):
@@ -735,7 +727,7 @@ class LawCheck:
             return ((i, s) for i in range(k) for s in range(len(lam)) if hi[i] + lam[s] <= U)
         # whether probes i and j sum (dual: sum minus one) into [0, 1]; the
         # extreme values decide most pairs without a pointwise scan
-        ints = self._ints
+        ints = self._lattice.preds
         if shape == "dual_sum":
             return (
                 (i, j)
@@ -785,7 +777,7 @@ class LawCheck:
         group or leaves it to the loop below, which re-runs it from its
         first argument and builds the witness."""
         shape = laws[0].shape
-        if self._integer and shape in _PACKED:
+        if self._rows is not None and shape in _PACKED:
             if self._packed is None:
                 self._packed = _PackedRows(self._rows, self._lattice, len(self._consts[0]))
             count = self._packed.count_if_holds(laws)
@@ -795,26 +787,18 @@ class LawCheck:
         npreds = 1 if shape in _SCALED else 2
         for idx in self.arguments(shape):
             fargs = [self.value(i) for i in idx[:npreds]]
-            args = self._at(shape, idx, self._args, self._scalar_args)
+            if shape in _SCALED:
+                args = self.preds[idx[0]], self.scalars[idx[1]]
+            else:
+                args = tuple(self.preds[i] for i in idx)
             self.checked += weight
             memo = {}
             for law in laws:
                 lhs, rhs = self.sides(law, args, fargs, memo)
                 if lhs != rhs:
                     x = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                    args = self._at(shape, idx, self.preds, self.scalars)
-                    return law, args, self._fraction(lhs[x]), self._fraction(rhs[x]), x
+                    return law, args, lhs[x], rhs[x], x
         return None
-
-    @staticmethod
-    def _at(shape: str, idx: tuple, preds, scalars) -> tuple:
-        """The argument with indices idx, in the given representation."""
-        if shape in _SCALED:
-            return preds[idx[0]], scalars[idx[1]]
-        return tuple(preds[i] for i in idx)
-
-    def _fraction(self, v):
-        return Fraction(v, self._one_out) if self._integer else v
 
 
 class _LaneFailure(Exception):
@@ -1079,8 +1063,8 @@ def check_functional_laws(
 
 def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None):
     """The rational branch of ``check_functional_laws`` for F returning a
-    1-tuple, run on the integer ``rows`` of a closed form when given (see
-    ``LawCheck``); F evaluates in Fractions, as the witness does."""
+    1-tuple, F in Fractions; the integer ``rows`` of a closed form, when
+    given, feed the packed pass (see ``LawCheck``)."""
     check = LawCheck(F, 1, preds, scalars, n, lattice, rows)
     for laws, _ in cls.groups:
         shape = laws[-1].shape
@@ -1131,7 +1115,7 @@ def lifting_check(
     Boolean-enumerable monads sweep all t in T(n); the distribution monads
     draw seeded samples (the domain is infinite).  Under a rational class,
     alpha_n(t) of a closed-form modality is its one-state transformer at t,
-    checked on its integer rows over a lattice built once per n.
+    whose integer rows feed the packed pass on a lattice built once per n.
     """
     if isinstance(cls, str):
         cls = STRUCTURE_CLASSES[cls]

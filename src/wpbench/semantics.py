@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import FinSet, Predicate
+from .core import FinSet
 from .modalities import (
     BOOLEAN,
     INSTANCES,
@@ -89,9 +89,6 @@ class BooleanTransformer:
     def apply_mask(self, mask: int) -> int:
         return self.table[mask]
 
-    def apply(self, pred: Predicate) -> Predicate:
-        return Predicate.from_mask(self.target, self.table[pred.mask])
-
     def __repr__(self):
         return f"BooleanTransformer({self.source.name}->{self.target.name}, {list(self.table)})"
 
@@ -139,9 +136,6 @@ class RationalTransformer:
                 raise ValueError(f"transformer produced {q} outside [0, 1]")
         self._memo[key] = out
         return out
-
-    def apply(self, pred: Predicate) -> Predicate:
-        return Predicate(self.target, self.apply_values(pred.rational_values()))
 
     def __repr__(self):
         tag = self.label or "rule"

@@ -62,15 +62,20 @@ THEOREM_IDS = tuple(INSTANCES)
 
 @dataclass(frozen=True)
 class TheoremInstance:
+    """One theorem sweep at sizes (nx, ny).  The catalog row decides the
+    mode: Boolean theorems are decided exhaustively, rational ones on
+    ``count`` computations drawn with ``seed``."""
+
     theorem: str
     sizes: tuple
-    mode: str = "exhaustive"  # or "sampled"
     seed: int = 0
     count: int = 200
 
     def __post_init__(self):
         if self.theorem not in THEOREM_IDS:
             raise ValueError(f"unknown theorem {self.theorem!r}; ids: {', '.join(THEOREM_IDS)}")
+        if any(n < 0 for n in self.sizes):
+            raise ValueError(f"sizes must be nonnegative, got {tuple(self.sizes)}")
 
 
 @dataclass
@@ -370,17 +375,15 @@ def enum_verify(instance: TheoremInstance, max_enum: int = 1 << 28) -> SweepRepo
     t0 = time.perf_counter()
     nx, ny = instance.sizes
     mod = INSTANCES[instance.theorem]
-    if mod.carrier == BOOLEAN and instance.mode != "exhaustive":
-        raise ValueError(f"{instance.theorem} sweeps are exhaustive")
     if mod.carrier == BOOLEAN:
-        out = _sweep_boolean(mod, nx, ny, max_enum)
+        mode, out = "exhaustive", _sweep_boolean(mod, nx, ny, max_enum)
     else:
-        out = _sweep_sampled(instance.theorem, nx, ny, instance.seed, instance.count)
+        mode, out = "sampled", _sweep_sampled(instance.theorem, nx, ny, instance.seed, instance.count)
     elapsed = time.perf_counter() - t0
     return SweepReport(
         theorem=instance.theorem,
         sizes=instance.sizes,
-        mode=instance.mode,
+        mode=mode,
         counts=out["counts"],
         equal=out["equal"],
         witness=out["witness"],

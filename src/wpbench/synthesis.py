@@ -503,11 +503,9 @@ def synthesize(mod: Modality, phi, grid: ProbeGrid = None) -> SynthesisResult:
     return synth_polytope(phi, grid)
 
 
-def instance_for_arrow(arrow: KleisliArrow, variant: str = None) -> str:
-    """The first catalog instance of the arrow's monad, or the one whose
-    modality is named ``variant``."""
-    rows = [mod for mod in INSTANCES.values() if mod.monad == arrow.kind]
-    return next((mod for mod in rows if mod.name == variant), rows[0]).theorem
+def instance_for_arrow(arrow: KleisliArrow) -> str:
+    """The first catalog instance of the arrow's monad."""
+    return next(mod for mod in INSTANCES.values() if mod.monad == arrow.kind).theorem
 
 
 def _normalize_arrow(instance: str, arrow: KleisliArrow):

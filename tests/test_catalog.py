@@ -1,12 +1,14 @@
 """The law table and the instance catalog: replay coverage and docs sync."""
 
 import ast
+import importlib
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import wpbench
 from wpbench.cli import run
 from wpbench.core import FinSet
 from wpbench.healthiness import CONDITIONS, ProbeGrid, run_condition
@@ -148,3 +150,18 @@ def test_every_emitted_witness_law_replays():
     assert expressions == {"law", "witness.law"}
     assert {"transformer.rational", "sweep.realizability", "roundtrip.arrow", "synthesis.mass"} <= laws
     assert {law for law in laws if law not in _LAW_EVALUATORS} == UNREPLAYED
+
+
+def test_every_export_resolves():
+    # each module's __all__ names what it defines and star-imports; every
+    # name the package imports into wpbench resolves there
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"wpbench.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{path.stem}.__all__ names undefined {missing}"
+        exec(f"from wpbench.{path.stem} import *", {})
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    names = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert names and all(hasattr(wpbench, name) for name in names)

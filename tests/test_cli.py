@@ -220,6 +220,19 @@ def test_cmd_enum_verify(tmp_path, capsys):
     assert "raise max_enum (--max-enum) to force" in capsys.readouterr().err
 
 
+def test_negative_sizes_are_input_errors(capsys):
+    # a negative size used to run on an empty carrier and print a verdict
+    for argv in (
+        ["enum-verify", "--theorem", "may", "--sizes", "-1", "2"],
+        ["laws", "--monad", "powerset", "--sizes", "-1", "1"],
+    ):
+        assert run(argv) == EXIT_INPUT
+        assert "--sizes" in capsys.readouterr().err
+    assert run(["enum-verify", "--theorem", "may", "--sizes", "0", "2"]) == EXIT_HEALTHY
+    assert "transformers: 1\n" in capsys.readouterr().out
+    assert run(["laws", "--monad", "powerset", "--sizes", "0", "1"]) == EXIT_HEALTHY
+
+
 def test_cmd_enum_verify_deterministic_output(tmp_path):
     a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--out", str(a)])

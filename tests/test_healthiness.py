@@ -316,6 +316,16 @@ def test_explicit_grid_rejects_values_outside_the_unit_interval(Y2):
     ):
         with pytest.raises(ValueError, match=message):
             ProbeGrid(Y2, tuple(preds), scalars)
+    # a float is no exact rational: the constructor raised AttributeError on
+    # it, and explicit stored 0.1 as 3602879701896397/36028797018963968
+    for make in (
+        lambda: ProbeGrid(Y2, ((0.5, 0.5),), DEFAULT_SCALARS),
+        lambda: ProbeGrid(Y2, tuple(core), (F(0), 0.5)),
+        lambda: ProbeGrid.explicit(Y2, [(0.1, 0.5)]),
+        lambda: ProbeGrid.explicit(Y2, core, scalars=(0, 0.25)),
+    ):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_run_condition_names(Y2):

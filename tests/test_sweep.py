@@ -63,14 +63,31 @@ def test_dijkstra_2x2():
 
 def test_sampled_instances_small():
     for theorem in ("subdist_total", "subdist_partial", "dist_convex"):
-        report = enum_verify(TheoremInstance(theorem, (2, 2), "sampled", seed=5, count=20))
+        report = enum_verify(TheoremInstance(theorem, (2, 2), seed=5, count=20))
         assert report.equal, report.render()
         assert report.counts["healthy_images"] == 20
         assert report.counts["roundtrips_exact"] == 20
         assert report.counts["constructed_synthesized"] == 20
-    report = enum_verify(TheoremInstance("cv_sublinear", (2, 2), "sampled", seed=5, count=10))
+    report = enum_verify(TheoremInstance("cv_sublinear", (2, 2), seed=5, count=10))
     assert report.equal
     assert report.counts["roundtrips_exact"] == 10
+
+
+def test_rational_instances_report_the_sampled_mode():
+    # the catalog row decides the mode; no caller can set it
+    report = enum_verify(TheoremInstance("subdist_total", (1, 2), count=5))
+    assert report.mode == "sampled"
+    assert "mode: sampled\n" in report.render()
+    assert enum_verify(TheoremInstance("may", (1, 2))).mode == "exhaustive"
+
+
+def test_negative_sizes_are_refused():
+    for sizes in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            TheoremInstance("may", sizes)
+    # size 0 stays valid: one empty table on each side
+    report = enum_verify(TheoremInstance("may", (0, 2)))
+    assert report.equal and report.counts["transformers"] == 1
 
 
 def test_size_guard():
