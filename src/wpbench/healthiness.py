@@ -23,13 +23,12 @@ from .modalities import (
     DEFAULT_SCALARS,
     MASK_SIDES,
     STRUCTURE_CLASSES,
-    Lattice,
     LawCheck,
     StructureClass,
     arg_names,
     check_dense,
 )
-from .monads import support
+from .monads import Lattice, support
 from .semantics import BooleanTransformer, MissingProbeError, RationalTransformer
 from .verdicts import Verdict, Witness, register_law
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -30,7 +29,9 @@ from .core import FinSet, SizeGuardError, parse_rational
 from .monads import (
     BOT,
     ContinuationTarget,
+    IntegerRows,
     KleisliArrow,
+    Lattice,
     MonadKind,
     MonadMapSpec,
     _compose_value,
@@ -39,6 +40,7 @@ from .monads import (
     random_tvalue,
     support,
     unit_value,
+    vertex_rows,
 )
 from .verdicts import Verdict, Witness, register_law
 
@@ -231,59 +233,6 @@ def _catalog_theorem(mod: Modality):
     return mod.theorem if INSTANCES.get(mod.theorem) is mod else None
 
 
-class IntegerRows:
-    """A closed-form transformer compiled to integer coefficient rows.
-
-    Output x is the minimum, over the vertex rows of x, of
-    ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
-    divergence offset is one vertex row, a polytope has one per vertex.
-    Called on Fractions, as the rule of a ``RationalTransformer``, the rows
-    scale them to their common denominator and evaluate them on integers
-    (``ints``, with the checks of ``RationalTransformer.apply_values``);
-    the law checks evaluate them at many arguments at once on packed lanes
-    (``_PackedRows``).
-    """
-
-    __slots__ = ("rows", "den", "width")
-
-    def __init__(self, rows: Sequence, width: int):
-        # rows: per output, its vertex rows (offset, coefficients), in Fractions
-        den = self.den = math.lcm(
-            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
-        )
-        scaled = lambda q: q.numerator * (den // q.denominator)
-        self.width = width
-        self.rows = tuple(
-            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
-        )
-
-    def ints(self, values: Sequence[int], one: int) -> tuple:
-        """The outputs, over one * den, at a predicate given over one."""
-        if len(values) != self.width:
-            raise ValueError("predicate length does not match the source carrier")
-        top = one * self.den
-        out = []
-        for verts in self.rows:
-            best = None
-            for c0, cs in verts:
-                acc = c0 * one
-                for c, v in zip(cs, values):
-                    acc += c * v
-                if best is None or acc < best:
-                    best = acc
-            if not 0 <= best <= top:
-                raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
-            out.append(best)
-        return tuple(out)
-
-    def __call__(self, values: Sequence[Fraction]) -> tuple:
-        """The outputs at a predicate given in Fractions."""
-        one = math.lcm(*(v.denominator for v in values))
-        top = one * self.den
-        ints = [v.numerator * (one // v.denominator) for v in values]
-        return tuple(Fraction(v, top) for v in self.ints(ints, one))
-
-
 def _closed_form_eval(mod: Modality, tvalues: Sequence, targets: Sequence):
     """The integer rows of the map sending a predicate over ``targets`` to
     its values at each of ``tvalues`` (the rows of an arrow, or the one
@@ -293,13 +242,12 @@ def _closed_form_eval(mod: Modality, tvalues: Sequence, targets: Sequence):
     by what the modality is, a catalog row or a built-in tau_r rule, never
     by its name; agreement with the generic route is property-tested."""
     theorem = _catalog_theorem(mod)
-    if isinstance(mod.evaluate, TauR) or theorem == "dist_convex":
-        r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
-        rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
-    elif theorem == "cv_sublinear":
-        rows = [[(ZERO, [mu.weight(y) for y in targets]) for mu in t] for t in tvalues]
-    else:
+    if theorem == "cv_sublinear":
+        return vertex_rows(tvalues, targets)
+    if not (isinstance(mod.evaluate, TauR) or theorem == "dist_convex"):
         return None
+    r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
+    rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
     return IntegerRows(rows, len(targets))
 
 
@@ -606,64 +554,6 @@ STRUCTURE_CLASSES = {
         ),
     )
 }
-
-
-class _Ratio:
-    """A scalar r acting on lattice integers.  ``r * a`` is exact when r's
-    denominator divides a; it divides every integer the checks scale (a
-    lattice vector, a value of integer rows at one, one itself), since the
-    lattice's one is a multiple of every scalar denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, r: Fraction):
-        self.num, self.den = r.numerator, r.denominator
-
-    def __mul__(self, a: int) -> int:
-        return a // self.den * self.num
-
-    __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """Probe predicates and scalars over one integer denominator ``one``:
-    the lcm of the predicate denominators times the lcm of the scalar
-    denominators, so every predicate, and its product with any scalar, is
-    an integer vector over it."""
-
-    one: int
-    preds: tuple  # integer numerator vectors over one
-    scalars: tuple  # _Ratio multipliers
-
-    @classmethod
-    def of(cls, preds, scalars) -> "Lattice":
-        one = math.lcm(*(v.denominator for p in preds for v in p))
-        one *= math.lcm(*(r.denominator for r in scalars))
-        ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
-        return cls(one, ints, tuple(_Ratio(r) for r in scalars))
-
-    @functools.cached_property
-    def _lanes(self) -> dict:
-        return {}
-
-    def lanes(self, w: int) -> tuple:
-        """(ones, coords): the predicates packed into w-bit lanes, lane j
-        holding predicate j.  ``ones`` has a 1 in every lane, and
-        ``coords[y]`` holds coordinate y of every predicate.  Cached per
-        lane width; the size is linear in the grid."""
-        packed = self._lanes.get(w)
-        if packed is None:
-            k, width = len(self.preds), len(self.preds[0]) if self.preds else 0
-            ones = ((1 << w * k) - 1) // ((1 << w) - 1)
-            coords = []
-            for y in range(width):
-                acc = 0
-                for p in reversed(self.preds):
-                    acc = acc << w | p[y]
-                coords.append(acc)
-            packed = self._lanes[w] = (ones, tuple(coords))
-        return packed
 
 
 class LawCheck:

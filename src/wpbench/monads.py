@@ -16,11 +16,18 @@ The two composite monads are represented by their carriers on Set:
 * ``CV_DIST``        — nonempty vertex lists of distributions (demonic
   choice over probabilistic choice).  Vertex lists are V-representations
   without hull minimization; equality is semantic, never geometric.
+
+The closed forms of the rational modalities evaluate on integers here
+(``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
+transformers, the law checks, the synthesis round trip and the vertex-list
+equality ``cv_values_equal``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -494,19 +501,160 @@ def random_arrow(
 
 
 # ---------------------------------------------------------------------------
+# Integer rows on a lattice: the one integer evaluator of the closed forms
+
+
+class IntegerRows:
+    """A closed-form transformer compiled to integer coefficient rows.
+
+    Output x is the minimum, over the vertex rows of x, of
+    ``(c0 + sum_y c_y * p(y)) / den``: an expectation plus an r-weighted
+    divergence offset is one vertex row, a polytope has one per vertex.
+    Called on Fractions, as the rule of a ``RationalTransformer``, the rows
+    scale them to their common denominator and evaluate them on integers
+    (``ints``, with the checks of ``RationalTransformer.apply_values``);
+    the law checks evaluate them at many arguments at once on packed lanes
+    (``modalities._PackedRows``).  ``same_values`` compares two closed
+    forms at the points of a lattice: the synthesis residuals and both
+    polytope equalities (``synthesis.cv_semantically_equal`` and
+    ``cv_values_equal``) decide on it.  The rows live here, below the
+    catalog, so that ``cv_values_equal`` can use them; ``modalities``
+    compiles the closed forms of its modalities to them.
+    """
+
+    __slots__ = ("rows", "den", "width")
+
+    def __init__(self, rows: Sequence, width: int):
+        # rows: per output, its vertex rows (offset, coefficients), in Fractions
+        den = self.den = math.lcm(
+            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
+        )
+        scaled = lambda q: q.numerator * (den // q.denominator)
+        self.width = width
+        self.rows = tuple(
+            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
+        )
+
+    def ints(self, values: Sequence[int], one: int) -> tuple:
+        """The outputs, over one * den, at a predicate given over one."""
+        if len(values) != self.width:
+            raise ValueError("predicate length does not match the source carrier")
+        top = one * self.den
+        out = []
+        for verts in self.rows:
+            best = None
+            for c0, cs in verts:
+                acc = c0 * one
+                for c, v in zip(cs, values):
+                    acc += c * v
+                if best is None or acc < best:
+                    best = acc
+            if not 0 <= best <= top:
+                raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
+            out.append(best)
+        return tuple(out)
+
+    def __call__(self, values: Sequence[Fraction]) -> tuple:
+        """The outputs at a predicate given in Fractions."""
+        one = math.lcm(*(v.denominator for v in values))
+        top = one * self.den
+        ints = [v.numerator * (one // v.denominator) for v in values]
+        return tuple(Fraction(v, top) for v in self.ints(ints, one))
+
+    def same_values(self, other: "IntegerRows", points: Sequence, one: int) -> bool:
+        """Whether both give the same outputs at every point (an integer
+        vector over one): the values, over one * den each, are compared
+        cross-scaled by the other's den.  False as well when the output
+        counts differ, an output has no vertex row, or ``ints`` raises (a
+        value outside [0, 1], a point of the wrong width), so that the
+        caller's Fraction route decides: it builds the witness, or raises,
+        as it would without this test."""
+        if len(self.rows) != len(other.rows) or not all(self.rows) or not all(other.rows):
+            return False
+        da, db = self.den, other.den
+        try:
+            for p in points:
+                if any(u * db != v * da for u, v in zip(self.ints(p, one), other.ints(p, one))):
+                    return False
+        except ValueError:
+            return False
+        return True
+
+
+def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:
+    """The integer rows of min-evaluation over vertex lists: per T-value,
+    one vertex row (no offset) per distribution, over ``targets``."""
+    rows = [[(ZERO, [mu.weight(y) for y in targets]) for mu in t] for t in tvalues]
+    return IntegerRows(rows, len(targets))
+
+
+class _Ratio:
+    """A scalar r acting on lattice integers.  ``r * a`` is exact when r's
+    denominator divides a; it divides every integer the checks scale (a
+    lattice vector, a value of integer rows at one, one itself), since the
+    lattice's one is a multiple of every scalar denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, r: Fraction):
+        self.num, self.den = r.numerator, r.denominator
+
+    def __mul__(self, a: int) -> int:
+        return a // self.den * self.num
+
+    __rmul__ = __mul__
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """Probe predicates and scalars over one integer denominator ``one``:
+    the lcm of the predicate denominators times the lcm of the scalar
+    denominators, so every predicate, and its product with any scalar, is
+    an integer vector over it."""
+
+    one: int
+    preds: tuple  # integer numerator vectors over one
+    scalars: tuple  # _Ratio multipliers
+
+    @classmethod
+    def of(cls, preds, scalars) -> "Lattice":
+        one = math.lcm(*(v.denominator for p in preds for v in p))
+        one *= math.lcm(*(r.denominator for r in scalars))
+        ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
+        return cls(one, ints, tuple(_Ratio(r) for r in scalars))
+
+    @functools.cached_property
+    def _lanes(self) -> dict:
+        return {}
+
+    def lanes(self, w: int) -> tuple:
+        """(ones, coords): the predicates packed into w-bit lanes, lane j
+        holding predicate j.  ``ones`` has a 1 in every lane, and
+        ``coords[y]`` holds coordinate y of every predicate.  Cached per
+        lane width; the size is linear in the grid."""
+        packed = self._lanes.get(w)
+        if packed is None:
+            k, width = len(self.preds), len(self.preds[0]) if self.preds else 0
+            ones = ((1 << w * k) - 1) // ((1 << w) - 1)
+            coords = []
+            for y in range(width):
+                acc = 0
+                for p in reversed(self.preds):
+                    acc = acc << w | p[y]
+                coords.append(acc)
+            packed = self._lanes[w] = (ones, tuple(coords))
+        return packed
+
+
+# ---------------------------------------------------------------------------
 # Monad laws (Kleisli form: units are two-sided identities, composition
 # associative)
 
-_CV_PROBE_CACHE: dict = {}
-
-
-def cv_probe_tuples(target: FinSet) -> tuple:
-    """Deterministic probe valuations for semantic polytope comparison."""
-    key = target.elements
-    cached = _CV_PROBE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = len(key)
+@functools.cache
+def _cv_probes(elements: tuple) -> tuple:
+    """The probes of ``cv_probe_tuples`` over the carrier's elements, and
+    their lattice."""
+    n = len(elements)
     probes = [(ZERO,) * n, (ONE,) * n]
     for i in range(n):
         probes.append(tuple(ONE if j == i else ZERO for j in range(n)))
@@ -522,17 +670,33 @@ def cv_probe_tuples(target: FinSet) -> tuple:
         den = rng.choice((2, 3, 4, 8))
         probes.append(tuple(Fraction(rng.randint(0, den), den) for _ in range(n)))
     out = tuple(dict.fromkeys(probes))
-    _CV_PROBE_CACHE[key] = out
-    return out
+    return out, Lattice.of(out, ())
+
+
+def cv_probe_tuples(target: FinSet) -> tuple:
+    """Deterministic probe valuations for semantic polytope comparison."""
+    return _cv_probes(target.elements)[0]
 
 
 def cv_values_equal(a, b, target: FinSet) -> bool:
     """Vertex lists are V-representations without hull minimization, so
-    polytope equality is decided by mutual min-evaluation on probes."""
+    polytope equality is tested by mutual min-evaluation on the
+    ``cv_probe_tuples``: a probe-based test, not a decision of hull
+    equality.  Equal vertex sets pass at once; otherwise the probes are
+    compared on integers (``IntegerRows.same_values`` on their lattice),
+    and the Fraction loop runs only when that comparison fails or a vertex
+    is not a distribution over ``target``.  It gives the answer, or
+    raises, as it would alone."""
     if frozenset(a) == frozenset(b):
         return True
+    probes, lattice = _cv_probes(target.elements)
+    known = frozenset(target.elements)
+    if all(isinstance(mu, DistV) and mu.support <= known for t in (a, b) for mu in t):
+        ra, rb = (vertex_rows((t,), target.elements) for t in (a, b))
+        if ra.same_values(rb, lattice.preds, lattice.one):
+            return True
     idx = {y: i for i, y in enumerate(target.elements)}
-    for p in cv_probe_tuples(target):
+    for p in probes:
         fa = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in a)
         fb = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in b)
         if fa != fb:

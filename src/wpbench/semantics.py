@@ -11,7 +11,7 @@ Catalog modalities have closed forms, chosen by what the modality is (a
 catalog row, or a built-in tau_r rule), never by its name.  The four
 Boolean rows compile each T-value to a basis of masks, and a state is in
 phi(m) iff some basis mask lies inside m (``mask_table``); the rational
-ones compile to integer coefficient rows (``modalities.IntegerRows``, the
+ones compile to integer coefficient rows (``monads.IntegerRows``, the
 same compiler ``lifting_check`` runs on each component functional).  Every
 other modality goes through its generic evaluation rule.
 """
@@ -28,13 +28,12 @@ from .modalities import (
     BOOLEAN,
     INSTANCES,
     RATIONAL,
-    IntegerRows,
     Modality,
     _catalog_theorem,
     _closed_form_eval,
     builtin_modality,
 )
-from .monads import BOT, KleisliArrow, MonadKind, kleisli_compose, unit
+from .monads import BOT, IntegerRows, KleisliArrow, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [

@@ -39,7 +39,6 @@ from .modalities import (
     INSTANCES,
     MASK_SIDES,
     STRUCTURE_CLASSES,
-    IntegerRows,
     Modality,
     StructureClass,
     check_dense,
@@ -47,7 +46,7 @@ from .modalities import (
     mask_term,
     term_entry,
 )
-from .monads import MonadKind, enumerate_arrows, random_arrow
+from .monads import IntegerRows, MonadKind, enumerate_arrows, random_arrow
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
 from .verdicts import Witness, register_law
@@ -74,8 +73,11 @@ class TheoremInstance:
     def __post_init__(self):
         if self.theorem not in THEOREM_IDS:
             raise ValueError(f"unknown theorem {self.theorem!r}; ids: {', '.join(THEOREM_IDS)}")
-        if any(n < 0 for n in self.sizes):
-            raise ValueError(f"sizes must be nonnegative, got {tuple(self.sizes)}")
+        sizes = self.sizes
+        shaped = isinstance(sizes, (tuple, list)) and len(sizes) == 2
+        # type(n) is int: a bool, or a float such as 2.0, is no size
+        if not (shaped and all(type(n) is int and n >= 0 for n in sizes)):
+            raise ValueError(f"sizes must be two nonnegative integers, got {sizes!r}")
 
 
 @dataclass
@@ -87,7 +89,6 @@ class SweepReport:
     equal: bool
     witness: Witness | None = None
     elapsed: float = 0.0
-    notes: tuple = ()
 
     def render(self, include_timing: bool = False) -> str:
         lines = [
@@ -100,8 +101,6 @@ class SweepReport:
         lines.append(f"equivalence: {'holds' if self.equal else 'FAILS'}")
         if self.witness is not None:
             lines.append(f"witness: {self.witness.describe()}")
-        for n in self.notes:
-            lines.append(f"note: {n}")
         if include_timing:
             lines.append(f"wall_time_s: {self.elapsed:.3f}")
         return "\n".join(lines) + "\n"

@@ -27,8 +27,8 @@ from .healthiness import (
     check_regular_sublinear,
     check_strict_nonempty_meets,
 )
-from .modalities import INSTANCES, Modality, builtin_modality
-from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
+from .modalities import INSTANCES, Modality, _closed_form_eval, builtin_modality
+from .monads import BOT, DistV, IntegerRows, KleisliArrow, MonadKind, dedup_vertices
 from .semantics import (
     BooleanTransformer,
     RationalTransformer,
@@ -188,11 +188,21 @@ def synth_dijkstra(phi: BooleanTransformer) -> SynthesisResult:
 # Probabilistic inverses (Dirac probing is exact on rationals)
 
 
-def _dirac_tuple(n: int, j: int) -> tuple:
-    return tuple(ONE if k == j else ZERO for k in range(n))
+def _dirac_tuple(n: int, j: int, one=ONE, zero=ZERO) -> tuple:
+    return tuple(one if k == j else zero for k in range(n))
 
 
 def _grid_residual(phi: RationalTransformer, rebuilt: RationalTransformer, grid: ProbeGrid) -> Verdict:
+    """The rebuilt transformer against phi at every grid predicate; each
+    predicate adds one check per state, and the first differing value is
+    the witness.  Two closed forms are first compared on the grid's
+    lattice (``IntegerRows.same_values``); the Fraction loop runs only
+    when that comparison fails, and finds the witness, or raises, as it
+    would alone."""
+    if phi.rows is not None and rebuilt.rows is not None:
+        lattice = grid.lattice
+        if phi.rows.same_values(rebuilt.rows, lattice.preds, lattice.one):
+            return Verdict.healthy(len(lattice.preds) * len(phi.rows.rows))
     checked = 0
     for p in grid.predicates:
         a = phi.apply_values(p)
@@ -409,6 +419,7 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     _guard(check_regular_sublinear(phi, grid), "regular_sublinear")
     X, Y = phi.target, phi.source
     n = len(Y)
+    lattice = grid.lattice
     regions = []
     vertex_rows = []
     checked = 0
@@ -430,10 +441,14 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
             "vertices": tuple(vertices),
         }
         regions.append(region)
-        for p, bound in halfspaces:
-            certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
+        # the minimum over the vertices at each probe, on the lattice
+        mins = IntegerRows([[(ZERO, v) for v in vertices]], n)
+        top = lattice.one * mins.den
+        for q, (p, bound) in zip(lattice.preds, halfspaces):
+            (ci,) = mins.ints(q, lattice.one)
             checked += 1
-            if certified != bound:
+            if ci * bound.denominator != bound.numerator * top:
+                certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
                 return SynthesisResult(
                     None,
                     Verdict.inconclusive(
@@ -455,12 +470,22 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
 
 def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = None) -> bool:
     """Vertex lists are not canonical; compare polytope-valued arrows by
-    mutual evaluation (min over vertices) on the grid plus all Diracs."""
+    mutual evaluation (min over vertices) on the grid plus all Diracs: a
+    probe-based test, not a decision of hull equality.  Both arrows are
+    first compared on integers, as the rows of their demonic_prob
+    transformers on the grid's lattice plus the Dirac points
+    (``IntegerRows.same_values``); the Fraction loop runs only when that
+    comparison fails, and answers, or raises, as it would alone."""
     if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
         return False
     grid = grid if grid is not None else ProbeGrid.default(a.target)
     mod = builtin_modality("demonic_prob")
     n = len(a.target)
+    lattice = grid.lattice
+    diracs = tuple(_dirac_tuple(n, j, lattice.one, 0) for j in range(n))
+    rows_a, rows_b = (_closed_form_eval(mod, f.rows, a.target.elements) for f in (a, b))
+    if rows_a.same_values(rows_b, lattice.preds + diracs, lattice.one):
+        return True
     probes = list(grid.predicates) + [_dirac_tuple(n, j) for j in range(n)]
     idx = {y: k for k, y in enumerate(a.target.elements)}
     for p in probes:

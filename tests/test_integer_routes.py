@@ -1,0 +1,358 @@
+"""The integer comparisons of the round trip against Fraction references.
+
+``synthesis._grid_residual``, the certification loop of ``synth_polytope``,
+``synthesis.cv_semantically_equal`` and ``monads.cv_values_equal`` compare
+closed forms on integer rows (``IntegerRows.same_values`` and
+``IntegerRows.ints``), and run their Fraction loops only when that fails.
+The references below are those Fraction loops alone, kept here and not in
+the package: verdicts, ``checked`` counts, witnesses, answers and
+exception types must be the same on both routes.
+"""
+
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+
+from wpbench import synthesis
+from wpbench.core import FinSet
+from wpbench.healthiness import ProbeGrid
+from wpbench.modalities import builtin_modality
+from wpbench.monads import (
+    DistV,
+    IntegerRows,
+    KleisliArrow,
+    MonadKind,
+    cv_probe_tuples,
+    cv_values_equal,
+    dedup_vertices,
+    random_arrow,
+)
+from wpbench.semantics import RationalTransformer, pt_modality
+from wpbench.synthesis import (
+    SynthesisResult,
+    cv_semantically_equal,
+    synth_dist,
+    synth_polytope,
+    synth_subdist,
+)
+from wpbench.verdicts import Verdict, Witness, witness_is_sound
+
+ZERO, ONE = F(0), F(1)
+X = FinSet("X", ("x0", "x1"))
+SIZES = (1, 2, 3)
+
+
+def _carrier(n):
+    return FinSet("Y", tuple(f"y{j}" for j in range(n)))
+
+
+def fraction_grid_residual(phi, rebuilt, grid):
+    checked = 0
+    for p in grid.predicates:
+        a = phi.apply_values(p)
+        b = rebuilt.apply_values(p)
+        checked += len(a)
+        if a != b:
+            i = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
+            witness = Witness("synthesis.reevaluate", {"pred": p, "x": phi.target.elements[i]}, b[i], a[i])
+            return Verdict.unhealthy(witness, checked)
+    return Verdict.healthy(checked)
+
+
+def fraction_synth_polytope(phi, grid):
+    """synth_polytope past its precondition, certifying in Fractions."""
+    Y = phi.source
+    regions, vertex_rows, checked = [], [], 0
+    for i, x in enumerate(phi.target.elements):
+        halfspaces = tuple((p, phi.apply_values(p)[i]) for p in grid.predicates)
+        vertices = synthesis._clip_region(len(Y), halfspaces)
+        if not vertices:
+            note = f"region for state {x!r} is empty; grid constraints are jointly infeasible"
+            return SynthesisResult(None, Verdict.inconclusive(note), regions=tuple(regions))
+        region = {"state": x, "halfspaces": halfspaces, "feasible": vertices[0], "vertices": tuple(vertices)}
+        regions.append(region)
+        for p, bound in halfspaces:
+            certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
+            checked += 1
+            if certified != bound:
+                note = "minimum over the region is not certified at a region vertex"
+                witness = Witness("polytope.certify", {"x": x, "p": p, "halfspaces": halfspaces}, certified, bound)
+                return SynthesisResult(None, Verdict.inconclusive(note, checked, witness), regions=tuple(regions))
+        vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
+    arrow = KleisliArrow(MonadKind.CV_DIST, phi.target, Y, vertex_rows)
+    return SynthesisResult(arrow, Verdict.healthy(checked), regions=tuple(regions))
+
+
+def fraction_cv_semantically_equal(a, b, grid):
+    if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
+        return False
+    mod = builtin_modality("demonic_prob")
+    n = len(a.target)
+    diracs = [tuple(ONE if k == j else ZERO for k in range(n)) for j in range(n)]
+    idx = {y: k for k, y in enumerate(a.target.elements)}
+    for p in list(grid.predicates) + diracs:
+        val = lambda y: p[idx[y]]
+        for ra, rb in zip(a.rows, b.rows):
+            if mod.evaluate(ra, val) != mod.evaluate(rb, val):
+                return False
+    return True
+
+
+def fraction_cv_values_equal(a, b, target):
+    if frozenset(a) == frozenset(b):
+        return True
+    idx = {y: i for i, y in enumerate(target.elements)}
+    for p in cv_probe_tuples(target):
+        fa = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in a)
+        fb = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in b)
+        if fa != fb:
+            return False
+    return True
+
+
+def outcome(call, *args):
+    """What the call returns, or the type of what it raises."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def integer_calls(monkeypatch):
+    """The calls of IntegerRows.same_values, the integer comparison."""
+    calls = []
+    real = IntegerRows.same_values
+    monkeypatch.setattr(IntegerRows, "same_values", lambda self, *a: calls.append(1) or real(self, *a))
+    return calls
+
+
+# seeded arrows of the three rational monads, each under its modalities
+MODALITIES = {
+    MonadKind.SUBDIST: ("total", "partial"),
+    MonadKind.DIST: ("convex",),
+    MonadKind.CV_DIST: ("demonic_prob",),
+}
+
+
+def _transformers(Y, seed, per_kind=3):
+    rng = Random(seed)
+    out = []
+    for kind, names in MODALITIES.items():
+        for _ in range(per_kind):
+            f = random_arrow(kind, rng, X, Y, max_den=8)
+            out += [pt_modality(builtin_modality(name), f) for name in names]
+    return out
+
+
+SYNTHS = {
+    "total": (lambda phi, grid: synth_subdist(phi, "total", grid), "total"),
+    "partial": (lambda phi, grid: synth_subdist(phi, "partial", grid), "partial"),
+    "dist": (synth_dist, "convex"),
+}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, integer_calls, n):
+    # with the precondition switched off, every transformer reaches every
+    # synthesis, so the residuals and certifications also meet failures
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    Y = _carrier(n)
+    grid = ProbeGrid.default(Y, seed=n)
+    laws = set()
+    for phi in _transformers(Y, seed=40 + n):
+        for name, (synth, modality) in SYNTHS.items():
+            integer = outcome(synth, phi, grid)
+            with monkeypatch.context() as m:
+                m.setattr(synthesis, "_grid_residual", fraction_grid_residual)
+                assert outcome(synth, phi, grid) == integer, name
+            residual = integer.residual
+            laws.add(residual.witness.law if residual.witness else residual.status)
+            if residual.witness and residual.witness.law == "synthesis.reevaluate":
+                rebuilt = pt_modality(builtin_modality(modality), integer.arrow)
+                assert witness_is_sound((phi, rebuilt), residual.witness)
+        integer = outcome(synth_polytope, phi, grid)
+        assert integer == fraction_synth_polytope(phi, grid)
+        residual = integer.residual
+        laws.add(residual.witness.law if residual.witness else residual.status)
+        if residual.witness:
+            assert residual.witness.law == "polytope.certify"
+            assert witness_is_sound(phi, residual.witness)
+    assert integer_calls
+    assert {"healthy", "polytope.certify"} <= laws, laws
+
+
+def test_residual_witness_at_a_pair_sum(monkeypatch, integer_calls, X1, Y3):
+    # min((p0 + p1 + p2)/3, 1/2 + p2/2) has the rows of the uniform
+    # distribution at the Diracs, 0 and 1, so synth_dist rebuilds the
+    # uniform expectation; the two first differ at the core sum (1, 1, 0)
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    third, half = F(1, 3), F(1, 2)
+    rows = IntegerRows([[(ZERO, (third, third, third)), (half, (ZERO, ZERO, half))]], 3)
+    phi = RationalTransformer(Y3, X1, rows)
+    grid = ProbeGrid.default(Y3, seed=4)
+    result = synth_dist(phi, grid)
+    with monkeypatch.context() as m:
+        m.setattr(synthesis, "_grid_residual", fraction_grid_residual)
+        assert synth_dist(phi, grid) == result
+    witness = result.residual.witness
+    assert witness.law == "synthesis.reevaluate" and witness.args["pred"] == (ONE, ONE, ZERO)
+    assert (witness.lhs, witness.rhs) == (F(2, 3), half)
+    rebuilt = pt_modality(builtin_modality("convex"), result.arrow)
+    assert witness_is_sound((phi, rebuilt), witness)
+    assert integer_calls
+
+
+def _variants(f, rng):
+    """Arrows to compare with f: a convex combination of two vertices added
+    (the same hull), the vertices reversed, a random vertex added, the
+    synthesis of f's transformer, and an unrelated arrow."""
+    Y = f.target
+    inner = [
+        row + (DistV.mix(((F(1, 3), row[0]), (F(2, 3), row[-1]))),) for row in f.rows
+    ]
+    outer = [row + (random_arrow(MonadKind.DIST, rng, X, Y).rows[0],) for row in f.rows]
+    yield KleisliArrow(MonadKind.CV_DIST, X, Y, inner)
+    yield KleisliArrow(MonadKind.CV_DIST, X, Y, [row[::-1] for row in f.rows])
+    yield KleisliArrow(MonadKind.CV_DIST, X, Y, outer)
+    synthesized = synth_polytope(pt_modality(builtin_modality("demonic_prob"), f))
+    if synthesized.ok:
+        yield synthesized.arrow
+    yield random_arrow(MonadKind.CV_DIST, rng, X, Y)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_polytope_equalities_agree_with_the_fraction_routes(integer_calls, n):
+    Y = _carrier(n)
+    grid = ProbeGrid.default(Y, seed=n)
+    rng = Random(70 + n)
+    answers = set()
+    for _ in range(6):
+        f = random_arrow(MonadKind.CV_DIST, rng, X, Y, max_den=8)
+        for g in _variants(f, rng):
+            same = cv_semantically_equal(f, g, grid)
+            assert same == fraction_cv_semantically_equal(f, g, grid)
+            answers.add(same)
+            for a, b in zip(f.rows, g.rows):
+                same = cv_values_equal(a, b, Y)
+                assert same == fraction_cv_values_equal(a, b, Y)
+                answers.add(same)
+    assert integer_calls
+    # at |Y| = 1 every vertex is the one Dirac
+    assert answers == ({True, False} if n > 1 else {True})
+
+
+def test_the_diracs_join_the_grid_of_the_arrow_equality(integer_calls, X1, Y2):
+    # the constants cannot tell a Dirac at y0 from one at y1; the Diracs can
+    constants = ProbeGrid.explicit(Y2, [(0, 0), (1, 1)])
+    a = KleisliArrow(MonadKind.CV_DIST, X1, Y2, [(DistV.dirac("y0"),)])
+    b = KleisliArrow(MonadKind.CV_DIST, X1, Y2, [(DistV.dirac("y1"),)])
+    assert cv_semantically_equal(a, b, constants) is False
+    assert fraction_cv_semantically_equal(a, b, constants) is False
+    assert cv_semantically_equal(a, a, constants) is True and integer_calls
+
+
+def test_reevaluate_witness_at_one_probe(integer_calls, X1, Y2):
+    # min(p0, p1) against min(p0, p1, 1 - (p0 + p1)/2): equal on every
+    # probe but the last, (1, 1), where they are 1 and 0
+    phi = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE))]], 2))
+    dip = (ONE, (F(-1, 2), F(-1, 2)))
+    rebuilt = RationalTransformer(
+        Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE)), dip]], 2)
+    )
+    grid = ProbeGrid.explicit(Y2, [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (1, 1)])
+    verdict = synthesis._grid_residual(phi, rebuilt, grid)
+    assert integer_calls
+    assert verdict == fraction_grid_residual(phi, rebuilt, grid)
+    assert verdict.is_unhealthy and verdict.checked == 5
+    witness = verdict.witness
+    assert witness.args == {"pred": (ONE, ONE), "x": "x0"} and (witness.lhs, witness.rhs) == (0, 1)
+    assert witness_is_sound((phi, rebuilt), witness)
+    assert not witness_is_sound((phi, phi), witness)
+    assert synthesis._grid_residual(phi, phi, grid) == Verdict.healthy(5)
+
+
+def test_values_over_different_denominators_are_told_apart(X1, Y2):
+    # the constants 1/2 and 1/3 are both 1 over their rows' own
+    # denominators: only the cross-scaled values differ
+    half = RationalTransformer(Y2, X1, IntegerRows([[(F(1, 2), (ZERO, ZERO))]], 2))
+    third = RationalTransformer(Y2, X1, IntegerRows([[(F(1, 3), (ZERO, ZERO))]], 2))
+    grid = ProbeGrid.default(Y2, seed=2)
+    verdict = synthesis._grid_residual(half, third, grid)
+    assert verdict == fraction_grid_residual(half, third, grid)
+    assert verdict.is_unhealthy and verdict.checked == 1
+
+
+def test_polytope_certify_witness_replays(monkeypatch, Y2):
+    # phi(p) = p0/2 fails certification: the minimum over its region
+    # {mu : mu0 >= 1/2} at the constant one is 1, not phi's 1/2
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    phi = RationalTransformer(Y2, FinSet("X", ("x",)), IntegerRows([[(ZERO, (F(1, 2), ZERO))]], 2))
+    grid = ProbeGrid.default(Y2, seed=3)
+    result = synth_polytope(phi, grid)
+    assert result == fraction_synth_polytope(phi, grid)
+    witness = result.residual.witness
+    assert result.residual.status == "inconclusive" and witness.law == "polytope.certify"
+    assert witness_is_sound(phi, witness)
+    # a constant one cuts out an empty region: inconclusive, no witness
+    ones = RationalTransformer(Y2, FinSet("X", ("x",)), IntegerRows([[(ONE, (ZERO, ZERO))]], 2))
+    result = synth_polytope(ones, grid)
+    assert result == fraction_synth_polytope(ones, grid)
+    assert "is empty" in result.residual.note
+
+
+def test_cv_values_equal_keeps_the_probe_answer_on_the_counterexample(integer_calls, Y3):
+    # B adds a vertex outside the hull of A; the minima differ at
+    # (0, 391/660, 59/165), which is no probe, so the probe test says equal
+    A = (
+        DistV(zip(Y3.elements, (F(2, 3), F(1, 3), ZERO))),
+        DistV(zip(Y3.elements, (F(3, 5), F(1, 5), F(1, 5)))),
+        DistV(zip(Y3.elements, (ZERO, F(9, 11), F(2, 11)))),
+    )
+    B = A + (DistV(zip(Y3.elements, (F(323, 500), F(703, 2750), F(541, 5500)))),)
+    assert cv_values_equal(A, B, Y3) is True
+    assert fraction_cv_values_equal(A, B, Y3) is True
+    assert integer_calls
+    p = (ZERO, F(391, 660), F(59, 165))
+    minimum = lambda vs: min(sum(q * v for q, v in zip(p, (mu.weight(y) for y in Y3.elements))) for mu in vs)
+    assert (minimum(A), minimum(B)) == (F(19, 100), F(338711, 1815000))
+
+
+def test_out_of_range_values_and_empty_vertex_lists_fail_as_before(X1, Y2):
+    y0, grid = DistV.dirac("y0"), ProbeGrid.default(Y2, seed=1)
+    # vertex lists: empty ones, weights past one, elements outside Y
+    heavy = DistV({"y0": 2})
+    stray = DistV.dirac("z")
+    pairs = [
+        ((), (y0,)),
+        ((y0,), ()),
+        ((), ()),
+        ((heavy,), (y0,)),
+        ((heavy,), (heavy, DistV({"y0": 3}))),
+        ((stray,), (DistV({"z": F(1, 2), "w": F(1, 2)}),)),
+        ((stray,), (y0,)),
+    ]
+    for a, b in pairs:
+        assert outcome(cv_values_equal, a, b, Y2) == outcome(fraction_cv_values_equal, a, b, Y2), (a, b)
+    assert outcome(cv_values_equal, (heavy,), (heavy, DistV({"y0": 3})), Y2) is True
+    assert outcome(cv_values_equal, (), (y0,), Y2) is ValueError
+    # an arrow row with no vertex (built past validation)
+    empty = KleisliArrow._of_valid_rows(MonadKind.CV_DIST, X1, Y2, ((),))
+    full = KleisliArrow(MonadKind.CV_DIST, X1, Y2, [(y0,)])
+    for a, b in ((empty, full), (full, empty)):
+        integer = outcome(cv_semantically_equal, a, b, grid)
+        assert integer == outcome(fraction_cv_semantically_equal, a, b, grid) == ValueError
+    # residuals whose rows leave [0, 1] at a probe, or have no vertex row
+    rows = {
+        "in range": [[(ZERO, (ONE, ZERO))]],
+        "over one": [[(ZERO, (F(2), ZERO))]],
+        "below zero": [[(ZERO, (F(-1), ONE))]],
+        "no vertex": [[]],
+    }
+    phis = {k: RationalTransformer(Y2, X1, IntegerRows(v, 2)) for k, v in rows.items()}
+    for a in phis.values():
+        for b in phis.values():
+            integer = outcome(synthesis._grid_residual, a, b, grid)
+            assert integer == outcome(fraction_grid_residual, a, b, grid)
+    assert outcome(synthesis._grid_residual, phis["over one"], phis["in range"], grid) is ValueError

@@ -90,6 +90,22 @@ def test_negative_sizes_are_refused():
     assert report.equal and report.counts["transformers"] == 1
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [(1, 2, 3), (2,), (), (1.5, 2), (2, 2.0), (True, 2), (2, False), "12", 2, None],
+)
+def test_sizes_of_the_wrong_shape_are_refused(sizes):
+    # three sizes used to fail inside enum_verify ("too many values to
+    # unpack"), and a float size on a range() over it
+    with pytest.raises(ValueError, match="two nonnegative integers"):
+        TheoremInstance("may", sizes)
+
+
+def test_size_lists_stay_valid():
+    report = enum_verify(TheoremInstance("may", [1, 2]))
+    assert report.equal and report.render().startswith("theorem: may\nsizes: 1 2\n")
+
+
 def test_size_guard():
     with pytest.raises(SizeGuardError):
         enum_verify(TheoremInstance("may", (4, 4)))
