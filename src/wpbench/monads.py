@@ -549,6 +549,8 @@ class IntegerRows:
                     acc += c * v
                 if best is None or acc < best:
                     best = acc
+            if best is None:
+                raise ValueError("an output has no vertex row")
             if not 0 <= best <= top:
                 raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
             out.append(best)

@@ -130,6 +130,8 @@ class RationalTransformer:
         if len(vals) != len(self.source):
             raise ValueError("predicate length does not match the source carrier")
         out = tuple(self.fn(vals))
+        if len(out) != len(self.target):
+            raise ValueError("transformer output length does not match the target carrier")
         for q in out:
             if not (ZERO <= q <= ONE):
                 raise ValueError(f"transformer produced {q} outside [0, 1]")

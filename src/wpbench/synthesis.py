@@ -6,12 +6,15 @@ Every synthesis reads the computation off a handful of probe predicates
 inverse constructions prescribe, then re-evaluates the rebuilt
 computation against the input transformer.  The demonic-probabilistic
 case builds, per state, the half-space region cut out by the grid; an
-exact rational clipper certifies minima on the region's vertices, and a
-certification failure is reported as inconclusive rather than forced.
+exact integer clipper finds its vertices, minima are certified on them,
+and a certification failure is reported as inconclusive rather than
+forced.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -321,73 +324,42 @@ register_law("synthesis.mass", _law_synth_mass)
 # Half-space synthesis for the demonic-probabilistic case
 
 
+# the standard simplex at |Y| = 1, 2, 3, as barycentric integer vertices
+_SIMPLEX = {1: [(1,)], 2: [(0, 1), (1, 0)], 3: [(0, 0, 1), (1, 0, 0), (0, 1, 0)]}
+
+
 def _clip_region(n: int, halfspaces: Sequence) -> list:
     """Vertices of {mu in simplex(n) : <p, mu> >= b for each (p, b)}.
 
-    Exact rational Sutherland-Hodgman clipping on the standard simplex,
-    supported for n in {1, 2, 3}.
+    Exact Sutherland-Hodgman clipping of the standard simplex, supported
+    for n in {1, 2, 3}, on integers: a vertex is a gcd-normalized vector m
+    with mu = m / sum(m), and a half-space scaled by the lcm L of its
+    denominators is sum_j (L p_j - L b) m_j >= 0.  The vertices become
+    Fractions only at the end.
     """
-    if n == 1:
-        mu = (ONE,)
-        for p, b in halfspaces:
-            if p[0] < b:
-                return []
-        return [mu]
-    if n == 2:
-        lo, hi = ZERO, ONE  # mu = (u, 1-u)
-        for p, b in halfspaces:
-            coef = p[0] - p[1]
-            rhs = b - p[1]
-            if coef == 0:
-                if rhs > 0:
-                    return []
-            elif coef > 0:
-                lo = max(lo, rhs / coef)
-            else:
-                hi = min(hi, rhs / coef)
-        if lo > hi:
+    poly = _SIMPLEX.get(n)
+    if poly is None:
+        raise SizeGuardError("half-space certification is implemented for |Y| <= 3")
+    for p, b in halfspaces:
+        L = math.lcm(b.denominator, *(q.denominator for q in p))
+        B = b.numerator * (L // b.denominator)
+        w = [q.numerator * (L // q.denominator) - B for q in p]
+        s = [sum(map(operator.mul, w, m)) for m in poly]
+        if min(s) >= 0:
+            continue
+        out = []
+        for P, sP, Q, sQ in zip(poly, s, poly[1:] + poly[:1], s[1:] + s[:1]):
+            if sP >= 0:
+                out.append(P)
+            if (sP > 0 > sQ) or (sP < 0 < sQ):
+                m = [sP * q - sQ * r for r, q in zip(P, Q)]
+                # the crossing point, divided by a gcd whose sign makes sum(m) > 0
+                g = math.gcd(*m) if sP > 0 else -math.gcd(*m)
+                out.append(tuple(c // g for c in m))
+        poly = list(dict.fromkeys(out))
+        if not poly:
             return []
-        pts = [(lo, ONE - lo)]
-        if hi != lo:
-            pts.append((hi, ONE - hi))
-        return pts
-    if n == 3:
-        poly = [(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)]  # mu = (u, v, 1-u-v)
-        for p, b in halfspaces:
-            a1 = p[0] - p[2]
-            a2 = p[1] - p[2]
-            c = b - p[2]
-            poly = _clip_poly(poly, a1, a2, c)
-            if not poly:
-                return []
-        return [(u, v, ONE - u - v) for u, v in poly]
-    raise SizeGuardError("half-space certification is implemented for |Y| <= 3")
-
-
-def _clip_poly(poly: list, a1: Fraction, a2: Fraction, c: Fraction) -> list:
-    """Clip a convex polygon (possibly degenerate) by a1*u + a2*v >= c."""
-    if not poly:
-        return []
-    if len(poly) == 1:
-        u, v = poly[0]
-        return poly if a1 * u + a2 * v >= c else []
-    out = []
-    k = len(poly)
-    for i in range(k):
-        P, Q = poly[i], poly[(i + 1) % k]
-        sP = a1 * P[0] + a2 * P[1] - c
-        sQ = a1 * Q[0] + a2 * Q[1] - c
-        if sP >= 0:
-            out.append(P)
-        if (sP > 0 > sQ) or (sP < 0 < sQ):
-            t = sP / (sP - sQ)
-            out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
-    seen, uniq = set(), []
-    for pt in out:
-        if pt not in seen:
-            seen.add(pt)
-            uniq.append(pt)
-    return uniq
+    return [tuple(Fraction(c, sum(m)) for c in m) for m in poly]
 
 
 def _law_polytope_certify(subject, args):

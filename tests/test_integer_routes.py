@@ -6,7 +6,9 @@ closed forms on integer rows (``IntegerRows.same_values`` and
 ``IntegerRows.ints``), and run their Fraction loops only when that fails.
 The references below are those Fraction loops alone, kept here and not in
 the package: verdicts, ``checked`` counts, witnesses, answers and
-exception types must be the same on both routes.
+exception types must be the same on both routes.  The half-space clipper
+``synthesis._clip_region`` runs on integer vertices; its reference is the
+Fraction clipper it replaced.
 """
 
 from fractions import Fraction as F
@@ -15,7 +17,7 @@ from random import Random
 import pytest
 
 from wpbench import synthesis
-from wpbench.core import FinSet
+from wpbench.core import FinSet, SizeGuardError
 from wpbench.healthiness import ProbeGrid
 from wpbench.modalities import builtin_modality
 from wpbench.monads import (
@@ -60,13 +62,51 @@ def fraction_grid_residual(phi, rebuilt, grid):
     return Verdict.healthy(checked)
 
 
+def fraction_clip_region(n, halfspaces):
+    """Sutherland-Hodgman clipping of the simplex in Fractions: an interval
+    in u for n = 2, a polygon in (u, v) for n = 3."""
+    if n == 1:
+        return [] if any(p[0] < b for p, b in halfspaces) else [(ONE,)]
+    if n == 2:
+        lo, hi = ZERO, ONE  # mu = (u, 1-u)
+        for p, b in halfspaces:
+            coef, rhs = p[0] - p[1], b - p[1]
+            if coef == 0:
+                if rhs > 0:
+                    return []
+            elif coef > 0:
+                lo = max(lo, rhs / coef)
+            else:
+                hi = min(hi, rhs / coef)
+        if lo > hi:
+            return []
+        return [(lo, ONE - lo)] + ([(hi, ONE - hi)] if hi != lo else [])
+    poly = [(ZERO, ZERO), (ONE, ZERO), (ZERO, ONE)]  # mu = (u, v, 1-u-v)
+    for p, b in halfspaces:
+        a1, a2, c = p[0] - p[2], p[1] - p[2], b - p[2]
+        out = []
+        for i, P in enumerate(poly):
+            Q = poly[(i + 1) % len(poly)]
+            sP = a1 * P[0] + a2 * P[1] - c
+            sQ = a1 * Q[0] + a2 * Q[1] - c
+            if sP >= 0:
+                out.append(P)
+            if (sP > 0 > sQ) or (sP < 0 < sQ):
+                t = sP / (sP - sQ)
+                out.append((P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1])))
+        poly = list(dict.fromkeys(out))
+        if not poly:
+            return []
+    return [(u, v, ONE - u - v) for u, v in poly]
+
+
 def fraction_synth_polytope(phi, grid):
     """synth_polytope past its precondition, certifying in Fractions."""
     Y = phi.source
     regions, vertex_rows, checked = [], [], 0
     for i, x in enumerate(phi.target.elements):
         halfspaces = tuple((p, phi.apply_values(p)[i]) for p in grid.predicates)
-        vertices = synthesis._clip_region(len(Y), halfspaces)
+        vertices = fraction_clip_region(len(Y), halfspaces)
         if not vertices:
             note = f"region for state {x!r} is empty; grid constraints are jointly infeasible"
             return SynthesisResult(None, Verdict.inconclusive(note), regions=tuple(regions))
@@ -284,6 +324,81 @@ def test_values_over_different_denominators_are_told_apart(X1, Y2):
     assert verdict.is_unhealthy and verdict.checked == 1
 
 
+def _halfspaces(n, rng):
+    """A seeded half-space list: each p is random, constant (all its
+    coordinates equal) or a Dirac; b is 0, 1, phi-like (tight at a point
+    mu0 of the simplex, so that the list can pin mu0 down) or random."""
+    frac = lambda: F(rng.randint(0, 6), 6) if rng.random() < 0.5 else F(rng.randint(0, 5), 5)
+    weights = [rng.randint(0, 4) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    mu0 = [F(w, sum(weights)) for w in weights]
+    out = []
+    for _ in range(rng.randint(1, 8)):
+        shape = rng.random()
+        if shape < 0.2:
+            p = (frac(),) * n
+        elif shape < 0.3:
+            p = tuple(ONE if k == rng.randrange(n) else ZERO for k in range(n))
+        else:
+            p = tuple(frac() for _ in range(n))
+        tight = sum(a * m for a, m in zip(p, mu0))
+        b = rng.choice([ZERO, ONE, tight, tight, max(tight - F(1, 7), ZERO), frac()])
+        out.append((p, b))
+    if rng.random() < 0.3:
+        # the complement of a tight probe caps <p, mu> at its value at mu0
+        p = out[0][0]
+        out.append((tuple(ONE - a for a in p), ONE - sum(a * m for a, m in zip(p, mu0))))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_integer_clipper_matches_the_fraction_clipper(n):
+    rng = Random(90 + n)
+    sizes = set()
+    for _ in range(1500):
+        halfspaces = _halfspaces(n, rng)
+        vertices = synthesis._clip_region(n, halfspaces)
+        assert vertices == fraction_clip_region(n, halfspaces), halfspaces
+        assert all(type(q) is F for v in vertices for q in v)
+        sizes.add(min(len(vertices), 2))
+    # empty regions, single points and (above |Y| = 1) segments or polygons
+    assert sizes == ({0, 1, 2} if n > 1 else {0, 1})
+
+
+def test_clipper_edge_cases_match_the_fraction_clipper():
+    half, third = F(1, 2), F(1, 3)
+    cases = {
+        1: [(), (((half,), half),), (((half,), ONE),), (((ZERO,), ZERO),)],
+        2: [
+            (),
+            (((half, half), half),),  # a constant p at its own value: everything
+            (((half, half), ONE),),  # a constant p above its value: nothing
+            (((ONE, ZERO), half), ((ZERO, ONE), half)),  # one point
+            (((ONE, ZERO), ONE),),  # the Dirac vertex (1, 0)
+            (((ZERO, ONE), ONE), ((ONE, ZERO), ONE)),  # two vertices: empty
+        ],
+        3: [
+            (),
+            (((third,) * 3, third),),
+            (((third,) * 3, ONE),),
+            (((ONE, ZERO, ZERO), ZERO),),
+            (((ONE, ZERO, ZERO), ONE),),  # one vertex of the simplex
+            (((ONE, ONE, ZERO), ONE),),  # the edge mu2 = 0
+            (((ONE, ONE, ZERO), ONE), ((ZERO, ONE, ONE), ONE)),  # the vertex (0, 1, 0)
+            (((ONE, ZERO, ZERO), half), ((ZERO, ONE, ZERO), half)),  # the point (1/2, 1/2, 0)
+            (((ONE, ZERO, ZERO), half), ((ZERO, ONE, ZERO), F(2, 3))),  # empty
+        ],
+    }
+    for n, lists in cases.items():
+        for halfspaces in lists:
+            assert synthesis._clip_region(n, halfspaces) == fraction_clip_region(n, halfspaces), halfspaces
+    assert synthesis._clip_region(3, cases[3][5]) == [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)]
+    assert synthesis._clip_region(3, cases[3][7]) == [(half, half, ZERO)]
+    for n in (0, 4):
+        with pytest.raises(SizeGuardError):
+            synthesis._clip_region(n, ())
+
+
 def test_polytope_certify_witness_replays(monkeypatch, Y2):
     # phi(p) = p0/2 fails certification: the minimum over its region
     # {mu : mu0 >= 1/2} at the constant one is 1, not phi's 1/2
@@ -356,3 +471,20 @@ def test_out_of_range_values_and_empty_vertex_lists_fail_as_before(X1, Y2):
             integer = outcome(synthesis._grid_residual, a, b, grid)
             assert integer == outcome(fraction_grid_residual, a, b, grid)
     assert outcome(synthesis._grid_residual, phis["over one"], phis["in range"], grid) is ValueError
+
+
+def test_rows_of_the_wrong_shape_raise_value_error(X1, Y2):
+    grid = ProbeGrid.default(Y2, seed=1)
+    # an output with no vertex row, as the generic demonic_prob rule refuses it
+    with pytest.raises(ValueError, match="no vertex row"):
+        RationalTransformer(Y2, X1, IntegerRows([[]], 2)).apply_values((0, 0))
+    # a rule with two outputs over a one-state target, against its
+    # one-output twin that agrees on the first output
+    two = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO))]] * 2, 2))
+    one = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO))]], 2))
+    for a, b in ((two, one), (one, two)):
+        with pytest.raises(ValueError, match="target carrier"):
+            synthesis._grid_residual(a, b, grid)
+        assert outcome(fraction_grid_residual, a, b, grid) is ValueError
+    with pytest.raises(ValueError, match="target carrier"):
+        RationalTransformer(Y2, X1, lambda vals: ()).apply_values((0, 0))
