@@ -29,9 +29,11 @@ from .monads import (
     MonadKind,
     check_monad_laws,
     check_monad_map_laws,
+    is_up_closed,
     sigma_prime_spec,
     sigma_spec,
     support_map_spec,
+    up_closure,
 )
 from .semantics import (
     BooleanTransformer,
@@ -160,8 +162,6 @@ def _parse_row(kind: MonadKind, target: FinSet, raw, path: str):
             raise SpecError("E_MASS", f"distribution mass must equal one, got {d.mass}", path)
         return d
     if kind == MonadKind.UP_POWERSET:
-        from .monads import is_up_closed, up_closure
-
         if isinstance(raw, dict) and "generators" in raw:
             gens = [
                 frozenset(_check_label(target, x, f"{path}.generators") for x in s)

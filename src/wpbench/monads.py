@@ -806,7 +806,6 @@ def _assoc_holds_per_value(kind: MonadKind, carriers: Sequence[FinSet], max_enum
 def check_monad_laws(
     kind: MonadKind,
     carriers: Sequence[FinSet],
-    samples: Sequence = None,
     seed: int = 0,
     sample_count: int = 100,
     max_enum: int = 1 << 20,
@@ -815,9 +814,9 @@ def check_monad_laws(
     """Left/right unit and associativity of the Kleisli composition.
 
     Enumerable monads are swept exhaustively over the given carriers;
-    SUBDIST/DIST/CV_DIST are checked on seeded samples (or the provided
-    ones).  ``compose`` is swappable so a deliberately corrupted
-    composition can be exercised in tests; None means ``kleisli_compose``.
+    SUBDIST/DIST/CV_DIST are checked on seeded sample triples.
+    ``compose`` is swappable so a deliberately corrupted composition can
+    be exercised in tests; None means ``kleisli_compose``.
 
     With the built-in composition the exhaustive associativity sweep is
     decided per T-value (``_assoc_holds_per_value``).  A supplied
@@ -875,30 +874,13 @@ def check_monad_laws(
         return Verdict.healthy(checked)
 
     rng = Random(seed)
-    if samples is None:
-        samples = []
-        cs = list(carriers)
-        for i in range(sample_count):
-            X, Y, Z, W = (cs[(i + j) % len(cs)] for j in range(4))
-            samples.append(
-                (
-                    random_arrow(kind, rng, X, Y),
-                    random_arrow(kind, rng, Y, Z),
-                    random_arrow(kind, rng, Z, W),
-                )
-            )
-    for entry in samples:
-        if isinstance(entry, KleisliArrow):
-            triple = (entry, None, None)
-        else:
-            triple = tuple(entry)
-        f, g, h = triple
+    cs = list(carriers)
+    for i in range(sample_count):
+        X, Y, Z, W = (cs[(i + j) % len(cs)] for j in range(4))
+        f, g, h = (random_arrow(kind, rng, A, B) for A, B in ((X, Y), (Y, Z), (Z, W)))
         for w in _unit_law_failures(f, compose):
             return Verdict.unhealthy(w, checked)
-        checked += 1
-        if g is None:
-            continue
-        checked += 1
+        checked += 2
         w = _assoc_failure(f, g, h, compose(compose(f, g), h), compose(f, compose(g, h)))
         if w is not None:
             return Verdict.unhealthy(w, checked)
@@ -959,9 +941,6 @@ class ContinuationTarget:
             out.append(value(lambda x, table=table: table[x]))
         return tuple(out)
 
-    def equal(self, carrier, a, b) -> bool:
-        return self.densify(carrier, a) == self.densify(carrier, b)
-
 
 class KindTarget:
     """A concrete monad used as the target of a monad map."""
@@ -978,9 +957,6 @@ class KindTarget:
 
     def mult(self, value):
         return mult_value(self.kind, value)
-
-    def equal(self, carrier, a, b) -> bool:
-        return a == b
 
 
 @dataclass(frozen=True)
@@ -1134,7 +1110,6 @@ register_law("map.membership", _law_map_membership)
 def check_monad_map_laws(
     spec: MonadMapSpec,
     carriers: Sequence[FinSet],
-    samples: Sequence = None,
     seed: int = 0,
     sample_count: int = 50,
     max_enum: int = 1 << 16,
@@ -1151,8 +1126,6 @@ def check_monad_map_laws(
     def tvalues(C: FinSet):
         if enumerable:
             return enumerate_tvalues(spec.source, C, max_enum)
-        if samples is not None:
-            return [t for (c, t) in samples if c is C]
         return [random_tvalue(spec.source, rng, C) for _ in range(sample_count)]
 
     for C in carriers:

@@ -170,7 +170,9 @@ def _singletons(m: int) -> list:
 
 # The Boolean catalog rows as mask bases, by theorem: x is in phi(m) iff some
 # basis mask of x's row lies inside m.  ``mask`` maps a subset of Y to its
-# mask (for a relation given by row masks, ``int``).
+# mask (for a relation given by row masks, ``int``).  The inverse
+# (``synthesis._synth_boolean``) reads the same bases back: the masks phi
+# accepts at x for game, the minimal ones for the other three rows.
 MASK_BASES = {
     "may": lambda row, mask: _singletons(mask(row)),
     "must": lambda row, mask: (mask(row),),

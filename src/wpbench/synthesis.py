@@ -1,45 +1,34 @@
 """Reconstructing computations from healthy transformers, and the two
 round-trip directions.
 
-Every synthesis reads the computation off a handful of probe predicates
-(Diracs, co-singletons, characteristic predicates) exactly as the
-inverse constructions prescribe, then re-evaluates the rebuilt
-computation against the input transformer.  The demonic-probabilistic
-case builds, per state, the half-space region cut out by the grid; an
-exact integer clipper finds its vertices, minima are certified on them,
-and a certification failure is reported as inconclusive rather than
-forced.
+Each inverse works from the catalog row it inverts: it checks the row's
+healthiness condition (``run_condition(row.condition, ...)``), reads the
+computation off probe predicates, and rebuilds the transformer with
+``pt_modality(row, ...)`` to compare it with the input.  There are three
+readers.  The Boolean one reads, per state, the predicates phi accepts
+and their minimal members, which are the row's mask basis
+(``semantics.MASK_BASES``).  The linear one reads each row off the
+Dirac probes and the constants, for the total, partial and dist
+variants.  The demonic-probabilistic one builds, per state, the
+half-space region cut out by the grid; an exact integer clipper finds
+its vertices, minima are certified on them, and a certification failure
+is reported as inconclusive rather than forced.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import SizeGuardError
-from .healthiness import (
-    ProbeGrid,
-    check_emod_morphism,
-    check_gemod_morphism,
-    check_join_preserving,
-    check_meet_preserving,
-    check_monotone,
-    check_regular_sublinear,
-    check_strict_nonempty_meets,
-)
+from .core import FinSet, SizeGuardError
+from .healthiness import ProbeGrid, run_condition
 from .modalities import INSTANCES, Modality, _closed_form_eval, builtin_modality
-from .monads import BOT, DistV, IntegerRows, KleisliArrow, MonadKind, dedup_vertices
-from .semantics import (
-    BooleanTransformer,
-    RationalTransformer,
-    pt_alternating,
-    pt_modality,
-    wp_box,
-    wp_diamond,
-)
+from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
+from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -89,40 +78,7 @@ def _guard(verdict: Verdict, condition: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Boolean inverses
-
-
-def synth_relation(phi: BooleanTransformer, modality: str = "diamond") -> SynthesisResult:
-    """Read a relation off the transformer: Dirac probes for the may case,
-    co-singleton probes for the must case; re-evaluation must be exact."""
-    X, Y = phi.target, phi.source
-    if modality == "diamond":
-        _guard(check_join_preserving(phi), "join")
-        rows = []
-        for i in range(len(X)):
-            rows.append(
-                frozenset(
-                    Y.elements[j] for j in range(len(Y)) if (phi.table[1 << j] >> i) & 1
-                )
-            )
-    elif modality == "box":
-        _guard(check_meet_preserving(phi), "meet")
-        full = (1 << len(Y)) - 1
-        rows = []
-        for i in range(len(X)):
-            rows.append(
-                frozenset(
-                    Y.elements[j]
-                    for j in range(len(Y))
-                    if not (phi.table[full ^ (1 << j)] >> i) & 1
-                )
-            )
-    else:
-        raise ValueError("modality must be 'diamond' or 'box'")
-    arrow = KleisliArrow(MonadKind.POWERSET, X, Y, rows)
-    rebuilt = wp_diamond(arrow) if modality == "diamond" else wp_box(arrow)
-    residual = _dense_residual(phi, rebuilt)
-    return SynthesisResult(arrow, residual)
+# Boolean inverses: one reader of the accepted predicates
 
 
 def _dense_residual(phi: BooleanTransformer, rebuilt: BooleanTransformer) -> Verdict:
@@ -134,57 +90,62 @@ def _dense_residual(phi: BooleanTransformer, rebuilt: BooleanTransformer) -> Ver
     return Verdict.healthy(len(phi.table))
 
 
+def _synth_boolean(phi: BooleanTransformer, row: Modality) -> SynthesisResult:
+    """The inverse of a Boolean catalog row, read off the predicates phi
+    accepts at each state.  Past the row's condition the accepted family
+    is up-closed, and its minimal members are the state's mask basis
+    (``semantics.MASK_BASES``): the singletons of a may row, the row
+    itself for must and for dijkstra; a game family is every member they
+    generate.  A relation or dijkstra state gets the union of its minimal
+    members, a dijkstra state that accepts nothing gets {bottom}, and a
+    game state gets the accepted family."""
+    _guard(run_condition(row.condition, phi), row.condition)
+    X, Y, table = phi.target, phi.source, phi.table
+    subset = lambda m: frozenset(y for j, y in enumerate(Y.elements) if m >> j & 1)
+    # per mask m, the states at which m is accepted and no mask one element
+    # smaller is: the states whose basis holds m
+    minimal = list(table)
+    for j in range(len(Y)):
+        bit = 1 << j
+        for m in range(len(table)):
+            if m & bit:
+                minimal[m] &= ~table[m ^ bit]
+    accepts = functools.reduce(operator.or_, table)
+    rows = []
+    for i in range(len(X)):
+        if row.monad == MonadKind.UP_POWERSET:
+            rows.append(frozenset(subset(m) for m, out in enumerate(table) if out >> i & 1))
+        elif row.monad == MonadKind.LIFT_POWERSET and not accepts >> i & 1:
+            rows.append(frozenset((BOT,)))
+        else:
+            basis = (m for m, out in enumerate(minimal) if out >> i & 1)
+            rows.append(subset(functools.reduce(operator.or_, basis, 0)))
+    arrow = KleisliArrow(row.monad, X, Y, rows)
+    flags = ("bottom-absorption",) if any(BOT in r for r in rows) else ()
+    return SynthesisResult(arrow, _dense_residual(phi, pt_modality(row, arrow)), flags)
+
+
+def synth_relation(phi: BooleanTransformer, modality: str = "diamond") -> SynthesisResult:
+    """The relation of a join-preserving (``diamond``) or meet-preserving
+    (``box``) transformer; re-evaluation must be exact."""
+    if modality not in ("diamond", "box"):
+        raise ValueError("modality must be 'diamond' or 'box'")
+    return _synth_boolean(phi, INSTANCES["may" if modality == "diamond" else "must"])
+
+
 def synth_upfamily(phi: BooleanTransformer) -> SynthesisResult:
     """f(x) = the family of subsets whose characteristic predicate phi accepts;
     monotonicity makes each family up-closed."""
-    _guard(check_monotone(phi), "monotone")
-    X, Y = phi.target, phi.source
-    rows = []
-    for i in range(len(X)):
-        fam = frozenset(
-            frozenset(Y.elements[j] for j in range(len(Y)) if (m >> j) & 1)
-            for m in range(1 << len(Y))
-            if (phi.table[m] >> i) & 1
-        )
-        rows.append(fam)
-    arrow = KleisliArrow(MonadKind.UP_POWERSET, X, Y, rows)
-    residual = _dense_residual(phi, pt_alternating("game", arrow))
-    return SynthesisResult(arrow, residual)
+    return _synth_boolean(phi, INSTANCES["game"])
 
 
 def synth_dijkstra(phi: BooleanTransformer) -> SynthesisResult:
-    """Dirac-style probes for the divergence+nondeterminism case.
-
-    States where the everywhere-true postcondition already fails are sent
-    to {bottom}; elsewhere the chosen set is read off co-singleton
-    probes, and strictness plus meet preservation make it nonempty.  With
-    Y empty the everywhere-true postcondition is the zero one, so
-    strictness sends every state to {bottom}.
-    """
-    X, Y = phi.target, phi.source
-    _guard(check_strict_nonempty_meets(phi), "strict_meets")
-    full = (1 << len(Y)) - 1
-    rows = []
-    absorbed = False
-    for i in range(len(X)):
-        if not (phi.table[full] >> i) & 1:
-            rows.append(frozenset((BOT,)))
-            absorbed = True
-        else:
-            chosen = frozenset(
-                Y.elements[j]
-                for j in range(len(Y))
-                if not (phi.table[full ^ (1 << j)] >> i) & 1
-            )
-            if not chosen:
-                raise AssertionError(
-                    "strictness and meet preservation force a nonempty chosen set"
-                )
-            rows.append(chosen)
-    arrow = KleisliArrow(MonadKind.LIFT_POWERSET, X, Y, rows)
-    residual = _dense_residual(phi, pt_alternating("dijkstra", arrow))
-    flags = ("bottom-absorption",) if absorbed else ()
-    return SynthesisResult(arrow, residual, flags)
+    """The divergence+nondeterminism case: a state that accepts no
+    predicate is sent to {bottom}; elsewhere strictness and meet
+    preservation give it one minimal accepted set, which is nonempty.
+    With Y empty the one predicate is the zero one, so strictness sends
+    every state to {bottom}."""
+    return _synth_boolean(phi, INSTANCES["dijkstra"])
 
 
 # ---------------------------------------------------------------------------
@@ -232,71 +193,45 @@ def _coefficients(phi: RationalTransformer, variant: str) -> list:
     return [([c[i] for c in cols], one) for i, one in enumerate(phi.apply_values((ONE,) * n))]
 
 
-def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeGrid = None) -> SynthesisResult:
-    """Subdistribution rows from Dirac probes.
+def _synth_diracs(phi: RationalTransformer, variant: str, grid: ProbeGrid | None) -> SynthesisResult:
+    """The inverse of a linear catalog row, read off Dirac probes.
 
-    total:   f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x) <= 1;
-    partial: f(x)(y) = phi(dirac_y)(x) - phi(0)(x), with mass 1 - phi(0)(x).
+    total:   f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x);
+    partial: f(x)(y) = phi(dirac_y)(x) - phi(0)(x), with mass 1 - phi(0)(x);
+    dist:    f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x) = 1.
     """
+    row = INSTANCES["dist_convex" if variant == "dist" else f"subdist_{variant}"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
-    _guard(check_gemod_morphism(phi, grid, variant), f"gemod_{variant}")
+    _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
     rows = []
-    for i, (x, (coefs, mass_expected)) in enumerate(zip(X.elements, _coefficients(phi, variant))):
+    for i, (x, (coefs, mass)) in enumerate(zip(X.elements, _coefficients(phi, variant))):
         for y, c in zip(Y.elements, coefs):
             if c < 0 or c > 1:
-                return SynthesisResult(
-                    None,
-                    Verdict.unhealthy(
-                        Witness(
-                            "synthesis.coefficient",
-                            {"x": x, "y": y, "variant": variant},
-                            c,
-                            max(min(c, ONE), ZERO),
-                        ),
-                        i + 1,
-                    ),
-                )
+                args = {"x": x, "y": y, "variant": variant}
+                witness = Witness("synthesis.coefficient", args, c, max(min(c, ONE), ZERO))
+                return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         total_mass = sum(coefs, ZERO)
-        if total_mass != mass_expected or total_mass > 1:
-            return SynthesisResult(
-                None,
-                Verdict.unhealthy(
-                    Witness(
-                        "synthesis.mass",
-                        {"x": x, "variant": variant},
-                        total_mass,
-                        min(mass_expected, ONE),
-                    ),
-                    i + 1,
-                ),
-            )
+        expected = ONE if variant == "dist" else mass
+        if total_mass != mass or total_mass != expected:
+            witness = Witness("synthesis.mass", {"x": x, "variant": variant}, total_mass, expected)
+            return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         rows.append(DistV(zip(Y.elements, coefs)))
-    arrow = KleisliArrow(MonadKind.SUBDIST, X, Y, rows)
-    rebuilt = pt_modality(builtin_modality("total" if variant == "total" else "partial"), arrow)
-    return SynthesisResult(arrow, _grid_residual(phi, rebuilt, grid))
+    arrow = KleisliArrow(row.monad, X, Y, rows)
+    return SynthesisResult(arrow, _grid_residual(phi, pt_modality(row, arrow), grid))
+
+
+def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeGrid = None) -> SynthesisResult:
+    """Subdistribution rows from Dirac probes, for the ``total`` or the
+    ``partial`` variant (see ``_synth_diracs``)."""
+    if variant not in ("total", "partial"):
+        raise ValueError("variant must be 'total' or 'partial'")
+    return _synth_diracs(phi, variant, grid)
 
 
 def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisResult:
     """Distribution rows from Dirac probes; the unit law pins mass to one."""
-    grid = grid if grid is not None else ProbeGrid.default(phi.source)
-    _guard(check_emod_morphism(phi, grid), "emod")
-    X, Y = phi.target, phi.source
-    rows = []
-    for i, (x, (coefs, one)) in enumerate(zip(X.elements, _coefficients(phi, "total"))):
-        total_mass = sum(coefs, ZERO)
-        if total_mass != ONE or one != ONE:
-            return SynthesisResult(
-                None,
-                Verdict.unhealthy(
-                    Witness("synthesis.mass", {"x": x, "variant": "dist"}, total_mass, ONE),
-                    i + 1,
-                ),
-            )
-        rows.append(DistV(zip(Y.elements, coefs)))
-    arrow = KleisliArrow(MonadKind.DIST, X, Y, rows)
-    rebuilt = pt_modality(builtin_modality("convex"), arrow)
-    return SynthesisResult(arrow, _grid_residual(phi, rebuilt, grid))
+    return _synth_diracs(phi, "dist", grid)
 
 
 def _law_synth_coefficient(subject, args):
@@ -311,9 +246,8 @@ def _law_synth_mass(subject, args):
     """Replay on the transformer: the mass of a row read off Dirac probes,
     and the mass it must have (one for a distribution)."""
     variant = args["variant"]
-    rows = _coefficients(subject, "total" if variant == "dist" else variant)
-    coefs, mass = rows[subject.target.index(args["x"])]
-    return sum(coefs, ZERO), ONE if variant == "dist" else min(mass, ONE)
+    coefs, mass = _coefficients(subject, variant)[subject.target.index(args["x"])]
+    return sum(coefs, ZERO), ONE if variant == "dist" else mass
 
 
 register_law("synthesis.coefficient", _law_synth_coefficient)
@@ -387,17 +321,18 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     deciding the full converse needs a Farkas-style argument this
     workbench does not attempt.
     """
+    row = INSTANCES["cv_sublinear"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
-    _guard(check_regular_sublinear(phi, grid), "regular_sublinear")
+    _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
-    n = len(Y)
     lattice = grid.lattice
+    bounds = [phi.apply_values(p) for p in grid.predicates]
     regions = []
     vertex_rows = []
     checked = 0
     for i, x in enumerate(X.elements):
-        halfspaces = tuple((p, phi.apply_values(p)[i]) for p in grid.predicates)
-        vertices = _clip_region(n, halfspaces)
+        halfspaces = tuple((p, values[i]) for p, values in zip(grid.predicates, bounds))
+        vertices = _clip_region(len(Y), halfspaces)
         if not vertices:
             return SynthesisResult(
                 None,
@@ -413,8 +348,10 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
             "vertices": tuple(vertices),
         }
         regions.append(region)
-        # the minimum over the vertices at each probe, on the lattice
-        mins = IntegerRows([[(ZERO, v) for v in vertices]], n)
+        vertex_row = dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices)
+        # the state's row rebuilt on its own: its minima at each probe, on the lattice
+        state = KleisliArrow(MonadKind.CV_DIST, FinSet(X.name, (x,)), Y, [vertex_row])
+        mins = pt_modality(row, state).rows
         top = lattice.one * mins.den
         for q, (p, bound) in zip(lattice.preds, halfspaces):
             (ci,) = mins.ints(q, lattice.one)
@@ -435,7 +372,7 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                     ),
                     regions=tuple(regions),
                 )
-        vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
+        vertex_rows.append(vertex_row)
     arrow = KleisliArrow(MonadKind.CV_DIST, X, Y, vertex_rows)
     return SynthesisResult(arrow, Verdict.healthy(checked), regions=tuple(regions))
 

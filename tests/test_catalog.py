@@ -165,3 +165,21 @@ def test_every_export_resolves():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     names = [a.asname or a.name for n in tree.body if isinstance(n, ast.ImportFrom) for a in n.names]
     assert names and all(hasattr(wpbench, name) for name in names)
+
+
+def test_imports_sit_in_functions_only_to_break_cycles():
+    # a function-level import is kept only where a module-level one would
+    # close an import cycle: modalities and healthiness import the modules
+    # these two functions need
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        owner = {}
+        # ast.walk reaches an outer function before the functions inside
+        # it, so each import is named by its outermost function
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        owner.setdefault(node, func.name)
+        found += sorted((path.stem, name) for name in owner.values())
+    assert found == [("monads", "_lattice_membership"), ("semantics", "_functor_probes")]

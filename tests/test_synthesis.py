@@ -9,6 +9,7 @@ from wpbench.healthiness import ProbeGrid
 from wpbench.modalities import (
     BOOLEAN,
     INSTANCES,
+    STRUCTURE_CLASSES,
     IntegerRows,
     Modality,
     algebra_to_monad_map,
@@ -46,7 +47,8 @@ from wpbench.synthesis import (
     synth_upfamily,
     synthesize,
 )
-from wpbench.verdicts import witness_is_sound
+from wpbench.sweep import healthy_tables
+from wpbench.verdicts import Verdict, witness_is_sound
 
 F = Fraction
 
@@ -421,3 +423,74 @@ def test_roundtrip_arrow_witness_replays(monkeypatch, X2, Y2, instance, rows):
     # replayed without the fault, the synthesis rebuilds f
     monkeypatch.setattr(synthesis, "synthesize", real)
     assert not witness_is_sound((f, grid), verdict.witness)
+
+
+# The Boolean inverses read each state's accepted predicates.  The probe
+# reads they replaced are kept here as references: the Dirac read of the
+# may case, the co-singleton read of the must and dijkstra cases, and the
+# characteristic-predicate read of the game case.
+
+
+def dirac_read(phi, i):
+    """The may row at state i: the y whose Dirac predicate phi accepts."""
+    return frozenset(y for j, y in enumerate(phi.source.elements) if phi.table[1 << j] >> i & 1)
+
+
+def co_singleton_read(phi, i):
+    """The must row at state i: the y whose co-singleton predicate phi rejects."""
+    full = len(phi.table) - 1
+    return frozenset(y for j, y in enumerate(phi.source.elements) if not phi.table[full ^ (1 << j)] >> i & 1)
+
+
+def characteristic_read(phi, i):
+    """The game row at state i: the subsets whose characteristic predicate
+    phi accepts."""
+    Y = phi.source
+    return frozenset(
+        frozenset(y for j, y in enumerate(Y.elements) if m >> j & 1)
+        for m, out in enumerate(phi.table)
+        if out >> i & 1
+    )
+
+
+def dijkstra_read(phi, i):
+    """The dijkstra row at state i: {bottom} when the everywhere-true
+    predicate fails, else the co-singleton read."""
+    if not phi.table[-1] >> i & 1:
+        return frozenset((BOT,))
+    return co_singleton_read(phi, i)
+
+
+BOOLEAN_INVERSES = {
+    "may": (lambda phi: synth_relation(phi, "diamond"), dirac_read),
+    "must": (lambda phi: synth_relation(phi, "box"), co_singleton_read),
+    "game": (synth_upfamily, characteristic_read),
+    "dijkstra": (synth_dijkstra, dijkstra_read),
+}
+
+
+@pytest.mark.parametrize("ny", range(5))
+@pytest.mark.parametrize("theorem", list(BOOLEAN_INVERSES))
+def test_boolean_reader_matches_the_probe_reads(theorem, ny):
+    # every healthy one-state table, up to |Y| = 4, beyond the golden sweeps
+    synth, read = BOOLEAN_INVERSES[theorem]
+    X = FinSet("X", ("x",))
+    Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
+    tables = healthy_tables(STRUCTURE_CLASSES[INSTANCES[theorem].structure_class], 1, ny)
+    assert tables
+    for table in tables:
+        phi = BooleanTransformer(Y, X, table)
+        result = synth(phi)
+        row = read(phi, 0)
+        assert result.arrow.rows == (row,), table
+        assert result.residual == Verdict.healthy(1 << ny)
+        assert result.normalization == (("bottom-absorption",) if BOT in row else ())
+
+
+def test_unknown_modality_and_variant_raise_value_error(Y2):
+    with pytest.raises(ValueError, match="'diamond' or 'box'") as exc:
+        synth_relation(BooleanTransformer(Y2, Y2, range(4)), "bogus")
+    assert not isinstance(exc.value, UnhealthyInputError)
+    with pytest.raises(ValueError, match="'total' or 'partial'") as exc:
+        synth_subdist(RationalTransformer(Y2, Y2, lambda v: tuple(v)), "dist")
+    assert not isinstance(exc.value, UnhealthyInputError)
