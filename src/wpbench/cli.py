@@ -13,6 +13,7 @@ Exit codes: 0 healthy/pass, 1 unhealthy (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -606,6 +607,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wpbench", description=__doc__)
     sub = parser.add_subparsers(dest="command")

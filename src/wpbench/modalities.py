@@ -374,38 +374,16 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 # The law table and the structure classes
 
 
-# A law's operations are families indexed by the "one" of the representation
-# they run in: 1 for Fractions (LawCheck), the packed common denominator for
-# lattice integers (_PackedRows); the Boolean ones do not depend on it.  A
-# scalar r acts as a multiplier: a Fraction, or a _Ratio on lattice integers.
+# A law's operations act on Fractions (LawCheck) and, the Boolean ones, on
+# bit masks (MASK_SIDES); a scalar argument is a Fraction.
 
 
-def _join(one):
-    return or_
+def _dual_add(a, b):
+    return a + b - ONE
 
 
-def _meet(one):
-    return and_
-
-
-def _add(one):
-    return add
-
-
-def _mul(one):
-    return mul
-
-
-def _shift(one):
-    return lambda a, lam: a + lam * one
-
-
-def _dual_add(one):
-    return lambda a, b: a + b - one
-
-
-def _dual_mul(one):
-    return lambda a, r: r * a + one - r * one
+def _dual_mul(a, r):
+    return r * a + ONE - r
 
 
 @dataclass(frozen=True)
@@ -439,30 +417,61 @@ LAWS = {
     for law in (
         Law("bottom", "bottom", ("arg", 0), ("const", 0)),
         Law("top", "top", ("arg", 0), ("const", 1)),
-        Law("binary_join", "pair", ("at", _join), ("of", _join)),
-        Law("binary_meet", "pair", ("at", _meet), ("of", _meet)),
+        Law("binary_join", "pair", ("at", or_), ("of", or_)),
+        Law("binary_meet", "pair", ("at", and_), ("of", and_)),
         Law("monotone", "order", ("arg", 0), ("arg", 1), "<="),
         Law("zero", "bottom", ("arg", 0), ("const", 0)),
         Law("one", "top", ("arg", 0), ("const", 1)),
         Law("dual_zero", "top", ("arg", 0), ("const", 1)),
-        Law("sum_defined", "sum", ("of", _add), ("const", 1), "<="),
-        Law("sum", "sum", ("at", _add), ("of", _add)),
+        Law("sum_defined", "sum", ("of", add), ("const", 1), "<="),
+        Law("sum", "sum", ("at", add), ("of", add)),
         Law("dual_sum_defined", "dual_sum", ("of", _dual_add), ("const", 0), ">="),
         Law("dual_sum", "dual_sum", ("at", _dual_add), ("of", _dual_add)),
-        Law("subadditive_defined", "sum", ("of", _add), ("const", 1), "<="),
-        Law("subadditive", "sum", ("of", _add), ("at", _add), "<="),
-        Law("scale", "scale", ("at", _mul), ("of", _mul)),
+        Law("subadditive_defined", "sum", ("of", add), ("const", 1), "<="),
+        Law("subadditive", "sum", ("of", add), ("at", add), "<="),
+        Law("scale", "scale", ("at", mul), ("of", mul)),
         Law("dual_scale", "scale", ("at", _dual_mul), ("of", _dual_mul)),
-        Law("translate_defined", "shift", ("of", _shift), ("const", 1), "<="),
-        Law("translate", "shift", ("at", _shift), ("of", _shift)),
+        Law("translate_defined", "shift", ("of", add), ("const", 1), "<="),
+        Law("translate", "shift", ("at", add), ("of", add)),
     )
 }
 
 # shapes whose two arguments are both predicates, and those of a predicate
-# and a scalar; the rational shapes LawCheck decides on packed lanes
+# and a scalar; the rational shapes whose groups a coefficient certificate
+# can decide (see _CERTIFICATES)
 _BINARY = ("pair", "order", "sum", "dual_sum")
 _SCALED = ("scale", "shift")
 _PACKED = ("sum", "dual_sum", "scale", "shift")
+
+
+def _homogeneous(c0, cs, den):
+    return c0 == 0
+
+
+def _unital(c0, cs, den):
+    return c0 + sum(cs) == den
+
+
+def _shift_invariant(c0, cs, den):
+    return sum(cs) == den
+
+
+# The coefficient certificate of a law group, keyed by the law it checks:
+# whether every output must have exactly one vertex row, and the test each
+# vertex row (c0, cs) over den must pass.  Under the guards of
+# LawCheck._bounded the rows map [0, 1]^Y into [0, 1], and they are then
+# linear (one row, c0 = 0), affine with F(1) = 1 (one row, c0 + sum(cs) =
+# den), or a minimum of homogeneous maps (every c0 = 0), resp. of maps that
+# commute with shifts (every sum(cs) = den); the law, and with it its
+# definedness law, holds at every argument of such a form.
+_CERTIFICATES = {
+    "sum": (True, _homogeneous),
+    "scale": (False, _homogeneous),
+    "subadditive": (False, _homogeneous),
+    "dual_sum": (True, _unital),
+    "dual_scale": (True, _unital),
+    "translate": (False, _shift_invariant),
+}
 
 
 def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
@@ -568,13 +577,12 @@ class LawCheck:
     Arguments are enumerated on the probes' ``lattice`` (computed when not
     given), so definedness is decided on integers; the table terms are
     evaluated on Fraction tuples.  When the integer ``rows`` of a
-    closed-form transformer are given (``IntegerRows``), the groups of the
-    shapes in ``_PACKED`` are first decided at all their arguments at once
-    on packed lanes (``_PackedRows``); the constant laws, and a group the
-    pass refuses, run the per-argument loop on F.
+    closed-form transformer are given (``IntegerRows``), a group whose law
+    has an entry in ``_CERTIFICATES`` is first read off the coefficients:
+    when they certify it, it holds at every argument and counts them all
+    without evaluating F.  The certificate is only sufficient; the constant
+    laws, and every group it does not certify, run the per-argument loop.
     """
-
-    _one_in = _one_out = ONE  # the one of the law operations (see _PackedRows)
 
     def __init__(
         self,
@@ -587,14 +595,12 @@ class LawCheck:
         rows=None,
     ):
         lattice = self._lattice = lattice or Lattice.of(probes, scalars)
-        U = lattice.one
         self.preds = list(probes) + [(ZERO,) * width, (ONE,) * width]
         self.scalars = tuple(scalars)
         self.checked = 0
         self._max = [max(p, default=0) for p in lattice.preds]
         self._min = [min(p, default=0) for p in lattice.preds]
-        self._lam = [r * U for r in lattice.scalars]
-        self.F, self._rows, self._packed = F, rows, None
+        self.F, self._rows = F, rows
         self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
         self._values = [None] * len(self.preds)
 
@@ -611,9 +617,9 @@ class LawCheck:
         if shape in ("bottom", "top"):
             return [(k if shape == "bottom" else k + 1,)]
         if shape == "scale":
-            return ((i, s) for i in range(k) for s in range(len(self.scalars)))
+            return ((i, s) for i in range(k) for s in range(len(self._lattice.scalars)))
         if shape == "shift":
-            lam = self._lam
+            lam = self._lattice.scalars
             return ((i, s) for i in range(k) for s in range(len(lam)) if hi[i] + lam[s] <= U)
         # whether probes i and j sum (dual: sum minus one) into [0, 1]; the
         # extreme values decide most pairs without a pointwise scan
@@ -633,6 +639,44 @@ class LawCheck:
             if hi[i] + hi[j] <= U or (lo[i] + lo[j] <= U and max(map(add, ints[i], ints[j])) <= U)
         )
 
+    def _count(self, shape: str) -> int:
+        """The number of arguments of a shape, counted once per lattice."""
+        counts = self._lattice.counts
+        if shape not in counts:
+            counts[shape] = sum(1 for _ in self.arguments(shape))
+        return counts[shape]
+
+    @functools.cached_property
+    def _bounded(self) -> bool:
+        """Whether the rows map [0, 1]^Y into [0, 1], so that F raises at no
+        argument: they fit the lattice's width (> 0) and the outputs, every
+        offset and coefficient is >= 0, and each output has a vertex row
+        whose sum c0 + sum(cs) is at most den."""
+        rows, preds = self._rows, self._lattice.preds
+        return (
+            len(preds[0] if preds else ()) == rows.width > 0
+            and len(rows.rows) == len(self._consts[0])
+            and all(
+                verts
+                and min(c0 + sum(cs) for c0, cs in verts) <= rows.den
+                and all(c0 >= 0 and len(cs) == rows.width and min(cs) >= 0 for c0, cs in verts)
+                for verts in rows.rows
+            )
+        )
+
+    def _certified(self, law: Law) -> bool:
+        """Whether the rows' coefficients certify a law at every argument
+        (see ``_CERTIFICATES``)."""
+        entry = _CERTIFICATES.get(law.name)
+        if entry is None or not self._bounded:
+            return False
+        single, test = entry
+        den = self._rows.den
+        return all(
+            (len(verts) == 1 or not single) and all(test(c0, cs, den) for c0, cs in verts)
+            for verts in self._rows.rows
+        )
+
     def side(self, term: tuple, shape: str, args: tuple, fargs: list, memo: dict) -> tuple:
         kind, x = term
         if kind == "arg":
@@ -643,10 +687,10 @@ class LawCheck:
             image = memo.get(x)
             if image is None:
                 second = fargs[1] if shape in _BINARY else repeat(args[1])
-                image = memo[x] = tuple(map(x(self._one_out), fargs[0], second))
+                image = memo[x] = tuple(map(x, fargs[0], second))
             return image
         second = args[1] if shape in _BINARY else repeat(args[1])
-        return self.F(tuple(map(x(self._one_in), args[0], second)))
+        return self.F(tuple(map(x, args[0], second)))
 
     def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None) -> tuple:
         """Both sides of a law at one argument, the rhs clamped, so the law
@@ -663,17 +707,13 @@ class LawCheck:
     def first_violation(self, laws: tuple, weight: int):
         """(law, args, lhs, rhs, coordinate) at the first failing argument, or
         None; every argument adds ``weight`` to the checked count.  A group's
-        laws share one image of F per argument.  The packed pass passes a
-        group or leaves it to the loop below, which re-runs it from its
-        first argument and builds the witness."""
+        laws share one image of F per argument.  A group the rows certify
+        counts its arguments at once; the loop below runs every other one
+        from its first argument and builds the witness."""
         shape = laws[0].shape
-        if self._rows is not None and shape in _PACKED:
-            if self._packed is None:
-                self._packed = _PackedRows(self._rows, self._lattice, len(self._consts[0]))
-            count = self._packed.count_if_holds(laws)
-            if count is not None:
-                self.checked += weight * count
-                return None
+        if self._rows is not None and self._certified(laws[-1]):
+            self.checked += weight * self._count(shape)
+            return None
         npreds = 1 if shape in _SCALED else 2
         for idx in self.arguments(shape):
             fargs = [self.value(i) for i in idx[:npreds]]
@@ -689,155 +729,6 @@ class LawCheck:
                     x = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
                     return law, args, lhs[x], rhs[x], x
         return None
-
-
-class _LaneFailure(Exception):
-    """A lane of a defined argument left [0, top] in the packed pass."""
-
-
-class _PackedRows:
-    """The integer rows of a closed form evaluated at many arguments at
-    once: each integer of a pass is packed into one Python int with a
-    w-bit signed lane per argument (Lamport 1975, "Multiple byte processing
-    with full-word instructions").  The lanes run over the second argument:
-    one pass per first predicate i for "sum" and "dual_sum" (lanes j >= i),
-    one pass per scalar for "scale" and "shift" (a lane per predicate).
-
-    Packed ints add, subtract and take integer multiples lane by lane, and
-    a ``_Ratio`` divides every lane exactly, so the ``LAWS`` terms run
-    through ``LawCheck.side`` unchanged, with the packed one ``one * ones``.
-    The minimum over vertex rows, the clamps of "<=" and ">=" and the
-    [0, top] checks of ``IntegerRows.ints`` read the guard bit (bit w-1) of
-    each lane after a bias of 2^(w-1).  The width bounds every lane of
-    every value compared (arguments within 2U, values within 2U times the
-    rows' coefficient sum) by 2^(w-2), so no lane borrows from the next.
-
-    ``count_if_holds`` never decides a violation: it returns a group's
-    argument count when every law holds at every defined lane, and None on
-    a failing lane, a value out of range or F out of range at a probe, so
-    the per-argument loop stays the one source of verdicts and witnesses.
-    """
-
-    side = LawCheck.side
-
-    def __init__(self, rows: IntegerRows, lattice: Lattice, outputs: int):
-        self._lattice, self._U, self._top = lattice, lattice.one, lattice.one * rows.den
-        bound = max((abs(c0) + sum(map(abs, cs)) for vs in rows.rows for c0, cs in vs), default=0)
-        w = self._w = (4 * lattice.one * (bound + rows.den)).bit_length() + 2
-        self._lane, self._half = (1 << w) - 1, 1 << (w - 1)
-        self._terms = tuple(
-            tuple((c0, tuple((y, c) for y, c in enumerate(cs) if c)) for c0, cs in verts)
-            for verts in rows.rows
-        )
-        self._all, self._coords = lattice.lanes(w)
-        # F at every probe, each lane in range; the loop decides every group
-        # when no probe is, or when the rows do not fit the lattice (on an
-        # empty carrier no pair of the dual shape is defined)
-        self._probes = None
-        if len(self._coords) == rows.width > 0 and len(rows.rows) == outputs:
-            self._pass(self._all)
-            self._defined = self._guard
-            try:
-                self._probes = self.F(self._coords)
-            except _LaneFailure:
-                pass
-
-    def _pass(self, ones: int) -> None:
-        """Set the packed constants of a pass over the lanes of ``ones``;
-        the pass then sets ``_defined``, the guard bits of the lanes whose
-        arguments are defined."""
-        self._bias, self._guard = self._half * ones, ones << (self._w - 1)
-        self._one_in, self._one_out = self._U * ones, self._top * ones
-        self._consts = ((0,) * len(self._terms), (self._one_out,) * len(self._terms))
-
-    def F(self, coords: Sequence[int]) -> tuple:
-        """The rows at packed coordinates: per output, the lane-wise minimum
-        over its vertex rows; a defined lane outside [0, top] raises."""
-        one, bias, guard, lane, half = self._one_in, self._bias, self._guard, self._lane, self._half
-        top, defined, shift = self._one_out, self._defined, self._w - 1
-        out = []
-        for verts in self._terms:
-            best = None
-            for c0, cs in verts:
-                acc = c0 * one
-                for y, c in cs:
-                    acc += c * coords[y]
-                if best is None:
-                    best = acc
-                    continue
-                d = acc - best + bias
-                below = ((d & guard) ^ guard) >> shift  # 1 in the lanes where acc < best
-                best += (d & below * lane) - below * half
-            if (best + bias) & (top - best + bias) & defined != defined:
-                raise _LaneFailure
-            out.append(best)
-        return tuple(out)
-
-    def _holds(self, laws: tuple, shape: str, args: tuple, fargs: list) -> bool:
-        """Whether every law holds at every defined lane of a pass."""
-        bias, defined, memo = self._bias, self._defined, {}
-        full = (defined >> (self._w - 1)) * self._lane
-        for law in laws:
-            lhs = self.side(law.lhs, shape, args, fargs, memo)
-            rhs = self.side(law.rhs, shape, args, fargs, memo)
-            for a, b in zip(lhs, rhs):
-                if law.rel == "=":
-                    if ((a - b + bias) ^ bias) & full:
-                        return False
-                elif ((b - a if law.rel == "<=" else a - b) + bias) & defined != defined:
-                    return False
-        return True
-
-    def count_if_holds(self, laws: tuple):
-        """The number of arguments of the group's shape when every law
-        holds at each of them, else None."""
-        if self._probes is None:
-            return None
-        try:
-            if laws[0].shape in _SCALED:
-                return self._scaled(laws, laws[0].shape)
-            return self._pairs(laws, laws[0].shape)
-        except _LaneFailure:
-            return None
-
-    def _pairs(self, laws: tuple, shape: str):
-        U, w, lane, count = self._U, self._w, self._lane, 0
-        for i, v in enumerate(self._lattice.preds):
-            s = w * i
-            ones = self._all >> s
-            self._pass(ones)
-            second = tuple(c >> s for c in self._coords)
-            # the lanes j >= i whose sum with predicate i (dual: minus one)
-            # stays in [0, U] pointwise
-            defined = self._guard
-            for a, c in zip(v, second):
-                defined &= ((a - U) * ones + c if shape == "dual_sum" else (U - a) * ones - c) + self._bias
-            if not defined:
-                continue
-            count += defined.bit_count()
-            self._defined = defined
-            first = tuple(a * ones for a in v)
-            fargs = [tuple((f >> s & lane) * ones for f in self._probes), [f >> s for f in self._probes]]
-            if not self._holds(laws, shape, (first, second), fargs):
-                return None
-        return count
-
-    def _scaled(self, laws: tuple, shape: str):
-        U, ones, count = self._U, self._all, 0
-        self._pass(ones)
-        for r in self._lattice.scalars:
-            # every predicate scales; it shifts when p + lam stays within U
-            defined = self._guard
-            if shape == "shift":
-                for c in self._coords:
-                    defined &= (U - r * U) * ones - c + self._bias
-            if not defined:
-                continue
-            count += defined.bit_count()
-            self._defined = defined
-            if not self._holds(laws, shape, (self._coords, r), [self._probes]):
-                return None
-        return count
 
 
 def _replay_functional(subject, args):
@@ -857,10 +748,9 @@ def mask_term(term: tuple) -> Callable:
         return lambda T, top, f, g: T[g] if x else T[f]
     if kind == "const":
         return lambda T, top, f, g: top if x else 0
-    op = x(None)
     if kind == "at":
-        return lambda T, top, f, g: T[op(f, g)]
-    return lambda T, top, f, g: op(T[f], T[g])
+        return lambda T, top, f, g: T[x(f, g)]
+    return lambda T, top, f, g: x(T[f], T[g])
 
 
 def term_entry(term: tuple, f: int, g: int):
@@ -869,7 +759,7 @@ def term_entry(term: tuple, f: int, g: int):
     kind, x = term
     if kind == "arg":
         return g if x else f
-    return x(None)(f, g) if kind == "at" else None
+    return x(f, g) if kind == "at" else None
 
 
 def _mask_law(law: Law) -> Callable:
@@ -954,7 +844,7 @@ def check_functional_laws(
 def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None):
     """The rational branch of ``check_functional_laws`` for F returning a
     1-tuple, F in Fractions; the integer ``rows`` of a closed form, when
-    given, feed the packed pass (see ``LawCheck``)."""
+    given, may certify law groups (see ``LawCheck``)."""
     check = LawCheck(F, 1, preds, scalars, n, lattice, rows)
     for laws, _ in cls.groups:
         shape = laws[-1].shape
@@ -1005,7 +895,7 @@ def lifting_check(
     Boolean-enumerable monads sweep all t in T(n); the distribution monads
     draw seeded samples (the domain is infinite).  Under a rational class,
     alpha_n(t) of a closed-form modality is its one-state transformer at t,
-    whose integer rows feed the packed pass on a lattice built once per n.
+    whose integer rows may certify law groups on a lattice built once per n.
     """
     if isinstance(cls, str):
         cls = STRUCTURE_CLASSES[cls]

@@ -19,8 +19,9 @@ The two composite monads are represented by their carriers on Set:
 
 The closed forms of the rational modalities evaluate on integers here
 (``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
-transformers, the law checks, the synthesis round trip and the vertex-list
-equality ``cv_values_equal``.
+transformers, the synthesis round trip and the vertex-list equality
+``cv_values_equal``, and the law checks read certificates off its
+coefficients.
 """
 
 from __future__ import annotations
@@ -513,8 +514,8 @@ class IntegerRows:
     Called on Fractions, as the rule of a ``RationalTransformer``, the rows
     scale them to their common denominator and evaluate them on integers
     (``ints``, with the checks of ``RationalTransformer.apply_values``);
-    the law checks evaluate them at many arguments at once on packed lanes
-    (``modalities._PackedRows``).  ``same_values`` compares two closed
+    the law checks read a certificate off the coefficients themselves
+    (``modalities.LawCheck``).  ``same_values`` compares two closed
     forms at the points of a lattice: the synthesis residuals and both
     polytope equalities (``synthesis.cv_semantically_equal`` and
     ``cv_values_equal``) decide on it.  The rows live here, below the
@@ -590,23 +591,6 @@ def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:
     return IntegerRows(rows, len(targets))
 
 
-class _Ratio:
-    """A scalar r acting on lattice integers.  ``r * a`` is exact when r's
-    denominator divides a; it divides every integer the checks scale (a
-    lattice vector, a value of integer rows at one, one itself), since the
-    lattice's one is a multiple of every scalar denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, r: Fraction):
-        self.num, self.den = r.numerator, r.denominator
-
-    def __mul__(self, a: int) -> int:
-        return a // self.den * self.num
-
-    __rmul__ = __mul__
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Probe predicates and scalars over one integer denominator ``one``:
@@ -616,36 +600,20 @@ class Lattice:
 
     one: int
     preds: tuple  # integer numerator vectors over one
-    scalars: tuple  # _Ratio multipliers
+    scalars: tuple  # each scalar's integer multiple of one
 
     @classmethod
     def of(cls, preds, scalars) -> "Lattice":
         one = math.lcm(*(v.denominator for p in preds for v in p))
         one *= math.lcm(*(r.denominator for r in scalars))
         ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
-        return cls(one, ints, tuple(_Ratio(r) for r in scalars))
+        return cls(one, ints, tuple(r.numerator * (one // r.denominator) for r in scalars))
 
     @functools.cached_property
-    def _lanes(self) -> dict:
+    def counts(self) -> dict:
+        """Per law shape, the number of its defined arguments on the
+        lattice, filled in by the law checks (``modalities.LawCheck``)."""
         return {}
-
-    def lanes(self, w: int) -> tuple:
-        """(ones, coords): the predicates packed into w-bit lanes, lane j
-        holding predicate j.  ``ones`` has a 1 in every lane, and
-        ``coords[y]`` holds coordinate y of every predicate.  Cached per
-        lane width; the size is linear in the grid."""
-        packed = self._lanes.get(w)
-        if packed is None:
-            k, width = len(self.preds), len(self.preds[0]) if self.preds else 0
-            ones = ((1 << w * k) - 1) // ((1 << w) - 1)
-            coords = []
-            for y in range(width):
-                acc = 0
-                for p in reversed(self.preds):
-                    acc = acc << w | p[y]
-                coords.append(acc)
-            packed = self._lanes[w] = (ones, tuple(coords))
-        return packed
 
 
 # ---------------------------------------------------------------------------
@@ -1174,12 +1142,9 @@ def check_monad_map_laws(
             tts = []
             for _ in range(sample_count):
                 inners = [random_tvalue(spec.source, rng, X) for _ in range(rng.randint(1, 3))]
-                if spec.source == MonadKind.DIST:
-                    coefs = random_tvalue(MonadKind.DIST, rng, FinSet("_i", range(len(inners))))
-                    tts.append(DistV((inner, coefs.weight(i)) for i, inner in enumerate(inners)))
-                else:
-                    coefs = random_tvalue(MonadKind.SUBDIST, rng, FinSet("_i", range(len(inners))))
-                    tts.append(DistV((inner, coefs.weight(i)) for i, inner in enumerate(inners)))
+                kind = MonadKind.DIST if spec.source == MonadKind.DIST else MonadKind.SUBDIST
+                coefs = random_tvalue(kind, rng, FinSet("_i", range(len(inners))))
+                tts.append(DistV((inner, coefs.weight(i)) for i, inner in enumerate(inners)))
         for tt in tts:
             args = {"carrier": X, "tt": tt}
             lhs, rhs = _law_map_mult(spec, args)

@@ -9,6 +9,7 @@ from wpbench.cli import (
     EXIT_INPUT,
     EXIT_UNHEALTHY,
     SpecError,
+    _build_parser,
     parse_spec,
     run,
 )
@@ -240,6 +241,20 @@ def test_cmd_enum_verify_deterministic_output(tmp_path):
     # --jobs is accepted and leaves the report unchanged
     run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--jobs", "4", "--out", str(c)])
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_successive_runs_carry_no_state(tmp_path, capsys):
+    # the parser is built once per process, so an --out or --sizes given to
+    # one call must not leak into the next
+    assert _build_parser() is _build_parser()
+    out = tmp_path / "report.txt"
+    assert run(["enum-verify", "--theorem", "may", "--sizes", "1", "1", "--out", str(out)]) == EXIT_HEALTHY
+    assert capsys.readouterr().out == ""
+    assert "transformers: 4\n" in out.read_text()
+    out.unlink()
+    assert run(["enum-verify", "--theorem", "may"]) == EXIT_HEALTHY
+    assert "transformers: 256\n" in capsys.readouterr().out  # the default sizes 2 2
+    assert not out.exists()
 
 
 def test_cmd_laws(capsys):

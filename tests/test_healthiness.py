@@ -21,6 +21,7 @@ from wpbench.healthiness import (
     run_condition,
 )
 from wpbench.modalities import (
+    _CERTIFICATES,
     _PACKED,
     DEFAULT_SCALARS,
     RATIONAL,
@@ -465,6 +466,66 @@ def test_integer_kernel_raises_the_fraction_routes_range_error(Y3):
         for laws in groups:
             assert _group_alone(phi, grid, laws, peak) == _group_alone(opaque, grid, laws, None)
     assert _group_alone(phi, first, STRUCTURE_CLASSES["emod_sublinear"].groups[0][0], peak) == message
+
+
+_COEFFICIENTS = st.sampled_from((F(-1, 2), F(0), F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)))
+
+
+@st.composite
+def _vertex_row(draw, n):
+    """A vertex row over n coordinates: arbitrary, or of the form of a
+    subdistribution (no offset), a distribution (no offset, mass one) or a
+    partial one (offset plus mass one), some of which the certificates
+    accept."""
+    kind = draw(st.sampled_from(("any", "subdist", "dist", "partial")))
+    cs = draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
+    if kind == "any":
+        return draw(_COEFFICIENTS), tuple(cs)
+    cs = [abs(c) for c in cs]
+    mass = sum(cs)
+    if mass > 1 or (kind == "dist" and mass == 0):
+        cs = [c / mass for c in cs] if mass else [F(1, n)] * n
+    if kind == "dist":
+        cs[-1] += 1 - sum(cs)
+    return (1 - sum(cs) if kind == "partial" else F(0)), tuple(cs)
+
+
+@st.composite
+def _rows_and_grid(draw):
+    n = draw(st.integers(1, 3))
+    Y = FinSet("Y", tuple(f"y{i}" for i in range(n)))
+    outputs = draw(st.integers(1, 2))
+    rows = [draw(st.lists(_vertex_row(n), min_size=1, max_size=3)) for _ in range(outputs)]
+    extra = draw(st.lists(st.tuples(*[st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)))] * n), max_size=4))
+    grid = ProbeGrid.explicit(Y, ProbeGrid.default(Y, random_count=0).predicates + tuple(extra))
+    return Y, IntegerRows(rows, n), grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(_rows_and_grid())
+def test_certificate_agrees_with_the_fraction_route(case):
+    # each rational group alone on random rows, with offsets and negative
+    # coefficients: the rows route (certificate, then the loop) and the
+    # opaque Fraction route agree in verdict, count and error, and a group
+    # the certificate accepts holds at every argument
+    Y, rows, grid = case
+    X = FinSet("X", tuple(f"x{i}" for i in range(len(rows.rows))))
+    phi = RationalTransformer(Y, X, rows, label="rows")
+    opaque = _opaque(phi)
+    groups = [g for cls in STRUCTURE_CLASSES.values() if cls.carrier == RATIONAL for g, _ in cls.groups]
+    for laws in groups:
+        fraction = _group_alone(opaque, grid, laws, None)
+        assert _group_alone(phi, grid, laws, rows) == fraction
+        check = LawCheck(phi.apply_values, len(X), grid.predicates, grid.scalars, len(Y), grid.lattice, rows)
+        if check._certified(laws[-1]):
+            assert fraction[0] is None and fraction[1] == check._count(laws[0].shape)
+
+
+def test_every_packed_group_has_a_certificate():
+    for cls in STRUCTURE_CLASSES.values():
+        if cls.carrier == RATIONAL:
+            for laws, _ in cls.groups:
+                assert (laws[0].shape in _PACKED) == (laws[-1].name in _CERTIFICATES), laws
 
 
 def test_packed_pass_decides_healthy_closed_forms(Y3, monkeypatch):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from wpbench.core import FinSet, SizeGuardError
 from wpbench.modalities import (
+    _PACKED,
     BOOLEAN,
     RATIONAL,
     STRUCTURE_CLASSES,
     IntegerRows,
+    LawCheck,
     Modality,
-    _PackedRows,
     algebra_to_monad_map,
     builtin_modality,
     builtin_modality_names,
@@ -199,9 +200,9 @@ def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
     # each closed-form catalog modality under every rational class, once as
     # the catalog row (its components run on integer rows) and once wrapped
     # as a rule with no closed form (the Fraction route); the integer route
-    # evaluates the rows one argument at a time or on packed lanes
+    # evaluates the rows one argument at a time or reads their certificate
     calls = []
-    for owner, name in ((IntegerRows, "ints"), (_PackedRows, "F")):
+    for owner, name in ((IntegerRows, "ints"), (LawCheck, "_certified")):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda self, *a, fn=fn: calls.append(1) or fn(self, *a))
     rational = [tag for tag, cls in STRUCTURE_CLASSES.items() if cls.carrier == RATIONAL]
@@ -228,6 +229,19 @@ def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
     assert laws["demonic_prob", "emod"] == "sum"
     # a translate witness is re-evaluated in Fractions, off the lattice
     assert laws["total", "emod_sublinear"] == "translate"
+
+
+def test_lifting_certifies_the_healthy_closed_forms(monkeypatch):
+    # each closed form under its own class: the coefficient certificate
+    # decides every group over sums, dual sums, scalings and shifts, so the
+    # per-argument loop evaluates none of their arguments
+    shapes = []
+    sides = LawCheck.sides
+    monkeypatch.setattr(LawCheck, "sides", lambda self, law, *a: shapes.append(law.shape) or sides(self, law, *a))
+    for name in ("total", "partial", "convex", "demonic_prob"):
+        mod = builtin_modality(name)
+        assert lifting_check(mod, mod.structure_class, n_max=3, seed=5, samples_per_n=12).is_healthy
+    assert shapes and not set(shapes) & set(_PACKED)
 
 
 def test_free_algebra_morphisms_counts(Y2):
