@@ -73,6 +73,13 @@ class FinSet:
         return f"FinSet({self.name!r}, {list(self.elements)!r})"
 
 
+def _exact(v, what: str = "probe value") -> Fraction:
+    # Fraction(0.1) is the binary 3602879701896397/2^55, not 1/10
+    if isinstance(v, float):
+        raise TypeError(f"{what} {v!r} is a float, not an exact rational")
+    return Fraction(v)
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p/q" or "k" into an exact Fraction; q must be positive."""
     if isinstance(text, Fraction):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .core import FinSet
+from .core import FinSet, _exact
 from .modalities import (
     BOOLEAN,
     DEFAULT_SCALARS,
@@ -58,13 +58,6 @@ def _check_unit(values, what: str) -> None:
             raise TypeError(f"{what} {q!r} is not an int or a Fraction")
         if not 0 <= q.numerator <= q.denominator:
             raise ValueError(f"{what} {q} outside [0, 1]")
-
-
-def _exact(v) -> Fraction:
-    # Fraction(0.1) is the binary 3602879701896397/2^55, not 1/10
-    if isinstance(v, float):
-        raise TypeError(f"probe value {v!r} is a float, not an exact rational")
-    return Fraction(v)
 
 
 @dataclass(frozen=True)

@@ -374,8 +374,9 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 # The law table and the structure classes
 
 
-# A law's operations act on Fractions (LawCheck) and, the Boolean ones, on
-# bit masks (MASK_SIDES); a scalar argument is a Fraction.
+# A law's operations act on Fractions (LawCheck.sides) and, the Boolean ones,
+# on bit masks (MASK_SIDES); a scalar argument is a Fraction.  The rational
+# ones also act on the lattice (_LATTICE_OPS).
 
 
 def _dual_add(a, b):
@@ -436,12 +437,42 @@ LAWS = {
     )
 }
 
-# shapes whose two arguments are both predicates, and those of a predicate
-# and a scalar; the rational shapes whose groups a coefficient certificate
-# can decide (see _CERTIFICATES)
+# shapes whose two arguments are both predicates ("scale" and "shift" take a
+# predicate and a scalar); the rational shapes whose groups a coefficient
+# certificate can decide (see _CERTIFICATES)
 _BINARY = ("pair", "order", "sum", "dual_sum")
-_SCALED = ("scale", "shift")
 _PACKED = ("sum", "dual_sum", "scale", "shift")
+
+# Each rational law operation on the lattice (see LawCheck.first_violation):
+# applied pointwise to two points over ``one`` (integer vectors; a scalar r
+# is repeat(r * one)), giving the point over one, exactly; and applied to
+# two values as (numerator, denominator) pairs (the scalar as (r * one, one)).
+_LATTICE_OPS = {
+    add: (
+        lambda a, b, one: tuple(map(add, a, b)),
+        lambda u, v: (u[0] * v[1] + v[0] * u[1], u[1] * v[1]),
+    ),
+    _dual_add: (
+        lambda a, b, one: tuple(x + y - one for x, y in zip(a, b)),
+        lambda u, v: (u[0] * v[1] + v[0] * u[1] - u[1] * v[1], u[1] * v[1]),
+    ),
+    mul: (
+        lambda a, b, one: tuple(x * r // one for x, r in zip(a, b)),
+        lambda u, v: (u[0] * v[0], u[1] * v[1]),
+    ),
+    _dual_mul: (
+        lambda a, b, one: tuple(x * r // one + one - r for x, r in zip(a, b)),
+        lambda u, v: (u[0] * v[0] + u[1] * (v[1] - v[0]), u[1] * v[1]),
+    ),
+}
+
+# law relation -> whether an lhs and an rhs pair violate it; for "<=" (">=")
+# that is rhs < lhs (rhs > lhs), where the clamped rhs would differ
+_VIOLATES = {
+    "=": lambda u, v: u[0] * v[1] != v[0] * u[1],
+    "<=": lambda u, v: v[0] * u[1] < u[0] * v[1],
+    ">=": lambda u, v: v[0] * u[1] > u[0] * v[1],
+}
 
 
 def _homogeneous(c0, cs, den):
@@ -569,19 +600,24 @@ class LawCheck:
     """Checks rational table laws of a map F over probe predicates and scalars.
 
     F takes a predicate (a value tuple) to a tuple with one entry per output
-    coordinate (one entry for a functional).  Predicate arguments are
-    addressed by index into ``preds``, the probes followed by the constant
-    predicates 0 and 1; F is evaluated at each once, when first needed and
-    before the argument needing it counts as checked.
+    coordinate (one entry for a functional), each an int or a Fraction.
+    Predicate arguments are addressed by index into ``preds``, the probes
+    followed by the constant predicates 0 and 1.
 
     Arguments are enumerated on the probes' ``lattice`` (computed when not
-    given), so definedness is decided on integers; the table terms are
-    evaluated on Fraction tuples.  When the integer ``rows`` of a
-    closed-form transformer are given (``IntegerRows``), a group whose law
-    has an entry in ``_CERTIFICATES`` is first read off the coefficients:
-    when they certify it, it holds at every argument and counts them all
-    without evaluating F.  The certificate is only sufficient; the constant
-    laws, and every group it does not certify, run the per-argument loop.
+    given), and every point a law reads is an integer vector over its
+    ``one``: a predicate, or a sum, dual sum, scaling or shift of one.  F
+    is evaluated once per point, when first needed (at a predicate argument
+    before the argument counts as checked), and called with the point in
+    Fractions.  The loop compares both sides of each law on its values as
+    (numerator, denominator) pairs; the Fraction ``sides`` build the
+    witness at the first violation, and decide the constant laws and the
+    replays.  When the integer ``rows`` of a closed-form transformer are
+    given (``IntegerRows``), a group whose law has an entry in
+    ``_CERTIFICATES`` is first read off the coefficients: when they
+    certify it, it holds at every argument and counts them all without
+    evaluating F.  The certificate is only sufficient; the constant laws,
+    and every group it does not certify, run the per-argument loop.
     """
 
     def __init__(
@@ -602,12 +638,28 @@ class LawCheck:
         self._min = [min(p, default=0) for p in lattice.preds]
         self.F, self._rows = F, rows
         self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
-        self._values = [None] * len(self.preds)
+        self._const_pairs = (((0, 1),) * outputs, ((1, 1),) * outputs)
+        # preds as lattice points, and F at every point evaluated so far
+        self._points = lattice.preds + ((0,) * width, (lattice.one,) * width)
+        self._values = {}
+        self._fractions = {}  # coordinates over one, as Fractions
 
-    def value(self, i: int) -> tuple:
-        v = self._values[i]
+    def _value(self, point: tuple, pred: tuple = None) -> tuple:
+        """F at a lattice point, as its values and their (numerator,
+        denominator) pairs; F is called at the first request only, with
+        ``pred`` when given (the point's predicate), else the point in
+        Fractions."""
+        v = self._values.get(point)
         if v is None:
-            v = self._values[i] = self.F(self.preds[i])
+            if pred is None:
+                fr, one = self._fractions, self._lattice.one
+                pred = tuple([fr[a] if a in fr else fr.setdefault(a, Fraction(a, one)) for a in point])
+            out = self.F(pred)
+            for q in out:
+                if type(q) is not Fraction and not isinstance(q, (int, Fraction)):
+                    kind = type(q).__name__
+                    raise TypeError(f"law check value {q!r}, a {kind}, is not an int or a Fraction")
+            v = self._values[point] = out, tuple((q.numerator, q.denominator) for q in out)
         return v
 
     def arguments(self, shape: str):
@@ -709,25 +761,64 @@ class LawCheck:
         None; every argument adds ``weight`` to the checked count.  A group's
         laws share one image of F per argument.  A group the rows certify
         counts its arguments at once; the loop below runs every other one
-        from its first argument and builds the witness."""
+        from its first argument, on the lattice (see the class docstring),
+        and the constant laws in Fractions."""
         shape = laws[0].shape
         if self._rows is not None and self._certified(laws[-1]):
             self.checked += weight * self._count(shape)
             return None
-        npreds = 1 if shape in _SCALED else 2
-        for idx in self.arguments(shape):
-            fargs = [self.value(i) for i in idx[:npreds]]
-            if shape in _SCALED:
-                args = self.preds[idx[0]], self.scalars[idx[1]]
+        preds, points, value, one = self.preds, self._points, self._value, self._lattice.one
+        if shape in ("bottom", "top"):
+            (k,) = self.arguments(shape)[0]
+            fargs = [value(points[k], preds[k])[0]]
+            self.checked += weight
+            return self._fraction_violation(laws, (preds[k],), fargs)
+        binary, consts = shape in _BINARY, self._const_pairs
+        compiled = [(law, law.lhs, law.rhs, _VIOLATES[law.rel]) for law in laws]
+
+        def side(term):
+            kind, x = term
+            if kind == "arg":
+                return fb if x else fa
+            if kind == "const":
+                return consts[x]
+            at, of = _LATTICE_OPS[x]
+            if kind == "at":
+                return value(at(a, b, one))[1]
+            image = memo.get(x)
+            if image is None:
+                image = memo[x] = tuple(map(of, fa, fb))
+            return image
+
+        for i, j in self.arguments(shape):
+            a = points[i]
+            fa = value(a, preds[i])[1]
+            if binary:
+                b = points[j]
+                fb = value(b, preds[j])[1]
             else:
-                args = tuple(self.preds[i] for i in idx)
+                r = self._lattice.scalars[j]
+                b, fb = repeat(r), repeat((r, one))
             self.checked += weight
             memo = {}
-            for law in laws:
-                lhs, rhs = self.sides(law, args, fargs, memo)
-                if lhs != rhs:
-                    x = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                    return law, args, lhs[x], rhs[x], x
+            for law, lhs, rhs, violates in compiled:
+                if any(map(violates, side(lhs), side(rhs))):
+                    if binary:
+                        args, fargs = (preds[i], preds[j]), [value(a)[0], value(b)[0]]
+                    else:
+                        args, fargs = (preds[i], self.scalars[j]), [value(a)[0]]
+                    return self._fraction_violation([law], args, fargs)
+        return None
+
+    def _fraction_violation(self, laws, args: tuple, fargs: list):
+        """(law, args, lhs, rhs, coordinate) for the first of the laws that
+        fails at one argument, on its Fraction sides; None if all hold."""
+        memo = {}
+        for law in laws:
+            lhs, rhs = self.sides(law, args, fargs, memo)
+            if lhs != rhs:
+                x = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+                return law, args, lhs[x], rhs[x], x
         return None
 
 

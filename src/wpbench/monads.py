@@ -571,9 +571,16 @@ class IntegerRows:
         counts differ, an output has no vertex row, or ``ints`` raises (a
         value outside [0, 1], a point of the wrong width), so that the
         caller's Fraction route decides: it builds the witness, or raises,
-        as it would without this test."""
+        as it would without this test.  True at once, with no point
+        evaluated, when both hold the same rows (``_same_bounded_rows``)
+        and every point lies in [0, one] at their width."""
         if len(self.rows) != len(other.rows) or not all(self.rows) or not all(other.rows):
             return False
+        w = self.width
+        if self._same_bounded_rows(other) and all(
+            len(p) == w and min(p, default=0) >= 0 and max(p, default=0) <= one for p in points
+        ):
+            return True
         da, db = self.den, other.den
         try:
             for p in points:
@@ -581,6 +588,22 @@ class IntegerRows:
                     return False
         except ValueError:
             return False
+        return True
+
+    def _same_bounded_rows(self, other: "IntegerRows") -> bool:
+        """Whether both give the same outputs and raise at no point in
+        [0, one]: they have one width, per output the same vertex rows
+        cross-scaled by the other's den, every offset and coefficient >= 0,
+        and every vertex sum c0 + sum(cs) at most den."""
+        if self.width != other.width:
+            return False
+        da, db = self.den, other.den
+        for va, vb in zip(self.rows, other.rows):
+            scaled = {(c0 * db, tuple(c * db for c in cs)) for c0, cs in va}
+            if scaled != {(c0 * da, tuple(c * da for c in cs)) for c0, cs in vb}:
+                return False
+            if not all(c0 >= 0 and min(cs, default=0) >= 0 and c0 + sum(cs) <= da for c0, cs in va):
+                return False
         return True
 
 

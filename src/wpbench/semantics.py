@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import FinSet
+from .core import FinSet, _exact
 from .modalities import (
     BOOLEAN,
     INSTANCES,
@@ -46,9 +46,6 @@ __all__ = [
     "pt_alternating",
     "check_functoriality",
 ]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class MissingProbeError(LookupError):
@@ -121,7 +118,12 @@ class RationalTransformer:
         return self.fn if isinstance(self.fn, IntegerRows) else None
 
     def apply_values(self, values: Sequence[Fraction]) -> tuple:
-        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+        """The outputs at a predicate, memoized.  A float input or output
+        is refused with ``TypeError``, as a rounded value would decide a
+        law, and so is any output but an int or a Fraction; an output
+        outside [0, 1], or a length that misses its carrier, raises
+        ``ValueError``."""
+        vals = tuple(v if type(v) is Fraction else _exact(v, "predicate value") for v in values)
         # int-pair keys: hashing Fractions costs a modular inverse each
         key = tuple((v.numerator, v.denominator) for v in vals)
         cached = self._memo.get(key)
@@ -133,7 +135,10 @@ class RationalTransformer:
         if len(out) != len(self.target):
             raise ValueError("transformer output length does not match the target carrier")
         for q in out:
-            if not (ZERO <= q <= ONE):
+            if type(q) is not Fraction and not isinstance(q, (int, Fraction)):
+                kind = type(q).__name__
+                raise TypeError(f"transformer produced {q!r}, a {kind}, not an int or a Fraction")
+            if not 0 <= q.numerator <= q.denominator:
                 raise ValueError(f"transformer produced {q} outside [0, 1]")
         self._memo[key] = out
         return out

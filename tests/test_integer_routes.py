@@ -15,6 +15,8 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpbench import synthesis
 from wpbench.core import FinSet, SizeGuardError
@@ -148,6 +150,19 @@ def fraction_cv_values_equal(a, b, target):
         fb = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in b)
         if fa != fb:
             return False
+    return True
+
+
+def evaluated_same_values(a, b, points, one):
+    """``IntegerRows.same_values`` at every point, without its shortcut."""
+    if len(a.rows) != len(b.rows) or not all(a.rows) or not all(b.rows):
+        return False
+    try:
+        for p in points:
+            if any(u * b.den != v * a.den for u, v in zip(a.ints(p, one), b.ints(p, one))):
+                return False
+    except ValueError:
+        return False
     return True
 
 
@@ -488,3 +503,74 @@ def test_rows_of_the_wrong_shape_raise_value_error(X1, Y2):
         assert outcome(fraction_grid_residual, a, b, grid) is ValueError
     with pytest.raises(ValueError, match="target carrier"):
         RationalTransformer(Y2, X1, lambda vals: ()).apply_values((0, 0))
+
+
+_ENTRIES = st.sampled_from((F(-1, 2), ZERO, F(1, 6), F(1, 4), F(1, 3), F(1, 2), ONE))
+_SMALL = st.sampled_from((ZERO, F(1, 6), F(1, 4), F(1, 3)))
+
+
+@st.composite
+def _vertex(draw, width):
+    """A vertex row: arbitrary, or with entries >= 0 and sum at most one."""
+    if draw(st.booleans()):
+        return draw(_ENTRIES), tuple(draw(_ENTRIES) for _ in range(width))
+    cs = tuple(draw(_SMALL) for _ in range(width))
+    return draw(st.sampled_from((ZERO, 1 - sum(cs)))), cs
+
+
+@st.composite
+def _rows_pair_and_points(draw):
+    width, one = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 6, 12)))
+    outputs = draw(st.integers(1, 2))
+    rows = [draw(st.lists(_vertex(width), min_size=1, max_size=3)) for _ in range(outputs)]
+    how = draw(st.sampled_from(("same", "reordered", "moved", "drawn")))
+    if how == "same":
+        other = rows
+    elif how == "reordered":
+        # the same vertex sets, reordered, one row repeated
+        other = [draw(st.permutations(verts)) + verts[:1] for verts in rows]
+    elif how == "moved":
+        other = [list(verts) for verts in rows]
+        c0, cs = other[-1][0]
+        other[-1][0] = (c0 + draw(st.sampled_from((F(-1, 4), F(1, 12), F(1, 4)))), cs)
+    else:
+        other = [draw(st.lists(_vertex(width), min_size=1, max_size=3)) for _ in range(outputs)]
+    in_range = st.integers(0, one)
+    coordinate = draw(st.sampled_from((in_range, in_range, st.integers(-1, one + 1))))
+    lengths = st.just(width) if draw(st.booleans()) else st.integers(width - 1, width + 1)
+    points = draw(st.lists(lengths.flatmap(lambda n: st.tuples(*[coordinate] * n)), max_size=6))
+    return IntegerRows(rows, width), IntegerRows(other, width), points, one
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_pair_and_points())
+def test_same_values_shortcut_agrees_with_evaluation(case):
+    # the shortcut is sufficient: where it answers at once, the evaluation at
+    # the points answers True as well, and every answer is the evaluation's
+    a, b, points, one = case
+    fits = all(len(p) == a.width and 0 <= min(p, default=0) and max(p, default=0) <= one for p in points)
+    expected = evaluated_same_values(a, b, points, one)
+    if a._same_bounded_rows(b) and fits:
+        assert expected
+    assert a.same_values(b, points, one) == expected
+    assert b.same_values(a, points, one) == expected
+
+
+def test_same_values_shortcut_evaluates_no_point(monkeypatch):
+    # distributions, subdistributions with an offset, and their reordering
+    rows = [[(ZERO, (F(1, 2), F(1, 2))), (F(1, 4), (F(3, 4), ZERO))], [(ZERO, (ZERO, F(1, 3)))]]
+    a, b = IntegerRows(rows, 2), IntegerRows([rows[0][::-1], rows[1]], 2)
+    grid = ProbeGrid.default(FinSet("Y", ("y0", "y1")), seed=4)
+    calls = []
+    ints = IntegerRows.ints
+    monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
+    assert a.same_values(b, grid.lattice.preds, grid.lattice.one)
+    assert not calls
+    # a negative coefficient, and a point outside [0, one], go to the points
+    negative = IntegerRows([[(ONE, (F(-1, 2), ZERO))]], 2)
+    assert negative.same_values(negative, grid.lattice.preds, grid.lattice.one)
+    assert calls
+    calls.clear()
+    # there the values pass one, and the evaluation answers False
+    assert not a.same_values(b, [(3 * grid.lattice.one,) * 2], grid.lattice.one)
+    assert calls

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wpbench import semantics
 from wpbench.core import FinSet
-from wpbench.healthiness import ProbeGrid
+from wpbench.healthiness import ProbeGrid, run_condition
 from wpbench.modalities import (
     BOOLEAN,
     INSTANCES,
@@ -351,3 +351,18 @@ def test_transformer_validation(Y2, X2):
     phi = RationalTransformer(Y2, X2, lambda v: (F(2), F(0)))
     with pytest.raises(ValueError):
         phi.apply_values((F(0), F(0)))  # output outside [0,1]
+
+
+def test_apply_values_refuses_floats(Y2, X1):
+    # a rule in floats would decide laws on rounding: under gemod_total its
+    # sum law fails at 0.9166666666666667 != 0.9166666666666666
+    halves = RationalTransformer(Y2, X1, lambda v: (0.5 * v[0] + 0.5 * v[1],))
+    with pytest.raises(TypeError, match="float"):
+        halves.apply_values((F(1, 3), F(1, 2)))
+    with pytest.raises(TypeError, match="float"):
+        run_condition("gemod_total", halves)
+    exact = RationalTransformer(Y2, X1, lambda v: (v[0] / 2 + v[1] / 2,))
+    with pytest.raises(TypeError, match="0.1"):
+        exact.apply_values((0.1, 0))
+    assert exact.apply_values((0, F(1, 5))) == (F(1, 10),)
+    assert run_condition("gemod_total", exact).is_healthy
