@@ -7,7 +7,8 @@ Reports are deterministic for identical inputs and seeds; wall-clock
 timing goes to stderr only.
 
 Exit codes: 0 healthy/pass, 1 unhealthy (witness printed),
-2 inconclusive, 64 input error.
+2 inconclusive, 64 input error, 70 internal error (a bug in wpbench,
+reported with its traceback).
 """
 
 from __future__ import annotations
@@ -17,12 +18,19 @@ import functools
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FinSet, SizeGuardError, format_rational, parse_rational
 from .healthiness import CONDITIONS, ProbeGrid, run_condition
-from .modalities import INSTANCES, builtin_modality, check_algebra_laws, lifting_check
+from .modalities import (
+    INSTANCES,
+    STRUCTURE_CLASSES,
+    builtin_modality,
+    check_algebra_laws,
+    lifting_check,
+)
 from .monads import (
     BOT,
     DistV,
@@ -52,6 +60,7 @@ EXIT_HEALTHY = 0
 EXIT_UNHEALTHY = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
+EXIT_INTERNAL = 70
 
 
 class SpecError(ValueError):
@@ -111,6 +120,30 @@ def _rat(value, path: str) -> Fraction:
     return q
 
 
+def _modality(name, path: str):
+    """The catalog modality of a name given in a document or a flag."""
+    if not isinstance(name, str):
+        raise SpecError("E_MODALITY", "a modality is named by a string", path)
+    try:
+        return builtin_modality(name)
+    except ValueError as exc:
+        raise SpecError("E_MODALITY", str(exc), path) from None
+
+
+def _interpret(mod, arrow: KleisliArrow, path: str):
+    """pt_modality of the document's computation, once their monads agree."""
+    if mod.monad != arrow.kind:
+        message = f"modality {mod.name!r} interprets {mod.monad}, got a {arrow.kind} computation"
+        raise SpecError("E_MODALITY", message, path)
+    return pt_modality(mod, arrow)
+
+
+def _list(value, what: str, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpecError("E_SCHEMA", f"{what} must be a list", path)
+    return value
+
+
 def _parse_sets(obj, path: str) -> dict:
     if not isinstance(obj, dict) or not obj:
         raise SpecError("E_SCHEMA", "sets must be a nonempty object", path)
@@ -126,7 +159,7 @@ def _parse_sets(obj, path: str) -> dict:
 
 
 def _resolve_set(sets: dict, name, path: str) -> FinSet:
-    if name not in sets:
+    if not isinstance(name, str) or name not in sets:
         raise SpecError("E_SET", f"unknown set {name!r}", path)
     return sets[name]
 
@@ -140,7 +173,8 @@ def _parse_row(kind: MonadKind, target: FinSet, raw, path: str):
         if isinstance(raw, list):
             elems, bottom = raw, False
         elif isinstance(raw, dict):
-            elems, bottom = raw.get("elements", []), bool(raw.get("bottom", False))
+            elems = _list(raw.get("elements", []), "lifted row elements", f"{path}.elements")
+            bottom = bool(raw.get("bottom", False))
         else:
             raise SpecError("E_ROWS", "lifted row must be a list or {elements, bottom}", path)
         row = {_check_label(target, x, path) for x in elems}
@@ -164,14 +198,16 @@ def _parse_row(kind: MonadKind, target: FinSet, raw, path: str):
         return d
     if kind == MonadKind.UP_POWERSET:
         if isinstance(raw, dict) and "generators" in raw:
+            where = f"{path}.generators"
             gens = [
-                frozenset(_check_label(target, x, f"{path}.generators") for x in s)
-                for s in raw["generators"]
+                frozenset(_check_label(target, x, where) for x in _list(s, "a generator", where))
+                for s in _list(raw["generators"], "generators", where)
             ]
             return up_closure(gens, target)
         if isinstance(raw, list):
             fam = frozenset(
-                frozenset(_check_label(target, x, path) for x in s) for s in raw
+                frozenset(_check_label(target, x, path) for x in _list(s, "a family member", path))
+                for s in raw
             )
             if not is_up_closed(fam, target):
                 raise SpecError("E_UPCLOSED", "family is not up-closed (or use generators)", path)
@@ -203,6 +239,8 @@ def _check_label(target: FinSet, x, path: str) -> str:
 
 
 def _parse_computation(obj, sets: dict, path: str) -> KleisliArrow:
+    if not isinstance(obj, dict):
+        raise SpecError("E_SCHEMA", "computation must be an object", path)
     for key in ("monad", "source", "target", "rows"):
         if key not in obj:
             raise SpecError("E_SCHEMA", f"computation needs {key!r}", path)
@@ -252,6 +290,8 @@ def _bits_from_mask(mask: int, carrier: FinSet) -> str:
 
 
 def _parse_transformer(obj, sets: dict, doc_computation, doc_modality, path: str):
+    if not isinstance(obj, dict):
+        raise SpecError("E_SCHEMA", "transformer must be an object", path)
     kind = obj.get("kind")
     source = _resolve_set(sets, obj.get("source"), f"{path}.source")
     target = _resolve_set(sets, obj.get("target"), f"{path}.target")
@@ -282,13 +322,16 @@ def _parse_transformer(obj, sets: dict, doc_computation, doc_modality, path: str
                 raise SpecError(
                     "E_TABLE", "each pair is [predicate-values, value-row]", f"{path}.pairs[{k}]"
                 )
-            pred = tuple(_rat(v, f"{path}.pairs[{k}][0]") for v in entry[0])
-            vals = tuple(_rat(v, f"{path}.pairs[{k}][1]") for v in entry[1])
+            where = f"{path}.pairs[{k}]"
+            pred = tuple(_rat(v, f"{where}[0]") for v in _list(entry[0], "a predicate", f"{where}[0]"))
+            vals = tuple(_rat(v, f"{where}[1]") for v in _list(entry[1], "a value row", f"{where}[1]"))
             if len(pred) != len(source) or len(vals) != len(target):
                 raise SpecError("E_TABLE", "pair lengths must match the carriers", f"{path}.pairs[{k}]")
             lookup[pred] = vals
         if doc_computation is not None and doc_modality is not None:
-            backing = pt_modality(builtin_modality(doc_modality), doc_computation)
+            backing = _interpret(_modality(doc_modality, "$.modality"), doc_computation, "$.modality")
+            if not isinstance(backing, RationalTransformer):
+                raise SpecError("E_MODALITY", "a probe_table needs a rational modality", "$.modality")
             for pred, vals in lookup.items():
                 got = backing.apply_values(pred)
                 if got != vals:
@@ -324,10 +367,7 @@ def parse_spec(text: str) -> SpecDocument:
         raise SpecError("E_SCHEMA", "seed must be an integer", "$.seed")
     modality = obj.get("modality")
     if modality is not None:
-        try:
-            builtin_modality(modality)
-        except ValueError as exc:
-            raise SpecError("E_MODALITY", str(exc), "$.modality") from None
+        _modality(modality, "$.modality")
     computation = None
     if obj.get("computation") is not None:
         computation = _parse_computation(obj["computation"], sets, "$.computation")
@@ -457,7 +497,7 @@ def _doc_transformer(doc: SpecDocument, args):
         name = args.modality or doc.modality
         if not name:
             raise SpecError("E_MODALITY", "a modality is needed to interpret the computation")
-        return pt_modality(builtin_modality(name), doc.computation)
+        return _interpret(_modality(name, "--modality"), doc.computation, "$.computation")
     raise SpecError("E_SCHEMA", "document has neither a transformer nor a computation")
 
 
@@ -468,7 +508,7 @@ def _cmd_wp(args) -> int:
     name = args.modality or doc.modality
     if not name:
         raise SpecError("E_MODALITY", "wp needs a modality (flag or document)")
-    phi = pt_modality(builtin_modality(name), doc.computation)
+    phi = _interpret(_modality(name, "--modality"), doc.computation, "$.computation")
     if isinstance(phi, BooleanTransformer):
         payload = transformer_to_json(phi)
     else:
@@ -487,6 +527,10 @@ def _cmd_check(args) -> int:
             f"unknown condition {args.condition!r}; choose from {'|'.join(sorted(CONDITIONS))}",
         )
     phi = _doc_transformer(doc, args)
+    for cls in STRUCTURE_CLASSES.values():
+        if cls.condition == args.condition and cls.carrier != phi.carrier:
+            message = f"condition {args.condition!r} needs a {cls.carrier} transformer"
+            raise SpecError("E_SCHEMA", f"{message}, got a {phi.carrier} one")
     grid = None
     if isinstance(phi, RationalTransformer):
         grid = doc.grid_for(phi.source)
@@ -501,10 +545,13 @@ def _cmd_synth(args) -> int:
     name = args.modality or doc.modality
     if not name:
         raise SpecError("E_MODALITY", "synth needs a modality to pick the inverse construction")
-    mod = builtin_modality(name)
+    mod = _modality(name, "--modality")
     if mod.theorem is None:
         raise SpecError("E_MODALITY", f"no synthesis instance for modality {mod.name!r}")
     phi = _doc_transformer(doc, args)
+    if phi.carrier != mod.carrier:
+        message = f"modality {mod.name!r} inverts {mod.carrier} transformers"
+        raise SpecError("E_MODALITY", f"{message}, got a {phi.carrier} one")
     grid = doc.grid_for(phi.source) if isinstance(phi, RationalTransformer) else None
     try:
         result = synthesize(mod, phi, grid)
@@ -529,11 +576,19 @@ def _cmd_roundtrip(args) -> int:
     if doc.computation is None:
         raise SpecError("E_SCHEMA", "roundtrip needs a computation", "$.computation")
     name = args.modality or doc.modality
-    instance = builtin_modality(name).theorem if name else None
+    instance = _modality(name, "--modality").theorem if name else None
+    if instance is not None and INSTANCES[instance].monad != doc.computation.kind:
+        message = f"instance {instance!r} expects {INSTANCES[instance].monad}"
+        raise SpecError("E_MODALITY", f"{message}, got {doc.computation.kind}")
     grid = None
     if doc.computation.kind in (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST):
         grid = doc.grid_for(doc.computation.target)
-    verdict = roundtrip_verify(doc.computation, instance, grid)
+    try:
+        verdict = roundtrip_verify(doc.computation, instance, grid)
+    except UnhealthyInputError as exc:
+        # pt of a computation is healthy, so only a grid below the minimum fails it
+        _emit(f"synthesis rejected: {exc.verdict.describe()}\n", args.out)
+        return _verdict_exit(exc.verdict)
     _emit(f"roundtrip: {verdict.describe()}\n", args.out)
     return _verdict_exit(verdict)
 
@@ -552,6 +607,10 @@ def _cmd_laws(args) -> int:
         if not verdict.is_healthy:
             failures += 1
 
+    names = [k.value for k in MonadKind]
+    if args.monad and args.monad not in names:
+        message = f"unknown monad {args.monad!r}; choose from {', '.join(names)}"
+        raise SpecError("E_SCHEMA", message, "--monad")
     kinds = [MonadKind(args.monad)] if args.monad else list(MonadKind)
     for kind in kinds:
         verdict = check_monad_laws(kind, carriers, seed=args.seed, max_enum=args.max_enum)
@@ -567,7 +626,7 @@ def _cmd_laws(args) -> int:
             "monad-map support", check_monad_map_laws(support_map_spec(), carriers, seed=args.seed)
         )
     if args.modality:
-        mod = builtin_modality(args.modality)
+        mod = _modality(args.modality, "--modality")
         record(f"algebra {mod.name}", check_algebra_laws(mod, seed=args.seed))
         if mod.structure_class:
             record(
@@ -654,9 +713,10 @@ def run(argv) -> int:
     except MissingProbeError as exc:
         sys.stderr.write(f"inconclusive: probe table lacks a required evaluation point: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (ValueError, TypeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    except Exception as exc:  # anything else is a bug in wpbench, not bad input
+        sys.stderr.write(traceback.format_exc())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

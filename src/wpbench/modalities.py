@@ -634,8 +634,6 @@ class LawCheck:
         self.preds = list(probes) + [(ZERO,) * width, (ONE,) * width]
         self.scalars = tuple(scalars)
         self.checked = 0
-        self._max = [max(p, default=0) for p in lattice.preds]
-        self._min = [min(p, default=0) for p in lattice.preds]
         self.F, self._rows = F, rows
         self._consts = ((ZERO,) * outputs, (ONE,) * outputs)
         self._const_pairs = (((0, 1),) * outputs, ((1, 1),) * outputs)
@@ -665,37 +663,63 @@ class LawCheck:
     def arguments(self, shape: str):
         """Every argument of a shape as indices: into ``preds``, and for
         "scale" and "shift" then into ``scalars``."""
-        k, U, hi, lo = len(self._max), self._lattice.one, self._max, self._min
+        lattice = self._lattice
+        k, lam = len(lattice.preds), lattice.scalars
         if shape in ("bottom", "top"):
             return [(k if shape == "bottom" else k + 1,)]
         if shape == "scale":
-            return ((i, s) for i in range(k) for s in range(len(self._lattice.scalars)))
+            return ((i, s) for i in range(k) for s in range(len(lam)))
         if shape == "shift":
-            lam = self._lattice.scalars
-            return ((i, s) for i in range(k) for s in range(len(lam)) if hi[i] + lam[s] <= U)
-        # whether probes i and j sum (dual: sum minus one) into [0, 1]; the
-        # extreme values decide most pairs without a pointwise scan
-        ints = self._lattice.preds
-        if shape == "dual_sum":
-            return (
-                (i, j)
-                for i in range(k)
-                for j in range(i, k)
-                if lo[i] + lo[j] >= U
-                or (hi[i] + hi[j] >= U and min(map(add, ints[i], ints[j])) >= U)
-            )
-        return (
-            (i, j)
-            for i in range(k)
-            for j in range(i, k)
-            if hi[i] + hi[j] <= U or (lo[i] + lo[j] <= U and max(map(add, ints[i], ints[j])) <= U)
-        )
+            hi = [max(p, default=0) for p in lattice.preds]
+            return ((i, s) for i in range(k) for s in range(len(lam)) if hi[i] + lam[s] <= lattice.one)
+        return ((i, j) for i, js in enumerate(self._pairs(shape)) for j in js)
+
+    def _pairs(self, shape: str) -> tuple:
+        """Per predicate i, the j >= i that make (i, j) an argument of a
+        pair shape.  They depend on the lattice alone, so each shape is
+        scanned once per lattice and kept there (``Lattice.pairs``)."""
+        cache = self._lattice.pairs
+        rows = cache.get(shape)
+        if rows is None:
+            rows = cache[shape] = tuple(self._pair_rows(shape))
+        return rows
+
+    def _pair_rows(self, shape: str):
+        """``_pairs`` one predicate at a time: whether probes i and j sum
+        (dual: sum minus one) into [0, 1]; the extreme values decide most
+        pairs without a pointwise scan."""
+        ints, U = self._lattice.preds, self._lattice.one
+        hi = [max(p, default=0) for p in ints]
+        lo = [min(p, default=0) for p in ints]
+        k = len(ints)
+        # each row from a list, at its final size (see the monads docstring)
+        for i in range(k):
+            if shape == "dual_sum":
+                yield tuple([
+                    j
+                    for j in range(i, k)
+                    if lo[i] + lo[j] >= U
+                    or (hi[i] + hi[j] >= U and min(map(add, ints[i], ints[j])) >= U)
+                ])
+            else:
+                yield tuple([
+                    j
+                    for j in range(i, k)
+                    if hi[i] + hi[j] <= U
+                    or (lo[i] + lo[j] <= U and max(map(add, ints[i], ints[j])) <= U)
+                ])
 
     def _count(self, shape: str) -> int:
-        """The number of arguments of a shape, counted once per lattice."""
+        """The number of arguments of a shape, counted once per lattice: a
+        pair shape's from its kept pairs, or from a scan that keeps none
+        (a check the certificate decides holds no pair)."""
         counts = self._lattice.counts
         if shape not in counts:
-            counts[shape] = sum(1 for _ in self.arguments(shape))
+            if shape in ("bottom", "top", "scale", "shift"):
+                counts[shape] = sum(1 for _ in self.arguments(shape))
+            else:
+                rows = self._lattice.pairs.get(shape)
+                counts[shape] = sum(map(len, self._pair_rows(shape) if rows is None else rows))
         return counts[shape]
 
     @functools.cached_property

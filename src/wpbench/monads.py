@@ -22,6 +22,11 @@ The closed forms of the rational modalities evaluate on integers here
 transformers, the synthesis round trip and the vertex-list equality
 ``cv_values_equal``, and the law checks read certificates off its
 coefficients.
+
+The hot paths build tuples from lists (``tuple([...])``), at their final
+size.  A tuple grown from a generator, once freed, is kept on CPython's
+free list for its final size, and only a full collection empties those
+lists; the integer paths allocate too few tracked objects to trigger one.
 """
 
 from __future__ import annotations
@@ -105,10 +110,11 @@ class DistV:
     """A finite-support rational (sub)distribution.
 
     Weights are exact nonnegative Fractions; zero weights are dropped at
-    construction so equality and hashing see only the support.
+    construction so equality and hashing see only the support.  The
+    weights never change after construction, so the hash is computed once.
     """
 
-    __slots__ = ("_w",)
+    __slots__ = ("_w", "_hash")
 
     def __init__(self, pairs: Iterable = ()):
         w: dict = {}
@@ -121,14 +127,24 @@ class DistV:
                 continue
             w[x] = w.get(x, ZERO) + q
         self._w = w
+        self._hash = None
+
+    @classmethod
+    def _of_weights(cls, w: dict) -> "DistV":
+        """A DistV over a dict of positive Fraction weights, taken as is."""
+        d = object.__new__(cls)
+        d._w, d._hash = w, None
+        return d
 
     @classmethod
     def dirac(cls, x) -> "DistV":
-        return cls(((x, ONE),))
+        return cls._of_weights({x: ONE})
 
     @property
     def mass(self) -> Fraction:
-        return sum(self._w.values(), ZERO)
+        weights = self._w.values()
+        den = math.lcm(*[q.denominator for q in weights])
+        return Fraction(sum([q.numerator * (den // q.denominator) for q in weights]), den)
 
     @property
     def support(self) -> frozenset:
@@ -156,11 +172,16 @@ class DistV:
 
     @staticmethod
     def mix(weighted: Iterable) -> "DistV":
-        """Convex-style combination sum_i c_i * d_i."""
-        pairs = []
-        for c, d in weighted:
-            pairs.extend((x, c * q) for x, q in d.items())
-        return DistV(pairs)
+        """Convex-style combination sum_i c_i * d_i, summed on integer
+        numerators over one common denominator (``_mix_numerators``).  A
+        c_i that is negative, or not an int or a Fraction, goes through the
+        constructor's pairs instead, which refuses a negative weight."""
+        terms = list(weighted)
+        mixed = _mix_numerators(terms)
+        if mixed is None:
+            return DistV((x, c * q) for c, d in terms for x, q in d.items())
+        nums, den = mixed
+        return DistV._of_weights({x: Fraction(n, den) for x, n in nums.items()})
 
     def expect(self, fn) -> Fraction:
         return sum((q * fn(x) for x, q in self._w.items()), ZERO)
@@ -168,12 +189,44 @@ class DistV:
     def __eq__(self, other):
         return isinstance(other, DistV) and self._w == other._w
 
+    def __reduce__(self):
+        # the constructor rebuilds the weights; a cached string hash is
+        # salted per process, so it is not carried along
+        return DistV, (self._w,)
+
     def __hash__(self):
-        return hash(frozenset(self._w.items()))
+        h = self._hash
+        if h is None:
+            # weights are normalized Fractions, so equal ones have equal
+            # terms, and hashing two ints costs less than hashing a Fraction
+            h = self._hash = hash(frozenset((x, q.numerator, q.denominator) for x, q in self._w.items()))
+        return h
 
     def __repr__(self):
         inner = " + ".join(f"{q}*{x!r}" for x, q in self._w.items())
         return f"DistV({inner or '0'})"
+
+
+def _mix_numerators(terms: Sequence) -> tuple | None:
+    """sum c * d over (c, d) as integers: per point, in first-appearance
+    order, its numerator over the lcm of the products' denominators, and
+    that lcm.  A zero c adds no point.  None when some c is negative, or
+    not an int or a Fraction."""
+    scaled = []
+    for c, d in terms:
+        if not isinstance(c, (int, Fraction)):
+            return None
+        a, b = c.numerator, c.denominator
+        if a < 0:
+            return None
+        if a:
+            for x, q in d.items():
+                scaled.append((x, a * q.numerator, b * q.denominator))
+    den = math.lcm(*[b for _, _, b in scaled])
+    nums: dict = {}
+    for x, n, b in scaled:
+        nums[x] = nums.get(x, 0) + n * (den // b)
+    return nums, den
 
 
 def up_closure(family: Iterable, universe) -> frozenset:
@@ -223,7 +276,7 @@ def _validate_value(kind: MonadKind, target: FinSet, value):
         return v
     if kind in (MonadKind.SUBDIST, MonadKind.DIST):
         v = value if isinstance(value, DistV) else DistV(value)
-        for y in v.support:
+        for y in v._w:
             target.index(y)
         m = v.mass
         if m > 1:
@@ -245,7 +298,7 @@ def _validate_value(kind: MonadKind, target: FinSet, value):
             d = d if isinstance(d, DistV) else DistV(d)
             if d.mass != 1:
                 raise ValueError(f"CV_DIST vertex mass must equal one, got {d.mass}")
-            for y in d.support:
+            for y in d._w:
                 target.index(y)
             checked.append(d)
         vs = dedup_vertices(checked)
@@ -274,7 +327,7 @@ class KleisliArrow:
             raise ValueError(
                 f"arrow needs {len(source)} rows for carrier {source.name!r}, got {len(row_list)}"
             )
-        validated = tuple(_validate_value(kind, target, r) for r in row_list)
+        validated = tuple([_validate_value(kind, target, r) for r in row_list])
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -312,8 +365,13 @@ def unit_value(kind: MonadKind, target: FinSet, x):
 
 
 def unit(kind: MonadKind, carrier: FinSet) -> KleisliArrow:
-    """The identity arrow of the Kleisli category at the carrier."""
-    kind = MonadKind(kind)
+    """The identity arrow of the Kleisli category at the carrier, built
+    once per (kind, carrier): arrows are immutable, so callers share it."""
+    return _unit(MonadKind(kind), carrier)
+
+
+@functools.lru_cache(maxsize=256)
+def _unit(kind: MonadKind, carrier: FinSet) -> KleisliArrow:
     rows = tuple(unit_value(kind, carrier, x) for x in carrier)
     return KleisliArrow._of_valid_rows(kind, carrier, carrier, rows)
 
@@ -344,12 +402,21 @@ def _compose_value(kind: MonadKind, value, g: KleisliArrow):
                 fam.add(w)
         return frozenset(fam)
     if kind == MonadKind.CV_DIST:
-        verts = []
+        # each vertex is a mix of g's vertices by the positive Fraction
+        # weights of one of the value's, which _mix_numerators takes; equal
+        # vertices are dropped on their reduced integer weights, before any
+        # DistV is built, and the first of them is kept
+        verts = {}
         for mu in value:
-            supp = sorted(mu.support, key=g.source.index)
+            supp = sorted(mu._w, key=g.source.index)
+            weights = [mu._w[y] for y in supp]
             for choice in itertools.product(*(g.row(y) for y in supp)):
-                verts.append(DistV.mix((mu.weight(y), nu) for y, nu in zip(supp, choice)))
-        return dedup_vertices(verts)
+                nums, den = _mix_numerators(list(zip(weights, choice)))
+                r = math.gcd(den, *nums.values())
+                key = (den // r, frozenset((x, n // r) for x, n in nums.items()))
+                if key not in verts:
+                    verts[key] = DistV._of_weights({x: Fraction(n, den) for x, n in nums.items()})
+        return tuple(verts.values())
     raise ValueError(f"unknown monad kind {kind!r}")
 
 
@@ -367,7 +434,7 @@ def kleisli_compose(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
         raise ValueError(
             f"carrier mismatch: f targets {f.target.name!r}, g sources {g.source.name!r}"
         )
-    rows = tuple(_compose_value(f.kind, r, g) for r in f.rows)
+    rows = tuple([_compose_value(f.kind, r, g) for r in f.rows])
     return KleisliArrow._of_valid_rows(f.kind, f.source, g.target, rows)
 
 
@@ -397,18 +464,18 @@ def is_enumerable(kind: MonadKind) -> bool:
 def _up_closed_masks(n: int) -> list:
     """The up-closed families over n elements, ascending, as masks whose bit
     s stands for the subset with mask s.  Subsets are decided in descending
-    order, so a subset may join once its one-element extensions have."""
-    out = []
-
-    def extend(s: int, fam: int) -> None:
+    order, so a subset may join once its one-element extensions have.  The
+    search keeps its own stack: a recursive closure would leave a reference
+    cycle per call for the cyclic collector."""
+    out, stack = [], [((1 << n) - 1, 0)]
+    while stack:
+        s, fam = stack.pop()
         if s < 0:
             out.append(fam)
-            return
-        extend(s - 1, fam)
+            continue
+        stack.append((s - 1, fam))
         if all((fam >> (s | 1 << j)) & 1 for j in range(n) if not (s >> j) & 1):
-            extend(s - 1, fam | 1 << s)
-
-    extend((1 << n) - 1, 0)
+            stack.append((s - 1, fam | 1 << s))
     return sorted(out)
 
 
@@ -472,15 +539,16 @@ def random_tvalue(kind: MonadKind, rng: Random, target: FinSet, max_den: int = 1
         remaining = den
         order = elems[:]
         rng.shuffle(order)
-        pairs = []
+        weights = {}
         for i, x in enumerate(order):
             if kind == MonadKind.DIST and i == len(order) - 1:
                 num = remaining
             else:
                 num = rng.randint(0, remaining)
-            pairs.append((x, Fraction(num, den)))
+            if num:
+                weights[x] = Fraction(num, den)
             remaining -= num
-        return DistV(pairs)
+        return DistV._of_weights(weights)
     if kind == MonadKind.UP_POWERSET:
         subsets = enumerate_tvalues(MonadKind.POWERSET, target)
         gens = [s for s in subsets if rng.random() < 0.3]
@@ -518,7 +586,9 @@ class IntegerRows:
     (``modalities.LawCheck``).  ``same_values`` compares two closed
     forms at the points of a lattice: the synthesis residuals and both
     polytope equalities (``synthesis.cv_semantically_equal`` and
-    ``cv_values_equal``) decide on it.  The rows live here, below the
+    ``cv_values_equal``) decide on it.  ``semantics.check_functoriality``
+    composes ``ints`` of two closed forms on its probes' lattice and
+    compares the result with the composite's.  The rows live here, below the
     catalog, so that ``cv_values_equal`` can use them; ``modalities``
     compiles the closed forms of its modalities to them.
     """
@@ -528,12 +598,12 @@ class IntegerRows:
     def __init__(self, rows: Sequence, width: int):
         # rows: per output, its vertex rows (offset, coefficients), in Fractions
         den = self.den = math.lcm(
-            *(q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs))
+            *[q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs)]
         )
         scaled = lambda q: q.numerator * (den // q.denominator)
         self.width = width
         self.rows = tuple(
-            tuple((scaled(c0), tuple(map(scaled, cs))) for c0, cs in verts) for verts in rows
+            [tuple([(scaled(c0), tuple([scaled(c) for c in cs])) for c0, cs in verts]) for verts in rows]
         )
 
     def ints(self, values: Sequence[int], one: int) -> tuple:
@@ -559,10 +629,10 @@ class IntegerRows:
 
     def __call__(self, values: Sequence[Fraction]) -> tuple:
         """The outputs at a predicate given in Fractions."""
-        one = math.lcm(*(v.denominator for v in values))
+        one = math.lcm(*[v.denominator for v in values])
         top = one * self.den
         ints = [v.numerator * (one // v.denominator) for v in values]
-        return tuple(Fraction(v, top) for v in self.ints(ints, one))
+        return tuple([Fraction(v, top) for v in self.ints(ints, one)])
 
     def same_values(self, other: "IntegerRows", points: Sequence, one: int) -> bool:
         """Whether both give the same outputs at every point (an integer
@@ -627,15 +697,22 @@ class Lattice:
 
     @classmethod
     def of(cls, preds, scalars) -> "Lattice":
-        one = math.lcm(*(v.denominator for p in preds for v in p))
-        one *= math.lcm(*(r.denominator for r in scalars))
-        ints = tuple(tuple(v.numerator * (one // v.denominator) for v in p) for p in preds)
-        return cls(one, ints, tuple(r.numerator * (one // r.denominator) for r in scalars))
+        one = math.lcm(*[v.denominator for p in preds for v in p])
+        one *= math.lcm(*[r.denominator for r in scalars])
+        ints = tuple([tuple([v.numerator * (one // v.denominator) for v in p]) for p in preds])
+        return cls(one, ints, tuple([r.numerator * (one // r.denominator) for r in scalars]))
 
     @functools.cached_property
     def counts(self) -> dict:
         """Per law shape, the number of its defined arguments on the
         lattice, filled in by the law checks (``modalities.LawCheck``)."""
+        return {}
+
+    @functools.cached_property
+    def pairs(self) -> dict:
+        """Per pair shape ("sum", "dual_sum"), per predicate i the j >= i
+        that the shape defines at (i, j), filled in by the per-argument
+        law loop (``modalities.LawCheck``)."""
         return {}
 
 
@@ -786,7 +863,7 @@ def _assoc_holds_per_value(kind: MonadKind, carriers: Sequence[FinSet], max_enum
                 us = [_compose_value(kind, t, g) for t in ts]
                 for k, W in enumerate(carriers):
                     for h, memo in zip(arrows[j][k], lifted[j][k]):
-                        rows = tuple(extend(memo, h, r) for r in g.rows)
+                        rows = tuple([extend(memo, h, r) for r in g.rows])
                         gh = KleisliArrow._of_valid_rows(kind, Y, W, rows)
                         for t, u in zip(ts, us):
                             if extend(memo, h, u) != _compose_value(kind, t, gh):

@@ -33,7 +33,7 @@ from .modalities import (
     _closed_form_eval,
     builtin_modality,
 )
-from .monads import BOT, IntegerRows, KleisliArrow, MonadKind, kleisli_compose, unit
+from .monads import BOT, IntegerRows, KleisliArrow, Lattice, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -280,14 +280,49 @@ register_law("functor.identity", _law_functor_identity)
 @functools.lru_cache(maxsize=32)
 def _functor_probes(n: int, seed: int) -> tuple:
     """The default probe grid's value tuples over n points, and the same
-    padded with seeded random tuples to at least 100.  Both depend only on
-    n and the seed, so functoriality checks share them; the grids
-    themselves are not shared."""
+    padded with seeded random tuples to at least 100, each with its
+    ``Lattice``.  Both depend only on n and the seed, so functoriality
+    checks share them; the grids themselves are not shared."""
     from .healthiness import ProbeGrid
 
     domain = FinSet("probe", range(n))
     grid = tuple(ProbeGrid.default(domain, seed=seed).value_tuples())
-    return grid, grid + tuple(ProbeGrid.random_tuples(domain, seed + 1, max(0, 100 - len(grid))))
+    padded = grid + tuple(ProbeGrid.random_tuples(domain, seed + 1, max(0, 100 - len(grid))))
+    return (grid, Lattice.of(grid, ())), (padded, Lattice.of(padded, ()))
+
+
+def _lattice_of(preds) -> Lattice | None:
+    """The lattice of probes given as tuples of Fractions, else None."""
+    if all(type(p) is tuple and all(type(v) is Fraction for v in p) for p in preds):
+        return Lattice.of(preds, ())
+    return None
+
+
+def _functor_ints_agree(composed, pf, pg, ident, lattice: Lattice, id_lattice: Lattice) -> bool:
+    """Whether both functor laws hold at every probe, decided on the closed
+    forms' integer rows: P(g . f) against P(f) o P(g) at the lattice's
+    points, and P(unit) against the identity at the identity lattice's.
+    A value over ``one * den`` is compared cross-scaled by the other
+    side's denominator.  False on any difference, or when ``ints`` raises
+    (a value outside [0, 1], a width that misses), so that the caller's
+    Fraction loop decides as it would alone."""
+    rc, rf, rg, ri = composed.rows, pf.rows, pg.rows, ident.rows
+    one = lattice.one
+    sc, sfg = rf.den * rg.den, rc.den
+    try:
+        for p in lattice.preds:
+            lhs = rc.ints(p, one)
+            rhs = rf.ints(rg.ints(p, one), one * rg.den)
+            if len(lhs) != len(rhs) or any(u * sc != v * sfg for u, v in zip(lhs, rhs)):
+                return False
+        one, d = id_lattice.one, ri.den
+        for p in id_lattice.preds:
+            out = ri.ints(p, one)
+            if len(out) != len(p) or any(u != v * d for u, v in zip(out, p)):
+                return False
+    except ValueError:
+        return False
+    return True
 
 
 def check_functoriality(
@@ -299,6 +334,13 @@ def check_functoriality(
     Kleisli composite, the right through transformer composition.
     Boolean instances sweep all postconditions; rational ones use probe
     tuples (>= 100 by default).
+
+    When the composite, P(f), P(g) and P(unit) are all closed forms
+    (``IntegerRows``) and every probe is a Fraction, both laws are first
+    decided on the probes' lattice (``_functor_ints_agree``): when they
+    hold there, the verdict is healthy with every probe counted and no
+    transformer evaluated.  Otherwise the Fraction loop runs as it would
+    alone: it builds the witness at the first failing probe, or raises.
     """
     if isinstance(mod, str):
         mod = builtin_modality(mod)
@@ -308,12 +350,21 @@ def check_functoriality(
     if mod.carrier == BOOLEAN:
         preds = list(range(1 << len(g.target)))
         id_preds = list(range(1 << len(f.source)))
+        lattice = None
     else:
-        preds = list(_functor_probes(len(g.target), seed)[1] if probes is None else probes)
-        id_preds = _functor_probes(len(f.source), seed)[0]
+        preds, lattice = _functor_probes(len(g.target), seed)[1]
+        id_preds, id_lattice = _functor_probes(len(f.source), seed)[0]
+        if probes is not None:
+            preds = list(probes)
+            lattice = _lattice_of(preds)
     # the replay evaluators rebuild these per witness; the check builds them once
     composed = pt_modality(mod, kleisli_compose(f, g))
     pf, pg = pt_modality(mod, f), pt_modality(mod, g)
+    closed = lambda t: isinstance(t, RationalTransformer) and t.rows is not None
+    if lattice is not None and closed(composed) and closed(pf) and closed(pg):
+        ident = pt_modality(mod, unit(mod.monad, f.source))
+        if ident.rows is not None and _functor_ints_agree(composed, pf, pg, ident, lattice, id_lattice):
+            return Verdict.healthy(len(preds) + len(id_preds))
     for pred in preds:
         lhs, rhs = _compose_sides(composed, pf, pg, pred)
         checked += 1

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from wpbench import cli
 from wpbench.cli import (
     EXIT_HEALTHY,
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_UNHEALTHY,
     SpecError,
     _build_parser,
@@ -431,3 +433,77 @@ def test_probe_overrides_are_validated(tmp_path, capsys, probes, code, path):
     assert run(["wp", "--spec", spec]) == EXIT_INPUT
     assert f"[{code}] at {path}:" in capsys.readouterr().err
     assert run(["check", "--spec", spec, "--condition", "gemod_total"]) == EXIT_INPUT
+
+
+def _relation_rows(monad, row):
+    """RELATION_DOC as a computation of another monad, with row at x0 and
+    the full row at x1."""
+    rows = {"x0": row, "x1": ["y0", "y1"] if monad == "lift_powerset" else [["y0", "y1"]]}
+    return {**RELATION_DOC, "computation": {**RELATION_DOC["computation"], "monad": monad, "rows": rows}}
+
+
+PROBE_TABLE = {"kind": "probe_table", "source": "Y", "target": "X", "pairs": [[["0", "0"], ["0", "0"]]]}
+SUBDIST_DOC = {
+    "sets": {"X": ["x"], "Y": ["y0", "y1"]},
+    "computation": {"monad": "subdist", "source": "X", "target": "Y", "rows": {"x": {"y0": "1/2"}}},
+    "modality": "total",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, code",
+    [
+        (["wp", "--modality", "bogus"], SUBDIST_DOC, "E_MODALITY"),
+        (["wp", "--modality", "diamond"], SUBDIST_DOC, "E_MODALITY"),
+        (["synth", "--modality", "diamond"], SUBDIST_DOC, "E_MODALITY"),
+        (["roundtrip", "--modality", "diamond"], SUBDIST_DOC, "E_MODALITY"),
+        (["check", "--condition", "join"], SUBDIST_DOC, "E_SCHEMA"),
+        (["check", "--condition", "emod"], RELATION_DOC, "E_SCHEMA"),
+        (["check", "--condition", "join"], {**RELATION_DOC, "computation": 5}, "E_SCHEMA"),
+        (["check", "--condition", "join"], {**RELATION_DOC, "transformer": []}, "E_SCHEMA"),
+        (["check", "--condition", "join"], {**RELATION_DOC, "transformer": PROBE_TABLE}, "E_MODALITY"),
+        (
+            ["check", "--condition", "join"],
+            {**RELATION_DOC, "transformer": {**PROBE_TABLE, "pairs": [[5, ["0", "0"]]]}},
+            "E_SCHEMA",
+        ),
+        (["wp"], {**RELATION_DOC, "modality": 5}, "E_MODALITY"),
+        (["wp", "--modality", "game"], _relation_rows("up_powerset", {"generators": 5}), "E_SCHEMA"),
+        (["wp", "--modality", "game"], _relation_rows("up_powerset", [5]), "E_SCHEMA"),
+        (["wp", "--modality", "dijkstra"], _relation_rows("lift_powerset", {"elements": 5}), "E_SCHEMA"),
+    ],
+)
+def test_bad_input_is_a_spec_error(tmp_path, capsys, argv, doc, code):
+    # each of these once surfaced as a ValueError, TypeError or
+    # AttributeError from inside the package
+    assert run(argv + ["--spec", write(tmp_path, doc)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"[{code}]" in err and "internal error" not in err
+
+
+def test_bad_flags_are_input_errors(capsys):
+    assert run(["laws", "--monad", "bogus"]) == EXIT_INPUT
+    assert "[E_SCHEMA] at --monad" in capsys.readouterr().err
+    assert run(["laws", "--monad", "powerset", "--modality", "bogus"]) == EXIT_INPUT
+    assert "[E_MODALITY] at --modality" in capsys.readouterr().err
+
+
+def test_a_bug_is_an_internal_error(monkeypatch, capsys):
+    # a ValueError from inside wpbench is not bad input: it exits 70 with
+    # its traceback, where it used to exit 64 as an input error
+    def broken(instance, max_enum):
+        raise ValueError("broken sweep")
+
+    monkeypatch.setattr(cli, "enum_verify", broken)
+    assert run(["enum-verify", "--theorem", "may", "--sizes", "1", "1"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and err.endswith("internal error: ValueError: broken sweep\n")
+
+
+def test_roundtrip_on_a_grid_below_the_minimum_is_inconclusive(tmp_path, capsys):
+    # the synthesis precondition fails on the grid, not on the transformer
+    spec = write(tmp_path, {**SUBDIST_DOC, "probes": {"predicates": [], "random": 0}})
+    assert run(["roundtrip", "--spec", spec]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        "synthesis rejected: inconclusive: grid below the minimum invariant (diracs/constants/core sums)\n"
+    )

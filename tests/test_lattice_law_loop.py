@@ -20,6 +20,7 @@ from wpbench.cli import parse_spec
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid, run_condition
 from wpbench.modalities import RATIONAL, STRUCTURE_CLASSES, LawCheck
+from wpbench.monads import IntegerRows
 from wpbench.semantics import RationalTransformer
 
 RATIONAL_CONDITIONS = ("gemod_total", "gemod_partial", "emod", "regular_sublinear")
@@ -223,3 +224,39 @@ def test_probe_table_missing_a_sum_point_is_inconclusive():
     one, preds = grid.lattice.one, grid.lattice.preds
     sums = {tuple(F(a + b, one) for a, b in zip(p, q)) for p in preds for q in preds}
     assert missing in sums
+
+
+def _pointwise_pairs(lattice, shape):
+    """The pairs i <= j whose sum (dual: sum minus one) lies in [0, 1] at
+    every coordinate, scanned point by point."""
+    ints, one = lattice.preds, lattice.one
+    fits = (lambda s: min(s) >= one) if shape == "dual_sum" else (lambda s: max(s) <= one)
+    k = len(ints)
+    return [(i, j) for i in range(k) for j in range(i, k) if fits([a + b for a, b in zip(ints[i], ints[j])])]
+
+
+def test_pair_arguments_are_scanned_once_per_lattice(monkeypatch):
+    # the sum and dual-sum pairs depend on the lattice alone: grid checks of
+    # two rules on one grid scan each shape once, and keep what a pointwise
+    # scan finds; a closed form the certificates decide keeps no pair
+    scans = []
+    scan = LawCheck._pair_rows
+    monkeypatch.setattr(LawCheck, "_pair_rows", lambda self, shape: scans.append(shape) or scan(self, shape))
+    Y, X = FinSet("Y", ("y0", "y1", "y2")), FinSet("X", ("x",))
+    grid = ProbeGrid.default(Y, seed=4)
+    rules = {
+        "gemod_total": (lambda v: (v[0] / 2 + v[1] / 4,), lambda v: (v[2] / 3,)),
+        "gemod_partial": (lambda v: (F(1, 4) + v[0] / 2 + v[1] / 4,), lambda v: (F(1, 2) + v[2] / 2,)),
+    }
+    for condition, pair in rules.items():
+        for rule in pair:
+            phi = RationalTransformer(Y, X, rule, label="opaque")
+            assert run_condition(condition, phi, grid).is_healthy
+    assert sorted(scans) == ["dual_sum", "sum"]
+    for shape in scans:
+        check = LawCheck(None, 1, grid.predicates, grid.scalars, 3, grid.lattice)
+        assert list(check.arguments(shape)) == _pointwise_pairs(grid.lattice, shape)
+    closed = ProbeGrid.default(Y, seed=5)
+    rows = IntegerRows([[(F(0), (F(1, 2), F(1, 4), F(0)))]], 3)
+    assert run_condition("gemod_total", RationalTransformer(Y, X, rows, label="rows"), closed).is_healthy
+    assert closed.lattice.pairs == {} and closed.lattice.counts

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -26,6 +27,7 @@ from wpbench.monads import (
     is_up_closed,
     kleisli_compose,
     random_arrow,
+    random_tvalue,
     sigma_inverse,
     sigma_prime_inverse,
     sigma_prime_spec,
@@ -352,3 +354,81 @@ def test_distv_arithmetic():
     )
     with pytest.raises(ValueError):
         DistV({"a": F(-1, 2)})
+
+
+def pairs_mix(weighted):
+    """``DistV.mix`` as it was: every product c * q as a Fraction pair,
+    summed by the constructor."""
+    pairs = []
+    for c, d in weighted:
+        pairs.extend((x, c * q) for x, q in d.items())
+    return DistV(pairs)
+
+
+def _mix_inputs(rng, Y):
+    weights = (F(0), F(1), F(1, 2), F(1, 3), F(2, 7), F(5, 12), 0, 1, 3)
+    for _ in range(200):
+        kind = rng.choice((MonadKind.SUBDIST, MonadKind.DIST))
+        yield [(rng.choice(weights), random_tvalue(kind, rng, Y)) for _ in range(rng.randint(0, 4))]
+
+
+def _outcome(fn, weighted):
+    try:
+        d = fn(weighted)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return d, hash(d), repr(d)
+
+
+def test_integer_mix_matches_the_pairs_mix():
+    # equal, equally hashed and printed (the dict keeps first appearance);
+    # zero weights add no point, and a negative one fails with the same error
+    rng = Random(21)
+    Y = FinSet("Y", ("y0", "y1", "y2"))
+    for weighted in _mix_inputs(rng, Y):
+        assert _outcome(DistV.mix, weighted) == _outcome(pairs_mix, weighted)
+        negative = weighted + [(F(-1, 3), DistV.dirac("y1"))]
+        assert _outcome(DistV.mix, negative) == _outcome(pairs_mix, negative)
+    assert _outcome(DistV.mix, [(F(-1, 2), DistV.dirac("y0"))])[0] == "ValueError"
+    assert DistV.mix([(F(-1, 2), DistV())]) == DistV()
+
+
+def pairs_cv_compose(value, g):
+    verts = []
+    for mu in value:
+        supp = sorted(mu.support, key=g.source.index)
+        for choice in itertools.product(*(g.row(y) for y in supp)):
+            verts.append(pairs_mix((mu.weight(y), nu) for y, nu in zip(supp, choice)))
+    return dedup_vertices(verts)
+
+
+def test_cv_composite_vertices_match_the_pairs_route():
+    # vertices deduplicated on integer keys keep the first of equal ones,
+    # in the same order and with the same weights
+    rng = Random(22)
+    Y, Z = FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1", "z2"))
+    dropped = 0
+    for _ in range(60):
+        f = random_arrow(MonadKind.CV_DIST, rng, Y, Y)
+        g = random_arrow(MonadKind.CV_DIST, rng, Y, Z)
+        # one row at both points: a vertex of f weighting both alike makes
+        # the choices (a, b) and (b, a) the same composite vertex
+        g = KleisliArrow(MonadKind.CV_DIST, Y, Z, [g.rows[0], g.rows[0]])
+        for value in f.rows:
+            row = kleisli_compose(KleisliArrow(MonadKind.CV_DIST, Y, Y, [value, value]), g).rows[0]
+            assert repr(row) == repr(pairs_cv_compose(value, g))
+            dropped += sum(len(g.rows[0]) ** len(mu.support) for mu in value) - len(row)
+    assert dropped > 0
+
+
+def test_unit_is_built_once_per_carrier():
+    Y = FinSet("Y", ("y0", "y1"))
+    assert unit("dist", Y) is unit(MonadKind.DIST, FinSet("Y", ("y0", "y1")))
+    assert unit("cv_dist", Y).rows == ((DistV.dirac("y0"),), (DistV.dirac("y1"),))
+
+
+def test_distv_pickles_without_its_hash():
+    d = DistV.mix([(F(1, 3), DistV.dirac("a")), (F(2, 3), DistV({"b": F(1, 2), "a": F(1, 2)}))])
+    hash(d)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and repr(copy) == repr(d) and copy._hash is None

@@ -366,3 +366,85 @@ def test_apply_values_refuses_floats(Y2, X1):
         exact.apply_values((0.1, 0))
     assert exact.apply_values((0, F(1, 5))) == (F(1, 10),)
     assert run_condition("gemod_total", exact).is_healthy
+
+
+# The integer route of check_functoriality against its Fraction loop, run
+# alone by switching the integer comparison off.
+FUNCTOR_CASES = (("total", "subdist"), ("convex", "dist"), ("demonic_prob", "cv_dist"))
+
+
+def _functor_outcome(mod, f, g):
+    verdict = check_functoriality(mod, f, g)
+    return verdict.status, verdict.checked, verdict.witness.describe() if verdict.witness else None
+
+
+def _both_functor_routes(monkeypatch, mod, f, g):
+    integer = _functor_outcome(mod, f, g)
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "_functor_ints_agree", lambda *args: False)
+        return integer, _functor_outcome(mod, f, g)
+
+
+def _sized_carriers():
+    for sizes in itertools.product((1, 2), repeat=3):
+        yield tuple(FinSet(name, tuple(f"{name.lower()}{i}" for i in range(n))) for name, n in zip("XYZ", sizes))
+
+
+def test_functoriality_routes_agree_on_seeded_arrows(monkeypatch):
+    rng = Random(16)
+    for name, kind in FUNCTOR_CASES:
+        mod = builtin_modality(name)
+        for X, Y, Z in _sized_carriers():
+            f, g = random_arrow(kind, rng, X, Y), random_arrow(kind, rng, Y, Z)
+            integer, fraction = _both_functor_routes(monkeypatch, mod, f, g)
+            assert integer == fraction and integer[0] == "healthy", (name, integer, fraction)
+
+
+def test_functoriality_routes_agree_on_a_broken_composite(monkeypatch):
+    # the composite of f with an unrelated arrow h in place of g; the
+    # identity law meets a unit that swaps the points of a two-point carrier
+    rng = Random(17)
+    swap = lambda kind, C: KleisliArrow(kind, C, C, unit(kind, C).rows[::-1])
+    seen = set()
+    for name, kind in FUNCTOR_CASES:
+        mod = builtin_modality(name)
+        for X, Y, Z in _sized_carriers():
+            f, g, h = (random_arrow(kind, rng, A, B) for A, B in ((X, Y), (Y, Z), (Y, Z)))
+            for patch in (("kleisli_compose", lambda f, g, h=h: kleisli_compose(f, h)), ("unit", swap)):
+                with monkeypatch.context() as m:
+                    m.setattr(semantics, *patch)
+                    integer, fraction = _both_functor_routes(monkeypatch, mod, f, g)
+                assert integer == fraction, (name, integer, fraction)
+                seen.add(integer[2].split()[0] if integer[2] else None)
+    assert {"functor.compose", "functor.identity"} <= seen, seen
+
+
+def test_healthy_closed_form_functoriality_evaluates_no_transformer(monkeypatch):
+    # the integer route decides: no transformer's memo holds an evaluation
+    built = []
+    real = semantics.pt_modality
+    monkeypatch.setattr(semantics, "pt_modality", lambda *args: built.append(real(*args)) or built[-1])
+    rng = Random(18)
+    X, Y, Z = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
+    for name, kind in FUNCTOR_CASES:
+        for _ in range(3):
+            f, g = random_arrow(kind, rng, X, Y), random_arrow(kind, rng, Y, Z)
+            assert check_functoriality(builtin_modality(name), f, g).is_healthy
+    assert len(built) == 4 * 3 * len(FUNCTOR_CASES)
+    assert all(phi.rows is not None and phi._memo == {} for phi in built)
+
+
+@pytest.mark.parametrize("probe", [(F(1, 2),), (F(3, 2), F(1, 2)), (F(1, 2), F(-1, 3))])
+def test_functoriality_refuses_bad_probes_on_both_routes(monkeypatch, probe):
+    # a probe of the wrong width, or one whose image leaves [0, 1], makes
+    # the integer rows raise; the Fraction loop then raises as it does alone
+    X, Y, Z = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
+    f = KleisliArrow("dist", X, Y, [DistV({"y0": F(1, 2), "y1": F(1, 2)}), DistV.dirac("y1")])
+    g = KleisliArrow("dist", Y, Z, [DistV.dirac("z0"), DistV({"z0": F(1, 4), "z1": F(3, 4)})])
+    probes = ProbeGrid.default(Z).value_tuples() + [probe]
+    with pytest.raises(ValueError) as integer:
+        check_functoriality("convex", f, g, probes=probes)
+    monkeypatch.setattr(semantics, "_functor_ints_agree", lambda *args: False)
+    with pytest.raises(ValueError) as fraction:
+        check_functoriality("convex", f, g, probes=probes)
+    assert str(integer.value) == str(fraction.value)
