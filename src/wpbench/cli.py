@@ -61,6 +61,7 @@ EXIT_UNHEALTHY = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
 EXIT_INTERNAL = 70
+MAX_ENUM = 1 << 28  # the default of --max-enum
 
 
 class SpecError(ValueError):
@@ -81,7 +82,9 @@ class SpecDocument:
     probes: dict | None  # raw probe override; resolved per domain on demand
     seed: int
 
-    def grid_for(self, domain: FinSet) -> ProbeGrid:
+    def grid_for(self, domain: FinSet, max_enum: int = MAX_ENUM) -> ProbeGrid:
+        """The probe grid over the domain; a document asking for more
+        random probes than max_enum is refused before any is drawn."""
         if self.probes is None:
             return ProbeGrid.default(domain, seed=self.seed)
         preds = self.probes.get("predicates")
@@ -89,6 +92,9 @@ class SpecDocument:
         random_count = self.probes.get("random", 0 if preds else 50)
         if type(random_count) is not int or random_count < 0:
             raise SpecError("E_SCHEMA", "random must be a nonnegative integer", "$.probes.random")
+        if random_count > max_enum:
+            message = f"{random_count} random probes exceed the guard (--max-enum {max_enum})"
+            raise SpecError("E_PROBE", message, "$.probes.random")
         for key, value in (("predicates", preds), ("scalars", scalars)):
             if value is not None and not isinstance(value, list):
                 raise SpecError("E_SCHEMA", f"{key} must be a list", f"$.probes.{key}")
@@ -512,7 +518,7 @@ def _cmd_wp(args) -> int:
     if isinstance(phi, BooleanTransformer):
         payload = transformer_to_json(phi)
     else:
-        payload = probe_evaluations_to_json(phi, doc.grid_for(phi.source))
+        payload = probe_evaluations_to_json(phi, doc.grid_for(phi.source, args.max_enum))
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return EXIT_HEALTHY
 
@@ -533,7 +539,7 @@ def _cmd_check(args) -> int:
             raise SpecError("E_SCHEMA", f"{message}, got a {phi.carrier} one")
     grid = None
     if isinstance(phi, RationalTransformer):
-        grid = doc.grid_for(phi.source)
+        grid = doc.grid_for(phi.source, args.max_enum)
     verdict = run_condition(args.condition, phi, grid)
     report = f"condition: {args.condition}\nverdict: {verdict.describe()}\n"
     _emit(report, args.out)
@@ -552,7 +558,7 @@ def _cmd_synth(args) -> int:
     if phi.carrier != mod.carrier:
         message = f"modality {mod.name!r} inverts {mod.carrier} transformers"
         raise SpecError("E_MODALITY", f"{message}, got a {phi.carrier} one")
-    grid = doc.grid_for(phi.source) if isinstance(phi, RationalTransformer) else None
+    grid = doc.grid_for(phi.source, args.max_enum) if isinstance(phi, RationalTransformer) else None
     try:
         result = synthesize(mod, phi, grid)
     except UnhealthyInputError as exc:
@@ -582,7 +588,7 @@ def _cmd_roundtrip(args) -> int:
         raise SpecError("E_MODALITY", f"{message}, got {doc.computation.kind}")
     grid = None
     if doc.computation.kind in (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST):
-        grid = doc.grid_for(doc.computation.target)
+        grid = doc.grid_for(doc.computation.target, args.max_enum)
     try:
         verdict = roundtrip_verify(doc.computation, instance, grid)
     except UnhealthyInputError as exc:
@@ -645,7 +651,10 @@ def _cmd_enum_verify(args) -> int:
             "E_SCHEMA", f"unknown theorem {args.theorem!r}; ids: {', '.join(THEOREM_IDS)}"
         )
     count = 100 if INSTANCES[args.theorem].monad == MonadKind.CV_DIST else 200
-    instance = TheoremInstance(args.theorem, tuple(args.sizes), seed=args.seed, count=count)
+    try:
+        instance = TheoremInstance(args.theorem, tuple(args.sizes), seed=args.seed, count=count)
+    except ValueError as exc:
+        raise SpecError("E_SCHEMA", str(exc), "--sizes") from None
     t0 = time.perf_counter()
     report = enum_verify(instance, max_enum=args.max_enum)
     sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
@@ -687,7 +696,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--sizes", nargs=2, type=_size, default=(2, 2), metavar=("A", "B"))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-        p.add_argument("--max-enum", dest="max_enum", type=int, default=1 << 28)
+        p.add_argument("--max-enum", dest="max_enum", type=int, default=MAX_ENUM)
         p.add_argument("--monad", help="monad name for the laws command")
         p.add_argument("--out", help="write the report to a file")
     return parser

@@ -46,10 +46,10 @@ from .modalities import (
     mask_term,
     term_entry,
 )
-from .monads import IntegerRows, MonadKind, enumerate_arrows, random_arrow
+from .monads import IntegerRows, MonadKind, enumerate_arrows, has_tvalues, random_arrow
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
-from .verdicts import Witness, register_law
+from .verdicts import Verdict, Witness, register_law
 
 __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "healthy_tables", "THEOREM_IDS"]
 
@@ -78,6 +78,12 @@ class TheoremInstance:
         # type(n) is int: a bool, or a float such as 2.0, is no size
         if not (shaped and all(type(n) is int and n >= 0 for n in sizes)):
             raise ValueError(f"sizes must be two nonnegative integers, got {sizes!r}")
+        monad = INSTANCES[self.theorem].monad
+        if sizes[0] and not has_tvalues(monad, _carrier("y", sizes[1])):
+            raise ValueError(
+                f"no computation to sample: the arrow space X -> {monad.value}(Y) "
+                f"is empty at |X| = {sizes[0]}, |Y| = {sizes[1]}"
+            )
 
 
 @dataclass
@@ -207,6 +213,21 @@ def _realized(mod: Modality, X: FinSet, Y: FinSet, table: tuple) -> bool:
         return False
 
 
+def _all_realized(mod: Modality, Y: FinSet, healthy: list) -> bool:
+    """Whether every healthy 1 x ny table is realized, decided by one
+    synthesis: the tables are stacked as the states of one transformer
+    (bit i of entry m is healthy[i][m]).  The guard's laws, the reader, the
+    mask kernel and the residual all act on each state's bit on its own, so
+    the stack synthesizes back iff every table does."""
+    if not healthy:
+        return True
+    table = [0] * (1 << len(Y))
+    for i, t in enumerate(healthy):
+        for m, v in enumerate(t):
+            table[m] |= v << i
+    return _realized(mod, _carrier("x", len(healthy)), Y, table)
+
+
 def _sweep_boolean(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
     """Decide a Boolean theorem at 1 x ny (see the module docstring): every
     T-value's functional must be healthy, and every healthy functional must
@@ -222,14 +243,18 @@ def _sweep_boolean(mod: Modality, nx: int, ny: int, max_enum: int) -> dict:
     found = next(
         (("sweep.image_health", t, "unhealthy", "healthy") for t in tables if t not in healthy_set),
         None,
-    ) or next(
-        (
-            ("sweep.realizability", t, "unrealized", "realized")
-            for t in healthy
-            if t not in image or not _realized(mod, X1, Y, t)
-        ),
-        None,
     )
+    # one stacked synthesis decides that every healthy functional is
+    # realized; the per-table loop runs only to pick the first witness
+    if found is None and not (image >= healthy_set and _all_realized(mod, Y, healthy)):
+        found = next(
+            (
+                ("sweep.realizability", t, "unrealized", "realized")
+                for t in healthy
+                if t not in image or not _realized(mod, X1, Y, t)
+            ),
+            None,
+        )
     witness = None
     if found and nx:  # with no state, both sides are the one empty table
         law, point, lhs, rhs = found
@@ -260,8 +285,9 @@ def _healthy(subject, table: tuple) -> bool:
 
 
 def _replay_image_health(subject, args):
-    if "table" not in args:
-        raise ValueError("a sampled image-health witness records no table to replay")
+    if "sample" in args:
+        mod, arrow, grid = _redraw(subject, args["sample"])
+        return run_condition(mod.condition, pt_modality(mod, arrow), grid).status, "healthy"
     return "healthy" if _healthy(subject, args["table"]) else "unhealthy", "healthy"
 
 
@@ -275,8 +301,14 @@ def _replay_realizability(subject, args):
     return "realized" if realized else "unrealized", "realized"
 
 
+def _replay_roundtrip(subject, args):
+    mod, arrow, grid = _redraw(subject, args["sample"])
+    return _roundtrip(mod, arrow, pt_modality(mod, arrow), grid).status, "healthy"
+
+
 register_law("sweep.image_health", _replay_image_health)
 register_law("sweep.realizability", _replay_realizability)
+register_law("sweep.roundtrip", _replay_roundtrip)
 
 
 def _random_coefficient_transformer(
@@ -304,6 +336,27 @@ def _random_coefficient_transformer(
     return RationalTransformer(Y, X, fn, label=f"coef[{theorem}]")
 
 
+def _roundtrip(mod: Modality, arrow, phi: RationalTransformer, grid: ProbeGrid) -> Verdict:
+    """The round trip of one sampled computation: a polytope is synthesized
+    from phi, and any other arrow must come back from pt(arrow)."""
+    if mod.monad == MonadKind.CV_DIST:
+        return synth_polytope(phi, grid).residual
+    return roundtrip_verify(arrow, mod.theorem, grid)
+
+
+def _redraw(subject: TheoremInstance, i: int) -> tuple:
+    """The modality, the i-th computation and the grid of the sampled sweep
+    of the subject: in the sweep's first loop only random_arrow draws from
+    the rng."""
+    mod = INSTANCES[subject.theorem]
+    nx, ny = subject.sizes
+    X, Y = _carrier("x", nx), _carrier("y", ny)
+    rng = Random(subject.seed)
+    for _ in range(i + 1):
+        arrow = random_arrow(mod.monad, rng, X, Y)
+    return mod, arrow, ProbeGrid.default(Y, seed=subject.seed)
+
+
 def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dict:
     mod = INSTANCES[theorem]
     X, Y = _carrier("x", nx), _carrier("y", ny)
@@ -325,10 +378,7 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
             )
             continue
         healthy_images += 1
-        if mod.monad == MonadKind.CV_DIST:
-            rt = synth_polytope(phi, grid).residual
-        else:
-            rt = roundtrip_verify(arrow, theorem, grid)
+        rt = _roundtrip(mod, arrow, phi, grid)
         if rt.is_healthy:
             roundtrips += 1
         elif witness is None:

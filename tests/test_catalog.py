@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "wpbench"
 # witness laws the package emits with no replay evaluator yet; the set may
 # only shrink
-UNREPLAYED = {"sweep.roundtrip", "sweep.constructed_health", "sweep.constructed_synth"}
+UNREPLAYED = {"sweep.constructed_health", "sweep.constructed_synth"}
 
 # One seeded violation per law.  Boolean laws: a one-output dense table over
 # two postcondition states.  Rational laws: a one-dimensional rule (identity

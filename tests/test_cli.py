@@ -236,6 +236,34 @@ def test_negative_sizes_are_input_errors(capsys):
     assert run(["laws", "--monad", "powerset", "--sizes", "0", "1"]) == EXIT_HEALTHY
 
 
+def test_empty_hom_sets_are_not_drawn_from(capsys):
+    # X -> D(empty) has no arrows when X is not empty: these inputs stopped
+    # with "mass must equal one, got 0" and exit 70
+    for monad in ("dist", "cv_dist"):
+        assert run(["laws", "--monad", monad, "--sizes", "0", "1"]) == EXIT_HEALTHY
+        out = capsys.readouterr().out
+        assert out.startswith(f"monad {monad}: healthy (0 instances checked)\n"), out
+    for theorem, monad in (("dist_convex", "dist"), ("cv_sublinear", "cv_dist")):
+        assert run(["enum-verify", "--theorem", theorem, "--sizes", "1", "0"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[E_SCHEMA] at --sizes:" in err and f"X -> {monad}(Y) is empty" in err, err
+        assert "internal error" not in err
+    # one empty state space leaves one empty arrow to sample
+    assert run(["enum-verify", "--theorem", "dist_convex", "--sizes", "0", "0"]) == EXIT_HEALTHY
+
+
+def test_random_probe_count_is_bounded_by_max_enum(tmp_path, capsys):
+    # refused before any tuple is drawn: a billion probes cannot be allocated
+    spec = write(tmp_path, {**SUBDIST_DOC, "probes": {"random": 10**9}})
+    for command in (["wp"], ["check", "--condition", "gemod_total"], ["synth"], ["roundtrip"]):
+        assert run(command + ["--spec", spec]) == EXIT_INPUT
+        assert "[E_PROBE] at $.probes.random:" in capsys.readouterr().err
+    spec = write(tmp_path, {**SUBDIST_DOC, "probes": {"random": 3}})
+    assert run(["wp", "--spec", spec, "--max-enum", "2"]) == EXIT_INPUT
+    assert "3 random probes exceed the guard (--max-enum 2)" in capsys.readouterr().err
+    assert run(["wp", "--spec", spec, "--max-enum", "3"]) == EXIT_HEALTHY
+
+
 def test_cmd_enum_verify_deterministic_output(tmp_path):
     a, b, c = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
     run(["enum-verify", "--theorem", "dijkstra", "--sizes", "2", "2", "--out", str(a)])

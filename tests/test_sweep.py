@@ -1,13 +1,15 @@
 import itertools
+from fractions import Fraction
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 
-from wpbench import semantics, sweep
+from wpbench import semantics, sweep, synthesis
 from wpbench.core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
 from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
 from wpbench.monads import KleisliArrow, enumerate_arrows
-from wpbench.semantics import BooleanTransformer
+from wpbench.semantics import BooleanTransformer, RationalTransformer
 from wpbench.sweep import TheoremInstance, enum_verify, healthy_tables
 from wpbench.verdicts import Witness, witness_is_sound
 
@@ -286,3 +288,120 @@ def test_synthesis_witness_replays(monkeypatch):
             assert not report.equal, (theorem, nx)
             assert report.witness.law == "sweep.realizability", (theorem, nx)
             assert witness_is_sound(instance, report.witness), (theorem, nx)
+
+
+def _stack_cases(rng, theorem, ny):
+    """Seeded lists of 1 x ny tables: mostly healthy, some drawn at random
+    (usually unhealthy)."""
+    healthy = healthy_tables(STRUCTURE_CLASSES[INSTANCES[theorem].structure_class], 1, ny)
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            yield [rng.choice(healthy) for _ in range(size)]
+        else:
+            yield [
+                tuple(rng.randint(0, 1) for _ in range(1 << ny)) if rng.random() < 0.3 else rng.choice(healthy)
+                for _ in range(size)
+            ]
+
+
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_stacked_synthesis_decides_every_table(monkeypatch, theorem):
+    # the stacked check answers exactly what the per-table loop does, also
+    # under a seeded fault that leaves healthy tables outside the image:
+    # every chosen set also holds y0
+    rng = Random(17)
+    mod = INSTANCES[theorem]
+    X1 = FinSet("X", ("x0",))
+    answers = set()
+    for faulty in (False, True):
+        if faulty:
+            basis = semantics.MASK_BASES[theorem]
+            monkeypatch.setitem(semantics.MASK_BASES, theorem, lambda row, mask: [b | 1 for b in basis(row, mask)])
+        # the fault needs an element y0
+        for ny in range(faulty, 4):
+            Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
+            for tables in _stack_cases(rng, theorem, ny):
+                want = all(sweep._realized(mod, X1, Y, t) for t in tables)
+                assert sweep._all_realized(mod, Y, tables) == want, (faulty, ny, tables)
+                answers.add((faulty, want))
+        monkeypatch.undo()
+    assert answers == {(False, True), (False, False), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("theorem", BOOLEAN_THEOREMS)
+def test_a_passing_boolean_sweep_synthesizes_once(monkeypatch, theorem):
+    # one synthesis of the stacked tables, whose guard decides the health of
+    # every stacked state
+    calls, guarded = [], []
+    synthesize, run_condition = sweep.synthesize, synthesis.run_condition
+
+    def counted(mod, phi, grid=None):
+        calls.append(len(phi.target))
+        return synthesize(mod, phi, grid)
+
+    def guard(name, phi, grid=None):
+        verdict = run_condition(name, phi, grid)
+        guarded.append((len(phi.target), verdict.is_healthy))
+        return verdict
+
+    monkeypatch.setattr(sweep, "synthesize", counted)
+    monkeypatch.setattr(synthesis, "run_condition", guard)
+    cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
+    for sizes in ((2, 3), (1, 4), (3, 1)):
+        calls.clear(), guarded.clear()
+        assert enum_verify(TheoremInstance(theorem, sizes)).equal, sizes
+        states = len(healthy_tables(cls, 1, sizes[1]))
+        assert calls == [states] and guarded == [(states, True)], sizes
+
+
+def test_sampled_image_health_witness_replays(monkeypatch):
+    # a seeded fault in the semantics: a computation whose first state puts
+    # more than half its mass on y0 gets a transformer of half the value,
+    # which breaks phi(1) = 1
+    pt_modality = sweep.pt_modality
+
+    def faulty(mod, arrow):
+        phi = pt_modality(mod, arrow)
+        if arrow.rows[0].weight("y0") <= Fraction(1, 2):
+            return phi
+        return RationalTransformer(phi.source, phi.target, lambda p: tuple(v / 2 for v in phi.apply_values(p)))
+
+    instance = TheoremInstance("dist_convex", (2, 2), seed=0, count=20)
+    monkeypatch.setattr(sweep, "pt_modality", faulty)
+    report = enum_verify(instance)
+    assert report.witness.law == "sweep.image_health"
+    assert report.witness.args["sample"] > 0 and report.witness.lhs == "unhealthy"
+    assert witness_is_sound(instance, report.witness)
+    monkeypatch.undo()
+    assert not witness_is_sound(instance, report.witness)
+
+
+@pytest.mark.parametrize("theorem", ("subdist_total", "cv_sublinear"))
+def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
+    # a seeded fault in the inverse: where the rebuilt first state puts more
+    # than half its mass on y0, the states' rows are swapped
+    inverse = {"subdist_total": "synthesize", "cv_sublinear": "synth_polytope"}[theorem]
+    module = synthesis if theorem == "subdist_total" else sweep
+    real = getattr(module, inverse)
+
+    def swapped(*args):
+        result = real(*args)
+        arrow = result.arrow
+        first = arrow.rows[0]  # a distribution, or a tuple of vertices
+        weights = [v.weight("y0") for v in (first if isinstance(first, tuple) else (first,))]
+        if max(weights) <= Fraction(1, 2):
+            return result
+        rebuilt = KleisliArrow(arrow.kind, arrow.source, arrow.target, arrow.rows[::-1])
+        phi, grid = args[-2:]
+        residual = synthesis._grid_residual(phi, semantics.pt_modality(INSTANCES[theorem], rebuilt), grid)
+        return synthesis.SynthesisResult(rebuilt, residual)
+
+    instance = TheoremInstance(theorem, (2, 2), seed=4, count=20)
+    monkeypatch.setattr(module, inverse, swapped)
+    report = enum_verify(instance)
+    assert report.witness.law == "sweep.roundtrip"
+    assert report.witness.args["sample"] > 0
+    assert witness_is_sound(instance, report.witness)
+    monkeypatch.undo()
+    assert not witness_is_sound(instance, report.witness)
