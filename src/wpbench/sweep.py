@@ -15,13 +15,19 @@ set rather than tried, and a partial table that violates a law instance
 is cut off.  The image evaluates every T-value over Y through the Boolean
 closed forms of ``semantics`` (mask bases).  Every image point must be
 healthy, and every healthy functional must be an image point that the
-inverse synthesis rebuilds.  The report gives the nx x ny counts as
-powers of the per-state counts.
+inverse synthesis rebuilds.  That synthesis runs once: the H healthy
+functionals are stacked as the H states of one transformer, and since
+the guard, the reader, the mask kernel and the residual act on each
+state's bit on its own, the stack synthesizes back iff every functional
+does.  Only a failed stack is synthesized again one functional at a
+time, to name the first unrealized one.  The report gives the nx x ny
+counts as powers of the per-state counts.
 
 Rational instances are sampled: every sampled computation must produce a
 transformer that passes its grid check, and independently constructed
 law-respecting transformers must synthesize back to computations with
-exact re-evaluation.
+exact re-evaluation.  A witness on a sampled computation records its
+index, and its replay redraws it from the instance's seed.
 """
 
 from __future__ import annotations

@@ -349,7 +349,8 @@ def test_a_passing_boolean_sweep_synthesizes_once(monkeypatch, theorem):
     monkeypatch.setattr(synthesis, "run_condition", guard)
     cls = STRUCTURE_CLASSES[INSTANCES[theorem].structure_class]
     for sizes in ((2, 3), (1, 4), (3, 1)):
-        calls.clear(), guarded.clear()
+        calls.clear()
+        guarded.clear()
         assert enum_verify(TheoremInstance(theorem, sizes)).equal, sizes
         states = len(healthy_tables(cls, 1, sizes[1]))
         assert calls == [states] and guarded == [(states, True)], sizes
