@@ -2,17 +2,20 @@
 round-trip directions.
 
 Each inverse works from the catalog row it inverts: it checks the row's
-healthiness condition (``run_condition(row.condition, ...)``), reads the
-computation off probe predicates, and rebuilds the transformer with
-``pt_modality(row, ...)`` to compare it with the input.  There are three
-readers.  The Boolean one reads, per state, the predicates phi accepts
-and their minimal members, which are the row's mask basis
+healthiness condition (``run_condition(row.condition, ...)``) and reads
+the computation off probe predicates.  There are three readers.  The
+Boolean one reads, per state, the predicates phi accepts and their
+minimal members, which are the row's mask basis
 (``semantics.MASK_BASES``).  The linear one reads each row off the
 Dirac probes and the constants, for the total, partial and dist
-variants.  The demonic-probabilistic one builds, per state, the
-half-space region cut out by the grid; an exact integer clipper finds
-its vertices, minima are certified on them, and a certification failure
-is reported as inconclusive rather than forced.
+variants.  Both rebuild the transformer with ``pt_modality(row, ...)``
+and compare it with the input.  The demonic-probabilistic one builds,
+per state, the half-space region cut out by the grid, on integers: its
+bounds are phi's rows at the grid's lattice points, an exact integer
+clipper (``_clip_ints``) finds its vertices, and each minimum is
+certified on those vertices, which is what the rebuilt transformer
+would be compared on.  A certification failure is reported as
+inconclusive rather than forced.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FinSet, SizeGuardError
+from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import INSTANCES, Modality, _closed_form_eval, builtin_modality
 from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
@@ -262,22 +265,17 @@ register_law("synthesis.mass", _law_synth_mass)
 _SIMPLEX = {1: [(1,)], 2: [(0, 1), (1, 0)], 3: [(0, 0, 1), (1, 0, 0), (0, 1, 0)]}
 
 
-def _clip_region(n: int, halfspaces: Sequence) -> list:
-    """Vertices of {mu in simplex(n) : <p, mu> >= b for each (p, b)}.
+def _clip_ints(n: int, rows: Sequence) -> list:
+    """Vertices of {m in simplex(n) : w . m >= 0 for each row w}.
 
     Exact Sutherland-Hodgman clipping of the standard simplex, supported
-    for n in {1, 2, 3}, on integers: a vertex is a gcd-normalized vector m
-    with mu = m / sum(m), and a half-space scaled by the lcm L of its
-    denominators is sum_j (L p_j - L b) m_j >= 0.  The vertices become
-    Fractions only at the end.
+    for n in {1, 2, 3}, on homogeneous integer rows: a vertex is a
+    gcd-normalized integer vector m, the point m / sum(m) of the simplex.
     """
     poly = _SIMPLEX.get(n)
     if poly is None:
         raise SizeGuardError("half-space certification is implemented for |Y| <= 3")
-    for p, b in halfspaces:
-        L = math.lcm(b.denominator, *(q.denominator for q in p))
-        B = b.numerator * (L // b.denominator)
-        w = [q.numerator * (L // q.denominator) - B for q in p]
+    for w in rows:
         s = [sum(map(operator.mul, w, m)) for m in poly]
         if min(s) >= 0:
             continue
@@ -293,7 +291,23 @@ def _clip_region(n: int, halfspaces: Sequence) -> list:
         poly = list(dict.fromkeys(out))
         if not poly:
             return []
-    return [tuple(Fraction(c, sum(m)) for c in m) for m in poly]
+    return poly
+
+
+def _as_fractions(vertices: list) -> list:
+    return [tuple(Fraction(c, sum(m)) for c in m) for m in vertices]
+
+
+def _clip_region(n: int, halfspaces: Sequence) -> list:
+    """Vertices of {mu in simplex(n) : <p, mu> >= b for each (p, b)}, in
+    Fractions: a half-space scaled by the lcm L of its denominators is the
+    integer row w_j = L p_j - L b of ``_clip_ints``."""
+    rows = []
+    for p, b in halfspaces:
+        L = math.lcm(b.denominator, *(q.denominator for q in p))
+        B = b.numerator * (L // b.denominator)
+        rows.append([q.numerator * (L // q.denominator) - B for q in p])
+    return _as_fractions(_clip_ints(n, rows))
 
 
 def _law_polytope_certify(subject, args):
@@ -310,30 +324,54 @@ def _law_polytope_certify(subject, args):
 register_law("polytope.certify", _law_polytope_certify)
 
 
+def _integer_bounds(phi: RationalTransformer, grid: ProbeGrid) -> tuple:
+    """phi at every grid predicate as integers over one * den, with one the
+    grid's lattice denominator, and den: a closed form's rows are read at
+    the lattice points (``IntegerRows.ints``), a rule's values are scaled
+    to their common denominator."""
+    lattice = grid.lattice
+    rows = phi.rows
+    if rows is not None:
+        if len(rows.rows) != len(phi.target):
+            raise ValueError("transformer output length does not match the target carrier")
+        return [rows.ints(q, lattice.one) for q in lattice.preds], rows.den
+    values = [phi.apply_values(p) for p in grid.predicates]
+    den = math.lcm(*[v.denominator for vs in values for v in vs])
+    return [[v.numerator * (den // v.denominator) * lattice.one for v in vs] for vs in values], den
+
+
 def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisResult:
     """Per-state half-space regions C(x) = {mu : <p, mu> >= phi(p)(x)}.
 
     The region is represented by its defining half-space list; an exact
     clipper produces a rational feasible vertex, and the minimum of every
     grid predicate over the region must be attained exactly at phi's
-    value.  A failed certification (possible when the grid undersamples
-    a transformer that is not genuinely realizable) yields inconclusive:
-    deciding the full converse needs a Farkas-style argument this
-    workbench does not attempt.
+    value.  Bounds, clipping and certification run on integers: with a
+    grid predicate q over the lattice's one and its bound c over one * den
+    (``_integer_bounds``), the half-space is the row w_j = q_j den - c,
+    and at a vertex m, w . m is <p, mu> - phi(p)(x) times the positive
+    one * den * sum(m), so the minimum is certified when the least w . m
+    over the vertices is 0.  A failed certification (possible when the
+    grid undersamples a transformer that is not genuinely realizable)
+    yields inconclusive, with its witness in Fractions: deciding the full
+    converse needs a Farkas-style argument this workbench does not attempt.
     """
     row = INSTANCES["cv_sublinear"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
     lattice = grid.lattice
-    bounds = [phi.apply_values(p) for p in grid.predicates]
+    bounds, den = _integer_bounds(phi, grid)
+    top = lattice.one * den
     regions = []
     vertex_rows = []
     checked = 0
     for i, x in enumerate(X.elements):
-        halfspaces = tuple((p, values[i]) for p, values in zip(grid.predicates, bounds))
-        vertices = _clip_region(len(Y), halfspaces)
-        if not vertices:
+        cs = [values[i] for values in bounds]
+        halfspaces = tuple((p, Fraction(c, top)) for p, c in zip(grid.predicates, cs))
+        wrows = [[v * den - c for v in q] for q, c in zip(lattice.preds, cs)]
+        ms = _clip_ints(len(Y), wrows)
+        if not ms:
             return SynthesisResult(
                 None,
                 Verdict.inconclusive(
@@ -341,6 +379,7 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                 ),
                 regions=tuple(regions),
             )
+        vertices = _as_fractions(ms)
         region = {
             "state": x,
             "halfspaces": halfspaces,
@@ -348,15 +387,9 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
             "vertices": tuple(vertices),
         }
         regions.append(region)
-        vertex_row = dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices)
-        # the state's row rebuilt on its own: its minima at each probe, on the lattice
-        state = KleisliArrow(MonadKind.CV_DIST, FinSet(X.name, (x,)), Y, [vertex_row])
-        mins = pt_modality(row, state).rows
-        top = lattice.one * mins.den
-        for q, (p, bound) in zip(lattice.preds, halfspaces):
-            (ci,) = mins.ints(q, lattice.one)
+        for w, (p, bound) in zip(wrows, halfspaces):
             checked += 1
-            if ci * bound.denominator != bound.numerator * top:
+            if min(sum(map(operator.mul, w, m)) for m in ms) != 0:
                 certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
                 return SynthesisResult(
                     None,
@@ -372,7 +405,7 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                     ),
                     regions=tuple(regions),
                 )
-        vertex_rows.append(vertex_row)
+        vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
     arrow = KleisliArrow(MonadKind.CV_DIST, X, Y, vertex_rows)
     return SynthesisResult(arrow, Verdict.healthy(checked), regions=tuple(regions))
 
@@ -382,7 +415,7 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     mutual evaluation (min over vertices) on the grid plus all Diracs: a
     probe-based test, not a decision of hull equality.  Both arrows are
     first compared on integers, as the rows of their demonic_prob
-    transformers on the grid's lattice plus the Dirac points
+    transformers on the grid's lattice plus the Dirac points it lacks
     (``IntegerRows.same_values``); the Fraction loop runs only when that
     comparison fails, and answers, or raises, as it would alone."""
     if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
@@ -391,9 +424,10 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     mod = builtin_modality("demonic_prob")
     n = len(a.target)
     lattice = grid.lattice
-    diracs = tuple(_dirac_tuple(n, j, lattice.one, 0) for j in range(n))
+    diracs = (_dirac_tuple(n, j, lattice.one, 0) for j in range(n))
+    points = lattice.preds + tuple(d for d in diracs if d not in lattice.preds)
     rows_a, rows_b = (_closed_form_eval(mod, f.rows, a.target.elements) for f in (a, b))
-    if rows_a.same_values(rows_b, lattice.preds + diracs, lattice.one):
+    if rows_a.same_values(rows_b, points, lattice.one):
         return True
     probes = list(grid.predicates) + [_dirac_tuple(n, j) for j in range(n)]
     idx = {y: k for k, y in enumerate(a.target.elements)}

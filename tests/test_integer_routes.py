@@ -6,11 +6,18 @@ closed forms on integer rows (``IntegerRows.same_values`` and
 ``IntegerRows.ints``), and run their Fraction loops only when that fails.
 The references below are those Fraction loops alone, kept here and not in
 the package: verdicts, ``checked`` counts, witnesses, answers and
-exception types must be the same on both routes.  The half-space clipper
-``synthesis._clip_region`` runs on integer vertices; its reference is the
-Fraction clipper it replaced.
+exception types must be the same on both routes.  ``synth_polytope``
+runs on integers from bound to certificate: it reads its bounds off
+phi's rows at the lattice points, or scales an opaque rule's values to
+one common denominator, clips on homogeneous integer rows
+(``synthesis._clip_ints``) and certifies each minimum on the integer
+vertices.  Its reference clips and certifies in Fractions, on closed
+forms and on the same forms behind plain Python rules; the clipper core
+and its Fraction front end ``_clip_region`` are checked against the
+Fraction clipper they replaced.
 """
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -488,7 +495,7 @@ def test_out_of_range_values_and_empty_vertex_lists_fail_as_before(X1, Y2):
     assert outcome(synthesis._grid_residual, phis["over one"], phis["in range"], grid) is ValueError
 
 
-def test_rows_of_the_wrong_shape_raise_value_error(X1, Y2):
+def test_rows_of_the_wrong_shape_raise_value_error(monkeypatch, X1, Y2):
     grid = ProbeGrid.default(Y2, seed=1)
     # an output with no vertex row, as the generic demonic_prob rule refuses it
     with pytest.raises(ValueError, match="no vertex row"):
@@ -503,6 +510,11 @@ def test_rows_of_the_wrong_shape_raise_value_error(X1, Y2):
         assert outcome(fraction_grid_residual, a, b, grid) is ValueError
     with pytest.raises(ValueError, match="target carrier"):
         RationalTransformer(Y2, X1, lambda vals: ()).apply_values((0, 0))
+    # the polytope bounds are read off the rows, and refuse them the same way
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    with pytest.raises(ValueError, match="target carrier"):
+        synth_polytope(two, grid)
+    assert outcome(fraction_synth_polytope, two, grid) is ValueError
 
 
 _ENTRIES = st.sampled_from((F(-1, 2), ZERO, F(1, 6), F(1, 4), F(1, 3), F(1, 2), ONE))
@@ -574,3 +586,101 @@ def test_same_values_shortcut_evaluates_no_point(monkeypatch):
     # there the values pass one, and the evaluation answers False
     assert not a.same_values(b, [(3 * grid.lattice.one,) * 2], grid.lattice.one)
     assert calls
+
+
+def _opaque(phi):
+    """phi's closed form behind a plain Python rule: ``rows`` is None, so
+    synth_polytope reads its bounds through ``apply_values``."""
+    rows = phi.rows
+    return RationalTransformer(phi.source, phi.target, lambda values: rows(values))
+
+
+def _certify_failures(Y):
+    """phi(p) = p0/2, whose certification fails at the constant one, and the
+    constant one, which cuts out an empty region."""
+    n, X1 = len(Y), FinSet("X", ("x",))
+    half = IntegerRows([[(ZERO, (F(1, 2),) + (ZERO,) * (n - 1))]], n)
+    return [RationalTransformer(Y, X1, half), RationalTransformer(Y, X1, IntegerRows([[(ONE, (ZERO,) * n)]], n))]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_opaque_rules_synthesize_as_their_closed_forms(monkeypatch, n):
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    Y = _carrier(n)
+    grid = ProbeGrid.default(Y, seed=n)
+    outcomes = set()
+    for phi in _transformers(Y, seed=40 + n) + _certify_failures(Y):
+        rule = _opaque(phi)
+        result = synth_polytope(rule, grid)
+        assert result == synth_polytope(phi, grid) == fraction_synth_polytope(rule, grid)
+        residual = result.residual
+        if residual.witness:
+            assert witness_is_sound(rule, residual.witness)
+        outcomes.add(residual.status if residual.checked else "empty")
+    assert outcomes == {"healthy", "inconclusive", "empty"}
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_healthy_polytopes_rebuild_phi_at_every_lattice_point_and_dirac(monkeypatch, n):
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    Y = _carrier(n)
+    grid = ProbeGrid.default(Y, seed=n)
+    probes = list(grid.predicates) + [tuple(ONE if k == j else ZERO for k in range(n)) for j in range(n)]
+    healthy = 0
+    for phi in _transformers(Y, seed=40 + n):
+        result = synth_polytope(phi, grid)
+        if result.ok:
+            rebuilt = pt_modality(builtin_modality("demonic_prob"), result.arrow)
+            assert all(rebuilt.apply_values(p) == phi.apply_values(p) for p in probes)
+            healthy += 1
+    assert healthy
+
+
+def test_closed_form_synthesis_neither_evaluates_nor_rebuilds(monkeypatch, Y3):
+    f = random_arrow(MonadKind.CV_DIST, Random(3), X, Y3, max_den=8)
+    phi = pt_modality(builtin_modality("demonic_prob"), f)
+    calls = []
+    apply_values, rebuild = RationalTransformer.apply_values, synthesis.pt_modality
+    monkeypatch.setattr(RationalTransformer, "apply_values", lambda self, p: calls.append(p) or apply_values(self, p))
+    monkeypatch.setattr(synthesis, "pt_modality", lambda *a: calls.append(a) or rebuild(*a))
+    grid = ProbeGrid.default(Y3)
+    result = synth_polytope(phi, grid)
+    assert result.ok and result.residual.checked == 2 * len(grid.predicates)
+    assert not calls and not phi._memo
+
+
+@st.composite
+def _integer_rows(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_integer_rows())
+def test_integer_clipper_core_matches_the_fraction_clipper(case):
+    # a row w is the half-space <w, mu> >= 0 of the Fraction clipper
+    n, rows = case
+    vertices = synthesis._clip_ints(n, rows)
+    assert all(min(m) >= 0 and sum(m) > 0 and math.gcd(*m) == 1 for m in vertices)
+    halfspaces = tuple((tuple(map(F, w)), ZERO) for w in rows)
+    assert [tuple(F(c, sum(m)) for c in m) for m in vertices] == fraction_clip_region(n, halfspaces)
+
+
+def test_the_clipper_core_refuses_other_sizes():
+    for n in (0, 4):
+        with pytest.raises(SizeGuardError):
+            synthesis._clip_ints(n, ())
+
+
+def test_the_default_grid_holds_the_dirac_probes(monkeypatch, Y3):
+    # two lists with one hull but other rows are compared at every lattice
+    # point, and at no Dirac point besides: the default grid holds them all
+    f = random_arrow(MonadKind.CV_DIST, Random(5), X, Y3, max_den=8)
+    mix = lambda row: row + (DistV.mix(((F(1, 3), row[0]), (F(2, 3), row[-1]))),)
+    g = KleisliArrow(MonadKind.CV_DIST, X, Y3, [mix(row) for row in f.rows])
+    grid = ProbeGrid.default(Y3)
+    calls = []
+    ints = IntegerRows.ints
+    monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(a[0]) or ints(self, *a))
+    assert cv_semantically_equal(f, g, grid)
+    assert len(calls) == 2 * len(grid.lattice.preds) and set(calls) == set(grid.lattice.preds)
