@@ -44,7 +44,8 @@ print("roundtrip:", roundtrip_verify(game, "game").describe())
 print("\n== divergence + nondeterminism ==")
 maybe_diverge = KleisliArrow("lift_powerset", X, Y, {"x": frozenset({BOT, "y0"})})
 phi = pt_alternating("dijkstra", maybe_diverge)
-print("row with bottom mixed in:", maybe_diverge.row("x"))
+row = maybe_diverge.row("x")
+print("row with bottom mixed in:", [y for y in Y.elements + (BOT,) if y in row])
 print("wp table:", phi.table, "(divergence falsifies everything)")
 print("strict + meets:", check_strict_nonempty_meets(phi).describe())
 rt = roundtrip_verify(maybe_diverge, "dijkstra")

@@ -9,9 +9,13 @@ implemented in both directions and is finitely testable.
 
 Two tables drive the rest of the package.  The modality catalog has one
 row per theorem instance (monad, modality, structure class).  The law
-table defines every healthiness law once; a structure class is a list of
+table has one row per healthiness law: its shape, its two sides as terms
+over the operation rows (``Op``, each operation on truth values, lattice
+points and value pairs), its relation (``RELATIONS``), its definedness
+law and its coefficient certificate.  A structure class is a list of
 those laws, and the same list is both the transformer healthiness
-condition and the lifting condition on the modality's components.
+condition and the lifting condition on the modality's components; the
+Boolean checks and sweeps read the same rows on bit masks.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ class Modality:
     carrier: str
     structure_class: str | None
     evaluate: Callable
-    param: Fraction | None = None
     pair: tuple | None = None  # (inner, outer) description for alternating instances
     theorem: str | None = None  # the theorem instance this catalog row realizes
 
@@ -169,23 +172,9 @@ INSTANCES = {
             pair=("nonempty-meet over chosen states", "strict bottom"),
             theorem="dijkstra",
         ),
+        Modality("total", MonadKind.SUBDIST, RATIONAL, "gemod", TauR(ZERO), theorem="subdist_total"),
         Modality(
-            "total",
-            MonadKind.SUBDIST,
-            RATIONAL,
-            "gemod",
-            TauR(ZERO),
-            param=ZERO,
-            theorem="subdist_total",
-        ),
-        Modality(
-            "partial",
-            MonadKind.SUBDIST,
-            RATIONAL,
-            "gemod_dual",
-            TauR(ONE),
-            param=ONE,
-            theorem="subdist_partial",
+            "partial", MonadKind.SUBDIST, RATIONAL, "gemod_dual", TauR(ONE), theorem="subdist_partial"
         ),
         Modality("convex", MonadKind.DIST, RATIONAL, "emod", _eval_convex, theorem="dist_convex"),
         Modality(
@@ -213,7 +202,7 @@ def builtin_modality(name: str) -> Modality:
             raise ValueError(f"tau_r parameter {r} outside [0, 1]")
         if r in (ZERO, ONE):
             return INSTANCES["subdist_total" if r == ZERO else "subdist_partial"]
-        return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, TauR(r), param=r)
+        return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, TauR(r))
     for mod in INSTANCES.values():
         if mod.name == key:
             return mod
@@ -374,17 +363,51 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
 # The law table and the structure classes
 
 
-# A law's operations act on Fractions (LawCheck.sides) and, the Boolean ones,
-# on bit masks (MASK_SIDES); a scalar argument is a Fraction.  The rational
-# ones also act on the lattice (_LATTICE_OPS).
+@dataclass(frozen=True, eq=False)
+class Op:
+    """One law operation, in each form a check applies it in: ``value`` on
+    two truth values (Fractions, the second a scalar for the scalings; join
+    and meet on bit masks as well), and for the rational ones ``point`` on
+    two lattice points over ``one`` (a scalar r is repeat(r * one)), giving
+    the point over one exactly, and ``pair`` on two values as (numerator,
+    denominator) pairs (the scalar as (r * one, one))."""
+
+    value: Callable
+    point: Callable | None = None
+    pair: Callable | None = None
 
 
-def _dual_add(a, b):
-    return a + b - ONE
+JOIN, MEET = Op(or_), Op(and_)
+SUM = Op(
+    add,
+    lambda a, b, one: tuple(map(add, a, b)),
+    lambda u, v: (u[0] * v[1] + v[0] * u[1], u[1] * v[1]),
+)
+DUAL_SUM = Op(
+    lambda a, b: a + b - ONE,
+    lambda a, b, one: tuple(x + y - one for x, y in zip(a, b)),
+    lambda u, v: (u[0] * v[1] + v[0] * u[1] - u[1] * v[1], u[1] * v[1]),
+)
+SCALE = Op(
+    mul,
+    lambda a, b, one: tuple(x * r // one for x, r in zip(a, b)),
+    lambda u, v: (u[0] * v[0], u[1] * v[1]),
+)
+DUAL_SCALE = Op(
+    lambda a, r: r * a + ONE - r,
+    lambda a, b, one: tuple(x * r // one + one - r for x, r in zip(a, b)),
+    lambda u, v: (u[0] * v[0] + u[1] * (v[1] - v[0]), u[1] * v[1]),
+)
 
-
-def _dual_mul(a, r):
-    return r * a + ONE - r
+# law relation -> (the rhs clamp on values, the rhs clamp on masks, whether
+# an lhs and an rhs value pair violate it); None for "=", whose rhs is not
+# clamped.  For "<=" (">=") the violation is rhs < lhs (rhs > lhs), exactly
+# where the clamped rhs differs from the lhs.
+RELATIONS = {
+    "=": (None, None, lambda u, v: u[0] * v[1] != v[0] * u[1]),
+    "<=": (min, and_, lambda u, v: v[0] * u[1] < u[0] * v[1]),
+    ">=": (max, or_, lambda u, v: v[0] * u[1] > u[0] * v[1]),
+}
 
 
 @dataclass(frozen=True)
@@ -397,13 +420,23 @@ class Law:
     pointwise sum, resp. sum minus one, stays in [0, 1]), "scale" (a
     predicate and a scalar r) and "shift" (a predicate and a scalar lam
     with p + lam <= 1).  A side is a term: ``("arg", k)`` is F at argument
-    k, ``("at", op)`` is F at op applied pointwise to the arguments,
-    ``("of", op)`` is op applied to F's values at the arguments, and
-    ``("const", c)`` is the truth value c in {0, 1}.
+    k, ``("at", op)`` is F at the ``Op`` op applied pointwise to the
+    arguments, ``("of", op)`` is op applied to F's values at the arguments,
+    and ``("const", c)`` is the truth value c in {0, 1}.
 
-    ``rel`` is "=", "<=" or ">=".  Inequalities use the clamp encoding: a
-    witness records meet(lhs, rhs) (for ">=", join) as its rhs, so a law
-    is violated exactly when its recorded sides differ.
+    ``rel`` is "=", "<=" or ">=" (see ``RELATIONS``).  Inequalities use the
+    clamp encoding: a witness records meet(lhs, rhs) (for ">=", join) as its
+    rhs, so a law is violated exactly when its recorded sides differ.
+
+    A law over a partial operation carries its definedness law ``defined``,
+    checked before it at each argument.  A rational law may carry a
+    ``certificate`` (single, vertex): integer rows certify it, and its
+    definedness law, at every argument when, under ``IntegerRows.bounded``,
+    every vertex row (c0, cs) over den passes ``vertex(c0, cs, den)`` and,
+    if ``single``, every output has exactly one vertex row.  Such rows are
+    linear (one row, c0 = 0), affine with F(1) = 1 (one row, c0 + sum(cs) =
+    den), or a minimum of homogeneous maps (every c0 = 0), resp. of maps
+    that commute with shifts (every sum(cs) = den).
     """
 
     name: str
@@ -411,68 +444,8 @@ class Law:
     lhs: tuple
     rhs: tuple
     rel: str = "="
-
-
-LAWS = {
-    law.name: law
-    for law in (
-        Law("bottom", "bottom", ("arg", 0), ("const", 0)),
-        Law("top", "top", ("arg", 0), ("const", 1)),
-        Law("binary_join", "pair", ("at", or_), ("of", or_)),
-        Law("binary_meet", "pair", ("at", and_), ("of", and_)),
-        Law("monotone", "order", ("arg", 0), ("arg", 1), "<="),
-        Law("zero", "bottom", ("arg", 0), ("const", 0)),
-        Law("one", "top", ("arg", 0), ("const", 1)),
-        Law("dual_zero", "top", ("arg", 0), ("const", 1)),
-        Law("sum_defined", "sum", ("of", add), ("const", 1), "<="),
-        Law("sum", "sum", ("at", add), ("of", add)),
-        Law("dual_sum_defined", "dual_sum", ("of", _dual_add), ("const", 0), ">="),
-        Law("dual_sum", "dual_sum", ("at", _dual_add), ("of", _dual_add)),
-        Law("subadditive_defined", "sum", ("of", add), ("const", 1), "<="),
-        Law("subadditive", "sum", ("of", add), ("at", add), "<="),
-        Law("scale", "scale", ("at", mul), ("of", mul)),
-        Law("dual_scale", "scale", ("at", _dual_mul), ("of", _dual_mul)),
-        Law("translate_defined", "shift", ("of", add), ("const", 1), "<="),
-        Law("translate", "shift", ("at", add), ("of", add)),
-    )
-}
-
-# shapes whose two arguments are both predicates ("scale" and "shift" take a
-# predicate and a scalar); the rational shapes whose groups a coefficient
-# certificate can decide (see _CERTIFICATES)
-_BINARY = ("pair", "order", "sum", "dual_sum")
-_PACKED = ("sum", "dual_sum", "scale", "shift")
-
-# Each rational law operation on the lattice (see LawCheck.first_violation):
-# applied pointwise to two points over ``one`` (integer vectors; a scalar r
-# is repeat(r * one)), giving the point over one, exactly; and applied to
-# two values as (numerator, denominator) pairs (the scalar as (r * one, one)).
-_LATTICE_OPS = {
-    add: (
-        lambda a, b, one: tuple(map(add, a, b)),
-        lambda u, v: (u[0] * v[1] + v[0] * u[1], u[1] * v[1]),
-    ),
-    _dual_add: (
-        lambda a, b, one: tuple(x + y - one for x, y in zip(a, b)),
-        lambda u, v: (u[0] * v[1] + v[0] * u[1] - u[1] * v[1], u[1] * v[1]),
-    ),
-    mul: (
-        lambda a, b, one: tuple(x * r // one for x, r in zip(a, b)),
-        lambda u, v: (u[0] * v[0], u[1] * v[1]),
-    ),
-    _dual_mul: (
-        lambda a, b, one: tuple(x * r // one + one - r for x, r in zip(a, b)),
-        lambda u, v: (u[0] * v[0] + u[1] * (v[1] - v[0]), u[1] * v[1]),
-    ),
-}
-
-# law relation -> whether an lhs and an rhs pair violate it; for "<=" (">=")
-# that is rhs < lhs (rhs > lhs), where the clamped rhs would differ
-_VIOLATES = {
-    "=": lambda u, v: u[0] * v[1] != v[0] * u[1],
-    "<=": lambda u, v: v[0] * u[1] < u[0] * v[1],
-    ">=": lambda u, v: v[0] * u[1] > u[0] * v[1],
-}
+    defined: Law | None = None
+    certificate: tuple | None = None
 
 
 def _homogeneous(c0, cs, den):
@@ -487,22 +460,45 @@ def _shift_invariant(c0, cs, den):
     return sum(cs) == den
 
 
-# The coefficient certificate of a law group, keyed by the law it checks:
-# whether every output must have exactly one vertex row, and the test each
-# vertex row (c0, cs) over den must pass.  Under the guards of
-# LawCheck._bounded the rows map [0, 1]^Y into [0, 1], and they are then
-# linear (one row, c0 = 0), affine with F(1) = 1 (one row, c0 + sum(cs) =
-# den), or a minimum of homogeneous maps (every c0 = 0), resp. of maps that
-# commute with shifts (every sum(cs) = den); the law, and with it its
-# definedness law, holds at every argument of such a form.
-_CERTIFICATES = {
-    "sum": (True, _homogeneous),
-    "scale": (False, _homogeneous),
-    "subadditive": (False, _homogeneous),
-    "dual_sum": (True, _unital),
-    "dual_scale": (True, _unital),
-    "translate": (False, _shift_invariant),
+# One row per law; LAWS holds every law by name, each definedness law just
+# before the law it belongs to.
+LAWS = {
+    law.name: law
+    for row in (
+        Law("bottom", "bottom", ("arg", 0), ("const", 0)),
+        Law("top", "top", ("arg", 0), ("const", 1)),
+        Law("binary_join", "pair", ("at", JOIN), ("of", JOIN)),
+        Law("binary_meet", "pair", ("at", MEET), ("of", MEET)),
+        Law("monotone", "order", ("arg", 0), ("arg", 1), "<="),
+        Law("zero", "bottom", ("arg", 0), ("const", 0)),
+        Law("one", "top", ("arg", 0), ("const", 1)),
+        Law("dual_zero", "top", ("arg", 0), ("const", 1)),
+        Law(
+            "sum", "sum", ("at", SUM), ("of", SUM), "=",
+            Law("sum_defined", "sum", ("of", SUM), ("const", 1), "<="), (True, _homogeneous),
+        ),
+        Law(
+            "dual_sum", "dual_sum", ("at", DUAL_SUM), ("of", DUAL_SUM), "=",
+            Law("dual_sum_defined", "dual_sum", ("of", DUAL_SUM), ("const", 0), ">="), (True, _unital),
+        ),
+        Law(
+            "subadditive", "sum", ("of", SUM), ("at", SUM), "<=",
+            Law("subadditive_defined", "sum", ("of", SUM), ("const", 1), "<="), (False, _homogeneous),
+        ),
+        Law("scale", "scale", ("at", SCALE), ("of", SCALE), certificate=(False, _homogeneous)),
+        Law("dual_scale", "scale", ("at", DUAL_SCALE), ("of", DUAL_SCALE), certificate=(True, _unital)),
+        Law(
+            "translate", "shift", ("at", SUM), ("of", SUM), "=",
+            Law("translate_defined", "shift", ("of", SUM), ("const", 1), "<="), (False, _shift_invariant),
+        ),
+    )
+    for law in (row.defined, row)
+    if law is not None
 }
+
+# shapes whose two arguments are both predicates ("scale" and "shift" take a
+# predicate and a scalar)
+_BINARY = ("pair", "order", "sum", "dual_sum")
 
 
 def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
@@ -517,8 +513,9 @@ class StructureClass:
     transformer, per output coordinate) is a morphism of the class.
 
     ``condition`` names the same list as a transformer healthiness
-    condition.  ``laws`` pairs each law with the id the transformer checks
-    report for it; a definedness law reports that id plus ``_defined``.
+    condition.  ``laws`` pairs each law's name with the id the transformer
+    checks report for it; its definedness law reports that id plus
+    ``_defined``.
     """
 
     tag: str
@@ -529,9 +526,9 @@ class StructureClass:
     @functools.cached_property
     def groups(self) -> tuple:
         """(laws, transformer law id) per law in check order, the laws being
-        its definedness law ``<name>_defined`` when the table has one, then it."""
+        its definedness law when it has one, then it."""
         return tuple(
-            (tuple(LAWS[n] for n in (f"{name}_defined", name) if n in LAWS), law_id)
+            (tuple(law for law in (LAWS[name].defined, LAWS[name]) if law is not None), law_id)
             for name, law_id in self.laws
         )
 
@@ -613,11 +610,11 @@ class LawCheck:
     (numerator, denominator) pairs; the Fraction ``sides`` build the
     witness at the first violation, and decide the constant laws and the
     replays.  When the integer ``rows`` of a closed-form transformer are
-    given (``IntegerRows``), a group whose law has an entry in
-    ``_CERTIFICATES`` is first read off the coefficients: when they
-    certify it, it holds at every argument and counts them all without
-    evaluating F.  The certificate is only sufficient; the constant laws,
-    and every group it does not certify, run the per-argument loop.
+    given (``IntegerRows``), a group whose law has a ``certificate`` is
+    first read off the coefficients: when they certify it, it holds at
+    every argument and counts them all without evaluating F.  The
+    certificate is only sufficient; the constant laws, and every group it
+    does not certify, run the per-argument loop.
     """
 
     def __init__(
@@ -725,28 +722,21 @@ class LawCheck:
     @functools.cached_property
     def _bounded(self) -> bool:
         """Whether the rows map [0, 1]^Y into [0, 1], so that F raises at no
-        argument: they fit the lattice's width (> 0) and the outputs, every
-        offset and coefficient is >= 0, and each output has a vertex row
-        whose sum c0 + sum(cs) is at most den."""
+        argument: they fit the lattice's width (> 0) and the outputs, and
+        they are ``IntegerRows.bounded``."""
         rows, preds = self._rows, self._lattice.preds
         return (
             len(preds[0] if preds else ()) == rows.width > 0
             and len(rows.rows) == len(self._consts[0])
-            and all(
-                verts
-                and min(c0 + sum(cs) for c0, cs in verts) <= rows.den
-                and all(c0 >= 0 and len(cs) == rows.width and min(cs) >= 0 for c0, cs in verts)
-                for verts in rows.rows
-            )
+            and rows.bounded()
         )
 
     def _certified(self, law: Law) -> bool:
         """Whether the rows' coefficients certify a law at every argument
-        (see ``_CERTIFICATES``)."""
-        entry = _CERTIFICATES.get(law.name)
-        if entry is None or not self._bounded:
+        (see ``Law``)."""
+        if law.certificate is None or not self._bounded:
             return False
-        single, test = entry
+        single, test = law.certificate
         den = self._rows.den
         return all(
             (len(verts) == 1 or not single) and all(test(c0, cs, den) for c0, cs in verts)
@@ -763,10 +753,10 @@ class LawCheck:
             image = memo.get(x)
             if image is None:
                 second = fargs[1] if shape in _BINARY else repeat(args[1])
-                image = memo[x] = tuple(map(x, fargs[0], second))
+                image = memo[x] = tuple(map(x.value, fargs[0], second))
             return image
         second = args[1] if shape in _BINARY else repeat(args[1])
-        return self.F(tuple(map(x, args[0], second)))
+        return self.F(tuple(map(x.value, args[0], second)))
 
     def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None) -> tuple:
         """Both sides of a law at one argument, the rhs clamped, so the law
@@ -776,9 +766,8 @@ class LawCheck:
         memo = {} if memo is None else memo
         lhs = self.side(law.lhs, law.shape, args, fargs, memo)
         rhs = self.side(law.rhs, law.shape, args, fargs, memo)
-        if law.rel != "=":
-            rhs = tuple(map(min if law.rel == "<=" else max, lhs, rhs))
-        return lhs, rhs
+        clamp = RELATIONS[law.rel][0]
+        return lhs, rhs if clamp is None else tuple(map(clamp, lhs, rhs))
 
     def first_violation(self, laws: tuple, weight: int):
         """(law, args, lhs, rhs, coordinate) at the first failing argument, or
@@ -798,7 +787,7 @@ class LawCheck:
             self.checked += weight
             return self._fraction_violation(laws, (preds[k],), fargs)
         binary, consts = shape in _BINARY, self._const_pairs
-        compiled = [(law, law.lhs, law.rhs, _VIOLATES[law.rel]) for law in laws]
+        compiled = [(law, law.lhs, law.rhs, RELATIONS[law.rel][2]) for law in laws]
 
         def side(term):
             kind, x = term
@@ -806,12 +795,11 @@ class LawCheck:
                 return fb if x else fa
             if kind == "const":
                 return consts[x]
-            at, of = _LATTICE_OPS[x]
             if kind == "at":
-                return value(at(a, b, one))[1]
+                return value(x.point(a, b, one))[1]
             image = memo.get(x)
             if image is None:
-                image = memo[x] = tuple(map(of, fa, fb))
+                image = memo[x] = tuple(map(x.pair, fa, fb))
             return image
 
         for i, j in self.arguments(shape):
@@ -863,25 +851,28 @@ def mask_term(term: tuple) -> Callable:
         return lambda T, top, f, g: T[g] if x else T[f]
     if kind == "const":
         return lambda T, top, f, g: top if x else 0
+    op = x.value
     if kind == "at":
-        return lambda T, top, f, g: T[x(f, g)]
-    return lambda T, top, f, g: x(T[f], T[g])
+        return lambda T, top, f, g: T[op(f, g)]
+    return lambda T, top, f, g: op(T[f], T[g])
 
 
-def term_entry(term: tuple, f: int, g: int):
-    """The index k when a side at f and g is the table entry T[k] itself
-    (an "arg" or "at" term), else None."""
+def mask_reads(term: tuple, f: int, g: int) -> tuple:
+    """The entries of a dense table that one side of a law reads at f and
+    g; an "arg" or "at" side reads one entry, and is that entry."""
     kind, x = term
     if kind == "arg":
-        return g if x else f
-    return x(f, g) if kind == "at" else None
+        return (g if x else f,)
+    if kind == "at":
+        return (x.value(f, g),)
+    return (f, g) if kind == "of" else ()
 
 
 def _mask_law(law: Law) -> Callable:
     lhs, rhs = mask_term(law.lhs), mask_term(law.rhs)
-    if law.rel == "=":
+    clamp = RELATIONS[law.rel][1]
+    if clamp is None:
         return lambda T, top, f, g: (lhs(T, top, f, g), rhs(T, top, f, g))
-    clamp = and_ if law.rel == "<=" else or_
     return lambda T, top, f, g: (a := lhs(T, top, f, g), clamp(a, rhs(T, top, f, g)))
 
 
@@ -996,13 +987,16 @@ def _rational_probe_tuples(n: int, seed: int, count: int = 24) -> list:
     return uniq
 
 
+# the largest denominator of a sampled T-value's weights in lifting_check
+_SAMPLE_MAX_DEN = 16
+
+
 def lifting_check(
     mod: Modality,
     cls: StructureClass | str,
     n_max: int,
     seed: int = 11,
     samples_per_n: int = 200,
-    max_den: int = 16,
 ) -> Verdict:
     """Check that every component map alpha_n(t) : Omega^n -> Omega is a
     morphism of the given structure class, for n <= n_max.
@@ -1023,7 +1017,7 @@ def lifting_check(
         if is_enumerable(mod.monad):
             ts = enumerate_tvalues(mod.monad, X)
         else:
-            ts = [random_tvalue(mod.monad, rng, X, max_den) for _ in range(samples_per_n)]
+            ts = [random_tvalue(mod.monad, rng, X, _SAMPLE_MAX_DEN) for _ in range(samples_per_n)]
         if cls.carrier == RATIONAL:
             preds = _rational_probe_tuples(n, seed + n)
             lattice = Lattice.of(preds, DEFAULT_SCALARS)

@@ -671,8 +671,7 @@ class IntegerRows:
     def _same_bounded_rows(self, other: "IntegerRows") -> bool:
         """Whether both give the same outputs and raise at no point in
         [0, one]: they have one width, per output the same vertex rows
-        cross-scaled by the other's den, every offset and coefficient >= 0,
-        and every vertex sum c0 + sum(cs) at most den."""
+        cross-scaled by the other's den, and they are ``bounded``."""
         if self.width != other.width:
             return False
         da, db = self.den, other.den
@@ -680,9 +679,20 @@ class IntegerRows:
             scaled = {(c0 * db, tuple(c * db for c in cs)) for c0, cs in va}
             if scaled != {(c0 * da, tuple(c * da for c in cs)) for c0, cs in vb}:
                 return False
-            if not all(c0 >= 0 and min(cs, default=0) >= 0 and c0 + sum(cs) <= da for c0, cs in va):
-                return False
-        return True
+        return self.bounded()
+
+    def bounded(self) -> bool:
+        """Whether the rows map [0, 1]^width into [0, 1], so that ``ints``
+        raises at no point of [0, one]^width: every offset and coefficient
+        is >= 0, every vertex row has width coefficients, and each output
+        has a vertex row whose sum c0 + sum(cs) is at most den (the minimum
+        is at most that row's value, at most its sum)."""
+        return all(
+            verts
+            and min(c0 + sum(cs) for c0, cs in verts) <= self.den
+            and all(c0 >= 0 and len(cs) == self.width and min(cs, default=0) >= 0 for c0, cs in verts)
+            for verts in self.rows
+        )
 
 
 def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:

@@ -49,8 +49,8 @@ from .modalities import (
     StructureClass,
     check_dense,
     dense_instances,
+    mask_reads,
     mask_term,
-    term_entry,
 )
 from .monads import IntegerRows, MonadKind, enumerate_arrows, has_tvalues, random_arrow
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
@@ -133,29 +133,16 @@ def _carrier(prefix: str, n: int) -> FinSet:
 # every value but set from that side.
 
 
-class _Reads(list):
-    """A dense table that records the indices read from it."""
-
-    def __getitem__(self, k):
-        self.append(k)
-        return 0
-
-
-def _reads(side, top: int, f: int, g: int) -> list:
-    reads = _Reads()
-    side(reads, top, f, g)
-    return reads
-
-
-def _forcing(law, f: int, g: int, top: int, pos: dict):
+def _forcing(law, f: int, g: int, pos: dict):
     """(k, side) when the `=` instance of the law at f and g equates the
     entry T[k] with a side reading only entries bound before k, else None."""
     if law.rel != "=":
         return None
     for exact, other in ((law.lhs, law.rhs), (law.rhs, law.lhs)):
-        k, side = term_entry(exact, f, g), mask_term(other)
-        if k is not None and all(pos[j] < pos[k] for j in _reads(side, top, f, g)):
-            return k, side
+        if exact[0] in ("arg", "at"):
+            (k,) = mask_reads(exact, f, g)
+            if all(pos[j] < pos[k] for j in mask_reads(other, f, g)):
+                return k, mask_term(other)
     return None
 
 
@@ -165,7 +152,7 @@ def healthy_tables(cls: StructureClass, nx: int, ny: int) -> list:
     size, top = 1 << ny, (1 << nx) - 1
     instances = list(dense_instances(cls, size))
     below = any(
-        term_entry(term, f, g) < max(f, g)
+        mask_reads(term, f, g)[0] < max(f, g)
         for law, _, f, g in instances
         for term in (law.lhs, law.rhs)
         if term[0] == "at"
@@ -177,13 +164,13 @@ def healthy_tables(cls: StructureClass, nx: int, ny: int) -> list:
     due = [[] for _ in order]
     forced = [None] * size
     for law, _, f, g in instances:
-        forcing = _forcing(law, f, g, top, pos)
+        forcing = _forcing(law, f, g, pos)
         if forcing is not None and forced[pos[forcing[0]]] is None:
             k, side = forcing
             forced[pos[k]] = (side, f, g)
             continue
-        sides = MASK_SIDES[law.name]
-        due[max((pos[k] for k in _reads(sides, top, f, g)), default=0)].append((sides, f, g))
+        reads = mask_reads(law.lhs, f, g) + mask_reads(law.rhs, f, g)
+        due[max((pos[k] for k in reads), default=0)].append((MASK_SIDES[law.name], f, g))
     table, found = [0] * size, []
 
     def bind(at: int) -> None:

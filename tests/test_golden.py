@@ -66,7 +66,7 @@ def _corrupted_modality(name: str, rule) -> Modality:
     def evaluate(t, f):
         return min(max(rule(base.evaluate(t, f), t, f), F(0)), F(1))
 
-    return Modality(f"{name}~", base.monad, base.carrier, base.structure_class, evaluate, base.param)
+    return Modality(f"{name}~", base.monad, base.carrier, base.structure_class, evaluate)
 
 
 def _bump_at(den: int, by):

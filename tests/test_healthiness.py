@@ -21,8 +21,6 @@ from wpbench.healthiness import (
     run_condition,
 )
 from wpbench.modalities import (
-    _CERTIFICATES,
-    _PACKED,
     DEFAULT_SCALARS,
     RATIONAL,
     STRUCTURE_CLASSES,
@@ -386,7 +384,7 @@ def test_integer_kernel_agrees_with_fraction_route(Y3, monkeypatch):
     # opaque rule, under every rational condition (healthy or not), on every
     # group of a rational class alone, and on two grids with different
     # common denominators; the integer route must find violations of each
-    # shape the packed pass decides, which it leaves to the per-argument loop
+    # shape a certificate decides, which it leaves to the per-argument loop
     violated = set()
     first_violation = LawCheck.first_violation
 
@@ -436,12 +434,12 @@ def test_integer_kernel_agrees_with_fraction_route(Y3, monkeypatch):
             for laws in groups:
                 assert _group_alone(phi, grid, laws, phi.rows) == _group_alone(opaque, grid, laws, None)
     assert statuses == {"healthy", "unhealthy"}
-    assert violated >= set(_PACKED)
+    assert violated >= {laws[0].shape for laws in groups if laws[-1].certificate is not None}
 
 
 def test_integer_kernel_raises_the_fraction_routes_range_error(Y3):
     # rows in [0, 1] at every probe but at 3/2 on the sum of the two halves:
-    # the loop meets that value after the packed pass falls back, and raises
+    # the loop meets that value after the certificate falls back, and raises
     # as the opaque rule does; with the core first, a violation of the sum
     # law comes earlier and wins on both routes
     X = FinSet("X", ("x0",))
@@ -460,7 +458,7 @@ def test_integer_kernel_raises_the_fraction_routes_range_error(Y3):
     assert _verdict_fields(kernel) == _verdict_fields(fraction)
     assert kernel.witness.args["law"] == "gemod.sum"
     # each group alone; the subadditive law holds at the sum of the halves,
-    # so there only the range check makes the packed pass fall back
+    # so there only the range check makes the certificate fall back
     groups = [g for cls in STRUCTURE_CLASSES.values() if cls.carrier == RATIONAL for g, _ in cls.groups]
     for grid in (first, last):
         for laws in groups:
@@ -521,19 +519,20 @@ def test_certificate_agrees_with_the_fraction_route(case):
             assert fraction[0] is None and fraction[1] == check._count(laws[0].shape)
 
 
-def test_every_packed_group_has_a_certificate():
+def test_every_group_but_the_constant_laws_has_a_certificate():
     for cls in STRUCTURE_CLASSES.values():
         if cls.carrier == RATIONAL:
             for laws, _ in cls.groups:
-                assert (laws[0].shape in _PACKED) == (laws[-1].name in _CERTIFICATES), laws
+                assert (laws[0].shape in ("bottom", "top")) == (laws[-1].certificate is None), laws
 
 
-def test_packed_pass_decides_healthy_closed_forms(Y3, monkeypatch):
-    # a healthy closed form under each rational condition: the per-argument
-    # loop evaluates no argument of a shape the packed pass decides
-    shapes = []
-    sides = LawCheck.sides
-    monkeypatch.setattr(LawCheck, "sides", lambda self, law, *a: shapes.append(law.shape) or sides(self, law, *a))
+def test_certificate_decides_healthy_closed_forms(Y3, monkeypatch):
+    # a healthy closed form under each rational condition: the certificate
+    # decides every group but the constant laws, so the checks evaluate F
+    # at the constant predicates only
+    points = []
+    value = LawCheck._value
+    monkeypatch.setattr(LawCheck, "_value", lambda self, point, *a: points.append(point) or value(self, point, *a))
     X = FinSet("X", ("x0", "x1"))
     rng = Random(8)
     grid = ProbeGrid.default(Y3)
@@ -542,14 +541,15 @@ def test_packed_pass_decides_healthy_closed_forms(Y3, monkeypatch):
         for _ in range(3):
             verdict = run_condition(mod.condition, pt_modality(mod, random_arrow(mod.monad, rng, X, Y3)), grid)
             assert verdict.is_healthy
-    assert set(shapes) == {"bottom", "top"}
+    one = grid.lattice.one
+    assert set(points) == {(0, 0, 0), (one, one, one)}
 
 
-def test_packed_pass_memory_is_linear_in_the_grid():
-    # the packed pass holds a few ints with one lane per predicate: growing a
-    # grid at |Y| = 4 from 150 to 600 predicates grows the peak about as a
-    # linear term does (at most four times), where a table with a lane per
-    # pair of predicates would grow it sixteen times (over 0.6 MB at 600)
+def test_certified_check_memory_is_linear_in_the_grid():
+    # a certified grid check holds a few ints per predicate: growing a grid
+    # at |Y| = 4 from 150 to 600 predicates grows the peak about as a linear
+    # term does (at most four times), where a table with an entry per pair
+    # of predicates would grow it sixteen times (over 0.6 MB at 600)
     Y4 = FinSet("Y", tuple(f"y{i}" for i in range(4)))
     X = FinSet("X", ("x0", "x1"))
     phi = pt_modality(builtin_modality("convex"), random_arrow(MonadKind.DIST, Random(12), X, Y4))

@@ -588,6 +588,22 @@ def test_same_values_shortcut_evaluates_no_point(monkeypatch):
     assert calls
 
 
+def test_same_values_shortcut_needs_one_bounded_vertex_per_output(monkeypatch):
+    # identical rows with a vertex sum above den: the least vertex sum per
+    # output bounds the values, so the shortcut answers with no point
+    # evaluated, as the evaluation would
+    rows = [[(ZERO, (F(1, 2), F(1, 2))), (F(1, 2), (ONE, ONE))]]
+    a, b = IntegerRows(rows, 2), IntegerRows(rows, 2)
+    assert a.bounded() and max(c0 + sum(cs) for c0, cs in a.rows[0]) > a.den
+    grid = ProbeGrid.default(FinSet("Y", ("y0", "y1")), seed=4)
+    assert evaluated_same_values(a, b, grid.lattice.preds, grid.lattice.one)
+    calls = []
+    ints = IntegerRows.ints
+    monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
+    assert a.same_values(b, grid.lattice.preds, grid.lattice.one)
+    assert not calls
+
+
 def _opaque(phi):
     """phi's closed form behind a plain Python rule: ``rows`` is None, so
     synth_polytope reads its bounds through ``apply_values``."""

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wpbench.core import FinSet, SizeGuardError
 from wpbench.modalities import (
-    _PACKED,
     BOOLEAN,
     RATIONAL,
     STRUCTURE_CLASSES,
@@ -234,14 +233,16 @@ def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
 def test_lifting_certifies_the_healthy_closed_forms(monkeypatch):
     # each closed form under its own class: the coefficient certificate
     # decides every group over sums, dual sums, scalings and shifts, so the
-    # per-argument loop evaluates none of their arguments
-    shapes = []
-    sides = LawCheck.sides
-    monkeypatch.setattr(LawCheck, "sides", lambda self, law, *a: shapes.append(law.shape) or sides(self, law, *a))
+    # checks evaluate F at the constant predicates of the constant laws only
+    constant = []
+    value = LawCheck._value
+    monkeypatch.setattr(
+        LawCheck, "_value", lambda self, point, *a: constant.append(point in self._points[-2:]) or value(self, point, *a)
+    )
     for name in ("total", "partial", "convex", "demonic_prob"):
         mod = builtin_modality(name)
         assert lifting_check(mod, mod.structure_class, n_max=3, seed=5, samples_per_n=12).is_healthy
-    assert shapes and not set(shapes) & set(_PACKED)
+    assert constant and all(constant)
 
 
 def test_free_algebra_morphisms_counts(Y2):
