@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import FinSet, SizeGuardError, format_rational, parse_rational
-from .healthiness import CONDITIONS, ProbeGrid, run_condition
+from .healthiness import _CLASSES, CONDITIONS, ProbeGrid, run_condition
 from .modalities import (
     INSTANCES,
-    STRUCTURE_CLASSES,
     builtin_modality,
     check_algebra_laws,
     lifting_check,
@@ -533,10 +532,10 @@ def _cmd_check(args) -> int:
             f"unknown condition {args.condition!r}; choose from {'|'.join(sorted(CONDITIONS))}",
         )
     phi = _doc_transformer(doc, args)
-    for cls in STRUCTURE_CLASSES.values():
-        if cls.condition == args.condition and cls.carrier != phi.carrier:
-            message = f"condition {args.condition!r} needs a {cls.carrier} transformer"
-            raise SpecError("E_SCHEMA", f"{message}, got a {phi.carrier} one")
+    cls = _CLASSES.get(args.condition)
+    if cls is not None and cls.carrier != phi.carrier:
+        message = f"condition {args.condition!r} needs a {cls.carrier} transformer"
+        raise SpecError("E_SCHEMA", f"{message}, got a {phi.carrier} one")
     grid = None
     if isinstance(phi, RationalTransformer):
         grid = doc.grid_for(phi.source, args.max_enum)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, and_, mul, or_
@@ -41,6 +41,7 @@ from .monads import (
     _compose_value,
     enumerate_tvalues,
     is_enumerable,
+    mult_value,
     random_tvalue,
     support,
     unit_value,
@@ -88,6 +89,16 @@ class Modality:
     for a valuation mapping carrier elements into Omega; this single rule
     realizes both the algebra (identity valuation over Omega-elements) and
     every component of the induced monad map.
+
+    ``closed_form(tvalues, targets)``, which the catalog rows and the
+    built-in tau_r rows carry, compiles T-values over ``targets`` into what
+    the semantics evaluates in place of the rule: for a Boolean row, each
+    T-value's mask basis (x is in phi(m) iff some mask of x's basis lies
+    inside m, ``semantics.mask_table``); for a rational row, the integer
+    coefficient rows (``IntegerRows``) of the map sending a predicate over
+    ``targets`` to its values at each T-value.  A modality without one goes
+    through its rule; agreement of the two routes is property-tested.  The
+    closed form compiles the rule, so equality ignores it.
     """
 
     name: str
@@ -97,6 +108,7 @@ class Modality:
     evaluate: Callable
     pair: tuple | None = None  # (inner, outer) description for alternating instances
     theorem: str | None = None  # the theorem instance this catalog row realizes
+    closed_form: Callable | None = field(default=None, compare=False)
 
     @property
     def condition(self) -> str:
@@ -121,14 +133,26 @@ def _eval_box(s, f):
 
 @dataclass(frozen=True)
 class TauR:
-    """The rule of tau_r: the expectation plus r times the missing mass.
-    The closed forms (``_closed_form_eval``) recognize the built-in rule by
-    this type, and read r from it."""
+    """The rule of tau_r: the expectation plus r times the missing mass."""
 
     r: Fraction
 
     def __call__(self, p, f):
         return p.expect(f) + self.r * (1 - p.mass)
+
+    def rows(self, tvalues: Sequence, targets: Sequence) -> IntegerRows:
+        """The rule's closed form: per T-value one row, the offset r times
+        the missing mass and the weights over ``targets``."""
+        r = self.r
+        rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
+        return IntegerRows(rows, len(targets))
+
+
+def _tau_r(name: str, r: Fraction, structure_class: str = None, theorem: str = None) -> Modality:
+    rule = TauR(r)
+    return Modality(
+        name, MonadKind.SUBDIST, RATIONAL, structure_class, rule, theorem=theorem, closed_form=rule.rows
+    )
 
 
 def _eval_convex(p, f):
@@ -148,43 +172,57 @@ def _eval_demonic_prob(vertices, f):
     return min(mu.expect(f) for mu in vertices)
 
 
+def _mask_bases(basis: Callable) -> Callable:
+    """The closed form of a Boolean row from ``basis(t, mask)``, one
+    T-value's mask basis, with ``mask`` sending a subset of the targets to
+    its bit mask.  The inverse (``synthesis._synth_boolean``) reads the
+    same bases back: the masks phi accepts at x for game, the minimal ones
+    for the other three rows."""
+
+    def closed_form(tvalues: Sequence, targets: Sequence) -> list:
+        bit = {y: 1 << i for i, y in enumerate(targets)}
+        mask = lambda s: sum(bit[y] for y in s)
+        return [basis(t, mask) for t in tvalues]
+
+    return closed_form
+
+
 # The catalog: one row per theorem instance, in theorem order.
 INSTANCES = {
     mod.theorem: mod
     for mod in (
-        Modality("diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", _eval_diamond, theorem="may"),
-        Modality("box", MonadKind.POWERSET, BOOLEAN, "cl_meet", _eval_box, theorem="must"),
         Modality(
-            "game",
-            MonadKind.UP_POWERSET,
-            BOOLEAN,
-            "pos",
-            _eval_game,
+            "diamond", MonadKind.POWERSET, BOOLEAN, "cl_join", _eval_diamond, theorem="may",
+            closed_form=_mask_bases(lambda s, mask: [mask((y,)) for y in s]),
+        ),
+        Modality(
+            "box", MonadKind.POWERSET, BOOLEAN, "cl_meet", _eval_box, theorem="must",
+            closed_form=_mask_bases(lambda s, mask: (mask(s),)),
+        ),
+        Modality(
+            "game", MonadKind.UP_POWERSET, BOOLEAN, "pos", _eval_game,
             pair=("meet within the chosen set", "join over the family"),
             theorem="game",
+            closed_form=_mask_bases(lambda fam, mask: [mask(s) for s in fam]),
         ),
         Modality(
-            "dijkstra",
-            MonadKind.LIFT_POWERSET,
-            BOOLEAN,
-            "strict_cl_meet",
-            _eval_dijkstra,
+            "dijkstra", MonadKind.LIFT_POWERSET, BOOLEAN, "strict_cl_meet", _eval_dijkstra,
             pair=("nonempty-meet over chosen states", "strict bottom"),
             theorem="dijkstra",
+            closed_form=_mask_bases(lambda s, mask: () if BOT in s else (mask(s),)),
         ),
-        Modality("total", MonadKind.SUBDIST, RATIONAL, "gemod", TauR(ZERO), theorem="subdist_total"),
+        _tau_r("total", ZERO, "gemod", "subdist_total"),
+        _tau_r("partial", ONE, "gemod_dual", "subdist_partial"),
+        # the expectation is tau_0 on distributions, which miss no mass
         Modality(
-            "partial", MonadKind.SUBDIST, RATIONAL, "gemod_dual", TauR(ONE), theorem="subdist_partial"
+            "convex", MonadKind.DIST, RATIONAL, "emod", _eval_convex, theorem="dist_convex",
+            closed_form=TauR(ZERO).rows,
         ),
-        Modality("convex", MonadKind.DIST, RATIONAL, "emod", _eval_convex, theorem="dist_convex"),
         Modality(
-            "demonic_prob",
-            MonadKind.CV_DIST,
-            RATIONAL,
-            "emod_sublinear",
-            _eval_demonic_prob,
+            "demonic_prob", MonadKind.CV_DIST, RATIONAL, "emod_sublinear", _eval_demonic_prob,
             pair=("expectation", "min over the polytope"),
             theorem="cv_sublinear",
+            closed_form=vertex_rows,
         ),
     )
 }
@@ -202,7 +240,7 @@ def builtin_modality(name: str) -> Modality:
             raise ValueError(f"tau_r parameter {r} outside [0, 1]")
         if r in (ZERO, ONE):
             return INSTANCES["subdist_total" if r == ZERO else "subdist_partial"]
-        return Modality(f"tau_r:{r}", MonadKind.SUBDIST, RATIONAL, None, TauR(r))
+        return _tau_r(f"tau_r:{r}", r)
     for mod in INSTANCES.values():
         if mod.name == key:
             return mod
@@ -211,33 +249,6 @@ def builtin_modality(name: str) -> Modality:
 
 def builtin_modality_names() -> tuple:
     return tuple(mod.name for mod in INSTANCES.values())
-
-
-# ---------------------------------------------------------------------------
-# Closed forms of the rational catalog modalities
-
-
-def _catalog_theorem(mod: Modality):
-    """The theorem id when mod is a catalog row itself, else None."""
-    return mod.theorem if INSTANCES.get(mod.theorem) is mod else None
-
-
-def _closed_form_eval(mod: Modality, tvalues: Sequence, targets: Sequence):
-    """The integer rows of the map sending a predicate over ``targets`` to
-    its values at each of ``tvalues`` (the rows of an arrow, or the one
-    T-value of a component alpha_n(t)), or None for the generic evaluation
-    route.  The linear modalities (expectation plus an r-weighted divergence
-    offset; min over polytope vertices) have them.  A closed form is chosen
-    by what the modality is, a catalog row or a built-in tau_r rule, never
-    by its name; agreement with the generic route is property-tested."""
-    theorem = _catalog_theorem(mod)
-    if theorem == "cv_sublinear":
-        return vertex_rows(tvalues, targets)
-    if not (isinstance(mod.evaluate, TauR) or theorem == "dist_convex"):
-        return None
-    r = mod.evaluate.r if isinstance(mod.evaluate, TauR) else ZERO
-    rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
-    return IntegerRows(rows, len(targets))
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +1038,9 @@ def lifting_check(
             if cls.carrier == BOOLEAN:
                 witness, c = check_functional_laws(F, n, cls)
             else:
-                rows = _closed_form_eval(mod, (t,), X.elements)
+                rows = None
+                if mod.carrier == RATIONAL and mod.closed_form is not None:
+                    rows = mod.closed_form((t,), X.elements)
                 F1 = (lambda p: (F(p),)) if rows is None else rows
                 witness, c = _rational_functional_laws(
                     F1, n, cls, preds, DEFAULT_SCALARS, lattice, rows
@@ -1062,28 +1075,9 @@ def free_algebra(kind: MonadKind, generators: FinSet) -> FiniteAlgebra:
     kind = MonadKind(kind)
     values = enumerate_tvalues(kind, generators)
     carrier = FinSet(f"free[{generators.name}]", tuple(values))
-    if kind == MonadKind.POWERSET:
-
-        def apply(tvalue):
-            out = set()
-            for inner in tvalue:
-                out |= inner
-            return frozenset(out)
-
-    elif kind == MonadKind.LIFT_POWERSET:
-
-        def apply(tvalue):
-            out = set()
-            for inner in tvalue:
-                if inner is BOT:
-                    out.add(BOT)
-                else:
-                    out |= inner
-            return frozenset(out)
-
-    else:
+    if kind not in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
         raise SizeGuardError("free algebras are materialized only for enumerable monads")
-    return FiniteAlgebra(carrier.name, kind, carrier, apply)
+    return FiniteAlgebra(carrier.name, kind, carrier, functools.partial(mult_value, kind))
 
 
 def omega_algebra(mod: Modality) -> FiniteAlgebra:

@@ -161,13 +161,6 @@ class DistV:
         """Support items in carrier order (deterministic display)."""
         return [(x, self._w[x]) for x in carrier.elements if x in self._w]
 
-    def scale(self, c: Fraction) -> "DistV":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        return DistV((x, c * q) for x, q in self._w.items())
-
-    def add(self, other: "DistV") -> "DistV":
-        return DistV(list(self._w.items()) + list(other._w.items()))
-
     def pushforward(self, fn) -> "DistV":
         return DistV((fn(x), q) for x, q in self._w.items())
 
@@ -999,10 +992,11 @@ def fmap_value(kind: MonadKind, fn, value):
 def mult_value(kind: MonadKind, value):
     """Monad multiplication on one TT-value."""
     kind = MonadKind(kind)
-    if kind == MonadKind.POWERSET:
+    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
+        # an outer bottom diverges; an inner one stays in the union
         out = set()
         for inner in value:
-            out |= inner
+            out |= frozenset((BOT,)) if inner is BOT else inner
         return frozenset(out)
     if kind in (MonadKind.SUBDIST, MonadKind.DIST):
         return DistV.mix((q, inner) for inner, q in value.items())

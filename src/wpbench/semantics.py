@@ -7,13 +7,14 @@ masks) so exhaustive checks can compare them bit for bit; rational ones
 stay evaluation rules backed by their defining computation, since
 [0,1]^Y is infinite.
 
-Catalog modalities have closed forms, chosen by what the modality is (a
-catalog row, or a built-in tau_r rule), never by its name.  The four
-Boolean rows compile each T-value to a basis of masks, and a state is in
-phi(m) iff some basis mask lies inside m (``mask_table``); the rational
-ones compile to integer coefficient rows (``monads.IntegerRows``, the
-same compiler ``lifting_check`` runs on each component functional).  Every
-other modality goes through its generic evaluation rule.
+The catalog rows and the built-in tau_r rows carry their closed forms
+(``Modality.closed_form``), so a closed form is chosen by the row, never
+by a modality's name.  The four Boolean rows compile each T-value to a
+basis of masks, and a state is in phi(m) iff some basis mask lies inside
+m (``mask_table``); the rational ones compile to integer coefficient rows
+(``monads.IntegerRows``, the same compiler ``lifting_check`` runs on each
+component functional).  Every other modality goes through its generic
+evaluation rule.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ from .modalities import (
     INSTANCES,
     RATIONAL,
     Modality,
-    _catalog_theorem,
-    _closed_form_eval,
     builtin_modality,
 )
-from .monads import BOT, IntegerRows, KleisliArrow, Lattice, MonadKind, kleisli_compose, unit
+from .monads import IntegerRows, KleisliArrow, Lattice, MonadKind, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -165,27 +164,6 @@ def mask_table(bases: Sequence, n_source: int) -> tuple:
     return tuple(table)
 
 
-def _singletons(m: int) -> list:
-    out = []
-    while m:
-        out.append(m & -m)
-        m &= m - 1
-    return out
-
-
-# The Boolean catalog rows as mask bases, by theorem: x is in phi(m) iff some
-# basis mask of x's row lies inside m.  ``mask`` maps a subset of Y to its
-# mask (for a relation given by row masks, ``int``).  The inverse
-# (``synthesis._synth_boolean``) reads the same bases back: the masks phi
-# accepts at x for game, the minimal ones for the other three rows.
-MASK_BASES = {
-    "may": lambda row, mask: _singletons(mask(row)),
-    "must": lambda row, mask: (mask(row),),
-    "game": lambda row, mask: [mask(s) for s in row],
-    "dijkstra": lambda row, mask: () if BOT in row else (mask(row),),
-}
-
-
 def wp_diamond(arrow: KleisliArrow) -> BooleanTransformer:
     """May-semantics of a relation: phi(f)(x) = exists y. xRy and f(y)."""
     if arrow.kind != MonadKind.POWERSET:
@@ -204,21 +182,19 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
     """The generic backward semantics: phi(h)(x) = eval(arrow(x), h).
 
     Boolean modalities produce dense tables, through the mask kernel for
-    the catalog rows (see ``MASK_BASES``); rational ones produce an
-    evaluation rule carrying the defining arrow.
+    a row with a closed form (``Modality.closed_form``); rational ones
+    produce an evaluation rule carrying the defining arrow, the integer
+    rows of the closed form when the row has one.
     """
     if isinstance(mod, str):
         mod = builtin_modality(mod)
     if mod.monad != arrow.kind:
         raise ValueError(f"modality {mod.name!r} interprets {mod.monad}, got {arrow.kind}")
     Y, X = arrow.target, arrow.source
-    theorem = _catalog_theorem(mod)
-    if theorem in MASK_BASES:
-        bit = {y: 1 << i for i, y in enumerate(Y.elements)}
-        mask = lambda s: sum(bit[y] for y in s)
-        basis = MASK_BASES[theorem]
-        return BooleanTransformer(Y, X, mask_table([basis(row, mask) for row in arrow.rows], len(Y)))
+    closed = mod.closed_form
     if mod.carrier == BOOLEAN:
+        if closed is not None:
+            return BooleanTransformer(Y, X, mask_table(closed(arrow.rows, Y.elements), len(Y)))
         table = []
         for m in range(1 << len(Y)):
             val = lambda y: (m >> Y.index(y)) & 1
@@ -229,8 +205,9 @@ def pt_modality(mod: Modality, arrow: KleisliArrow):
             table.append(bits)
         return BooleanTransformer(Y, X, tuple(table))
 
-    fn = _closed_form_eval(mod, arrow.rows, Y.elements)
-    if fn is None:
+    if closed is not None:
+        fn = closed(arrow.rows, Y.elements)
+    else:
         idx = {y: i for i, y in enumerate(Y.elements)}
 
         def fn(values):

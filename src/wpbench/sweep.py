@@ -52,15 +52,12 @@ from .modalities import (
     mask_reads,
     mask_term,
 )
-from .monads import IntegerRows, MonadKind, enumerate_arrows, has_tvalues, random_arrow
+from .monads import DistV, MonadKind, enumerate_arrows, has_tvalues, random_arrow
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "healthy_tables", "THEOREM_IDS"]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 THEOREM_IDS = tuple(INSTANCES)
 
@@ -305,14 +302,15 @@ register_law("sweep.roundtrip", _replay_roundtrip)
 
 
 def _random_coefficient_transformer(
-    theorem: str, rng: Random, X: FinSet, Y: FinSet
+    row: Modality, rng: Random, X: FinSet, Y: FinSet
 ) -> RationalTransformer:
     """A law-respecting transformer built directly from coefficients
     (not via any arrow): the independent construction for the
-    healthy-side sampling.  It is a closed form, an offset plus a row of
-    coefficients per state, so its checks run on the integer lattice."""
+    healthy-side sampling.  It is the row's closed form at one drawn
+    (sub)distribution per state, an offset plus a row of coefficients, so
+    its checks run on the integer lattice."""
     n, k = len(Y), len(X)
-    dist_like = theorem == "dist_convex"
+    dist_like = row.monad == MonadKind.DIST
     rows = []
     for _ in range(k):
         den = rng.choice((2, 3, 4, 6, 8))
@@ -323,10 +321,8 @@ def _random_coefficient_transformer(
             weights.append(Fraction(w, den))
             remaining -= w
         rng.shuffle(weights)
-        rows.append(tuple(weights))
-    partial = theorem == "subdist_partial"
-    fn = IntegerRows([[(ONE - sum(row, ZERO) if partial else ZERO, row)] for row in rows], n)
-    return RationalTransformer(Y, X, fn, label=f"coef[{theorem}]")
+        rows.append(DistV(zip(Y.elements, weights)))
+    return RationalTransformer(Y, X, row.closed_form(rows, Y.elements), label=f"coef[{row.theorem}]")
 
 
 def _roundtrip(mod: Modality, arrow, phi: RationalTransformer, grid: ProbeGrid) -> Verdict:
@@ -381,7 +377,7 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
     synth_side = 0
     if mod.monad != MonadKind.CV_DIST:
         for i in range(count):
-            phi = _random_coefficient_transformer(theorem, rng, X, Y)
+            phi = _random_coefficient_transformer(mod, rng, X, Y)
             verdict = run_condition(mod.condition, phi, grid)
             if not verdict.is_healthy:
                 if witness is None:

@@ -1,21 +1,23 @@
 """Reconstructing computations from healthy transformers, and the two
 round-trip directions.
 
-Each inverse works from the catalog row it inverts: it checks the row's
-healthiness condition (``run_condition(row.condition, ...)``) and reads
-the computation off probe predicates.  There are three readers.  The
-Boolean one reads, per state, the predicates phi accepts and their
-minimal members, which are the row's mask basis
-(``semantics.MASK_BASES``).  The linear one reads each row off the
-Dirac probes and the constants, for the total, partial and dist
-variants.  Both rebuild the transformer with ``pt_modality(row, ...)``
-and compare it with the input.  The demonic-probabilistic one builds,
-per state, the half-space region cut out by the grid, on integers: its
-bounds are phi's rows at the grid's lattice points, an exact integer
-clipper (``_clip_ints``) finds its vertices, and each minimum is
-certified on those vertices, which is what the rebuilt transformer
-would be compared on.  A certification failure is reported as
-inconclusive rather than forced.
+Each inverse works from the catalog row it inverts, which ``synthesize``
+resolves once (``_catalog_row``): it checks the row's healthiness
+condition (``run_condition(row.condition, ...)``) and reads the
+computation off probe predicates.  There are three readers.  The Boolean
+one reads, per state, the predicates phi accepts and their minimal
+members, which are the row's mask basis (its ``closed_form``).  The
+linear one reads each row off the Dirac probes and the constants, for
+the total, partial and dist rows.  Both rebuild the transformer with
+``pt_modality(row, ...)`` and compare it with the input.  The
+demonic-probabilistic one builds, per state, the half-space region cut
+out by the grid, on integers: its bounds are phi's rows at the grid's
+lattice points, an exact integer clipper (``_clip_ints``) finds its
+vertices, and each minimum is certified on those vertices, which is what
+the rebuilt transformer would be compared on.  A certification failure
+is reported as inconclusive rather than forced.  The round trip reads
+what it compares off the row as well: bottom absorption on
+LIFT_POWERSET, and polytopes on CV_DIST.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
-from .modalities import INSTANCES, Modality, _closed_form_eval, builtin_modality
+from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
 from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
@@ -96,12 +98,15 @@ def _dense_residual(phi: BooleanTransformer, rebuilt: BooleanTransformer) -> Ver
 def _synth_boolean(phi: BooleanTransformer, row: Modality) -> SynthesisResult:
     """The inverse of a Boolean catalog row, read off the predicates phi
     accepts at each state.  Past the row's condition the accepted family
-    is up-closed, and its minimal members are the state's mask basis
-    (``semantics.MASK_BASES``): the singletons of a may row, the row
-    itself for must and for dijkstra; a game family is every member they
-    generate.  A relation or dijkstra state gets the union of its minimal
-    members, a dijkstra state that accepts nothing gets {bottom}, and a
-    game state gets the accepted family."""
+    is up-closed, and its minimal members are the state's mask basis (the
+    row's ``closed_form``): the singletons of a may row, the row itself for
+    must and for dijkstra; a game family is every member they generate.
+    A relation or dijkstra state gets the union of its minimal members, a
+    dijkstra state that accepts nothing gets {bottom}, and a game state
+    gets the accepted family.  Each row is a T-value by construction (a
+    subset of Y; a nonempty union, as strictness keeps the empty predicate
+    unaccepted, or {bottom}; an up-closed family), so the arrow is built
+    without validating them again."""
     _guard(run_condition(row.condition, phi), row.condition)
     X, Y, table = phi.target, phi.source, phi.table
     subset = lambda m: frozenset(y for j, y in enumerate(Y.elements) if m >> j & 1)
@@ -123,7 +128,7 @@ def _synth_boolean(phi: BooleanTransformer, row: Modality) -> SynthesisResult:
         else:
             basis = (m for m, out in enumerate(minimal) if out >> i & 1)
             rows.append(subset(functools.reduce(operator.or_, basis, 0)))
-    arrow = KleisliArrow(row.monad, X, Y, rows)
+    arrow = KleisliArrow._of_valid_rows(row.monad, X, Y, tuple(rows))
     flags = ("bottom-absorption",) if any(BOT in r for r in rows) else ()
     return SynthesisResult(arrow, _dense_residual(phi, pt_modality(row, arrow)), flags)
 
@@ -133,7 +138,7 @@ def synth_relation(phi: BooleanTransformer, modality: str = "diamond") -> Synthe
     (``box``) transformer; re-evaluation must be exact."""
     if modality not in ("diamond", "box"):
         raise ValueError("modality must be 'diamond' or 'box'")
-    return _synth_boolean(phi, INSTANCES["may" if modality == "diamond" else "must"])
+    return _synth_boolean(phi, builtin_modality(modality))
 
 
 def synth_upfamily(phi: BooleanTransformer) -> SynthesisResult:
@@ -184,38 +189,42 @@ def _grid_residual(phi: RationalTransformer, rebuilt: RationalTransformer, grid:
     return Verdict.healthy(checked)
 
 
-def _coefficients(phi: RationalTransformer, variant: str) -> list:
+def _coefficients(phi: RationalTransformer, partial: bool) -> list:
     """Per state x, its row read off Dirac probes and the mass the row must
-    have: phi(dirac_y)(x) and phi(1)(x), or for the partial variant
-    phi(dirac_y)(x) - phi(0)(x) and 1 - phi(0)(x)."""
+    have: phi(dirac_y)(x) and phi(1)(x), or for the partial row (the rule
+    tau_1) phi(dirac_y)(x) - phi(0)(x) and 1 - phi(0)(x)."""
     n = len(phi.source)
     cols = [phi.apply_values(_dirac_tuple(n, j)) for j in range(n)]
-    if variant == "partial":
+    if partial:
         zeros = phi.apply_values((ZERO,) * n)
         return [([c[i] - base for c in cols], ONE - base) for i, base in enumerate(zeros)]
     return [([c[i] for c in cols], one) for i, one in enumerate(phi.apply_values((ONE,) * n))]
 
 
-def _synth_diracs(phi: RationalTransformer, variant: str, grid: ProbeGrid | None) -> SynthesisResult:
+def _synth_diracs(phi: RationalTransformer, row: Modality, grid: ProbeGrid | None) -> SynthesisResult:
     """The inverse of a linear catalog row, read off Dirac probes.
 
     total:   f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x);
     partial: f(x)(y) = phi(dirac_y)(x) - phi(0)(x), with mass 1 - phi(0)(x);
     dist:    f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x) = 1.
+
+    A witness names the variant: the row's name, or dist on distributions.
     """
-    row = INSTANCES["dist_convex" if variant == "dist" else f"subdist_{variant}"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
+    dist = row.monad == MonadKind.DIST
+    variant = "dist" if dist else row.name
+    coefficients = _coefficients(phi, row.evaluate == TauR(ONE))
     rows = []
-    for i, (x, (coefs, mass)) in enumerate(zip(X.elements, _coefficients(phi, variant))):
+    for i, (x, (coefs, mass)) in enumerate(zip(X.elements, coefficients)):
         for y, c in zip(Y.elements, coefs):
             if c < 0 or c > 1:
                 args = {"x": x, "y": y, "variant": variant}
                 witness = Witness("synthesis.coefficient", args, c, max(min(c, ONE), ZERO))
                 return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         total_mass = sum(coefs, ZERO)
-        expected = ONE if variant == "dist" else mass
+        expected = ONE if dist else mass
         if total_mass != mass or total_mass != expected:
             witness = Witness("synthesis.mass", {"x": x, "variant": variant}, total_mass, expected)
             return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
@@ -226,21 +235,21 @@ def _synth_diracs(phi: RationalTransformer, variant: str, grid: ProbeGrid | None
 
 def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeGrid = None) -> SynthesisResult:
     """Subdistribution rows from Dirac probes, for the ``total`` or the
-    ``partial`` variant (see ``_synth_diracs``)."""
+    ``partial`` row, by name (see ``_synth_diracs``)."""
     if variant not in ("total", "partial"):
         raise ValueError("variant must be 'total' or 'partial'")
-    return _synth_diracs(phi, variant, grid)
+    return _synth_diracs(phi, builtin_modality(variant), grid)
 
 
 def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisResult:
     """Distribution rows from Dirac probes; the unit law pins mass to one."""
-    return _synth_diracs(phi, "dist", grid)
+    return _synth_diracs(phi, INSTANCES["dist_convex"], grid)
 
 
 def _law_synth_coefficient(subject, args):
     """Replay on the transformer: a coefficient read off its Dirac probe,
     and that coefficient clamped to [0, 1]."""
-    coefs, _ = _coefficients(subject, args["variant"])[subject.target.index(args["x"])]
+    coefs, _ = _coefficients(subject, args["variant"] == "partial")[subject.target.index(args["x"])]
     c = coefs[subject.source.index(args["y"])]
     return c, max(min(c, ONE), ZERO)
 
@@ -249,7 +258,7 @@ def _law_synth_mass(subject, args):
     """Replay on the transformer: the mass of a row read off Dirac probes,
     and the mass it must have (one for a distribution)."""
     variant = args["variant"]
-    coefs, mass = _coefficients(subject, variant)[subject.target.index(args["x"])]
+    coefs, mass = _coefficients(subject, variant == "partial")[subject.target.index(args["x"])]
     return sum(coefs, ZERO), ONE if variant == "dist" else mass
 
 
@@ -426,7 +435,7 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     lattice = grid.lattice
     diracs = (_dirac_tuple(n, j, lattice.one, 0) for j in range(n))
     points = lattice.preds + tuple(d for d in diracs if d not in lattice.preds)
-    rows_a, rows_b = (_closed_form_eval(mod, f.rows, a.target.elements) for f in (a, b))
+    rows_a, rows_b = (mod.closed_form(f.rows, a.target.elements) for f in (a, b))
     if rows_a.same_values(rows_b, points, lattice.one):
         return True
     probes = list(grid.predicates) + [_dirac_tuple(n, j) for j in range(n)]
@@ -450,23 +459,30 @@ def _value_at_empty(mod: Modality):
     return mod.evaluate(empty, lambda y: ZERO)
 
 
+def _catalog_row(mod: Modality) -> Modality:
+    """The catalog row whose inverse synthesizes mod's transformers: mod
+    itself for a catalog row, else the row of mod's monad, chosen, where
+    the monad has two, by what mod is (its value at the empty T-value),
+    never by its name."""
+    if mod.theorem is not None:
+        return mod
+    rows = [row for row in INSTANCES.values() if row.monad == MonadKind(mod.monad)]
+    if len(rows) > 1:
+        value = _value_at_empty(mod)
+        rows = [row for row in rows if _value_at_empty(row) == value]
+        if not rows:
+            raise ValueError(f"no inverse construction for {mod.name!r} (r = {value})")
+    return rows[0]
+
+
 def synthesize(mod: Modality, phi, grid: ProbeGrid = None) -> SynthesisResult:
-    """The inverse construction of a catalog instance, chosen by its monad
-    and, for relations and subdistributions, by what the modality is (its
-    value at the empty T-value), never by its name."""
-    kind = MonadKind(mod.monad)
-    if kind == MonadKind.POWERSET:
-        return synth_relation(phi, "diamond" if _value_at_empty(mod) == ZERO else "box")
-    if kind == MonadKind.UP_POWERSET:
-        return synth_upfamily(phi)
-    if kind == MonadKind.LIFT_POWERSET:
-        return synth_dijkstra(phi)
-    if kind == MonadKind.SUBDIST:
-        r = _value_at_empty(mod)
-        if r not in (ZERO, ONE):
-            raise ValueError(f"no inverse construction for {mod.name!r} (r = {r})")
-        return synth_subdist(phi, "total" if r == ZERO else "partial", grid)
-    if kind == MonadKind.DIST:
+    """The inverse construction of mod's catalog row (``_catalog_row``)."""
+    row = _catalog_row(mod)
+    if row.carrier == BOOLEAN:
+        return _synth_boolean(phi, row)
+    if row.monad == MonadKind.SUBDIST:
+        return synth_subdist(phi, row.name, grid)
+    if row.monad == MonadKind.DIST:
         return synth_dist(phi, grid)
     return synth_polytope(phi, grid)
 
@@ -476,40 +492,40 @@ def instance_for_arrow(arrow: KleisliArrow) -> str:
     return next(mod for mod in INSTANCES.values() if mod.monad == arrow.kind).theorem
 
 
-def _normalize_arrow(instance: str, arrow: KleisliArrow):
-    """The documented semantic collapse applied before arrow comparison."""
-    if instance == "dijkstra":
+def _normalize_arrow(row: Modality, arrow: KleisliArrow):
+    """The documented semantic collapse applied before arrow comparison: on
+    LIFT_POWERSET a row that may diverge is {bottom}."""
+    if row.monad == MonadKind.LIFT_POWERSET:
         rows = [frozenset((BOT,)) if BOT in r else r for r in arrow.rows]
         flags = ("bottom-absorption",) if any(BOT in r for r in arrow.rows) else ()
         return KleisliArrow(arrow.kind, arrow.source, arrow.target, rows), flags
     return arrow, ()
 
 
-def _resynthesize(f: KleisliArrow, instance: str, grid: ProbeGrid | None) -> tuple:
-    """synth(pt(f)) for the instance, and the grid it ran on: the default
-    grid of a rational transformer when none is given."""
-    mod = INSTANCES[instance]
-    phi = pt_modality(mod, f)
+def _resynthesize(f: KleisliArrow, row: Modality, grid: ProbeGrid | None) -> tuple:
+    """synth(pt(f)) for the catalog row, and the grid it ran on: the
+    default grid of a rational transformer when none is given."""
+    phi = pt_modality(row, f)
     if grid is None and isinstance(phi, RationalTransformer):
         grid = ProbeGrid.default(phi.source)
-    return synthesize(mod, phi, grid), grid
+    return synthesize(row, phi, grid), grid
 
 
 def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = None) -> Verdict:
     """synth(pt(f)) must equal f up to the documented normalization, and
     pt(synth(pt(f))) must reproduce pt(f) exactly (dense) or on the grid."""
     instance = instance or instance_for_arrow(f)
-    mod = INSTANCES[instance]
-    if MonadKind(f.kind) != mod.monad:
-        raise ValueError(f"instance {instance!r} expects {mod.monad}, got {f.kind}")
-    result, grid = _resynthesize(f, instance, grid)
+    row = INSTANCES[instance]
+    if MonadKind(f.kind) != row.monad:
+        raise ValueError(f"instance {instance!r} expects {row.monad}, got {f.kind}")
+    result, grid = _resynthesize(f, row, grid)
     if not result.ok:
         if result.residual.status == "inconclusive":
             return result.residual
         return Verdict.unhealthy(result.residual.witness, result.residual.checked)
-    normalized, flags = _normalize_arrow(instance, f)
+    normalized, flags = _normalize_arrow(row, f)
     checked = 0
-    if instance == "cv_sublinear":
+    if row.monad == MonadKind.CV_DIST:
         if not cv_semantically_equal(normalized, result.arrow, grid):
             return Verdict.unhealthy(
                 Witness("roundtrip.arrow", {"instance": instance}, repr(result.arrow), repr(normalized)),
@@ -553,10 +569,10 @@ def _law_roundtrip_arrow(subject, args):
     synth(pt(f)) against f normalized, at the witness state, or as a whole
     for polytopes (equal reprs when they agree on the grid)."""
     f, grid = subject
-    instance = args["instance"]
-    result, grid = _resynthesize(f, instance, grid)
-    normalized, _ = _normalize_arrow(instance, f)
-    if instance == "cv_sublinear":
+    row = INSTANCES[args["instance"]]
+    result, grid = _resynthesize(f, row, grid)
+    normalized, _ = _normalize_arrow(row, f)
+    if row.monad == MonadKind.CV_DIST:
         same = cv_semantically_equal(normalized, result.arrow, grid)
         return repr(normalized if same else result.arrow), repr(normalized)
     return result.arrow.row(args["x"]), normalized.row(args["x"])

@@ -183,3 +183,53 @@ def test_imports_sit_in_functions_only_to_break_cycles():
                         owner.setdefault(node, func.name)
         found += sorted((path.stem, name) for name in owner.values())
     assert found == [("monads", "_lattice_membership"), ("semantics", "_functor_probes")]
+
+
+def _theorem_id_switches(tree: ast.AST, skip: range = range(0)) -> list:
+    """The line of every theorem-id switch in a module, outside the lines
+    in ``skip``: a comparison (==, !=, in, not in) with a theorem-id
+    literal, a dict display keyed by theorem ids, and an f-string that
+    builds a theorem id.  A lookup by a literal id (``INSTANCES["may"]``)
+    is none of these."""
+    ids = set(INSTANCES)
+    is_id = lambda node: isinstance(node, ast.Constant) and node.value in ids
+    compare_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    found = []
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skip:
+            continue
+        if isinstance(node, ast.Compare) and any(isinstance(op, compare_ops) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            elts = [e for side in sides for e in getattr(side, "elts", [side])]
+            hit = any(map(is_id, elts))
+        elif isinstance(node, ast.Dict):
+            hit = any(map(is_id, node.keys))
+        elif isinstance(node, ast.JoinedStr):
+            parts = [re.escape(v.value) if isinstance(v, ast.Constant) else ".*" for v in node.values]
+            literal = any(isinstance(v, ast.Constant) for v in node.values)
+            hit = literal and any(re.fullmatch("".join(parts), i) for i in ids)
+        else:
+            hit = False
+        if hit:
+            found.append(node.lineno)
+    return found
+
+
+def test_theorem_ids_are_read_off_the_catalog_only():
+    # the scan itself: each switch shape is found, a literal lookup is not
+    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\n'
+    assert _theorem_id_switches(ast.parse(switches)) == [1, 2, 3, 4, 5]
+    lookups = 'INSTANCES["may"]\nf"coef[{t}]"\nx == "diamond"\n{k: 1 for k in "ab"}\n'
+    assert _theorem_id_switches(ast.parse(lookups)) == []
+    # the package: theorem ids appear only in the catalog block, which
+    # writes each row's id
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        catalog = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["INSTANCES"]
+        ]
+        found += [f"{path.name}:{line}" for line in _theorem_id_switches(tree, *catalog)]
+    assert found == []

@@ -26,7 +26,9 @@ from wpbench.modalities import (
 )
 from wpbench.monads import (
     DistV,
+    KleisliArrow,
     MonadKind,
+    _compose_value,
     check_monad_map_laws,
     enumerate_tvalues,
     random_tvalue,
@@ -253,6 +255,18 @@ def test_free_algebra_morphisms_counts(Y2):
     free2 = free_algebra(MonadKind.POWERSET, Y2)
     morphisms = len(enumerate_algebra_morphisms(free2, mod))
     assert morphisms == 4  # = 2^|Y2|, by freeness
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POWERSET, MonadKind.LIFT_POWERSET])
+def test_free_algebra_is_the_kleisli_extension_of_the_identity(kind):
+    # the structure map of T(Y) is mu, the extension of id: T(Y) -> T(Y)
+    Y = FinSet("Y1", ("y",))
+    free = free_algebra(kind, Y)
+    identity = KleisliArrow(kind, free.carrier, Y, free.carrier.elements)
+    values = enumerate_tvalues(kind, free.carrier)
+    assert values
+    for tt in values:
+        assert free.apply(tt) == _compose_value(kind, tt, identity), tt
 
 
 def test_omega_algebra_contains_identity():

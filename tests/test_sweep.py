@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -224,13 +225,20 @@ def test_search_is_the_product_of_per_state_sets(theorem):
     assert healthy_tables(cls, nx, ny) == product
 
 
+def _fault_bases(monkeypatch, theorem, fault):
+    """Patch a Boolean theorem's catalog row: its closed form passes each
+    T-value's mask basis through ``fault``."""
+    row = INSTANCES[theorem]
+    bases = row.closed_form
+    faulty = lambda tvalues, targets: [fault(basis) for basis in bases(tvalues, targets)]
+    monkeypatch.setitem(INSTANCES, theorem, replace(row, closed_form=faulty))
+
+
 def test_realizability_witness_replays(monkeypatch):
     for nx in WITNESS_SIZES:
         # a seeded fault in the semantics: every chosen set also holds y0, so
         # no computation realizes the healthy tables whose chosen sets miss it
-        dijkstra = semantics.MASK_BASES["dijkstra"]
-        faulty = lambda row, mask: tuple(b | 1 for b in dijkstra(row, mask))
-        monkeypatch.setitem(semantics.MASK_BASES, "dijkstra", faulty)
+        _fault_bases(monkeypatch, "dijkstra", lambda basis: tuple(b | 1 for b in basis))
         instance = TheoremInstance("dijkstra", (nx, 2))
         report = enum_verify(instance)
         assert report.witness.law == "sweep.realizability", nx
@@ -261,8 +269,7 @@ def test_set_equality_witness_replays(monkeypatch):
         # a seeded fault in the semantics: every state of a relation also
         # reaches y0, so no computation realizes the zero table, which is healthy
         instance = TheoremInstance("may", (nx, 2))
-        diamond = semantics.MASK_BASES["may"]
-        monkeypatch.setitem(semantics.MASK_BASES, "may", lambda row, mask: diamond(row, mask) + [1])
+        _fault_bases(monkeypatch, "may", lambda basis: list(basis) + [1])
         zero = Witness("sweep.realizability", {"table": (0, 0, 0, 0)}, "unrealized", "realized")
         assert witness_is_sound(instance, zero), nx
         monkeypatch.undo()
@@ -311,13 +318,12 @@ def test_stacked_synthesis_decides_every_table(monkeypatch, theorem):
     # under a seeded fault that leaves healthy tables outside the image:
     # every chosen set also holds y0
     rng = Random(17)
-    mod = INSTANCES[theorem]
     X1 = FinSet("X", ("x0",))
     answers = set()
     for faulty in (False, True):
         if faulty:
-            basis = semantics.MASK_BASES[theorem]
-            monkeypatch.setitem(semantics.MASK_BASES, theorem, lambda row, mask: [b | 1 for b in basis(row, mask)])
+            _fault_bases(monkeypatch, theorem, lambda basis: [b | 1 for b in basis])
+        mod = INSTANCES[theorem]
         # the fault needs an element y0
         for ny in range(faulty, 4):
             Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))

@@ -487,6 +487,17 @@ def test_boolean_reader_matches_the_probe_reads(theorem, ny):
         assert result.normalization == (("bottom-absorption",) if BOT in row else ())
 
 
+@pytest.mark.parametrize("theorem", list(BOOLEAN_INVERSES))
+def test_boolean_reader_rows_pass_validation_unchanged(theorem):
+    # the reader builds its arrow without validating the rows it built;
+    # validating them changes none, at every healthy one-state table
+    row = INSTANCES[theorem]
+    X, Y = FinSet("X", ("x",)), FinSet("Y", ("y0", "y1", "y2"))
+    for table in healthy_tables(STRUCTURE_CLASSES[row.structure_class], 1, 3):
+        arrow = synthesize(row, BooleanTransformer(Y, X, table)).arrow
+        assert KleisliArrow(row.monad, X, Y, arrow.rows).rows == arrow.rows, table
+
+
 def test_unknown_modality_and_variant_raise_value_error(Y2):
     with pytest.raises(ValueError, match="'diamond' or 'box'") as exc:
         synth_relation(BooleanTransformer(Y2, Y2, range(4)), "bogus")
