@@ -318,12 +318,14 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
 
 
 def finitary_report(phi, grid: ProbeGrid = None) -> Verdict:
-    """Per-coordinate support report; always conclusive at finite scale."""
+    """Per-coordinate support report; always conclusive at finite scale.
+    The note says when a support was probed on the grid (no arrow)."""
     supports = {}
     for x in phi.target.elements:
         supports[x] = sorted(finitary_support(phi, x, grid), key=phi.source.index)
     note = "; ".join(f"{x} <- {{{', '.join(map(str, ys))}}}" for x, ys in supports.items())
-    return Verdict.healthy(len(supports), note=f"supports: {note}")
+    probed = isinstance(phi, RationalTransformer) and phi.arrow is None
+    return Verdict.healthy(len(supports), note=f"supports{' probed on the grid' if probed else ''}: {note}")
 
 
 def run_condition(name: str, phi, grid: ProbeGrid = None) -> Verdict:
@@ -339,4 +341,6 @@ def run_condition(name: str, phi, grid: ProbeGrid = None) -> Verdict:
         return check_emod_morphism(phi, grid)
     if cls.tag == "emod_sublinear":
         return check_regular_sublinear(phi, grid)
-    return check_gemod_morphism(phi, grid, "total" if cls.tag == "gemod" else "partial")
+    if cls.tag in ("gemod", "gemod_dual"):
+        return check_gemod_morphism(phi, grid, "total" if cls.tag == "gemod" else "partial")
+    return _grid_verdict(phi, grid, cls)

@@ -585,13 +585,11 @@ class IntegerRows:
     (``ints``, with the checks of ``RationalTransformer.apply_values``);
     the law checks read a certificate off the coefficients themselves
     (``modalities.LawCheck``).  ``same_values`` compares two closed
-    forms at the points of a lattice: the synthesis residuals and both
+    forms at the points of a lattice with ``_first_difference``, for both
     polytope equalities (``synthesis.cv_semantically_equal`` and
-    ``cv_values_equal``) decide on it.  ``semantics.check_functoriality``
-    composes ``ints`` of two closed forms on its probes' lattice and
-    compares the result with the composite's.  The rows live here, below the
-    catalog, so that ``cv_values_equal`` can use them; ``modalities``
-    compiles the closed forms of its modalities to them.
+    ``cv_values_equal``).  The rows live here, below the catalog, so that
+    ``cv_values_equal`` can use them; ``modalities`` compiles the closed
+    forms of its modalities to them.
     """
 
     __slots__ = ("rows", "den", "width")
@@ -608,7 +606,8 @@ class IntegerRows:
         )
 
     def ints(self, values: Sequence[int], one: int) -> tuple:
-        """The outputs, over one * den, at a predicate given over one."""
+        """The outputs at a predicate given over one, as integers over
+        one * den, and one * den."""
         if len(values) != self.width:
             raise ValueError("predicate length does not match the source carrier")
         top = one * self.den
@@ -626,25 +625,19 @@ class IntegerRows:
             if not 0 <= best <= top:
                 raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
             out.append(best)
-        return tuple(out)
+        return tuple(out), top
 
     def __call__(self, values: Sequence[Fraction]) -> tuple:
         """The outputs at a predicate given in Fractions."""
         one = math.lcm(*[v.denominator for v in values])
-        top = one * self.den
-        ints = [v.numerator * (one // v.denominator) for v in values]
-        return tuple([Fraction(v, top) for v in self.ints(ints, one)])
+        out, top = self.ints([v.numerator * (one // v.denominator) for v in values], one)
+        return tuple([Fraction(v, top) for v in out])
 
     def same_values(self, other: "IntegerRows", points: Sequence, one: int) -> bool:
-        """Whether both give the same outputs at every point (an integer
-        vector over one): the values, over one * den each, are compared
-        cross-scaled by the other's den.  False as well when the output
-        counts differ, an output has no vertex row, or ``ints`` raises (a
-        value outside [0, 1], a point of the wrong width), so that the
-        caller's Fraction route decides: it builds the witness, or raises,
-        as it would without this test.  True at once, with no point
-        evaluated, when both hold the same rows (``_same_bounded_rows``)
-        and every point lies in [0, one] at their width."""
+        """Whether both give the same outputs at every point over one
+        (``_first_difference``); False when the output counts differ or
+        ``ints`` raises.  True with no point evaluated when both hold the
+        same rows (``_same_bounded_rows``) and the points lie in [0, one]."""
         if len(self.rows) != len(other.rows) or not all(self.rows) or not all(other.rows):
             return False
         w = self.width
@@ -652,14 +645,10 @@ class IntegerRows:
             len(p) == w and min(p, default=0) >= 0 and max(p, default=0) <= one for p in points
         ):
             return True
-        da, db = self.den, other.den
         try:
-            for p in points:
-                if any(u * db != v * da for u, v in zip(self.ints(p, one), other.ints(p, one))):
-                    return False
+            return _first_difference((self.ints,), (other.ints,), points, one) is None
         except ValueError:
             return False
-        return True
 
     def _same_bounded_rows(self, other: "IntegerRows") -> bool:
         """Whether both give the same outputs and raise at no point in
@@ -686,6 +675,23 @@ class IntegerRows:
             and all(c0 >= 0 and len(cs) == self.width and min(cs, default=0) >= 0 for c0, cs in verts)
             for verts in self.rows
         )
+
+
+def _first_difference(left: Sequence, right: Sequence, points: Sequence, one: int) -> int | None:
+    """The index of the first point over one where two composites differ, or
+    None.  A composite applies its evaluators in turn (() is the identity),
+    each mapping (point, one) to (outputs, their denominator); values are
+    compared cross-scaled, left first, so errors raise where a loop would."""
+    for k, p in enumerate(points):
+        a, da = p, one
+        for at in left:
+            a, da = at(a, da)
+        b, db = p, one
+        for at in right:
+            b, db = at(b, db)
+        if len(a) != len(b) or any(u * db != v * da for u, v in zip(a, b)):
+            return k
+    return None
 
 
 def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:

@@ -20,6 +20,8 @@ evaluation rule.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -32,7 +34,7 @@ from .modalities import (
     Modality,
     builtin_modality,
 )
-from .monads import IntegerRows, KleisliArrow, Lattice, MonadKind, kleisli_compose, unit
+from .monads import IntegerRows, KleisliArrow, Lattice, MonadKind, _first_difference, kleisli_compose, unit
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -141,6 +143,22 @@ class RationalTransformer:
                 raise ValueError(f"transformer produced {q} outside [0, 1]")
         self._memo[key] = out
         return out
+
+    @functools.cached_property
+    def _ints(self) -> Callable:
+        """The integer evaluator, (point, one) -> (outputs, their denominator):
+        ``IntegerRows.ints`` for rows that fit the carriers (it raises as
+        ``apply_values`` does), else ``apply_values`` scaled to the lcm."""
+        rows = self.rows
+        if rows is not None and rows.width == len(self.source) and len(rows.rows) == len(self.target):
+            return rows.ints
+
+        def at(point, one):
+            out = self.apply_values([Fraction(m, one) for m in point])
+            den = math.lcm(*[q.denominator for q in out])
+            return [q.numerator * (den // q.denominator) for q in out], den
+
+        return at
 
     def __repr__(self):
         tag = self.label or "rule"
@@ -268,40 +286,6 @@ def _functor_probes(n: int, seed: int) -> tuple:
     return (grid, Lattice.of(grid, ())), (padded, Lattice.of(padded, ()))
 
 
-def _lattice_of(preds) -> Lattice | None:
-    """The lattice of probes given as tuples of Fractions, else None."""
-    if all(type(p) is tuple and all(type(v) is Fraction for v in p) for p in preds):
-        return Lattice.of(preds, ())
-    return None
-
-
-def _functor_ints_agree(composed, pf, pg, ident, lattice: Lattice, id_lattice: Lattice) -> bool:
-    """Whether both functor laws hold at every probe, decided on the closed
-    forms' integer rows: P(g . f) against P(f) o P(g) at the lattice's
-    points, and P(unit) against the identity at the identity lattice's.
-    A value over ``one * den`` is compared cross-scaled by the other
-    side's denominator.  False on any difference, or when ``ints`` raises
-    (a value outside [0, 1], a width that misses), so that the caller's
-    Fraction loop decides as it would alone."""
-    rc, rf, rg, ri = composed.rows, pf.rows, pg.rows, ident.rows
-    one = lattice.one
-    sc, sfg = rf.den * rg.den, rc.den
-    try:
-        for p in lattice.preds:
-            lhs = rc.ints(p, one)
-            rhs = rf.ints(rg.ints(p, one), one * rg.den)
-            if len(lhs) != len(rhs) or any(u * sc != v * sfg for u, v in zip(lhs, rhs)):
-                return False
-        one, d = id_lattice.one, ri.den
-        for p in id_lattice.preds:
-            out = ri.ints(p, one)
-            if len(out) != len(p) or any(u != v * d for u, v in zip(out, p)):
-                return False
-    except ValueError:
-        return False
-    return True
-
-
 def check_functoriality(
     mod, f: KleisliArrow, g: KleisliArrow, probes: Sequence | None = None, seed: int = 3
 ) -> Verdict:
@@ -309,50 +293,40 @@ def check_functoriality(
 
     Both sides are computed independently: the left goes through the
     Kleisli composite, the right through transformer composition.
-    Boolean instances sweep all postconditions; rational ones use probe
-    tuples (>= 100 by default).
-
-    When the composite, P(f), P(g) and P(unit) are all closed forms
-    (``IntegerRows``) and every probe is a Fraction, both laws are first
-    decided on the probes' lattice (``_functor_ints_agree``): when they
-    hold there, the verdict is healthy with every probe counted and no
-    transformer evaluated.  Otherwise the Fraction loop runs as it would
-    alone: it builds the witness at the first failing probe, or raises.
+    Boolean instances sweep all postconditions; rational ones compare
+    integers (``_first_difference``) at probe tuples (>= 100 by default),
+    P(f) taken at P(g)'s integer outputs, and build the witness in
+    Fractions.  A probe that is no exact rational raises ``TypeError``
+    before any is evaluated.
     """
     if isinstance(mod, str):
         mod = builtin_modality(mod)
     if f.target.elements != g.source.elements:
         raise ValueError("arrows are not composable")
-    checked = 0
+    # the replay evaluators rebuild these per witness; the check builds them once
+    composed = pt_modality(mod, kleisli_compose(f, g))
+    pf, pg = pt_modality(mod, f), pt_modality(mod, g)
     if mod.carrier == BOOLEAN:
-        preds = list(range(1 << len(g.target)))
-        id_preds = list(range(1 << len(f.source)))
-        lattice = None
+        preds, id_preds = range(1 << len(g.target)), range(1 << len(f.source))
+        k = next((m for m in preds if operator.ne(*_compose_sides(composed, pf, pg, m))), None)
     else:
         preds, lattice = _functor_probes(len(g.target), seed)[1]
         id_preds, id_lattice = _functor_probes(len(f.source), seed)[0]
         if probes is not None:
             preds = list(probes)
-            lattice = _lattice_of(preds)
-    # the replay evaluators rebuild these per witness; the check builds them once
-    composed = pt_modality(mod, kleisli_compose(f, g))
-    pf, pg = pt_modality(mod, f), pt_modality(mod, g)
-    closed = lambda t: isinstance(t, RationalTransformer) and t.rows is not None
-    if lattice is not None and closed(composed) and closed(pf) and closed(pg):
-        ident = pt_modality(mod, unit(mod.monad, f.source))
-        if ident.rows is not None and _functor_ints_agree(composed, pf, pg, ident, lattice, id_lattice):
-            return Verdict.healthy(len(preds) + len(id_preds))
-    for pred in preds:
-        lhs, rhs = _compose_sides(composed, pf, pg, pred)
-        checked += 1
-        if lhs != rhs:
-            args = {"modality": mod, "f": f, "g": g, "pred": pred}
-            return Verdict.unhealthy(Witness("functor.compose", args, lhs, rhs), checked)
+            lattice = Lattice.of([[_exact(v, "predicate value") for v in p] for p in preds], ())
+        k = _first_difference((composed._ints,), (pg._ints, pf._ints), lattice.preds, lattice.one)
+    if k is not None:
+        lhs, rhs = _compose_sides(composed, pf, pg, preds[k])
+        args = {"modality": mod, "f": f, "g": g, "pred": preds[k]}
+        return Verdict.unhealthy(Witness("functor.compose", args, lhs, rhs), k + 1)
     ident = pt_modality(mod, unit(mod.monad, f.source))
-    for pred in id_preds:
-        lhs, rhs = _identity_sides(ident, pred)
-        checked += 1
-        if lhs != rhs:
-            args = {"modality": mod, "carrier": f.source, "pred": pred}
-            return Verdict.unhealthy(Witness("functor.identity", args, lhs, rhs), checked)
-    return Verdict.healthy(checked)
+    if mod.carrier == BOOLEAN:
+        k = next((m for m in id_preds if operator.ne(*_identity_sides(ident, m))), None)
+    else:
+        k = _first_difference((ident._ints,), (), id_lattice.preds, id_lattice.one)
+    if k is not None:
+        lhs, rhs = _identity_sides(ident, id_preds[k])
+        args = {"modality": mod, "carrier": f.source, "pred": id_preds[k]}
+        return Verdict.unhealthy(Witness("functor.identity", args, lhs, rhs), len(preds) + k + 1)
+    return Verdict.healthy(len(preds) + len(id_preds))

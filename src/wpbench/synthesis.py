@@ -15,13 +15,15 @@ out by the grid, on integers: its bounds are phi's rows at the grid's
 lattice points, an exact integer clipper (``_clip_ints``) finds its
 vertices, and each minimum is certified on those vertices, which is what
 the rebuilt transformer would be compared on.  A certification failure
-is reported as inconclusive rather than forced.  The round trip reads
-what it compares off the row as well: bottom absorption on
-LIFT_POWERSET, and polytopes on CV_DIST.
+is reported as inconclusive rather than forced.  Outside the catalog,
+``synthesize`` checks the arrow read under the given modality.  The
+round trip reads what it compares off the row as well: bottom absorption
+on LIFT_POWERSET, and polytopes on CV_DIST.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -32,7 +34,7 @@ from typing import Sequence
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
-from .monads import BOT, DistV, KleisliArrow, MonadKind, dedup_vertices
+from .monads import BOT, DistV, KleisliArrow, MonadKind, _first_difference, dedup_vertices
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
@@ -165,28 +167,22 @@ def _dirac_tuple(n: int, j: int, one=ONE, zero=ZERO) -> tuple:
 
 
 def _grid_residual(phi: RationalTransformer, rebuilt: RationalTransformer, grid: ProbeGrid) -> Verdict:
-    """The rebuilt transformer against phi at every grid predicate; each
-    predicate adds one check per state, and the first differing value is
-    the witness.  Two closed forms are first compared on the grid's
-    lattice (``IntegerRows.same_values``); the Fraction loop runs only
-    when that comparison fails, and finds the witness, or raises, as it
-    would alone."""
-    if phi.rows is not None and rebuilt.rows is not None:
-        lattice = grid.lattice
-        if phi.rows.same_values(rebuilt.rows, lattice.preds, lattice.one):
-            return Verdict.healthy(len(lattice.preds) * len(phi.rows.rows))
-    checked = 0
-    for p in grid.predicates:
-        a = phi.apply_values(p)
-        b = rebuilt.apply_values(p)
-        checked += len(a)
-        if a != b:
-            i = next(k for k, (u, v) in enumerate(zip(a, b)) if u != v)
-            return Verdict.unhealthy(
-                Witness("synthesis.reevaluate", {"pred": p, "x": phi.target.elements[i]}, b[i], a[i]),
-                checked,
-            )
-    return Verdict.healthy(checked)
+    """The rebuilt transformer against phi at every grid predicate, one
+    check per state, on the grid's lattice (``_first_difference``) unless
+    both hold the same rows (``IntegerRows._same_bounded_rows``); the
+    witness is the first differing value, in Fractions."""
+    lattice, n = grid.lattice, len(phi.target)
+    ra, rb = phi.rows, rebuilt.rows
+    same = ra is not None and rb is not None and ra.width == len(grid.domain)
+    if not (same and len(ra.rows) == len(rb.rows) == n and ra._same_bounded_rows(rb)):
+        k = _first_difference((phi._ints,), (rebuilt._ints,), lattice.preds, lattice.one)
+        if k is not None:
+            p = grid.predicates[k]
+            a, b = phi.apply_values(p), rebuilt.apply_values(p)
+            i = next(j for j, (u, v) in enumerate(zip(a, b)) if u != v)
+            witness = Witness("synthesis.reevaluate", {"pred": p, "x": phi.target.elements[i]}, b[i], a[i])
+            return Verdict.unhealthy(witness, (k + 1) * n)
+    return Verdict.healthy(len(lattice.preds) * n)
 
 
 def _coefficients(phi: RationalTransformer, partial: bool) -> list:
@@ -194,11 +190,15 @@ def _coefficients(phi: RationalTransformer, partial: bool) -> list:
     have: phi(dirac_y)(x) and phi(1)(x), or for the partial row (the rule
     tau_1) phi(dirac_y)(x) - phi(0)(x) and 1 - phi(0)(x)."""
     n = len(phi.source)
-    cols = [phi.apply_values(_dirac_tuple(n, j)) for j in range(n)]
+
+    def at(point):
+        out, den = phi._ints(point, 1)
+        return [Fraction(v, den) for v in out]
+
+    cols = [at(_dirac_tuple(n, j, 1, 0)) for j in range(n)]
     if partial:
-        zeros = phi.apply_values((ZERO,) * n)
-        return [([c[i] - base for c in cols], ONE - base) for i, base in enumerate(zeros)]
-    return [([c[i] for c in cols], one) for i, one in enumerate(phi.apply_values((ONE,) * n))]
+        return [([c[i] - base for c in cols], ONE - base) for i, base in enumerate(at((0,) * n))]
+    return [([c[i] for c in cols], one) for i, one in enumerate(at((1,) * n))]
 
 
 def _synth_diracs(phi: RationalTransformer, row: Modality, grid: ProbeGrid | None) -> SynthesisResult:
@@ -333,22 +333,6 @@ def _law_polytope_certify(subject, args):
 register_law("polytope.certify", _law_polytope_certify)
 
 
-def _integer_bounds(phi: RationalTransformer, grid: ProbeGrid) -> tuple:
-    """phi at every grid predicate as integers over one * den, with one the
-    grid's lattice denominator, and den: a closed form's rows are read at
-    the lattice points (``IntegerRows.ints``), a rule's values are scaled
-    to their common denominator."""
-    lattice = grid.lattice
-    rows = phi.rows
-    if rows is not None:
-        if len(rows.rows) != len(phi.target):
-            raise ValueError("transformer output length does not match the target carrier")
-        return [rows.ints(q, lattice.one) for q in lattice.preds], rows.den
-    values = [phi.apply_values(p) for p in grid.predicates]
-    den = math.lcm(*[v.denominator for vs in values for v in vs])
-    return [[v.numerator * (den // v.denominator) * lattice.one for v in vs] for vs in values], den
-
-
 def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisResult:
     """Per-state half-space regions C(x) = {mu : <p, mu> >= phi(p)(x)}.
 
@@ -357,8 +341,9 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     grid predicate over the region must be attained exactly at phi's
     value.  Bounds, clipping and certification run on integers: with a
     grid predicate q over the lattice's one and its bound c over one * den
-    (``_integer_bounds``), the half-space is the row w_j = q_j den - c,
-    and at a vertex m, w . m is <p, mu> - phi(p)(x) times the positive
+    (phi at the lattice point, ``RationalTransformer._ints``, scaled to one
+    common den), the half-space is the row w_j = q_j den - c, and at a
+    vertex m, w . m is <p, mu> - phi(p)(x) times the positive
     one * den * sum(m), so the minimum is certified when the least w . m
     over the vertices is 0.  A failed certification (possible when the
     grid undersamples a transformer that is not genuinely realizable)
@@ -370,8 +355,9 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
     lattice = grid.lattice
-    bounds, den = _integer_bounds(phi, grid)
-    top = lattice.one * den
+    outs = [phi._ints(q, lattice.one) for q in lattice.preds]
+    top = math.lcm(lattice.one, *[d for _, d in outs])
+    den, bounds = top // lattice.one, [vs if d == top else [v * (top // d) for v in vs] for vs, d in outs]
     regions = []
     vertex_rows = []
     checked = 0
@@ -476,15 +462,26 @@ def _catalog_row(mod: Modality) -> Modality:
 
 
 def synthesize(mod: Modality, phi, grid: ProbeGrid = None) -> SynthesisResult:
-    """The inverse construction of mod's catalog row (``_catalog_row``)."""
+    """The inverse construction of mod's catalog row (``_catalog_row``).
+    Outside the catalog the residual compares phi with pt(mod, arrow), so
+    a row that does not invert mod is a refused synthesis, not a false ok."""
     row = _catalog_row(mod)
     if row.carrier == BOOLEAN:
-        return _synth_boolean(phi, row)
-    if row.monad == MonadKind.SUBDIST:
-        return synth_subdist(phi, row.name, grid)
-    if row.monad == MonadKind.DIST:
-        return synth_dist(phi, grid)
-    return synth_polytope(phi, grid)
+        result = _synth_boolean(phi, row)
+    elif row.monad == MonadKind.SUBDIST:
+        result = synth_subdist(phi, row.name, grid)
+    elif row.monad == MonadKind.DIST:
+        result = synth_dist(phi, grid)
+    else:
+        result = synth_polytope(phi, grid)
+    if row is not mod and result.arrow is not None:
+        rebuilt = pt_modality(mod, result.arrow)
+        if row.carrier == BOOLEAN:
+            residual = _dense_residual(phi, rebuilt)
+        else:
+            residual = _grid_residual(phi, rebuilt, grid if grid is not None else ProbeGrid.default(phi.source))
+        result = dataclasses.replace(result, residual=residual)
+    return result
 
 
 def instance_for_arrow(arrow: KleisliArrow) -> str:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpbench import healthiness
 from wpbench.core import FinSet
 from wpbench.healthiness import (
     ProbeGrid,
@@ -26,6 +27,7 @@ from wpbench.modalities import (
     STRUCTURE_CLASSES,
     IntegerRows,
     LawCheck,
+    StructureClass,
     builtin_modality,
 )
 from wpbench.monads import DistV, KleisliArrow, MonadKind, enumerate_arrows, random_arrow
@@ -37,7 +39,7 @@ from wpbench.semantics import (
     wp_box,
     wp_diamond,
 )
-from wpbench.verdicts import witness_is_sound
+from wpbench.verdicts import Verdict, witness_is_sound
 
 F = Fraction
 
@@ -282,6 +284,15 @@ def test_finitary_support_rational_uses_arrow(Y2):
     assert report.is_healthy and "y0" in report.note
 
 
+def test_finitary_report_says_an_opaque_support_was_probed_on_the_grid(Y2):
+    # the rule reads p(y1) only at 1/97, which no grid predicate holds
+    X = FinSet("X", ("x0",))
+    phi = RationalTransformer(Y2, X, lambda v: ((v[0] + (v[1] if v[1] == F(1, 97) else 0)) / 2,))
+    assert phi.apply_values((0, F(1, 97))) != phi.apply_values((0, 0))
+    report = finitary_report(phi)
+    assert report.is_healthy and report.note == "supports probed on the grid: x0 <- {y0}"
+
+
 def test_explicit_grid_rejects_values_outside_the_unit_interval(Y2):
     # a value of 3/2 is no predicate; the grid used to check the law over it
     # and report "healthy (36 instances checked)"
@@ -333,6 +344,16 @@ def test_run_condition_names(Y2):
         run_condition("bogus", identity_transformer(Y2))
     with pytest.raises(TypeError):
         run_condition("join", linear_transformer(Y2, Y2, [[F(1), F(0)], [F(0), F(1)]]))
+
+
+def test_a_rational_class_outside_the_catalog_is_decided_by_its_own_laws(monkeypatch, Y2):
+    # phi(p) = p0 * p1 preserves one, and breaks the dual sums of gemod_dual
+    unital = StructureClass("unital", "unital", RATIONAL, (("one", "unital.one"),))
+    monkeypatch.setitem(STRUCTURE_CLASSES, "unital", unital)
+    monkeypatch.setitem(healthiness._CLASSES, "unital", unital)
+    phi = RationalTransformer(Y2, FinSet("X", ("x",)), lambda v: (v[0] * v[1],))
+    verdict = run_condition("unital", phi)
+    assert verdict == healthiness._grid_verdict(phi, None, unital) == Verdict.healthy(1)
 
 
 @settings(max_examples=50)

@@ -1,20 +1,22 @@
 """The integer comparisons of the round trip against Fraction references.
 
-``synthesis._grid_residual``, the certification loop of ``synth_polytope``,
-``synthesis.cv_semantically_equal`` and ``monads.cv_values_equal`` compare
-closed forms on integer rows (``IntegerRows.same_values`` and
-``IntegerRows.ints``), and run their Fraction loops only when that fails.
-The references below are those Fraction loops alone, kept here and not in
-the package: verdicts, ``checked`` counts, witnesses, answers and
-exception types must be the same on both routes.  ``synth_polytope``
-runs on integers from bound to certificate: it reads its bounds off
-phi's rows at the lattice points, or scales an opaque rule's values to
-one common denominator, clips on homogeneous integer rows
-(``synthesis._clip_ints``) and certifies each minimum on the integer
-vertices.  Its reference clips and certifies in Fractions, on closed
-forms and on the same forms behind plain Python rules; the clipper core
-and its Fraction front end ``_clip_region`` are checked against the
-Fraction clipper they replaced.
+``synthesis._grid_residual`` compares phi with the rebuilt transformer at
+the grid's lattice points, through ``RationalTransformer``'s integer
+evaluator, which reads a closed form's rows and scales a rule's values to
+one denominator; ``synthesis.cv_semantically_equal`` and
+``monads.cv_values_equal`` compare closed forms with
+``IntegerRows.same_values``.  All three decide with one comparison,
+``monads._first_difference``.  The residual has no Fraction loop in the
+package; the two polytope equalities fall back to theirs when the
+integers differ.  The references below are the Fraction loops alone:
+verdicts, ``checked`` counts, witnesses, answers and exception types must
+be the same.  ``synth_polytope`` runs on integers from bound to certificate: it
+reads its bounds off the integer evaluator at the lattice points, clips
+on homogeneous integer rows (``synthesis._clip_ints``) and certifies each
+minimum on the integer vertices.  Its reference clips and certifies in
+Fractions, on closed forms and on the same forms behind plain Python
+rules; the clipper core and its Fraction front end ``_clip_region`` are
+checked against the Fraction clipper they replaced.
 """
 
 import math
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpbench import synthesis
+from wpbench import monads, semantics, synthesis
 from wpbench.core import FinSet, SizeGuardError
 from wpbench.healthiness import ProbeGrid
 from wpbench.modalities import builtin_modality
@@ -166,7 +168,7 @@ def evaluated_same_values(a, b, points, one):
         return False
     try:
         for p in points:
-            if any(u * b.den != v * a.den for u, v in zip(a.ints(p, one), b.ints(p, one))):
+            if any(u * b.den != v * a.den for u, v in zip(a.ints(p, one)[0], b.ints(p, one)[0])):
                 return False
     except ValueError:
         return False
@@ -183,10 +185,12 @@ def outcome(call, *args):
 
 @pytest.fixture
 def integer_calls(monkeypatch):
-    """The calls of IntegerRows.same_values, the integer comparison."""
+    """The calls of the integer comparison, ``_first_difference``, from each
+    module that decides with it."""
     calls = []
-    real = IntegerRows.same_values
-    monkeypatch.setattr(IntegerRows, "same_values", lambda self, *a: calls.append(1) or real(self, *a))
+    real = monads._first_difference
+    for module in (monads, semantics, synthesis):
+        monkeypatch.setattr(module, "_first_difference", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -216,7 +220,7 @@ SYNTHS = {
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, integer_calls, n):
+def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, n):
     # with the precondition switched off, every transformer reaches every
     # synthesis, so the residuals and certifications also meet failures
     monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
@@ -241,7 +245,6 @@ def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, integer_ca
         if residual.witness:
             assert residual.witness.law == "polytope.certify"
             assert witness_is_sound(phi, residual.witness)
-    assert integer_calls
     assert {"healthy", "polytope.certify"} <= laws, laws
 
 
@@ -300,8 +303,9 @@ def test_polytope_equalities_agree_with_the_fraction_routes(integer_calls, n):
                 same = cv_values_equal(a, b, Y)
                 assert same == fraction_cv_values_equal(a, b, Y)
                 answers.add(same)
-    assert integer_calls
-    # at |Y| = 1 every vertex is the one Dirac
+    # at |Y| = 1 every vertex is the one Dirac: the rows are the same, and
+    # no point is evaluated
+    assert bool(integer_calls) == (n > 1)
     assert answers == ({True, False} if n > 1 else {True})
 
 
@@ -333,6 +337,23 @@ def test_reevaluate_witness_at_one_probe(integer_calls, X1, Y2):
     assert witness_is_sound((phi, rebuilt), witness)
     assert not witness_is_sound((phi, phi), witness)
     assert synthesis._grid_residual(phi, phi, grid) == Verdict.healthy(5)
+
+
+def test_closed_forms_against_rules_agree_with_the_fraction_residual(integer_calls, Y3):
+    # a closed form against a rule (and the reverse): the rule's values are
+    # scaled to their own denominator at each lattice point
+    grid = ProbeGrid.default(Y3, seed=5)
+    phis = _transformers(Y3, seed=60, per_kind=1)
+    statuses = set()
+    for phi in phis:
+        for other in phis:
+            for a, b in ((phi, _opaque(other)), (_opaque(phi), other)):
+                verdict = synthesis._grid_residual(a, b, grid)
+                assert verdict == fraction_grid_residual(a, b, grid)
+                if verdict.witness:
+                    assert witness_is_sound((a, b), verdict.witness)
+                statuses.add(verdict.status)
+    assert statuses == {"healthy", "unhealthy"} and integer_calls
 
 
 def test_values_over_different_denominators_are_told_apart(X1, Y2):

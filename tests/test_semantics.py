@@ -39,6 +39,7 @@ from wpbench.semantics import (
     wp_box,
     wp_diamond,
 )
+from wpbench.verdicts import Verdict, Witness
 
 F = Fraction
 
@@ -368,21 +369,40 @@ def test_apply_values_refuses_floats(Y2, X1):
     assert run_condition("gemod_total", exact).is_healthy
 
 
-# The integer route of check_functoriality against its Fraction loop, run
-# alone by switching the integer comparison off.
-FUNCTOR_CASES = (("total", "subdist"), ("convex", "dist"), ("demonic_prob", "cv_dist"))
+# check_functoriality against its Fraction loop, kept here as the
+# reference: verdicts, checked counts, witnesses and errors must agree.
+# The last case has no closed form, so both of its sides are rules.
+FUNCTOR_CASES = (
+    (builtin_modality("total"), "subdist"),
+    (builtin_modality("convex"), "dist"),
+    (builtin_modality("demonic_prob"), "cv_dist"),
+    (monad_map_to_algebra(algebra_to_monad_map(INSTANCES["subdist_total"])), "subdist"),
+)
 
 
-def _functor_outcome(mod, f, g):
-    verdict = check_functoriality(mod, f, g)
-    return verdict.status, verdict.checked, verdict.witness.describe() if verdict.witness else None
+def fraction_check_functoriality(mod, f, g, probes=None, seed=3):
+    """The rational check as a Fraction loop; names resolve in ``semantics``, so patches reach it."""
+    preds = list(probes) if probes is not None else semantics._functor_probes(len(g.target), seed)[1][0]
+    id_preds = semantics._functor_probes(len(f.source), seed)[0][0]
+    composed = semantics.pt_modality(mod, semantics.kleisli_compose(f, g))
+    pf, pg = semantics.pt_modality(mod, f), semantics.pt_modality(mod, g)
+    for k, pred in enumerate(preds):
+        lhs, rhs = composed.apply_values(pred), pf.apply_values(pg.apply_values(pred))
+        if lhs != rhs:
+            args = {"modality": mod, "f": f, "g": g, "pred": pred}
+            return Verdict.unhealthy(Witness("functor.compose", args, lhs, rhs), k + 1)
+    ident = semantics.pt_modality(mod, semantics.unit(mod.monad, f.source))
+    for k, pred in enumerate(id_preds):
+        lhs, rhs = ident.apply_values(pred), tuple(pred)
+        if lhs != rhs:
+            args = {"modality": mod, "carrier": f.source, "pred": pred}
+            return Verdict.unhealthy(Witness("functor.identity", args, lhs, rhs), len(preds) + k + 1)
+    return Verdict.healthy(len(preds) + len(id_preds))
 
 
-def _both_functor_routes(monkeypatch, mod, f, g):
-    integer = _functor_outcome(mod, f, g)
-    with monkeypatch.context() as m:
-        m.setattr(semantics, "_functor_ints_agree", lambda *args: False)
-        return integer, _functor_outcome(mod, f, g)
+def _both_functor_routes(mod, f, g):
+    outcome = lambda v: (v.status, v.checked, v.witness.describe() if v.witness else None)
+    return outcome(check_functoriality(mod, f, g)), outcome(fraction_check_functoriality(mod, f, g))
 
 
 def _sized_carriers():
@@ -390,14 +410,13 @@ def _sized_carriers():
         yield tuple(FinSet(name, tuple(f"{name.lower()}{i}" for i in range(n))) for name, n in zip("XYZ", sizes))
 
 
-def test_functoriality_routes_agree_on_seeded_arrows(monkeypatch):
+def test_functoriality_routes_agree_on_seeded_arrows():
     rng = Random(16)
-    for name, kind in FUNCTOR_CASES:
-        mod = builtin_modality(name)
+    for mod, kind in FUNCTOR_CASES:
         for X, Y, Z in _sized_carriers():
             f, g = random_arrow(kind, rng, X, Y), random_arrow(kind, rng, Y, Z)
-            integer, fraction = _both_functor_routes(monkeypatch, mod, f, g)
-            assert integer == fraction and integer[0] == "healthy", (name, integer, fraction)
+            integer, fraction = _both_functor_routes(mod, f, g)
+            assert integer == fraction and integer[0] == "healthy", (mod.name, integer, fraction)
 
 
 def test_functoriality_routes_agree_on_a_broken_composite(monkeypatch):
@@ -406,17 +425,17 @@ def test_functoriality_routes_agree_on_a_broken_composite(monkeypatch):
     rng = Random(17)
     swap = lambda kind, C: KleisliArrow(kind, C, C, unit(kind, C).rows[::-1])
     seen = set()
-    for name, kind in FUNCTOR_CASES:
-        mod = builtin_modality(name)
+    for mod, kind in FUNCTOR_CASES:
         for X, Y, Z in _sized_carriers():
             f, g, h = (random_arrow(kind, rng, A, B) for A, B in ((X, Y), (Y, Z), (Y, Z)))
             for patch in (("kleisli_compose", lambda f, g, h=h: kleisli_compose(f, h)), ("unit", swap)):
                 with monkeypatch.context() as m:
                     m.setattr(semantics, *patch)
-                    integer, fraction = _both_functor_routes(monkeypatch, mod, f, g)
-                assert integer == fraction, (name, integer, fraction)
-                seen.add(integer[2].split()[0] if integer[2] else None)
-    assert {"functor.compose", "functor.identity"} <= seen, seen
+                    integer, fraction = _both_functor_routes(mod, f, g)
+                assert integer == fraction, (mod.name, integer, fraction)
+                seen.add((mod.closed_form is None, integer[2].split()[0] if integer[2] else None))
+    for opaque in (False, True):
+        assert {(opaque, "functor.compose"), (opaque, "functor.identity")} <= seen, seen
 
 
 def test_healthy_closed_form_functoriality_evaluates_no_transformer(monkeypatch):
@@ -426,25 +445,27 @@ def test_healthy_closed_form_functoriality_evaluates_no_transformer(monkeypatch)
     monkeypatch.setattr(semantics, "pt_modality", lambda *args: built.append(real(*args)) or built[-1])
     rng = Random(18)
     X, Y, Z = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
-    for name, kind in FUNCTOR_CASES:
+    closed = [(mod, kind) for mod, kind in FUNCTOR_CASES if mod.closed_form is not None]
+    for mod, kind in closed:
         for _ in range(3):
             f, g = random_arrow(kind, rng, X, Y), random_arrow(kind, rng, Y, Z)
-            assert check_functoriality(builtin_modality(name), f, g).is_healthy
-    assert len(built) == 4 * 3 * len(FUNCTOR_CASES)
+            assert check_functoriality(mod, f, g).is_healthy
+    assert len(built) == 4 * 3 * len(closed)
     assert all(phi.rows is not None and phi._memo == {} for phi in built)
 
 
-@pytest.mark.parametrize("probe", [(F(1, 2),), (F(3, 2), F(1, 2)), (F(1, 2), F(-1, 3))])
-def test_functoriality_refuses_bad_probes_on_both_routes(monkeypatch, probe):
-    # a probe of the wrong width, or one whose image leaves [0, 1], makes
-    # the integer rows raise; the Fraction loop then raises as it does alone
+@pytest.mark.parametrize("probe", [(F(1, 2),), (F(3, 2), F(1, 2)), (F(1, 2), F(-1, 3)), (F(1, 2), 0.5)])
+def test_functoriality_refuses_bad_probes_on_both_routes(probe):
+    # a probe of the wrong width, or one whose image leaves [0, 1], raises
+    # ValueError where the Fraction loop meets it; a float, TypeError
     X, Y, Z = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
     f = KleisliArrow("dist", X, Y, [DistV({"y0": F(1, 2), "y1": F(1, 2)}), DistV.dirac("y1")])
     g = KleisliArrow("dist", Y, Z, [DistV.dirac("z0"), DistV({"z0": F(1, 4), "z1": F(3, 4)})])
     probes = ProbeGrid.default(Z).value_tuples() + [probe]
-    with pytest.raises(ValueError) as integer:
-        check_functoriality("convex", f, g, probes=probes)
-    monkeypatch.setattr(semantics, "_functor_ints_agree", lambda *args: False)
-    with pytest.raises(ValueError) as fraction:
-        check_functoriality("convex", f, g, probes=probes)
-    assert str(integer.value) == str(fraction.value)
+    error = TypeError if isinstance(probe[-1], float) else ValueError
+    for mod in (builtin_modality("convex"), monad_map_to_algebra(algebra_to_monad_map(INSTANCES["dist_convex"]))):
+        with pytest.raises(error) as integer:
+            check_functoriality(mod, f, g, probes=probes)
+        with pytest.raises(error) as fraction:
+            fraction_check_functoriality(mod, f, g, probes=probes)
+        assert str(integer.value) == str(fraction.value)

@@ -11,6 +11,7 @@ from wpbench.modalities import (
     INSTANCES,
     STRUCTURE_CLASSES,
     IntegerRows,
+    RATIONAL,
     Modality,
     algebra_to_monad_map,
     monad_map_to_algebra,
@@ -354,6 +355,31 @@ def test_inverse_is_chosen_by_what_the_modality_is(X1, Y2):
     result = synthesize(boxed, wp_box(R))
     assert result.ok
     assert result.arrow.rows == R.rows
+
+
+def test_a_modality_outside_the_catalog_is_checked_with_its_own_semantics(X1, Y2):
+    # the dual game, min over the family of max within each set, is read as
+    # game: phi(f)(x0) = f(y0) and f(y1) gives the family {{y0, y1}}, whose
+    # dual-game transformer is f(y0) or f(y1)
+    dual_eval = lambda fam, f: min((max((f(y) for y in s), default=0) for s in fam), default=1)
+    dual = Modality("dual_game", MonadKind.UP_POWERSET, BOOLEAN, "pos", dual_eval)
+    family = [frozenset({"y0"}), frozenset({"y1"}), frozenset({"y0", "y1"})]
+    phi = pt_modality(dual, KleisliArrow("up_powerset", X1, Y2, {"x0": family}))
+    assert phi.table == (0, 0, 0, 1)
+    result = synthesize(dual, phi)
+    assert not result.ok and pt_modality(dual, result.arrow).table == (0, 1, 1, 1)
+    witness = result.residual.witness
+    assert witness.law == "synthesis.reevaluate" and witness.args == {"pred_mask": 1}
+    assert witness_is_sound((phi, pt_modality(dual, result.arrow)), witness)
+    # half the expectation is read as total, whose arrow has half the mass
+    half = Modality("half", MonadKind.SUBDIST, RATIONAL, "gemod", lambda mu, f: mu.expect(f) / 2)
+    phi = pt_modality(half, KleisliArrow("subdist", X1, Y2, {"x0": DistV({"y0": F(1, 2), "y1": F(1, 2)})}))
+    grid = ProbeGrid.default(Y2)
+    result = synthesize(half, phi, grid)
+    assert not result.ok and result.arrow.rows == (DistV({"y0": F(1, 4), "y1": F(1, 4)}),)
+    witness = result.residual.witness
+    assert witness.law == "synthesis.reevaluate"
+    assert witness_is_sound((phi, pt_modality(half, result.arrow)), witness)
 
 
 def _affine(Y, X, rows):
