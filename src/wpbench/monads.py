@@ -21,7 +21,10 @@ The closed forms of the rational modalities evaluate on integers here
 (``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
 transformers, the synthesis round trip and the vertex-list equality
 ``cv_values_equal``, and the law checks read certificates off its
-coefficients.
+coefficients.  Every equality of two sides at lattice points goes
+through one routine, ``_differing_point``: sides holding the same rows
+answer at once, and any other pair is compared point by point on
+integers (``_first_difference``).
 
 The hot paths build tuples from lists (``tuple([...])``), at their final
 size.  A tuple grown from a generator, once freed, is kept on CPython's
@@ -584,9 +587,9 @@ class IntegerRows:
     scale them to their common denominator and evaluate them on integers
     (``ints``, with the checks of ``RationalTransformer.apply_values``);
     the law checks read a certificate off the coefficients themselves
-    (``modalities.LawCheck``).  ``same_values`` compares two closed
-    forms at the points of a lattice with ``_first_difference``, for both
-    polytope equalities (``synthesis.cv_semantically_equal`` and
+    (``modalities.LawCheck``).  Two rows are compared at the points of a
+    lattice by ``_differing_point``, for the residual and both polytope
+    equalities (``synthesis.cv_semantically_equal`` and
     ``cv_values_equal``).  The rows live here, below the catalog, so that
     ``cv_values_equal`` can use them; ``modalities`` compiles the closed
     forms of its modalities to them.
@@ -633,28 +636,12 @@ class IntegerRows:
         out, top = self.ints([v.numerator * (one // v.denominator) for v in values], one)
         return tuple([Fraction(v, top) for v in out])
 
-    def same_values(self, other: "IntegerRows", points: Sequence, one: int) -> bool:
-        """Whether both give the same outputs at every point over one
-        (``_first_difference``); False when the output counts differ or
-        ``ints`` raises.  True with no point evaluated when both hold the
-        same rows (``_same_bounded_rows``) and the points lie in [0, one]."""
-        if len(self.rows) != len(other.rows) or not all(self.rows) or not all(other.rows):
-            return False
-        w = self.width
-        if self._same_bounded_rows(other) and all(
-            len(p) == w and min(p, default=0) >= 0 and max(p, default=0) <= one for p in points
-        ):
-            return True
-        try:
-            return _first_difference((self.ints,), (other.ints,), points, one) is None
-        except ValueError:
-            return False
-
     def _same_bounded_rows(self, other: "IntegerRows") -> bool:
         """Whether both give the same outputs and raise at no point in
-        [0, one]: they have one width, per output the same vertex rows
-        cross-scaled by the other's den, and they are ``bounded``."""
-        if self.width != other.width:
+        [0, one]: they have one width and as many outputs, per output the
+        same vertex rows cross-scaled by the other's den, and they are
+        ``bounded``."""
+        if self.width != other.width or len(self.rows) != len(other.rows):
             return False
         da, db = self.den, other.den
         for va, vb in zip(self.rows, other.rows):
@@ -694,9 +681,28 @@ def _first_difference(left: Sequence, right: Sequence, points: Sequence, one: in
     return None
 
 
+def _differing_point(a, b, lattice: Lattice) -> int | None:
+    """The index of the first predicate of the lattice where two sides give
+    different outputs, or None.  A side is ``IntegerRows`` or an evaluator
+    (point, one) -> (outputs, their denominator).  Two rows that agree
+    (``IntegerRows._same_bounded_rows``) answer None with no point
+    evaluated when the lattice lies in [0, one]^width
+    (``Lattice.cube_width``); otherwise the points are compared by
+    ``_first_difference``, which raises where a side does."""
+    rows = isinstance(a, IntegerRows) and isinstance(b, IntegerRows)
+    if rows and a._same_bounded_rows(b) and lattice.cube_width == a.width:
+        return None
+    ints = lambda side: side.ints if isinstance(side, IntegerRows) else side
+    return _first_difference((ints(a),), (ints(b),), lattice.preds, lattice.one)
+
+
 def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:
     """The integer rows of min-evaluation over vertex lists: per T-value,
-    one vertex row (no offset) per distribution, over ``targets``."""
+    one vertex row (no offset) per distribution, over ``targets``.  A
+    vertex with weight outside ``targets`` raises ``ValueError``."""
+    known = frozenset(targets)
+    if not all(known.issuperset(mu._w) for t in tvalues for mu in t):
+        raise ValueError("a vertex puts weight outside the carrier")
     rows = [[(ZERO, [mu.weight(y) for y in targets]) for mu in t] for t in tvalues]
     return IntegerRows(rows, len(targets))
 
@@ -718,6 +724,16 @@ class Lattice:
         one *= math.lcm(*[r.denominator for r in scalars])
         ints = tuple([tuple([v.numerator * (one // v.denominator) for v in p]) for p in preds])
         return cls(one, ints, tuple([r.numerator * (one // r.denominator) for r in scalars]))
+
+    @functools.cached_property
+    def cube_width(self) -> int | None:
+        """The n with every predicate in [0, one]^n, or None when there is
+        none: a predicate is outside [0, one], two lengths differ, or there
+        is no predicate."""
+        widths = {len(p) for p in self.preds}
+        if len(widths) == 1 and all(0 <= v <= self.one for p in self.preds for v in p):
+            return widths.pop()
+        return None
 
     @functools.cached_property
     def counts(self) -> dict:
@@ -769,34 +785,19 @@ def cv_values_equal(a, b, target: FinSet) -> bool:
     """Vertex lists are V-representations without hull minimization, so
     polytope equality is tested by mutual min-evaluation on the
     ``cv_probe_tuples``: a probe-based test, not a decision of hull
-    equality.  Equal vertex sets pass at once; otherwise the probes are
-    compared on integers (``IntegerRows.same_values`` on their lattice),
-    and the Fraction loop runs only when that comparison fails or a vertex
-    is not a distribution over ``target``.  It gives the answer, or
-    raises, as it would alone."""
+    equality.  Equal vertex sets pass at once; otherwise both lists are
+    compared as integer rows on the probes' lattice
+    (``_differing_point``).  A list with no vertex, with support outside
+    ``target`` or with a value outside [0, 1] at a probe raises
+    ``ValueError``."""
     if frozenset(a) == frozenset(b):
         return True
-    probes, lattice = _cv_probes(target.elements)
-    known = frozenset(target.elements)
-    if all(isinstance(mu, DistV) and mu.support <= known for t in (a, b) for mu in t):
-        ra, rb = (vertex_rows((t,), target.elements) for t in (a, b))
-        if ra.same_values(rb, lattice.preds, lattice.one):
-            return True
-    idx = {y: i for i, y in enumerate(target.elements)}
-    for p in probes:
-        fa = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in a)
-        fb = min(sum((q * p[idx[y]] for y, q in mu.items()), ZERO) for mu in b)
-        if fa != fb:
-            return False
-    return True
+    ra, rb = (vertex_rows((t,), target.elements) for t in (a, b))
+    return _differing_point(ra, rb, _cv_probes(target.elements)[1]) is None
 
 
-def _values_equal(kind: MonadKind, a, b, target: FinSet = None) -> bool:
-    if kind == MonadKind.CV_DIST:
-        if target is None:
-            return frozenset(a) == frozenset(b)
-        return cv_values_equal(a, b, target)
-    return a == b
+def _values_equal(kind: MonadKind, a, b, target: FinSet) -> bool:
+    return cv_values_equal(a, b, target) if kind == MonadKind.CV_DIST else a == b
 
 
 def _assoc_failure(f, g, h, left: KleisliArrow, right: KleisliArrow):

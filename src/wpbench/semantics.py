@@ -145,13 +145,14 @@ class RationalTransformer:
         return out
 
     @functools.cached_property
-    def _ints(self) -> Callable:
-        """The integer evaluator, (point, one) -> (outputs, their denominator):
-        ``IntegerRows.ints`` for rows that fit the carriers (it raises as
-        ``apply_values`` does), else ``apply_values`` scaled to the lcm."""
+    def _side(self):
+        """The transformer as the integer comparison reads it
+        (``monads._differing_point``): its ``IntegerRows`` when they fit
+        the carriers, else an evaluator (point, one) -> (outputs, their
+        denominator), ``apply_values`` scaled to the lcm."""
         rows = self.rows
         if rows is not None and rows.width == len(self.source) and len(rows.rows) == len(self.target):
-            return rows.ints
+            return rows
 
         def at(point, one):
             out = self.apply_values([Fraction(m, one) for m in point])
@@ -159,6 +160,13 @@ class RationalTransformer:
             return [q.numerator * (den // q.denominator) for q in out], den
 
         return at
+
+    @functools.cached_property
+    def _ints(self) -> Callable:
+        """The integer evaluator of ``_side``; ``IntegerRows.ints`` raises as
+        ``apply_values`` does."""
+        side = self._side
+        return side.ints if isinstance(side, IntegerRows) else side
 
     def __repr__(self):
         tag = self.label or "rule"

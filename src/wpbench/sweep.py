@@ -26,8 +26,9 @@ counts as powers of the per-state counts.
 Rational instances are sampled: every sampled computation must produce a
 transformer that passes its grid check, and independently constructed
 law-respecting transformers must synthesize back to computations with
-exact re-evaluation.  A witness on a sampled computation records its
-index, and its replay redraws it from the instance's seed.
+exact re-evaluation.  A witness on a sampled computation, or on a
+constructed transformer, records its index, and its replay redraws it
+from the instance's seed.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ from .modalities import (
 )
 from .monads import DistV, MonadKind, enumerate_arrows, has_tvalues, random_arrow
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
-from .synthesis import UnhealthyInputError, roundtrip_verify, synth_polytope, synthesize
-from .verdicts import Verdict, Witness, register_law
+from .synthesis import UnhealthyInputError, roundtrip_verify, synthesize
+from .verdicts import Witness, register_law
 
 __all__ = ["TheoremInstance", "SweepReport", "enum_verify", "healthy_tables", "THEOREM_IDS"]
 
@@ -293,12 +294,24 @@ def _replay_realizability(subject, args):
 
 def _replay_roundtrip(subject, args):
     mod, arrow, grid = _redraw(subject, args["sample"])
-    return _roundtrip(mod, arrow, pt_modality(mod, arrow), grid).status, "healthy"
+    return roundtrip_verify(arrow, mod.theorem, grid).status, "healthy"
+
+
+def _replay_constructed_health(subject, args):
+    mod, phi, grid = _redraw(subject, args["sample"], constructed=True)
+    return run_condition(mod.condition, phi, grid).status, "healthy"
+
+
+def _replay_constructed_synth(subject, args):
+    mod, phi, grid = _redraw(subject, args["sample"], constructed=True)
+    return synthesize(mod, phi, grid).residual.status, "healthy"
 
 
 register_law("sweep.image_health", _replay_image_health)
 register_law("sweep.realizability", _replay_realizability)
 register_law("sweep.roundtrip", _replay_roundtrip)
+register_law("sweep.constructed_health", _replay_constructed_health)
+register_law("sweep.constructed_synth", _replay_constructed_synth)
 
 
 def _random_coefficient_transformer(
@@ -325,25 +338,20 @@ def _random_coefficient_transformer(
     return RationalTransformer(Y, X, row.closed_form(rows, Y.elements), label=f"coef[{row.theorem}]")
 
 
-def _roundtrip(mod: Modality, arrow, phi: RationalTransformer, grid: ProbeGrid) -> Verdict:
-    """The round trip of one sampled computation: a polytope is synthesized
-    from phi, and any other arrow must come back from pt(arrow)."""
-    if mod.monad == MonadKind.CV_DIST:
-        return synth_polytope(phi, grid).residual
-    return roundtrip_verify(arrow, mod.theorem, grid)
-
-
-def _redraw(subject: TheoremInstance, i: int) -> tuple:
-    """The modality, the i-th computation and the grid of the sampled sweep
-    of the subject: in the sweep's first loop only random_arrow draws from
-    the rng."""
+def _redraw(subject: TheoremInstance, i: int, constructed: bool = False) -> tuple:
+    """The modality, the i-th sample and the grid of the sampled sweep of
+    the subject: the i-th computation, or the i-th constructed transformer.
+    Only the draws of the samples use the rng: the sweep's first loop draws
+    ``count`` computations, its second loop the constructed transformers."""
     mod = INSTANCES[subject.theorem]
     nx, ny = subject.sizes
     X, Y = _carrier("x", nx), _carrier("y", ny)
     rng = Random(subject.seed)
-    for _ in range(i + 1):
-        arrow = random_arrow(mod.monad, rng, X, Y)
-    return mod, arrow, ProbeGrid.default(Y, seed=subject.seed)
+    for _ in range(subject.count if constructed else i + 1):
+        sample = random_arrow(mod.monad, rng, X, Y)
+    for _ in range(i + 1 if constructed else 0):
+        sample = _random_coefficient_transformer(mod, rng, X, Y)
+    return mod, sample, ProbeGrid.default(Y, seed=subject.seed)
 
 
 def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dict:
@@ -367,7 +375,7 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
             )
             continue
         healthy_images += 1
-        rt = _roundtrip(mod, arrow, phi, grid)
+        rt = roundtrip_verify(arrow, theorem, grid)
         if rt.is_healthy:
             roundtrips += 1
         elif witness is None:

@@ -34,7 +34,7 @@ from typing import Sequence
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
-from .monads import BOT, DistV, KleisliArrow, MonadKind, _first_difference, dedup_vertices
+from .monads import BOT, DistV, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
@@ -162,71 +162,66 @@ def synth_dijkstra(phi: BooleanTransformer) -> SynthesisResult:
 # Probabilistic inverses (Dirac probing is exact on rationals)
 
 
-def _dirac_tuple(n: int, j: int, one=ONE, zero=ZERO) -> tuple:
-    return tuple(one if k == j else zero for k in range(n))
+def _dirac_tuple(n: int, j: int, one: int) -> tuple:
+    return tuple(one if k == j else 0 for k in range(n))
 
 
 def _grid_residual(phi: RationalTransformer, rebuilt: RationalTransformer, grid: ProbeGrid) -> Verdict:
     """The rebuilt transformer against phi at every grid predicate, one
-    check per state, on the grid's lattice (``_first_difference``) unless
-    both hold the same rows (``IntegerRows._same_bounded_rows``); the
-    witness is the first differing value, in Fractions."""
+    check per state, on the grid's lattice (``_differing_point``, which
+    evaluates no point when both hold the same rows); the witness is the
+    first differing value, in Fractions."""
     lattice, n = grid.lattice, len(phi.target)
-    ra, rb = phi.rows, rebuilt.rows
-    same = ra is not None and rb is not None and ra.width == len(grid.domain)
-    if not (same and len(ra.rows) == len(rb.rows) == n and ra._same_bounded_rows(rb)):
-        k = _first_difference((phi._ints,), (rebuilt._ints,), lattice.preds, lattice.one)
-        if k is not None:
-            p = grid.predicates[k]
-            a, b = phi.apply_values(p), rebuilt.apply_values(p)
-            i = next(j for j, (u, v) in enumerate(zip(a, b)) if u != v)
-            witness = Witness("synthesis.reevaluate", {"pred": p, "x": phi.target.elements[i]}, b[i], a[i])
-            return Verdict.unhealthy(witness, (k + 1) * n)
+    k = _differing_point(phi._side, rebuilt._side, lattice)
+    if k is not None:
+        p = grid.predicates[k]
+        a, b = phi.apply_values(p), rebuilt.apply_values(p)
+        i = next(j for j, (u, v) in enumerate(zip(a, b)) if u != v)
+        witness = Witness("synthesis.reevaluate", {"pred": p, "x": phi.target.elements[i]}, b[i], a[i])
+        return Verdict.unhealthy(witness, (k + 1) * n)
     return Verdict.healthy(len(lattice.preds) * n)
 
 
-def _coefficients(phi: RationalTransformer, partial: bool) -> list:
-    """Per state x, its row read off Dirac probes and the mass the row must
-    have: phi(dirac_y)(x) and phi(1)(x), or for the partial row (the rule
-    tau_1) phi(dirac_y)(x) - phi(0)(x) and 1 - phi(0)(x)."""
+def _dirac_rows(phi: RationalTransformer, row: Modality) -> list:
+    """Per state x, the coefficients of the linear row's inverse read off
+    Dirac probes, and the mass the row must have:
+
+    total:   f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x);
+    partial: f(x)(y) = phi(dirac_y)(x) - phi(0)(x), with mass 1 - phi(0)(x)
+             (the rule tau_1);
+    dist:    f(x)(y) = phi(dirac_y)(x), with mass one.
+    """
     n = len(phi.source)
 
     def at(point):
         out, den = phi._ints(point, 1)
         return [Fraction(v, den) for v in out]
 
-    cols = [at(_dirac_tuple(n, j, 1, 0)) for j in range(n)]
-    if partial:
+    cols = [at(_dirac_tuple(n, j, 1)) for j in range(n)]
+    if row.evaluate == TauR(ONE):
         return [([c[i] - base for c in cols], ONE - base) for i, base in enumerate(at((0,) * n))]
-    return [([c[i] for c in cols], one) for i, one in enumerate(at((1,) * n))]
+    masses = [ONE] * len(phi.target) if row.monad == MonadKind.DIST else at((1,) * n)
+    return [([c[i] for c in cols], mass) for i, mass in enumerate(masses)]
 
 
 def _synth_diracs(phi: RationalTransformer, row: Modality, grid: ProbeGrid | None) -> SynthesisResult:
-    """The inverse of a linear catalog row, read off Dirac probes.
-
-    total:   f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x);
-    partial: f(x)(y) = phi(dirac_y)(x) - phi(0)(x), with mass 1 - phi(0)(x);
-    dist:    f(x)(y) = phi(dirac_y)(x), with mass phi(1)(x) = 1.
-
-    A witness names the variant: the row's name, or dist on distributions.
-    """
+    """The inverse of a linear catalog row, read off Dirac probes
+    (``_dirac_rows``).  A witness names the variant: the row's name, or
+    dist on distributions (``_variant_row`` reads it back)."""
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
-    dist = row.monad == MonadKind.DIST
-    variant = "dist" if dist else row.name
-    coefficients = _coefficients(phi, row.evaluate == TauR(ONE))
+    variant = "dist" if row.monad == MonadKind.DIST else row.name
     rows = []
-    for i, (x, (coefs, mass)) in enumerate(zip(X.elements, coefficients)):
+    for i, (x, (coefs, mass)) in enumerate(zip(X.elements, _dirac_rows(phi, row))):
         for y, c in zip(Y.elements, coefs):
             if c < 0 or c > 1:
                 args = {"x": x, "y": y, "variant": variant}
                 witness = Witness("synthesis.coefficient", args, c, max(min(c, ONE), ZERO))
                 return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         total_mass = sum(coefs, ZERO)
-        expected = ONE if dist else mass
-        if total_mass != mass or total_mass != expected:
-            witness = Witness("synthesis.mass", {"x": x, "variant": variant}, total_mass, expected)
+        if total_mass != mass:
+            witness = Witness("synthesis.mass", {"x": x, "variant": variant}, total_mass, mass)
             return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         rows.append(DistV(zip(Y.elements, coefs)))
     arrow = KleisliArrow(row.monad, X, Y, rows)
@@ -235,7 +230,7 @@ def _synth_diracs(phi: RationalTransformer, row: Modality, grid: ProbeGrid | Non
 
 def synth_subdist(phi: RationalTransformer, variant: str = "total", grid: ProbeGrid = None) -> SynthesisResult:
     """Subdistribution rows from Dirac probes, for the ``total`` or the
-    ``partial`` row, by name (see ``_synth_diracs``)."""
+    ``partial`` row, by name (see ``_dirac_rows``)."""
     if variant not in ("total", "partial"):
         raise ValueError("variant must be 'total' or 'partial'")
     return _synth_diracs(phi, builtin_modality(variant), grid)
@@ -246,20 +241,24 @@ def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisRes
     return _synth_diracs(phi, INSTANCES["dist_convex"], grid)
 
 
+def _variant_row(variant: str) -> Modality:
+    """The linear row a Dirac witness's variant names."""
+    return INSTANCES["dist_convex"] if variant == "dist" else builtin_modality(variant)
+
+
 def _law_synth_coefficient(subject, args):
     """Replay on the transformer: a coefficient read off its Dirac probe,
     and that coefficient clamped to [0, 1]."""
-    coefs, _ = _coefficients(subject, args["variant"] == "partial")[subject.target.index(args["x"])]
+    coefs, _ = _dirac_rows(subject, _variant_row(args["variant"]))[subject.target.index(args["x"])]
     c = coefs[subject.source.index(args["y"])]
     return c, max(min(c, ONE), ZERO)
 
 
 def _law_synth_mass(subject, args):
     """Replay on the transformer: the mass of a row read off Dirac probes,
-    and the mass it must have (one for a distribution)."""
-    variant = args["variant"]
-    coefs, mass = _coefficients(subject, variant == "partial")[subject.target.index(args["x"])]
-    return sum(coefs, ZERO), ONE if variant == "dist" else mass
+    and the mass it must have."""
+    coefs, mass = _dirac_rows(subject, _variant_row(args["variant"]))[subject.target.index(args["x"])]
+    return sum(coefs, ZERO), mass
 
 
 register_law("synthesis.coefficient", _law_synth_coefficient)
@@ -409,29 +408,19 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     """Vertex lists are not canonical; compare polytope-valued arrows by
     mutual evaluation (min over vertices) on the grid plus all Diracs: a
     probe-based test, not a decision of hull equality.  Both arrows are
-    first compared on integers, as the rows of their demonic_prob
-    transformers on the grid's lattice plus the Dirac points it lacks
-    (``IntegerRows.same_values``); the Fraction loop runs only when that
-    comparison fails, and answers, or raises, as it would alone."""
+    compared as the integer rows of their demonic_prob transformers on the
+    grid's lattice plus the Dirac points it lacks (``_differing_point``).
+    A row with no vertex, with support outside the target or with a value
+    outside [0, 1] at a point raises ``ValueError``."""
     if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
         return False
     grid = grid if grid is not None else ProbeGrid.default(a.target)
-    mod = builtin_modality("demonic_prob")
-    n = len(a.target)
-    lattice = grid.lattice
-    diracs = (_dirac_tuple(n, j, lattice.one, 0) for j in range(n))
-    points = lattice.preds + tuple(d for d in diracs if d not in lattice.preds)
-    rows_a, rows_b = (mod.closed_form(f.rows, a.target.elements) for f in (a, b))
-    if rows_a.same_values(rows_b, points, lattice.one):
-        return True
-    probes = list(grid.predicates) + [_dirac_tuple(n, j) for j in range(n)]
-    idx = {y: k for k, y in enumerate(a.target.elements)}
-    for p in probes:
-        val = lambda y: p[idx[y]]
-        for ra, rb in zip(a.rows, b.rows):
-            if mod.evaluate(ra, val) != mod.evaluate(rb, val):
-                return False
-    return True
+    closed_form = builtin_modality("demonic_prob").closed_form
+    n, one, preds = len(a.target), grid.lattice.one, grid.lattice.preds
+    diracs = (_dirac_tuple(n, j, one) for j in range(n))
+    lattice = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ())
+    rows_a, rows_b = (closed_form(f.rows, a.target.elements) for f in (a, b))
+    return _differing_point(rows_a, rows_b, lattice) is None
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +497,19 @@ def _resynthesize(f: KleisliArrow, row: Modality, grid: ProbeGrid | None) -> tup
     return synthesize(row, phi, grid), grid
 
 
+def _arrow_sides(instance: str, row: Modality, normalized: KleisliArrow, arrow: KleisliArrow, grid) -> list:
+    """The round trip's arrow comparison, as (witness args, synth(pt f), f
+    normalized) triples: one per state, or one for polytopes, whose sides
+    are the arrows' reprs where they disagree on the grid
+    (``cv_semantically_equal``), else f normalized on both sides."""
+    if row.monad == MonadKind.CV_DIST:
+        if cv_semantically_equal(normalized, arrow, grid):
+            return [({"instance": instance}, normalized, normalized)]
+        return [({"instance": instance}, repr(arrow), repr(normalized))]
+    states = zip(normalized.source.elements, arrow.rows, normalized.rows)
+    return [({"instance": instance, "x": x}, a, b) for x, a, b in states]
+
+
 def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = None) -> Verdict:
     """synth(pt(f)) must equal f up to the documented normalization, and
     pt(synth(pt(f))) must reproduce pt(f) exactly (dense) or on the grid."""
@@ -521,34 +523,13 @@ def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = No
             return result.residual
         return Verdict.unhealthy(result.residual.witness, result.residual.checked)
     normalized, flags = _normalize_arrow(row, f)
-    checked = 0
-    if row.monad == MonadKind.CV_DIST:
-        if not cv_semantically_equal(normalized, result.arrow, grid):
-            return Verdict.unhealthy(
-                Witness("roundtrip.arrow", {"instance": instance}, repr(result.arrow), repr(normalized)),
-                checked,
-            )
-    else:
-        if normalized.rows != result.arrow.rows:
-            bad = next(
-                x
-                for x, (a, b) in zip(f.source.elements, zip(normalized.rows, result.arrow.rows))
-                if a != b
-            )
-            return Verdict.unhealthy(
-                Witness(
-                    "roundtrip.arrow",
-                    {"instance": instance, "x": bad},
-                    result.arrow.row(bad),
-                    normalized.row(bad),
-                ),
-                checked,
-            )
+    for args, lhs, rhs in _arrow_sides(instance, row, normalized, result.arrow, grid):
+        if lhs != rhs:
+            return Verdict.unhealthy(Witness("roundtrip.arrow", args, lhs, rhs), 0)
     # the transformer direction pt(synth(pt f)) = pt(f) is the residual,
     # already verified densely / on the grid by the synthesis itself
-    checked += result.residual.checked
     note = f"normalization: {', '.join(flags)}" if flags else ""
-    return Verdict.healthy(checked, note=note)
+    return Verdict.healthy(result.residual.checked, note=note)
 
 
 def _law_synth_reevaluate(subject, args):
@@ -563,16 +544,12 @@ def _law_synth_reevaluate(subject, args):
 
 def _law_roundtrip_arrow(subject, args):
     """Replay on (f, grid), the arrow and the grid the round trip ran on:
-    synth(pt(f)) against f normalized, at the witness state, or as a whole
-    for polytopes (equal reprs when they agree on the grid)."""
+    the sides of the round trip's arrow comparison at the witness args."""
     f, grid = subject
     row = INSTANCES[args["instance"]]
     result, grid = _resynthesize(f, row, grid)
-    normalized, _ = _normalize_arrow(row, f)
-    if row.monad == MonadKind.CV_DIST:
-        same = cv_semantically_equal(normalized, result.arrow, grid)
-        return repr(normalized if same else result.arrow), repr(normalized)
-    return result.arrow.row(args["x"]), normalized.row(args["x"])
+    sides = _arrow_sides(args["instance"], row, _normalize_arrow(row, f)[0], result.arrow, grid)
+    return next((lhs, rhs) for at, lhs, rhs in sides if at == args)
 
 
 register_law("synthesis.reevaluate", _law_synth_reevaluate)

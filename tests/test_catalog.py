@@ -20,9 +20,8 @@ from wpbench.verdicts import _LAW_EVALUATORS, witness_is_sound
 F = Fraction
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "wpbench"
-# witness laws the package emits with no replay evaluator yet; the set may
-# only shrink
-UNREPLAYED = {"sweep.constructed_health", "sweep.constructed_synth"}
+# witness laws the package emits with no replay evaluator; it stays empty
+UNREPLAYED = set()
 
 # One seeded violation per law.  Boolean laws: a one-output dense table over
 # two postcondition states.  Rational laws: a one-dimensional rule (identity
@@ -232,4 +231,36 @@ def test_theorem_ids_are_read_off_the_catalog_only():
             if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["INSTANCES"]
         ]
         found += [f"{path.name}:{line}" for line in _theorem_id_switches(tree, *catalog)]
+    assert found == []
+
+
+# the exceptions a handler in the package may catch outside the CLI: a
+# refused synthesis, a probe a table lacks, a missing key
+CAUGHT = {"UnhealthyInputError", "MissingProbeError", "KeyError"}
+
+
+def _caught(tree: ast.AST) -> list:
+    """(line, name) for every exception an ``except`` clause names; a bare
+    ``except`` names BaseException."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler):
+            types = getattr(node.type, "elts", [node.type])
+            found += [(node.lineno, ast.unparse(t) if t else "BaseException") for t in types]
+    return found
+
+
+def test_an_error_is_never_an_answer():
+    # outside the CLI, which turns errors into exit codes, no handler turns
+    # a ValueError, a TypeError or any exception into a verdict or an answer
+    snippet = (
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+        "try:\n    g()\nexcept (KeyError, TypeError):\n    pass\n"
+    )
+    assert _caught(ast.parse(snippet)) == [(3, "ValueError"), (7, "KeyError"), (7, "TypeError")]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "cli.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [f"{path.name}:{line} {name}" for line, name in _caught(tree) if name not in CAUGHT]
     assert found == []

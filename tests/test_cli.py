@@ -1,7 +1,10 @@
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wpbench import cli
 from wpbench.cli import (
@@ -12,10 +15,12 @@ from wpbench.cli import (
     EXIT_UNHEALTHY,
     SpecError,
     _build_parser,
+    computation_to_json,
     parse_spec,
     run,
 )
-from wpbench.monads import BOT, MonadKind
+from wpbench.core import FinSet
+from wpbench.monads import BOT, MonadKind, has_tvalues, random_arrow
 from wpbench.semantics import BooleanTransformer
 
 F = Fraction
@@ -535,3 +540,101 @@ def test_roundtrip_on_a_grid_below_the_minimum_is_inconclusive(tmp_path, capsys)
     assert capsys.readouterr().out == (
         "synthesis rejected: inconclusive: grid below the minimum invariant (diracs/constants/core sums)\n"
     )
+
+
+# Spec fuzzing.  Documents are drawn from the spec's own shapes and
+# vocabulary (its keys, the labels of two small sets, monads, modalities,
+# transformer kinds, rationals in and out of [0, 1]), so that most of them
+# reach the validation of a row, a table, a probe pair or a probe override,
+# with arbitrary JSON in any place.
+_WORD = st.sampled_from(
+    ("sets", "rows", "kind", "truth_table", "probe_table", "X", "Y", "x0", "y0", "diamond", "convex", "tau_r:2")
+    + tuple(k.value for k in MonadKind)
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False, allow_infinity=False) | _WORD,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_WORD | st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _mostly(shape):
+    """The shape nine times in ten, else arbitrary JSON."""
+    return st.integers(0, 9).flatmap(lambda k: shape if k else _JSON)
+
+
+_LABEL = st.sampled_from(("y0", "y1", "y0", "y1", "z"))
+_RAT = _mostly(st.sampled_from(("0", "1", "1/2", "1/3", "2/3", "3/2", "-1/4", "1/0", "0.5")) | st.integers(-1, 2))
+_PREDICATE = st.lists(_RAT, max_size=3)
+_BITS = st.sampled_from(("", "0", "1", "00", "01", "10", "11", "2"))
+_ROW = _mostly(
+    st.one_of(
+        st.lists(_LABEL, max_size=3),
+        st.dictionaries(_LABEL, _RAT, max_size=3),
+        st.fixed_dictionaries({}, optional={"elements": st.lists(_LABEL, max_size=2), "bottom": st.booleans()}),
+        st.lists(st.dictionaries(_LABEL, _RAT, max_size=3), max_size=3),
+        st.lists(st.lists(_LABEL, max_size=2), max_size=4),
+        st.fixed_dictionaries({"generators": st.lists(st.lists(_LABEL, max_size=2), max_size=3)}),
+    )
+)
+_SET = _mostly(st.sampled_from(("X", "Y", "Z")))
+_CARRIER = lambda *labels: st.lists(st.sampled_from(labels), min_size=1, max_size=2, unique=True)
+_DOCUMENTS = st.fixed_dictionaries(
+    {"sets": _mostly(st.fixed_dictionaries({"X": _CARRIER("x0", "x1"), "Y": _CARRIER("y0", "y1")}))},
+    optional={
+        "computation": _mostly(
+            st.fixed_dictionaries(
+                {
+                    "monad": _mostly(st.sampled_from([k.value for k in MonadKind])),
+                    "source": _SET,
+                    "target": _SET,
+                    "rows": _mostly(st.fixed_dictionaries({"x0": _ROW, "x1": _ROW}, optional={"y0": _ROW})),
+                }
+            )
+        ),
+        "transformer": _mostly(
+            st.fixed_dictionaries(
+                {"kind": _mostly(st.sampled_from(("truth_table", "probe_table"))), "source": _SET, "target": _SET},
+                optional={
+                    "rows": _mostly(st.dictionaries(_BITS, _mostly(_BITS), max_size=4)),
+                    "pairs": _mostly(st.lists(_mostly(st.lists(_PREDICATE, min_size=2, max_size=2)), max_size=3)),
+                },
+            )
+        ),
+        "modality": _mostly(
+            st.sampled_from(("diamond", "box", "game", "total", "convex", "demonic_prob", "tau_r:1/3", "tau_r:2"))
+        ),
+        "probes": _mostly(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "predicates": _mostly(st.lists(_PREDICATE, max_size=2)),
+                    "scalars": _mostly(st.lists(_RAT, max_size=2)),
+                    "random": _mostly(st.integers(-1, 3)),
+                },
+            )
+        ),
+        "seed": _mostly(st.integers(-1, 3)),
+    },
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 9).flatmap(lambda k: _DOCUMENTS.map(json.dumps) if k else st.text(max_size=8)))
+def test_parse_spec_raises_only_spec_errors(text):
+    try:
+        parse_spec(text)
+    except SpecError:
+        pass
+
+
+@pytest.mark.parametrize("kind", list(MonadKind))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(nx=st.integers(0, 2), ny=st.integers(0, 3), seed=st.integers(0, 1 << 16))
+def test_serialized_computations_parse_back(kind, nx, ny, seed):
+    X = FinSet("X", tuple(f"x{i}" for i in range(nx)))
+    Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
+    if nx and not has_tvalues(kind, Y):
+        return  # no arrow X -> T(Y) to draw
+    arrow = random_arrow(kind, Random(seed), X, Y)
+    assert parse_spec(json.dumps(computation_to_json(arrow))).computation == arrow

@@ -1,16 +1,18 @@
 """The integer comparisons of the round trip against Fraction references.
 
 ``synthesis._grid_residual`` compares phi with the rebuilt transformer at
-the grid's lattice points, through ``RationalTransformer``'s integer
-evaluator, which reads a closed form's rows and scales a rule's values to
-one denominator; ``synthesis.cv_semantically_equal`` and
-``monads.cv_values_equal`` compare closed forms with
-``IntegerRows.same_values``.  All three decide with one comparison,
-``monads._first_difference``.  The residual has no Fraction loop in the
-package; the two polytope equalities fall back to theirs when the
-integers differ.  The references below are the Fraction loops alone:
-verdicts, ``checked`` counts, witnesses, answers and exception types must
-be the same.  ``synth_polytope`` runs on integers from bound to certificate: it
+the grid's lattice points; ``synthesis.cv_semantically_equal`` and
+``monads.cv_values_equal`` compare the closed forms of two vertex lists at
+their probes' lattice points.  All three call one routine,
+``monads._differing_point``: two sides that hold the same rows answer at
+once, and every other pair goes to ``monads._first_difference``, which
+reads a closed form's rows and scales a rule's values to one denominator.
+The package keeps no Fraction loop for any of them.  The references below
+are the Fraction loops they replaced: verdicts, ``checked`` counts,
+witnesses, answers and exception types must be the same on every valid
+input.  A vertex list that no arrow can hold (no vertex, support outside
+the carrier, a value outside [0, 1] at a probe) raises ``ValueError``.
+``synth_polytope`` runs on integers from bound to certificate: it
 reads its bounds off the integer evaluator at the lattice points, clips
 on homogeneous integer rows (``synthesis._clip_ints``) and certifies each
 minimum on the integer vertices.  Its reference clips and certifies in
@@ -35,6 +37,7 @@ from wpbench.monads import (
     DistV,
     IntegerRows,
     KleisliArrow,
+    Lattice,
     MonadKind,
     cv_probe_tuples,
     cv_values_equal,
@@ -162,17 +165,15 @@ def fraction_cv_values_equal(a, b, target):
     return True
 
 
-def evaluated_same_values(a, b, points, one):
-    """``IntegerRows.same_values`` at every point, without its shortcut."""
-    if len(a.rows) != len(b.rows) or not all(a.rows) or not all(b.rows):
-        return False
-    try:
-        for p in points:
-            if any(u * b.den != v * a.den for u, v in zip(a.ints(p, one)[0], b.ints(p, one)[0])):
-                return False
-    except ValueError:
-        return False
-    return True
+def evaluated_difference(a, b, points, one):
+    """``monads._differing_point`` on two rows without its shortcut: the
+    first point where the outputs differ, or None; it raises where ``ints``
+    does."""
+    for k, p in enumerate(points):
+        u, v = a.ints(p, one)[0], b.ints(p, one)[0]
+        if len(u) != len(v) or any(x * b.den != y * a.den for x, y in zip(u, v)):
+            return k
+    return None
 
 
 def outcome(call, *args):
@@ -186,10 +187,11 @@ def outcome(call, *args):
 @pytest.fixture
 def integer_calls(monkeypatch):
     """The calls of the integer comparison, ``_first_difference``, from each
-    module that decides with it."""
+    module that decides with it: points compared, not answered by the
+    same-rows shortcut of ``_differing_point``."""
     calls = []
     real = monads._first_difference
-    for module in (monads, semantics, synthesis):
+    for module in (monads, semantics):
         monkeypatch.setattr(module, "_first_difference", lambda *a: calls.append(1) or real(*a))
     return calls
 
@@ -220,14 +222,16 @@ SYNTHS = {
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, n):
+def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, integer_calls, n):
     # with the precondition switched off, every transformer reaches every
-    # synthesis, so the residuals and certifications also meet failures
+    # synthesis, so the residuals and certifications also meet failures; the
+    # opaque copies hold no rows, so every residual they reach compares points
     monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
     Y = _carrier(n)
     grid = ProbeGrid.default(Y, seed=n)
     laws = set()
-    for phi in _transformers(Y, seed=40 + n):
+    phis = _transformers(Y, seed=40 + n)
+    for phi in phis + [_opaque(phi) for phi in phis]:
         for name, (synth, modality) in SYNTHS.items():
             integer = outcome(synth, phi, grid)
             with monkeypatch.context() as m:
@@ -246,6 +250,16 @@ def test_synthesis_routes_agree_with_the_fraction_routes(monkeypatch, n):
             assert residual.witness.law == "polytope.certify"
             assert witness_is_sound(phi, residual.witness)
     assert {"healthy", "polytope.certify"} <= laws, laws
+    assert integer_calls
+    # one closed form against another: they differ at the second state only,
+    # and there only where the last element of Y has a positive value
+    integer_calls.clear()
+    last, uniform = Y.elements[-1], DistV({y: F(1, n) for y in Y.elements})
+    arrows = (KleisliArrow(MonadKind.SUBDIST, X, Y, [uniform, DistV({last: w})]) for w in (ONE, F(1, 2)))
+    a, b = (pt_modality(builtin_modality("total"), f) for f in arrows)
+    verdict = synthesis._grid_residual(a, b, grid)
+    assert verdict == fraction_grid_residual(a, b, grid) and verdict.is_unhealthy
+    assert witness_is_sound((a, b), verdict.witness) and integer_calls
 
 
 def test_residual_witness_at_a_pair_sum(monkeypatch, integer_calls, X1, Y3):
@@ -477,30 +491,34 @@ def test_cv_values_equal_keeps_the_probe_answer_on_the_counterexample(integer_ca
     assert (minimum(A), minimum(B)) == (F(19, 100), F(338711, 1815000))
 
 
-def test_out_of_range_values_and_empty_vertex_lists_fail_as_before(X1, Y2):
+def test_out_of_range_values_and_empty_vertex_lists_raise_value_error(X1, Y2):
     y0, grid = DistV.dirac("y0"), ProbeGrid.default(Y2, seed=1)
-    # vertex lists: empty ones, weights past one, elements outside Y
+    # vertex lists no arrow holds: empty ones, weights past one, elements
+    # outside Y; the Fraction loops answered True for two of them
     heavy = DistV({"y0": 2})
     stray = DistV.dirac("z")
     pairs = [
         ((), (y0,)),
         ((y0,), ()),
-        ((), ()),
         ((heavy,), (y0,)),
         ((heavy,), (heavy, DistV({"y0": 3}))),
         ((stray,), (DistV({"z": F(1, 2), "w": F(1, 2)}),)),
         ((stray,), (y0,)),
     ]
     for a, b in pairs:
-        assert outcome(cv_values_equal, a, b, Y2) == outcome(fraction_cv_values_equal, a, b, Y2), (a, b)
-    assert outcome(cv_values_equal, (heavy,), (heavy, DistV({"y0": 3})), Y2) is True
-    assert outcome(cv_values_equal, (), (y0,), Y2) is ValueError
-    # an arrow row with no vertex (built past validation)
-    empty = KleisliArrow._of_valid_rows(MonadKind.CV_DIST, X1, Y2, ((),))
+        assert outcome(cv_values_equal, a, b, Y2) is ValueError, (a, b)
+    assert fraction_cv_values_equal((heavy,), (heavy, DistV({"y0": 3})), Y2) is True
+    # equal vertex sets pass at once, with nothing evaluated
+    assert cv_values_equal((), (), Y2) is True and cv_values_equal((heavy,), (heavy,), Y2) is True
+    # arrow rows with no vertex, or a vertex outside Y (built past validation)
     full = KleisliArrow(MonadKind.CV_DIST, X1, Y2, [(y0,)])
-    for a, b in ((empty, full), (full, empty)):
-        integer = outcome(cv_semantically_equal, a, b, grid)
-        assert integer == outcome(fraction_cv_semantically_equal, a, b, grid) == ValueError
+    for row in ((), (stray,), (stray, y0)):
+        bad = KleisliArrow._of_valid_rows(MonadKind.CV_DIST, X1, Y2, (row,))
+        for a, b in ((bad, full), (full, bad)):
+            assert outcome(cv_semantically_equal, a, b, grid) is ValueError, row
+    # where the rows differ, the Fraction loop met the stray vertex as a KeyError
+    bad = KleisliArrow._of_valid_rows(MonadKind.CV_DIST, X1, Y2, ((stray, y0),))
+    assert outcome(fraction_cv_semantically_equal, full, bad, grid) is KeyError
     # residuals whose rows leave [0, 1] at a probe, or have no vertex row
     rows = {
         "in range": [[(ZERO, (ONE, ZERO))]],
@@ -579,14 +597,17 @@ def _rows_pair_and_points(draw):
 @given(_rows_pair_and_points())
 def test_same_values_shortcut_agrees_with_evaluation(case):
     # the shortcut is sufficient: where it answers at once, the evaluation at
-    # the points answers True as well, and every answer is the evaluation's
+    # the points finds no difference either, and every outcome (an index,
+    # None or ValueError) is the evaluation's
     a, b, points, one = case
     fits = all(len(p) == a.width and 0 <= min(p, default=0) and max(p, default=0) <= one for p in points)
-    expected = evaluated_same_values(a, b, points, one)
+    lattice = Lattice(one, tuple(points), ())
+    assert (lattice.cube_width == a.width) == (fits and bool(points))
+    expected = outcome(evaluated_difference, a, b, points, one)
     if a._same_bounded_rows(b) and fits:
-        assert expected
-    assert a.same_values(b, points, one) == expected
-    assert b.same_values(a, points, one) == expected
+        assert expected is None
+    assert outcome(monads._differing_point, a, b, lattice) == expected
+    assert outcome(monads._differing_point, b, a, lattice) == outcome(evaluated_difference, b, a, points, one)
 
 
 def test_same_values_shortcut_evaluates_no_point(monkeypatch):
@@ -597,15 +618,16 @@ def test_same_values_shortcut_evaluates_no_point(monkeypatch):
     calls = []
     ints = IntegerRows.ints
     monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
-    assert a.same_values(b, grid.lattice.preds, grid.lattice.one)
+    assert monads._differing_point(a, b, grid.lattice) is None
     assert not calls
     # a negative coefficient, and a point outside [0, one], go to the points
     negative = IntegerRows([[(ONE, (F(-1, 2), ZERO))]], 2)
-    assert negative.same_values(negative, grid.lattice.preds, grid.lattice.one)
+    assert monads._differing_point(negative, negative, grid.lattice) is None
     assert calls
     calls.clear()
-    # there the values pass one, and the evaluation answers False
-    assert not a.same_values(b, [(3 * grid.lattice.one,) * 2], grid.lattice.one)
+    # there the values pass one, and the evaluation raises
+    with pytest.raises(ValueError, match="outside"):
+        monads._differing_point(a, b, Lattice(grid.lattice.one, ((3 * grid.lattice.one,) * 2,), ()))
     assert calls
 
 
@@ -617,11 +639,11 @@ def test_same_values_shortcut_needs_one_bounded_vertex_per_output(monkeypatch):
     a, b = IntegerRows(rows, 2), IntegerRows(rows, 2)
     assert a.bounded() and max(c0 + sum(cs) for c0, cs in a.rows[0]) > a.den
     grid = ProbeGrid.default(FinSet("Y", ("y0", "y1")), seed=4)
-    assert evaluated_same_values(a, b, grid.lattice.preds, grid.lattice.one)
+    assert evaluated_difference(a, b, grid.lattice.preds, grid.lattice.one) is None
     calls = []
     ints = IntegerRows.ints
     monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
-    assert a.same_values(b, grid.lattice.preds, grid.lattice.one)
+    assert monads._differing_point(a, b, grid.lattice) is None
     assert not calls
 
 

@@ -12,7 +12,7 @@ from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
 from wpbench.monads import KleisliArrow, enumerate_arrows
 from wpbench.semantics import BooleanTransformer, RationalTransformer
 from wpbench.sweep import TheoremInstance, enum_verify, healthy_tables
-from wpbench.verdicts import Witness, witness_is_sound
+from wpbench.verdicts import Verdict, Witness, witness_is_sound
 
 
 def test_may_2x2_partition():
@@ -389,8 +389,7 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
     # a seeded fault in the inverse: where the rebuilt first state puts more
     # than half its mass on y0, the states' rows are swapped
     inverse = {"subdist_total": "synthesize", "cv_sublinear": "synth_polytope"}[theorem]
-    module = synthesis if theorem == "subdist_total" else sweep
-    real = getattr(module, inverse)
+    real = getattr(synthesis, inverse)
 
     def swapped(*args):
         result = real(*args)
@@ -405,10 +404,38 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
         return synthesis.SynthesisResult(rebuilt, residual)
 
     instance = TheoremInstance(theorem, (2, 2), seed=4, count=20)
-    monkeypatch.setattr(module, inverse, swapped)
+    monkeypatch.setattr(synthesis, inverse, swapped)
     report = enum_verify(instance)
     assert report.witness.law == "sweep.roundtrip"
     assert report.witness.args["sample"] > 0
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
+    assert not witness_is_sound(instance, report.witness)
+
+
+@pytest.mark.parametrize(
+    "checker, law", [("run_condition", "sweep.constructed_health"), ("synthesize", "sweep.constructed_synth")]
+)
+def test_constructed_side_witness_replays(monkeypatch, checker, law):
+    # a seeded fault on the constructed side only: where a constructed
+    # transformer's first state is above one half at the Dirac of y0, its
+    # condition check, or its synthesis, answers inconclusive; the replay
+    # redraws that transformer after the sweep's computations
+    real = getattr(sweep, checker)
+
+    def faulty(name_or_mod, phi, grid=None):
+        result = real(name_or_mod, phi, grid)
+        if not phi.label.startswith("coef") or phi.apply_values((1, 0))[0] <= Fraction(1, 2):
+            return result
+        fault = Verdict.inconclusive("seeded fault")
+        return fault if checker == "run_condition" else replace(result, residual=fault)
+
+    instance = TheoremInstance("subdist_total", (2, 2), seed=6, count=20)
+    monkeypatch.setattr(sweep, checker, faulty)
+    report = enum_verify(instance)
+    assert report.witness.law == law and report.witness.lhs == "inconclusive"
+    assert report.witness.args["sample"] > 0
+    assert witness_is_sound(instance, report.witness)
+    monkeypatch.undo()
+    assert enum_verify(instance).equal
     assert not witness_is_sound(instance, report.witness)
