@@ -674,30 +674,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
+# each flag by its dest, and the flags each command reads; --jobs is
+# accepted by enum-verify and has no effect
+_FLAGS = {
+    "spec": {"help": "JSON spec file"},
+    "condition": {"help": "healthiness condition name"},
+    "modality": {"help": "modality name (e.g. diamond, tau_r:1/3)"},
+    "theorem": {"help": "theorem id"},
+    "sizes": {"nargs": 2, "type": _size, "default": (2, 2), "metavar": ("A", "B")},
+    "seed": {"type": int, "default": 0},
+    "jobs": {"type": int, "default": 1, "help": "accepted; has no effect"},
+    "max_enum": {"type": int, "default": MAX_ENUM},
+    "monad": {"help": "monad name"},
+    "out": {"help": "write the report to a file"},
+}
+_COMMANDS = (
+    ("wp", _cmd_wp, ("spec", "modality", "max_enum", "out")),
+    ("check", _cmd_check, ("spec", "condition", "modality", "max_enum", "out")),
+    ("synth", _cmd_synth, ("spec", "modality", "max_enum", "out")),
+    ("roundtrip", _cmd_roundtrip, ("spec", "modality", "max_enum", "out")),
+    ("laws", _cmd_laws, ("modality", "sizes", "seed", "max_enum", "monad", "out")),
+    ("enum-verify", _cmd_enum_verify, ("theorem", "sizes", "seed", "jobs", "max_enum", "out")),
+)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wpbench", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, fn in (
-        ("wp", _cmd_wp),
-        ("check", _cmd_check),
-        ("synth", _cmd_synth),
-        ("roundtrip", _cmd_roundtrip),
-        ("laws", _cmd_laws),
-        ("enum-verify", _cmd_enum_verify),
-    ):
+    for name, fn, flags in _COMMANDS:
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        p.add_argument("--spec", help="JSON spec file")
-        p.add_argument("--condition", help="healthiness condition name")
-        p.add_argument("--modality", help="modality name (e.g. diamond, tau_r:1/3)")
-        p.add_argument("--theorem", help="theorem id for enum-verify")
-        p.add_argument("--sizes", nargs=2, type=_size, default=(2, 2), metavar=("A", "B"))
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
-        p.add_argument("--max-enum", dest="max_enum", type=int, default=MAX_ENUM)
-        p.add_argument("--monad", help="monad name for the laws command")
-        p.add_argument("--out", help="write the report to a file")
+        for dest in flags:
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **_FLAGS[dest])
     return parser
 
 

@@ -26,6 +26,7 @@ from .modalities import (
     LawCheck,
     StructureClass,
     arg_names,
+    builtin_modality,
     check_dense,
 )
 from .monads import Lattice, support
@@ -252,8 +253,7 @@ def check_gemod_morphism(phi, grid: ProbeGrid = None, variant: str = "total") ->
     """
     if variant not in ("total", "partial"):
         raise ValueError("variant must be 'total' or 'partial'")
-    cls = STRUCTURE_CLASSES["gemod" if variant == "total" else "gemod_dual"]
-    return _grid_verdict(phi, grid, cls)
+    return _grid_verdict(phi, grid, STRUCTURE_CLASSES[builtin_modality(variant).structure_class])
 
 
 def check_emod_morphism(phi, grid: ProbeGrid = None) -> Verdict:

@@ -23,19 +23,22 @@ does.  Only a failed stack is synthesized again one functional at a
 time, to name the first unrealized one.  The report gives the nx x ny
 counts as powers of the per-state counts.
 
-Rational instances are sampled: every sampled computation must produce a
-transformer that passes its grid check, and independently constructed
-law-respecting transformers must synthesize back to computations with
-exact re-evaluation.  A witness on a sampled computation, or on a
-constructed transformer, records its index, and its replay redraws it
-from the instance's seed.
+Rational instances are sampled: every sampled computation must round-trip
+exactly, and independently constructed transformers (the row's closed
+form at drawn T-values, with no arrow) must synthesize back to
+computations with exact re-evaluation.  The guard of each synthesis, its
+grid check of the row's condition, decides the health of the sample, so
+each sample is checked once: an image point that fails it is a
+``sweep.image_health`` witness, a constructed transformer that fails it a
+``sweep.constructed_health`` one.  A witness records the sample's index,
+and its replay redraws the sample from the instance's seed and checks it
+on its own.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import eq
 from random import Random
 
@@ -53,7 +56,7 @@ from .modalities import (
     mask_reads,
     mask_term,
 )
-from .monads import DistV, MonadKind, enumerate_arrows, has_tvalues, random_arrow
+from .monads import MonadKind, enumerate_arrows, has_tvalues, random_arrow, random_tvalue
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synthesize
 from .verdicts import Witness, register_law
@@ -317,24 +320,11 @@ register_law("sweep.constructed_synth", _replay_constructed_synth)
 def _random_coefficient_transformer(
     row: Modality, rng: Random, X: FinSet, Y: FinSet
 ) -> RationalTransformer:
-    """A law-respecting transformer built directly from coefficients
-    (not via any arrow): the independent construction for the
-    healthy-side sampling.  It is the row's closed form at one drawn
-    (sub)distribution per state, an offset plus a row of coefficients, so
-    its checks run on the integer lattice."""
-    n, k = len(Y), len(X)
-    dist_like = row.monad == MonadKind.DIST
-    rows = []
-    for _ in range(k):
-        den = rng.choice((2, 3, 4, 6, 8))
-        weights = []
-        remaining = den
-        for j in range(n):
-            w = remaining if (dist_like and j == n - 1) else rng.randint(0, remaining)
-            weights.append(Fraction(w, den))
-            remaining -= w
-        rng.shuffle(weights)
-        rows.append(DistV(zip(Y.elements, weights)))
+    """A transformer built directly from drawn T-values, with no arrow
+    attached: the independent construction of the healthy side.  It is the
+    row's closed form at one ``random_tvalue`` per state, so its checks run
+    on the integer lattice; the guard of its synthesis decides its health."""
+    rows = [random_tvalue(row.monad, rng, Y) for _ in X]
     return RationalTransformer(Y, X, row.closed_form(rows, Y.elements), label=f"coef[{row.theorem}]")
 
 
@@ -364,18 +354,15 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
     roundtrips = 0
     for i in range(count):
         arrow = random_arrow(mod.monad, rng, X, Y)
-        phi = pt_modality(mod, arrow)
-        verdict = run_condition(mod.condition, phi, grid)
-        if not verdict.is_healthy:
-            witness = witness or Witness(
-                "sweep.image_health",
-                {"theorem": theorem, "sample": i, "inner": verdict.witness.args if verdict.witness else {}},
-                verdict.status,
-                "healthy",
-            )
+        # the round trip's synthesis guard is the image point's health check
+        try:
+            rt = roundtrip_verify(arrow, theorem, grid)
+        except UnhealthyInputError as exc:
+            inner = exc.verdict.witness.args if exc.verdict.witness else {}
+            args = {"theorem": theorem, "sample": i, "inner": inner}
+            witness = witness or Witness("sweep.image_health", args, exc.verdict.status, "healthy")
             continue
         healthy_images += 1
-        rt = roundtrip_verify(arrow, theorem, grid)
         if rt.is_healthy:
             roundtrips += 1
         elif witness is None:
@@ -386,26 +373,14 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
     if mod.monad != MonadKind.CV_DIST:
         for i in range(count):
             phi = _random_coefficient_transformer(mod, rng, X, Y)
-            verdict = run_condition(mod.condition, phi, grid)
-            if not verdict.is_healthy:
-                if witness is None:
-                    witness = Witness(
-                        "sweep.constructed_health",
-                        {"theorem": theorem, "sample": i},
-                        verdict.status,
-                        "healthy",
-                    )
-                continue
-            result = synthesize(mod, phi, grid)
-            if result.residual.is_healthy:
+            try:
+                law, verdict = "sweep.constructed_synth", synthesize(mod, phi, grid).residual
+            except UnhealthyInputError as exc:
+                law, verdict = "sweep.constructed_health", exc.verdict
+            if verdict.is_healthy:
                 synth_side += 1
             elif witness is None:
-                witness = Witness(
-                    "sweep.constructed_synth",
-                    {"theorem": theorem, "sample": i},
-                    result.residual.status,
-                    "healthy",
-                )
+                witness = Witness(law, {"theorem": theorem, "sample": i}, verdict.status, "healthy")
     counts = {
         "samples": count,
         "healthy_images": healthy_images,

@@ -184,14 +184,14 @@ def test_imports_sit_in_functions_only_to_break_cycles():
     assert found == [("monads", "_lattice_membership"), ("semantics", "_functor_probes")]
 
 
-def _theorem_id_switches(tree: ast.AST, skip: range = range(0)) -> list:
-    """The line of every theorem-id switch in a module, outside the lines
-    in ``skip``: a comparison (==, !=, in, not in) with a theorem-id
-    literal, a dict display keyed by theorem ids, and an f-string that
-    builds a theorem id.  A lookup by a literal id (``INSTANCES["may"]``)
-    is none of these."""
-    ids = set(INSTANCES)
-    is_id = lambda node: isinstance(node, ast.Constant) and node.value in ids
+def _switches(tree: ast.AST, names, skip: range = range(0)) -> list:
+    """The line of every switch on the given names (theorem ids, class tags)
+    in a module, outside the lines in ``skip``: a comparison (==, !=, in,
+    not in) with a name literal, a dict display keyed by names, and an
+    f-string that builds a name from at least half of its letters.  A
+    lookup by a literal name (``INSTANCES["may"]``) is none of these."""
+    names = set(names)
+    is_name = lambda node: isinstance(node, ast.Constant) and node.value in names
     compare_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
     found = []
     for node in ast.walk(tree):
@@ -200,13 +200,13 @@ def _theorem_id_switches(tree: ast.AST, skip: range = range(0)) -> list:
         if isinstance(node, ast.Compare) and any(isinstance(op, compare_ops) for op in node.ops):
             sides = [node.left, *node.comparators]
             elts = [e for side in sides for e in getattr(side, "elts", [side])]
-            hit = any(map(is_id, elts))
+            hit = any(map(is_name, elts))
         elif isinstance(node, ast.Dict):
-            hit = any(map(is_id, node.keys))
+            hit = any(map(is_name, node.keys))
         elif isinstance(node, ast.JoinedStr):
             parts = [re.escape(v.value) if isinstance(v, ast.Constant) else ".*" for v in node.values]
-            literal = any(isinstance(v, ast.Constant) for v in node.values)
-            hit = literal and any(re.fullmatch("".join(parts), i) for i in ids)
+            letters = sum(len(v.value) for v in node.values if isinstance(v, ast.Constant))
+            hit = any(re.fullmatch("".join(parts), i) and 2 * letters >= len(i) for i in names)
         else:
             hit = False
         if hit:
@@ -214,24 +214,38 @@ def _theorem_id_switches(tree: ast.AST, skip: range = range(0)) -> list:
     return found
 
 
-def test_theorem_ids_are_read_off_the_catalog_only():
-    # the scan itself: each switch shape is found, a literal lookup is not
-    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\n'
-    assert _theorem_id_switches(ast.parse(switches)) == [1, 2, 3, 4, 5]
-    lookups = 'INSTANCES["may"]\nf"coef[{t}]"\nx == "diamond"\n{k: 1 for k in "ab"}\n'
-    assert _theorem_id_switches(ast.parse(lookups)) == []
-    # the package: theorem ids appear only in the catalog block, which
-    # writes each row's id
+def _package_switches(names, block: str) -> list:
+    """path:line of every switch on the names in the package, outside the
+    module-level assignment or function called ``block``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        catalog = [
+        skip = [
             range(node.lineno, node.end_lineno + 1)
             for node in tree.body
-            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["INSTANCES"]
+            if block in [getattr(node, "name", None), *(getattr(t, "id", None) for t in getattr(node, "targets", ()))]
         ]
-        found += [f"{path.name}:{line}" for line in _theorem_id_switches(tree, *catalog)]
-    assert found == []
+        found += [f"{path.name}:{line}" for line in _switches(tree, names, *skip)]
+    return found
+
+
+def test_theorem_ids_are_read_off_the_catalog_only():
+    # the scan itself: each switch shape is found, a literal lookup is not
+    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\n'
+    assert _switches(ast.parse(switches), INSTANCES) == [1, 2, 3, 4, 5]
+    lookups = 'INSTANCES["may"]\nf"coef[{t}]"\nx == "diamond"\n{k: 1 for k in "ab"}\n'
+    assert _switches(ast.parse(lookups), INSTANCES) == []
+    # the package: theorem ids appear only in the catalog block, which
+    # writes each row's id
+    assert _package_switches(INSTANCES, "INSTANCES") == []
+
+
+def test_class_tags_are_read_off_the_tables_only():
+    # a class is read off a catalog row or a condition's table entry; only
+    # run_condition still dispatches on tags, to the three named grid
+    # checkers that the benchmark traces
+    assert _switches(ast.parse('cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\n'), STRUCTURE_CLASSES) == [1, 2]
+    assert _package_switches(STRUCTURE_CLASSES, "run_condition") == []
 
 
 # the exceptions a handler in the package may catch outside the CLI: a

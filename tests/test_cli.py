@@ -1,5 +1,8 @@
+import argparse
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -315,6 +318,50 @@ def test_unknown_command_and_flags():
     assert run(["check", "--spec", "/nonexistent.json", "--condition", "join"]) == EXIT_INPUT
 
 
+def _command_flags() -> dict:
+    """The option strings each subcommand accepts."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: set(p._option_string_actions) for name, p in sub.choices.items()}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("check", "--seed"),
+        ("wp", "--sizes"),
+        ("synth", "--jobs"),
+        ("roundtrip", "--condition"),
+        ("laws", "--spec"),
+        ("enum-verify", "--modality"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_an_input_error(capsys, command, flag):
+    # check --seed 7 used to run with the document's seed
+    assert flag not in _command_flags()[command]
+    assert run([command, flag, "7"]) == EXIT_INPUT
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
+
+
+def test_no_command_line_passes_a_flag_its_command_does_not_read():
+    # every argv list literal in the tests, demos and bench, and every golden
+    # case; a flag no command has is left to the tests of unknown flags
+    flags = _command_flags()
+    known = set().union(*flags.values())
+    root = Path(__file__).parent.parent
+    argvs = [case["argv"] for case in json.loads((root / "tests/golden/cases.json").read_text())]
+    for path in [*root.glob("tests/*.py"), *root.glob("demos/*.py"), *root.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.List):
+                argvs.append([e.value if isinstance(e, ast.Constant) else None for e in node.elts])
+    seen = set()
+    for argv in argvs:
+        if argv and argv[0] in flags:
+            seen.add(argv[0])
+            ignored = [a for a in argv[1:] if a in known and a not in flags[argv[0]]]
+            assert not ignored, argv
+    assert seen == set(flags)
+
+
 def test_cmd_alternating_pipeline(tmp_path):
     doc = {
         "sets": {"X": ["x"], "Y": ["y0", "y1"]},
@@ -436,6 +483,47 @@ def test_probe_table_backed_by_computation_mismatch(tmp_path):
     with pytest.raises(SpecError) as err:
         parse_spec(json.dumps(doc))
     assert err.value.code == "E_PROBE"
+    # pairs that agree leave the computation's transformer in place, which
+    # answers predicates the table does not list
+    doc["transformer"]["pairs"] = [[["1", "0"], ["1/2"]]]
+    spec = parse_spec(json.dumps(doc))
+    assert spec.transformer.label != "probe_table"
+    assert spec.transformer.apply_values((F(1, 2), F(1))) == (F(1, 4),)
+
+
+def test_a_probe_table_without_a_point_the_check_reads_is_inconclusive(tmp_path, capsys):
+    # the finitary report probes every grid point, and the table lacks (1, 1)
+    doc = {
+        "sets": {"X": ["x"], "Y": ["y0", "y1"]},
+        "transformer": {
+            "kind": "probe_table",
+            "source": "Y",
+            "target": "X",
+            "pairs": [[["0", "0"], ["0"]], [["1", "0"], ["1/4"]], [["0", "1"], ["3/4"]]],
+        },
+        "probes": {"predicates": [["0", "0"], ["1", "1"], ["1", "0"], ["0", "1"]], "scalars": ["0", "1"]},
+    }
+    assert run(["check", "--spec", write(tmp_path, doc), "--condition", "finitary"]) == EXIT_INCONCLUSIVE
+    err = capsys.readouterr().err
+    assert err == "inconclusive: probe table lacks a required evaluation point: (Fraction(1, 1), Fraction(1, 1))\n"
+
+
+@pytest.mark.parametrize(
+    "monad, row, code, path",
+    [
+        ("lift_powerset", 5, "E_ROWS", ""),
+        ("lift_powerset", [], "E_ROWS", ""),
+        ("up_powerset", 5, "E_ROWS", ""),
+        ("up_powerset", {"elements": []}, "E_ROWS", ""),
+        ("cv_dist", [], "E_ROWS", ""),
+        ("cv_dist", ["y0"], "E_ROWS", "[0]"),
+        ("cv_dist", [{"y0": "1/2"}], "E_MASS", "[0]"),
+    ],
+)
+def test_malformed_rows_are_spec_errors(monad, row, code, path):
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(_relation_rows(monad, row)))
+    assert (err.value.code, err.value.path) == (code, "$.computation.rows.x0" + path)
 
 
 @pytest.mark.parametrize(
@@ -533,6 +621,17 @@ def test_a_bug_is_an_internal_error(monkeypatch, capsys):
     assert "Traceback" in err and err.endswith("internal error: ValueError: broken sweep\n")
 
 
+@pytest.mark.parametrize("doc", [RELATION_DOC, SUBDIST_DOC])
+def test_cmd_roundtrip_without_a_modality_takes_the_first_row_of_the_monad(tmp_path, capsys, doc):
+    # RELATION_DOC names diamond (may) and SUBDIST_DOC total (subdist_total),
+    # the first catalog rows of their monads
+    assert run(["roundtrip", "--spec", write(tmp_path, doc)]) == EXIT_HEALTHY
+    named = capsys.readouterr().out
+    bare = {key: value for key, value in doc.items() if key != "modality"}
+    assert run(["roundtrip", "--spec", write(tmp_path, bare, "bare.json")]) == EXIT_HEALTHY
+    assert capsys.readouterr().out == named
+
+
 def test_roundtrip_on_a_grid_below_the_minimum_is_inconclusive(tmp_path, capsys):
     # the synthesis precondition fails on the grid, not on the transformer
     spec = write(tmp_path, {**SUBDIST_DOC, "probes": {"predicates": [], "random": 0}})
@@ -619,13 +718,59 @@ _DOCUMENTS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(0, 9).flatmap(lambda k: _DOCUMENTS.map(json.dumps) if k else st.text(max_size=8)))
-def test_parse_spec_raises_only_spec_errors(text):
-    try:
-        parse_spec(text)
-    except SpecError:
-        pass
+# Documents on fixed carriers whose rows and probe pairs are mostly well
+# formed (one value in six lies outside [0, 1]), so that they reach
+# up-closure and the agreement of a probe table with its computation.
+_VALUE = st.sampled_from(("0", "1", "1/2", "1/3", "2/3", "3/2"))
+_Y = st.sampled_from(("y0", "y1"))
+_DEEP_ROWS = {
+    "up_powerset": st.lists(st.lists(_Y, max_size=2), max_size=4),
+    "subdist": st.dictionaries(_Y, _VALUE, max_size=2),
+}
+_PAIR = st.tuples(st.lists(_VALUE, min_size=2, max_size=2), st.lists(_VALUE, min_size=1, max_size=1))
+_DEEP = st.sampled_from(tuple(_DEEP_ROWS)).flatmap(
+    lambda monad: st.fixed_dictionaries(
+        {
+            "sets": st.just({"X": ["x0"], "Y": ["y0", "y1"]}),
+            "computation": st.fixed_dictionaries(
+                {
+                    "monad": st.just(monad),
+                    "source": st.just("X"),
+                    "target": st.just("Y"),
+                    "rows": st.fixed_dictionaries({"x0": _DEEP_ROWS[monad]}),
+                }
+            ),
+            "modality": st.just("total"),
+            "transformer": st.fixed_dictionaries(
+                {
+                    "kind": st.just("probe_table"),
+                    "source": st.just("Y"),
+                    "target": st.just("X"),
+                    "pairs": st.lists(_PAIR, min_size=1, max_size=2),
+                }
+            ),
+        }
+    )
+)
+_TEXTS = st.integers(0, 9).flatmap(
+    lambda k: st.text(max_size=8) if k == 0 else (_DEEP if k == 1 else _DOCUMENTS).map(json.dumps)
+)
+
+
+def test_parse_spec_raises_only_spec_errors():
+    codes = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_TEXTS)
+    def parse(text):
+        try:
+            parse_spec(text)
+        except SpecError as exc:
+            codes.add(exc.code)
+
+    parse()
+    # the documents reach the deep validation codes, not only the schema
+    assert {"E_RAT", "E_UPCLOSED", "E_PROBE"} <= codes, codes
 
 
 @pytest.mark.parametrize("kind", list(MonadKind))

@@ -158,6 +158,15 @@ def test_algebra_laws_corrupted_witnessed():
     assert witness_is_sound(bad, verdict.witness)
 
 
+def test_parity_algebra_fails_the_mult_law():
+    # the parity of the chosen values agrees with every valuation at a
+    # singleton, so the unit law holds, but not with its own flattening
+    parity = Modality("parity", MonadKind.POWERSET, BOOLEAN, None, lambda s, f: sum(f(x) for x in s) % 2)
+    verdict = check_algebra_laws(parity)
+    assert verdict.witness.law == "algebra.mult"
+    assert witness_is_sound(parity, verdict.witness)
+
+
 def test_lifting_catalog_nmax3():
     # every catalog modality passes at n <= 3 for its declared class
     for name in builtin_modality_names():

@@ -13,6 +13,7 @@ from wpbench.monads import (
     BOT,
     ContinuationTarget,
     DistV,
+    KindTarget,
     KleisliArrow,
     MonadKind,
     MonadMapSpec,
@@ -161,6 +162,21 @@ def test_monad_laws_corrupted_composition_witnessed(carriers):
     verdict = check_monad_laws("powerset", carriers, compose=bad_compose)
     assert verdict.is_unhealthy
     assert verdict.witness.law in ("monad.left_unit", "monad.right_unit", "monad.assoc")
+    assert witness_is_sound(bad_compose, verdict.witness)
+    assert not witness_is_sound(kleisli_compose, verdict.witness)
+
+
+def test_monad_laws_left_unit_witness_replays(carriers):
+    # a composition that empties the first state's row breaks the left unit
+    # law, which is checked first
+    def lossy(f, g):
+        h = kleisli_compose(f, g)
+        return KleisliArrow(h.kind, h.source, h.target, [frozenset(), *h.rows[1:]])
+
+    verdict = check_monad_laws("powerset", carriers, compose=lossy)
+    assert verdict.witness.law == "monad.left_unit"
+    assert witness_is_sound(lossy, verdict.witness)
+    assert not witness_is_sound(kleisli_compose, verdict.witness)
 
 
 ENUMERABLE = ("powerset", "lift_powerset", "up_powerset")
@@ -323,6 +339,24 @@ def test_corrupted_sigma_membership_fails(carriers):
     verdict = check_monad_map_laws(bad, carriers)
     assert verdict.is_unhealthy
     assert verdict.witness.law == "map.membership"
+    assert witness_is_sound(bad, verdict.witness)
+
+
+@pytest.mark.parametrize(
+    "law, target, component",
+    [
+        # every T-value goes to the whole carrier
+        ("map.unit", KindTarget(MonadKind.POWERSET), lambda elems, s: frozenset(elems)),
+        # the empty set goes to the whole carrier, which a function need not cover
+        ("map.naturality", KindTarget(MonadKind.POWERSET), lambda elems, s: s or frozenset(elems)),
+        # sigma, but the empty set goes to the constant 1, which flattening loses
+        ("map.mult", ContinuationTarget(), lambda elems, s: lambda f: max((f(x) for x in s), default=1)),
+    ],
+)
+def test_corrupted_monad_maps_are_witnessed(carriers, law, target, component):
+    bad = MonadMapSpec("bad", MonadKind.POWERSET, target, component)
+    verdict = check_monad_map_laws(bad, carriers)
+    assert verdict.witness.law == law
     assert witness_is_sound(bad, verdict.witness)
 
 

@@ -39,7 +39,7 @@ from wpbench.semantics import (
     wp_box,
     wp_diamond,
 )
-from wpbench.verdicts import Verdict, Witness
+from wpbench.verdicts import Verdict, Witness, witness_is_sound
 
 F = Fraction
 
@@ -432,6 +432,10 @@ def test_functoriality_routes_agree_on_a_broken_composite(monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(semantics, *patch)
                     integer, fraction = _both_functor_routes(mod, f, g)
+                    witness = check_functoriality(mod, f, g).witness
+                    # the witness replays under the fault, and not without it
+                    assert witness is None or witness_is_sound(None, witness), (mod.name, integer)
+                assert witness is None or not witness_is_sound(None, witness), (mod.name, integer)
                 assert integer == fraction, (mod.name, integer, fraction)
                 seen.add((mod.closed_form is None, integer[2].split()[0] if integer[2] else None))
     for opaque in (False, True):

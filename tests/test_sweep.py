@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from wpbench import semantics, sweep, synthesis
+from wpbench import healthiness, semantics, sweep, synthesis
 from wpbench.core import FinSet, SizeGuardError, count_transformers, enumerate_transformer_tables
 from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
 from wpbench.monads import KleisliArrow, enumerate_arrows
@@ -183,6 +183,7 @@ def test_image_health_witness_replays(monkeypatch):
             instance = TheoremInstance(theorem, (nx, 2))
             report = enum_verify(instance)
             assert report.witness.law == "sweep.image_health", nx
+            assert f"witness: {report.witness.describe()}\n" in report.render(), nx
             assert witness_is_sound(instance, report.witness), nx
         monkeypatch.undo()
         # a healthy table does not replay as a violation
@@ -242,6 +243,7 @@ def test_realizability_witness_replays(monkeypatch):
         instance = TheoremInstance("dijkstra", (nx, 2))
         report = enum_verify(instance)
         assert report.witness.law == "sweep.realizability", nx
+        assert f"witness: {report.witness.describe()}\n" in report.render(), nx
         assert witness_is_sound(instance, report.witness), nx
         monkeypatch.undo()
         # an unhealthy table is no realizability witness
@@ -365,7 +367,8 @@ def test_a_passing_boolean_sweep_synthesizes_once(monkeypatch, theorem):
 def test_sampled_image_health_witness_replays(monkeypatch):
     # a seeded fault in the semantics: a computation whose first state puts
     # more than half its mass on y0 gets a transformer of half the value,
-    # which breaks phi(1) = 1
+    # which breaks phi(1) = 1; the sweep meets it in the round trip's
+    # synthesis guard, the replay in its own check
     pt_modality = sweep.pt_modality
 
     def faulty(mod, arrow):
@@ -375,13 +378,33 @@ def test_sampled_image_health_witness_replays(monkeypatch):
         return RationalTransformer(phi.source, phi.target, lambda p: tuple(v / 2 for v in phi.apply_values(p)))
 
     instance = TheoremInstance("dist_convex", (2, 2), seed=0, count=20)
-    monkeypatch.setattr(sweep, "pt_modality", faulty)
+    monkeypatch.setattr(synthesis, "pt_modality", faulty)
     report = enum_verify(instance)
+    monkeypatch.undo()
     assert report.witness.law == "sweep.image_health"
     assert report.witness.args["sample"] > 0 and report.witness.lhs == "unhealthy"
+    assert f"witness: {report.witness.describe()}\n" in report.render()
+    monkeypatch.setattr(sweep, "pt_modality", faulty)
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
     assert not witness_is_sound(instance, report.witness)
+
+
+@pytest.mark.parametrize("theorem, checks", [("subdist_total", 80), ("dist_convex", 80), ("cv_sublinear", 40)])
+def test_a_sampled_sweep_checks_each_sample_once(monkeypatch, theorem, checks):
+    # the synthesis guard is the only grid check of a sample: 40 computations,
+    # and 40 constructed transformers where the row has a constructed side
+    calls = []
+    real = healthiness.run_condition
+
+    def counted(name, phi, grid=None):
+        calls.append(name)
+        return real(name, phi, grid)
+
+    for module in (healthiness, sweep, synthesis):
+        monkeypatch.setattr(module, "run_condition", counted)
+    assert enum_verify(TheoremInstance(theorem, (2, 3), seed=0, count=40)).equal
+    assert len(calls) == checks
 
 
 @pytest.mark.parametrize("theorem", ("subdist_total", "cv_sublinear"))
@@ -408,6 +431,7 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
     report = enum_verify(instance)
     assert report.witness.law == "sweep.roundtrip"
     assert report.witness.args["sample"] > 0
+    assert f"witness: {report.witness.describe()}\n" in report.render()
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
     assert not witness_is_sound(instance, report.witness)
@@ -418,23 +442,28 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
 )
 def test_constructed_side_witness_replays(monkeypatch, checker, law):
     # a seeded fault on the constructed side only: where a constructed
-    # transformer's first state is above one half at the Dirac of y0, its
+    # transformer's first state is above one half at the Dirac of y1, its
     # condition check, or its synthesis, answers inconclusive; the replay
-    # redraws that transformer after the sweep's computations
+    # redraws that transformer after the sweep's computations.  The sweep
+    # meets a condition fault in the synthesis guard, the replay in its own
+    # check.
     real = getattr(sweep, checker)
 
     def faulty(name_or_mod, phi, grid=None):
         result = real(name_or_mod, phi, grid)
-        if not phi.label.startswith("coef") or phi.apply_values((1, 0))[0] <= Fraction(1, 2):
+        if not phi.label.startswith("coef") or phi.apply_values((0, 1))[0] <= Fraction(1, 2):
             return result
         fault = Verdict.inconclusive("seeded fault")
         return fault if checker == "run_condition" else replace(result, residual=fault)
 
     instance = TheoremInstance("subdist_total", (2, 2), seed=6, count=20)
-    monkeypatch.setattr(sweep, checker, faulty)
+    monkeypatch.setattr(synthesis if checker == "run_condition" else sweep, checker, faulty)
     report = enum_verify(instance)
+    monkeypatch.undo()
     assert report.witness.law == law and report.witness.lhs == "inconclusive"
     assert report.witness.args["sample"] > 0
+    assert f"witness: {report.witness.describe()}\n" in report.render()
+    monkeypatch.setattr(sweep, checker, faulty)
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
     assert enum_verify(instance).equal

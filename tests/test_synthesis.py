@@ -304,6 +304,24 @@ def test_roundtrip_cv_semantic_equality(Y2):
         assert cv_semantically_equal(f, res.arrow, grid)
 
 
+def test_roundtrip_defaults_to_the_first_row_of_the_monad_and_the_default_grid(Y3):
+    f = random_arrow("subdist", Random(29), FinSet("X", ("x0", "x1")), Y3)
+    assert synthesis.instance_for_arrow(f) == "subdist_total"
+    verdict = roundtrip_verify(f)
+    assert verdict.is_healthy
+    assert verdict.describe() == roundtrip_verify(f, "subdist_total", ProbeGrid.default(Y3)).describe()
+
+
+def test_roundtrip_passes_an_inconclusive_synthesis_on(monkeypatch, Y2):
+    # a seeded fault: the clipper finds every region empty, which no arrow's
+    # region is, so the synthesis is inconclusive and the round trip says so
+    monkeypatch.setattr(synthesis, "_clip_ints", lambda n, rows: [])
+    f = random_arrow("cv_dist", Random(31), FinSet("X", ("x",)), Y2)
+    verdict = roundtrip_verify(f, "cv_sublinear")
+    assert verdict.status == "inconclusive"
+    assert "region for state 'x' is empty" in verdict.describe()
+
+
 def test_cv_semantic_equality_detects_difference(Y2):
     X = FinSet("X", ("x",))
     a = KleisliArrow("cv_dist", X, Y2, {"x": (DistV.dirac("y0"),)})
