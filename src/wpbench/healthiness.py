@@ -244,6 +244,10 @@ def check_strict_nonempty_meets(phi) -> Verdict:
     return _dense_verdict(phi, STRUCTURE_CLASSES["strict_cl_meet"])
 
 
+# each variant's class, read once off the catalog row the variant names
+_GEMOD_CLASSES = {v: STRUCTURE_CLASSES[builtin_modality(v).structure_class] for v in ("total", "partial")}
+
+
 def check_gemod_morphism(phi, grid: ProbeGrid = None, variant: str = "total") -> Verdict:
     """Generalized-effect-module morphism laws over the grid.
 
@@ -253,7 +257,7 @@ def check_gemod_morphism(phi, grid: ProbeGrid = None, variant: str = "total") ->
     """
     if variant not in ("total", "partial"):
         raise ValueError("variant must be 'total' or 'partial'")
-    return _grid_verdict(phi, grid, STRUCTURE_CLASSES[builtin_modality(variant).structure_class])
+    return _grid_verdict(phi, grid, _GEMOD_CLASSES[variant])
 
 
 def check_emod_morphism(phi, grid: ProbeGrid = None) -> Verdict:

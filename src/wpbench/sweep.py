@@ -24,9 +24,11 @@ time, to name the first unrealized one.  The report gives the nx x ny
 counts as powers of the per-state counts.
 
 Rational instances are sampled: every sampled computation must round-trip
-exactly, and independently constructed transformers (the row's closed
-form at drawn T-values, with no arrow) must synthesize back to
-computations with exact re-evaluation.  The guard of each synthesis, its
+exactly, and constructed transformers must synthesize back to computations
+with exact re-evaluation.  A constructed transformer is the row's closed
+form at ``random_tvalue`` draws, the distribution the computations come
+from, so it is an image point that differs from the image side's only in
+carrying no arrow.  The guard of each synthesis, its
 grid check of the row's condition, decides the health of the sample, so
 each sample is checked once: an image point that fails it is a
 ``sweep.image_health`` witness, a constructed transformer that fails it a
@@ -320,10 +322,12 @@ register_law("sweep.constructed_synth", _replay_constructed_synth)
 def _random_coefficient_transformer(
     row: Modality, rng: Random, X: FinSet, Y: FinSet
 ) -> RationalTransformer:
-    """A transformer built directly from drawn T-values, with no arrow
-    attached: the independent construction of the healthy side.  It is the
-    row's closed form at one ``random_tvalue`` per state, so its checks run
-    on the integer lattice; the guard of its synthesis decides its health."""
+    """The row's closed form at one ``random_tvalue`` per state, with no
+    arrow attached, so its checks run on the integer lattice and the guard
+    of its synthesis decides its health.  The draws are those of
+    ``random_arrow``: this is ``pt_modality`` of a random computation but
+    for the arrow, which only ``finitary_support`` reads, not an
+    independent construction of the healthy side."""
     rows = [random_tvalue(row.monad, rng, Y) for _ in X]
     return RationalTransformer(Y, X, row.closed_form(rows, Y.elements), label=f"coef[{row.theorem}]")
 

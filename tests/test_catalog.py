@@ -184,11 +184,13 @@ def test_imports_sit_in_functions_only_to_break_cycles():
     assert found == [("monads", "_lattice_membership"), ("semantics", "_functor_probes")]
 
 
-def _switches(tree: ast.AST, names, skip: range = range(0)) -> list:
+def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) -> list:
     """The line of every switch on the given names (theorem ids, class tags)
     in a module, outside the lines in ``skip``: a comparison (==, !=, in,
     not in) with a name literal, a dict display keyed by names, and an
-    f-string that builds a name from at least half of its letters.  A
+    f-string with literal text that builds a name, where that text is at
+    least ``share`` of the name's length (a share of one half keeps a short
+    name, the tag ``emod``, from being built by every ``f"e{i}"``).  A
     lookup by a literal name (``INSTANCES["may"]``) is none of these."""
     names = set(names)
     is_name = lambda node: isinstance(node, ast.Constant) and node.value in names
@@ -205,8 +207,8 @@ def _switches(tree: ast.AST, names, skip: range = range(0)) -> list:
             hit = any(map(is_name, node.keys))
         elif isinstance(node, ast.JoinedStr):
             parts = [re.escape(v.value) if isinstance(v, ast.Constant) else ".*" for v in node.values]
-            letters = sum(len(v.value) for v in node.values if isinstance(v, ast.Constant))
-            hit = any(re.fullmatch("".join(parts), i) and 2 * letters >= len(i) for i in names)
+            literal = sum(len(v.value) for v in node.values if isinstance(v, ast.Constant))
+            hit = literal > 0 and any(re.fullmatch("".join(parts), i) and literal >= share * len(i) for i in names)
         else:
             hit = False
         if hit:
@@ -214,7 +216,7 @@ def _switches(tree: ast.AST, names, skip: range = range(0)) -> list:
     return found
 
 
-def _package_switches(names, block: str) -> list:
+def _package_switches(names, block: str, share: float = 0) -> list:
     """path:line of every switch on the names in the package, outside the
     module-level assignment or function called ``block``."""
     found = []
@@ -225,14 +227,14 @@ def _package_switches(names, block: str) -> list:
             for node in tree.body
             if block in [getattr(node, "name", None), *(getattr(t, "id", None) for t in getattr(node, "targets", ()))]
         ]
-        found += [f"{path.name}:{line}" for line in _switches(tree, names, *skip)]
+        found += [f"{path.name}:{line}" for line in _switches(tree, names, *skip, share=share)]
     return found
 
 
 def test_theorem_ids_are_read_off_the_catalog_only():
     # the scan itself: each switch shape is found, a literal lookup is not
-    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\n'
-    assert _switches(ast.parse(switches), INSTANCES) == [1, 2, 3, 4, 5]
+    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\nf"dist_{v}"\nf"{m}_total"\n'
+    assert _switches(ast.parse(switches), INSTANCES) == [1, 2, 3, 4, 5, 6, 7]
     lookups = 'INSTANCES["may"]\nf"coef[{t}]"\nx == "diamond"\n{k: 1 for k in "ab"}\n'
     assert _switches(ast.parse(lookups), INSTANCES) == []
     # the package: theorem ids appear only in the catalog block, which
@@ -244,8 +246,9 @@ def test_class_tags_are_read_off_the_tables_only():
     # a class is read off a catalog row or a condition's table entry; only
     # run_condition still dispatches on tags, to the three named grid
     # checkers that the benchmark traces
-    assert _switches(ast.parse('cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\n'), STRUCTURE_CLASSES) == [1, 2]
-    assert _package_switches(STRUCTURE_CLASSES, "run_condition") == []
+    tags = 'cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\n'
+    assert _switches(ast.parse(tags), STRUCTURE_CLASSES, share=0.5) == [1, 2]
+    assert _package_switches(STRUCTURE_CLASSES, "run_condition", share=0.5) == []
 
 
 # the exceptions a handler in the package may catch outside the CLI: a

@@ -442,7 +442,7 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
 )
 def test_constructed_side_witness_replays(monkeypatch, checker, law):
     # a seeded fault on the constructed side only: where a constructed
-    # transformer's first state is above one half at the Dirac of y1, its
+    # transformer's first state is above one half at the Dirac of y0, its
     # condition check, or its synthesis, answers inconclusive; the replay
     # redraws that transformer after the sweep's computations.  The sweep
     # meets a condition fault in the synthesis guard, the replay in its own
@@ -451,12 +451,12 @@ def test_constructed_side_witness_replays(monkeypatch, checker, law):
 
     def faulty(name_or_mod, phi, grid=None):
         result = real(name_or_mod, phi, grid)
-        if not phi.label.startswith("coef") or phi.apply_values((0, 1))[0] <= Fraction(1, 2):
+        if not phi.label.startswith("coef") or phi.apply_values((1, 0))[0] <= Fraction(1, 2):
             return result
         fault = Verdict.inconclusive("seeded fault")
         return fault if checker == "run_condition" else replace(result, residual=fault)
 
-    instance = TheoremInstance("subdist_total", (2, 2), seed=6, count=20)
+    instance = TheoremInstance("subdist_total", (2, 2), seed=7, count=20)
     monkeypatch.setattr(synthesis if checker == "run_condition" else sweep, checker, faulty)
     report = enum_verify(instance)
     monkeypatch.undo()
