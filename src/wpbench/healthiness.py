@@ -191,6 +191,10 @@ def _dense_verdict(phi, cls: StructureClass) -> Verdict:
     return Verdict.unhealthy(Witness("transformer.boolean", named, lhs, rhs), checked)
 
 
+def _missing_probe(exc: MissingProbeError, checked: int) -> Verdict:
+    return Verdict.inconclusive(f"probe table lacks a required evaluation point: {exc}", checked)
+
+
 def _grid_verdict(phi, grid, cls: StructureClass) -> Verdict:
     """Check every law over the grid.  Each law instance counts once per
     output coordinate, and a violated law that is not a constant law counts
@@ -218,8 +222,7 @@ def _grid_verdict(phi, grid, cls: StructureClass) -> Verdict:
                 witness = Witness("transformer.rational", named, lhs, rhs)
                 return Verdict.unhealthy(witness, check.checked)
     except MissingProbeError as exc:
-        note = f"probe table lacks a required evaluation point: {exc}"
-        return Verdict.inconclusive(note, check.checked)
+        return _missing_probe(exc, check.checked)
     return Verdict.healthy(check.checked)
 
 
@@ -322,11 +325,15 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
 
 
 def finitary_report(phi, grid: ProbeGrid = None) -> Verdict:
-    """Per-coordinate support report; always conclusive at finite scale.
-    The note says when a support was probed on the grid (no arrow)."""
+    """Per-coordinate support report; conclusive at finite scale unless a
+    probe table lacks a point the grid probing reads.  The note says when a
+    support was probed on the grid (no arrow)."""
     supports = {}
-    for x in phi.target.elements:
-        supports[x] = sorted(finitary_support(phi, x, grid), key=phi.source.index)
+    try:
+        for x in phi.target.elements:
+            supports[x] = sorted(finitary_support(phi, x, grid), key=phi.source.index)
+    except MissingProbeError as exc:
+        return _missing_probe(exc, len(supports))
     note = "; ".join(f"{x} <- {{{', '.join(map(str, ys))}}}" for x, ys in supports.items())
     probed = isinstance(phi, RationalTransformer) and phi.arrow is None
     return Verdict.healthy(len(supports), note=f"supports{' probed on the grid' if probed else ''}: {note}")

@@ -238,9 +238,10 @@ def builtin_modality(name: str) -> Modality:
         r = parse_rational(rest)
         if not (ZERO <= r <= ONE):
             raise ValueError(f"tau_r parameter {r} outside [0, 1]")
-        if r in (ZERO, ONE):
-            return INSTANCES["subdist_total" if r == ZERO else "subdist_partial"]
-        return _tau_r(f"tau_r:{r}", r)
+        # tau_0 and tau_1 are catalog rows
+        rule = TauR(r)
+        row = next((mod for mod in INSTANCES.values() if mod.evaluate == rule), None)
+        return row or _tau_r(f"tau_r:{r}", r)
     for mod in INSTANCES.values():
         if mod.name == key:
             return mod

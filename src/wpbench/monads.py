@@ -1079,17 +1079,17 @@ class MonadMapSpec:
         return self.component(elems, tvalue)
 
 
-def _lattice_membership(join: bool):
-    """Component values of sigma (sigma') must be join- (meet-) preserving
-    functionals; checked densely over Boolean valuations."""
+def _lattice_membership(tag: str):
+    """Component values of sigma (sigma') must be functionals of the
+    structure class with the tag, join- (meet-) preserving ones; checked
+    densely over Boolean valuations."""
 
     def check(elems, value):
         from .modalities import STRUCTURE_CLASSES, check_dense  # modalities imports this module
 
         bits = list(itertools.product((0, 1), repeat=len(elems)))
         table = [value(dict(zip(elems, b)).__getitem__) for b in bits]
-        cls = STRUCTURE_CLASSES["cl_join" if join else "cl_meet"]
-        found, _ = check_dense(table, 1, cls, all_pairs=True)
+        found, _ = check_dense(table, 1, STRUCTURE_CLASSES[tag], all_pairs=True)
         if found is None:
             return None
         law, _, f, g, lhs, rhs = found
@@ -1106,7 +1106,7 @@ def sigma_spec() -> MonadMapSpec:
         return lambda f: max((f(x) for x in s), default=0)
 
     return MonadMapSpec(
-        "sigma", MonadKind.POWERSET, ContinuationTarget(), component, _lattice_membership(True)
+        "sigma", MonadKind.POWERSET, ContinuationTarget(), component, _lattice_membership("cl_join")
     )
 
 
@@ -1121,7 +1121,7 @@ def sigma_prime_spec() -> MonadMapSpec:
         MonadKind.POWERSET,
         ContinuationTarget(),
         component,
-        _lattice_membership(False),
+        _lattice_membership("cl_meet"),
     )
 
 

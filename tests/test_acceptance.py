@@ -371,7 +371,7 @@ def test_criterion_9_witness_soundness():
         MonadKind.POWERSET,
         ContinuationTarget(),
         lambda elems, s: (lambda f: min((f(x) for x in s), default=1)),
-        _lattice_membership(True),
+        _lattice_membership("cl_join"),
     )
     battery.append((bad_sigma, check_monad_map_laws(bad_sigma, [Y])))
 

@@ -187,7 +187,8 @@ def test_imports_sit_in_functions_only_to_break_cycles():
 def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) -> list:
     """The line of every switch on the given names (theorem ids, class tags)
     in a module, outside the lines in ``skip``: a comparison (==, !=, in,
-    not in) with a name literal, a dict display keyed by names, and an
+    not in) with a name literal, a dict display keyed by names, a
+    conditional expression with a name literal for a branch, and an
     f-string with literal text that builds a name, where that text is at
     least ``share`` of the name's length (a share of one half keeps a short
     name, the tag ``emod``, from being built by every ``f"e{i}"``).  A
@@ -205,6 +206,8 @@ def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) ->
             hit = any(map(is_name, elts))
         elif isinstance(node, ast.Dict):
             hit = any(map(is_name, node.keys))
+        elif isinstance(node, ast.IfExp):
+            hit = is_name(node.body) or is_name(node.orelse)
         elif isinstance(node, ast.JoinedStr):
             parts = [re.escape(v.value) if isinstance(v, ast.Constant) else ".*" for v in node.values]
             literal = sum(len(v.value) for v in node.values if isinstance(v, ast.Constant))
@@ -233,8 +236,11 @@ def _package_switches(names, block: str, share: float = 0) -> list:
 
 def test_theorem_ids_are_read_off_the_catalog_only():
     # the scan itself: each switch shape is found, a literal lookup is not
-    switches = 'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\nf"dist_{v}"\nf"{m}_total"\n'
-    assert _switches(ast.parse(switches), INSTANCES) == [1, 2, 3, 4, 5, 6, 7]
+    switches = (
+        'a == "may"\n"game" != b\nc in ("x", "must")\n{"dijkstra": 1}\nf"subdist_{v}"\nf"dist_{v}"\nf"{m}_total"\n'
+        'INSTANCES["subdist_total" if z else "subdist_partial"]\n'
+    )
+    assert _switches(ast.parse(switches), INSTANCES) == [1, 2, 3, 4, 5, 6, 7, 8]
     lookups = 'INSTANCES["may"]\nf"coef[{t}]"\nx == "diamond"\n{k: 1 for k in "ab"}\n'
     assert _switches(ast.parse(lookups), INSTANCES) == []
     # the package: theorem ids appear only in the catalog block, which
@@ -246,8 +252,8 @@ def test_class_tags_are_read_off_the_tables_only():
     # a class is read off a catalog row or a condition's table entry; only
     # run_condition still dispatches on tags, to the three named grid
     # checkers that the benchmark traces
-    tags = 'cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\n'
-    assert _switches(ast.parse(tags), STRUCTURE_CLASSES, share=0.5) == [1, 2]
+    tags = 'cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\nSTRUCTURE_CLASSES["cl_join" if join else "cl_meet"]\n'
+    assert _switches(ast.parse(tags), STRUCTURE_CLASSES, share=0.5) == [1, 2, 4]
     assert _package_switches(STRUCTURE_CLASSES, "run_condition", share=0.5) == []
 
 

@@ -504,8 +504,10 @@ def test_a_probe_table_without_a_point_the_check_reads_is_inconclusive(tmp_path,
         "probes": {"predicates": [["0", "0"], ["1", "1"], ["1", "0"], ["0", "1"]], "scalars": ["0", "1"]},
     }
     assert run(["check", "--spec", write(tmp_path, doc), "--condition", "finitary"]) == EXIT_INCONCLUSIVE
-    err = capsys.readouterr().err
-    assert err == "inconclusive: probe table lacks a required evaluation point: (Fraction(1, 1), Fraction(1, 1))\n"
+    out, err = capsys.readouterr()
+    missing = "probe table lacks a required evaluation point: (Fraction(1, 1), Fraction(1, 1))"
+    assert out == f"condition: finitary\nverdict: inconclusive: {missing}\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize(

@@ -334,7 +334,7 @@ def test_corrupted_sigma_membership_fails(carriers):
         MonadKind.POWERSET,
         ContinuationTarget(),
         lambda elems, s: (lambda f: min((f(x) for x in s), default=1)),
-        _lattice_membership(True),
+        _lattice_membership("cl_join"),
     )
     verdict = check_monad_map_laws(bad, carriers)
     assert verdict.is_unhealthy

@@ -12,7 +12,7 @@ from wpbench.modalities import INSTANCES, STRUCTURE_CLASSES, check_dense
 from wpbench.monads import KleisliArrow, enumerate_arrows
 from wpbench.semantics import BooleanTransformer, RationalTransformer
 from wpbench.sweep import TheoremInstance, enum_verify, healthy_tables
-from wpbench.verdicts import Verdict, Witness, witness_is_sound
+from wpbench.verdicts import Witness, witness_is_sound
 
 
 def test_may_2x2_partition():
@@ -68,12 +68,10 @@ def test_sampled_instances_small():
     for theorem in ("subdist_total", "subdist_partial", "dist_convex"):
         report = enum_verify(TheoremInstance(theorem, (2, 2), seed=5, count=20))
         assert report.equal, report.render()
-        assert report.counts["healthy_images"] == 20
-        assert report.counts["roundtrips_exact"] == 20
-        assert report.counts["constructed_synthesized"] == 20
+        assert report.counts == {"samples": 20, "healthy_images": 20, "roundtrips_exact": 20}
     report = enum_verify(TheoremInstance("cv_sublinear", (2, 2), seed=5, count=10))
     assert report.equal
-    assert report.counts["roundtrips_exact"] == 10
+    assert report.counts == {"samples": 10, "healthy_images": 10, "roundtrips_exact": 10}
 
 
 def test_rational_instances_report_the_sampled_mode():
@@ -390,10 +388,12 @@ def test_sampled_image_health_witness_replays(monkeypatch):
     assert not witness_is_sound(instance, report.witness)
 
 
-@pytest.mark.parametrize("theorem, checks", [("subdist_total", 80), ("dist_convex", 80), ("cv_sublinear", 40)])
+@pytest.mark.parametrize(
+    "theorem, checks", [("subdist_total", 40), ("subdist_partial", 40), ("dist_convex", 40), ("cv_sublinear", 40)]
+)
 def test_a_sampled_sweep_checks_each_sample_once(monkeypatch, theorem, checks):
-    # the synthesis guard is the only grid check of a sample: 40 computations,
-    # and 40 constructed transformers where the row has a constructed side
+    # the synthesis guard is the only grid check of a sample: one for each
+    # of the 40 computations
     calls = []
     real = healthiness.run_condition
 
@@ -434,37 +434,4 @@ def test_sampled_roundtrip_witness_replays(monkeypatch, theorem):
     assert f"witness: {report.witness.describe()}\n" in report.render()
     assert witness_is_sound(instance, report.witness)
     monkeypatch.undo()
-    assert not witness_is_sound(instance, report.witness)
-
-
-@pytest.mark.parametrize(
-    "checker, law", [("run_condition", "sweep.constructed_health"), ("synthesize", "sweep.constructed_synth")]
-)
-def test_constructed_side_witness_replays(monkeypatch, checker, law):
-    # a seeded fault on the constructed side only: where a constructed
-    # transformer's first state is above one half at the Dirac of y0, its
-    # condition check, or its synthesis, answers inconclusive; the replay
-    # redraws that transformer after the sweep's computations.  The sweep
-    # meets a condition fault in the synthesis guard, the replay in its own
-    # check.
-    real = getattr(sweep, checker)
-
-    def faulty(name_or_mod, phi, grid=None):
-        result = real(name_or_mod, phi, grid)
-        if not phi.label.startswith("coef") or phi.apply_values((1, 0))[0] <= Fraction(1, 2):
-            return result
-        fault = Verdict.inconclusive("seeded fault")
-        return fault if checker == "run_condition" else replace(result, residual=fault)
-
-    instance = TheoremInstance("subdist_total", (2, 2), seed=7, count=20)
-    monkeypatch.setattr(synthesis if checker == "run_condition" else sweep, checker, faulty)
-    report = enum_verify(instance)
-    monkeypatch.undo()
-    assert report.witness.law == law and report.witness.lhs == "inconclusive"
-    assert report.witness.args["sample"] > 0
-    assert f"witness: {report.witness.describe()}\n" in report.render()
-    monkeypatch.setattr(sweep, checker, faulty)
-    assert witness_is_sound(instance, report.witness)
-    monkeypatch.undo()
-    assert enum_verify(instance).equal
     assert not witness_is_sound(instance, report.witness)
