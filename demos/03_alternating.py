@@ -67,7 +67,7 @@ grid = ProbeGrid.default(Y, seed=0)
 print("regular-sublinear:", check_regular_sublinear(phi, grid).describe())
 result = synth_polytope(phi, grid)
 print("reconstruction:", result.residual.describe())
-region = result.regions[0]
-print("region vertices:", region["vertices"])
-print("feasible point:", region["feasible"])
+vertices = tuple(tuple(mu.weight(y) for y in Y.elements) for mu in result.arrow.row("x"))
+print("region vertices:", vertices)
+print("feasible point:", vertices[0])
 print("semantic roundtrip:", roundtrip_verify(polytope, "cv_sublinear", grid).describe())

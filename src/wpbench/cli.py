@@ -22,7 +22,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import FinSet, SizeGuardError, format_rational, parse_rational
+from .core import DEFAULT_ENUM_GUARD, FinSet, SizeGuardError, format_rational, parse_rational
 from .healthiness import _CLASSES, CONDITIONS, ProbeGrid, run_condition
 from .modalities import (
     INSTANCES,
@@ -60,7 +60,6 @@ EXIT_UNHEALTHY = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
 EXIT_INTERNAL = 70
-MAX_ENUM = 1 << 28  # the default of --max-enum
 
 
 class SpecError(ValueError):
@@ -81,7 +80,7 @@ class SpecDocument:
     probes: dict | None  # raw probe override; resolved per domain on demand
     seed: int
 
-    def grid_for(self, domain: FinSet, max_enum: int = MAX_ENUM) -> ProbeGrid:
+    def grid_for(self, domain: FinSet, max_enum: int = DEFAULT_ENUM_GUARD) -> ProbeGrid:
         """The probe grid over the domain; a document asking for more
         random probes than max_enum is refused before any is drawn."""
         if self.probes is None:
@@ -684,7 +683,7 @@ _FLAGS = {
     "sizes": {"nargs": 2, "type": _size, "default": (2, 2), "metavar": ("A", "B")},
     "seed": {"type": int, "default": 0},
     "jobs": {"type": int, "default": 1, "help": "accepted; has no effect"},
-    "max_enum": {"type": int, "default": MAX_ENUM},
+    "max_enum": {"type": int, "default": DEFAULT_ENUM_GUARD},
     "monad": {"help": "monad name"},
     "out": {"help": "write the report to a file"},
 }
@@ -727,9 +726,6 @@ def run(argv) -> int:
     except SizeGuardError as exc:
         sys.stderr.write(f"size guard: {exc}\n")
         return EXIT_INPUT
-    except MissingProbeError as exc:
-        sys.stderr.write(f"inconclusive: probe table lacks a required evaluation point: {exc}\n")
-        return EXIT_INCONCLUSIVE
     except Exception as exc:  # anything else is a bug in wpbench, not bad input
         sys.stderr.write(traceback.format_exc())
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")

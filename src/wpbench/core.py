@@ -25,7 +25,8 @@ __all__ = [
     "count_transformers",
 ]
 
-# Refuse to stream transformer spaces larger than this unless overridden.
+# The default size guard (``--max-enum``): larger enumerations and random
+# probe counts are refused unless it is raised.
 DEFAULT_ENUM_GUARD = 2 ** 28
 
 

@@ -95,9 +95,9 @@ class RationalTransformer:
     """An exact-rational predicate transformer [0,1]^source -> [0,1]^target.
 
     Kept as an evaluation rule (values aligned with the carriers' element
-    order); ``arrow`` optionally records the defining computation.
-    Evaluations are memoized per instance: grid checks, synthesis
-    preconditions and round trips repeatedly probe the same predicates.
+    order); ``arrow`` optionally records the defining computation.  The
+    rule is called at every evaluation: a grid check evaluates each point
+    once (``LawCheck``), and a closed form is compared on its integer rows.
     """
 
     source: FinSet
@@ -105,9 +105,6 @@ class RationalTransformer:
     fn: Callable  # tuple of Fractions over source -> tuple of Fractions over target
     arrow: KleisliArrow | None = None
     label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
 
     @property
     def carrier(self) -> str:
@@ -119,17 +116,12 @@ class RationalTransformer:
         return self.fn if isinstance(self.fn, IntegerRows) else None
 
     def apply_values(self, values: Sequence[Fraction]) -> tuple:
-        """The outputs at a predicate, memoized.  A float input or output
+        """The outputs of the rule at a predicate.  A float input or output
         is refused with ``TypeError``, as a rounded value would decide a
         law, and so is any output but an int or a Fraction; an output
         outside [0, 1], or a length that misses its carrier, raises
         ``ValueError``."""
         vals = tuple(v if type(v) is Fraction else _exact(v, "predicate value") for v in values)
-        # int-pair keys: hashing Fractions costs a modular inverse each
-        key = tuple((v.numerator, v.denominator) for v in vals)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         if len(vals) != len(self.source):
             raise ValueError("predicate length does not match the source carrier")
         out = tuple(self.fn(vals))
@@ -141,7 +133,6 @@ class RationalTransformer:
                 raise TypeError(f"transformer produced {q!r}, a {kind}, not an int or a Fraction")
             if not 0 <= q.numerator <= q.denominator:
                 raise ValueError(f"transformer produced {q} outside [0, 1]")
-        self._memo[key] = out
         return out
 
     @functools.cached_property

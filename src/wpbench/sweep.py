@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from operator import eq
 from random import Random
 
-from .core import FinSet, count_transformers
+from .core import DEFAULT_ENUM_GUARD, FinSet, count_transformers
 from .healthiness import ProbeGrid, run_condition
 from .modalities import (
     BOOLEAN,
@@ -347,7 +347,7 @@ def _sweep_sampled(theorem: str, nx: int, ny: int, seed: int, count: int) -> dic
     return {"counts": counts, "equal": witness is None, "witness": witness}
 
 
-def enum_verify(instance: TheoremInstance, max_enum: int = 1 << 28) -> SweepReport:
+def enum_verify(instance: TheoremInstance, max_enum: int = DEFAULT_ENUM_GUARD) -> SweepReport:
     """Run one theorem sweep; see the module docstring for the method."""
     t0 = time.perf_counter()
     nx, ny = instance.sizes

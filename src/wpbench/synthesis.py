@@ -72,7 +72,6 @@ class SynthesisResult:
     arrow: KleisliArrow | None
     residual: Verdict
     normalization: tuple = ()
-    regions: tuple | None = None  # per-state half-space data (polytope synthesis)
 
     @property
     def ok(self) -> bool:
@@ -333,21 +332,22 @@ register_law("polytope.certify", _law_polytope_certify)
 
 
 def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisResult:
-    """Per-state half-space regions C(x) = {mu : <p, mu> >= phi(p)(x)}.
+    """Per state x, the polytope C(x) = {mu : <p, mu> >= phi(p)(x)} cut out
+    by the grid, whose vertices are the arrow's row at x.
 
-    The region is represented by its defining half-space list; an exact
-    clipper produces a rational feasible vertex, and the minimum of every
-    grid predicate over the region must be attained exactly at phi's
-    value.  Bounds, clipping and certification run on integers: with a
-    grid predicate q over the lattice's one and its bound c over one * den
-    (phi at the lattice point, ``RationalTransformer._ints``, scaled to one
-    common den), the half-space is the row w_j = q_j den - c, and at a
-    vertex m, w . m is <p, mu> - phi(p)(x) times the positive
-    one * den * sum(m), so the minimum is certified when the least w . m
-    over the vertices is 0.  A failed certification (possible when the
-    grid undersamples a transformer that is not genuinely realizable)
-    yields inconclusive, with its witness in Fractions: deciding the full
-    converse needs a Farkas-style argument this workbench does not attempt.
+    An exact clipper finds the vertices, and the minimum of every grid
+    predicate over C(x) must be attained exactly at phi's value.  Bounds,
+    clipping and certification run on integers: with a grid predicate q
+    over the lattice's one and its bound c over one * den (phi at the
+    lattice point, ``RationalTransformer._ints``, scaled to one common
+    den), the half-space is the row w_j = q_j den - c, and at a vertex m,
+    w . m is <p, mu> - phi(p)(x) times the positive one * den * sum(m), so
+    the minimum is certified when the least w . m over the vertices is 0.
+    A failed certification (possible when the grid undersamples a
+    transformer that is not genuinely realizable) yields inconclusive, with
+    its witness in Fractions: the state's half-spaces, built for the
+    witness alone.  Deciding the full converse needs a Farkas-style
+    argument this workbench does not attempt.
     """
     row = INSTANCES["cv_sublinear"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
@@ -357,12 +357,10 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     outs = [phi._ints(q, lattice.one) for q in lattice.preds]
     top = math.lcm(lattice.one, *[d for _, d in outs])
     den, bounds = top // lattice.one, [vs if d == top else [v * (top // d) for v in vs] for vs, d in outs]
-    regions = []
     vertex_rows = []
     checked = 0
     for i, x in enumerate(X.elements):
         cs = [values[i] for values in bounds]
-        halfspaces = tuple((p, Fraction(c, top)) for p, c in zip(grid.predicates, cs))
         wrows = [[v * den - c for v in q] for q, c in zip(lattice.preds, cs)]
         ms = _clip_ints(len(Y), wrows)
         if not ms:
@@ -371,19 +369,13 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                 Verdict.inconclusive(
                     f"region for state {x!r} is empty; grid constraints are jointly infeasible"
                 ),
-                regions=tuple(regions),
             )
         vertices = _as_fractions(ms)
-        region = {
-            "state": x,
-            "halfspaces": halfspaces,
-            "feasible": vertices[0],
-            "vertices": tuple(vertices),
-        }
-        regions.append(region)
-        for w, (p, bound) in zip(wrows, halfspaces):
+        for k, w in enumerate(wrows):
             checked += 1
             if min(sum(map(operator.mul, w, m)) for m in ms) != 0:
+                halfspaces = tuple((q, Fraction(c, top)) for q, c in zip(grid.predicates, cs))
+                p, bound = halfspaces[k]
                 certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
                 return SynthesisResult(
                     None,
@@ -397,11 +389,10 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                             bound,
                         ),
                     ),
-                    regions=tuple(regions),
                 )
         vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
     arrow = KleisliArrow(MonadKind.CV_DIST, X, Y, vertex_rows)
-    return SynthesisResult(arrow, Verdict.healthy(checked), regions=tuple(regions))
+    return SynthesisResult(arrow, Verdict.healthy(checked))
 
 
 def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = None) -> bool:

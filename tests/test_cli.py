@@ -491,23 +491,45 @@ def test_probe_table_backed_by_computation_mismatch(tmp_path):
     assert spec.transformer.apply_values((F(1, 2), F(1))) == (F(1, 4),)
 
 
+# a probe table that lacks the grid point (1, 1)
+INCOMPLETE_PROBE_DOC = {
+    "sets": {"X": ["x"], "Y": ["y0", "y1"]},
+    "transformer": {
+        "kind": "probe_table",
+        "source": "Y",
+        "target": "X",
+        "pairs": [[["0", "0"], ["0"]], [["1", "0"], ["1/4"]], [["0", "1"], ["3/4"]]],
+    },
+    "probes": {"predicates": [["0", "0"], ["1", "1"], ["1", "0"], ["0", "1"]], "scalars": ["0", "1"]},
+}
+MISSING = "probe table lacks a required evaluation point: (Fraction(1, 1), Fraction(1, 1))"
+
+
 def test_a_probe_table_without_a_point_the_check_reads_is_inconclusive(tmp_path, capsys):
-    # the finitary report probes every grid point, and the table lacks (1, 1)
-    doc = {
-        "sets": {"X": ["x"], "Y": ["y0", "y1"]},
-        "transformer": {
-            "kind": "probe_table",
-            "source": "Y",
-            "target": "X",
-            "pairs": [[["0", "0"], ["0"]], [["1", "0"], ["1/4"]], [["0", "1"], ["3/4"]]],
-        },
-        "probes": {"predicates": [["0", "0"], ["1", "1"], ["1", "0"], ["0", "1"]], "scalars": ["0", "1"]},
-    }
-    assert run(["check", "--spec", write(tmp_path, doc), "--condition", "finitary"]) == EXIT_INCONCLUSIVE
+    # the finitary report probes every grid point
+    spec = write(tmp_path, INCOMPLETE_PROBE_DOC)
+    assert run(["check", "--spec", spec, "--condition", "finitary"]) == EXIT_INCONCLUSIVE
     out, err = capsys.readouterr()
-    missing = "probe table lacks a required evaluation point: (Fraction(1, 1), Fraction(1, 1))"
-    assert out == f"condition: finitary\nverdict: inconclusive: {missing}\n"
+    assert out == f"condition: finitary\nverdict: inconclusive: {MISSING}\n"
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["check", "--condition", c], f"condition: {c}\nverdict: inconclusive: {MISSING}\n")
+        for c in ("gemod_total", "gemod_partial", "emod", "regular_sublinear", "finitary")
+    ]
+    + [
+        (["synth", "--modality", m], f"synthesis rejected: inconclusive: {MISSING}\n")
+        for m in ("total", "partial", "convex", "demonic_prob")
+    ],
+)
+def test_no_command_leaks_a_missing_probe(tmp_path, capsys, argv, report):
+    # each command answers the missing point with its own inconclusive
+    # report; an escaped MissingProbeError would exit as an internal error
+    assert run([*argv, "--spec", write(tmp_path, INCOMPLETE_PROBE_DOC)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr() == (report, "")
 
 
 @pytest.mark.parametrize(
@@ -728,6 +750,7 @@ _Y = st.sampled_from(("y0", "y1"))
 _DEEP_ROWS = {
     "up_powerset": st.lists(st.lists(_Y, max_size=2), max_size=4),
     "subdist": st.dictionaries(_Y, _VALUE, max_size=2),
+    "dist": st.dictionaries(_Y, _VALUE, max_size=2),
 }
 _PAIR = st.tuples(st.lists(_VALUE, min_size=2, max_size=2), st.lists(_VALUE, min_size=1, max_size=1))
 _DEEP = st.sampled_from(tuple(_DEEP_ROWS)).flatmap(
@@ -772,7 +795,7 @@ def test_parse_spec_raises_only_spec_errors():
 
     parse()
     # the documents reach the deep validation codes, not only the schema
-    assert {"E_RAT", "E_UPCLOSED", "E_PROBE"} <= codes, codes
+    assert {"E_RAT", "E_MASS", "E_UPCLOSED", "E_PROBE"} <= codes, codes
 
 
 @pytest.mark.parametrize("kind", list(MonadKind))

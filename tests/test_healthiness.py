@@ -566,6 +566,25 @@ def test_certificate_decides_healthy_closed_forms(Y3, monkeypatch):
     assert set(points) == {(0, 0, 0), (one, one, one)}
 
 
+@pytest.mark.parametrize("ny", [1, 2, 3])
+def test_a_grid_check_calls_an_opaque_rule_once_per_point(ny):
+    # the transformer keeps no evaluations: the check's table of values per
+    # lattice point alone keeps a healthy opaque rule, which the check reads
+    # at every argument, from being called twice at one point
+    Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
+    X = FinSet("X", ("x0", "x1"))
+    rng = Random(20 + ny)
+    grid = ProbeGrid.default(Y, seed=ny)
+    for name in ("total", "partial", "convex", "demonic_prob"):
+        mod = builtin_modality(name)
+        for _ in range(2):
+            closed = pt_modality(mod, random_arrow(mod.monad, rng, X, Y))
+            calls = []
+            phi = RationalTransformer(Y, X, lambda v: calls.append(v) or closed.fn(v), label="opaque")
+            assert run_condition(mod.condition, phi, grid).is_healthy
+            assert len(grid.predicates) < len(calls) == len(set(calls)), (name, ny)
+
+
 def test_certified_check_memory_is_linear_in_the_grid():
     # a certified grid check holds a few ints per predicate: growing a grid
     # at |Y| = 4 from 150 to 600 predicates grows the peak about as a linear

@@ -117,25 +117,23 @@ def fraction_clip_region(n, halfspaces):
 def fraction_synth_polytope(phi, grid):
     """synth_polytope past its precondition, certifying in Fractions."""
     Y = phi.source
-    regions, vertex_rows, checked = [], [], 0
+    vertex_rows, checked = [], 0
     for i, x in enumerate(phi.target.elements):
         halfspaces = tuple((p, phi.apply_values(p)[i]) for p in grid.predicates)
         vertices = fraction_clip_region(len(Y), halfspaces)
         if not vertices:
             note = f"region for state {x!r} is empty; grid constraints are jointly infeasible"
-            return SynthesisResult(None, Verdict.inconclusive(note), regions=tuple(regions))
-        region = {"state": x, "halfspaces": halfspaces, "feasible": vertices[0], "vertices": tuple(vertices)}
-        regions.append(region)
+            return SynthesisResult(None, Verdict.inconclusive(note))
         for p, bound in halfspaces:
             certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
             checked += 1
             if certified != bound:
                 note = "minimum over the region is not certified at a region vertex"
                 witness = Witness("polytope.certify", {"x": x, "p": p, "halfspaces": halfspaces}, certified, bound)
-                return SynthesisResult(None, Verdict.inconclusive(note, checked, witness), regions=tuple(regions))
+                return SynthesisResult(None, Verdict.inconclusive(note, checked, witness))
         vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
     arrow = KleisliArrow(MonadKind.CV_DIST, phi.target, Y, vertex_rows)
-    return SynthesisResult(arrow, Verdict.healthy(checked), regions=tuple(regions))
+    return SynthesisResult(arrow, Verdict.healthy(checked))
 
 
 def fraction_cv_semantically_equal(a, b, grid):
@@ -705,7 +703,7 @@ def test_closed_form_synthesis_neither_evaluates_nor_rebuilds(monkeypatch, Y3):
     grid = ProbeGrid.default(Y3)
     result = synth_polytope(phi, grid)
     assert result.ok and result.residual.checked == 2 * len(grid.predicates)
-    assert not calls and not phi._memo
+    assert not calls
 
 
 @st.composite

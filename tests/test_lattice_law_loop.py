@@ -78,30 +78,34 @@ def _fields(verdict):
 
 def _condition(condition, rule, grid, X, reference):
     """The verdict fields of a condition, or its ValueError message, and the
-    points the rule was called at, on the lattice loop or the reference."""
+    distinct points the rule was called at in first-call order, on the
+    lattice loop or the reference."""
     calls = []
     phi = RationalTransformer(grid.domain, X, recording(rule, calls), label="opaque")
     with pytest.MonkeyPatch.context() as mp:
         if reference:
             mp.setattr(LawCheck, "first_violation", fraction_first_violation)
         try:
-            return _fields(run_condition(condition, phi, grid)), calls
+            outcome = _fields(run_condition(condition, phi, grid))
         except ValueError as exc:
-            return str(exc), calls
+            outcome = str(exc)
+    return outcome, list(dict.fromkeys(calls))
 
 
 def _group(laws, rule, grid, X, reference):
     """One group alone: its first violation and checked count, or its
-    ValueError message, and the points the rule was called at."""
+    ValueError message, and the distinct points the rule was called at in
+    first-call order."""
     calls = []
     phi = RationalTransformer(grid.domain, X, recording(rule, calls), label="opaque")
     n = len(X)
     check = LawCheck(phi.apply_values, n, grid.predicates, grid.scalars, len(grid.domain), grid.lattice)
     loop = fraction_first_violation if reference else LawCheck.first_violation
     try:
-        return (loop(check, laws, n * len(laws)), check.checked), calls
+        outcome = loop(check, laws, n * len(laws)), check.checked
     except ValueError as exc:
-        return str(exc), calls
+        outcome = str(exc)
+    return outcome, list(dict.fromkeys(calls))
 
 
 _ENTRIES = st.sampled_from((F(-1, 2), F(0), F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)))

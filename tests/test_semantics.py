@@ -443,10 +443,11 @@ def test_functoriality_routes_agree_on_a_broken_composite(monkeypatch):
 
 
 def test_healthy_closed_form_functoriality_evaluates_no_transformer(monkeypatch):
-    # the integer route decides: no transformer's memo holds an evaluation
-    built = []
-    real = semantics.pt_modality
+    # the integer route decides: no transformer is evaluated
+    built, calls = [], []
+    real, apply_values = semantics.pt_modality, RationalTransformer.apply_values
     monkeypatch.setattr(semantics, "pt_modality", lambda *args: built.append(real(*args)) or built[-1])
+    monkeypatch.setattr(RationalTransformer, "apply_values", lambda self, p: calls.append(p) or apply_values(self, p))
     rng = Random(18)
     X, Y, Z = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
     closed = [(mod, kind) for mod, kind in FUNCTOR_CASES if mod.closed_form is not None]
@@ -455,7 +456,8 @@ def test_healthy_closed_form_functoriality_evaluates_no_transformer(monkeypatch)
             f, g = random_arrow(kind, rng, X, Y), random_arrow(kind, rng, Y, Z)
             assert check_functoriality(mod, f, g).is_healthy
     assert len(built) == 4 * 3 * len(closed)
-    assert all(phi.rows is not None and phi._memo == {} for phi in built)
+    assert all(phi.rows is not None for phi in built)
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("probe", [(F(1, 2),), (F(3, 2), F(1, 2)), (F(1, 2), F(-1, 3)), (F(1, 2), 0.5)])
