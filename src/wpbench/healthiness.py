@@ -285,8 +285,15 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
     relevant iff toggling it changes the output bit somewhere, and the
     factorization through the relevant coordinates is then verified
     outright.  Rational transformers report coordinate dependency (via
-    the defining arrow when present, else by grid probing).
+    the defining arrow when present, else by grid probing, which
+    evaluates each point once).
     """
+    return _support(phi, x, grid, {})
+
+
+def _support(phi, x, grid, values: dict) -> frozenset:
+    """``finitary_support`` keeping phi's outputs per probed point in
+    ``values``, which a report shares over its states."""
     if isinstance(phi, BooleanTransformer):
         xi = phi.target.index(x)
         n = len(phi.source)
@@ -312,13 +319,14 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
         return support(phi.arrow.kind, phi.arrow.row(x))
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     xi = phi.target.index(x)
+    value = lambda p: values[p] if p in values else values.setdefault(p, phi.apply_values(p))
     relevant = set()
     for j, y in enumerate(phi.source.elements):
         for p in grid.predicates:
             if p[j] == ZERO:
                 continue
             dropped = tuple(ZERO if k == j else v for k, v in enumerate(p))
-            if phi.apply_values(p)[xi] != phi.apply_values(dropped)[xi]:
+            if value(p)[xi] != value(dropped)[xi]:
                 relevant.add(y)
                 break
     return frozenset(relevant)
@@ -327,11 +335,13 @@ def finitary_support(phi, x, grid: ProbeGrid = None) -> frozenset:
 def finitary_report(phi, grid: ProbeGrid = None) -> Verdict:
     """Per-coordinate support report; conclusive at finite scale unless a
     probe table lacks a point the grid probing reads.  The note says when a
-    support was probed on the grid (no arrow)."""
-    supports = {}
+    support was probed on the grid (no arrow); the probing evaluates each
+    point once over all states, in the order a state-by-state loop first
+    reads them, so the first missing point is the one that loop meets."""
+    supports, values = {}, {}
     try:
         for x in phi.target.elements:
-            supports[x] = sorted(finitary_support(phi, x, grid), key=phi.source.index)
+            supports[x] = sorted(_support(phi, x, grid, values), key=phi.source.index)
     except MissingProbeError as exc:
         return _missing_probe(exc, len(supports))
     note = "; ".join(f"{x} <- {{{', '.join(map(str, ys))}}}" for x, ys in supports.items())

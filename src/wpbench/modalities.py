@@ -620,10 +620,11 @@ class LawCheck:
     before the argument counts as checked), and called with the point in
     Fractions.  The loop compares both sides of each law on its values as
     (numerator, denominator) pairs; the Fraction ``sides`` build the
-    witness at the first violation, and decide the constant laws and the
-    replays.  When the integer ``rows`` of a closed-form transformer are
-    given (``IntegerRows``), a group whose law has a ``certificate`` is
-    first read off the coefficients: when they certify it, it holds at
+    witness at the first violation, reading F at its points off the same
+    table, and decide the constant laws and the replays, which call F.
+    When the integer ``rows`` of a closed-form transformer are given
+    (``IntegerRows``), a group whose law has a ``certificate`` is first
+    read off the coefficients: when they certify it, it holds at
     every argument and counts them all without evaluating F.  The
     certificate is only sufficient; the constant laws, and every group it
     does not certify, run the per-argument loop.
@@ -755,7 +756,9 @@ class LawCheck:
             for verts in self._rows.rows
         )
 
-    def side(self, term: tuple, shape: str, args: tuple, fargs: list, memo: dict) -> tuple:
+    def side(self, term: tuple, shape: str, args: tuple, fargs: list, memo: dict, at=None) -> tuple:
+        """One side of a law at an argument; ``at``, when given, maps an
+        "at" term's op to F's values at that point, else F is called."""
         kind, x = term
         if kind == "arg":
             return fargs[x]
@@ -767,17 +770,20 @@ class LawCheck:
                 second = fargs[1] if shape in _BINARY else repeat(args[1])
                 image = memo[x] = tuple(map(x.value, fargs[0], second))
             return image
+        if at is not None:
+            return at(x)
         second = args[1] if shape in _BINARY else repeat(args[1])
         return self.F(tuple(map(x.value, args[0], second)))
 
-    def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None) -> tuple:
+    def sides(self, law: Law, args: tuple, fargs: list = None, memo: dict = None, at=None) -> tuple:
         """Both sides of a law at one argument, the rhs clamped, so the law
-        holds iff they are equal; ``fargs`` is F at the predicate arguments."""
+        holds iff they are equal; ``fargs`` is F at the predicate arguments,
+        and ``at`` F at the "at" points (see ``side``)."""
         if fargs is None:
             fargs = [self.F(a) for a in args[: 2 if law.shape in _BINARY else 1]]
         memo = {} if memo is None else memo
-        lhs = self.side(law.lhs, law.shape, args, fargs, memo)
-        rhs = self.side(law.rhs, law.shape, args, fargs, memo)
+        lhs = self.side(law.lhs, law.shape, args, fargs, memo, at)
+        rhs = self.side(law.rhs, law.shape, args, fargs, memo, at)
         clamp = RELATIONS[law.rel][0]
         return lhs, rhs if clamp is None else tuple(map(clamp, lhs, rhs))
 
@@ -831,15 +837,18 @@ class LawCheck:
                         args, fargs = (preds[i], preds[j]), [value(a)[0], value(b)[0]]
                     else:
                         args, fargs = (preds[i], self.scalars[j]), [value(a)[0]]
-                    return self._fraction_violation([law], args, fargs)
+                    # both sides were just read, so F's values at their "at" points are kept
+                    at = lambda op: value(op.point(a, b, one))[0]
+                    return self._fraction_violation([law], args, fargs, at)
         return None
 
-    def _fraction_violation(self, laws, args: tuple, fargs: list):
+    def _fraction_violation(self, laws, args: tuple, fargs: list, at=None):
         """(law, args, lhs, rhs, coordinate) for the first of the laws that
-        fails at one argument, on its Fraction sides; None if all hold."""
+        fails at one argument, on its Fraction sides; None if all hold.
+        ``at`` reads F at the "at" points off the lattice values."""
         memo = {}
         for law in laws:
-            lhs, rhs = self.sides(law, args, fargs, memo)
+            lhs, rhs = self.sides(law, args, fargs, memo, at)
             if lhs != rhs:
                 x = next(i for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
                 return law, args, lhs[x], rhs[x], x

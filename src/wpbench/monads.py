@@ -21,10 +21,11 @@ The closed forms of the rational modalities evaluate on integers here
 (``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
 transformers, the synthesis round trip and the vertex-list equality
 ``cv_values_equal``, and the law checks read certificates off its
-coefficients.  Every equality of two sides at lattice points goes
-through one routine, ``_differing_point``: sides holding the same rows
-answer at once, and any other pair is compared point by point on
-integers (``_first_difference``).
+coefficients.  Rows compose exactly (``IntegerRows.then``), so a
+composite of two closed forms is one row set.  Every equality of two
+sides at lattice points goes through one routine, ``_differing_point``:
+sides holding the same rows answer at once, and any other pair is
+compared point by point on integers (``_first_difference``).
 
 The hot paths build tuples from lists (``tuple([...])``), at their final
 size.  A tuple grown from a generator, once freed, is kept on CPython's
@@ -587,9 +588,11 @@ class IntegerRows:
     scale them to their common denominator and evaluate them on integers
     (``ints``, with the checks of ``RationalTransformer.apply_values``);
     the law checks read a certificate off the coefficients themselves
-    (``modalities.LawCheck``).  Two rows are compared at the points of a
-    lattice by ``_differing_point``, for the residual and both polytope
-    equalities (``synthesis.cv_semantically_equal`` and
+    (``modalities.LawCheck``).  Rows with coefficients >= 0 compose into
+    rows of the same kind (``then``), so functoriality compares P(g . f)
+    with P(f) o P(g) as two row sets.  Two rows are compared at the points
+    of a lattice by ``_differing_point``, for the residual, functoriality
+    and both polytope equalities (``synthesis.cv_semantically_equal`` and
     ``cv_values_equal``).  The rows live here, below the catalog, so that
     ``cv_values_equal`` can use them; ``modalities`` compiles the closed
     forms of its modalities to them.
@@ -635,6 +638,34 @@ class IntegerRows:
         one = math.lcm(*[v.denominator for v in values])
         out, top = self.ints([v.numerator * (one // v.denominator) for v in values], one)
         return tuple([Fraction(v, top) for v in out])
+
+    def then(self, outer: "IntegerRows") -> "IntegerRows":
+        """The rows of outer after self, over self's inputs: per vertex row
+        (c0, cs) of an output of outer, one row per choice of a vertex row
+        (d0_y, ds_y) of self for each y with c_y > 0, with the offset
+        c0 * den + sum c_y * d0_y and the coefficients sum c_y * ds_y, over
+        outer.den * den.  With every c_y >= 0 a weighted sum of minima is
+        the minimum over the choices, so the composite equals the two
+        stages wherever self's outputs lie in [0, 1].  Both must be
+        ``bounded`` and outer must read self's outputs (its width is their
+        number), as ``semantics._rows_after`` checks before it calls."""
+        den, width = self.den, self.width
+        out = []
+        for verts in outer.rows:
+            composite = []
+            for c0, cs in verts:
+                used = [(c, self.rows[y]) for y, c in enumerate(cs) if c]
+                for choice in itertools.product(*[inner for _, inner in used]):
+                    off, acc = c0 * den, [0] * width
+                    for (c, _), (d0, ds) in zip(used, choice):
+                        off += c * d0
+                        for z, d in enumerate(ds):
+                            acc[z] += c * d
+                    composite.append((off, tuple(acc)))
+            out.append(tuple(composite))
+        rows = IntegerRows.__new__(IntegerRows)
+        rows.rows, rows.den, rows.width = tuple(out), outer.den * den, width
+        return rows
 
     def _same_bounded_rows(self, other: "IntegerRows") -> bool:
         """Whether both give the same outputs and raise at no point in

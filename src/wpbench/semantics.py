@@ -34,7 +34,15 @@ from .modalities import (
     Modality,
     builtin_modality,
 )
-from .monads import IntegerRows, KleisliArrow, Lattice, MonadKind, _first_difference, kleisli_compose, unit
+from .monads import (
+    IntegerRows,
+    KleisliArrow,
+    Lattice,
+    MonadKind,
+    _differing_point,
+    kleisli_compose,
+    unit,
+)
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -285,6 +293,28 @@ def _functor_probes(n: int, seed: int) -> tuple:
     return (grid, Lattice.of(grid, ())), (padded, Lattice.of(padded, ()))
 
 
+@functools.lru_cache(maxsize=32)
+def _identity_rows(n: int) -> IntegerRows:
+    """The rows of the identity on n coordinates: output i is p(i)."""
+    return IntegerRows([[(0, [int(j == i) for j in range(n)])] for i in range(n)], n)
+
+
+def _rows_after(pg: RationalTransformer, pf: RationalTransformer, lattice: Lattice):
+    """P(f) o P(g) as one row set (``IntegerRows.then``) when it may stand
+    for the two stages on the lattice, else None: both carry rows that fit
+    (``_side``) and are ``bounded``, so neither stage raises in the cube,
+    the lattice lies in the cube, and the composite holds no more vertex
+    rows than the lattice has points."""
+    inner, outer = pg._side, pf._side
+    if not (isinstance(inner, IntegerRows) and isinstance(outer, IntegerRows)):
+        return None
+    if lattice.cube_width != inner.width or not (inner.bounded() and outer.bounded()):
+        return None
+    counts = [len(verts) for verts in inner.rows]
+    size = sum(math.prod([counts[y] for y, c in enumerate(cs) if c]) for verts in outer.rows for _, cs in verts)
+    return inner.then(outer) if size <= len(lattice.preds) else None
+
+
 def check_functoriality(
     mod, f: KleisliArrow, g: KleisliArrow, probes: Sequence | None = None, seed: int = 3
 ) -> Verdict:
@@ -293,10 +323,14 @@ def check_functoriality(
     Both sides are computed independently: the left goes through the
     Kleisli composite, the right through transformer composition.
     Boolean instances sweep all postconditions; rational ones compare
-    integers (``_first_difference``) at probe tuples (>= 100 by default),
-    P(f) taken at P(g)'s integer outputs, and build the witness in
-    Fractions.  A probe that is no exact rational raises ``TypeError``
-    before any is evaluated.
+    integers at probe tuples (>= 100 by default) and build the witness in
+    Fractions.  P(g . f) is compared with P(f) o P(g) by
+    ``_differing_point``: as one row set when P(f) and P(g) carry bounded
+    rows (``_rows_after``), so equal rows answer with no point evaluated,
+    else as P(f) taken at P(g)'s integer outputs, point by point.  P(unit)
+    is compared with the identity rows on the default grid, by the same
+    routine.  A probe that is no exact rational raises ``TypeError`` before
+    any is evaluated.
     """
     if isinstance(mod, str):
         mod = builtin_modality(mod)
@@ -314,7 +348,10 @@ def check_functoriality(
         if probes is not None:
             preds = list(probes)
             lattice = Lattice.of([[_exact(v, "predicate value") for v in p] for p in preds], ())
-        k = _first_difference((composed._ints,), (pg._ints, pf._ints), lattice.preds, lattice.one)
+        right = _rows_after(pg, pf, lattice)
+        if right is None:
+            right = lambda p, one: pf._ints(*pg._ints(p, one))
+        k = _differing_point(composed._side, right, lattice)
     if k is not None:
         lhs, rhs = _compose_sides(composed, pf, pg, preds[k])
         args = {"modality": mod, "f": f, "g": g, "pred": preds[k]}
@@ -323,7 +360,7 @@ def check_functoriality(
     if mod.carrier == BOOLEAN:
         k = next((m for m in id_preds if operator.ne(*_identity_sides(ident, m))), None)
     else:
-        k = _first_difference((ident._ints,), (), id_lattice.preds, id_lattice.one)
+        k = _differing_point(ident._side, _identity_rows(len(f.source)), id_lattice)
     if k is not None:
         lhs, rhs = _identity_sides(ident, id_preds[k])
         args = {"modality": mod, "carrier": f.source, "pred": id_preds[k]}

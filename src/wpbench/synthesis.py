@@ -34,7 +34,7 @@ from typing import Sequence
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
-from .monads import BOT, DistV, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
+from .monads import BOT, DistV, IntegerRows, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
@@ -405,12 +405,18 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     outside [0, 1] at a point raises ``ValueError``."""
     if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
         return False
-    grid = grid if grid is not None else ProbeGrid.default(a.target)
     closed_form = builtin_modality("demonic_prob").closed_form
-    n, one, preds = len(a.target), grid.lattice.one, grid.lattice.preds
+    return _cv_rows_equal(closed_form(a.rows, a.target.elements), b, grid)
+
+
+def _cv_rows_equal(rows_a: IntegerRows, b: KleisliArrow, grid: ProbeGrid | None) -> bool:
+    """``cv_semantically_equal`` with a given as its demonic_prob rows,
+    on b's carriers: a round trip holds pt(f)'s rows already."""
+    grid = grid if grid is not None else ProbeGrid.default(b.target)
+    n, one, preds = len(b.target), grid.lattice.one, grid.lattice.preds
     diracs = (_dirac_tuple(n, j, one) for j in range(n))
     lattice = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ())
-    rows_a, rows_b = (closed_form(f.rows, a.target.elements) for f in (a, b))
+    rows_b = builtin_modality("demonic_prob").closed_form(b.rows, b.target.elements)
     return _differing_point(rows_a, rows_b, lattice) is None
 
 
@@ -480,21 +486,22 @@ def _normalize_arrow(row: Modality, arrow: KleisliArrow):
 
 
 def _resynthesize(f: KleisliArrow, row: Modality, grid: ProbeGrid | None) -> tuple:
-    """synth(pt(f)) for the catalog row, and the grid it ran on: the
-    default grid of a rational transformer when none is given."""
+    """synth(pt(f)) for the catalog row, the grid it ran on (the default
+    grid of a rational transformer when none is given) and pt(f)."""
     phi = pt_modality(row, f)
     if grid is None and isinstance(phi, RationalTransformer):
         grid = ProbeGrid.default(phi.source)
-    return synthesize(row, phi, grid), grid
+    return synthesize(row, phi, grid), grid, phi
 
 
-def _arrow_sides(instance: str, row: Modality, normalized: KleisliArrow, arrow: KleisliArrow, grid) -> list:
+def _arrow_sides(instance: str, row: Modality, normalized: KleisliArrow, arrow: KleisliArrow, grid, phi) -> list:
     """The round trip's arrow comparison, as (witness args, synth(pt f), f
     normalized) triples: one per state, or one for polytopes, whose sides
     are the arrows' reprs where they disagree on the grid
-    (``cv_semantically_equal``), else f normalized on both sides."""
+    (``cv_semantically_equal`` on phi = pt(f)'s rows, ``_cv_rows_equal``,
+    as f needs no normalization there), else f normalized on both sides."""
     if row.monad == MonadKind.CV_DIST:
-        if cv_semantically_equal(normalized, arrow, grid):
+        if _cv_rows_equal(phi.rows, arrow, grid):
             return [({"instance": instance}, normalized, normalized)]
         return [({"instance": instance}, repr(arrow), repr(normalized))]
     states = zip(normalized.source.elements, arrow.rows, normalized.rows)
@@ -508,13 +515,13 @@ def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = No
     row = INSTANCES[instance]
     if MonadKind(f.kind) != row.monad:
         raise ValueError(f"instance {instance!r} expects {row.monad}, got {f.kind}")
-    result, grid = _resynthesize(f, row, grid)
+    result, grid, phi = _resynthesize(f, row, grid)
     if not result.ok:
         if result.residual.status == "inconclusive":
             return result.residual
         return Verdict.unhealthy(result.residual.witness, result.residual.checked)
     normalized, flags = _normalize_arrow(row, f)
-    for args, lhs, rhs in _arrow_sides(instance, row, normalized, result.arrow, grid):
+    for args, lhs, rhs in _arrow_sides(instance, row, normalized, result.arrow, grid, phi):
         if lhs != rhs:
             return Verdict.unhealthy(Witness("roundtrip.arrow", args, lhs, rhs), 0)
     # the transformer direction pt(synth(pt f)) = pt(f) is the residual,
@@ -538,8 +545,8 @@ def _law_roundtrip_arrow(subject, args):
     the sides of the round trip's arrow comparison at the witness args."""
     f, grid = subject
     row = INSTANCES[args["instance"]]
-    result, grid = _resynthesize(f, row, grid)
-    sides = _arrow_sides(args["instance"], row, _normalize_arrow(row, f)[0], result.arrow, grid)
+    result, grid, phi = _resynthesize(f, row, grid)
+    sides = _arrow_sides(args["instance"], row, _normalize_arrow(row, f)[0], result.arrow, grid, phi)
     return next((lhs, rhs) for at, lhs, rhs in sides if at == args)
 
 

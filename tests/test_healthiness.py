@@ -570,7 +570,8 @@ def test_certificate_decides_healthy_closed_forms(Y3, monkeypatch):
 def test_a_grid_check_calls_an_opaque_rule_once_per_point(ny):
     # the transformer keeps no evaluations: the check's table of values per
     # lattice point alone keeps a healthy opaque rule, which the check reads
-    # at every argument, from being called twice at one point
+    # at every argument, from being called twice at one point; the finitary
+    # report keeps one table over its states
     Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
     X = FinSet("X", ("x0", "x1"))
     rng = Random(20 + ny)
@@ -583,6 +584,40 @@ def test_a_grid_check_calls_an_opaque_rule_once_per_point(ny):
             phi = RationalTransformer(Y, X, lambda v: calls.append(v) or closed.fn(v), label="opaque")
             assert run_condition(mod.condition, phi, grid).is_healthy
             assert len(grid.predicates) < len(calls) == len(set(calls)), (name, ny)
+            calls.clear()
+            report = run_condition("finitary", phi, grid)
+            assert report.is_healthy and "probed" in report.note
+            assert calls and len(calls) == len(set(calls)), (name, ny)
+
+
+# (the arrow's modality, a condition it fails at a law with an "at" side)
+MISMATCHED = (
+    ("demonic_prob", "gemod_total"),
+    ("demonic_prob", "emod"),
+    ("partial", "regular_sublinear"),
+    ("total", "regular_sublinear"),
+)
+
+
+@pytest.mark.parametrize("name, condition", MISMATCHED)
+def test_an_unhealthy_check_calls_an_opaque_rule_once_per_point(name, condition):
+    # the witness reads F at the violated law's "at" point off the check's
+    # table, where the loop has just evaluated it
+    Y, X = FinSet("Y", ("y0", "y1", "y2")), FinSet("X", ("x0", "x1"))
+    mod, rng = builtin_modality(name), Random(24)
+    grid = ProbeGrid.default(Y, seed=2)
+    seen = 0
+    for _ in range(4):
+        closed = pt_modality(mod, random_arrow(mod.monad, rng, X, Y))
+        calls = []
+        phi = RationalTransformer(Y, X, lambda v: calls.append(v) or closed.fn(v), label="opaque")
+        verdict = run_condition(condition, phi, grid)
+        assert len(calls) == len(set(calls)), (name, condition)
+        assert verdict == run_condition(condition, closed, grid)
+        if verdict.status == "unhealthy":
+            assert witness_is_sound(phi, verdict.witness)
+            seen += not verdict.witness.args["law"].endswith(("zero", "one", "defined"))
+    assert seen
 
 
 def test_certified_check_memory_is_linear_in_the_grid():

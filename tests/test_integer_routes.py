@@ -184,13 +184,12 @@ def outcome(call, *args):
 
 @pytest.fixture
 def integer_calls(monkeypatch):
-    """The calls of the integer comparison, ``_first_difference``, from each
-    module that decides with it: points compared, not answered by the
-    same-rows shortcut of ``_differing_point``."""
+    """The calls of the integer comparison, ``_first_difference``: points
+    compared, not answered by the same-rows shortcut of
+    ``_differing_point``, through which every check decides."""
     calls = []
     real = monads._first_difference
-    for module in (monads, semantics):
-        monkeypatch.setattr(module, "_first_difference", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(monads, "_first_difference", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -741,3 +740,62 @@ def test_the_default_grid_holds_the_dirac_probes(monkeypatch, Y3):
     monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(a[0]) or ints(self, *a))
     assert cv_semantically_equal(f, g, grid)
     assert len(calls) == 2 * len(grid.lattice.preds) and set(calls) == set(grid.lattice.preds)
+
+
+# P(f) o P(g) as one row set (``IntegerRows.then``): the composite of two
+# closed forms, which check_functoriality compares with P(g . f)
+COMPOSED = ("total", "partial", "tau_r:1/3", "convex", "demonic_prob")
+
+
+@pytest.mark.parametrize("name", COMPOSED)
+def test_then_equals_the_two_stages_at_every_lattice_point(name):
+    mod, rng = builtin_modality(name), Random(26)
+    for ny, nz in ((1, 2), (2, 2), (3, 2), (2, 3)):
+        Y, Z = _carrier(ny), FinSet("Z", tuple(f"z{k}" for k in range(nz)))
+        lattice = semantics._functor_probes(nz, 3)[1][1]
+        for _ in range(4):
+            f, g = random_arrow(mod.monad, rng, X, Y, max_den=8), random_arrow(mod.monad, rng, Y, Z, max_den=8)
+            inner, outer = pt_modality(mod, g).rows, pt_modality(mod, f).rows
+            composite = inner.then(outer)
+            assert (composite.width, len(composite.rows)) == (nz, len(X))
+            for p in lattice.preds:
+                # outer at inner's outputs, as _first_difference composes them
+                (u, du), (v, dv) = composite.ints(p, lattice.one), outer.ints(*inner.ints(p, lattice.one))
+                assert [a * dv for a in u] == [b * du for b in v], (name, p)
+            # the Kleisli composite compiles to the same rows, so a healthy
+            # check reads no point
+            assert pt_modality(mod, monads.kleisli_compose(f, g)).rows._same_bounded_rows(composite)
+
+
+def test_only_bounded_rows_compose_within_the_probe_count():
+    X1, Y, Z = FinSet("X", ("x",)), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
+    lattice = semantics._functor_probes(2, 3)[1][1]
+    inner = IntegerRows([[(ZERO, (ONE, ZERO))], [(ZERO, (F(1, 2), F(1, 2))), (ZERO, (ZERO, ONE))]], 2)
+    pg = RationalTransformer(Z, Y, inner)
+    outer = lambda rows: RationalTransformer(Y, X1, IntegerRows(rows, 2))
+    # a negative weight turns a sum of minima into no minimum, and an
+    # offset above 1 raises in the two stages: both take the point loop
+    assert semantics._rows_after(pg, outer([[(ONE, (F(-1, 2), F(1, 2)))]]), lattice) is None
+    over_one = RationalTransformer(Z, Y, IntegerRows([[(F(3, 2), (ZERO, ZERO))]] * 2, 2))
+    assert semantics._rows_after(over_one, outer([[(ZERO, (ONE, ZERO))]]), lattice) is None
+    # per outer row, one inner vertex row per weighted coordinate (1 * 2,
+    # then 1), over the product of the dens
+    pf = outer([[(ZERO, (F(1, 2), F(1, 2))), (ONE, (ZERO, ZERO))]])
+    composite = semantics._rows_after(pg, pf, lattice)
+    assert composite.rows == (((0, (3, 1)), (0, (2, 2)), (4, (0, 0))),) and composite.den == 4
+    # three composite rows on two probes: the point loop runs
+    assert semantics._rows_after(pg, pf, monads.Lattice.of([[ONE, ZERO], [ZERO, ONE]], ())) is None
+
+
+@pytest.mark.parametrize("name", COMPOSED)
+def test_healthy_closed_form_functoriality_compares_no_point(integer_calls, name):
+    # both laws hold on equal rows: _differing_point answers at once
+    mod, rng = builtin_modality(name), Random(27)
+    for ny in SIZES:
+        Y = _carrier(ny)
+        for nz in SIZES:
+            Z = FinSet("Z", tuple(f"z{k}" for k in range(nz)))
+            f, g = random_arrow(mod.monad, rng, X, Y), random_arrow(mod.monad, rng, Y, Z)
+            verdict = semantics.check_functoriality(mod, f, g)
+            assert verdict.is_healthy and verdict.checked > 100
+    assert not integer_calls

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -465,6 +466,33 @@ def test_roundtrip_arrow_witness_replays(monkeypatch, X2, Y2, instance, rows):
     # replayed without the fault, the synthesis rebuilds f
     monkeypatch.setattr(synthesis, "synthesize", real)
     assert not witness_is_sound((f, grid), verdict.witness)
+
+
+def test_a_polytope_round_trip_compiles_each_arrow_once(monkeypatch, X2, Y2):
+    # pt(f)'s rows serve the synthesis and the arrow comparison, so a round
+    # trip, and the replay of its arrow witness, compile f's and the
+    # synthesized arrow's closed forms once each
+    row, calls = INSTANCES["cv_sublinear"], []
+    spy = lambda tvalues, targets: calls.append(tvalues) or row.closed_form(tvalues, targets)
+    monkeypatch.setitem(INSTANCES, "cv_sublinear", dataclasses.replace(row, closed_form=spy))
+    grid = ProbeGrid.default(Y2, seed=5)
+    for f in (random_arrow("cv_dist", Random(k), X2, Y2) for k in range(3)):
+        calls.clear()
+        assert roundtrip_verify(f, "cv_sublinear", grid).is_healthy
+        assert len(calls) == 2 and calls[0] == f.rows
+    real = synthesis.synthesize
+
+    def reversed_rows(mod, phi, grid=None):
+        result = real(mod, phi, grid)
+        arrow = result.arrow
+        return SynthesisResult(KleisliArrow(arrow.kind, arrow.source, arrow.target, arrow.rows[::-1]), result.residual)
+
+    monkeypatch.setattr(synthesis, "synthesize", reversed_rows)
+    verdict = roundtrip_verify(f, "cv_sublinear", grid)
+    assert verdict.is_unhealthy and verdict.witness.law == "roundtrip.arrow"
+    calls.clear()
+    assert witness_is_sound((f, grid), verdict.witness)
+    assert len(calls) == 2
 
 
 # The Boolean inverses read each state's accepted predicates.  The probe
