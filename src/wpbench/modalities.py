@@ -144,8 +144,7 @@ class TauR:
         """The rule's closed form: per T-value one row, the offset r times
         the missing mass and the weights over ``targets``."""
         r = self.r
-        rows = [[(r * (ONE - t.mass), [t.weight(y) for y in targets])] for t in tvalues]
-        return IntegerRows(rows, len(targets))
+        return IntegerRows.of_distributions([[(r * (ONE - t.mass), t)] for t in tvalues], targets)
 
 
 def _tau_r(name: str, r: Fraction, structure_class: str = None, theorem: str = None) -> Modality:

@@ -17,6 +17,13 @@ The two composite monads are represented by their carriers on Set:
   choice over probabilistic choice).  Vertex lists are V-representations
   without hull minimization; equality is semantic, never geometric.
 
+A (sub)distribution (``DistV``) is held as positive integer numerators
+over one reduced denominator, so Kleisli composition of SUBDIST, DIST
+and CV_DIST mixes ints (``_mix_rows``), and so do the sampled draws, the
+mass checks and the rows compiled from distributions
+(``IntegerRows.of_distributions``); ``Fraction``s are built only where a
+weight leaves the class.
+
 The closed forms of the rational modalities evaluate on integers here
 (``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
 transformers, the synthesis round trip and the vertex-list equality
@@ -44,7 +51,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .core import FinSet, SizeGuardError
+from .core import FinSet, SizeGuardError, _exact
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -114,117 +121,115 @@ BOT = _Bottom()
 class DistV:
     """A finite-support rational (sub)distribution.
 
-    Weights are exact nonnegative Fractions; zero weights are dropped at
-    construction so equality and hashing see only the support.  The
+    The weights are held as positive integer numerators (``_nums``, one per
+    support point, in first-appearance order) over one integer denominator
+    (``_den``), reduced so that gcd(den, *nums) = 1.  The reduced pair is
+    unique, so equality and hashing compare ints, and composition, sampling
+    and validation run on them.  ``Fraction``s are built only where a
+    weight leaves the class: ``items``, ``items_in``, ``weight``, ``mass``,
+    ``expect``, pickling and ``repr``.  The constructor takes exact weights
+    (``Fraction``s, ints, or what ``Fraction`` parses; a float raises
+    ``TypeError``), drops zero weights and refuses negative ones.  The
     weights never change after construction, so the hash is computed once.
     """
 
-    __slots__ = ("_w", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, pairs: Iterable = ()):
-        w: dict = {}
+        scaled = []
         items = pairs.items() if isinstance(pairs, dict) else pairs
         for x, q in items:
-            q = q if isinstance(q, Fraction) else Fraction(q)
+            q = q if isinstance(q, (int, Fraction)) else _exact(q, "weight")
             if q < 0:
-                raise ValueError(f"negative weight {q} at {x!r}")
-            if q == 0:
-                continue
-            w[x] = w.get(x, ZERO) + q
-        self._w = w
-        self._hash = None
+                raise ValueError(f"negative weight {Fraction(q)} at {x!r}")
+            if q:
+                scaled.append((x, q.numerator, q.denominator))
+        den = math.lcm(*[b for _, _, b in scaled])
+        nums: dict = {}
+        for x, a, b in scaled:
+            nums[x] = nums.get(x, 0) + a * (den // b)
+        d = DistV._over(nums, den)
+        self._nums, self._den, self._hash = d._nums, d._den, None
 
     @classmethod
-    def _of_weights(cls, w: dict) -> "DistV":
-        """A DistV over a dict of positive Fraction weights, taken as is."""
+    def _over(cls, nums: dict, den: int) -> "DistV":
+        """A DistV over a dict of positive integer numerators over den,
+        divided here by gcd(den, *nums)."""
+        r = math.gcd(den, *nums.values())
+        if r != 1:
+            nums = {x: n // r for x, n in nums.items()}
+            den //= r
         d = object.__new__(cls)
-        d._w, d._hash = w, None
+        d._nums, d._den, d._hash = nums, den, None
         return d
 
     @classmethod
     def dirac(cls, x) -> "DistV":
-        return cls._of_weights({x: ONE})
+        d = object.__new__(cls)
+        d._nums, d._den, d._hash = {x: 1}, 1, None
+        return d
 
     @property
     def mass(self) -> Fraction:
-        weights = self._w.values()
-        den = math.lcm(*[q.denominator for q in weights])
-        return Fraction(sum([q.numerator * (den // q.denominator) for q in weights]), den)
+        return Fraction(sum(self._nums.values()), self._den)
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self._w)
+        return frozenset(self._nums)
 
     def weight(self, x) -> Fraction:
-        return self._w.get(x, ZERO)
+        return Fraction(self._nums.get(x, 0), self._den)
 
-    def items(self):
-        return self._w.items()
+    def items(self) -> list:
+        den = self._den
+        return [(x, Fraction(n, den)) for x, n in self._nums.items()]
 
     def items_in(self, carrier: FinSet):
         """Support items in carrier order (deterministic display)."""
-        return [(x, self._w[x]) for x in carrier.elements if x in self._w]
+        nums, den = self._nums, self._den
+        return [(x, Fraction(nums[x], den)) for x in carrier.elements if x in nums]
 
     def pushforward(self, fn) -> "DistV":
-        return DistV((fn(x), q) for x, q in self._w.items())
+        nums: dict = {}
+        for x, n in self._nums.items():
+            y = fn(x)
+            nums[y] = nums.get(y, 0) + n
+        return DistV._over(nums, self._den)
 
     @staticmethod
     def mix(weighted: Iterable) -> "DistV":
-        """Convex-style combination sum_i c_i * d_i, summed on integer
-        numerators over one common denominator (``_mix_numerators``).  A
-        c_i that is negative, or not an int or a Fraction, goes through the
-        constructor's pairs instead, which refuses a negative weight."""
-        terms = list(weighted)
-        mixed = _mix_numerators(terms)
-        if mixed is None:
+        """Convex-style combination sum_i c_i * d_i, one integer mix
+        (``_mix_rows``) with the c_i over their common denominator.  Each
+        c_i is read as an exact weight (a float raises ``TypeError``); a
+        zero c_i adds no point, and when some c_i is negative the products
+        go through the constructor's pairs, which refuses a negative weight."""
+        terms = [(c if isinstance(c, (int, Fraction)) else _exact(c, "weight"), d) for c, d in weighted]
+        if any(c < 0 for c, _ in terms):
             return DistV((x, c * q) for c, d in terms for x, q in d.items())
-        nums, den = mixed
-        return DistV._of_weights({x: Fraction(n, den) for x, n in nums.items()})
+        terms = [(c, d) for c, d in terms if c]
+        den = math.lcm(*[c.denominator for c, _ in terms])
+        return _mix_rows([c.numerator * (den // c.denominator) for c, _ in terms], den, [d for _, d in terms])
 
     def expect(self, fn) -> Fraction:
-        return sum((q * fn(x) for x, q in self._w.items()), ZERO)
+        return sum((n * fn(x) for x, n in self._nums.items()), ZERO) / self._den
 
     def __eq__(self, other):
-        return isinstance(other, DistV) and self._w == other._w
+        return isinstance(other, DistV) and self._den == other._den and self._nums == other._nums
 
     def __reduce__(self):
-        # the constructor rebuilds the weights; a cached string hash is
+        # the constructor rebuilds the pair; a cached string hash is
         # salted per process, so it is not carried along
-        return DistV, (self._w,)
+        return DistV, (dict(self.items()),)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            # weights are normalized Fractions, so equal ones have equal
-            # terms, and hashing two ints costs less than hashing a Fraction
-            h = self._hash = hash(frozenset((x, q.numerator, q.denominator) for x, q in self._w.items()))
+            h = self._hash = hash((self._den, frozenset(self._nums.items())))
         return h
 
     def __repr__(self):
-        inner = " + ".join(f"{q}*{x!r}" for x, q in self._w.items())
+        inner = " + ".join(f"{q}*{x!r}" for x, q in self.items())
         return f"DistV({inner or '0'})"
-
-
-def _mix_numerators(terms: Sequence) -> tuple | None:
-    """sum c * d over (c, d) as integers: per point, in first-appearance
-    order, its numerator over the lcm of the products' denominators, and
-    that lcm.  A zero c adds no point.  None when some c is negative, or
-    not an int or a Fraction."""
-    scaled = []
-    for c, d in terms:
-        if not isinstance(c, (int, Fraction)):
-            return None
-        a, b = c.numerator, c.denominator
-        if a < 0:
-            return None
-        if a:
-            for x, q in d.items():
-                scaled.append((x, a * q.numerator, b * q.denominator))
-    den = math.lcm(*[b for _, _, b in scaled])
-    nums: dict = {}
-    for x, n, b in scaled:
-        nums[x] = nums.get(x, 0) + n * (den // b)
-    return nums, den
 
 
 def up_closure(family: Iterable, universe) -> frozenset:
@@ -274,13 +279,13 @@ def _validate_value(kind: MonadKind, target: FinSet, value):
         return v
     if kind in (MonadKind.SUBDIST, MonadKind.DIST):
         v = value if isinstance(value, DistV) else DistV(value)
-        for y in v._w:
+        for y in v._nums:
             target.index(y)
-        m = v.mass
-        if m > 1:
-            raise ValueError(f"row mass {m} exceeds one")
-        if kind == MonadKind.DIST and m != 1:
-            raise ValueError(f"DIST row mass must equal one, got {m}")
+        m = sum(v._nums.values())
+        if m > v._den:
+            raise ValueError(f"row mass {v.mass} exceeds one")
+        if kind == MonadKind.DIST and m != v._den:
+            raise ValueError(f"DIST row mass must equal one, got {v.mass}")
         return v
     if kind == MonadKind.UP_POWERSET:
         fam = frozenset(frozenset(s) for s in value)
@@ -294,9 +299,9 @@ def _validate_value(kind: MonadKind, target: FinSet, value):
         checked = []
         for d in value:
             d = d if isinstance(d, DistV) else DistV(d)
-            if d.mass != 1:
+            if sum(d._nums.values()) != d._den:
                 raise ValueError(f"CV_DIST vertex mass must equal one, got {d.mass}")
-            for y in d._w:
+            for y in d._nums:
                 target.index(y)
             checked.append(d)
         vs = dedup_vertices(checked)
@@ -387,7 +392,8 @@ def _compose_value(kind: MonadKind, value, g: KleisliArrow):
             out |= frozenset((BOT,)) if y is BOT else g.row(y)
         return frozenset(out)
     if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return DistV.mix((q, g.row(y)) for y, q in value.items())
+        nums = value._nums
+        return _mix_rows(list(nums.values()), value._den, [g.row(y) for y in nums])
     if kind == MonadKind.UP_POWERSET:
         # (g.f)(x) = {W : {y : W in g(y)} in f(x)}, derived from the
         # composite-monad adjunction and validated by check_monad_laws.
@@ -400,22 +406,29 @@ def _compose_value(kind: MonadKind, value, g: KleisliArrow):
                 fam.add(w)
         return frozenset(fam)
     if kind == MonadKind.CV_DIST:
-        # each vertex is a mix of g's vertices by the positive Fraction
-        # weights of one of the value's, which _mix_numerators takes; equal
-        # vertices are dropped on their reduced integer weights, before any
-        # DistV is built, and the first of them is kept
-        verts = {}
+        # each vertex is a mix of g's vertices by the weights of one of the
+        # value's, in g's source order; equal vertices are one reduced
+        # DistV, and the first of them is kept
+        verts: dict = {}
         for mu in value:
-            supp = sorted(mu._w, key=g.source.index)
-            weights = [mu._w[y] for y in supp]
-            for choice in itertools.product(*(g.row(y) for y in supp)):
-                nums, den = _mix_numerators(list(zip(weights, choice)))
-                r = math.gcd(den, *nums.values())
-                key = (den // r, frozenset((x, n // r) for x, n in nums.items()))
-                if key not in verts:
-                    verts[key] = DistV._of_weights({x: Fraction(n, den) for x, n in nums.items()})
-        return tuple(verts.values())
+            supp = sorted(mu._nums, key=g.source.index)
+            weights = [mu._nums[y] for y in supp]
+            for choice in itertools.product(*[g.row(y) for y in supp]):
+                verts.setdefault(_mix_rows(weights, mu._den, choice))
+        return tuple(verts)
     raise ValueError(f"unknown monad kind {kind!r}")
+
+
+def _mix_rows(weights: Sequence[int], den: int, rows: Sequence[DistV]) -> DistV:
+    """sum_i weights[i] / den * rows[i] as one integer mix over
+    lcm(den of each row) * den, its points in first-appearance order."""
+    lcm = math.lcm(*[d._den for d in rows])
+    nums: dict = {}
+    for a, d in zip(weights, rows):
+        k = a * (lcm // d._den)
+        for z, n in d._nums.items():
+            nums[z] = nums.get(z, 0) + k * n
+    return DistV._over(nums, lcm * den)
 
 
 def kleisli_compose(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
@@ -542,18 +555,16 @@ def random_tvalue(kind: MonadKind, rng: Random, target: FinSet, max_den: int = 1
     if kind in (MonadKind.SUBDIST, MonadKind.DIST):
         den = rng.choice([d for d in _DENOMS if d <= max_den])
         remaining = den
-        order = elems[:]
-        rng.shuffle(order)
-        weights = {}
-        for i, x in enumerate(order):
-            if kind == MonadKind.DIST and i == len(order) - 1:
-                num = remaining
-            else:
-                num = rng.randint(0, remaining)
+        rng.shuffle(elems)
+        # a distribution's last point takes the rest of the mass
+        last = len(elems) - 1 if kind == MonadKind.DIST else -1
+        nums = {}
+        for i, x in enumerate(elems):
+            num = remaining if i == last else rng.randint(0, remaining)
             if num:
-                weights[x] = Fraction(num, den)
+                nums[x] = num
             remaining -= num
-        return DistV._of_weights(weights)
+        return DistV._over(nums, den)
     if kind == MonadKind.UP_POWERSET:
         subsets = enumerate_tvalues(MonadKind.POWERSET, target)
         gens = [s for s in subsets if rng.random() < 0.3]
@@ -611,6 +622,27 @@ class IntegerRows:
             [tuple([(scaled(c0), tuple([scaled(c) for c in cs])) for c0, cs in verts]) for verts in rows]
         )
 
+    @classmethod
+    def _of_ints(cls, rows: tuple, den: int, width: int) -> "IntegerRows":
+        """Rows already scaled to integers over den, taken as they are."""
+        out = cls.__new__(cls)
+        out.rows, out.den, out.width = rows, den, width
+        return out
+
+    @classmethod
+    def of_distributions(cls, rows: Sequence, targets: Sequence) -> "IntegerRows":
+        """Rows whose coefficients are distributions: per output, its vertex
+        rows (offset, mu) with a Fraction offset and mu's weights at
+        ``targets``, scaled from mu's numerators with no Fraction per
+        weight.  The denominator is the lcm of the offsets' and the mus'
+        reduced denominators, as the constructor would find it."""
+        den = math.lcm(*[math.lcm(c0.denominator, mu._den) for verts in rows for c0, mu in verts])
+        scaled = lambda mu: tuple([mu._nums.get(y, 0) * (den // mu._den) for y in targets])
+        out = [
+            tuple([(c0.numerator * (den // c0.denominator), scaled(mu)) for c0, mu in verts]) for verts in rows
+        ]
+        return cls._of_ints(tuple(out), den, len(targets))
+
     def ints(self, values: Sequence[int], one: int) -> tuple:
         """The outputs at a predicate given over one, as integers over
         one * den, and one * den."""
@@ -663,9 +695,7 @@ class IntegerRows:
                             acc[z] += c * d
                     composite.append((off, tuple(acc)))
             out.append(tuple(composite))
-        rows = IntegerRows.__new__(IntegerRows)
-        rows.rows, rows.den, rows.width = tuple(out), outer.den * den, width
-        return rows
+        return IntegerRows._of_ints(tuple(out), outer.den * den, width)
 
     def _same_bounded_rows(self, other: "IntegerRows") -> bool:
         """Whether both give the same outputs and raise at no point in
@@ -732,10 +762,9 @@ def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:
     one vertex row (no offset) per distribution, over ``targets``.  A
     vertex with weight outside ``targets`` raises ``ValueError``."""
     known = frozenset(targets)
-    if not all(known.issuperset(mu._w) for t in tvalues for mu in t):
+    if not all(known.issuperset(mu._nums) for t in tvalues for mu in t):
         raise ValueError("a vertex puts weight outside the carrier")
-    rows = [[(ZERO, [mu.weight(y) for y in targets]) for mu in t] for t in tvalues]
-    return IntegerRows(rows, len(targets))
+    return IntegerRows.of_distributions([[(ZERO, mu) for mu in t] for t in tvalues], targets)
 
 
 @dataclass(frozen=True)

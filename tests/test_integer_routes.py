@@ -21,6 +21,7 @@ rules; the clipper core and its Fraction front end ``_clip_region`` are
 checked against the Fraction clipper they replaced.
 """
 
+import itertools
 import math
 from fractions import Fraction as F
 from random import Random
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 from wpbench import monads, semantics, synthesis
 from wpbench.core import FinSet, SizeGuardError
 from wpbench.healthiness import ProbeGrid
-from wpbench.modalities import builtin_modality
+from wpbench.modalities import TauR, builtin_modality
 from wpbench.monads import (
     DistV,
     IntegerRows,
@@ -43,6 +44,7 @@ from wpbench.monads import (
     cv_values_equal,
     dedup_vertices,
     random_arrow,
+    random_tvalue,
 )
 from wpbench.semantics import RationalTransformer, pt_modality
 from wpbench.synthesis import (
@@ -799,3 +801,77 @@ def test_healthy_closed_form_functoriality_compares_no_point(integer_calls, name
             verdict = semantics.check_functoriality(mod, f, g)
             assert verdict.is_healthy and verdict.checked > 100
     assert not integer_calls
+
+
+def fraction_mix(weighted):
+    """sum c * d as a dict of Fraction weights, in first-appearance order:
+    the composition's mix as it was, one Fraction product per weight."""
+    w = {}
+    for c, d in weighted:
+        for z, q in d.items():
+            w[z] = w.get(z, ZERO) + c * q
+    return w
+
+
+def fraction_compose_value(kind, value, g):
+    """``monads._compose_value`` for SUBDIST, DIST and CV_DIST on Fraction
+    weights: a (sub)distribution mixes g's rows by its weights; a vertex
+    list mixes one vertex of g per support point, in g's source order, and
+    keeps the first of equal vertices."""
+    if kind != MonadKind.CV_DIST:
+        return list(fraction_mix((q, g.row(y)) for y, q in value.items()).items())
+    verts = []
+    for mu in value:
+        supp = sorted(mu.support, key=g.source.index)
+        for choice in itertools.product(*(g.row(y) for y in supp)):
+            v = list(fraction_mix((mu.weight(y), nu) for y, nu in zip(supp, choice)).items())
+            if all(dict(v) != dict(u) for u in verts):
+                verts.append(v)
+    return verts
+
+
+@pytest.mark.parametrize("kind", (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST))
+def test_integer_composition_matches_the_fraction_mix(kind):
+    # same points, weights and order; for CV_DIST the same vertices in the
+    # same order, each with its points in the same order
+    rng = Random(28)
+    for nx, ny, nz in itertools.product(SIZES, repeat=3):
+        Xc = FinSet("X", tuple(f"x{k}" for k in range(nx)))
+        Y, Z = _carrier(ny), FinSet("Z", tuple(f"z{k}" for k in range(nz)))
+        for _ in range(3):
+            f, g = random_arrow(kind, rng, Xc, Y), random_arrow(kind, rng, Y, Z)
+            for value, row in zip(f.rows, monads.kleisli_compose(f, g).rows):
+                expected = fraction_compose_value(kind, value, g)
+                if kind == MonadKind.CV_DIST:
+                    assert [list(v.items()) for v in row] == expected
+                else:
+                    assert list(row.items()) == expected
+
+
+# (status, checked) of check_monad_laws at seeds 0-19 on carriers of sizes
+# (1, 2), as the Fraction-weighted composition gave them
+LAW_VERDICTS = {kind: [("healthy", 200)] * 20 for kind in ("subdist", "dist", "cv_dist")}
+
+
+@pytest.mark.parametrize("kind", sorted(LAW_VERDICTS))
+def test_sampled_monad_laws_keep_their_verdicts(kind):
+    carriers = [FinSet("A", ("a0",)), FinSet("B", ("b0", "b1"))]
+    got = [monads.check_monad_laws(kind, carriers, seed=s) for s in range(20)]
+    assert [(v.status, v.checked) for v in got] == LAW_VERDICTS[kind]
+
+
+def test_distribution_rows_match_the_fraction_compile():
+    # vertex_rows and tau_r's rows read the numerators; the constructor
+    # scales the same weights given as Fractions to the same rows and den
+    rng = Random(29)
+    tau = TauR(F(1, 3))
+    for n in SIZES:
+        Y = _carrier(n)
+        ts = [random_tvalue(MonadKind.CV_DIST, rng, Y) for _ in range(4)]
+        got = monads.vertex_rows(ts, Y.elements)
+        want = IntegerRows([[(ZERO, [mu.weight(y) for y in Y]) for mu in t] for t in ts], n)
+        assert (got.rows, got.den) == (want.rows, want.den)
+        ds = [random_tvalue(MonadKind.SUBDIST, rng, Y) for _ in range(4)]
+        got = tau.rows(ds, Y.elements)
+        want = IntegerRows([[(F(1, 3) * (ONE - d.mass), [d.weight(y) for y in Y])] for d in ds], n)
+        assert (got.rows, got.den) == (want.rows, want.den)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 from fractions import Fraction
 from random import Random
@@ -386,6 +387,61 @@ def test_distv_arithmetic():
     )
     with pytest.raises(ValueError):
         DistV({"a": F(-1, 2)})
+
+
+def test_float_weights_are_refused():
+    # Fraction(0.1) is 3602879701896397/2^55, not 1/10: a float weight
+    # raises instead of being stored inexactly
+    X, Y = FinSet("X", ("x",)), FinSet("Y", ("a", "b"))
+    with pytest.raises(TypeError, match="float"):
+        DistV({"a": 0.1})
+    with pytest.raises(TypeError, match="float"):
+        KleisliArrow("dist", X, Y, [DistV({"a": 0.3, "b": 0.7})])
+    with pytest.raises(TypeError, match="float"):
+        KleisliArrow("dist", X, Y, [{"a": 0.3, "b": 0.7}])
+    with pytest.raises(TypeError, match="float"):
+        DistV.mix([(0.5, DistV.dirac("a")), (Fraction(1, 2), DistV.dirac("b"))])
+    assert DistV({"a": "3/10", "b": Fraction(7, 10)}) == DistV({"a": Fraction(3, 10), "b": Fraction(7, 10)})
+
+
+def _is_reduced(d):
+    return d._den > 0 and all(n > 0 for n in d._nums.values()) and math.gcd(d._den, *d._nums.values()) == 1
+
+
+def test_every_route_gives_one_reduced_distv():
+    # equal, equally hashed and printed whichever route built it
+    F = Fraction
+    UV = FinSet("UV", ("u", "v"))
+    g = KleisliArrow("subdist", UV, FinSet("AB", ("a", "b")), [DistV.dirac("b"), DistV.dirac("a")])
+    routes = [
+        DistV({"b": F(2, 4), "a": F(1, 4)}),
+        DistV([("b", F(1, 4)), ("a", F(3, 12)), ("b", F(2, 8))]),
+        DistV.mix([(F(1, 2), DistV.dirac("b")), (F(1, 2), DistV({"a": F(1, 2)}))]),
+        DistV({"b1": F(1, 4), "a": F(1, 4), "b2": F(1, 4)}).pushforward(lambda x: x[0]),
+        monads._compose_value(MonadKind.SUBDIST, DistV({"u": F(1, 2), "v": F(1, 4)}), g),
+        pickle.loads(pickle.dumps(DistV({"b": F(2, 4), "a": F(1, 4)}))),
+    ]
+    for d in routes:
+        assert d == routes[0] and hash(d) == hash(routes[0]) and _is_reduced(d)
+        assert repr(d) == "DistV(1/2*'b' + 1/4*'a')"
+        assert d.items() == [("b", F(1, 2)), ("a", F(1, 4))] and d.mass == F(3, 4)
+    other_order = DistV({"a": F(1, 4), "b": F(1, 2)})
+    assert other_order == routes[0] and hash(other_order) == hash(routes[0])
+    assert repr(other_order) == "DistV(1/4*'a' + 1/2*'b')"
+    ints = [DistV({"a": 1, "b": 2}), DistV([("b", 2), ("a", 1)]), DistV({"b": F(4, 2), "a": F(3, 3)})]
+    diracs = [DistV.dirac("x"), DistV({"x": 1}), DistV([("x", F(1, 3)), ("x", F(2, 3))])]
+    for same in (ints, diracs, [DistV(), DistV({"a": 0}), DistV.mix([])]):
+        assert all(d == same[0] and hash(d) == hash(same[0]) and _is_reduced(d) for d in same)
+    assert repr(diracs[2]) == "DistV(1*'x')" and repr(DistV()) == "DistV(0)"
+
+
+@pytest.mark.parametrize("kind", (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST))
+def test_random_draws_are_valid_and_reduced(kind):
+    Y = FinSet("Y", ("y0", "y1", "y2"))
+    for seed in range(50):
+        value = random_tvalue(kind, Random(seed), Y)
+        assert _validate_value(kind, Y, value) == value
+        assert all(_is_reduced(d) for d in (value if kind == MonadKind.CV_DIST else (value,)))
 
 
 def pairs_mix(weighted):
