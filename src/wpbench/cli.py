@@ -14,6 +14,7 @@ reported with its traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -22,7 +23,7 @@ import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import DEFAULT_ENUM_GUARD, FinSet, SizeGuardError, format_rational, parse_rational
+from .core import DEFAULT_ENUM_GUARD, FinSet, SizeGuardError, format_rational
 from .healthiness import _CLASSES, CONDITIONS, ProbeGrid, run_condition
 from .modalities import (
     INSTANCES,
@@ -31,17 +32,16 @@ from .modalities import (
     lifting_check,
 )
 from .monads import (
-    BOT,
-    DistV,
+    MONADS,
     KleisliArrow,
     MonadKind,
+    RowError,
     check_monad_laws,
     check_monad_map_laws,
-    is_up_closed,
+    read_weight,
     sigma_prime_spec,
     sigma_spec,
     support_map_spec,
-    up_closure,
 )
 from .semantics import (
     BooleanTransformer,
@@ -114,14 +114,19 @@ class SpecDocument:
         return ProbeGrid.explicit(domain, tuples, scalars, seed=self.seed)
 
 
-def _rat(value, path: str) -> Fraction:
+@contextlib.contextmanager
+def _row_errors(path: str):
+    """A RowError inside, as the SpecError of its code at path followed by
+    the path of the fault inside the row."""
     try:
-        q = parse_rational(value)
-    except (ValueError, TypeError) as exc:
-        raise SpecError("E_RAT", str(exc), path) from None
-    if not (0 <= q <= 1):
-        raise SpecError("E_RAT", f"value {q} outside [0, 1]", path)
-    return q
+        yield
+    except RowError as exc:
+        raise SpecError(exc.code, str(exc), path + exc.path) from None
+
+
+def _rat(value, path: str) -> Fraction:
+    with _row_errors(path):
+        return read_weight(value)
 
 
 def _modality(name, path: str):
@@ -168,80 +173,6 @@ def _resolve_set(sets: dict, name, path: str) -> FinSet:
     return sets[name]
 
 
-def _parse_row(kind: MonadKind, target: FinSet, raw, path: str):
-    if kind == MonadKind.POWERSET:
-        if not isinstance(raw, list):
-            raise SpecError("E_ROWS", "powerset row must be a list of labels", path)
-        return frozenset(_check_label(target, x, path) for x in raw)
-    if kind == MonadKind.LIFT_POWERSET:
-        if isinstance(raw, list):
-            elems, bottom = raw, False
-        elif isinstance(raw, dict):
-            elems = _list(raw.get("elements", []), "lifted row elements", f"{path}.elements")
-            bottom = bool(raw.get("bottom", False))
-        else:
-            raise SpecError("E_ROWS", "lifted row must be a list or {elements, bottom}", path)
-        row = {_check_label(target, x, path) for x in elems}
-        if bottom:
-            row.add(BOT)
-        if not row:
-            raise SpecError("E_ROWS", "lifted row must be nonempty", path)
-        return frozenset(row)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        if not isinstance(raw, dict):
-            raise SpecError("E_ROWS", "distribution row must map labels to rationals", path)
-        pairs = []
-        for y, q in raw.items():
-            _check_label(target, y, path)
-            pairs.append((y, _rat(q, f"{path}.{y}")))
-        d = DistV(pairs)
-        if d.mass > 1:
-            raise SpecError("E_MASS", f"mass {d.mass} exceeds one", path)
-        if kind == MonadKind.DIST and d.mass != 1:
-            raise SpecError("E_MASS", f"distribution mass must equal one, got {d.mass}", path)
-        return d
-    if kind == MonadKind.UP_POWERSET:
-        if isinstance(raw, dict) and "generators" in raw:
-            where = f"{path}.generators"
-            gens = [
-                frozenset(_check_label(target, x, where) for x in _list(s, "a generator", where))
-                for s in _list(raw["generators"], "generators", where)
-            ]
-            return up_closure(gens, target)
-        if isinstance(raw, list):
-            fam = frozenset(
-                frozenset(_check_label(target, x, path) for x in _list(s, "a family member", path))
-                for s in raw
-            )
-            if not is_up_closed(fam, target):
-                raise SpecError("E_UPCLOSED", "family is not up-closed (or use generators)", path)
-            return fam
-        raise SpecError("E_ROWS", "up-closed row must be a list of lists or {generators}", path)
-    if kind == MonadKind.CV_DIST:
-        if not isinstance(raw, list) or not raw:
-            raise SpecError("E_ROWS", "polytope row must be a nonempty list of vertices", path)
-        vertices = []
-        for k, v in enumerate(raw):
-            if not isinstance(v, dict):
-                raise SpecError("E_ROWS", "each vertex maps labels to rationals", f"{path}[{k}]")
-            pairs = [(y, _rat(q, f"{path}[{k}].{y}")) for y, q in v.items()]
-            for y, _ in pairs:
-                _check_label(target, y, f"{path}[{k}]")
-            d = DistV(pairs)
-            if d.mass != 1:
-                raise SpecError("E_MASS", f"vertex mass must equal one, got {d.mass}", f"{path}[{k}]")
-            vertices.append(d)
-        return tuple(vertices)
-    raise SpecError("E_SCHEMA", f"unknown monad kind {kind!r}", path)
-
-
-def _check_label(target: FinSet, x, path: str) -> str:
-    x = str(x)
-    if x not in target:
-        raise SpecError("E_SET", f"label {x!r} is not in set {target.name!r}", path)
-    return x
-
-
 def _parse_computation(obj, sets: dict, path: str) -> KleisliArrow:
     if not isinstance(obj, dict):
         raise SpecError("E_SCHEMA", "computation must be an object", path)
@@ -268,13 +199,11 @@ def _parse_computation(obj, sets: dict, path: str) -> KleisliArrow:
     extra = [x for x in raw_rows if x not in source]
     if extra:
         raise SpecError("E_ROWS", f"rows for unknown labels {extra}", f"{path}.rows")
-    rows = [
-        _parse_row(kind, target, raw_rows[x], f"{path}.rows.{x}") for x in source.elements
-    ]
-    try:
-        return KleisliArrow(kind, source, target, rows)
-    except ValueError as exc:
-        raise SpecError("E_ROWS", str(exc), f"{path}.rows") from None
+    monad, rows = MONADS[kind], []
+    for x in source.elements:
+        with _row_errors(f"{path}.rows.{x}"):
+            rows.append(monad.from_json(raw_rows[x], target))
+    return KleisliArrow._of_valid_rows(kind, source, target, tuple(rows))
 
 
 def _mask_from_bits(bits: str, carrier: FinSet, path: str) -> int:
@@ -390,24 +319,8 @@ def parse_spec(text: str) -> SpecDocument:
 # Serialization (synth output re-parses as wp input)
 
 
-def _row_to_json(kind: MonadKind, row, target: FinSet):
-    if kind == MonadKind.POWERSET:
-        return sorted(row, key=target.index)
-    if kind == MonadKind.LIFT_POWERSET:
-        return {
-            "elements": sorted((y for y in row if y is not BOT), key=target.index),
-            "bottom": BOT in row,
-        }
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return {y: format_rational(q) for y, q in row.items_in(target)}
-    if kind == MonadKind.UP_POWERSET:
-        return [sorted(s, key=target.index) for s in sorted(row, key=lambda s: (len(s), sorted(map(target.index, s))))]
-    if kind == MonadKind.CV_DIST:
-        return [{y: format_rational(q) for y, q in v.items_in(target)} for v in row]
-    raise ValueError(kind)
-
-
 def computation_to_json(arrow: KleisliArrow) -> dict:
+    to_json = MONADS[arrow.kind].to_json
     return {
         "sets": {
             arrow.source.name: list(arrow.source.elements),
@@ -417,10 +330,7 @@ def computation_to_json(arrow: KleisliArrow) -> dict:
             "monad": arrow.kind.value,
             "source": arrow.source.name,
             "target": arrow.target.name,
-            "rows": {
-                x: _row_to_json(arrow.kind, arrow.row(x), arrow.target)
-                for x in arrow.source.elements
-            },
+            "rows": {x: to_json(arrow.row(x), arrow.target) for x in arrow.source.elements},
         },
     }
 
@@ -585,7 +495,9 @@ def _cmd_roundtrip(args) -> int:
         message = f"instance {instance!r} expects {INSTANCES[instance].monad}"
         raise SpecError("E_MODALITY", f"{message}, got {doc.computation.kind}")
     grid = None
-    if doc.computation.kind in (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST):
+    if MONADS[doc.computation.kind].tvalues is None:
+        # a monad whose T-values are not enumerable is a rational one, whose
+        # round trip compares on a probe grid
         grid = doc.grid_for(doc.computation.target, args.max_enum)
     try:
         verdict = roundtrip_verify(doc.computation, instance, grid)
@@ -619,16 +531,9 @@ def _cmd_laws(args) -> int:
     for kind in kinds:
         verdict = check_monad_laws(kind, carriers, seed=args.seed, max_enum=args.max_enum)
         record(f"monad {kind.value}", verdict)
-    if args.monad is None or args.monad == "powerset":
-        record("monad-map sigma", check_monad_map_laws(sigma_spec(), carriers, seed=args.seed))
-        record(
-            "monad-map sigma_prime",
-            check_monad_map_laws(sigma_prime_spec(), carriers, seed=args.seed),
-        )
-    if args.monad is None or args.monad == "dist":
-        record(
-            "monad-map support", check_monad_map_laws(support_map_spec(), carriers, seed=args.seed)
-        )
+    for spec in (sigma_spec(), sigma_prime_spec(), support_map_spec()):
+        if args.monad in (None, spec.source.value):
+            record(f"monad-map {spec.name}", check_monad_map_laws(spec, carriers, seed=args.seed))
     if args.modality:
         mod = _modality(args.modality, "--modality")
         record(f"algebra {mod.name}", check_algebra_laws(mod, seed=args.seed))

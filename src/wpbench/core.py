@@ -11,6 +11,7 @@ any enumeration produce identical streams.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -20,6 +21,7 @@ __all__ = [
     "SizeGuardError",
     "DEFAULT_ENUM_GUARD",
     "parse_rational",
+    "is_rational",
     "format_rational",
     "enumerate_transformer_tables",
     "count_transformers",
@@ -81,22 +83,32 @@ def _exact(v, what: str = "probe value") -> Fraction:
     return Fraction(v)
 
 
+def _int_literal(text: str) -> bool:
+    """Whether int() reads text: a sign, then decimal digits with single
+    underscores between them, within the interpreter's digit limit."""
+    text = text.strip()
+    parts = (text[1:] if text[:1] in "+-" else text).split("_")
+    limit = sys.get_int_max_str_digits()
+    return all(p.isdecimal() for p in parts) and not (limit and sum(map(len, parts)) > limit)
+
+
+def is_rational(text) -> bool:
+    """Whether ``parse_rational`` reads text: an int, a Fraction, or "k" or
+    "p/q" with q > 0 (decided without raising)."""
+    if isinstance(text, (int, Fraction)):
+        return True
+    num, slash, den = str(text).strip().partition("/")
+    return _int_literal(num) and (not slash or _int_literal(den) and int(den) > 0)
+
+
 def parse_rational(text) -> Fraction:
     """Parse "p/q" or "k" into an exact Fraction; q must be positive."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
+    if not is_rational(text):
+        raise ValueError(f"{text!r} is not an integer k or a rational p/q with q > 0")
+    if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    s = str(text).strip()
-    if "/" in s:
-        num, _, den = s.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError("zero denominator")
-        if d < 0:
-            raise ValueError("denominator must be positive")
-        return Fraction(int(num), d)
-    return Fraction(int(s))
+    num, _, den = str(text).strip().partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_rational(q: Fraction) -> str:

@@ -29,7 +29,7 @@ from .modalities import (
     builtin_modality,
     check_dense,
 )
-from .monads import Lattice, support
+from .monads import MONADS, Lattice
 from .semantics import BooleanTransformer, MissingProbeError, RationalTransformer
 from .verdicts import Verdict, Witness, register_law
 
@@ -316,7 +316,7 @@ def _support(phi, x, grid, values: dict) -> frozenset:
         return frozenset(phi.source.elements[j] for j in sorted(relevant))
 
     if phi.arrow is not None:
-        return support(phi.arrow.kind, phi.arrow.row(x))
+        return MONADS[phi.arrow.kind].support(phi.arrow.row(x))
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     xi = phi.target.index(x)
     value = lambda p: values[p] if p in values else values.setdefault(p, phi.apply_values(p))

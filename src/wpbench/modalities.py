@@ -35,16 +35,10 @@ from .monads import (
     ContinuationTarget,
     IntegerRows,
     KleisliArrow,
+    MONADS,
     Lattice,
     MonadKind,
     MonadMapSpec,
-    _compose_value,
-    enumerate_tvalues,
-    is_enumerable,
-    mult_value,
-    random_tvalue,
-    support,
-    unit_value,
     vertex_rows,
 )
 from .verdicts import Verdict, Witness, register_law
@@ -281,9 +275,10 @@ def monad_map_to_algebra(spec: MonadMapSpec, name: str | None = None) -> Modalit
     if not isinstance(spec.target, ContinuationTarget):
         raise ValueError("only continuation-target monad maps correspond to modalities")
     carrier = BOOLEAN if type(spec.target) is ContinuationTarget else RATIONAL
+    support = MONADS[spec.source].support
 
     def evaluate(tvalue, f):
-        return spec.at(tuple(support(spec.source, tvalue)), tvalue)(f)
+        return spec.at(tuple(support(tvalue)), tvalue)(f)
 
     return Modality(name or f"alg[{spec.name}]", spec.source, carrier, None, evaluate)
 
@@ -295,12 +290,12 @@ def monad_map_to_algebra(spec: MonadMapSpec, name: str | None = None) -> Modalit
 def _law_alg_unit(mod, args):
     A, x, f_table = args["carrier"], args["x"], args["f"]
     f = lambda a: f_table[a]
-    return mod.evaluate(unit_value(mod.monad, A, x), f), f(x)
+    return mod.evaluate(MONADS[mod.monad].unit(A, x), f), f(x)
 
 
 def _law_alg_mult(mod, args):
     t, g = args["t"], args["g"]
-    extended = _compose_value(mod.monad, t, g)
+    extended = MONADS[g.kind].extend(t, g)
     lhs = mod.evaluate(extended, lambda v: v)
     rhs = mod.evaluate(t, lambda a: mod.evaluate(g.row(a), lambda v: v))
     return lhs, rhs
@@ -329,7 +324,8 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
     rng = Random(seed)
     values = _BOOL_VALUES if mod.carrier == BOOLEAN else _RAT_VALUES
     omega = _omega_carrier(values)
-    enumerable = is_enumerable(mod.monad)
+    monad = MONADS[mod.monad]
+    enumerable = monad.tvalues is not None
 
     A = FinSet("a", ("a0", "a1"))
     valuations = [dict(zip(A.elements, vals)) for vals in itertools.product(values, repeat=len(A))]
@@ -344,8 +340,8 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
                 return Verdict.unhealthy(Witness("algebra.unit", args, lhs, rhs), checked)
 
     if enumerable:
-        ts = enumerate_tvalues(mod.monad, A)
-        rows = enumerate_tvalues(mod.monad, omega)
+        ts = monad.tvalues(A)
+        rows = monad.tvalues(omega)
         if len(rows) ** len(A) > 4096:
             raise SizeGuardError("algebra-law sweep too large; lower the carrier size")
         gs = [
@@ -353,11 +349,9 @@ def check_algebra_laws(mod: Modality, sample_depth: int = 60, seed: int = 7) -> 
             for pair in itertools.product(rows, repeat=len(A))
         ]
     else:
-        ts = [random_tvalue(mod.monad, rng, A) for _ in range(sample_depth)]
+        ts = [monad.sample(rng, A) for _ in range(sample_depth)]
         gs = [
-            KleisliArrow(
-                mod.monad, A, omega, [random_tvalue(mod.monad, rng, omega) for _ in range(len(A))]
-            )
+            KleisliArrow(mod.monad, A, omega, [monad.sample(rng, omega) for _ in range(len(A))])
             for _ in range(sample_depth)
         ]
     for t in ts:
@@ -1032,12 +1026,13 @@ def lifting_check(
         raise ValueError("n_max must be at least 1")
     checked = 0
     rng = Random(seed)
+    monad = MONADS[mod.monad]
     for n in range(1, n_max + 1):
         X = FinSet(f"n{n}", tuple(f"e{i}" for i in range(n)))
-        if is_enumerable(mod.monad):
-            ts = enumerate_tvalues(mod.monad, X)
+        if monad.tvalues is not None:
+            ts = monad.tvalues(X)
         else:
-            ts = [random_tvalue(mod.monad, rng, X, _SAMPLE_MAX_DEN) for _ in range(samples_per_n)]
+            ts = [monad.sample(rng, X, _SAMPLE_MAX_DEN) for _ in range(samples_per_n)]
         if cls.carrier == RATIONAL:
             preds = _rational_probe_tuples(n, seed + n)
             lattice = Lattice.of(preds, DEFAULT_SCALARS)
@@ -1082,11 +1077,11 @@ class FiniteAlgebra:
 def free_algebra(kind: MonadKind, generators: FinSet) -> FiniteAlgebra:
     """The free algebra T(Y) with multiplication as its structure map."""
     kind = MonadKind(kind)
-    values = enumerate_tvalues(kind, generators)
-    carrier = FinSet(f"free[{generators.name}]", tuple(values))
-    if kind not in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
+    monad = MONADS[kind]
+    if monad.tvalues is None or monad.mult is None:
         raise SizeGuardError("free algebras are materialized only for enumerable monads")
-    return FiniteAlgebra(carrier.name, kind, carrier, functools.partial(mult_value, kind))
+    carrier = FinSet(f"free[{generators.name}]", tuple(monad.tvalues(generators)))
+    return FiniteAlgebra(carrier.name, kind, carrier, monad.mult)
 
 
 def omega_algebra(mod: Modality) -> FiniteAlgebra:
@@ -1106,14 +1101,15 @@ def enumerate_algebra_morphisms(
     for every T-value t over the algebra's carrier (the equalizer of the
     two canonical maps, at finite scale).
     """
-    if mod.monad not in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
+    monad = MONADS[mod.monad]
+    if monad.tvalues is None or monad.mult is None:
         raise SizeGuardError("algebra morphisms are enumerated for enumerable monads only")
     if mod.carrier != BOOLEAN:
         raise SizeGuardError("morphism enumeration needs the Boolean truth carrier")
     carrier = algebra.carrier
     if 2 ** len(carrier) > max_enum:
         raise SizeGuardError("function space exceeds the enumeration guard")
-    tvalues = enumerate_tvalues(algebra.kind, carrier, max_enum)
+    tvalues = MONADS[algebra.kind].tvalues(carrier, max_enum)
     out = []
     for bits in itertools.product((0, 1), repeat=len(carrier)):
         h = dict(zip(carrier.elements, bits))

@@ -1,9 +1,14 @@
 """Concrete finite representations of the six branching monads.
 
-Each monad is given by a row representation for Kleisli arrows, a unit,
-and a Kleisli composition.  Law suites (unit/associativity, and the
-monad-map laws of natural transformations into continuation-like or
-concrete monads) are executable and return witnessed verdicts.
+Each monad is one row of the table ``MONADS`` (a frozen ``Monad`` per
+``MonadKind``, in ``MonadKind`` order), read once per arrow or call.  A
+row holds the validator of one T-value (raising a coded ``RowError``),
+the unit, the Kleisli extension, the support, the T-values (None where
+not enumerable), the sampler, fmap and mult (None where undefined), the
+empty T-value, value equality and the JSON codec (``read_json`` checks a
+row document's shape; ``from_json`` validates what it reads).  Law suites
+(unit/associativity, and the monad-map laws of natural transformations
+into continuation-like or concrete monads) return witnessed verdicts.
 
 The two composite monads are represented by their carriers on Set:
 
@@ -42,6 +47,7 @@ lists; the integer paths allocate too few tracked objects to trigger one.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -51,7 +57,7 @@ from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .core import FinSet, SizeGuardError, _exact
+from .core import FinSet, SizeGuardError, _exact, format_rational, is_rational, parse_rational
 from .verdicts import Verdict, Witness, register_law
 
 __all__ = [
@@ -60,18 +66,15 @@ __all__ = [
     "DistV",
     "KleisliArrow",
     "MonadMapSpec",
+    "Monad",
+    "MONADS",
+    "RowError",
     "unit",
-    "unit_value",
     "kleisli_compose",
     "up_closure",
     "is_up_closed",
     "dedup_vertices",
-    "enumerate_tvalues",
     "enumerate_arrows",
-    "is_enumerable",
-    "has_tvalues",
-    "support",
-    "random_tvalue",
     "random_arrow",
     "check_monad_laws",
     "check_monad_map_laws",
@@ -79,8 +82,6 @@ __all__ = [
     "sigma_prime_spec",
     "support_map_spec",
     "sigma_inverse",
-    "fmap_value",
-    "mult_value",
     "ContinuationTarget",
     "KindTarget",
 ]
@@ -254,61 +255,25 @@ def is_up_closed(family: frozenset, universe) -> bool:
 
 
 def dedup_vertices(vertices: Iterable[DistV]) -> tuple:
-    seen = set()
-    out = []
-    for v in vertices:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+    return tuple(dict.fromkeys(vertices))
 
 
-def _validate_value(kind: MonadKind, target: FinSet, value):
-    if kind == MonadKind.POWERSET:
-        v = frozenset(value)
-        for y in v:
-            target.index(y)
-        return v
-    if kind == MonadKind.LIFT_POWERSET:
-        v = frozenset(value)
-        if not v:
-            raise ValueError("LIFT_POWERSET rows must be nonempty")
-        for y in v:
-            if y is not BOT:
-                target.index(y)
-        return v
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        v = value if isinstance(value, DistV) else DistV(value)
-        for y in v._nums:
-            target.index(y)
-        m = sum(v._nums.values())
-        if m > v._den:
-            raise ValueError(f"row mass {v.mass} exceeds one")
-        if kind == MonadKind.DIST and m != v._den:
-            raise ValueError(f"DIST row mass must equal one, got {v.mass}")
-        return v
-    if kind == MonadKind.UP_POWERSET:
-        fam = frozenset(frozenset(s) for s in value)
-        for s in fam:
-            for y in s:
-                target.index(y)
-        if not is_up_closed(fam, target):
-            raise ValueError("UP_POWERSET rows must be up-closed families")
-        return fam
-    if kind == MonadKind.CV_DIST:
-        checked = []
-        for d in value:
-            d = d if isinstance(d, DistV) else DistV(d)
-            if sum(d._nums.values()) != d._den:
-                raise ValueError(f"CV_DIST vertex mass must equal one, got {d.mass}")
-            for y in d._nums:
-                target.index(y)
-            checked.append(d)
-        vs = dedup_vertices(checked)
-        if not vs:
-            raise ValueError("CV_DIST rows need at least one vertex")
-        return vs
-    raise ValueError(f"unknown monad kind {kind!r}")
+class RowError(ValueError):
+    """A value that is not a T-value: a stable code (E_SET, E_ROWS, E_MASS,
+    E_UPCLOSED; E_SCHEMA, E_RAT from a JSON reader) and the path of the
+    fault inside the row ("" for the row, "[k]" for vertex k, ".y", ...)."""
+
+    def __init__(self, code: str, message: str, path: str = ""):
+        super().__init__(message)
+        self.code, self.path = code, path
+
+
+def _known(target: FinSet, labels, path: str = ""):
+    """The labels, once each is found an element of target."""
+    for y in labels:
+        if y not in target:
+            raise RowError("E_SET", f"label {y!r} is not in set {target.name!r}", path)
+    return labels
 
 
 @dataclass(frozen=True)
@@ -322,15 +287,13 @@ class KleisliArrow:
 
     def __init__(self, kind, source: FinSet, target: FinSet, rows):
         kind = MonadKind(kind)
-        if isinstance(rows, dict):
-            row_list = [rows[x] for x in source.elements]
-        else:
-            row_list = list(rows)
+        row_list = [rows[x] for x in source.elements] if isinstance(rows, dict) else list(rows)
         if len(row_list) != len(source):
             raise ValueError(
                 f"arrow needs {len(source)} rows for carrier {source.name!r}, got {len(row_list)}"
             )
-        validated = tuple([_validate_value(kind, target, r) for r in row_list])
+        validate = MONADS[kind].validate
+        validated = tuple([validate(target, r) for r in row_list])
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -339,7 +302,7 @@ class KleisliArrow:
     @classmethod
     def _of_valid_rows(cls, kind: MonadKind, source: FinSet, target: FinSet, rows: tuple):
         """An arrow whose rows are T-values over target already validated,
-        as enumerated and composed ones are."""
+        as enumerated, drawn, parsed and composed ones are."""
         arrow = object.__new__(cls)
         for field, value in zip(("kind", "source", "target", "rows"), (kind, source, target, rows)):
             object.__setattr__(arrow, field, value)
@@ -353,20 +316,6 @@ class KleisliArrow:
         return f"KleisliArrow[{self.kind}]({body})"
 
 
-def unit_value(kind: MonadKind, target: FinSet, x):
-    kind = MonadKind(kind)
-    target.index(x)
-    if kind == MonadKind.POWERSET or kind == MonadKind.LIFT_POWERSET:
-        return frozenset((x,))
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return DistV.dirac(x)
-    if kind == MonadKind.UP_POWERSET:
-        return up_closure([frozenset((x,))], target)
-    if kind == MonadKind.CV_DIST:
-        return (DistV.dirac(x),)
-    raise ValueError(f"unknown monad kind {kind!r}")
-
-
 def unit(kind: MonadKind, carrier: FinSet) -> KleisliArrow:
     """The identity arrow of the Kleisli category at the carrier, built
     once per (kind, carrier): arrows are immutable, so callers share it."""
@@ -375,48 +324,9 @@ def unit(kind: MonadKind, carrier: FinSet) -> KleisliArrow:
 
 @functools.lru_cache(maxsize=256)
 def _unit(kind: MonadKind, carrier: FinSet) -> KleisliArrow:
-    rows = tuple(unit_value(kind, carrier, x) for x in carrier)
+    eta = MONADS[kind].unit
+    rows = tuple([eta(carrier, x) for x in carrier])
     return KleisliArrow._of_valid_rows(kind, carrier, carrier, rows)
-
-
-def _compose_value(kind: MonadKind, value, g: KleisliArrow):
-    """Extend g over one T-value: the row of (g . f) at a point."""
-    if kind == MonadKind.POWERSET:
-        out = set()
-        for y in value:
-            out |= g.row(y)
-        return frozenset(out)
-    if kind == MonadKind.LIFT_POWERSET:
-        out = set()
-        for y in value:
-            out |= frozenset((BOT,)) if y is BOT else g.row(y)
-        return frozenset(out)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        nums = value._nums
-        return _mix_rows(list(nums.values()), value._den, [g.row(y) for y in nums])
-    if kind == MonadKind.UP_POWERSET:
-        # (g.f)(x) = {W : {y : W in g(y)} in f(x)}, derived from the
-        # composite-monad adjunction and validated by check_monad_laws.
-        z_elems = tuple(g.target.elements)
-        fam = set()
-        for bits in itertools.product((0, 1), repeat=len(z_elems)):
-            w = frozenset(z for z, b in zip(z_elems, bits) if b)
-            pulled = frozenset(y for y in g.source.elements if w in g.row(y))
-            if pulled in value:
-                fam.add(w)
-        return frozenset(fam)
-    if kind == MonadKind.CV_DIST:
-        # each vertex is a mix of g's vertices by the weights of one of the
-        # value's, in g's source order; equal vertices are one reduced
-        # DistV, and the first of them is kept
-        verts: dict = {}
-        for mu in value:
-            supp = sorted(mu._nums, key=g.source.index)
-            weights = [mu._nums[y] for y in supp]
-            for choice in itertools.product(*[g.row(y) for y in supp]):
-                verts.setdefault(_mix_rows(weights, mu._den, choice))
-        return tuple(verts)
-    raise ValueError(f"unknown monad kind {kind!r}")
 
 
 def _mix_rows(weights: Sequence[int], den: int, rows: Sequence[DistV]) -> DistV:
@@ -432,7 +342,8 @@ def _mix_rows(weights: Sequence[int], den: int, rows: Sequence[DistV]) -> DistV:
 
 
 def kleisli_compose(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
-    """The Kleisli composite g . f : X -> T Z of f : X -> T Y and g : Y -> T Z.
+    """The Kleisli composite g . f : X -> T Z of f : X -> T Y and g : Y -> T Z,
+    whose row at x is g extended over f(x) (``Monad.extend``).
 
     Composites of valid T-values are valid, so the rows are not validated
     again: a union of subsets is a subset, a lifted row stays nonempty, a
@@ -445,86 +356,9 @@ def kleisli_compose(f: KleisliArrow, g: KleisliArrow) -> KleisliArrow:
         raise ValueError(
             f"carrier mismatch: f targets {f.target.name!r}, g sources {g.source.name!r}"
         )
-    rows = tuple([_compose_value(f.kind, r, g) for r in f.rows])
+    extend = MONADS[f.kind].extend
+    rows = tuple([extend(r, g) for r in f.rows])
     return KleisliArrow._of_valid_rows(f.kind, f.source, g.target, rows)
-
-
-def support(kind: MonadKind, value) -> frozenset:
-    """The carrier elements one T-value mentions (bottom excluded)."""
-    kind = MonadKind(kind)
-    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-        return frozenset(y for y in value if y is not BOT)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return value.support
-    if kind == MonadKind.UP_POWERSET:
-        return frozenset().union(*value)
-    if kind == MonadKind.CV_DIST:
-        return frozenset().union(*(mu.support for mu in value))
-    raise ValueError(f"unknown monad kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Enumeration and sampling of T-values and arrows
-
-
-def is_enumerable(kind: MonadKind) -> bool:
-    """Whether every T-value over a finite carrier can be listed."""
-    return MonadKind(kind) in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET)
-
-
-def has_tvalues(kind: MonadKind, target: FinSet) -> bool:
-    """Whether T(target) is nonempty.  Only D(empty) and the convex sets of
-    distributions over it are empty, so for those monads no nonempty X has
-    an arrow X -> T(empty)."""
-    return len(target) > 0 or MonadKind(kind) not in (MonadKind.DIST, MonadKind.CV_DIST)
-
-
-def _up_closed_masks(n: int) -> list:
-    """The up-closed families over n elements, ascending, as masks whose bit
-    s stands for the subset with mask s.  Subsets are decided in descending
-    order, so a subset may join once its one-element extensions have.  The
-    search keeps its own stack: a recursive closure would leave a reference
-    cycle per call for the cyclic collector."""
-    out, stack = [], [((1 << n) - 1, 0)]
-    while stack:
-        s, fam = stack.pop()
-        if s < 0:
-            out.append(fam)
-            continue
-        stack.append((s - 1, fam))
-        if all((fam >> (s | 1 << j)) & 1 for j in range(n) if not (s >> j) & 1):
-            stack.append((s - 1, fam | 1 << s))
-    return sorted(out)
-
-
-def enumerate_tvalues(kind: MonadKind, target: FinSet, max_enum: int = 1 << 20) -> list:
-    """All T-values over a carrier, for the Boolean-enumerable monads."""
-    kind = MonadKind(kind)
-    n = len(target)
-    if kind == MonadKind.POWERSET:
-        if (1 << n) > max_enum:
-            raise SizeGuardError(f"2^{n} subsets exceed guard")
-        return [
-            frozenset(x for i, x in enumerate(target.elements) if (m >> i) & 1)
-            for m in range(1 << n)
-        ]
-    if kind == MonadKind.LIFT_POWERSET:
-        ext = tuple(target.elements) + (BOT,)
-        if (1 << len(ext)) > max_enum:
-            raise SizeGuardError("lifted subset space exceeds guard")
-        out = []
-        for m in range(1, 1 << len(ext)):
-            out.append(frozenset(x for i, x in enumerate(ext) if (m >> i) & 1))
-        return out
-    if kind == MonadKind.UP_POWERSET:
-        if n > 4 or (1 << (1 << n)) > max_enum:
-            raise SizeGuardError("up-closed family space exceeds guard")
-        subsets = enumerate_tvalues(MonadKind.POWERSET, target)
-        return [
-            frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1)
-            for m in _up_closed_masks(n)
-        ]
-    raise SizeGuardError(f"{kind} values are not enumerable; sample them instead")
 
 
 def enumerate_arrows(
@@ -532,7 +366,10 @@ def enumerate_arrows(
 ) -> Iterable[KleisliArrow]:
     """All arrows X -> T Y in canonical order (first row varies fastest)."""
     kind = MonadKind(kind)
-    values = enumerate_tvalues(kind, target, max_enum)
+    tvalues = MONADS[kind].tvalues
+    if tvalues is None:
+        raise SizeGuardError(f"{kind} values are not enumerable; sample them instead")
+    values = tvalues(target, max_enum)
     total = len(values) ** len(source)
     if total > max_enum:
         raise SizeGuardError(f"{total} arrows exceed the enumeration guard")
@@ -540,49 +377,14 @@ def enumerate_arrows(
         yield KleisliArrow._of_valid_rows(kind, source, target, rev[::-1])
 
 
-_DENOMS = (2, 3, 4, 5, 6, 8, 12, 16)
-
-
-def random_tvalue(kind: MonadKind, rng: Random, target: FinSet, max_den: int = 16):
-    kind = MonadKind(kind)
-    elems = list(target.elements)
-    if kind == MonadKind.POWERSET:
-        return frozenset(x for x in elems if rng.random() < 0.5)
-    if kind == MonadKind.LIFT_POWERSET:
-        ext = elems + [BOT]
-        pick = [x for x in ext if rng.random() < 0.5]
-        return frozenset(pick or [rng.choice(ext)])
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        den = rng.choice([d for d in _DENOMS if d <= max_den])
-        remaining = den
-        rng.shuffle(elems)
-        # a distribution's last point takes the rest of the mass
-        last = len(elems) - 1 if kind == MonadKind.DIST else -1
-        nums = {}
-        for i, x in enumerate(elems):
-            num = remaining if i == last else rng.randint(0, remaining)
-            if num:
-                nums[x] = num
-            remaining -= num
-        return DistV._over(nums, den)
-    if kind == MonadKind.UP_POWERSET:
-        subsets = enumerate_tvalues(MonadKind.POWERSET, target)
-        gens = [s for s in subsets if rng.random() < 0.3]
-        return up_closure(gens, target)
-    if kind == MonadKind.CV_DIST:
-        k = rng.randint(1, 3)
-        return dedup_vertices(
-            random_tvalue(MonadKind.DIST, rng, target, max_den) for _ in range(k)
-        )
-    raise ValueError(f"unknown monad kind {kind!r}")
-
-
 def random_arrow(
     kind: MonadKind, rng: Random, source: FinSet, target: FinSet, max_den: int = 16
 ) -> KleisliArrow:
-    return KleisliArrow(
-        kind, source, target, [random_tvalue(kind, rng, target, max_den) for _ in source]
-    )
+    """A seeded arrow; its rows are drawn valid, so they are not checked again."""
+    kind = MonadKind(kind)
+    sample = MONADS[kind].sample
+    rows = tuple([sample(rng, target, max_den) for _ in source])
+    return KleisliArrow._of_valid_rows(kind, source, target, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -856,15 +658,334 @@ def cv_values_equal(a, b, target: FinSet) -> bool:
     return _differing_point(ra, rb, _cv_probes(target.elements)[1]) is None
 
 
-def _values_equal(kind: MonadKind, a, b, target: FinSet) -> bool:
-    return cv_values_equal(a, b, target) if kind == MonadKind.CV_DIST else a == b
+# ---------------------------------------------------------------------------
+# The monad table: one row per kind
+
+
+@dataclass(frozen=True)
+class Monad:
+    """One monad, as the functions every kind-generic routine reads off it:
+    ``validate(target, value)``, ``unit(target, x)``, ``extend(value, g)``
+    (g extended over one T-value: the row of g . f where f's row is value),
+    ``support(value)``, ``sample(rng, target, max_den)``,
+    ``to_json(value, target)``, ``read_json(raw, target)``,
+    ``equal(a, b, target)`` (vertex lists compare as polytopes), and, None
+    where undefined, ``tvalues(target, max_enum)`` (every T-value, in
+    canonical order), ``fmap(fn, value)``, ``mult(value)`` and ``empty``
+    (the least T-value over the empty carrier)."""
+
+    kind: MonadKind
+    validate: Callable
+    unit: Callable
+    extend: Callable
+    support: Callable
+    sample: Callable
+    to_json: Callable
+    read_json: Callable
+    tvalues: Callable | None = None
+    fmap: Callable | None = None
+    mult: Callable | None = None
+    empty: object = None
+    equal: Callable = lambda a, b, target: a == b
+
+    def has_tvalues(self, target: FinSet) -> bool:
+        """Whether T(target) is nonempty; only T(empty) can be empty."""
+        return len(target) > 0 or self.empty is not None
+
+    def from_json(self, raw, target: FinSet):
+        """The T-value a JSON row document denotes, validated once."""
+        return self.validate(target, self.read_json(raw, target))
+
+
+def _validate_lifted(target: FinSet, value) -> frozenset:
+    v = frozenset(value)
+    _known(target, [y for y in v if y is not BOT])
+    if not v:
+        raise RowError("E_ROWS", "lifted row must be nonempty")
+    return v
+
+
+def _validate_weights(target: FinSet, value, exact: bool = False) -> DistV:
+    v = value if isinstance(value, DistV) else DistV(value)
+    _known(target, v._nums)
+    mass = sum(v._nums.values())
+    if mass > v._den:
+        raise RowError("E_MASS", f"mass {v.mass} exceeds one")
+    if exact and mass != v._den:
+        raise RowError("E_MASS", f"distribution mass must equal one, got {v.mass}")
+    return v
+
+
+def _validate_family(target: FinSet, value) -> frozenset:
+    # members are checked as they come, so a reader may hand them over lazily
+    fam = frozenset(_known(target, frozenset(s)) for s in value)
+    if not is_up_closed(fam, target):
+        raise RowError("E_UPCLOSED", "family is not up-closed")
+    return fam
+
+
+def _validate_polytope(target: FinSet, value) -> tuple:
+    # vertices are checked as they come, so a reader may hand them over lazily
+    checked = []
+    for k, d in enumerate(value):
+        d = d if isinstance(d, DistV) else DistV(d)
+        _known(target, d._nums, f"[{k}]")
+        if sum(d._nums.values()) != d._den:
+            raise RowError("E_MASS", f"vertex mass must equal one, got {d.mass}", f"[{k}]")
+        checked.append(d)
+    if not checked:
+        raise RowError("E_ROWS", "polytope row must be a nonempty list of vertices")
+    return dedup_vertices(checked)
+
+
+def _extend_set(value, g: KleisliArrow) -> frozenset:
+    out = set()
+    for y in value:
+        out |= frozenset((BOT,)) if y is BOT else g.row(y)
+    return frozenset(out)
+
+
+def _extend_family(value: frozenset, g: KleisliArrow) -> frozenset:
+    # (g.f)(x) = {W : {y : W in g(y)} in f(x)}, derived from the
+    # composite-monad adjunction and validated by check_monad_laws.
+    z_elems = tuple(g.target.elements)
+    fam = set()
+    for bits in itertools.product((0, 1), repeat=len(z_elems)):
+        w = frozenset(z for z, b in zip(z_elems, bits) if b)
+        pulled = frozenset(y for y in g.source.elements if w in g.row(y))
+        if pulled in value:
+            fam.add(w)
+    return frozenset(fam)
+
+
+def _extend_polytope(value: tuple, g: KleisliArrow) -> tuple:
+    # each vertex is a mix of g's vertices by the weights of one of the
+    # value's, in g's source order; equal vertices are one reduced DistV,
+    # and the first of them is kept
+    verts: dict = {}
+    for mu in value:
+        supp = sorted(mu._nums, key=g.source.index)
+        weights = [mu._nums[y] for y in supp]
+        for choice in itertools.product(*[g.row(y) for y in supp]):
+            verts.setdefault(_mix_rows(weights, mu._den, choice))
+    return tuple(verts)
+
+
+def _subsets(target: FinSet, max_enum: int = 1 << 20) -> list:
+    n = len(target)
+    if (1 << n) > max_enum:
+        raise SizeGuardError(f"2^{n} subsets exceed guard")
+    return [frozenset(x for i, x in enumerate(target.elements) if (m >> i) & 1) for m in range(1 << n)]
+
+
+def _up_closed_masks(n: int) -> list:
+    """The up-closed families over n elements, ascending, as masks whose bit
+    s stands for the subset with mask s.  Subsets are decided in descending
+    order, so a subset may join once its one-element extensions have.  The
+    search keeps its own stack: a recursive closure would leave a reference
+    cycle per call for the cyclic collector."""
+    out, stack = [], [((1 << n) - 1, 0)]
+    while stack:
+        s, fam = stack.pop()
+        if s < 0:
+            out.append(fam)
+            continue
+        stack.append((s - 1, fam))
+        if all((fam >> (s | 1 << j)) & 1 for j in range(n) if not (s >> j) & 1):
+            stack.append((s - 1, fam | 1 << s))
+    return sorted(out)
+
+
+def _up_closed_families(target: FinSet, max_enum: int = 1 << 20) -> list:
+    n = len(target)
+    if n > 4 or (1 << (1 << n)) > max_enum:
+        raise SizeGuardError("up-closed family space exceeds guard")
+    subsets = _subsets(target)
+    return [frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1) for m in _up_closed_masks(n)]
+
+
+def _sample_lifted(rng: Random, target: FinSet, max_den: int = 16) -> frozenset:
+    ext = [*target.elements, BOT]
+    pick = [x for x in ext if rng.random() < 0.5]
+    return frozenset(pick or [rng.choice(ext)])
+
+
+def _sample_weights(rng: Random, target: FinSet, max_den: int = 16, exact: bool = False) -> DistV:
+    den = rng.choice([d for d in (2, 3, 4, 5, 6, 8, 12, 16) if d <= max_den])
+    remaining = den
+    elems = list(target.elements)
+    rng.shuffle(elems)
+    # a distribution's last point takes the rest of the mass
+    last = len(elems) - 1 if exact else -1
+    nums = {}
+    for i, x in enumerate(elems):
+        num = remaining if i == last else rng.randint(0, remaining)
+        if num:
+            nums[x] = num
+        remaining -= num
+    return DistV._over(nums, den)
+
+
+def _ordered(labels, target: FinSet) -> list:
+    return sorted(labels, key=target.index)
+
+
+def _weights_to_json(d: DistV, target: FinSet) -> dict:
+    return {y: format_rational(q) for y, q in d.items_in(target)}
+
+
+# JSON readers check a row document's shape (RowError E_ROWS, E_SCHEMA, or
+# E_RAT for a weight) and leave the rest to the validator.  So that the first
+# fault in document order is reported, a label that keys a weight or makes a
+# generator is looked up at once, and members and vertices are handed over
+# lazily.
+
+
+def read_weight(raw, path: str = "") -> Fraction:
+    """A rational in [0, 1] written as a JSON string "p/q" or an integer."""
+    if not is_rational(raw):
+        raise RowError("E_RAT", f"{raw!r} is not an integer or a rational p/q with q > 0", path)
+    q = parse_rational(raw)
+    if not (0 <= q <= 1):
+        raise RowError("E_RAT", f"value {q} outside [0, 1]", path)
+    return q
+
+
+def _json_list(raw, what: str, path: str = "") -> list:
+    if not isinstance(raw, list):
+        raise RowError("E_SCHEMA", f"{what} must be a list", path)
+    return raw
+
+
+def _only_keys(raw: dict, keys: tuple) -> None:
+    extra = sorted(str(k) for k in raw if k not in keys)
+    if extra:
+        raise RowError("E_SCHEMA", f"unknown keys {extra}; a row object has only {list(keys)}")
+
+
+def _read_set(raw, target: FinSet) -> frozenset:
+    if not isinstance(raw, list):
+        raise RowError("E_ROWS", "powerset row must be a list of labels")
+    return frozenset(map(str, raw))
+
+
+def _read_lifted(raw, target: FinSet) -> frozenset:
+    if isinstance(raw, list):
+        return frozenset(map(str, raw))
+    if not isinstance(raw, dict):
+        raise RowError("E_ROWS", "lifted row must be a list or {elements, bottom}")
+    _only_keys(raw, ("elements", "bottom"))
+    row = frozenset(map(str, _json_list(raw.get("elements", []), "lifted row elements", ".elements")))
+    bottom = raw.get("bottom", False)
+    if not isinstance(bottom, bool):
+        raise RowError("E_SCHEMA", "bottom must be true or false", ".bottom")
+    return row | {BOT} if bottom else row
+
+
+def _read_weights(raw, target: FinSet) -> DistV:
+    if not isinstance(raw, dict):
+        raise RowError("E_ROWS", "distribution row must map labels to rationals")
+    pairs = []
+    for y, q in raw.items():
+        _known(target, (y,))
+        pairs.append((y, read_weight(q, f".{y}")))
+    return DistV(pairs)
+
+
+def _read_family(raw, target: FinSet):
+    if isinstance(raw, list):
+        return (frozenset(map(str, _json_list(s, "a family member"))) for s in raw)
+    if not (isinstance(raw, dict) and "generators" in raw):
+        raise RowError("E_ROWS", "up-closed row must be a list of lists or {generators}")
+    _only_keys(raw, ("generators",))
+    gens = [
+        frozenset(_known(target, [str(x) for x in _json_list(s, "a generator", ".generators")], ".generators"))
+        for s in _json_list(raw["generators"], "generators", ".generators")
+    ]
+    return up_closure(gens, target)
+
+
+def _read_vertex(raw, target: FinSet, path: str) -> DistV:
+    if not isinstance(raw, dict):
+        raise RowError("E_ROWS", "each vertex maps labels to rationals", path)
+    pairs = [(y, read_weight(q, f"{path}.{y}")) for y, q in raw.items()]
+    _known(target, [y for y, _ in pairs], path)
+    return DistV(pairs)
+
+
+def _read_polytope(raw, target: FinSet):
+    if not isinstance(raw, list):
+        raise RowError("E_ROWS", "polytope row must be a nonempty list of vertices")
+    return (_read_vertex(v, target, f"[{k}]") for k, v in enumerate(raw))
+
+
+_POWERSET = Monad(
+    MonadKind.POWERSET, validate=lambda target, s: frozenset(_known(target, frozenset(s))),
+    unit=lambda target, x: frozenset((x,)), extend=_extend_set,
+    support=lambda s: frozenset(y for y in s if y is not BOT),
+    sample=lambda rng, target, max_den=16: frozenset(x for x in target.elements if rng.random() < 0.5),
+    to_json=_ordered, read_json=_read_set, tvalues=_subsets,
+    fmap=lambda fn, s: frozenset(fn(x) if x is not BOT else BOT for x in s),
+    # an outer bottom diverges; an inner one stays in the union
+    mult=lambda ss: frozenset().union(*[{BOT} if inner is BOT else inner for inner in ss]),
+    empty=frozenset(),
+)
+_SUBDIST = Monad(
+    MonadKind.SUBDIST, validate=_validate_weights, unit=lambda target, x: DistV.dirac(x),
+    extend=lambda d, g: _mix_rows(list(d._nums.values()), d._den, [g.row(y) for y in d._nums]),
+    support=lambda d: d.support, sample=_sample_weights,
+    to_json=_weights_to_json, read_json=_read_weights, fmap=lambda fn, d: d.pushforward(fn),
+    mult=lambda dd: DistV.mix((q, inner) for inner, q in dd.items()), empty=DistV(),
+)
+MONADS = {
+    row.kind: row
+    for row in (
+        _POWERSET,
+        dataclasses.replace(
+            _POWERSET, kind=MonadKind.LIFT_POWERSET, validate=_validate_lifted, sample=_sample_lifted,
+            # the nonempty subsets of target + {bottom}
+            tvalues=lambda target, max_enum=1 << 20: _subsets(
+                FinSet(target.name, (*target.elements, BOT)), max_enum
+            )[1:],
+            read_json=_read_lifted, empty=frozenset((BOT,)),
+            to_json=lambda s, target: {"elements": _ordered(_POWERSET.support(s), target), "bottom": BOT in s},
+        ),
+        _SUBDIST,
+        dataclasses.replace(
+            _SUBDIST, kind=MonadKind.DIST, validate=functools.partial(_validate_weights, exact=True),
+            sample=functools.partial(_sample_weights, exact=True), empty=None,
+        ),
+        Monad(
+            MonadKind.UP_POWERSET, validate=_validate_family,
+            unit=lambda target, x: up_closure([frozenset((x,))], target), extend=_extend_family,
+            support=lambda fam: frozenset().union(*fam),
+            sample=lambda rng, target, max_den=16: up_closure(
+                [s for s in _subsets(target) if rng.random() < 0.3], target
+            ),
+            to_json=lambda fam, target: [
+                _ordered(s, target) for s in sorted(fam, key=lambda s: (len(s), sorted(map(target.index, s))))
+            ],
+            read_json=_read_family, tvalues=_up_closed_families, empty=frozenset(),
+        ),
+        Monad(
+            MonadKind.CV_DIST, validate=_validate_polytope, unit=lambda target, x: (DistV.dirac(x),),
+            extend=_extend_polytope, support=lambda vs: frozenset().union(*(mu.support for mu in vs)),
+            sample=lambda rng, target, max_den=16: dedup_vertices(
+                _sample_weights(rng, target, max_den, True) for _ in range(rng.randint(1, 3))
+            ),
+            to_json=lambda vs, target: [_weights_to_json(mu, target) for mu in vs],
+            read_json=_read_polytope, equal=cv_values_equal,
+        ),
+    )
+}
 
 
 def _assoc_failure(f, g, h, left: KleisliArrow, right: KleisliArrow):
     """The associativity witness at the first state where (f;g);h and
     f;(g;h) differ, or None."""
+    equal = MONADS[f.kind].equal
     for x in f.source.elements:
-        if not _values_equal(f.kind, left.row(x), right.row(x), left.target):
+        if not equal(left.row(x), right.row(x), left.target):
             args = {"f": f, "g": g, "h": h, "x": x}
             return Witness("monad.assoc", args, left.row(x), right.row(x))
     return None
@@ -901,16 +1022,17 @@ register_law("monad.assoc", _law_assoc)
 
 
 def _unit_law_failures(f: KleisliArrow, compose):
-    lu = compose(unit(f.kind, f.source), f)
-    for x in f.source.elements:
-        if not _values_equal(f.kind, lu.row(x), f.row(x), f.target):
-            yield Witness("monad.left_unit", {"f": f, "x": x}, lu.row(x), f.row(x))
-            return
-    ru = compose(f, unit(f.kind, f.target))
-    for x in f.source.elements:
-        if not _values_equal(f.kind, ru.row(x), f.row(x), f.target):
-            yield Witness("monad.right_unit", {"f": f, "x": x}, ru.row(x), f.row(x))
-            return
+    equal = MONADS[f.kind].equal
+    sides = (
+        ("monad.left_unit", lambda: compose(unit(f.kind, f.source), f)),
+        ("monad.right_unit", lambda: compose(f, unit(f.kind, f.target))),
+    )
+    for law, side in sides:
+        composed = side()
+        for x in f.source.elements:
+            if not equal(composed.row(x), f.row(x), f.target):
+                yield Witness(law, {"f": f, "x": x}, composed.row(x), f.row(x))
+                return
 
 
 def _assoc_holds_per_value(kind: MonadKind, carriers: Sequence[FinSet], max_enum: int) -> bool:
@@ -924,6 +1046,7 @@ def _assoc_holds_per_value(kind: MonadKind, carriers: Sequence[FinSet], max_enum
     the sweep does not see (all carriers empty), so it decides nothing.
     g# is evaluated once per (g, t) and h# once per (h, T-value).
     """
+    monad = MONADS[kind]
     arrows = [[list(enumerate_arrows(kind, Y, Z, max_enum)) for Z in carriers] for Y in carriers]
     # h# on the T-values met so far, one memo per arrow h
     lifted = [[[{} for _ in hs] for hs in row] for row in arrows]
@@ -931,20 +1054,20 @@ def _assoc_holds_per_value(kind: MonadKind, carriers: Sequence[FinSet], max_enum
     def extend(memo, h, value):
         out = memo.get(value)
         if out is None:
-            out = memo[value] = _compose_value(kind, value, h)
+            out = memo[value] = monad.extend(value, h)
         return out
 
     for i, Y in enumerate(carriers):
-        ts = enumerate_tvalues(kind, Y, max_enum)
+        ts = monad.tvalues(Y, max_enum)
         for j in range(len(carriers)):
             for g in arrows[i][j]:
-                us = [_compose_value(kind, t, g) for t in ts]
+                us = [monad.extend(t, g) for t in ts]
                 for k, W in enumerate(carriers):
                     for h, memo in zip(arrows[j][k], lifted[j][k]):
                         rows = tuple([extend(memo, h, r) for r in g.rows])
                         gh = KleisliArrow._of_valid_rows(kind, Y, W, rows)
                         for t, u in zip(ts, us):
-                            if extend(memo, h, u) != _compose_value(kind, t, gh):
+                            if extend(memo, h, u) != monad.extend(t, gh):
                                 return False
     return True
 
@@ -971,13 +1094,14 @@ def check_monad_laws(
     are the same on both routes.
     """
     kind = MonadKind(kind)
+    monad = MONADS[kind]
     per_value = compose is None
     if compose is None:
         compose = kleisli_compose
     checked = 0
-    if is_enumerable(kind):
+    if monad.tvalues is not None:
         counts = {
-            (X.name, Y.name): len(enumerate_tvalues(kind, Y, max_enum)) ** len(X)
+            (X.name, Y.name): len(monad.tvalues(Y, max_enum)) ** len(X)
             for X in carriers
             for Y in carriers
         }
@@ -1025,7 +1149,7 @@ def check_monad_laws(
     # of its three hom-sets is empty, its laws hold vacuously
     n = len(cs)
     drawn = [
-        all(not len(cs[(r + j) % n]) or has_tvalues(kind, cs[(r + j + 1) % n]) for j in range(3))
+        all(not len(cs[(r + j) % n]) or monad.has_tvalues(cs[(r + j + 1) % n]) for j in range(3))
         for r in range(n)
     ]
     for i in range(sample_count):
@@ -1044,30 +1168,6 @@ def check_monad_laws(
 
 # ---------------------------------------------------------------------------
 # Monad maps
-
-
-def fmap_value(kind: MonadKind, fn, value):
-    """Functor action on one T-value (needed for naturality squares)."""
-    kind = MonadKind(kind)
-    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-        return frozenset(fn(x) if x is not BOT else BOT for x in value)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return value.pushforward(fn)
-    raise ValueError(f"fmap not implemented for {kind}; use Kleisli-form checks")
-
-
-def mult_value(kind: MonadKind, value):
-    """Monad multiplication on one TT-value."""
-    kind = MonadKind(kind)
-    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-        # an outer bottom diverges; an inner one stays in the union
-        out = set()
-        for inner in value:
-            out |= frozenset((BOT,)) if inner is BOT else inner
-        return frozenset(out)
-    if kind in (MonadKind.SUBDIST, MonadKind.DIST):
-        return DistV.mix((q, inner) for inner, q in value.items())
-    raise ValueError(f"mult not implemented for {kind}; use Kleisli-form checks")
 
 
 class ContinuationTarget:
@@ -1099,20 +1199,14 @@ class ContinuationTarget:
 
 
 class KindTarget:
-    """A concrete monad used as the target of a monad map."""
+    """A concrete monad used as the target of a monad map: its row's unit,
+    fmap and mult."""
 
     def __init__(self, kind: MonadKind):
         self.kind = MonadKind(kind)
         self.name = str(self.kind)
-
-    def unit(self, carrier, x):
-        return unit_value(self.kind, carrier, x)
-
-    def fmap(self, fn, value):
-        return fmap_value(self.kind, fn, value)
-
-    def mult(self, value):
-        return mult_value(self.kind, value)
+        monad = MONADS[self.kind]
+        self.unit, self.fmap, self.mult = monad.unit, monad.fmap, monad.mult
 
 
 @dataclass(frozen=True)
@@ -1221,7 +1315,7 @@ def _dense(spec, carrier, value):
 
 def _law_map_unit(spec, args):
     carrier, x = args["carrier"], args["x"]
-    lhs = _dense(spec, carrier, spec.at(carrier, unit_value(spec.source, carrier, x)))
+    lhs = _dense(spec, carrier, spec.at(carrier, MONADS[spec.source].unit(carrier, x)))
     rhs = _dense(spec, carrier, spec.target.unit(carrier, x))
     return lhs, rhs
 
@@ -1229,24 +1323,18 @@ def _law_map_unit(spec, args):
 def _law_map_natural(spec, args):
     X, Y, fn_table, t = args["source"], args["target"], args["fn"], args["t"]
     fn = lambda x: fn_table[x]
-    lhs = _dense(spec, Y, spec.at(Y, fmap_value(spec.source, fn, t)))
+    lhs = _dense(spec, Y, spec.at(Y, MONADS[spec.source].fmap(fn, t)))
     rhs = _dense(spec, Y, spec.target.fmap(fn, spec.at(X, t)))
     return lhs, rhs
 
 
 def _law_map_mult(spec, args):
     X, tt = args["carrier"], args["tt"]
-    lhs = _dense(spec, X, spec.at(X, mult_value(spec.source, tt)))
-    inner = fmap_value(spec.source, lambda t: spec.at(X, t), tt)
-    mid_carrier = tuple(_collect_intermediate(spec.source, inner))
-    rhs = _dense(spec, X, spec.target.mult(spec.at(mid_carrier, inner)))
+    monad = MONADS[spec.source]
+    lhs = _dense(spec, X, spec.at(X, monad.mult(tt)))
+    inner = monad.fmap(lambda t: spec.at(X, t), tt)
+    rhs = _dense(spec, X, spec.target.mult(spec.at(tuple(monad.support(inner)), inner)))
     return lhs, rhs
-
-
-def _collect_intermediate(kind: MonadKind, value):
-    if kind in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET):
-        return list(value)
-    return [x for x, _ in value.items()]
 
 
 def _law_map_membership(spec, args):
@@ -1273,18 +1361,21 @@ def check_monad_map_laws(
     """Unit/multiplication squares and naturality for a monad map.
 
     Enumerable sources sweep every T-value and TT-value over the given
-    carriers; distribution sources use seeded samples.
+    carriers; distribution sources use seeded samples.  A source whose
+    fmap or mult is not implemented raises ``ValueError``.
     """
     checked = 0
-    enumerable = spec.source in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET)
+    monad = MONADS[spec.source]
+    if monad.fmap is None or monad.mult is None:
+        raise ValueError(f"fmap and mult are not implemented for {spec.source}; use Kleisli-form checks")
     rng = Random(seed)
 
     def tvalues(C: FinSet):
-        if enumerable:
-            return enumerate_tvalues(spec.source, C, max_enum)
-        if not has_tvalues(spec.source, C):
+        if monad.tvalues is not None:
+            return monad.tvalues(C, max_enum)
+        if not monad.has_tvalues(C):
             return []
-        return [random_tvalue(spec.source, rng, C) for _ in range(sample_count)]
+        return [monad.sample(rng, C) for _ in range(sample_count)]
 
     for C in carriers:
         for x in C.elements:
@@ -1321,21 +1412,18 @@ def check_monad_map_laws(
                         return Verdict.unhealthy(Witness("map.naturality", args, lhs, rhs), checked)
 
     for X in carriers:
-        if enumerable:
-            inner_values = enumerate_tvalues(spec.source, X, max_enum)
+        if monad.tvalues is not None:
+            inner_values = monad.tvalues(X, max_enum)
             if len(inner_values) > 12:
                 continue
-            tts = []
-            for m in range(1 << len(inner_values)):
-                tts.append(frozenset(v for i, v in enumerate(inner_values) if (m >> i) & 1))
-        elif not has_tvalues(spec.source, X):
+            tts = _subsets(FinSet("tx", inner_values))
+        elif not monad.has_tvalues(X):
             continue
         else:
             tts = []
             for _ in range(sample_count):
-                inners = [random_tvalue(spec.source, rng, X) for _ in range(rng.randint(1, 3))]
-                kind = MonadKind.DIST if spec.source == MonadKind.DIST else MonadKind.SUBDIST
-                coefs = random_tvalue(kind, rng, FinSet("_i", range(len(inners))))
+                inners = [monad.sample(rng, X) for _ in range(rng.randint(1, 3))]
+                coefs = monad.sample(rng, FinSet("_i", range(len(inners))))
                 tts.append(DistV((inner, coefs.weight(i)) for i, inner in enumerate(inners)))
         for tt in tts:
             args = {"carrier": X, "tt": tt}

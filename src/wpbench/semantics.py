@@ -38,7 +38,6 @@ from .monads import (
     IntegerRows,
     KleisliArrow,
     Lattice,
-    MonadKind,
     _differing_point,
     kleisli_compose,
     unit,
@@ -191,14 +190,14 @@ def mask_table(bases: Sequence, n_source: int) -> tuple:
 
 def wp_diamond(arrow: KleisliArrow) -> BooleanTransformer:
     """May-semantics of a relation: phi(f)(x) = exists y. xRy and f(y)."""
-    if arrow.kind != MonadKind.POWERSET:
+    if arrow.kind != INSTANCES["may"].monad:
         raise ValueError("wp_diamond interprets POWERSET computations")
     return pt_modality(INSTANCES["may"], arrow)
 
 
 def wp_box(arrow: KleisliArrow) -> BooleanTransformer:
     """Must-semantics of a relation: phi(f)(x) = forall y. xRy implies f(y)."""
-    if arrow.kind != MonadKind.POWERSET:
+    if arrow.kind != INSTANCES["must"].monad:
         raise ValueError("wp_box interprets POWERSET computations")
     return pt_modality(INSTANCES["must"], arrow)
 

@@ -56,7 +56,7 @@ from .modalities import (
     mask_reads,
     mask_term,
 )
-from .monads import MonadKind, enumerate_arrows, has_tvalues, random_arrow
+from .monads import MONADS, MonadKind, enumerate_arrows, random_arrow
 from .semantics import BooleanTransformer, pt_modality
 from .synthesis import UnhealthyInputError, roundtrip_verify, synthesize
 from .verdicts import Witness, register_law
@@ -86,7 +86,7 @@ class TheoremInstance:
         if not (shaped and all(type(n) is int and n >= 0 for n in sizes)):
             raise ValueError(f"sizes must be two nonnegative integers, got {sizes!r}")
         monad = INSTANCES[self.theorem].monad
-        if sizes[0] and not has_tvalues(monad, _carrier("y", sizes[1])):
+        if sizes[0] and not MONADS[monad].has_tvalues(_carrier("y", sizes[1])):
             raise ValueError(
                 f"no computation to sample: the arrow space X -> {monad.value}(Y) "
                 f"is empty at |X| = {sizes[0]}, |Y| = {sizes[1]}"

@@ -34,7 +34,7 @@ from typing import Sequence
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
-from .monads import BOT, DistV, IntegerRows, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
+from .monads import BOT, MONADS, DistV, IntegerRows, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
@@ -427,8 +427,7 @@ def _cv_rows_equal(rows_a: IntegerRows, b: KleisliArrow, grid: ProbeGrid | None)
 def _value_at_empty(mod: Modality):
     """The modality's value at the empty T-value: 0 for diamond and 1 for
     box on relations, r for tau_r on subdistributions."""
-    empty = frozenset() if mod.monad == MonadKind.POWERSET else DistV()
-    return mod.evaluate(empty, lambda y: ZERO)
+    return mod.evaluate(MONADS[mod.monad].empty, lambda y: ZERO)
 
 
 def _catalog_row(mod: Modality) -> Modality:

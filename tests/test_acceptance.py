@@ -10,6 +10,7 @@ from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid, check_regular_sublinear, run_condition
 from wpbench.modalities import builtin_modality, lifting_check
 from wpbench.monads import (
+    MONADS,
     ContinuationTarget,
     MonadKind,
     MonadMapSpec,
@@ -17,7 +18,6 @@ from wpbench.monads import (
     check_monad_laws,
     check_monad_map_laws,
     enumerate_arrows,
-    enumerate_tvalues,
     random_arrow,
     sigma_inverse,
     sigma_prime_inverse,
@@ -147,7 +147,7 @@ def test_criterion_4_monad_and_map_laws():
         inverse = sigma_inverse if spec.name == "sigma" else sigma_prime_inverse
         for n in (1, 2, 3):
             X = _carrier("x", n)
-            for S in enumerate_tvalues(MonadKind.POWERSET, X):
+            for S in MONADS[MonadKind.POWERSET].tvalues(X):
                 ok = ok and inverse(X, spec.at(X, S)) == S
     dt = time.perf_counter() - t0
     ok = ok and dt < 30.0

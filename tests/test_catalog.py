@@ -13,6 +13,7 @@ from wpbench.cli import run
 from wpbench.core import FinSet
 from wpbench.healthiness import CONDITIONS, ProbeGrid, run_condition
 from wpbench.modalities import INSTANCES, LAWS, STRUCTURE_CLASSES, check_functional_laws
+from wpbench.monads import MonadKind
 from wpbench.semantics import BooleanTransformer, RationalTransformer
 from wpbench.sweep import THEOREM_IDS
 from wpbench.verdicts import _LAW_EVALUATORS, witness_is_sound
@@ -185,16 +186,18 @@ def test_imports_sit_in_functions_only_to_break_cycles():
 
 
 def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) -> list:
-    """The line of every switch on the given names (theorem ids, class tags)
-    in a module, outside the lines in ``skip``: a comparison (==, !=, in,
-    not in) with a name literal, a dict display keyed by names, a
+    """The line of every switch on the given names (theorem ids, class tags,
+    or dotted attributes such as ``MonadKind.DIST``) in a module, outside
+    the lines in ``skip``: a comparison (==, !=, in, not in) with a name
+    literal or attribute, a dict display keyed by names, a
     conditional expression with a name literal for a branch, and an
     f-string with literal text that builds a name, where that text is at
     least ``share`` of the name's length (a share of one half keeps a short
     name, the tag ``emod``, from being built by every ``f"e{i}"``).  A
     lookup by a literal name (``INSTANCES["may"]``) is none of these."""
     names = set(names)
-    is_name = lambda node: isinstance(node, ast.Constant) and node.value in names
+    spelled = lambda node: ast.unparse(node) if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+    is_name = lambda node: isinstance(node, (ast.Constant, ast.Attribute)) and spelled(node) in names
     compare_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
     found = []
     for node in ast.walk(tree):
@@ -219,9 +222,10 @@ def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) ->
     return found
 
 
-def _package_switches(names, block: str, share: float = 0) -> list:
+def _package_switches(names, block: str, share: float = 0, owners: bool = False) -> list:
     """path:line of every switch on the names in the package, outside the
-    module-level assignment or function called ``block``."""
+    module-level assignment or function called ``block``; with ``owners``,
+    path:function, naming the innermost function around the switch."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -230,8 +234,12 @@ def _package_switches(names, block: str, share: float = 0) -> list:
             for node in tree.body
             if block in [getattr(node, "name", None), *(getattr(t, "id", None) for t in getattr(node, "targets", ()))]
         ]
-        found += [f"{path.name}:{line}" for line in _switches(tree, names, *skip, share=share)]
-    return found
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for line in _switches(tree, names, *skip, share=share):
+            around = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+            owner = min(around, key=lambda f: f.end_lineno - f.lineno).name if owners and around else line
+            found.append(f"{path.name}:{owner}")
+    return sorted(found)
 
 
 def test_theorem_ids_are_read_off_the_catalog_only():
@@ -255,6 +263,35 @@ def test_class_tags_are_read_off_the_tables_only():
     tags = 'cls.tag == "emod"\nf"gemod_{v}"\nf"e{i}"\nSTRUCTURE_CLASSES["cl_join" if join else "cl_meet"]\n'
     assert _switches(ast.parse(tags), STRUCTURE_CLASSES, share=0.5) == [1, 2, 4]
     assert _package_switches(STRUCTURE_CLASSES, "run_condition", share=0.5) == []
+
+
+# The monad-kind switches the package keeps, per function: (the number of
+# comparisons, why).  A kind-generic routine reads its monad's row
+# (``monads.MONADS``) instead; the synthesis switches choose a catalog
+# row's inverse, and the other two shape a report.
+KIND_SWITCHES = {
+    "synthesis.py:synthesize": (2, "calls the inverse of a rational catalog row by its monad"),
+    "synthesis.py:_synth_boolean": (2, "an up-closed row keeps its family; a lifted row may diverge"),
+    "synthesis.py:_dirac_rows": (1, "every row of a distribution has mass one"),
+    "synthesis.py:_synth_diracs": (1, "a witness names the variant dist on distributions"),
+    "synthesis.py:_arrow_sides": (1, "polytope arrows compare on the grid as one pair"),
+    "synthesis.py:_normalize_arrow": (1, "a lifted row that may diverge collapses to bottom"),
+    "sweep.py:_sweep_boolean": (2, "the may/must reports print wp_injective and set_equality"),
+    "cli.py:_cmd_enum_verify": (1, "enum-verify draws 100 polytope arrows, 200 of any other kind"),
+}
+
+
+def test_monad_kinds_are_read_off_the_table_only():
+    kinds = [f"MonadKind.{k.name}" for k in MonadKind]
+    snippet = (
+        "a.kind == MonadKind.DIST\nMonadKind.POWERSET != b\nc in (MonadKind.SUBDIST, MonadKind.DIST)\n"
+        "d not in (MonadKind.CV_DIST,)\nMONADS[MonadKind.DIST]\nKleisliArrow(MonadKind.DIST, X, Y, rows)\n"
+        "e == Other.DIST\n"
+    )
+    assert _switches(ast.parse(snippet), kinds) == [1, 2, 3, 4]
+    expected = sorted(name for name, (count, _) in KIND_SWITCHES.items() for _ in range(count))
+    # an f-string cannot spell an attribute, so one is never a kind switch
+    assert _package_switches(kinds, "MONADS", share=1, owners=True) == expected
 
 
 # the exceptions a handler in the package may catch outside the CLI: a

@@ -23,7 +23,7 @@ from wpbench.cli import (
     run,
 )
 from wpbench.core import FinSet
-from wpbench.monads import BOT, MonadKind, has_tvalues, random_arrow
+from wpbench.monads import BOT, MONADS, DistV, KleisliArrow, MonadKind, RowError, random_arrow
 from wpbench.semantics import BooleanTransformer
 
 F = Fraction
@@ -542,12 +542,78 @@ def test_no_command_leaks_a_missing_probe(tmp_path, capsys, argv, report):
         ("cv_dist", [], "E_ROWS", ""),
         ("cv_dist", ["y0"], "E_ROWS", "[0]"),
         ("cv_dist", [{"y0": "1/2"}], "E_MASS", "[0]"),
+        # bottom is a JSON boolean, and a row object has only its own keys
+        ("lift_powerset", {"elements": ["y0"], "bottom": "false"}, "E_SCHEMA", ".bottom"),
+        ("lift_powerset", {"elements": ["y0"], "bottom": 1}, "E_SCHEMA", ".bottom"),
+        ("lift_powerset", {"elems": ["y0"]}, "E_SCHEMA", ""),
+        ("up_powerset", {"generators": [["y0"]], "junk": 1}, "E_SCHEMA", ""),
     ],
 )
 def test_malformed_rows_are_spec_errors(monad, row, code, path):
     with pytest.raises(SpecError) as err:
         parse_spec(json.dumps(_relation_rows(monad, row)))
     assert (err.value.code, err.value.path) == (code, "$.computation.rows.x0" + path)
+
+
+ONE_ROW_TARGET = FinSet("Y", ("y0", "y1"))
+
+
+def _one_row(monad, row):
+    """A document whose computation has one state, x0, with the row."""
+    computation = {"monad": monad, "source": "X", "target": "Y", "rows": {"x0": row}}
+    return {"sets": {"X": ["x0"], "Y": ["y0", "y1"]}, "computation": computation}
+
+
+# (monad, JSON row, the same row as a library value, code, path in the row)
+REFUSED_ROWS = [
+    ("powerset", ["y0", "z"], frozenset({"y0", "z"}), "E_SET", ""),
+    ("lift_powerset", [], frozenset(), "E_ROWS", ""),
+    ("lift_powerset", {"elements": ["z"], "bottom": True}, frozenset({"z", BOT}), "E_SET", ""),
+    ("subdist", {"y0": "3/4", "y1": "1/2"}, DistV({"y0": F(3, 4), "y1": F(1, 2)}), "E_MASS", ""),
+    ("subdist", {"z": "1/2"}, DistV({"z": F(1, 2)}), "E_SET", ""),
+    ("dist", {"y0": "1/2"}, DistV({"y0": F(1, 2)}), "E_MASS", ""),
+    ("dist", {"y1": "1/2", "z": "1/2"}, DistV({"y1": F(1, 2), "z": F(1, 2)}), "E_SET", ""),
+    ("up_powerset", [["y0"]], frozenset({frozenset({"y0"})}), "E_UPCLOSED", ""),
+    ("up_powerset", [["z"], ["y0", "z"]], frozenset({frozenset({"z"}), frozenset({"y0", "z"})}), "E_SET", ""),
+    ("cv_dist", [], (), "E_ROWS", ""),
+    ("cv_dist", [{"y0": "1"}, {"y0": "1/2"}], (DistV.dirac("y0"), DistV({"y0": F(1, 2)})), "E_MASS", "[1]"),
+    ("cv_dist", [{"y0": "1"}, {"z": "1"}], (DistV.dirac("y0"), DistV.dirac("z")), "E_SET", "[1]"),
+]
+
+
+@pytest.mark.parametrize("monad, raw, value, code, path", REFUSED_ROWS)
+def test_the_cli_and_the_library_refuse_the_same_rows(monad, raw, value, code, path):
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(_one_row(monad, raw)))
+    assert (err.value.code, err.value.path) == (code, "$.computation.rows.x0" + path)
+    with pytest.raises(RowError) as err:
+        KleisliArrow(monad, FinSet("X", ("x0",)), ONE_ROW_TARGET, [value])
+    assert (err.value.code, err.value.path) == (code, path)
+
+
+@pytest.mark.parametrize("kind", list(MonadKind))
+def test_every_row_the_codec_accepts_is_the_row_the_arrow_holds(kind):
+    monad, X = MONADS[kind], FinSet("X", ("x0",))
+    rng = Random(5)
+    for n in range(4):
+        Y = FinSet("Y", tuple(f"y{j}" for j in range(n)))
+        if not monad.has_tvalues(Y):
+            continue
+        for _ in range(40):
+            row = monad.sample(rng, Y)
+            read = monad.from_json(json.loads(json.dumps(monad.to_json(row, Y))), Y)
+            assert read == KleisliArrow(kind, X, Y, [row]).rows[0] == row
+    # the other shapes a row document may take
+    other = {
+        MonadKind.LIFT_POWERSET: [({"elements": [], "bottom": True}, {BOT}), (["y1"], {"y1"})],
+        MonadKind.UP_POWERSET: [({"generators": [["y0"]]}, [["y0"], ["y0", "y1"]])],
+        MonadKind.CV_DIST: [([{"y0": "1"}, {"y0": "1/1"}], [DistV.dirac("y0")])],
+        MonadKind.SUBDIST: [({}, DistV()), ({"y0": "0", "y1": "1/3"}, DistV({"y1": F(1, 3)}))],
+    }
+    for raw, value in other.get(kind, []):
+        read = monad.from_json(raw, ONE_ROW_TARGET)
+        assert read == KleisliArrow(kind, X, ONE_ROW_TARGET, [value]).rows[0]
+        assert parse_spec(json.dumps(_one_row(kind.value, raw))).computation.rows[0] == read
 
 
 @pytest.mark.parametrize(
@@ -804,7 +870,7 @@ def test_parse_spec_raises_only_spec_errors():
 def test_serialized_computations_parse_back(kind, nx, ny, seed):
     X = FinSet("X", tuple(f"x{i}" for i in range(nx)))
     Y = FinSet("Y", tuple(f"y{j}" for j in range(ny)))
-    if nx and not has_tvalues(kind, Y):
+    if nx and not MONADS[kind].has_tvalues(Y):
         return  # no arrow X -> T(Y) to draw
     arrow = random_arrow(kind, Random(seed), X, Y)
     assert parse_spec(json.dumps(computation_to_json(arrow))).computation == arrow

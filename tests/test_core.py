@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from wpbench.core import (
     count_transformers,
     enumerate_transformer_tables,
     format_rational,
+    is_rational,
     parse_rational,
 )
 
@@ -77,3 +79,46 @@ def test_stream_index_identity(nx, ny):
     base = 1 << nx
     for i, t in enumerate(enumerate_transformer_tables(src, tgt)):
         assert t == tuple(i // base**k % base for k in range(1 << ny))
+
+
+
+def _reads(text) -> bool:
+    """Whether text is read as parse_rational has always read it: an int, a
+    Fraction, or a string "p/q" or "k" whose parts int() reads, q > 0."""
+    if isinstance(text, (int, Fraction)):
+        return True
+    num, slash, den = str(text).strip().partition("/")
+    try:
+        int(num)
+        return not slash or int(den) > 0
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, derandomize=True)
+@given(
+    st.one_of(
+        st.text(alphabet="0123456789+-_/ \t\n.e\u0663x", max_size=8),
+        st.integers(-3, 3),
+        st.booleans(),
+        st.none(),
+        st.floats(allow_nan=False),
+        st.lists(st.integers(), max_size=2),
+    )
+)
+def test_is_rational_decides_what_parse_rational_reads(text):
+    assert is_rational(text) == _reads(text)
+    if _reads(text):
+        num, _, den = str(text).strip().partition("/")
+        expected = Fraction(text) if isinstance(text, (int, Fraction)) else Fraction(int(num), int(den or 1))
+        assert parse_rational(text) == expected
+    else:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def test_is_rational_keeps_the_digit_limit():
+    # int() refuses a literal longer than the interpreter's digit limit
+    limit = sys.get_int_max_str_digits() or 5000
+    for text in ("1" * limit, "1" * (limit + 1), "1/" + "1" * (limit + 1)):
+        assert is_rational(text) == _reads(text)

@@ -35,6 +35,7 @@ from wpbench.core import FinSet, SizeGuardError
 from wpbench.healthiness import ProbeGrid
 from wpbench.modalities import TauR, builtin_modality
 from wpbench.monads import (
+    MONADS,
     DistV,
     IntegerRows,
     KleisliArrow,
@@ -44,7 +45,6 @@ from wpbench.monads import (
     cv_values_equal,
     dedup_vertices,
     random_arrow,
-    random_tvalue,
 )
 from wpbench.semantics import RationalTransformer, pt_modality
 from wpbench.synthesis import (
@@ -814,7 +814,7 @@ def fraction_mix(weighted):
 
 
 def fraction_compose_value(kind, value, g):
-    """``monads._compose_value`` for SUBDIST, DIST and CV_DIST on Fraction
+    """``Monad.extend`` of SUBDIST, DIST and CV_DIST on Fraction
     weights: a (sub)distribution mixes g's rows by its weights; a vertex
     list mixes one vertex of g per support point, in g's source order, and
     keeps the first of equal vertices."""
@@ -867,11 +867,11 @@ def test_distribution_rows_match_the_fraction_compile():
     tau = TauR(F(1, 3))
     for n in SIZES:
         Y = _carrier(n)
-        ts = [random_tvalue(MonadKind.CV_DIST, rng, Y) for _ in range(4)]
+        ts = [MONADS[MonadKind.CV_DIST].sample(rng, Y) for _ in range(4)]
         got = monads.vertex_rows(ts, Y.elements)
         want = IntegerRows([[(ZERO, [mu.weight(y) for y in Y]) for mu in t] for t in ts], n)
         assert (got.rows, got.den) == (want.rows, want.den)
-        ds = [random_tvalue(MonadKind.SUBDIST, rng, Y) for _ in range(4)]
+        ds = [MONADS[MonadKind.SUBDIST].sample(rng, Y) for _ in range(4)]
         got = tau.rows(ds, Y.elements)
         want = IntegerRows([[(F(1, 3) * (ONE - d.mass), [d.weight(y) for y in Y])] for d in ds], n)
         assert (got.rows, got.den) == (want.rows, want.den)

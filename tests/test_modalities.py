@@ -25,13 +25,11 @@ from wpbench.modalities import (
     omega_algebra,
 )
 from wpbench.monads import (
+    MONADS,
     DistV,
     KleisliArrow,
     MonadKind,
-    _compose_value,
     check_monad_map_laws,
-    enumerate_tvalues,
-    random_tvalue,
     sigma_prime_spec,
     sigma_spec,
 )
@@ -79,7 +77,7 @@ def test_tau_r_total_on_full_mass_is_r_independent():
     rng = Random(3)
     X = FinSet("V", (F(0), F(1, 4), F(1, 2), F(1)))
     for _ in range(40):
-        p = random_tvalue(MonadKind.DIST, rng, X)
+        p = MONADS[MonadKind.DIST].sample(rng, X)
         vals = [
             builtin_modality(f"tau_r:{r}").evaluate(p, lambda v: v)
             for r in ("0", "1/4", "1/2", "1")
@@ -90,7 +88,7 @@ def test_tau_r_total_on_full_mass_is_r_independent():
 def test_sigma_is_diamond_induced_map(Y2):
     spec = algebra_to_monad_map(builtin_modality("diamond"))
     ref = sigma_spec()
-    for S in enumerate_tvalues(MonadKind.POWERSET, Y2):
+    for S in MONADS[MonadKind.POWERSET].tvalues(Y2):
         for bits in itertools.product((0, 1), repeat=2):
             val = dict(zip(Y2.elements, bits))
             f = lambda y: val[y]
@@ -101,7 +99,7 @@ def test_sigma_is_diamond_induced_map(Y2):
 def test_sigma_prime_is_box_induced_map(Y2):
     spec = algebra_to_monad_map(builtin_modality("box"))
     ref = sigma_prime_spec()
-    for S in enumerate_tvalues(MonadKind.POWERSET, Y2):
+    for S in MONADS[MonadKind.POWERSET].tvalues(Y2):
         for bits in itertools.product((0, 1), repeat=2):
             val = dict(zip(Y2.elements, bits))
             f = lambda y: val[y]
@@ -125,9 +123,9 @@ def test_prop_correspondence_roundtrip_on_catalog():
         values = (0, 1) if mod.carrier == BOOLEAN else (F(0), F(1, 4), F(1, 2), F(1))
         omega = FinSet("omega", values)
         if mod.monad in (MonadKind.POWERSET, MonadKind.LIFT_POWERSET, MonadKind.UP_POWERSET):
-            ts = enumerate_tvalues(mod.monad, omega)
+            ts = MONADS[mod.monad].tvalues(omega)
         else:
-            ts = [random_tvalue(mod.monad, rng, omega) for _ in range(40)]
+            ts = [MONADS[mod.monad].sample(rng, omega) for _ in range(40)]
         for t in ts:
             assert rebuilt.apply_algebra(t) == mod.apply_algebra(t)
 
@@ -272,10 +270,10 @@ def test_free_algebra_is_the_kleisli_extension_of_the_identity(kind):
     Y = FinSet("Y1", ("y",))
     free = free_algebra(kind, Y)
     identity = KleisliArrow(kind, free.carrier, Y, free.carrier.elements)
-    values = enumerate_tvalues(kind, free.carrier)
+    values = MONADS[kind].tvalues(free.carrier)
     assert values
     for tt in values:
-        assert free.apply(tt) == _compose_value(kind, tt, identity), tt
+        assert free.apply(tt) == MONADS[kind].extend(tt, identity), tt
 
 
 def test_omega_algebra_contains_identity():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pickle
@@ -8,40 +9,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpbench import monads
 from wpbench.core import FinSet
 from wpbench.monads import (
     BOT,
+    MONADS,
     ContinuationTarget,
     DistV,
     KindTarget,
     KleisliArrow,
     MonadKind,
     MonadMapSpec,
+    RowError,
     _lattice_membership,
-    _validate_value,
     check_monad_laws,
     check_monad_map_laws,
     cv_values_equal,
     dedup_vertices,
     enumerate_arrows,
-    enumerate_tvalues,
     is_up_closed,
     kleisli_compose,
     random_arrow,
-    random_tvalue,
     sigma_inverse,
     sigma_prime_inverse,
     sigma_prime_spec,
     sigma_spec,
     support_map_spec,
     unit,
-    unit_value,
     up_closure,
 )
 from wpbench.verdicts import witness_is_sound
 
 F = Fraction
+SUBSETS = MONADS[MonadKind.POWERSET].tvalues
 
 
 @pytest.fixture
@@ -50,14 +49,14 @@ def carriers():
 
 
 def test_unit_values(Y2):
-    assert unit_value(MonadKind.POWERSET, Y2, "y0") == frozenset({"y0"})
-    assert unit_value(MonadKind.DIST, Y2, "y1") == DistV.dirac("y1")
+    assert MONADS[MonadKind.POWERSET].unit(Y2, "y0") == frozenset({"y0"})
+    assert MONADS[MonadKind.DIST].unit(Y2, "y1") == DistV.dirac("y1")
     # up-closure of {{y0}} inside {y0, y1}
-    assert unit_value(MonadKind.UP_POWERSET, Y2, "y0") == frozenset(
+    assert MONADS[MonadKind.UP_POWERSET].unit(Y2, "y0") == frozenset(
         {frozenset({"y0"}), frozenset({"y0", "y1"})}
     )
-    assert unit_value(MonadKind.LIFT_POWERSET, Y2, "y0") == frozenset({"y0"})
-    assert unit_value(MonadKind.CV_DIST, Y2, "y0") == (DistV.dirac("y0"),)
+    assert MONADS[MonadKind.LIFT_POWERSET].unit(Y2, "y0") == frozenset({"y0"})
+    assert MONADS[MonadKind.CV_DIST].unit(Y2, "y0") == (DistV.dirac("y0"),)
 
 
 def test_kleisli_compose_powerset_union_oracle(X1, Y2):
@@ -112,7 +111,7 @@ def test_up_closure():
 @given(st.integers(min_value=0, max_value=255))
 def test_up_closure_idempotent_random(mask):
     Y = FinSet("Y", ("a", "b", "c"))
-    subsets = enumerate_tvalues(MonadKind.POWERSET, Y)
+    subsets = SUBSETS(Y)
     fam = [s for i, s in enumerate(subsets) if (mask >> i) & 1]
     closed = up_closure(fam, Y)
     assert up_closure(closed, Y) == closed
@@ -124,15 +123,15 @@ def test_up_closed_families_match_the_closure_filter():
     # adds nothing; 168 at n = 4 is the Dedekind number (OEIS A000372)
     for n in range(4):
         Y = FinSet("Y", tuple(f"y{i}" for i in range(n)))
-        subsets = enumerate_tvalues(MonadKind.POWERSET, Y)
+        subsets = SUBSETS(Y)
         families = [
             frozenset(s for i, s in enumerate(subsets) if (m >> i) & 1) for m in range(1 << (1 << n))
         ]
         closed = [fam for fam in families if up_closure(fam, Y) == fam]
         assert [is_up_closed(fam, Y) for fam in families] == [fam in closed for fam in families]
-        assert enumerate_tvalues(MonadKind.UP_POWERSET, Y) == closed
+        assert MONADS[MonadKind.UP_POWERSET].tvalues(Y) == closed
     Y4 = FinSet("Y", ("a", "b", "c", "d"))
-    assert len(enumerate_tvalues(MonadKind.UP_POWERSET, Y4)) == 168
+    assert len(MONADS[MonadKind.UP_POWERSET].tvalues(Y4)) == 168
 
 
 def test_monad_laws_enumerable_exhaustive(carriers):
@@ -202,21 +201,21 @@ def test_monad_law_routes_agree_on_healthy_monads(kind, carriers):
 ROW_FAULTS = {
     "powerset": (lambda Y: frozenset(Y.elements), frozenset()),
     "lift_powerset": (lambda Y: frozenset(Y.elements), frozenset({BOT})),
-    "up_powerset": (lambda Y: frozenset(enumerate_tvalues(MonadKind.POWERSET, Y)), frozenset()),
+    "up_powerset": (lambda Y: frozenset(SUBSETS(Y)), frozenset()),
 }
 
 
 @pytest.mark.parametrize("kind", ENUMERABLE)
 def test_monad_law_routes_agree_on_a_row_wise_fault(kind, carriers, monkeypatch):
     largest, smallest = ROW_FAULTS[kind]
-    compose_value = monads._compose_value
+    monad = MONADS[MonadKind(kind)]
 
-    def faulty(k, value, g):
+    def faulty(value, g):
         if len(g.source) == 2 and len(g.target) == 1 and value == largest(g.source):
             return smallest
-        return compose_value(k, value, g)
+        return monad.extend(value, g)
 
-    monkeypatch.setattr(monads, "_compose_value", faulty)
+    monkeypatch.setitem(MONADS, monad.kind, dataclasses.replace(monad, extend=faulty))
     per_value = check_monad_laws(kind, carriers)
     per_triple = check_monad_laws(kind, carriers, compose=_supplied_compose)
     assert per_value.is_unhealthy and per_value.witness.law == "monad.assoc"
@@ -230,7 +229,7 @@ def test_monad_law_routes_agree_on_a_row_wise_fault(kind, carriers, monkeypatch)
 
 def _assert_valid_rows(arrow):
     for row in arrow.rows:
-        assert _validate_value(arrow.kind, arrow.target, row) == row
+        assert MONADS[arrow.kind].validate(arrow.target, row) == row
 
 
 def test_composites_and_units_are_valid_tvalues():
@@ -278,7 +277,7 @@ def test_sigma_laws_and_bijectivity(carriers):
     assert check_monad_map_laws(spec, carriers).is_healthy
     for n in (1, 2, 3):
         X = FinSet("X", tuple(f"x{i}" for i in range(n)))
-        for S in enumerate_tvalues(MonadKind.POWERSET, X):
+        for S in SUBSETS(X):
             assert sigma_inverse(X, spec.at(X, S)) == S
 
 
@@ -287,7 +286,7 @@ def test_sigma_prime_laws_and_bijectivity(carriers):
     assert check_monad_map_laws(spec, carriers).is_healthy
     for n in (1, 2, 3):
         X = FinSet("X", tuple(f"x{i}" for i in range(n)))
-        for S in enumerate_tvalues(MonadKind.POWERSET, X):
+        for S in SUBSETS(X):
             assert sigma_prime_inverse(X, spec.at(X, S)) == S
 
 
@@ -374,8 +373,9 @@ def test_arrow_validation():
         KleisliArrow("up_powerset", X, Y, {"x": [["y0"]]})  # not up-closed
     with pytest.raises(ValueError):
         KleisliArrow("cv_dist", X, Y, {"x": []})
-    with pytest.raises(KeyError):
+    with pytest.raises(RowError, match="'nope' is not in set 'Y'") as err:
         KleisliArrow("powerset", X, Y, {"x": ["nope"]})
+    assert err.value.code == "E_SET"
 
 
 def test_distv_arithmetic():
@@ -418,7 +418,7 @@ def test_every_route_gives_one_reduced_distv():
         DistV([("b", F(1, 4)), ("a", F(3, 12)), ("b", F(2, 8))]),
         DistV.mix([(F(1, 2), DistV.dirac("b")), (F(1, 2), DistV({"a": F(1, 2)}))]),
         DistV({"b1": F(1, 4), "a": F(1, 4), "b2": F(1, 4)}).pushforward(lambda x: x[0]),
-        monads._compose_value(MonadKind.SUBDIST, DistV({"u": F(1, 2), "v": F(1, 4)}), g),
+        MONADS[MonadKind.SUBDIST].extend(DistV({"u": F(1, 2), "v": F(1, 4)}), g),
         pickle.loads(pickle.dumps(DistV({"b": F(2, 4), "a": F(1, 4)}))),
     ]
     for d in routes:
@@ -435,13 +435,24 @@ def test_every_route_gives_one_reduced_distv():
     assert repr(diracs[2]) == "DistV(1*'x')" and repr(DistV()) == "DistV(0)"
 
 
-@pytest.mark.parametrize("kind", (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST))
+@pytest.mark.parametrize("kind", list(MonadKind))
 def test_random_draws_are_valid_and_reduced(kind):
-    Y = FinSet("Y", ("y0", "y1", "y2"))
-    for seed in range(50):
-        value = random_tvalue(kind, Random(seed), Y)
-        assert _validate_value(kind, Y, value) == value
-        assert all(_is_reduced(d) for d in (value if kind == MonadKind.CV_DIST else (value,)))
+    # random_arrow does not validate its rows again: every drawn row is a
+    # valid T-value, and every drawn distribution is reduced
+    monad = MONADS[kind]
+    X = FinSet("X", ("x0", "x1"))
+    for n in range(4):
+        Y = FinSet("Y", tuple(f"y{i}" for i in range(n)))
+        if not monad.has_tvalues(Y):
+            continue
+        for seed in range(50):
+            value = monad.sample(Random(seed), Y)
+            assert monad.validate(Y, value) == value
+            arrow = random_arrow(kind, Random(seed), X, Y)
+            _assert_valid_rows(arrow)
+            assert KleisliArrow(kind, X, Y, arrow.rows) == arrow
+            dists = [d for r in (value, *arrow.rows) for d in (r if kind == MonadKind.CV_DIST else [r])]
+            assert all(_is_reduced(d) for d in dists if isinstance(d, DistV))
 
 
 def pairs_mix(weighted):
@@ -457,7 +468,7 @@ def _mix_inputs(rng, Y):
     weights = (F(0), F(1), F(1, 2), F(1, 3), F(2, 7), F(5, 12), 0, 1, 3)
     for _ in range(200):
         kind = rng.choice((MonadKind.SUBDIST, MonadKind.DIST))
-        yield [(rng.choice(weights), random_tvalue(kind, rng, Y)) for _ in range(rng.randint(0, 4))]
+        yield [(rng.choice(weights), MONADS[kind].sample(rng, Y)) for _ in range(rng.randint(0, 4))]
 
 
 def _outcome(fn, weighted):
