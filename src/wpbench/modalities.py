@@ -250,13 +250,27 @@ def builtin_modality_names() -> tuple:
 
 
 def algebra_to_monad_map(mod: Modality) -> MonadMapSpec:
-    """The monad map induced by an algebra: tau_X(t)(f) = alg(T f (t))."""
+    """The monad map induced by an algebra: tau_X(t)(f) = alg(T f (t)),
+    the comparison map into the functionals of mod's structure class.  A
+    Boolean class decides membership with its own law check
+    (``check_functional_laws``)."""
 
     def component(elems, tvalue):
         return lambda f: mod.evaluate(tvalue, f)
 
-    target = ContinuationTarget() if mod.carrier == BOOLEAN else _RationalContinuationTarget()
-    return MonadMapSpec(f"map[{mod.name}]", mod.monad, target, component)
+    if mod.carrier != BOOLEAN:
+        return MonadMapSpec(f"map[{mod.name}]", mod.monad, _RationalContinuationTarget(), component)
+    cls = STRUCTURE_CLASSES.get(mod.structure_class)
+    membership = None if cls is None else functools.partial(_class_member, cls)
+    return MonadMapSpec(f"map[{mod.name}]", mod.monad, ContinuationTarget(), component, membership)
+
+
+def _class_member(cls: StructureClass, elems: tuple, value: Callable):
+    """None if the Boolean functional ``value`` on valuations of ``elems``
+    is a morphism of cls, else the ``class.law`` witness of the first law
+    it violates."""
+    F = lambda bits: value(dict(zip(elems, bits)).__getitem__)
+    return check_functional_laws(F, len(elems), cls)[0]
 
 
 class _RationalContinuationTarget(ContinuationTarget):

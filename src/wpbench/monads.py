@@ -9,6 +9,9 @@ empty T-value, value equality and the JSON codec (``read_json`` checks a
 row document's shape; ``from_json`` validates what it reads).  Law suites
 (unit/associativity, and the monad-map laws of natural transformations
 into continuation-like or concrete monads) return witnessed verdicts.
+sigma and sigma' are the comparison maps of the may and must catalog
+rows (``modalities.algebra_to_monad_map``), and a map's membership law
+is the law check of its structure class.
 
 The two composite monads are represented by their carriers on Set:
 
@@ -81,7 +84,6 @@ __all__ = [
     "sigma_spec",
     "sigma_prime_spec",
     "support_map_spec",
-    "sigma_inverse",
     "ContinuationTarget",
     "KindTarget",
 ]
@@ -1217,9 +1219,11 @@ class MonadMapSpec:
     finite carrier; carriers may have arbitrary hashable elements (the
     multiplication square instantiates components at carriers whose
     elements are themselves monad values).  ``membership``, when present,
-    decides that component values land inside the intended subobject of
-    the target (e.g. the join-preserving functionals), returning None for
-    members and (extra_args, lhs, rhs) for the violated closure law.
+    is the law check of the structure class the component values must
+    land in (``modalities.algebra_to_monad_map`` takes it from the
+    modality's class): ``membership(carrier_elements, value)`` is None for
+    a morphism of the class, else the ``class.law`` witness of the first
+    law it violates.
     """
 
     name: str
@@ -1233,50 +1237,24 @@ class MonadMapSpec:
         return self.component(elems, tvalue)
 
 
-def _lattice_membership(tag: str):
-    """Component values of sigma (sigma') must be functionals of the
-    structure class with the tag, join- (meet-) preserving ones; checked
-    densely over Boolean valuations."""
+def _comparison_map(theorem: str, name: str) -> MonadMapSpec:
+    """The comparison map of a catalog row (``algebra_to_monad_map``), under
+    ``name``."""
+    from .modalities import INSTANCES, algebra_to_monad_map  # modalities imports this module
 
-    def check(elems, value):
-        from .modalities import STRUCTURE_CLASSES, check_dense  # modalities imports this module
-
-        bits = list(itertools.product((0, 1), repeat=len(elems)))
-        table = [value(dict(zip(elems, b)).__getitem__) for b in bits]
-        found, _ = check_dense(table, 1, STRUCTURE_CLASSES[tag], all_pairs=True)
-        if found is None:
-            return None
-        law, _, f, g, lhs, rhs = found
-        extra = {"f": bits[f]} if law.shape in ("bottom", "top") else {"f": bits[f], "g": bits[g]}
-        return extra, lhs, rhs
-
-    return check
+    return dataclasses.replace(algebra_to_monad_map(INSTANCES[theorem]), name=name)
 
 
 def sigma_spec() -> MonadMapSpec:
-    """sigma : P -> [2^(-), 2]_join,  sigma(S) = lam f. join_{x in S} f(x)."""
-
-    def component(elems, s):
-        return lambda f: max((f(x) for x in s), default=0)
-
-    return MonadMapSpec(
-        "sigma", MonadKind.POWERSET, ContinuationTarget(), component, _lattice_membership("cl_join")
-    )
+    """sigma : P -> [2^(-), 2]_join, the comparison map of the may row
+    (diamond): sigma(S) = lam f. join_{x in S} f(x)."""
+    return _comparison_map("may", "sigma")
 
 
 def sigma_prime_spec() -> MonadMapSpec:
-    """sigma' : P -> [2^(-), 2]_meet,  sigma'(S) = lam f. meet_{x in S} f(x)."""
-
-    def component(elems, s):
-        return lambda f: min((f(x) for x in s), default=1)
-
-    return MonadMapSpec(
-        "sigma_prime",
-        MonadKind.POWERSET,
-        ContinuationTarget(),
-        component,
-        _lattice_membership("cl_meet"),
-    )
+    """sigma' : P -> [2^(-), 2]_meet, the comparison map of the must row
+    (box): sigma'(S) = lam f. meet_{x in S} f(x)."""
+    return _comparison_map("must", "sigma_prime")
 
 
 def support_map_spec() -> MonadMapSpec:
@@ -1286,24 +1264,6 @@ def support_map_spec() -> MonadMapSpec:
         return d.support
 
     return MonadMapSpec("support", MonadKind.DIST, KindTarget(MonadKind.POWERSET), component)
-
-
-def sigma_inverse(carrier: FinSet, xi) -> frozenset:
-    """Inverse of sigma on a finite carrier: {x : xi(dirac_x) = 1}."""
-    out = []
-    for x in carrier.elements:
-        if xi(lambda y, x=x: 1 if y == x else 0) == 1:
-            out.append(x)
-    return frozenset(out)
-
-
-def sigma_prime_inverse(carrier: FinSet, xi) -> frozenset:
-    """Inverse of sigma' : {x : xi(co-dirac_x) = 0}."""
-    out = []
-    for x in carrier.elements:
-        if xi(lambda y, x=x: 0 if y == x else 1) == 0:
-            out.append(x)
-    return frozenset(out)
 
 
 def _dense(spec, carrier, value):
@@ -1338,11 +1298,8 @@ def _law_map_mult(spec, args):
 
 
 def _law_map_membership(spec, args):
-    out = spec.membership(tuple(args["carrier"].elements), spec.at(args["carrier"], args["t"]))
-    if out is None:
-        return ("member", "member")
-    _, lhs, rhs = out
-    return lhs, rhs
+    found = spec.membership(tuple(args["carrier"].elements), spec.at(args["carrier"], args["t"]))
+    return ("member", "member") if found is None else (found.lhs, found.rhs)
 
 
 register_law("map.unit", _law_map_unit)
@@ -1361,8 +1318,9 @@ def check_monad_map_laws(
     """Unit/multiplication squares and naturality for a monad map.
 
     Enumerable sources sweep every T-value and TT-value over the given
-    carriers; distribution sources use seeded samples.  A source whose
-    fmap or mult is not implemented raises ``ValueError``.
+    carriers, a TT-value being a T-value over the T-values (where there
+    are at most 12); distribution sources use seeded samples.  A source
+    whose fmap or mult is not implemented raises ``ValueError``.
     """
     checked = 0
     monad = MONADS[spec.source]
@@ -1389,13 +1347,11 @@ def check_monad_map_laws(
     if spec.membership is not None:
         for C in carriers:
             for t in tvalues(C):
-                out = spec.membership(tuple(C.elements), spec.at(C, t))
+                found = spec.membership(tuple(C.elements), spec.at(C, t))
                 checked += 1
-                if out is not None:
-                    extra, lhs, rhs = out
-                    args = {"carrier": C, "t": t}
-                    args.update(extra)
-                    return Verdict.unhealthy(Witness("map.membership", args, lhs, rhs), checked)
+                if found is not None:
+                    args = {"carrier": C, "t": t, **found.args}
+                    return Verdict.unhealthy(Witness("map.membership", args, found.lhs, found.rhs), checked)
 
     for X in carriers:
         ts = tvalues(X)
@@ -1416,7 +1372,7 @@ def check_monad_map_laws(
             inner_values = monad.tvalues(X, max_enum)
             if len(inner_values) > 12:
                 continue
-            tts = _subsets(FinSet("tx", inner_values))
+            tts = monad.tvalues(FinSet("tx", inner_values), max_enum)
         elif not monad.has_tvalues(X):
             continue
         else:

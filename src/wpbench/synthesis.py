@@ -205,22 +205,21 @@ def _dirac_rows(phi: RationalTransformer, row: Modality) -> list:
 
 def _synth_diracs(phi: RationalTransformer, row: Modality, grid: ProbeGrid | None) -> SynthesisResult:
     """The inverse of a linear catalog row, read off Dirac probes
-    (``_dirac_rows``).  A witness names the variant: the row's name, or
-    dist on distributions (``_variant_row`` reads it back)."""
+    (``_dirac_rows``).  A witness names the row it read by its theorem id,
+    which the replay looks up in ``INSTANCES``."""
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
-    variant = "dist" if row.monad == MonadKind.DIST else row.name
     rows = []
     for i, (x, (coefs, mass)) in enumerate(zip(X.elements, _dirac_rows(phi, row))):
         for y, c in zip(Y.elements, coefs):
             if c < 0 or c > 1:
-                args = {"x": x, "y": y, "variant": variant}
+                args = {"x": x, "y": y, "instance": row.theorem}
                 witness = Witness("synthesis.coefficient", args, c, max(min(c, ONE), ZERO))
                 return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         total_mass = sum(coefs, ZERO)
         if total_mass != mass:
-            witness = Witness("synthesis.mass", {"x": x, "variant": variant}, total_mass, mass)
+            witness = Witness("synthesis.mass", {"x": x, "instance": row.theorem}, total_mass, mass)
             return SynthesisResult(None, Verdict.unhealthy(witness, i + 1))
         rows.append(DistV(zip(Y.elements, coefs)))
     arrow = KleisliArrow(row.monad, X, Y, rows)
@@ -240,15 +239,10 @@ def synth_dist(phi: RationalTransformer, grid: ProbeGrid = None) -> SynthesisRes
     return _synth_diracs(phi, INSTANCES["dist_convex"], grid)
 
 
-def _variant_row(variant: str) -> Modality:
-    """The linear row a Dirac witness's variant names."""
-    return INSTANCES["dist_convex"] if variant == "dist" else builtin_modality(variant)
-
-
 def _law_synth_coefficient(subject, args):
     """Replay on the transformer: a coefficient read off its Dirac probe,
     and that coefficient clamped to [0, 1]."""
-    coefs, _ = _dirac_rows(subject, _variant_row(args["variant"]))[subject.target.index(args["x"])]
+    coefs, _ = _dirac_rows(subject, INSTANCES[args["instance"]])[subject.target.index(args["x"])]
     c = coefs[subject.source.index(args["y"])]
     return c, max(min(c, ONE), ZERO)
 
@@ -256,7 +250,7 @@ def _law_synth_coefficient(subject, args):
 def _law_synth_mass(subject, args):
     """Replay on the transformer: the mass of a row read off Dirac probes,
     and the mass it must have."""
-    coefs, mass = _dirac_rows(subject, _variant_row(args["variant"]))[subject.target.index(args["x"])]
+    coefs, mass = _dirac_rows(subject, INSTANCES[args["instance"]])[subject.target.index(args["x"])]
     return sum(coefs, ZERO), mass
 
 

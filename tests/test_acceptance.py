@@ -2,6 +2,7 @@
 pass/fail line with its measured figures.  Budgets are wall-clock upper
 bounds; every numeric expectation is pinned here, nothing is deferred."""
 
+import dataclasses
 import time
 from fractions import Fraction
 from random import Random
@@ -11,16 +12,11 @@ from wpbench.healthiness import ProbeGrid, check_regular_sublinear, run_conditio
 from wpbench.modalities import builtin_modality, lifting_check
 from wpbench.monads import (
     MONADS,
-    ContinuationTarget,
     MonadKind,
-    MonadMapSpec,
-    _lattice_membership,
     check_monad_laws,
     check_monad_map_laws,
     enumerate_arrows,
     random_arrow,
-    sigma_inverse,
-    sigma_prime_inverse,
     sigma_prime_spec,
     sigma_spec,
 )
@@ -127,7 +123,7 @@ def test_criterion_3_alternating_boolean():
         )
 
 
-def test_criterion_4_monad_and_map_laws():
+def test_criterion_4_monad_and_map_laws(read_back):
     t0 = time.perf_counter()
     carriers = [_carrier("a", 1), _carrier("b", 2)]
     details = []
@@ -141,14 +137,15 @@ def test_criterion_4_monad_and_map_laws():
         )
         ok = ok and verdict.is_healthy and (enumerable or verdict.checked >= 100)
         details.append(f"{kind.value}:{verdict.checked}")
-    for spec in (sigma_spec(), sigma_prime_spec()):
+    # each map is inverted by its row's reader in synthesize
+    for spec, row in ((sigma_spec(), INSTANCES["may"]), (sigma_prime_spec(), INSTANCES["must"])):
         verdict = check_monad_map_laws(spec, carriers, seed=1)
         ok = ok and verdict.is_healthy
-        inverse = sigma_inverse if spec.name == "sigma" else sigma_prime_inverse
         for n in (1, 2, 3):
             X = _carrier("x", n)
-            for S in MONADS[MonadKind.POWERSET].tvalues(X):
-                ok = ok and inverse(X, spec.at(X, S)) == S
+            subsets = MONADS[MonadKind.POWERSET].tvalues(X)
+            result = read_back(row, X, [spec.at(X, S) for S in subsets])
+            ok = ok and result.ok and list(result.arrow.rows) == subsets
     dt = time.perf_counter() - t0
     ok = ok and dt < 30.0
     _report(
@@ -366,12 +363,8 @@ def test_criterion_9_witness_soundness():
     monad_verdict = check_monad_laws("powerset", [Y], compose=bad_compose)
     battery.append((bad_compose, monad_verdict))
 
-    bad_sigma = MonadMapSpec(
-        "bad_sigma",
-        MonadKind.POWERSET,
-        ContinuationTarget(),
-        lambda elems, s: (lambda f: min((f(x) for x in s), default=1)),
-        _lattice_membership("cl_join"),
+    bad_sigma = dataclasses.replace(
+        sigma_spec(), name="bad_sigma", component=lambda elems, s: (lambda f: min((f(x) for x in s), default=1))
     )
     battery.append((bad_sigma, check_monad_map_laws(bad_sigma, [Y])))
 

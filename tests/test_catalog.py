@@ -182,7 +182,7 @@ def test_imports_sit_in_functions_only_to_break_cycles():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         owner.setdefault(node, func.name)
         found += sorted((path.stem, name) for name in owner.values())
-    assert found == [("monads", "_lattice_membership"), ("semantics", "_functor_probes")]
+    assert found == [("monads", "_comparison_map"), ("semantics", "_functor_probes")]
 
 
 def _switches(tree: ast.AST, names, skip: range = range(0), share: float = 0) -> list:
@@ -273,7 +273,6 @@ KIND_SWITCHES = {
     "synthesis.py:synthesize": (2, "calls the inverse of a rational catalog row by its monad"),
     "synthesis.py:_synth_boolean": (2, "an up-closed row keeps its family; a lifted row may diverge"),
     "synthesis.py:_dirac_rows": (1, "every row of a distribution has mass one"),
-    "synthesis.py:_synth_diracs": (1, "a witness names the variant dist on distributions"),
     "synthesis.py:_arrow_sides": (1, "polytope arrows compare on the grid as one pair"),
     "synthesis.py:_normalize_arrow": (1, "a lifted row that may diverge collapses to bottom"),
     "sweep.py:_sweep_boolean": (2, "the may/must reports print wp_injective and set_equality"),

@@ -1,4 +1,4 @@
-import itertools
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wpbench.core import FinSet, SizeGuardError
 from wpbench.modalities import (
     BOOLEAN,
+    INSTANCES,
     RATIONAL,
     STRUCTURE_CLASSES,
     IntegerRows,
@@ -85,25 +86,48 @@ def test_tau_r_total_on_full_mass_is_r_independent():
         assert len(set(vals)) == 1
 
 
-def test_sigma_is_diamond_induced_map(Y2):
-    spec = algebra_to_monad_map(builtin_modality("diamond"))
-    ref = sigma_spec()
-    for S in MONADS[MonadKind.POWERSET].tvalues(Y2):
-        for bits in itertools.product((0, 1), repeat=2):
-            val = dict(zip(Y2.elements, bits))
-            f = lambda y: val[y]
-            assert spec.at(Y2, S)(f) == ref.at(Y2, S)(f)
-    assert check_monad_map_laws(spec, [Y2]).is_healthy
+def _assert_dense_formula(spec, Y, formula):
+    # spec's component at Y, on every subset mask s and predicate mask m,
+    # against the formula on masks
+    mask = lambda S: sum(1 << Y.index(y) for y in S)
+    for S in MONADS[MonadKind.POWERSET].tvalues(Y):
+        for m in range(1 << len(Y)):
+            assert spec.at(Y, S)(lambda y: m >> Y.index(y) & 1) == formula(mask(S), m)
 
 
-def test_sigma_prime_is_box_induced_map(Y2):
-    spec = algebra_to_monad_map(builtin_modality("box"))
-    ref = sigma_prime_spec()
-    for S in MONADS[MonadKind.POWERSET].tvalues(Y2):
-        for bits in itertools.product((0, 1), repeat=2):
-            val = dict(zip(Y2.elements, bits))
-            f = lambda y: val[y]
-            assert spec.at(Y2, S)(f) == ref.at(Y2, S)(f)
+def test_sigma_is_diamond_induced_map(Y2, Y3):
+    # sigma(S)(f) = 1 iff f holds somewhere in S
+    join = lambda s, m: int(s & m != 0)
+    for spec in (algebra_to_monad_map(builtin_modality("diamond")), sigma_spec()):
+        for Y in (Y2, Y3):
+            _assert_dense_formula(spec, Y, join)
+        assert check_monad_map_laws(spec, [Y2]).is_healthy
+
+
+def test_sigma_prime_is_box_induced_map(Y2, Y3):
+    # sigma'(S)(f) = 1 iff f holds everywhere in S
+    meet = lambda s, m: int(s & ~m == 0)
+    for spec in (algebra_to_monad_map(builtin_modality("box")), sigma_prime_spec()):
+        for Y in (Y2, Y3):
+            _assert_dense_formula(spec, Y, meet)
+        assert check_monad_map_laws(spec, [Y2]).is_healthy
+
+
+@pytest.mark.parametrize("theorem", ["may", "must", "dijkstra"])
+def test_boolean_comparison_maps_are_class_members(theorem):
+    # the comparison map of a Boolean catalog row whose monad has fmap and
+    # mult lands in its class; the De Morgan dual component does not
+    carriers = [FinSet("A", ("a0",)), FinSet("B", ("b0", "b1"))]
+    spec = algebra_to_monad_map(INSTANCES[theorem])
+    assert spec.membership is not None
+    assert check_monad_map_laws(spec, carriers).is_healthy
+    component = spec.component
+    dual = lambda elems, t: lambda f: 1 - component(elems, t)(lambda x: 1 - f(x))
+    bad = dataclasses.replace(spec, component=dual)
+    verdict = check_monad_map_laws(bad, carriers)
+    assert verdict.witness.law == "map.membership"
+    assert witness_is_sound(bad, verdict.witness)
+    assert not witness_is_sound(spec, verdict.witness)
 
 
 def test_monad_map_to_algebra_recovers_join_and_meet():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wpbench.core import FinSet
+from wpbench.modalities import INSTANCES
 from wpbench.monads import (
     BOT,
     MONADS,
@@ -20,7 +21,6 @@ from wpbench.monads import (
     MonadKind,
     MonadMapSpec,
     RowError,
-    _lattice_membership,
     check_monad_laws,
     check_monad_map_laws,
     cv_values_equal,
@@ -29,8 +29,6 @@ from wpbench.monads import (
     is_up_closed,
     kleisli_compose,
     random_arrow,
-    sigma_inverse,
-    sigma_prime_inverse,
     sigma_prime_spec,
     sigma_spec,
     support_map_spec,
@@ -272,22 +270,23 @@ def test_dedup_vertices():
     assert dedup_vertices((a, b, a)) == (a, b)
 
 
-def test_sigma_laws_and_bijectivity(carriers):
-    spec = sigma_spec()
+def _assert_laws_and_bijectivity(spec, row, carriers, read_back):
+    # the shipped reader of the row inverts the map: every subset comes back
     assert check_monad_map_laws(spec, carriers).is_healthy
     for n in (1, 2, 3):
         X = FinSet("X", tuple(f"x{i}" for i in range(n)))
-        for S in SUBSETS(X):
-            assert sigma_inverse(X, spec.at(X, S)) == S
+        subsets = SUBSETS(X)
+        result = read_back(row, X, [spec.at(X, S) for S in subsets])
+        assert result.ok
+        assert list(result.arrow.rows) == subsets
 
 
-def test_sigma_prime_laws_and_bijectivity(carriers):
-    spec = sigma_prime_spec()
-    assert check_monad_map_laws(spec, carriers).is_healthy
-    for n in (1, 2, 3):
-        X = FinSet("X", tuple(f"x{i}" for i in range(n)))
-        for S in SUBSETS(X):
-            assert sigma_prime_inverse(X, spec.at(X, S)) == S
+def test_sigma_laws_and_bijectivity(carriers, read_back):
+    _assert_laws_and_bijectivity(sigma_spec(), INSTANCES["may"], carriers, read_back)
+
+
+def test_sigma_prime_laws_and_bijectivity(carriers, read_back):
+    _assert_laws_and_bijectivity(sigma_prime_spec(), INSTANCES["must"], carriers, read_back)
 
 
 def _join_preserving_tables(n):
@@ -304,18 +303,19 @@ def _join_preserving_tables(n):
     return out
 
 
-def test_sigma_surjective_onto_join_preserving():
-    # sigma(sigma_inv(xi)) = xi for every functional in the join target
+def test_sigma_surjective_onto_join_preserving(read_back):
+    # sigma(S) = xi for every functional xi in the join target, with S
+    # read off xi by the may row's reader
     spec = sigma_spec()
     for n in (1, 2, 3):
         X = FinSet("X", tuple(f"x{i}" for i in range(n)))
         tables = _join_preserving_tables(n)
         assert len(tables) == 1 << n
-        for table in tables:
-            xi = lambda f, table=table: table[
-                sum(1 << j for j, x in enumerate(X.elements) if f(x))
-            ]
-            S = sigma_inverse(X, xi)
+        index = lambda f: sum(1 << j for j, x in enumerate(X.elements) if f(x))
+        xis = [lambda f, table=table: table[index(f)] for table in tables]
+        result = read_back(INSTANCES["may"], X, xis)
+        assert result.ok
+        for S, table in zip(result.arrow.rows, tables):
             rebuilt = spec.at(X, S)
             for bits in itertools.product((0, 1), repeat=n):
                 valuation = dict(zip(X.elements, bits))
@@ -329,12 +329,8 @@ def test_support_map_laws(carriers):
 
 
 def test_corrupted_sigma_membership_fails(carriers):
-    bad = MonadMapSpec(
-        "bad_sigma",
-        MonadKind.POWERSET,
-        ContinuationTarget(),
-        lambda elems, s: (lambda f: min((f(x) for x in s), default=1)),
-        _lattice_membership("cl_join"),
+    bad = dataclasses.replace(
+        sigma_spec(), name="bad_sigma", component=lambda elems, s: (lambda f: min((f(x) for x in s), default=1))
     )
     verdict = check_monad_map_laws(bad, carriers)
     assert verdict.is_unhealthy
@@ -357,6 +353,24 @@ def test_corrupted_monad_maps_are_witnessed(carriers, law, target, component):
     bad = MonadMapSpec("bad", MonadKind.POWERSET, target, component)
     verdict = check_monad_map_laws(bad, carriers)
     assert verdict.witness.law == law
+    assert witness_is_sound(bad, verdict.witness)
+
+
+def test_tt_values_are_read_off_the_source_row(X1, carriers):
+    # T(T X) on LIFT_POWERSET: over one point, the 15 nonempty subsets of
+    # its 3 T-values and bottom (unit 1 + naturality 3 + mult 15); over
+    # one and two points, 15 + 255 of them
+    kind = MonadKind.LIFT_POWERSET
+    identity = MonadMapSpec("id", kind, KindTarget(kind), lambda elems, t: t)
+    assert check_monad_map_laws(identity, [X1]).describe() == "healthy (19 instances checked)"
+    assert check_monad_map_laws(identity, carriers).describe() == "healthy (317 instances checked)"
+    # a target multiplication that drops an outer bottom fails only at a
+    # TT-value holding one
+    target = KindTarget(kind)
+    target.mult = lambda ss: frozenset().union(*[inner for inner in ss if inner is not BOT])
+    bad = dataclasses.replace(identity, target=target)
+    verdict = check_monad_map_laws(bad, [X1])
+    assert verdict.witness.law == "map.mult" and BOT in verdict.witness.args["tt"]
     assert witness_is_sound(bad, verdict.witness)
 
 
