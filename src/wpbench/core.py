@@ -43,7 +43,9 @@ class FinSet:
     The element order is load-bearing: it defines subset masks, predicate
     indices and every enumeration stream.  Elements are usually strings
     but any hashable value is accepted (law checkers build carriers whose
-    elements are themselves monad values).
+    elements are themselves monad values).  The hash is computed once, at
+    construction; pickling rebuilds through the constructor, since a
+    string's hash is salted per process.
     """
 
     name: str
@@ -56,6 +58,13 @@ class FinSet:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_index", {x: i for i, x in enumerate(elems)})
+        object.__setattr__(self, "_hash", hash((name, elems)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return FinSet, (self.name, self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

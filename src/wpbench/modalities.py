@@ -269,8 +269,7 @@ def _class_member(cls: StructureClass, elems: tuple, value: Callable):
     """None if the Boolean functional ``value`` on valuations of ``elems``
     is a morphism of cls, else the ``class.law`` witness of the first law
     it violates."""
-    F = lambda bits: value(dict(zip(elems, bits)).__getitem__)
-    return check_functional_laws(F, len(elems), cls)[0]
+    return check_functional_laws(ContinuationTarget.functional(elems, value), len(elems), cls)[0]
 
 
 class _RationalContinuationTarget(ContinuationTarget):

@@ -81,13 +81,18 @@ def register_law(name: str, evaluator) -> None:
     _LAW_EVALUATORS[name] = evaluator
 
 
+def replay_law(subject, law: str, args: dict) -> tuple:
+    """Both sides of a registered law at args, recomputed from the subject."""
+    try:
+        evaluator = _LAW_EVALUATORS[law]
+    except KeyError:
+        raise KeyError(f"no registered evaluator for law {law!r}") from None
+    return evaluator(subject, args)
+
+
 def replay_witness(subject, witness: Witness) -> tuple:
     """Recompute both sides of a witnessed law from the original subject."""
-    try:
-        evaluator = _LAW_EVALUATORS[witness.law]
-    except KeyError:
-        raise KeyError(f"no registered evaluator for law {witness.law!r}") from None
-    return evaluator(subject, witness.args)
+    return replay_law(subject, witness.law, witness.args)
 
 
 def witness_is_sound(subject, witness: Witness) -> bool:

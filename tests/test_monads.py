@@ -1,7 +1,11 @@
 import dataclasses
+import hashlib
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wpbench
 from wpbench.core import FinSet
 from wpbench.modalities import INSTANCES
 from wpbench.monads import (
@@ -35,6 +40,7 @@ from wpbench.monads import (
     unit,
     up_closure,
 )
+from wpbench.monads import _extend_set, _mix_rows
 from wpbench.verdicts import witness_is_sound
 
 F = Fraction
@@ -545,3 +551,151 @@ def test_distv_pickles_without_its_hash():
     hash(d)
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and repr(copy) == repr(d) and copy._hash is None
+
+
+def test_skipped_map_laws_are_named_in_the_note(X1):
+    # over four points P has 16 T-values, past the 12 the mult square
+    # enumerates TT-values over; the healthy verdict says it skipped it
+    X4 = FinSet("X", ("x0", "x1", "x2", "x3"))
+    skipped = "skipped map.mult at X (16 T-values > 12)"
+    assert check_monad_map_laws(sigma_spec(), [X4]).describe() == f"healthy (4116 instances checked); {skipped}"
+    # the empty set goes to the constant 1: only the mult square sees it
+    empty_to_one = MonadMapSpec(
+        "bad", MonadKind.POWERSET, ContinuationTarget(), lambda elems, s: lambda f: max((f(x) for x in s), default=1)
+    )
+    assert check_monad_map_laws(empty_to_one, [X4]).describe() == f"healthy (4100 instances checked); {skipped}"
+    assert check_monad_map_laws(empty_to_one, [X1]).witness.law == "map.mult"
+    B5 = FinSet("B", tuple(f"b{i}" for i in range(5)))
+    verdict = check_monad_map_laws(support_map_spec(), [X1, B5], sample_count=4)
+    assert verdict.is_healthy and verdict.note == "skipped map.naturality at B -> B (5^5 maps > 256)"
+
+
+def test_membership_replay_reads_the_law_arguments():
+    # the replay evaluates the class law the witness names at its
+    # arguments: the witness with another law and arguments is not sound
+    bad = dataclasses.replace(
+        sigma_spec(), name="bad_sigma", component=lambda elems, s: (lambda f: min((f(x) for x in s), default=1))
+    )
+    witness = check_monad_map_laws(bad, [FinSet("B", ("b0", "b1"))]).witness
+    assert witness.law == "map.membership" and witness.args["law"] == "bottom"
+    assert witness_is_sound(bad, witness)
+    edited = dataclasses.replace(witness, args={**witness.args, "law": "binary_join", "f": (0, 1), "g": (1, 0)})
+    assert not witness_is_sound(bad, edited)
+
+
+WEIGHTED = (MonadKind.SUBDIST, MonadKind.DIST, MonadKind.CV_DIST)
+
+
+def _general_mix(weights, den, rows):
+    """``_mix_rows`` with no shortcut: every row scaled into one integer
+    mix over lcm * den, reduced."""
+    lcm = math.lcm(*[d._den for d in rows])
+    nums = {}
+    for a, d in zip(weights, rows):
+        for z, n in d._nums.items():
+            nums[z] = nums.get(z, 0) + a * (lcm // d._den) * n
+    return DistV._over(nums, lcm * den)
+
+
+def _same_value(a, b):
+    return a == b and repr(a) == repr(b) and pickle.dumps(a) == pickle.dumps(b)
+
+
+def _sized(name, n):
+    return FinSet(name.upper(), tuple(f"{name}{i}" for i in range(n)))
+
+
+@pytest.mark.parametrize("kind", WEIGHTED)
+def test_unit_weight_mixes_match_the_general_mix(kind):
+    # one row at weight one is that row: equal, printed and pickled alike
+    monad = MONADS[kind]
+    for n in (1, 2, 3):
+        Y = _sized("y", n)
+        for seed in range(50):
+            rng = Random(seed)
+            value = monad.sample(rng, Y)
+            for d in value if kind == MonadKind.CV_DIST else (value,):
+                for den in (1, 3, 16):
+                    assert _mix_rows([den], den, [d]) is d
+                    assert _same_value(_mix_rows([den], den, [d]), _general_mix([den], den, [d]))
+                assert _same_value(DistV.mix([(1, d)]), pairs_mix([(1, d)]))
+            g = random_arrow(kind, rng, Y, Y)
+            for t in (value, *[monad.unit(Y, y) for y in Y]):
+                if kind == MonadKind.CV_DIST:
+                    want = pairs_cv_compose(t, g)
+                else:
+                    want = _general_mix(list(t._nums.values()), t._den, [g.row(y) for y in t._nums])
+                assert _same_value(monad.extend(t, g), want)
+
+
+@pytest.mark.parametrize("kind", [MonadKind.POWERSET, MonadKind.LIFT_POWERSET])
+def test_singleton_set_extension_is_the_row(kind):
+    for n in (1, 2, 3):
+        Y = _sized("y", n)
+        for seed in range(50):
+            g = random_arrow(kind, Random(seed), Y, Y)
+            for y in (*Y, BOT) if kind == MonadKind.LIFT_POWERSET else Y:
+                union = set()
+                union |= frozenset((BOT,)) if y is BOT else g.row(y)
+                assert _same_value(_extend_set(frozenset((y,)), g), frozenset(union))
+
+
+def _canonical(x) -> str:
+    """A T-value or an arrow printed alike in every process: a frozenset's
+    items are sorted (string hashes are salted per process, and BOT hashes
+    by address); a DistV keeps its points' draw order."""
+    if isinstance(x, frozenset):
+        return "{" + ", ".join(sorted(map(_canonical, x))) + "}"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_canonical, x)) + ")"
+    if isinstance(x, KleisliArrow):
+        return f"{x.kind}:{x.source!r}->{x.target!r}:{_canonical(x.rows)}"
+    return repr(x)
+
+
+# the digest of the draws below: a sampler or random_arrow that draws
+# one value differently from the same seed changes it
+DRAW_DIGEST = "b882faf855adc0b9"
+
+
+def test_draw_streams_are_pinned():
+    # the samplers and random_arrow draw the same values from the same seeds
+    h = hashlib.sha256()
+    for kind in MonadKind:
+        for n in (1, 2, 3):
+            X, Y = _sized("x", 4 - n), _sized("y", n)
+            for seed in range(200):
+                rng = Random(seed)
+                value = MONADS[kind].sample(rng, Y)
+                h.update(f"{_canonical(value)} {_canonical(random_arrow(kind, rng, X, Y))}\n".encode())
+    assert h.hexdigest()[:16] == DRAW_DIGEST
+
+
+_PICKLE_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from wpbench.core import FinSet
+from wpbench.monads import DistV, KleisliArrow
+X, Y = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1"))
+arrow = KleisliArrow("dist", X, Y, [DistV.dirac("y1"), DistV({"y0": "1/3", "y1": "2/3"})])
+hash(X), hash(arrow)
+sys.stdout.buffer.write(pickle.dumps((hash("x0"), X, arrow)))
+"""
+
+
+def test_finset_pickles_across_hash_seeds():
+    # a FinSet keeps its hash; one pickled where strings hash otherwise
+    # rehashes on loading, alone and inside an arrow
+    X, Y = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0", "y1"))
+    arrow = KleisliArrow("dist", X, Y, [DistV.dirac("y1"), DistV({"y0": F(1, 3), "y1": F(2, 3)})])
+    src = os.path.dirname(os.path.dirname(wpbench.__file__))
+    salted = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _PICKLE_IN_ANOTHER_PROCESS], env=env, capture_output=True, check=True)
+        their_hash, X2, arrow2 = pickle.loads(out.stdout)
+        salted.append(their_hash != hash("x0"))
+        for local, loaded in ((X, X2), (arrow, arrow2)):
+            assert loaded == local and hash(loaded) == hash(local)
+            assert {local: seed}[loaded] == seed
+        assert arrow2.source.index("x1") == 1 and arrow2.row("x1") == arrow.row("x1")
+    assert any(salted)
