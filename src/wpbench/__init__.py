@@ -30,14 +30,11 @@ from .healthiness import (
     run_condition,
 )
 from .modalities import (
-    FiniteAlgebra,
     Modality,
     STRUCTURE_CLASSES,
     algebra_to_monad_map,
     builtin_modality,
     check_algebra_laws,
-    enumerate_algebra_morphisms,
-    free_algebra,
     lifting_check,
     monad_map_to_algebra,
 )

@@ -111,7 +111,7 @@ class SpecDocument:
                 raise SpecError("E_PROBE", "probe predicate length mismatch", "$.probes")
         if random_count:
             tuples += ProbeGrid.random_tuples(domain, self.seed, random_count)
-        return ProbeGrid.explicit(domain, tuples, scalars, seed=self.seed)
+        return ProbeGrid.explicit(domain, tuples, scalars)
 
 
 @contextlib.contextmanager

@@ -76,7 +76,6 @@ class ProbeGrid:
     domain: FinSet
     predicates: tuple
     scalars: tuple
-    seed: int = 0
 
     def __post_init__(self):
         for p in self.predicates:
@@ -117,16 +116,16 @@ class ProbeGrid:
             if p not in seen:
                 seen.add(p)
                 uniq.append(p)
-        return cls(domain, tuple(uniq), DEFAULT_SCALARS, seed)
+        return cls(domain, tuple(uniq), DEFAULT_SCALARS)
 
     @classmethod
-    def explicit(cls, domain: FinSet, predicates, scalars=None, seed: int = 0) -> "ProbeGrid":
+    def explicit(cls, domain: FinSet, predicates, scalars=None) -> "ProbeGrid":
         """A grid of the given value tuples, one value per element of the
         domain, and scalars, converted to Fractions; a float is refused
         (the constructor checks that every value and scalar lies in [0, 1])."""
         preds = tuple(tuple(map(_exact, p)) for p in predicates)
         scals = DEFAULT_SCALARS if scalars is None else tuple(map(_exact, scalars))
-        return cls(domain, preds, scals, seed)
+        return cls(domain, preds, scals)
 
     @functools.cached_property
     def lattice(self) -> Lattice:

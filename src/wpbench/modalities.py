@@ -5,7 +5,10 @@ A modality is an algebra ``TOmega -> Omega`` over the truth values,
 represented by its induced evaluation rule ``eval(t, f) = alg(T f (t))``
 which works uniformly over every finite carrier.  The correspondence
 between algebras and monad maps into the continuation-like monad is
-implemented in both directions and is finitely testable.
+implemented in both directions and is finitely testable.  The rule and the
+monad row's ``mult`` also give the state-and-effect triangle: the algebra
+maps h: T(Y) -> Omega (h . mult = eval(-, h)) are the predicates Omega^Y
+through h |-> h . eta, and pt(f) is precomposition with f.
 
 Two tables drive the rest of the package.  The modality catalog has one
 row per theorem instance (monad, modality, structure class).  The law
@@ -48,7 +51,6 @@ __all__ = [
     "RATIONAL",
     "Modality",
     "TauR",
-    "FiniteAlgebra",
     "INSTANCES",
     "Law",
     "LAWS",
@@ -62,8 +64,6 @@ __all__ = [
     "monad_map_to_algebra",
     "check_algebra_laws",
     "lifting_check",
-    "enumerate_algebra_morphisms",
-    "free_algebra",
     "check_functional_laws",
 ]
 
@@ -518,6 +518,13 @@ LAWS = {
 # predicate and a scalar)
 _BINARY = ("pair", "order", "sum", "dual_sum")
 
+# the shapes each truth carrier's checks read: Boolean predicates are bit
+# masks, rational ones lattice points
+_SHAPES = {
+    BOOLEAN: ("bottom", "top", "pair", "order"),
+    RATIONAL: ("bottom", "top", "sum", "dual_sum", "scale", "shift"),
+}
+
 
 def arg_names(shape: str, p: str = "f", q: str = "g") -> tuple:
     """Witness argument names of a shape, given the names of predicates."""
@@ -533,13 +540,21 @@ class StructureClass:
     ``condition`` names the same list as a transformer healthiness
     condition.  ``laws`` pairs each law's name with the id the transformer
     checks report for it; its definedness law reports that id plus
-    ``_defined``.
+    ``_defined``.  A class names only laws whose shape its carrier's checks
+    read (``ValueError`` otherwise).
     """
 
     tag: str
     condition: str
     carrier: str
     laws: tuple
+
+    def __post_init__(self):
+        for name, _ in self.laws:
+            shape = LAWS[name].shape
+            if shape not in _SHAPES[self.carrier]:
+                message = f"law {name!r} of shape {shape!r} is not a {self.carrier} law"
+                raise ValueError(f"class {self.tag!r}: {message}")
 
     @functools.cached_property
     def groups(self) -> tuple:
@@ -1072,65 +1087,3 @@ def lifting_check(
                 )
     return Verdict.healthy(checked)
 
-
-# ---------------------------------------------------------------------------
-# Finite algebras and their morphisms into Omega
-
-
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    """An Eilenberg-Moore algebra on a finite carrier, given by its table."""
-
-    name: str
-    kind: MonadKind
-    carrier: FinSet
-    apply: Callable  # tvalue over carrier -> carrier element
-
-
-def free_algebra(kind: MonadKind, generators: FinSet) -> FiniteAlgebra:
-    """The free algebra T(Y) with multiplication as its structure map."""
-    kind = MonadKind(kind)
-    monad = MONADS[kind]
-    if monad.tvalues is None or monad.mult is None:
-        raise SizeGuardError("free algebras are materialized only for enumerable monads")
-    carrier = FinSet(f"free[{generators.name}]", tuple(monad.tvalues(generators)))
-    return FiniteAlgebra(carrier.name, kind, carrier, monad.mult)
-
-
-def omega_algebra(mod: Modality) -> FiniteAlgebra:
-    """Omega itself as an algebra (Boolean modalities only)."""
-    if mod.carrier != BOOLEAN:
-        raise SizeGuardError("the rational truth carrier is not a finite algebra")
-    carrier = FinSet("omega", (0, 1))
-    return FiniteAlgebra("omega", mod.monad, carrier, mod.apply_algebra)
-
-
-def enumerate_algebra_morphisms(
-    algebra: FiniteAlgebra, mod: Modality, max_enum: int = 1 << 16
-) -> list:
-    """All structure-preserving maps from the algebra into Omega.
-
-    Computed by filtration: a function h passes iff h(a(t)) = eval(t, h)
-    for every T-value t over the algebra's carrier (the equalizer of the
-    two canonical maps, at finite scale).
-    """
-    monad = MONADS[mod.monad]
-    if monad.tvalues is None or monad.mult is None:
-        raise SizeGuardError("algebra morphisms are enumerated for enumerable monads only")
-    if mod.carrier != BOOLEAN:
-        raise SizeGuardError("morphism enumeration needs the Boolean truth carrier")
-    carrier = algebra.carrier
-    if 2 ** len(carrier) > max_enum:
-        raise SizeGuardError("function space exceeds the enumeration guard")
-    tvalues = MONADS[algebra.kind].tvalues(carrier, max_enum)
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(carrier)):
-        h = dict(zip(carrier.elements, bits))
-        ok = True
-        for t in tvalues:
-            if h[algebra.apply(t)] != mod.evaluate(t, lambda a: h[a]):
-                ok = False
-                break
-        if ok:
-            out.append(h)
-    return out

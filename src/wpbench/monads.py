@@ -127,6 +127,14 @@ class _Bottom:
     def __repr__(self) -> str:
         return "BOT"
 
+    # a fixed hash, so that a set holding BOT iterates (prints, pickles) in
+    # the same order in every process with the same string-hash seed
+    def __hash__(self) -> int:
+        return 0x42_4F_54
+
+    def __reduce__(self) -> str:
+        return "BOT"
+
 
 BOT = _Bottom()
 
@@ -1123,17 +1131,12 @@ def check_monad_laws(
         compose = kleisli_compose
     checked = 0
     if monad.tvalues is not None:
-        counts = {
-            (X.name, Y.name): len(monad.tvalues(Y, max_enum)) ** len(X)
-            for X in carriers
-            for Y in carriers
-        }
+        # hom-set sizes by carrier position: two carriers may share a name
+        sizes = [len(monad.tvalues(Y, max_enum)) for Y in carriers]
+        counts = [[size ** len(X) for size in sizes] for X in carriers]
         triple_total = sum(
-            counts[(X.name, Y.name)] * counts[(Y.name, Z.name)] * counts[(Z.name, W.name)]
-            for X in carriers
-            for Y in carriers
-            for Z in carriers
-            for W in carriers
+            counts[x][y] * counts[y][z] * counts[z][w]
+            for x, y, z, w in itertools.product(range(len(carriers)), repeat=4)
         )
         if triple_total > max_enum:
             raise SizeGuardError(

@@ -22,14 +22,10 @@ class Witness:
     args: dict
     lhs: object
     rhs: object
-    note: str = ""
 
     def describe(self) -> str:
         bits = ", ".join(f"{k}={v!r}" for k, v in self.args.items())
-        out = f"{self.law} violated at [{bits}]: lhs={self.lhs!r} rhs={self.rhs!r}"
-        if self.note:
-            out += f" ({self.note})"
-        return out
+        return f"{self.law} violated at [{bits}]: lhs={self.lhs!r} rhs={self.rhs!r}"
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from wpbench.healthiness import (
     run_condition,
 )
 from wpbench.modalities import (
+    BOOLEAN,
     DEFAULT_SCALARS,
     RATIONAL,
     STRUCTURE_CLASSES,
@@ -354,6 +355,24 @@ def test_a_rational_class_outside_the_catalog_is_decided_by_its_own_laws(monkeyp
     phi = RationalTransformer(Y2, FinSet("X", ("x",)), lambda v: (v[0] * v[1],))
     verdict = run_condition("unital", phi)
     assert verdict == healthiness._grid_verdict(phi, None, unital) == Verdict.healthy(1)
+
+
+@pytest.mark.parametrize(
+    "carrier, law",
+    [
+        (RATIONAL, "binary_meet"),
+        (RATIONAL, "binary_join"),
+        (RATIONAL, "monotone"),
+        (BOOLEAN, "sum"),
+        (BOOLEAN, "translate"),
+        (BOOLEAN, "scale"),
+    ],
+)
+def test_a_class_names_only_laws_of_its_carrier(carrier, law):
+    # a law its carrier's checks do not read is refused when the class is
+    # built, not misread (or crashed on) when a transformer is checked
+    with pytest.raises(ValueError, match=f"law '{law}' of shape"):
+        StructureClass("mixed", "mixed", carrier, ((law, f"mixed.{law}"),))
 
 
 @settings(max_examples=50)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpbench.core import FinSet, SizeGuardError
+from wpbench.core import FinSet
 from wpbench.modalities import (
     BOOLEAN,
     INSTANCES,
@@ -19,11 +20,8 @@ from wpbench.modalities import (
     builtin_modality,
     builtin_modality_names,
     check_algebra_laws,
-    enumerate_algebra_morphisms,
-    free_algebra,
     lifting_check,
     monad_map_to_algebra,
-    omega_algebra,
 )
 from wpbench.monads import (
     MONADS,
@@ -31,9 +29,11 @@ from wpbench.monads import (
     KleisliArrow,
     MonadKind,
     check_monad_map_laws,
+    enumerate_arrows,
     sigma_prime_spec,
     sigma_spec,
 )
+from wpbench.semantics import pt_modality
 from wpbench.verdicts import witness_is_sound
 
 F = Fraction
@@ -278,40 +278,62 @@ def test_lifting_certifies_the_healthy_closed_forms(monkeypatch):
     assert constant and all(constant)
 
 
-def test_free_algebra_morphisms_counts(Y2):
-    one = FinSet("Y1", ("y",))
-    mod = builtin_modality("diamond")
-    free1 = free_algebra(MonadKind.POWERSET, one)
-    assert len(enumerate_algebra_morphisms(free1, mod)) == 2
-    free2 = free_algebra(MonadKind.POWERSET, Y2)
-    morphisms = len(enumerate_algebra_morphisms(free2, mod))
-    assert morphisms == 4  # = 2^|Y2|, by freeness
+# Boolean catalog rows whose monad has a multiplication (game's UP_POWERSET
+# has none), so that T(Y) is a free algebra
+TRIANGLE_ROWS = [
+    t for t, mod in INSTANCES.items() if mod.carrier == BOOLEAN and MONADS[mod.monad].mult is not None
+]
+
+
+@pytest.mark.parametrize("theorem", TRIANGLE_ROWS)
+def test_state_and_effect_triangle(theorem):
+    # Alg(T(Y), Omega) is Omega^Y through h |-> h . eta, with inverse
+    # p |-> (t |-> eval(t, p)), and pt(f) is precomposition with f; the
+    # algebra maps come from mult and the row's rule, pt from its closed form
+    mod = INSTANCES[theorem]
+    monad = MONADS[mod.monad]
+    X = FinSet("X", ("x",))
+    checks = {}
+    for n in itertools.count():
+        Y = FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
+        TY = tuple(monad.tvalues(Y))
+        if 2 ** len(TY) > 256:
+            break
+        TTY = monad.tvalues(FinSet(f"T{Y.name}", TY))
+        morphisms = []
+        for bits in itertools.product((0, 1), repeat=len(TY)):
+            h = dict(zip(TY, bits))
+            if all(h[monad.mult(tt)] == mod.evaluate(tt, h.__getitem__) for tt in TTY):
+                morphisms.append(h)
+        assert len(morphisms) == 2**n
+        restricted = [tuple(h[monad.unit(Y, y)] for y in Y) for h in morphisms]
+        assert sorted(restricted) == list(itertools.product((0, 1), repeat=n))
+        for h, p in zip(morphisms, restricted):
+            assert h == {t: mod.evaluate(t, dict(zip(Y, p)).__getitem__) for t in TY}
+        checks[n] = 0
+        for f in enumerate_arrows(mod.monad, X, Y):
+            phi = pt_modality(mod, f)
+            for h, p in zip(morphisms, restricted):
+                mask = sum(bit << i for i, bit in enumerate(p))
+                assert h[f.row("x")] == phi.apply_mask(mask) & 1, (f, p)
+                checks[n] += 1
+    # |T(Y)| arrows times 2^|Y| morphisms per |Y| = 0, 1, ...
+    expected = {"may": [1, 4, 16, 64], "must": [1, 4, 16, 64], "dijkstra": [1, 6, 28]}[theorem]
+    assert checks == dict(enumerate(expected))
 
 
 @pytest.mark.parametrize("kind", [MonadKind.POWERSET, MonadKind.LIFT_POWERSET])
 def test_free_algebra_is_the_kleisli_extension_of_the_identity(kind):
-    # the structure map of T(Y) is mu, the extension of id: T(Y) -> T(Y)
+    # the structure map of the free algebra T(Y) is mu, the extension of
+    # id: T(Y) -> T(Y)
+    monad = MONADS[kind]
     Y = FinSet("Y1", ("y",))
-    free = free_algebra(kind, Y)
-    identity = KleisliArrow(kind, free.carrier, Y, free.carrier.elements)
-    values = MONADS[kind].tvalues(free.carrier)
+    TY = FinSet("TY1", tuple(monad.tvalues(Y)))
+    identity = KleisliArrow(kind, TY, Y, TY.elements)
+    values = monad.tvalues(TY)
     assert values
     for tt in values:
-        assert free.apply(tt) == MONADS[kind].extend(tt, identity), tt
-
-
-def test_omega_algebra_contains_identity():
-    mod = builtin_modality("diamond")
-    alg = omega_algebra(mod)
-    morphisms = enumerate_algebra_morphisms(alg, mod)
-    assert {0: 0, 1: 1} in morphisms
-
-
-def test_algebra_morphisms_guard():
-    with pytest.raises(SizeGuardError):
-        enumerate_algebra_morphisms(
-            free_algebra(MonadKind.POWERSET, FinSet("Y", ("a",))), builtin_modality("total")
-        )
+        assert monad.mult(tt) == monad.extend(tt, identity), tt
 
 
 # pointwise class structure on [0,1]^n satisfies the GEMod/EMod axioms

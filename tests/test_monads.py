@@ -200,6 +200,14 @@ def test_monad_law_routes_agree_on_healthy_monads(kind, carriers):
     assert per_value.checked == per_triple.checked == expected
 
 
+def test_monad_law_counts_keep_carriers_apart_that_share_a_name():
+    # hom-set sizes are keyed by carrier position, not by name
+    same_name = [FinSet("A", ("a0",)), FinSet("A", ("a0", "a1"))]
+    per_value = check_monad_laws("powerset", same_name)
+    per_triple = check_monad_laws("powerset", same_name, compose=_supplied_compose)
+    assert per_value.checked == per_triple.checked == 7458
+
+
 # the largest T-value over a two-point carrier, composed into a one-point
 # carrier, goes to the smallest; unit arrows never meet it
 ROW_FAULTS = {
@@ -699,3 +707,26 @@ def test_finset_pickles_across_hash_seeds():
             assert {local: seed}[loaded] == seed
         assert arrow2.source.index("x1") == 1 and arrow2.row("x1") == arrow.row("x1")
     assert any(salted)
+
+
+_BOT_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from wpbench.monads import BOT
+value = frozenset({BOT, *(f"y{i}" for i in range(8))})
+sys.stdout.buffer.write(pickle.dumps((hash(BOT), repr(value), pickle.dumps(value))))
+"""
+
+
+def test_bot_hashes_and_pickles_alike_across_processes():
+    # BOT's hash does not depend on where it was allocated, so under one
+    # string-hash seed a LIFT_POWERSET value holding it prints and pickles
+    # to the same bytes in every process, and loads with the loader's BOT
+    src = os.path.dirname(os.path.dirname(wpbench.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    script = [sys.executable, "-c", _BOT_IN_ANOTHER_PROCESS]
+    runs = [pickle.loads(subprocess.run(script, env=env, capture_output=True, check=True).stdout) for _ in range(2)]
+    assert runs[0] == runs[1]
+    their_hash, text, data = runs[0]
+    assert their_hash == hash(BOT) and "BOT" in text
+    loaded = pickle.loads(data)
+    assert [y for y in loaded if y is BOT] == [BOT] and len(loaded) == 9
