@@ -48,8 +48,12 @@ transformers, the synthesis round trip and the vertex-list equality
 coefficients.  Rows compose exactly (``IntegerRows.then``), so a
 composite of two closed forms is one row set.  Every equality of two
 sides at lattice points goes through one routine, ``_differing_point``:
-sides holding the same rows answer at once, and any other pair is
-compared point by point on integers (``_first_difference``).
+sides holding the same rows answer at once, two other bounded row sets
+on a lattice in the cube are evaluated a coordinate column at a time
+(``IntegerRows.table``) and compared whole columns at once, and the rest
+(an opaque evaluator, unbounded rows, a point outside the cube) is
+compared point by point on integers (``_first_difference``), which
+raises where a side does.
 
 The hot paths build tuples from lists (``tuple([...])``), at their final
 size.  A tuple grown from a generator, once freed, is kept on CPython's
@@ -423,7 +427,10 @@ class IntegerRows:
     Called on Fractions, as the rule of a ``RationalTransformer``, the rows
     scale them to their common denominator and evaluate them on integers
     (``ints``, with the checks of ``RationalTransformer.apply_values``);
-    the law checks read a certificate off the coefficients themselves
+    ``bounded`` rows are evaluated at every point of a lattice in the cube
+    at once, a coordinate column at a time (``table``), for the bounds of
+    ``synthesis.synth_polytope`` and the columnar comparison.  The law
+    checks read a certificate off the coefficients themselves
     (``modalities.LawCheck``).  Rows with coefficients >= 0 compose into
     rows of the same kind (``then``), so functoriality compares P(g . f)
     with P(f) o P(g) as two row sets.  Two rows are compared at the points
@@ -490,6 +497,17 @@ class IntegerRows:
             out.append(best)
         return tuple(out), top
 
+    def table(self, lattice: "Lattice") -> list:
+        """Per output, its values at every point of the lattice, as integers
+        over lattice.one * den, a coordinate column at a time: per vertex
+        row, c0 * one plus c_y times column y of the lattice
+        (``Lattice.columns``) for each y with c_y != 0, and per output the
+        pointwise minimum over its vertex rows.  Valid only for ``bounded``
+        rows on a lattice in [0, one]^width (``Lattice.cube_width ==
+        width``), where no point can raise, so no value is checked."""
+        n, one = len(lattice.preds), lattice.one
+        return [_column_min([([c0 * one] * n, cs) for c0, cs in verts], lattice.columns) for verts in self.rows]
+
     def __call__(self, values: Sequence[Fraction]) -> tuple:
         """The outputs at a predicate given in Fractions."""
         one = math.lcm(*[v.denominator for v in values])
@@ -550,6 +568,19 @@ class IntegerRows:
         )
 
 
+def _column_min(vertex_rows: Sequence, columns: Sequence) -> list:
+    """Per point, the least over the vertex rows (start, cs) of start plus
+    sum_y cs[y] * columns[y] there: start holds one integer per point, and
+    each columns[y] holds coordinate y of every point."""
+    best = None
+    for acc, cs in vertex_rows:
+        for c, col in zip(cs, columns):
+            if c:
+                acc = [a + c * v for a, v in zip(acc, col)]
+        best = acc if best is None else [u if u < v else v for u, v in zip(best, acc)]
+    return best
+
+
 def _first_difference(left: Sequence, right: Sequence, points: Sequence, one: int) -> int | None:
     """The index of the first point over one where two composites differ, or
     None.  A composite applies its evaluators in turn (() is the identity),
@@ -567,17 +598,38 @@ def _first_difference(left: Sequence, right: Sequence, points: Sequence, one: in
     return None
 
 
+def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice) -> int | None:
+    """``_first_difference`` of two bounded row sets of the lattice's width
+    with as many outputs, read off whole columns (``IntegerRows.table``):
+    per output, its values cross-scaled by the other's den, and the least
+    index where some output differs."""
+    da, db = a.den, b.den
+    first = None
+    for u, v in zip(a.table(lattice), b.table(lattice)):
+        if da != db:
+            u, v = [x * db for x in u], [y * da for y in v]
+        if u != v:
+            k = next(k for k, (x, y) in enumerate(zip(u, v)) if x != y)
+            first = k if first is None or k < first else first
+    return first
+
+
 def _differing_point(a, b, lattice: Lattice) -> int | None:
     """The index of the first predicate of the lattice where two sides give
     different outputs, or None.  A side is ``IntegerRows`` or an evaluator
-    (point, one) -> (outputs, their denominator).  Two rows that agree
+    (point, one) -> (outputs, their denominator).  When the lattice lies
+    in [0, one]^width (``Lattice.cube_width``), two rows that agree
     (``IntegerRows._same_bounded_rows``) answer None with no point
-    evaluated when the lattice lies in [0, one]^width
-    (``Lattice.cube_width``); otherwise the points are compared by
-    ``_first_difference``, which raises where a side does."""
-    rows = isinstance(a, IntegerRows) and isinstance(b, IntegerRows)
-    if rows and a._same_bounded_rows(b) and lattice.cube_width == a.width:
-        return None
+    evaluated, and two other bounded rows of that width with as many
+    outputs are compared a column at a time (``_first_column_difference``).
+    Every other pair (an evaluator side, unbounded rows, a point outside
+    the cube) is compared point by point by ``_first_difference``, which
+    raises where a side does."""
+    if isinstance(a, IntegerRows) and isinstance(b, IntegerRows) and lattice.cube_width == a.width:
+        if a._same_bounded_rows(b):
+            return None
+        if b.width == a.width and len(a.rows) == len(b.rows) and a.bounded() and b.bounded():
+            return _first_column_difference(a, b, lattice)
     ints = lambda side: side.ints if isinstance(side, IntegerRows) else side
     return _first_difference((ints(a),), (ints(b),), lattice.preds, lattice.one)
 
@@ -619,6 +671,12 @@ class Lattice:
         if len(widths) == 1 and all(0 <= v <= self.one for p in self.preds for v in p):
             return widths.pop()
         return None
+
+    @functools.cached_property
+    def columns(self) -> tuple:
+        """The predicates a coordinate at a time: entry y holds coordinate
+        y of every predicate, in order (``IntegerRows.table``)."""
+        return tuple(zip(*self.preds))
 
     @functools.cached_property
     def counts(self) -> dict:

@@ -12,8 +12,10 @@ the total, partial and dist rows.  Both rebuild the transformer with
 ``pt_modality(row, ...)`` and compare it with the input.  The
 demonic-probabilistic one builds, per state, the half-space region cut
 out by the grid, on integers: its bounds are phi's rows at the grid's
-lattice points, an exact integer clipper (``_clip_ints``) finds its
-vertices, and each minimum is certified on those vertices, which is what
+lattice points, read a coordinate column at a time when phi holds
+bounded rows (``IntegerRows.table``) and point by point otherwise, an
+exact integer clipper (``_clip_ints``) finds its vertices, and each
+minimum is certified on those vertices, a column at a time, which is what
 the rebuilt transformer would be compared on.  A certification failure
 is reported as inconclusive rather than forced.  Outside the catalog,
 ``synthesize`` checks the arrow read under the given modality.  The
@@ -34,7 +36,18 @@ from typing import Sequence
 from .core import SizeGuardError
 from .healthiness import ProbeGrid, run_condition
 from .modalities import BOOLEAN, INSTANCES, Modality, TauR, builtin_modality
-from .monads import BOT, MONADS, DistV, IntegerRows, KleisliArrow, Lattice, MonadKind, _differing_point, dedup_vertices
+from .monads import (
+    BOT,
+    MONADS,
+    DistV,
+    IntegerRows,
+    KleisliArrow,
+    Lattice,
+    MonadKind,
+    _column_min,
+    _differing_point,
+    dedup_vertices,
+)
 from .semantics import BooleanTransformer, RationalTransformer, pt_modality
 from .verdicts import Verdict, Witness, register_law
 
@@ -333,10 +346,18 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     predicate over C(x) must be attained exactly at phi's value.  Bounds,
     clipping and certification run on integers: with a grid predicate q
     over the lattice's one and its bound c over one * den (phi at the
-    lattice point, ``RationalTransformer._ints``, scaled to one common
-    den), the half-space is the row w_j = q_j den - c, and at a vertex m,
-    w . m is <p, mu> - phi(p)(x) times the positive one * den * sum(m), so
-    the minimum is certified when the least w . m over the vertices is 0.
+    lattice point, scaled to one common den), the half-space is the row
+    w_j = q_j den - c, and at a vertex m, w . m is <p, mu> - phi(p)(x)
+    times the positive one * den * sum(m), so the minimum is certified
+    when the least w . m over the vertices is 0.  Bounded rows give their
+    bounds at every lattice point at once, a coordinate column at a time
+    (``IntegerRows.table``); an opaque rule, or rows that may leave
+    [0, 1], is evaluated point by point (``RationalTransformer._ints``),
+    raising where a point does.  The certificate is computed a column at
+    a time too: per vertex m, den (q . m) - c sum(m) at every lattice
+    point, and the least over the vertices; the first point where it is
+    not 0 is the one a per-row loop would stop at.  The arrow's row at x
+    holds the vertices m / sum(m), built from the integers.
     A failed certification (possible when the grid undersamples a
     transformer that is not genuinely realizable) yields inconclusive, with
     its witness in Fractions: the state's half-spaces, built for the
@@ -348,15 +369,21 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
     lattice = grid.lattice
-    outs = [phi._ints(q, lattice.one) for q in lattice.preds]
-    top = math.lcm(lattice.one, *[d for _, d in outs])
-    den, bounds = top // lattice.one, [vs if d == top else [v * (top // d) for v in vs] for vs, d in outs]
-    vertex_rows = []
+    rows = phi._side
+    if isinstance(rows, IntegerRows) and lattice.cube_width == rows.width and rows.bounded():
+        # per state, its bounds at every lattice point, over one * den
+        den, bounds = rows.den, rows.table(lattice)
+    else:
+        outs = [phi._ints(q, lattice.one) for q in lattice.preds]
+        top = math.lcm(lattice.one, *[d for _, d in outs])
+        den = top // lattice.one
+        bounds = [[vs[i] * (top // d) for vs, d in outs] for i in range(len(X))]
+    # the vertex m / sum(m), on integers: a clipped vertex is gcd-normalized, so already reduced
+    vertex = lambda m: DistV._over({y: c for y, c in zip(Y.elements, m) if c}, sum(m))
     checked = 0
-    for i, x in enumerate(X.elements):
-        cs = [values[i] for values in bounds]
-        wrows = [[v * den - c for v in q] for q, c in zip(lattice.preds, cs)]
-        ms = _clip_ints(len(Y), wrows)
+    vertex_rows = []
+    for x, cs in zip(X.elements, bounds):
+        ms = _clip_ints(len(Y), [[v * den - c for v in q] for q, c in zip(lattice.preds, cs)])
         if not ms:
             return SynthesisResult(
                 None,
@@ -364,27 +391,25 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                     f"region for state {x!r} is empty; grid constraints are jointly infeasible"
                 ),
             )
-        vertices = _as_fractions(ms)
-        for k, w in enumerate(wrows):
-            checked += 1
-            if min(sum(map(operator.mul, w, m)) for m in ms) != 0:
-                halfspaces = tuple((q, Fraction(c, top)) for q, c in zip(grid.predicates, cs))
-                p, bound = halfspaces[k]
-                certified = min(sum(a * b for a, b in zip(p, v)) for v in vertices)
-                return SynthesisResult(
-                    None,
-                    Verdict.inconclusive(
-                        "minimum over the region is not certified at a region vertex",
-                        checked,
-                        Witness(
-                            "polytope.certify",
-                            {"x": x, "p": p, "halfspaces": halfspaces},
-                            certified,
-                            bound,
-                        ),
-                    ),
-                )
-        vertex_rows.append(dedup_vertices(DistV(zip(Y.elements, v)) for v in vertices))
+        # per lattice point k, the least w_k . m = den (q_k . m) - c_k sum(m) over the vertices
+        mins = _column_min([([-c * sum(m) for c in cs], [v * den for v in m]) for m in ms], lattice.columns)
+        k = next((k for k, least in enumerate(mins) if least != 0), None)
+        if k is not None:
+            checked += k + 1
+            top = lattice.one * den
+            halfspaces = tuple((q, Fraction(c, top)) for q, c in zip(grid.predicates, cs))
+            p, bound = halfspaces[k]
+            certified = min(sum(a * b for a, b in zip(p, v)) for v in _as_fractions(ms))
+            return SynthesisResult(
+                None,
+                Verdict.inconclusive(
+                    "minimum over the region is not certified at a region vertex",
+                    checked,
+                    Witness("polytope.certify", {"x": x, "p": p, "halfspaces": halfspaces}, certified, bound),
+                ),
+            )
+        checked += len(mins)
+        vertex_rows.append(dedup_vertices(map(vertex, ms)))
     arrow = KleisliArrow(MonadKind.CV_DIST, X, Y, vertex_rows)
     return SynthesisResult(arrow, Verdict.healthy(checked))
 
@@ -394,7 +419,8 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     mutual evaluation (min over vertices) on the grid plus all Diracs: a
     probe-based test, not a decision of hull equality.  Both arrows are
     compared as the integer rows of their demonic_prob transformers on the
-    grid's lattice plus the Dirac points it lacks (``_differing_point``).
+    grid's lattice plus the Dirac points it lacks (none on a grid that
+    holds its core, as the default grid does), by ``_differing_point``.
     A row with no vertex, with support outside the target or with a value
     outside [0, 1] at a point raises ``ValueError``."""
     if a.source.elements != b.source.elements or a.target.elements != b.target.elements:
@@ -407,9 +433,12 @@ def _cv_rows_equal(rows_a: IntegerRows, b: KleisliArrow, grid: ProbeGrid | None)
     """``cv_semantically_equal`` with a given as its demonic_prob rows,
     on b's carriers: a round trip holds pt(f)'s rows already."""
     grid = grid if grid is not None else ProbeGrid.default(b.target)
-    n, one, preds = len(b.target), grid.lattice.one, grid.lattice.preds
-    diracs = (_dirac_tuple(n, j, one) for j in range(n))
-    lattice = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ())
+    lattice = grid.lattice
+    if not grid.meets_minimum():
+        # a grid that holds its core, as the default grid does, holds every Dirac
+        n, one, preds = len(b.target), lattice.one, lattice.preds
+        diracs = (_dirac_tuple(n, j, one) for j in range(n))
+        lattice = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ())
     rows_b = builtin_modality("demonic_prob").closed_form(b.rows, b.target.elements)
     return _differing_point(rows_a, rows_b, lattice) is None
 

@@ -5,24 +5,27 @@ the grid's lattice points; ``synthesis.cv_semantically_equal`` and
 ``monads.cv_values_equal`` compare the closed forms of two vertex lists at
 their probes' lattice points.  All three call one routine,
 ``monads._differing_point``: two sides that hold the same rows answer at
-once, and every other pair goes to ``monads._first_difference``, which
-reads a closed form's rows and scales a rule's values to one denominator.
+once, two other bounded row sets on a lattice in the cube are compared a
+column at a time (``monads._first_column_difference``), and every other
+pair goes to ``monads._first_difference``, which reads a closed form's
+rows and scales a rule's values to one denominator.
 The package keeps no Fraction loop for any of them.  The references below
 are the Fraction loops they replaced: verdicts, ``checked`` counts,
 witnesses, answers and exception types must be the same on every valid
 input.  A vertex list that no arrow can hold (no vertex, support outside
 the carrier, a value outside [0, 1] at a probe) raises ``ValueError``.
 ``synth_polytope`` runs on integers from bound to certificate: it
-reads its bounds off the integer evaluator at the lattice points, clips
-on homogeneous integer rows (``synthesis._clip_ints``) and certifies each
-minimum on the integer vertices.  Its reference clips and certifies in
-Fractions, on closed forms and on the same forms behind plain Python
-rules; the clipper core and its Fraction front end ``_clip_region`` are
-checked against the Fraction clipper they replaced.
+reads its bounds off the rows' columns, or off a rule at each lattice
+point, clips on homogeneous integer rows (``synthesis._clip_ints``) and
+certifies each minimum on the integer vertices.  Its reference clips
+and certifies in Fractions, on closed forms and on the same forms behind
+plain Python rules; the clipper core and its Fraction front end
+``_clip_region`` are checked against the Fraction clipper they replaced.
 """
 
 import itertools
 import math
+import pickle
 from fractions import Fraction as F
 from random import Random
 
@@ -186,12 +189,14 @@ def outcome(call, *args):
 
 @pytest.fixture
 def integer_calls(monkeypatch):
-    """The calls of the integer comparison, ``_first_difference``: points
-    compared, not answered by the same-rows shortcut of
-    ``_differing_point``, through which every check decides."""
+    """The calls of the integer comparisons, ``_first_difference`` and its
+    columnar route ``_first_column_difference``: points compared, not
+    answered by the same-rows shortcut of ``_differing_point``, through
+    which every check decides."""
     calls = []
-    real = monads._first_difference
-    monkeypatch.setattr(monads, "_first_difference", lambda *a: calls.append(1) or real(*a))
+    for name in ("_first_difference", "_first_column_difference"):
+        real = getattr(monads, name)
+        monkeypatch.setattr(monads, name, lambda *a, real=real: calls.append(1) or real(*a))
     return calls
 
 
@@ -646,6 +651,120 @@ def test_same_values_shortcut_needs_one_bounded_vertex_per_output(monkeypatch):
     assert not calls
 
 
+def _bounded_vertex(rng, width, den):
+    """A vertex row over den with entries >= 0 and sum at most one."""
+    left, cs = den, []
+    for _ in range(width):
+        cs.append(F(rng.randint(0, left), den))
+        left -= cs[-1].numerator * den // cs[-1].denominator
+    return F(rng.randint(0, left), den), tuple(cs)
+
+
+def _spied_difference(monkeypatch, a, b, lattice):
+    """What ``_differing_point`` answers (an index, None, or the type and
+    message of what it raises), the points at which ``ints`` evaluated a
+    side, and whether the columnar route ran."""
+    points, columnar = [], []
+    ints, column = IntegerRows.ints, monads._first_column_difference
+    with monkeypatch.context() as m:
+        m.setattr(IntegerRows, "ints", lambda self, p, one: points.append(p) or ints(self, p, one))
+        m.setattr(monads, "_first_column_difference", lambda *args: columnar.append(1) or column(*args))
+        try:
+            answer = monads._differing_point(a, b, lattice)
+        except ValueError as exc:
+            answer = (ValueError, str(exc))
+    return answer, points, bool(columnar)
+
+
+def _loop_difference(monkeypatch, a, b, lattice):
+    """The same for the point loop, ``_first_difference`` on ``ints``."""
+    points, ints = [], IntegerRows.ints
+    with monkeypatch.context() as m:
+        m.setattr(IntegerRows, "ints", lambda self, p, one: points.append(p) or ints(self, p, one))
+        try:
+            answer = monads._first_difference((a.ints,), (b.ints,), lattice.preds, lattice.one)
+        except ValueError as exc:
+            answer = (ValueError, str(exc))
+    return answer, points
+
+
+def test_the_columnar_route_agrees_with_the_point_loop(monkeypatch):
+    # bounded rows of the lattice's width with as many outputs go a column at
+    # a time and give the loop's index; every other pair is the loop itself,
+    # which raises the same ValueError at the same point
+    rng = Random(32)
+    seen = set()
+    for trial in range(300):
+        width, outputs = rng.randint(1, 3), rng.randint(1, 3)
+        da, db = rng.choice((1, 4, 6, 12)), rng.choice((1, 4, 6, 12))
+        one = rng.choice((1, 2, 6, 12))
+        preds = [tuple(rng.randint(0, one) for _ in range(width)) for _ in range(rng.randint(1, 12))]
+        rows = [[_bounded_vertex(rng, width, da) for _ in range(rng.randint(1, 3))] for _ in range(outputs)]
+        how = rng.choice(("equal", "output", "den", "width", "outside", "unbounded"))
+        other = [list(verts) for verts in rows]
+        if how == "equal":
+            # the same values from other rows: one more vertex row, above another
+            c0, cs = other[-1][0]
+            other[-1].append((c0 + F(1, 2 * db), cs))
+        elif how == "output":
+            # one output replaced, so the first difference falls at a random point
+            other[rng.randrange(outputs)] = [_bounded_vertex(rng, width, db) for _ in range(rng.randint(1, 3))]
+        elif how == "den":
+            other = [[_bounded_vertex(rng, width, db) for _ in range(rng.randint(1, 3))] for _ in range(outputs)]
+        elif how == "width":
+            other = [[(c0, cs + (ZERO,)) for c0, cs in verts] for verts in other]
+        elif how == "outside":
+            preds.insert(rng.randrange(len(preds) + 1), tuple(rng.randint(0, 3 * one) for _ in range(width)))
+        else:
+            c0, cs = other[0][0]
+            other[0][0] = (c0 + F(1, 2), (F(-1),) + cs[1:])
+        a, b = IntegerRows(rows, width), IntegerRows(other, len(other[0][0][1]))
+        lattice = Lattice(one, tuple(preds), ())
+        for left, right in ((a, b), (b, a)):
+            answer, points, columnar = _spied_difference(monkeypatch, left, right, lattice)
+            loop, loop_points = _loop_difference(monkeypatch, left, right, lattice)
+            assert answer == loop
+            fits = lattice.cube_width == left.width == right.width and left.bounded() and right.bounded()
+            assert columnar == (fits and not left._same_bounded_rows(right))
+            if not fits:
+                assert points == loop_points
+            seen.add((how, columnar, "raises" if isinstance(answer, tuple) else answer is None))
+    # every case was reached: equal values and a difference on the columns,
+    # and the fallbacks, raising or not
+    for how in ("output", "den"):
+        assert {(how, True, False)} <= seen
+    assert ("equal", True, True) in seen
+    for how in ("width", "outside", "unbounded"):
+        assert (how, False, "raises") in seen
+    assert ("outside", False, False) in seen or ("outside", False, True) in seen
+
+
+def test_closed_forms_and_opaque_rules_synthesize_the_same_polytopes(monkeypatch):
+    # random bounded rows: the closed form reads its bounds off the columns,
+    # the same values behind a rule read them point by point, and both give
+    # the Fraction reference's arrow (to its repr and pickle bytes), verdict,
+    # checked count and witness
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    rng = Random(33)
+    statuses = set()
+    for n in SIZES:
+        Y = _carrier(n)
+        grid = ProbeGrid.default(Y, seed=n)
+        for _ in range(20):
+            den = rng.choice((2, 4, 6))
+            rows = IntegerRows([[_bounded_vertex(rng, n, den) for _ in range(rng.randint(1, 3))] for _ in X], n)
+            closed = RationalTransformer(Y, X, rows)
+            rule = RationalTransformer(Y, X, lambda values, rows=rows: rows(values))
+            a, b = synth_polytope(closed, grid), synth_polytope(rule, grid)
+            assert a == b == fraction_synth_polytope(rule, grid)
+            assert a.residual.checked == b.residual.checked and a.residual.witness == b.residual.witness
+            assert repr(a.arrow) == repr(b.arrow) and pickle.dumps(a.arrow) == pickle.dumps(b.arrow)
+            if a.residual.witness:
+                assert witness_is_sound(rule, a.residual.witness)
+            statuses.add(a.residual.status)
+    assert statuses == {"healthy", "inconclusive"}
+
+
 def _opaque(phi):
     """phi's closed form behind a plain Python rule: ``rows`` is None, so
     synth_polytope reads its bounds through ``apply_values``."""
@@ -738,10 +857,16 @@ def test_the_default_grid_holds_the_dirac_probes(monkeypatch, Y3):
     g = KleisliArrow(MonadKind.CV_DIST, X, Y3, [mix(row) for row in f.rows])
     grid = ProbeGrid.default(Y3)
     calls = []
-    ints = IntegerRows.ints
+    ints, table = IntegerRows.ints, IntegerRows.table
     monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(a[0]) or ints(self, *a))
+    # the columnar route evaluates both sides at every point of its lattice,
+    # the grid's own
+    lattices = []
+    monkeypatch.setattr(IntegerRows, "table", lambda self, at: lattices.append(at) or table(self, at))
     assert cv_semantically_equal(f, g, grid)
+    calls += [p for at in lattices for p in at.preds]
     assert len(calls) == 2 * len(grid.lattice.preds) and set(calls) == set(grid.lattice.preds)
+    assert all(at is grid.lattice for at in lattices)
 
 
 # P(f) o P(g) as one row set (``IntegerRows.then``): the composite of two
