@@ -259,7 +259,10 @@ def _parse_transformer(obj, sets: dict, doc_computation, doc_modality, path: str
             pred = tuple(_rat(v, f"{where}[0]") for v in _list(entry[0], "a predicate", f"{where}[0]"))
             vals = tuple(_rat(v, f"{where}[1]") for v in _list(entry[1], "a value row", f"{where}[1]"))
             if len(pred) != len(source) or len(vals) != len(target):
-                raise SpecError("E_TABLE", "pair lengths must match the carriers", f"{path}.pairs[{k}]")
+                raise SpecError("E_TABLE", "pair lengths must match the carriers", where)
+            if pred in lookup:
+                listed = ", ".join(map(format_rational, pred))
+                raise SpecError("E_TABLE", f"predicate [{listed}] is listed twice", where)
             lookup[pred] = vals
         if doc_computation is not None and doc_modality is not None:
             backing = _interpret(_modality(doc_modality, "$.modality"), doc_computation, "$.modality")
@@ -296,7 +299,7 @@ def parse_spec(text: str) -> SpecDocument:
         raise SpecError("E_SCHEMA", "document must be a JSON object")
     sets = _parse_sets(obj.get("sets"), "$.sets")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise SpecError("E_SCHEMA", "seed must be an integer", "$.seed")
     modality = obj.get("modality")
     if modality is not None:

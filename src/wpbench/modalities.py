@@ -449,12 +449,12 @@ class Law:
     A law over a partial operation carries its definedness law ``defined``,
     checked before it at each argument.  A rational law may carry a
     ``certificate`` (single, vertex): integer rows certify it, and its
-    definedness law, at every argument when, under ``IntegerRows.bounded``,
-    every vertex row (c0, cs) over den passes ``vertex(c0, cs, den)`` and,
-    if ``single``, every output has exactly one vertex row.  Such rows are
-    linear (one row, c0 = 0), affine with F(1) = 1 (one row, c0 + sum(cs) =
-    den), or a minimum of homogeneous maps (every c0 = 0), resp. of maps
-    that commute with shifts (every sum(cs) = den).
+    definedness law, at every argument when every vertex row (c0, cs) over
+    den passes ``vertex(c0, cs, den)`` and, if ``single``, every output has
+    exactly one vertex row.  Such rows are linear (one row, c0 = 0), affine
+    with F(1) = 1 (one row, c0 + sum(cs) = den), or a minimum of
+    homogeneous maps (every c0 = 0), resp. of maps that commute with shifts
+    (every sum(cs) = den).
     """
 
     name: str
@@ -754,21 +754,16 @@ class LawCheck:
         return counts[shape]
 
     @functools.cached_property
-    def _bounded(self) -> bool:
-        """Whether the rows map [0, 1]^Y into [0, 1], so that F raises at no
-        argument: they fit the lattice's width (> 0) and the outputs, and
-        they are ``IntegerRows.bounded``."""
+    def _fits(self) -> bool:
+        """Whether the rows fit the lattice's width (> 0) and the outputs,
+        so that F, which maps [0, 1]^Y into [0, 1], raises at no argument."""
         rows, preds = self._rows, self._lattice.preds
-        return (
-            len(preds[0] if preds else ()) == rows.width > 0
-            and len(rows.rows) == len(self._consts[0])
-            and rows.bounded()
-        )
+        return len(preds[0] if preds else ()) == rows.width > 0 and len(rows.rows) == len(self._consts[0])
 
     def _certified(self, law: Law) -> bool:
         """Whether the rows' coefficients certify a law at every argument
         (see ``Law``)."""
-        if law.certificate is None or not self._bounded:
+        if law.certificate is None or not self._fits:
             return False
         single, test = law.certificate
         den = self._rows.den

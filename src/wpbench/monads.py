@@ -45,15 +45,16 @@ The closed forms of the rational modalities evaluate on integers here
 (``IntegerRows`` on a ``Lattice`` of probes): one evaluator serves the
 transformers, the synthesis round trip and the vertex-list equality
 ``cv_values_equal``, and the law checks read certificates off its
-coefficients.  Rows compose exactly (``IntegerRows.then``), so a
-composite of two closed forms is one row set.  Every equality of two
-sides at lattice points goes through one routine, ``_differing_point``:
-sides holding the same rows answer at once, two other bounded row sets
-on a lattice in the cube are evaluated a coordinate column at a time
-(``IntegerRows.table``) and compared whole columns at once, and the rest
-(an opaque evaluator, unbounded rows, a point outside the cube) is
-compared point by point on integers (``_first_difference``), which
-raises where a side does.
+coefficients.  Rows map [0, 1]^width into [0, 1], as the closed form of
+an algebra does, which is checked once, where they are built.  Rows
+compose exactly (``IntegerRows.then``), so a composite of two closed
+forms is one row set.  Every equality of two sides at lattice points goes
+through ``_differing_point``, by one of two routes.  Rows on a lattice in
+the cube raise nowhere: the same rows answer at once, and other rows are
+evaluated and compared a coordinate column at a time
+(``IntegerRows.table``).  An opaque evaluator, or a point outside the
+cube, is compared point by point on integers (``_first_difference``),
+which raises where a side does.
 
 The hot paths build tuples from lists (``tuple([...])``), at their final
 size.  A tuple grown from a generator, once freed, is kept on CPython's
@@ -311,6 +312,9 @@ class KleisliArrow:
 
     def __init__(self, kind, source: FinSet, target: FinSet, rows):
         kind = MonadKind(kind)
+        if isinstance(rows, dict) and rows.keys() != set(source.elements):
+            missing, unknown = [x for x in source if x not in rows], [x for x in rows if x not in source]
+            raise ValueError(f"arrow rows for carrier {source.name!r}: missing {missing}, unknown labels {unknown}")
         row_list = [rows[x] for x in source.elements] if isinstance(rows, dict) else list(rows)
         if len(row_list) != len(source):
             raise ValueError(
@@ -426,12 +430,13 @@ class IntegerRows:
     divergence offset is one vertex row, a polytope has one per vertex.
     Called on Fractions, as the rule of a ``RationalTransformer``, the rows
     scale them to their common denominator and evaluate them on integers
-    (``ints``, with the checks of ``RationalTransformer.apply_values``);
-    ``bounded`` rows are evaluated at every point of a lattice in the cube
-    at once, a coordinate column at a time (``table``), for the bounds of
-    ``synthesis.synth_polytope`` and the columnar comparison.  The law
-    checks read a certificate off the coefficients themselves
-    (``modalities.LawCheck``).  Rows with coefficients >= 0 compose into
+    (``ints``, with the checks of ``RationalTransformer.apply_values``).
+    Rows map [0, 1]^width into [0, 1]; others raise ``ValueError`` where
+    they are built (``_take``).  On a lattice in the cube they are
+    evaluated at every point at once, a coordinate column at a time
+    (``table``), for the bounds of ``synthesis.synth_polytope`` and the
+    columnar comparison.  The law checks read a certificate off the
+    coefficients themselves (``modalities.LawCheck``).  Rows compose into
     rows of the same kind (``then``), so functoriality compares P(g . f)
     with P(f) o P(g) as two row sets.  Two rows are compared at the points
     of a lattice by ``_differing_point``, for the residual, functoriality
@@ -445,21 +450,35 @@ class IntegerRows:
 
     def __init__(self, rows: Sequence, width: int):
         # rows: per output, its vertex rows (offset, coefficients), in Fractions
-        den = self.den = math.lcm(
-            *[q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs)]
-        )
+        den = math.lcm(*[q.denominator for verts in rows for c0, cs in verts for q in (c0, *cs)])
         scaled = lambda q: q.numerator * (den // q.denominator)
-        self.width = width
-        self.rows = tuple(
-            [tuple([(scaled(c0), tuple([scaled(c) for c in cs])) for c0, cs in verts]) for verts in rows]
-        )
+        out = tuple([tuple([(scaled(c0), tuple([scaled(c) for c in cs])) for c0, cs in verts]) for verts in rows])
+        self._take(out, den, width)
 
     @classmethod
     def _of_ints(cls, rows: tuple, den: int, width: int) -> "IntegerRows":
-        """Rows already scaled to integers over den, taken as they are."""
+        """Rows already scaled to integers over den, checked as the
+        constructor checks them."""
         out = cls.__new__(cls)
-        out.rows, out.den, out.width = rows, den, width
+        out._take(rows, den, width)
         return out
+
+    def _take(self, rows: tuple, den: int, width: int) -> None:
+        """Hold rows over den that map [0, 1]^width into [0, 1], else raise
+        ``ValueError``: each output has a vertex row, each vertex row has
+        width coefficients and no entry below 0, and the least vertex sum
+        c0 + sum(cs) of an output, its value at the predicate 1, is at most
+        den, so the minimum is at most 1 everywhere in the cube."""
+        for verts in rows:
+            if not verts:
+                raise ValueError("an output has no vertex row")
+            for c0, cs in verts:
+                if len(cs) != width or min((c0, *cs)) < 0:
+                    raise ValueError(f"a vertex row needs {width} coefficients and no negative entry")
+            least = min([c0 + sum(cs) for c0, cs in verts])
+            if least > den:
+                raise ValueError(f"rows produce {Fraction(least, den)} outside [0, 1] at the predicate 1")
+        self.rows, self.den, self.width = rows, den, width
 
     @classmethod
     def of_distributions(cls, rows: Sequence, targets: Sequence) -> "IntegerRows":
@@ -490,8 +509,6 @@ class IntegerRows:
                     acc += c * v
                 if best is None or acc < best:
                     best = acc
-            if best is None:
-                raise ValueError("an output has no vertex row")
             if not 0 <= best <= top:
                 raise ValueError(f"transformer produced {Fraction(best, top)} outside [0, 1]")
             out.append(best)
@@ -502,9 +519,9 @@ class IntegerRows:
         over lattice.one * den, a coordinate column at a time: per vertex
         row, c0 * one plus c_y times column y of the lattice
         (``Lattice.columns``) for each y with c_y != 0, and per output the
-        pointwise minimum over its vertex rows.  Valid only for ``bounded``
-        rows on a lattice in [0, one]^width (``Lattice.cube_width ==
-        width``), where no point can raise, so no value is checked."""
+        pointwise minimum over its vertex rows.  Valid only on a lattice in
+        [0, one]^width (``Lattice.cube_width == width``), where no point
+        can raise, so no value is checked."""
         n, one = len(lattice.preds), lattice.one
         return [_column_min([([c0 * one] * n, cs) for c0, cs in verts], lattice.columns) for verts in self.rows]
 
@@ -521,9 +538,10 @@ class IntegerRows:
         c0 * den + sum c_y * d0_y and the coefficients sum c_y * ds_y, over
         outer.den * den.  With every c_y >= 0 a weighted sum of minima is
         the minimum over the choices, so the composite equals the two
-        stages wherever self's outputs lie in [0, 1].  Both must be
-        ``bounded`` and outer must read self's outputs (its width is their
-        number), as ``semantics._rows_after`` checks before it calls."""
+        stages wherever self's outputs lie in [0, 1], which they do at
+        every point of the cube.  Outer must read self's outputs (its width
+        is their number), as the carriers of ``semantics._rows_after``
+        make it."""
         den, width = self.den, self.width
         out = []
         for verts in outer.rows:
@@ -540,32 +558,16 @@ class IntegerRows:
             out.append(tuple(composite))
         return IntegerRows._of_ints(tuple(out), outer.den * den, width)
 
-    def _same_bounded_rows(self, other: "IntegerRows") -> bool:
-        """Whether both give the same outputs and raise at no point in
-        [0, one]: they have one width and as many outputs, per output the
-        same vertex rows cross-scaled by the other's den, and they are
-        ``bounded``."""
-        if self.width != other.width or len(self.rows) != len(other.rows):
-            return False
+    def _same_rows(self, other: "IntegerRows") -> bool:
+        """Whether two row sets of one width with as many outputs hold, per
+        output, the same vertex rows cross-scaled by the other's den, so
+        that they give the same outputs at every point."""
         da, db = self.den, other.den
         for va, vb in zip(self.rows, other.rows):
             scaled = {(c0 * db, tuple(c * db for c in cs)) for c0, cs in va}
             if scaled != {(c0 * da, tuple(c * da for c in cs)) for c0, cs in vb}:
                 return False
-        return self.bounded()
-
-    def bounded(self) -> bool:
-        """Whether the rows map [0, 1]^width into [0, 1], so that ``ints``
-        raises at no point of [0, one]^width: every offset and coefficient
-        is >= 0, every vertex row has width coefficients, and each output
-        has a vertex row whose sum c0 + sum(cs) is at most den (the minimum
-        is at most that row's value, at most its sum)."""
-        return all(
-            verts
-            and min(c0 + sum(cs) for c0, cs in verts) <= self.den
-            and all(c0 >= 0 and len(cs) == self.width and min(cs, default=0) >= 0 for c0, cs in verts)
-            for verts in self.rows
-        )
+        return True
 
 
 def _column_min(vertex_rows: Sequence, columns: Sequence) -> list:
@@ -581,28 +583,24 @@ def _column_min(vertex_rows: Sequence, columns: Sequence) -> list:
     return best
 
 
-def _first_difference(left: Sequence, right: Sequence, points: Sequence, one: int) -> int | None:
-    """The index of the first point over one where two composites differ, or
-    None.  A composite applies its evaluators in turn (() is the identity),
-    each mapping (point, one) to (outputs, their denominator); values are
-    compared cross-scaled, left first, so errors raise where a loop would."""
+def _first_difference(left: Callable, right: Callable, points: Sequence, one: int) -> int | None:
+    """The index of the first point over one where two sides differ, or
+    None.  A side maps (point, one) to (outputs, their denominator); values
+    are compared cross-scaled, left first, so errors raise where a loop
+    would."""
     for k, p in enumerate(points):
-        a, da = p, one
-        for at in left:
-            a, da = at(a, da)
-        b, db = p, one
-        for at in right:
-            b, db = at(b, db)
+        a, da = left(p, one)
+        b, db = right(p, one)
         if len(a) != len(b) or any(u * db != v * da for u, v in zip(a, b)):
             return k
     return None
 
 
 def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice) -> int | None:
-    """``_first_difference`` of two bounded row sets of the lattice's width
-    with as many outputs, read off whole columns (``IntegerRows.table``):
-    per output, its values cross-scaled by the other's den, and the least
-    index where some output differs."""
+    """``_first_difference`` of two row sets of the lattice's width with as
+    many outputs, on a lattice in the cube, read off whole columns
+    (``IntegerRows.table``): per output, its values cross-scaled by the
+    other's den, and the least index where some output differs."""
     da, db = a.den, b.den
     first = None
     for u, v in zip(a.table(lattice), b.table(lattice)):
@@ -617,21 +615,19 @@ def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice) -
 def _differing_point(a, b, lattice: Lattice) -> int | None:
     """The index of the first predicate of the lattice where two sides give
     different outputs, or None.  A side is ``IntegerRows`` or an evaluator
-    (point, one) -> (outputs, their denominator).  When the lattice lies
-    in [0, one]^width (``Lattice.cube_width``), two rows that agree
-    (``IntegerRows._same_bounded_rows``) answer None with no point
-    evaluated, and two other bounded rows of that width with as many
-    outputs are compared a column at a time (``_first_column_difference``).
-    Every other pair (an evaluator side, unbounded rows, a point outside
-    the cube) is compared point by point by ``_first_difference``, which
-    raises where a side does."""
-    if isinstance(a, IntegerRows) and isinstance(b, IntegerRows) and lattice.cube_width == a.width:
-        if a._same_bounded_rows(b):
-            return None
-        if b.width == a.width and len(a.rows) == len(b.rows) and a.bounded() and b.bounded():
-            return _first_column_difference(a, b, lattice)
+    (point, one) -> (outputs, their denominator).  Two row sets of one
+    shape on a lattice in [0, one]^width (``Lattice.cube_width``), where
+    rows raise nowhere, answer None with no point evaluated when they hold
+    the same rows (``IntegerRows._same_rows``), else are compared a column
+    at a time (``_first_column_difference``).  Every other pair (an
+    evaluator, a point outside the cube, rows of two shapes) is compared
+    point by point by ``_first_difference``, which raises where a side
+    does."""
+    if isinstance(a, IntegerRows) and isinstance(b, IntegerRows) and lattice.cube_width == a.width == b.width:
+        if len(a.rows) == len(b.rows):
+            return None if a._same_rows(b) else _first_column_difference(a, b, lattice)
     ints = lambda side: side.ints if isinstance(side, IntegerRows) else side
-    return _first_difference((ints(a),), (ints(b),), lattice.preds, lattice.one)
+    return _first_difference(ints(a), ints(b), lattice.preds, lattice.one)
 
 
 def vertex_rows(tvalues: Sequence, targets: Sequence) -> IntegerRows:
@@ -931,8 +927,9 @@ def _weights_to_json(d: DistV, target: FinSet) -> dict:
 
 
 def read_weight(raw, path: str = "") -> Fraction:
-    """A rational in [0, 1] written as a JSON string "p/q" or an integer."""
-    if not is_rational(raw):
+    """A rational in [0, 1] written as a JSON string "p/q" or an integer; a
+    JSON true or false is no number, though Python counts a bool as an int."""
+    if isinstance(raw, bool) or not is_rational(raw):
         raise RowError("E_RAT", f"{raw!r} is not an integer or a rational p/q with q > 0", path)
     q = parse_rational(raw)
     if not (0 <= q <= 1):

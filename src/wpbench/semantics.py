@@ -104,7 +104,8 @@ class RationalTransformer:
     Kept as an evaluation rule (values aligned with the carriers' element
     order); ``arrow`` optionally records the defining computation.  The
     rule is called at every evaluation: a grid check evaluates each point
-    once (``LawCheck``), and a closed form is compared on its integer rows.
+    once (``LawCheck``), and a closed form is compared on its integer rows,
+    which must fit the carriers (else ``ValueError``, as ``apply_values``).
     """
 
     source: FinSet
@@ -112,6 +113,13 @@ class RationalTransformer:
     fn: Callable  # tuple of Fractions over source -> tuple of Fractions over target
     arrow: KleisliArrow | None = None
     label: str = ""
+
+    def __post_init__(self):
+        rows = self.rows
+        if rows is not None and rows.width != len(self.source):
+            raise ValueError("predicate length does not match the source carrier")
+        if rows is not None and len(rows.rows) != len(self.target):
+            raise ValueError("transformer output length does not match the target carrier")
 
     @property
     def carrier(self) -> str:
@@ -145,12 +153,11 @@ class RationalTransformer:
     @functools.cached_property
     def _side(self):
         """The transformer as the integer comparison reads it
-        (``monads._differing_point``): its ``IntegerRows`` when they fit
-        the carriers, else an evaluator (point, one) -> (outputs, their
-        denominator), ``apply_values`` scaled to the lcm."""
-        rows = self.rows
-        if rows is not None and rows.width == len(self.source) and len(rows.rows) == len(self.target):
-            return rows
+        (``monads._differing_point``): its ``IntegerRows``, which fit the
+        carriers, or for a rule an evaluator (point, one) -> (outputs,
+        their denominator), ``apply_values`` scaled to the lcm."""
+        if self.rows is not None:
+            return self.rows
 
         def at(point, one):
             out = self.apply_values([Fraction(m, one) for m in point])
@@ -300,14 +307,11 @@ def _identity_rows(n: int) -> IntegerRows:
 
 def _rows_after(pg: RationalTransformer, pf: RationalTransformer, lattice: Lattice):
     """P(f) o P(g) as one row set (``IntegerRows.then``) when it may stand
-    for the two stages on the lattice, else None: both carry rows that fit
-    (``_side``) and are ``bounded``, so neither stage raises in the cube,
-    the lattice lies in the cube, and the composite holds no more vertex
-    rows than the lattice has points."""
-    inner, outer = pg._side, pf._side
-    if not (isinstance(inner, IntegerRows) and isinstance(outer, IntegerRows)):
-        return None
-    if lattice.cube_width != inner.width or not (inner.bounded() and outer.bounded()):
+    for the two stages on the lattice, else None: both carry rows, which
+    raise nowhere in the cube, the lattice lies in the cube, and the
+    composite holds no more vertex rows than the lattice has points."""
+    inner, outer = pg.rows, pf.rows
+    if inner is None or outer is None or lattice.cube_width != inner.width:
         return None
     counts = [len(verts) for verts in inner.rows]
     size = sum(math.prod([counts[y] for y, c in enumerate(cs) if c]) for verts in outer.rows for _, cs in verts)
@@ -324,12 +328,12 @@ def check_functoriality(
     Boolean instances sweep all postconditions; rational ones compare
     integers at probe tuples (>= 100 by default) and build the witness in
     Fractions.  P(g . f) is compared with P(f) o P(g) by
-    ``_differing_point``: as one row set when P(f) and P(g) carry bounded
-    rows (``_rows_after``), so equal rows answer with no point evaluated,
-    else as P(f) taken at P(g)'s integer outputs, point by point.  P(unit)
-    is compared with the identity rows on the default grid, by the same
-    routine.  A probe that is no exact rational raises ``TypeError`` before
-    any is evaluated.
+    ``_differing_point``: as one row set when P(f) and P(g) carry rows and
+    the probes lie in the cube (``_rows_after``), so equal rows answer with
+    no point evaluated, else as P(f) at P(g)'s outputs, point by point.
+    P(unit) is compared with the identity rows on the default grid, by the
+    same routine.  A probe that is no exact rational raises ``TypeError``
+    before any is evaluated.
     """
     if isinstance(mod, str):
         mod = builtin_modality(mod)

@@ -13,7 +13,7 @@ the total, partial and dist rows.  Both rebuild the transformer with
 demonic-probabilistic one builds, per state, the half-space region cut
 out by the grid, on integers: its bounds are phi's rows at the grid's
 lattice points, read a coordinate column at a time when phi holds
-bounded rows (``IntegerRows.table``) and point by point otherwise, an
+integer rows (``IntegerRows.table``) and point by point for a rule, an
 exact integer clipper (``_clip_ints``) finds its vertices, and each
 minimum is certified on those vertices, a column at a time, which is what
 the rebuilt transformer would be compared on.  A certification failure
@@ -349,11 +349,11 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     lattice point, scaled to one common den), the half-space is the row
     w_j = q_j den - c, and at a vertex m, w . m is <p, mu> - phi(p)(x)
     times the positive one * den * sum(m), so the minimum is certified
-    when the least w . m over the vertices is 0.  Bounded rows give their
+    when the least w . m over the vertices is 0.  Past the precondition the
+    grid's lattice lies in the cube at phi's width, so rows give their
     bounds at every lattice point at once, a coordinate column at a time
-    (``IntegerRows.table``); an opaque rule, or rows that may leave
-    [0, 1], is evaluated point by point (``RationalTransformer._ints``),
-    raising where a point does.  The certificate is computed a column at
+    (``IntegerRows.table``); a rule is evaluated point by point
+    (``RationalTransformer._ints``), raising where a point does.  The certificate is computed a column at
     a time too: per vertex m, den (q . m) - c sum(m) at every lattice
     point, and the least over the vertices; the first point where it is
     not 0 is the one a per-row loop would stop at.  The arrow's row at x
@@ -369,8 +369,8 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     _guard(run_condition(row.condition, phi, grid), row.condition)
     X, Y = phi.target, phi.source
     lattice = grid.lattice
-    rows = phi._side
-    if isinstance(rows, IntegerRows) and lattice.cube_width == rows.width and rows.bounded():
+    rows = phi.rows
+    if rows is not None:
         # per state, its bounds at every lattice point, over one * den
         den, bounds = rows.den, rows.table(lattice)
     else:

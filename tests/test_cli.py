@@ -661,6 +661,51 @@ SUBDIST_DOC = {
 }
 
 
+def _with(doc, **fields):
+    return json.dumps({**doc, **fields})
+
+
+def test_json_booleans_are_no_numbers(tmp_path, capsys):
+    # Python counts a bool as an int, so true once read as 1 and false as 0
+    rows = {"x": {"y0": True}}
+    refused = [
+        (_with(SUBDIST_DOC, computation={**SUBDIST_DOC["computation"], "rows": rows}), "$.computation.rows.x.y0"),
+        (_with(SUBDIST_DOC, transformer={**PROBE_TABLE, "pairs": [[[True, "0"], ["0"]]]}), "$.transformer.pairs[0][0]"),
+        (_with(SUBDIST_DOC, transformer={**PROBE_TABLE, "pairs": [[["0", "0"], [False]]]}), "$.transformer.pairs[0][1]"),
+    ]
+    for text, path in refused:
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert (err.value.code, err.value.path) == ("E_RAT", path)
+    # probe values and scalars are read when a command asks for its grid
+    for probes, path in (
+        ({"predicates": [["0", True]], "random": 0}, "$.probes.predicates[0][1]"),
+        ({"scalars": ["1/2", False]}, "$.probes.scalars[1]"),
+    ):
+        spec = write(tmp_path, {**SUBDIST_DOC, "probes": probes})
+        assert run(["wp", "--spec", spec]) == EXIT_INPUT
+        assert f"[E_RAT] at {path}:" in capsys.readouterr().err
+    # a seed is an integer, and a bool is none
+    with pytest.raises(SpecError) as err:
+        parse_spec(_with(SUBDIST_DOC, seed=True))
+    assert (err.value.code, err.value.path) == ("E_SCHEMA", "$.seed")
+    assert parse_spec(_with(SUBDIST_DOC, seed=1)).seed == 1
+
+
+def test_a_probe_table_refuses_a_repeated_predicate():
+    # "1/2" and "2/4" are one predicate, which the table held once, with the
+    # value row of its last pair
+    pairs = [[["1/2"], ["1/4"]], [["2/4"], ["3/4"]], [["1/2"], ["0"]]]
+    table = {"kind": "probe_table", "source": "Y", "target": "X", "pairs": pairs}
+    doc = {"sets": {"X": ["x"], "Y": ["y"]}, "transformer": table}
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(doc))
+    assert (err.value.code, err.value.path) == ("E_TABLE", "$.transformer.pairs[1]")
+    assert "[1/2] is listed twice" in str(err.value)
+    doc["transformer"]["pairs"] = [pairs[0], [["1/3"], ["3/4"]]]
+    assert parse_spec(json.dumps(doc)).transformer.apply_values((F(1, 2),)) == (F(1, 4),)
+
+
 @pytest.mark.parametrize(
     "argv, doc, code",
     [

@@ -478,48 +478,43 @@ def test_integer_kernel_agrees_with_fraction_route(Y3, monkeypatch):
 
 
 def test_integer_kernel_raises_the_fraction_routes_range_error(Y3):
-    # rows in [0, 1] at every probe but at 3/2 on the sum of the two halves:
-    # the loop meets that value after the certificate falls back, and raises
-    # as the opaque rule does; with the core first, a violation of the sum
-    # law comes earlier and wins on both routes
+    # values in [0, 1] at every probe but at 3/2 on the sum of the two
+    # halves: as rows they are refused where they are built, and behind an
+    # opaque rule the loop meets that value and raises; with the core
+    # first, a violation of the sum law comes earlier and wins
     X = FinSet("X", ("x0",))
-    peak = IntegerRows([[(F(0), (F(3), F(0), F(0))), (F(0), (F(0), F(3), F(0))), (F(2), (F(-1, 2), F(-1, 2), F(0)))]], 3)
-    phi = RationalTransformer(Y3, X, peak, label="peak")
-    opaque = _opaque(phi)
+    vertices = [(F(0), (F(3), F(0), F(0))), (F(0), (F(0), F(3), F(0))), (F(2), (F(-1, 2), F(-1, 2), F(0)))]
+    with pytest.raises(ValueError, match="negative"):
+        IntegerRows([vertices], 3)
+    value = lambda c0, cs, v: c0 + sum(c * q for c, q in zip(cs, v))
+    peak = lambda v: (min(value(c0, cs, v) for c0, cs in vertices),)
+    opaque = RationalTransformer(Y3, X, peak, label="opaque")
     core = ProbeGrid.default(Y3, random_count=0).predicates
     halves = ((F(1, 2), F(0), F(0)), (F(0), F(1, 2), F(0)))
     first, last = ProbeGrid.explicit(Y3, halves + core), ProbeGrid.explicit(Y3, core + halves)
     message = "transformer produced 3/2 outside [0, 1]"
-    for subject in (phi, opaque):
-        with pytest.raises(ValueError) as exc:
-            run_condition("gemod_total", subject, first)
-        assert str(exc.value) == message
-    kernel, fraction = (run_condition("gemod_total", subject, last) for subject in (phi, opaque))
-    assert _verdict_fields(kernel) == _verdict_fields(fraction)
-    assert kernel.witness.args["law"] == "gemod.sum"
-    # each group alone; the subadditive law holds at the sum of the halves,
-    # so there only the range check makes the certificate fall back
-    groups = [g for cls in STRUCTURE_CLASSES.values() if cls.carrier == RATIONAL for g, _ in cls.groups]
-    for grid in (first, last):
-        for laws in groups:
-            assert _group_alone(phi, grid, laws, peak) == _group_alone(opaque, grid, laws, None)
-    assert _group_alone(phi, first, STRUCTURE_CLASSES["emod_sublinear"].groups[0][0], peak) == message
+    with pytest.raises(ValueError) as exc:
+        run_condition("gemod_total", opaque, first)
+    assert str(exc.value) == message
+    assert run_condition("gemod_total", opaque, last).witness.args["law"] == "gemod.sum"
+    # the subadditive group alone holds at the sum of the halves, so there
+    # only the range check raises
+    assert _group_alone(opaque, first, STRUCTURE_CLASSES["emod_sublinear"].groups[0][0], None) == message
 
 
-_COEFFICIENTS = st.sampled_from((F(-1, 2), F(0), F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)))
+_COEFFICIENTS = st.sampled_from((F(0), F(0), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)))
 
 
 @st.composite
-def _vertex_row(draw, n):
-    """A vertex row over n coordinates: arbitrary, or of the form of a
-    subdistribution (no offset), a distribution (no offset, mass one) or a
-    partial one (offset plus mass one), some of which the certificates
-    accept."""
-    kind = draw(st.sampled_from(("any", "subdist", "dist", "partial")))
+def _vertex_row(draw, n, kinds=("any", "subdist", "dist", "partial")):
+    """A vertex row over n coordinates with entries >= 0: any, or of the
+    form of a subdistribution (no offset), a distribution (no offset, mass
+    one) or a partial one (offset plus mass one), some of which the
+    certificates accept.  The last three sum to at most one."""
+    kind = draw(st.sampled_from(kinds))
     cs = draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n))
     if kind == "any":
         return draw(_COEFFICIENTS), tuple(cs)
-    cs = [abs(c) for c in cs]
     mass = sum(cs)
     if mass > 1 or (kind == "dist" and mass == 0):
         cs = [c / mass for c in cs] if mass else [F(1, n)] * n
@@ -533,7 +528,13 @@ def _rows_and_grid(draw):
     n = draw(st.integers(1, 3))
     Y = FinSet("Y", tuple(f"y{i}" for i in range(n)))
     outputs = draw(st.integers(1, 2))
-    rows = [draw(st.lists(_vertex_row(n), min_size=1, max_size=3)) for _ in range(outputs)]
+    # per output, as the rows accept them, a vertex row with sum at most one
+    # among up to two more
+    rows = []
+    for _ in range(outputs):
+        verts = draw(st.lists(_vertex_row(n), max_size=2))
+        verts.insert(draw(st.integers(0, len(verts))), draw(_vertex_row(n, ("subdist", "dist", "partial"))))
+        rows.append(verts)
     extra = draw(st.lists(st.tuples(*[st.sampled_from((F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1)))] * n), max_size=4))
     grid = ProbeGrid.explicit(Y, ProbeGrid.default(Y, random_count=0).predicates + tuple(extra))
     return Y, IntegerRows(rows, n), grid
@@ -542,8 +543,8 @@ def _rows_and_grid(draw):
 @settings(max_examples=80, deadline=None)
 @given(_rows_and_grid())
 def test_certificate_agrees_with_the_fraction_route(case):
-    # each rational group alone on random rows, with offsets and negative
-    # coefficients: the rows route (certificate, then the loop) and the
+    # each rational group alone on random rows, with offsets and vertex rows
+    # summing above one: the rows route (certificate, then the loop) and the
     # opaque Fraction route agree in verdict, count and error, and a group
     # the certificate accepts holds at every argument
     Y, rows, grid = case

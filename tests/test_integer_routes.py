@@ -4,16 +4,19 @@
 the grid's lattice points; ``synthesis.cv_semantically_equal`` and
 ``monads.cv_values_equal`` compare the closed forms of two vertex lists at
 their probes' lattice points.  All three call one routine,
-``monads._differing_point``: two sides that hold the same rows answer at
-once, two other bounded row sets on a lattice in the cube are compared a
-column at a time (``monads._first_column_difference``), and every other
-pair goes to ``monads._first_difference``, which reads a closed form's
-rows and scales a rule's values to one denominator.
+``monads._differing_point``, by one of two routes.  Rows on a lattice in
+the cube, which ``IntegerRows`` holds only when they map the cube into
+[0, 1], answer at once when they are the same and are compared a column
+at a time otherwise (``monads._first_column_difference``); an opaque rule,
+or a point outside the cube, goes to ``monads._first_difference``, which
+reads a closed form's rows and scales a rule's values to one denominator.
+Rows that leave [0, 1] are refused where they are built, so their values
+are tested here behind plain rules.
 The package keeps no Fraction loop for any of them.  The references below
 are the Fraction loops they replaced: verdicts, ``checked`` counts,
 witnesses, answers and exception types must be the same on every valid
 input.  A vertex list that no arrow can hold (no vertex, support outside
-the carrier, a value outside [0, 1] at a probe) raises ``ValueError``.
+the carrier, a weight past one) raises ``ValueError``.
 ``synth_polytope`` runs on integers from bound to certificate: it
 reads its bounds off the rows' columns, or off a rule at each lattice
 point, clips on homogeneous integer rows (``synthesis._clip_ints``) and
@@ -23,6 +26,7 @@ plain Python rules; the clipper core and its Fraction front end
 ``_clip_region`` are checked against the Fraction clipper they replaced.
 """
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -30,12 +34,12 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wpbench import monads, semantics, synthesis
 from wpbench.core import FinSet, SizeGuardError
-from wpbench.healthiness import ProbeGrid
+from wpbench.healthiness import ProbeGrid, run_condition
 from wpbench.modalities import TauR, builtin_modality
 from wpbench.monads import (
     MONADS,
@@ -53,9 +57,11 @@ from wpbench.semantics import RationalTransformer, pt_modality
 from wpbench.synthesis import (
     SynthesisResult,
     cv_semantically_equal,
+    roundtrip_verify,
     synth_dist,
     synth_polytope,
     synth_subdist,
+    synthesize,
 )
 from wpbench.verdicts import Verdict, Witness, witness_is_sound
 
@@ -185,6 +191,16 @@ def outcome(call, *args):
         return call(*args)
     except Exception as exc:
         return type(exc)
+
+
+def _rule(source, target, rows):
+    """Vertex rows (offset, coefficients) in Fractions behind a plain rule,
+    per output the least over its rows: the rule of rows that
+    ``IntegerRows`` refuses, which the point loop compares."""
+    value = lambda c0, cs, v: c0 + sum(c * q for c, q in zip(cs, v))
+    return RationalTransformer(
+        source, target, lambda v: tuple(min(value(c0, cs, v) for c0, cs in verts) for verts in rows)
+    )
 
 
 @pytest.fixture
@@ -342,9 +358,10 @@ def test_reevaluate_witness_at_one_probe(integer_calls, X1, Y2):
     # probe but the last, (1, 1), where they are 1 and 0
     phi = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE))]], 2))
     dip = (ONE, (F(-1, 2), F(-1, 2)))
-    rebuilt = RationalTransformer(
-        Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE)), dip]], 2)
-    )
+    # rows with negative coefficients are refused, so the dip is a rule
+    with pytest.raises(ValueError, match="negative"):
+        IntegerRows([[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE)), dip]], 2)
+    rebuilt = _rule(Y2, X1, [[(ZERO, (ONE, ZERO)), (ZERO, (ZERO, ONE)), dip]])
     grid = ProbeGrid.explicit(Y2, [(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 2)), (1, 1)])
     verdict = synthesis._grid_residual(phi, rebuilt, grid)
     assert integer_calls
@@ -523,14 +540,18 @@ def test_out_of_range_values_and_empty_vertex_lists_raise_value_error(X1, Y2):
     # where the rows differ, the Fraction loop met the stray vertex as a KeyError
     bad = KleisliArrow._of_valid_rows(MonadKind.CV_DIST, X1, Y2, ((stray, y0),))
     assert outcome(fraction_cv_semantically_equal, full, bad, grid) is KeyError
-    # residuals whose rows leave [0, 1] at a probe, or have no vertex row
+    # residuals whose values leave [0, 1] at a probe, or have no vertex
+    # row: refused as rows, so they are rules, compared point by point
     rows = {
         "in range": [[(ZERO, (ONE, ZERO))]],
         "over one": [[(ZERO, (F(2), ZERO))]],
         "below zero": [[(ZERO, (F(-1), ONE))]],
         "no vertex": [[]],
     }
-    phis = {k: RationalTransformer(Y2, X1, IntegerRows(v, 2)) for k, v in rows.items()}
+    phis = {k: _rule(Y2, X1, v) for k, v in rows.items()}
+    for k in ("over one", "below zero", "no vertex"):
+        assert outcome(IntegerRows, rows[k], 2) is ValueError, k
+    phis["in range"] = RationalTransformer(Y2, X1, IntegerRows(rows["in range"], 2))
     for a in phis.values():
         for b in phis.values():
             integer = outcome(synthesis._grid_residual, a, b, grid)
@@ -542,10 +563,16 @@ def test_rows_of_the_wrong_shape_raise_value_error(monkeypatch, X1, Y2):
     grid = ProbeGrid.default(Y2, seed=1)
     # an output with no vertex row, as the generic demonic_prob rule refuses it
     with pytest.raises(ValueError, match="no vertex row"):
-        RationalTransformer(Y2, X1, IntegerRows([[]], 2)).apply_values((0, 0))
-    # a rule with two outputs over a one-state target, against its
-    # one-output twin that agrees on the first output
-    two = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO))]] * 2, 2))
+        IntegerRows([[]], 2)
+    # rows with two outputs over a one-state target, or of another width,
+    # are refused by the transformer with the messages of apply_values
+    with pytest.raises(ValueError, match="target carrier"):
+        RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO))]] * 2, 2))
+    with pytest.raises(ValueError, match="source carrier"):
+        RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO, ZERO))]], 3))
+    # the two outputs behind a rule, against the one-output twin that
+    # agrees on the first output
+    two = _rule(Y2, X1, [[(ZERO, (ONE, ZERO))]] * 2)
     one = RationalTransformer(Y2, X1, IntegerRows([[(ZERO, (ONE, ZERO))]], 2))
     for a, b in ((two, one), (one, two)):
         with pytest.raises(ValueError, match="target carrier"):
@@ -553,31 +580,82 @@ def test_rows_of_the_wrong_shape_raise_value_error(monkeypatch, X1, Y2):
         assert outcome(fraction_grid_residual, a, b, grid) is ValueError
     with pytest.raises(ValueError, match="target carrier"):
         RationalTransformer(Y2, X1, lambda vals: ()).apply_values((0, 0))
-    # the polytope bounds are read off the rows, and refuse them the same way
+    # the polytope bounds are read off the rule, and refuse it the same way
     monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
     with pytest.raises(ValueError, match="target carrier"):
         synth_polytope(two, grid)
     assert outcome(fraction_synth_polytope, two, grid) is ValueError
 
 
-_ENTRIES = st.sampled_from((F(-1, 2), ZERO, F(1, 6), F(1, 4), F(1, 3), F(1, 2), ONE))
+def test_rows_that_leave_the_cube_are_refused_where_they_are_built(X1, X2, Y2, Y3):
+    # rows that map some point of [0, 1]^width outside [0, 1], or hold a
+    # vertex row of another width, raise however they are built
+    refused = [
+        ([[(ZERO, (F(-1, 4), ONE))]], "negative"),
+        ([[(F(-1, 4), (ONE, ZERO))]], "negative"),
+        ([[(ZERO, (ONE, ZERO))], []], "no vertex row"),
+        ([[(F(1, 2), (F(1, 2), F(1, 4))), (ZERO, (ONE, F(1, 3)))]], "5/4 outside"),
+        ([[(ZERO, (ONE,))]], "needs 2 coefficients"),
+    ]
+    for rows, message in refused:
+        # the constructor, and rows already scaled to integers over 12
+        ints = tuple(tuple((int(12 * c0), tuple(int(12 * c) for c in cs)) for c0, cs in v) for v in rows)
+        for build in (lambda: IntegerRows(rows, 2), lambda: IntegerRows._of_ints(ints, 12, 2)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    # one vertex row within den bounds an output; the others may pass it
+    rows = IntegerRows([[(F(1, 2), (F(1, 2), F(1, 4))), (ZERO, (F(1, 2), F(1, 2)))]], 2)
+    assert rows((ONE, ONE)) == (ONE,)
+    # tau_r for r past one sends a subdistribution's missing mass above one;
+    # on a distribution it misses none
+    with pytest.raises(ValueError, match="outside"):
+        TauR(F(2)).rows([DistV({"y0": F(1, 2)})], Y2.elements)
+    assert TauR(F(2)).rows([DistV.dirac("y0")], Y2.elements).rows == (((0, (1, 0)),),)
+    # vertex lists with a weight past one
+    with pytest.raises(ValueError, match="outside"):
+        monads.vertex_rows([(DistV({"y0": 2}),)], Y2.elements)
+    # a transformer refuses rows that miss its carriers, as apply_values does
+    rows = IntegerRows([[(ZERO, (ONE, ZERO))]], 2)
+    with pytest.raises(ValueError, match="transformer output length does not match the target carrier"):
+        RationalTransformer(Y2, X2, rows)
+    with pytest.raises(ValueError, match="predicate length does not match the source carrier"):
+        RationalTransformer(Y3, X1, rows)
+    assert RationalTransformer(Y2, X1, rows).apply_values((F(1, 3), ONE)) == (F(1, 3),)
+
+
+_ENTRIES = st.sampled_from((ZERO, F(1, 6), F(1, 4), F(1, 3), F(1, 2), ONE))
 _SMALL = st.sampled_from((ZERO, F(1, 6), F(1, 4), F(1, 3)))
 
 
 @st.composite
-def _vertex(draw, width):
-    """A vertex row: arbitrary, or with entries >= 0 and sum at most one."""
-    if draw(st.booleans()):
-        return draw(_ENTRIES), tuple(draw(_ENTRIES) for _ in range(width))
+def _small_vertex(draw, width):
+    """A vertex row with entries >= 0 and sum at most one."""
     cs = tuple(draw(_SMALL) for _ in range(width))
     return draw(st.sampled_from((ZERO, 1 - sum(cs)))), cs
+
+
+@st.composite
+def _vertex(draw, width):
+    """A vertex row with entries >= 0: any, or with sum at most one."""
+    if draw(st.booleans()):
+        return draw(_ENTRIES), tuple(draw(_ENTRIES) for _ in range(width))
+    return draw(_small_vertex(width))
+
+
+@st.composite
+def _vertices(draw, width):
+    """An output's vertex rows, as the rows accept them: one with sum at
+    most one among up to two more."""
+    verts = draw(st.lists(_vertex(width), max_size=2))
+    verts.insert(draw(st.integers(0, len(verts))), draw(_small_vertex(width)))
+    return verts
 
 
 @st.composite
 def _rows_pair_and_points(draw):
     width, one = draw(st.integers(1, 3)), draw(st.sampled_from((1, 2, 6, 12)))
     outputs = draw(st.integers(1, 2))
-    rows = [draw(st.lists(_vertex(width), min_size=1, max_size=3)) for _ in range(outputs)]
+    rows = [draw(_vertices(width)) for _ in range(outputs)]
     how = draw(st.sampled_from(("same", "reordered", "moved", "drawn")))
     if how == "same":
         other = rows
@@ -587,9 +665,13 @@ def _rows_pair_and_points(draw):
     elif how == "moved":
         other = [list(verts) for verts in rows]
         c0, cs = other[-1][0]
-        other[-1][0] = (c0 + draw(st.sampled_from((F(-1, 4), F(1, 12), F(1, 4)))), cs)
+        moved = c0 + draw(st.sampled_from((F(-1, 4), F(1, 12), F(1, 4))))
+        other[-1][0] = (moved, cs)
+        # rows the check accepts: the offset stays >= 0, and some vertex row
+        # sums to at most one
+        assume(moved >= 0 and any(d0 + sum(ds) <= 1 for d0, ds in other[-1]))
     else:
-        other = [draw(st.lists(_vertex(width), min_size=1, max_size=3)) for _ in range(outputs)]
+        other = [draw(_vertices(width)) for _ in range(outputs)]
     in_range = st.integers(0, one)
     coordinate = draw(st.sampled_from((in_range, in_range, st.integers(-1, one + 1))))
     lengths = st.just(width) if draw(st.booleans()) else st.integers(width - 1, width + 1)
@@ -608,7 +690,7 @@ def test_same_values_shortcut_agrees_with_evaluation(case):
     lattice = Lattice(one, tuple(points), ())
     assert (lattice.cube_width == a.width) == (fits and bool(points))
     expected = outcome(evaluated_difference, a, b, points, one)
-    if a._same_bounded_rows(b) and fits:
+    if a._same_rows(b) and fits:
         assert expected is None
     assert outcome(monads._differing_point, a, b, lattice) == expected
     assert outcome(monads._differing_point, b, a, lattice) == outcome(evaluated_difference, b, a, points, one)
@@ -624,12 +706,11 @@ def test_same_values_shortcut_evaluates_no_point(monkeypatch):
     monkeypatch.setattr(IntegerRows, "ints", lambda self, *a: calls.append(1) or ints(self, *a))
     assert monads._differing_point(a, b, grid.lattice) is None
     assert not calls
-    # a negative coefficient, and a point outside [0, one], go to the points
-    negative = IntegerRows([[(ONE, (F(-1, 2), ZERO))]], 2)
-    assert monads._differing_point(negative, negative, grid.lattice) is None
-    assert calls
-    calls.clear()
-    # there the values pass one, and the evaluation raises
+    # a negative coefficient is refused where the rows are built
+    with pytest.raises(ValueError, match="negative"):
+        IntegerRows([[(ONE, (F(-1, 2), ZERO))]], 2)
+    # a point outside [0, one] goes to the points, where the values pass
+    # one, and the evaluation raises
     with pytest.raises(ValueError, match="outside"):
         monads._differing_point(a, b, Lattice(grid.lattice.one, ((3 * grid.lattice.one,) * 2,), ()))
     assert calls
@@ -641,7 +722,7 @@ def test_same_values_shortcut_needs_one_bounded_vertex_per_output(monkeypatch):
     # evaluated, as the evaluation would
     rows = [[(ZERO, (F(1, 2), F(1, 2))), (F(1, 2), (ONE, ONE))]]
     a, b = IntegerRows(rows, 2), IntegerRows(rows, 2)
-    assert a.bounded() and max(c0 + sum(cs) for c0, cs in a.rows[0]) > a.den
+    assert max(c0 + sum(cs) for c0, cs in a.rows[0]) > a.den
     grid = ProbeGrid.default(FinSet("Y", ("y0", "y1")), seed=4)
     assert evaluated_difference(a, b, grid.lattice.preds, grid.lattice.one) is None
     calls = []
@@ -682,16 +763,16 @@ def _loop_difference(monkeypatch, a, b, lattice):
     with monkeypatch.context() as m:
         m.setattr(IntegerRows, "ints", lambda self, p, one: points.append(p) or ints(self, p, one))
         try:
-            answer = monads._first_difference((a.ints,), (b.ints,), lattice.preds, lattice.one)
+            answer = monads._first_difference(a.ints, b.ints, lattice.preds, lattice.one)
         except ValueError as exc:
             answer = (ValueError, str(exc))
     return answer, points
 
 
 def test_the_columnar_route_agrees_with_the_point_loop(monkeypatch):
-    # bounded rows of the lattice's width with as many outputs go a column at
-    # a time and give the loop's index; every other pair is the loop itself,
-    # which raises the same ValueError at the same point
+    # rows of the lattice's width with as many outputs go a column at a time
+    # and give the loop's index; every other pair is the loop itself, which
+    # raises the same ValueError at the same point
     rng = Random(32)
     seen = set()
     for trial in range(300):
@@ -700,7 +781,7 @@ def test_the_columnar_route_agrees_with_the_point_loop(monkeypatch):
         one = rng.choice((1, 2, 6, 12))
         preds = [tuple(rng.randint(0, one) for _ in range(width)) for _ in range(rng.randint(1, 12))]
         rows = [[_bounded_vertex(rng, width, da) for _ in range(rng.randint(1, 3))] for _ in range(outputs)]
-        how = rng.choice(("equal", "output", "den", "width", "outside", "unbounded"))
+        how = rng.choice(("equal", "output", "den", "width", "outside"))
         other = [list(verts) for verts in rows]
         if how == "equal":
             # the same values from other rows: one more vertex row, above another
@@ -713,19 +794,16 @@ def test_the_columnar_route_agrees_with_the_point_loop(monkeypatch):
             other = [[_bounded_vertex(rng, width, db) for _ in range(rng.randint(1, 3))] for _ in range(outputs)]
         elif how == "width":
             other = [[(c0, cs + (ZERO,)) for c0, cs in verts] for verts in other]
-        elif how == "outside":
-            preds.insert(rng.randrange(len(preds) + 1), tuple(rng.randint(0, 3 * one) for _ in range(width)))
         else:
-            c0, cs = other[0][0]
-            other[0][0] = (c0 + F(1, 2), (F(-1),) + cs[1:])
+            preds.insert(rng.randrange(len(preds) + 1), tuple(rng.randint(0, 3 * one) for _ in range(width)))
         a, b = IntegerRows(rows, width), IntegerRows(other, len(other[0][0][1]))
         lattice = Lattice(one, tuple(preds), ())
         for left, right in ((a, b), (b, a)):
             answer, points, columnar = _spied_difference(monkeypatch, left, right, lattice)
             loop, loop_points = _loop_difference(monkeypatch, left, right, lattice)
             assert answer == loop
-            fits = lattice.cube_width == left.width == right.width and left.bounded() and right.bounded()
-            assert columnar == (fits and not left._same_bounded_rows(right))
+            fits = lattice.cube_width == left.width == right.width
+            assert columnar == (fits and not left._same_rows(right))
             if not fits:
                 assert points == loop_points
             seen.add((how, columnar, "raises" if isinstance(answer, tuple) else answer is None))
@@ -734,7 +812,7 @@ def test_the_columnar_route_agrees_with_the_point_loop(monkeypatch):
     for how in ("output", "den"):
         assert {(how, True, False)} <= seen
     assert ("equal", True, True) in seen
-    for how in ("width", "outside", "unbounded"):
+    for how in ("width", "outside"):
         assert (how, False, "raises") in seen
     assert ("outside", False, False) in seen or ("outside", False, True) in seen
 
@@ -891,7 +969,7 @@ def test_then_equals_the_two_stages_at_every_lattice_point(name):
                 assert [a * dv for a in u] == [b * du for b in v], (name, p)
             # the Kleisli composite compiles to the same rows, so a healthy
             # check reads no point
-            assert pt_modality(mod, monads.kleisli_compose(f, g)).rows._same_bounded_rows(composite)
+            assert pt_modality(mod, monads.kleisli_compose(f, g)).rows._same_rows(composite)
 
 
 def test_only_bounded_rows_compose_within_the_probe_count():
@@ -901,10 +979,13 @@ def test_only_bounded_rows_compose_within_the_probe_count():
     pg = RationalTransformer(Z, Y, inner)
     outer = lambda rows: RationalTransformer(Y, X1, IntegerRows(rows, 2))
     # a negative weight turns a sum of minima into no minimum, and an
-    # offset above 1 raises in the two stages: both take the point loop
-    assert semantics._rows_after(pg, outer([[(ONE, (F(-1, 2), F(1, 2)))]]), lattice) is None
-    over_one = RationalTransformer(Z, Y, IntegerRows([[(F(3, 2), (ZERO, ZERO))]] * 2, 2))
-    assert semantics._rows_after(over_one, outer([[(ZERO, (ONE, ZERO))]]), lattice) is None
+    # offset above 1 raises in the two stages: such rows are refused where
+    # they are built, and as rules both take the point loop
+    negative, over_one = [[(ONE, (F(-1, 2), F(1, 2)))]], [[(F(3, 2), (ZERO, ZERO))]] * 2
+    for rows in (negative, over_one):
+        assert outcome(IntegerRows, rows, 2) is ValueError
+    assert semantics._rows_after(pg, _rule(Y, X1, negative), lattice) is None
+    assert semantics._rows_after(_rule(Z, Y, over_one), outer([[(ZERO, (ONE, ZERO))]]), lattice) is None
     # per outer row, one inner vertex row per weighted coordinate (1 * 2,
     # then 1), over the product of the dens
     pf = outer([[(ZERO, (F(1, 2), F(1, 2))), (ONE, (ZERO, ZERO))]])
@@ -926,6 +1007,41 @@ def test_healthy_closed_form_functoriality_compares_no_point(integer_calls, name
             verdict = semantics.check_functoriality(mod, f, g)
             assert verdict.is_healthy and verdict.checked > 100
     assert not integer_calls
+
+
+@pytest.mark.parametrize("name", COMPOSED)
+def test_closed_forms_never_take_the_point_loop_and_opaque_copies_do(monkeypatch, name):
+    # closed forms on grids in the cube are compared by their rows or
+    # columns: the grid checks, residuals, synth_polytope, round trips and
+    # functoriality never call _first_difference.  The same row without its
+    # closed form is a rule, which is compared point by point, one
+    # evaluator per side.  tau_r:1/3 is no catalog row: it only composes.
+    sides = []
+    real = monads._first_difference
+    monkeypatch.setattr(monads, "_first_difference", lambda a, b, *rest: sides.append((a, b)) or real(a, b, *rest))
+    mod, rng = builtin_modality(name), Random(34)
+    opaque = dataclasses.replace(mod, closed_form=None, theorem=None)
+    for ny in SIZES:
+        Y, Z = _carrier(ny), FinSet("Z", ("z0", "z1"))
+        grid = ProbeGrid.default(Y, seed=ny)
+        for _ in range(2):
+            f, g = random_arrow(mod.monad, rng, X, Y, max_den=8), random_arrow(mod.monad, rng, Y, Z, max_den=8)
+            phi, rule = pt_modality(mod, f), pt_modality(opaque, f)
+            assert phi.rows is not None and rule.rows is None
+            if mod.theorem is not None:
+                assert run_condition(mod.condition, phi, grid).is_healthy
+                assert synthesize(mod, phi, grid).ok
+                assert roundtrip_verify(f, mod.theorem, grid).is_healthy
+            assert semantics.check_functoriality(mod, f, g).is_healthy
+            assert not sides
+            if mod.theorem is not None:
+                # the residual of the rule against its rebuilt rule
+                assert synthesize(opaque, rule, grid).ok
+                assert sides and all(callable(a) and callable(b) for a, b in sides)
+                sides.clear()
+            assert semantics.check_functoriality(opaque, f, g).is_healthy
+            assert sides and all(callable(a) and callable(b) for a, b in sides)
+            sides.clear()
 
 
 def fraction_mix(weighted):

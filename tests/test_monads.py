@@ -406,6 +406,17 @@ def test_arrow_validation():
     assert err.value.code == "E_SET"
 
 
+def test_the_dict_form_of_an_arrow_names_missing_and_unknown_labels():
+    # the list form checks its length; the dict form checks its labels
+    X, Y = FinSet("X", ("x0", "x1")), FinSet("Y", ("y0",))
+    row = frozenset({"y0"})
+    with pytest.raises(ValueError, match=r"missing \['x1'\], unknown labels \[\]"):
+        KleisliArrow("powerset", X, Y, {"x0": row})
+    with pytest.raises(ValueError, match=r"missing \[\], unknown labels \['z'\]"):
+        KleisliArrow("powerset", X, Y, {"x0": row, "x1": row, "z": row})
+    assert KleisliArrow("powerset", X, Y, {"x1": row, "x0": frozenset()}).rows == (frozenset(), row)
+
+
 def test_distv_arithmetic():
     d = DistV({"a": F(1, 2), "b": F(0)})
     assert d.support == frozenset({"a"})

@@ -405,6 +405,12 @@ def _affine(Y, X, rows):
     return RationalTransformer(Y, X, IntegerRows(rows, len(Y)), label="affine")
 
 
+def _affine_rule(Y, X, rows):
+    """The same values behind a rule, for rows that ``IntegerRows`` refuses."""
+    value = lambda offset, coefs, v: offset + sum(c * q for c, q in zip(coefs, v))
+    return RationalTransformer(Y, X, lambda v: tuple(value(o, cs, v) for o, cs in rows), label="affine")
+
+
 @pytest.mark.parametrize(
     "synth, rows, law",
     [
@@ -421,7 +427,13 @@ def test_synthesis_mass_and_coefficient_witnesses_replay(monkeypatch, X1, Y2, sy
     # with the precondition check switched off, a transformer outside the
     # class reaches the checks on the rows read off the Dirac probes
     monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
-    phi = _affine(Y2, X1, rows)
+    if law == "synthesis.coefficient":
+        # a negative coefficient is refused as rows, so it stands behind a rule
+        with pytest.raises(ValueError, match="negative"):
+            _affine(Y2, X1, rows)
+        phi = _affine_rule(Y2, X1, rows)
+    else:
+        phi = _affine(Y2, X1, rows)
     witness = synth(phi).residual.witness
     assert witness.law == law
     assert witness_is_sound(phi, witness)
