@@ -86,9 +86,10 @@ class FinSet:
 
 
 def _exact(v, what: str = "probe value") -> Fraction:
-    # Fraction(0.1) is the binary 3602879701896397/2^55, not 1/10
-    if isinstance(v, float):
-        raise TypeError(f"{what} {v!r} is a float, not an exact rational")
+    # Fraction(0.1) is the binary 3602879701896397/2^55, not 1/10; a bool
+    # is an int to Python, but no number here
+    if isinstance(v, (float, bool)):
+        raise TypeError(f"{what} {v!r} is a {type(v).__name__}, not an exact rational")
     return Fraction(v)
 
 
@@ -102,8 +103,10 @@ def _int_literal(text: str) -> bool:
 
 
 def is_rational(text) -> bool:
-    """Whether ``parse_rational`` reads text: an int, a Fraction, or "k" or
-    "p/q" with q > 0 (decided without raising)."""
+    """Whether ``parse_rational`` reads text: an int that is not a bool, a
+    Fraction, or "k" or "p/q" with q > 0 (decided without raising)."""
+    if isinstance(text, bool):
+        return False
     if isinstance(text, (int, Fraction)):
         return True
     num, slash, den = str(text).strip().partition("/")

@@ -55,7 +55,7 @@ ONE = Fraction(1)
 def _check_unit(values, what: str) -> None:
     # on integers: Fraction comparisons would slow every grid built
     for q in values:
-        if not isinstance(q, (int, Fraction)):
+        if type(q) is bool or not isinstance(q, (int, Fraction)):
             raise TypeError(f"{what} {q!r} is not an int or a Fraction")
         if not 0 <= q.numerator <= q.denominator:
             raise ValueError(f"{what} {q} outside [0, 1]")
@@ -121,8 +121,9 @@ class ProbeGrid:
     @classmethod
     def explicit(cls, domain: FinSet, predicates, scalars=None) -> "ProbeGrid":
         """A grid of the given value tuples, one value per element of the
-        domain, and scalars, converted to Fractions; a float is refused
-        (the constructor checks that every value and scalar lies in [0, 1])."""
+        domain, and scalars, converted to Fractions; a float or a bool is
+        refused (the constructor checks that every value and scalar lies in
+        [0, 1], and refuses a bool too)."""
         preds = tuple(tuple(map(_exact, p)) for p in predicates)
         scals = DEFAULT_SCALARS if scalars is None else tuple(map(_exact, scalars))
         return cls(domain, preds, scals)

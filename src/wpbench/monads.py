@@ -154,8 +154,8 @@ class DistV:
     and validation run on them.  ``Fraction``s are built only where a
     weight leaves the class: ``items``, ``items_in``, ``weight``, ``mass``,
     ``expect``, pickling and ``repr``.  The constructor takes exact weights
-    (``Fraction``s, ints, or what ``Fraction`` parses; a float raises
-    ``TypeError``), drops zero weights and refuses negative ones.  The
+    (``Fraction``s, ints, or what ``Fraction`` parses; a float or a bool
+    raises ``TypeError``), drops zero weights and refuses negative ones.  The
     weights never change after construction, so the hash is computed once.
     """
 
@@ -165,7 +165,7 @@ class DistV:
         scaled = []
         items = pairs.items() if isinstance(pairs, dict) else pairs
         for x, q in items:
-            q = q if isinstance(q, (int, Fraction)) else _exact(q, "weight")
+            q = q if type(q) is Fraction or type(q) is int else _exact(q, "weight")
             if q < 0:
                 raise ValueError(f"negative weight {Fraction(q)} at {x!r}")
             if q:
@@ -226,10 +226,11 @@ class DistV:
     def mix(weighted: Iterable) -> "DistV":
         """Convex-style combination sum_i c_i * d_i, one integer mix
         (``_mix_rows``) with the c_i over their common denominator.  Each
-        c_i is read as an exact weight (a float raises ``TypeError``); a
-        zero c_i adds no point, and when some c_i is negative the products
-        go through the constructor's pairs, which refuses a negative weight."""
-        terms = [(c if isinstance(c, (int, Fraction)) else _exact(c, "weight"), d) for c, d in weighted]
+        c_i is read as an exact weight (a float or a bool raises
+        ``TypeError``); a zero c_i adds no point, and when some c_i is
+        negative the products go through the constructor's pairs, which
+        refuses a negative weight."""
+        terms = [(c if type(c) is Fraction or type(c) is int else _exact(c, "weight"), d) for c, d in weighted]
         if any(c < 0 for c, _ in terms):
             return DistV((x, c * q) for c, d in terms for x, q in d.items())
         terms = [(c, d) for c, d in terms if c]
@@ -560,12 +561,17 @@ class IntegerRows:
 
     def _same_rows(self, other: "IntegerRows") -> bool:
         """Whether two row sets of one width with as many outputs hold, per
-        output, the same vertex rows cross-scaled by the other's den, so
-        that they give the same outputs at every point."""
+        output, the same set of vertex rows, cross-scaled by the other's den
+        (compared as they are when both dens are equal), so that they give
+        the same outputs at every point."""
         da, db = self.den, other.den
         for va, vb in zip(self.rows, other.rows):
-            scaled = {(c0 * db, tuple(c * db for c in cs)) for c0, cs in va}
-            if scaled != {(c0 * da, tuple(c * da for c in cs)) for c0, cs in vb}:
+            if da == db:
+                if va != vb and set(va) != set(vb):
+                    return False
+            elif {(c0 * db, tuple(c * db for c in cs)) for c0, cs in va} != {
+                (c0 * da, tuple(c * da for c in cs)) for c0, cs in vb
+            }:
                 return False
         return True
 
@@ -596,14 +602,15 @@ def _first_difference(left: Callable, right: Callable, points: Sequence, one: in
     return None
 
 
-def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice) -> int | None:
+def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice, table_a: list = None) -> int | None:
     """``_first_difference`` of two row sets of the lattice's width with as
     many outputs, on a lattice in the cube, read off whole columns
-    (``IntegerRows.table``): per output, its values cross-scaled by the
-    other's den, and the least index where some output differs."""
+    (``IntegerRows.table``, or a's table as given): per output, its values
+    cross-scaled by the other's den, and the least index where some output
+    differs."""
     da, db = a.den, b.den
     first = None
-    for u, v in zip(a.table(lattice), b.table(lattice)):
+    for u, v in zip(a.table(lattice) if table_a is None else table_a, b.table(lattice)):
         if da != db:
             u, v = [x * db for x in u], [y * da for y in v]
         if u != v:
@@ -612,20 +619,21 @@ def _first_column_difference(a: IntegerRows, b: IntegerRows, lattice: Lattice) -
     return first
 
 
-def _differing_point(a, b, lattice: Lattice) -> int | None:
+def _differing_point(a, b, lattice: Lattice, table_a: list = None) -> int | None:
     """The index of the first predicate of the lattice where two sides give
     different outputs, or None.  A side is ``IntegerRows`` or an evaluator
     (point, one) -> (outputs, their denominator).  Two row sets of one
     shape on a lattice in [0, one]^width (``Lattice.cube_width``), where
     rows raise nowhere, answer None with no point evaluated when they hold
     the same rows (``IntegerRows._same_rows``), else are compared a column
-    at a time (``_first_column_difference``).  Every other pair (an
+    at a time (``_first_column_difference``), on a's table of the lattice
+    when the caller holds it (``table_a``).  Every other pair (an
     evaluator, a point outside the cube, rows of two shapes) is compared
     point by point by ``_first_difference``, which raises where a side
     does."""
     if isinstance(a, IntegerRows) and isinstance(b, IntegerRows) and lattice.cube_width == a.width == b.width:
         if len(a.rows) == len(b.rows):
-            return None if a._same_rows(b) else _first_column_difference(a, b, lattice)
+            return None if a._same_rows(b) else _first_column_difference(a, b, lattice, table_a)
     ints = lambda side: side.ints if isinstance(side, IntegerRows) else side
     return _first_difference(ints(a), ints(b), lattice.preds, lattice.one)
 
@@ -928,8 +936,9 @@ def _weights_to_json(d: DistV, target: FinSet) -> dict:
 
 def read_weight(raw, path: str = "") -> Fraction:
     """A rational in [0, 1] written as a JSON string "p/q" or an integer; a
-    JSON true or false is no number, though Python counts a bool as an int."""
-    if isinstance(raw, bool) or not is_rational(raw):
+    JSON true or false is no number, though Python counts a bool as an int
+    (``is_rational`` refuses it)."""
+    if not is_rational(raw):
         raise RowError("E_RAT", f"{raw!r} is not an integer or a rational p/q with q > 0", path)
     q = parse_rational(raw)
     if not (0 <= q <= 1):

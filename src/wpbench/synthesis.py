@@ -13,14 +13,19 @@ the total, partial and dist rows.  Both rebuild the transformer with
 demonic-probabilistic one builds, per state, the half-space region cut
 out by the grid, on integers: its bounds are phi's rows at the grid's
 lattice points, read a coordinate column at a time when phi holds
-integer rows (``IntegerRows.table``) and point by point for a rule, an
-exact integer clipper (``_clip_ints``) finds its vertices, and each
-minimum is certified on those vertices, a column at a time, which is what
-the rebuilt transformer would be compared on.  A certification failure
-is reported as inconclusive rather than forced.  Outside the catalog,
+integer rows (``IntegerRows.table``) and point by point for a rule.  An
+exact integer clipper (``_clip_columns``) finds its vertices in one pass
+over slack columns: each vertex carries w_k . m for every half-space k,
+a new vertex's column is the integer combination of its edge's two
+columns, and the least slack over the final vertices is the certificate
+that each minimum is attained on them, which is what the rebuilt
+transformer would be compared on.  ``_clip_ints`` is the same clipper on
+half-spaces given as rows.  A certification failure is reported as
+inconclusive rather than forced.  Outside the catalog,
 ``synthesize`` checks the arrow read under the given modality.  The
 round trip reads what it compares off the row as well: bottom absorption
-on LIFT_POWERSET, and polytopes on CV_DIST.
+on LIFT_POWERSET, and polytopes on CV_DIST, where pt(f)'s rows are tabled
+once, by the synthesis, which hands the table to the arrow comparison.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .monads import (
     KleisliArrow,
     Lattice,
     MonadKind,
-    _column_min,
     _differing_point,
     dedup_vertices,
 )
@@ -82,9 +86,16 @@ class UnhealthyInputError(ValueError):
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """The synthesized arrow (None when refused), the residual verdict and
+    the normalization flags.  ``bounds`` is, for ``synth_polytope`` on
+    phi's rows, their table at the grid's lattice points
+    (``IntegerRows.table``), which the round trip's arrow comparison reads
+    instead of tabling the rows again; it takes no part in equality."""
+
     arrow: KleisliArrow | None
     residual: Verdict
     normalization: tuple = ()
+    bounds: list | None = dataclasses.field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -279,33 +290,72 @@ register_law("synthesis.mass", _law_synth_mass)
 _SIMPLEX = {1: [(1,)], 2: [(0, 1), (1, 0)], 3: [(0, 0, 1), (1, 0, 0), (0, 1, 0)]}
 
 
-def _clip_ints(n: int, rows: Sequence) -> list:
-    """Vertices of {m in simplex(n) : w . m >= 0 for each row w}.
+def _first_negative(column: list, start: int) -> int:
+    """The least k >= start with column[k] < 0, else len(column)."""
+    for k in range(start, len(column)):
+        if column[k] < 0:
+            return k
+    return len(column)
+
+
+def _clip_columns(n: int, columns: Sequence) -> tuple:
+    """The vertices of {m in simplex(n) : w_k . m >= 0 for each k}, and
+    per k the least w_k . m over them; ([], []) when the region is empty.
 
     Exact Sutherland-Hodgman clipping of the standard simplex, supported
-    for n in {1, 2, 3}, on homogeneous integer rows: a vertex is a
-    gcd-normalized integer vector m, the point m / sum(m) of the simplex.
+    for n in {1, 2, 3}, on homogeneous integer half-spaces given a
+    coordinate at a time: columns[y] holds w_k[y] for every k.  A vertex
+    is a gcd-normalized integer vector m, the point m / sum(m) of the
+    simplex, and it carries its slack column s_k(m) = w_k . m for every k.
+    The simplex vertex e_y starts with columns[y]; a crossing vertex
+    m = (sP Q - sQ P) / g of an edge PQ gets (sP col(Q) - sQ col(P)) / g,
+    exact in integers, as the slack is linear in m.  The next cut is the
+    first k past the last at which some vertex has a negative slack: a
+    polygon only shrinks, so a half-space passed over is never cut later,
+    and the vertices come out in the order of a clip by every row in turn.
+    Each vertex keeps the first k at which it is negative, which no later
+    cut moves while it stays.  The minima over the final vertices are the
+    certificate of ``synth_polytope``.
     """
-    poly = _SIMPLEX.get(n)
-    if poly is None:
+    simplex = _SIMPLEX.get(n)
+    if simplex is None:
         raise SizeGuardError("half-space certification is implemented for |Y| <= 3")
-    for w in rows:
-        s = [sum(map(operator.mul, w, m)) for m in poly]
-        if min(s) >= 0:
-            continue
-        out = []
-        for P, sP, Q, sQ in zip(poly, s, poly[1:] + poly[:1], s[1:] + s[:1]):
-            if sP >= 0:
-                out.append(P)
+    # per vertex, in polygon order: its slack column and its first negative slack
+    poly = {}
+    for m in simplex:
+        col = columns[m.index(1)]
+        poly[m] = (col, _first_negative(col, 0))
+    size = len(columns[0])
+    while True:
+        k = min([first for _, first in poly.values()])
+        if k == size:
+            break
+        verts = list(poly.items())
+        poly = {}
+        for (P, (cP, fP)), (Q, (cQ, _)) in zip(verts, verts[1:] + verts[:1]):
+            sP, sQ = cP[k], cQ[k]
+            if sP >= 0 and P not in poly:
+                poly[P] = (cP, fP)
             if (sP > 0 > sQ) or (sP < 0 < sQ):
                 m = [sP * q - sQ * r for r, q in zip(P, Q)]
                 # the crossing point, divided by a gcd whose sign makes sum(m) > 0
                 g = math.gcd(*m) if sP > 0 else -math.gcd(*m)
-                out.append(tuple(c // g for c in m))
-        poly = list(dict.fromkeys(out))
+                m = tuple([c // g for c in m])
+                if m not in poly:
+                    col = [(sP * q - sQ * r) // g for r, q in zip(cP, cQ)]
+                    poly[m] = (col, _first_negative(col, k + 1))
         if not poly:
-            return []
-    return poly
+            return [], []
+    cols = [col for col, _ in poly.values()]
+    return list(poly), cols[0] if len(cols) == 1 else list(map(min, *cols))
+
+
+def _clip_ints(n: int, rows: Sequence) -> list:
+    """Vertices of {m in simplex(n) : w . m >= 0 for each row w}: the rows
+    transposed to slack columns, one per simplex vertex, and clipped by
+    ``_clip_columns``; for ``_clip_region`` and the ``polytope.certify``
+    replay."""
+    return _clip_columns(n, [[w[y] for w in rows] for y in range(n)])[0]
 
 
 def _as_fractions(vertices: list) -> list:
@@ -347,22 +397,26 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
     clipping and certification run on integers: with a grid predicate q
     over the lattice's one and its bound c over one * den (phi at the
     lattice point, scaled to one common den), the half-space is the row
-    w_j = q_j den - c, and at a vertex m, w . m is <p, mu> - phi(p)(x)
+    w_k = q_k den - c_k, and at a vertex m, w_k . m is <p, mu> - phi(p)(x)
     times the positive one * den * sum(m), so the minimum is certified
-    when the least w . m over the vertices is 0.  Past the precondition the
-    grid's lattice lies in the cube at phi's width, so rows give their
+    when the least w_k . m over the vertices is 0.  Past the precondition
+    the grid's lattice lies in the cube at phi's width, so rows give their
     bounds at every lattice point at once, a coordinate column at a time
     (``IntegerRows.table``); a rule is evaluated point by point
-    (``RationalTransformer._ints``), raising where a point does.  The certificate is computed a column at
-    a time too: per vertex m, den (q . m) - c sum(m) at every lattice
-    point, and the least over the vertices; the first point where it is
+    (``RationalTransformer._ints``), raising where a point does.  The
+    half-spaces are never built as rows: the slack column of the simplex
+    vertex e_y is den times column y of the lattice less the bounds, and
+    one pass of the clipper (``_clip_columns``) carries each vertex's slack
+    column through the cuts, so the least slack over the final vertices,
+    per lattice point, is the certificate; the first point where it is
     not 0 is the one a per-row loop would stop at.  The arrow's row at x
-    holds the vertices m / sum(m), built from the integers.
-    A failed certification (possible when the grid undersamples a
-    transformer that is not genuinely realizable) yields inconclusive, with
-    its witness in Fractions: the state's half-spaces, built for the
-    witness alone.  Deciding the full converse needs a Farkas-style
-    argument this workbench does not attempt.
+    holds the vertices m / sum(m), built from the integers; on rows, the
+    result carries the bounds (``SynthesisResult.bounds``) for the round
+    trip's arrow comparison.  A failed certification (possible when the
+    grid undersamples a transformer that is not genuinely realizable)
+    yields inconclusive, with its witness in Fractions: the state's
+    half-spaces, built for the witness alone.  Deciding the full converse
+    needs a Farkas-style argument this workbench does not attempt.
     """
     row = INSTANCES["cv_sublinear"]
     grid = grid if grid is not None else ProbeGrid.default(phi.source)
@@ -380,10 +434,12 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
         bounds = [[vs[i] * (top // d) for vs, d in outs] for i in range(len(X))]
     # the vertex m / sum(m), on integers: a clipped vertex is gcd-normalized, so already reduced
     vertex = lambda m: DistV._over({y: c for y, c in zip(Y.elements, m) if c}, sum(m))
+    # column y of the half-spaces is den times column y of the lattice, less the bounds
+    scaled = [[v * den for v in col] for col in lattice.columns]
     checked = 0
     vertex_rows = []
     for x, cs in zip(X.elements, bounds):
-        ms = _clip_ints(len(Y), [[v * den - c for v in q] for q, c in zip(lattice.preds, cs)])
+        ms, mins = _clip_columns(len(Y), [list(map(operator.sub, col, cs)) for col in scaled])
         if not ms:
             return SynthesisResult(
                 None,
@@ -391,9 +447,8 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
                     f"region for state {x!r} is empty; grid constraints are jointly infeasible"
                 ),
             )
-        # per lattice point k, the least w_k . m = den (q_k . m) - c_k sum(m) over the vertices
-        mins = _column_min([([-c * sum(m) for c in cs], [v * den for v in m]) for m in ms], lattice.columns)
-        k = next((k for k, least in enumerate(mins) if least != 0), None)
+        # per lattice point k, the least w_k . m over the vertices, none below 0
+        k = next((k for k, least in enumerate(mins) if least), None)
         if k is not None:
             checked += k + 1
             top = lattice.one * den
@@ -411,7 +466,7 @@ def synth_polytope(phi: RationalTransformer, grid: ProbeGrid = None) -> Synthesi
         checked += len(mins)
         vertex_rows.append(dedup_vertices(map(vertex, ms)))
     arrow = KleisliArrow(MonadKind.CV_DIST, X, Y, vertex_rows)
-    return SynthesisResult(arrow, Verdict.healthy(checked))
+    return SynthesisResult(arrow, Verdict.healthy(checked), bounds=bounds if rows is not None else None)
 
 
 def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = None) -> bool:
@@ -429,18 +484,19 @@ def cv_semantically_equal(a: KleisliArrow, b: KleisliArrow, grid: ProbeGrid = No
     return _cv_rows_equal(closed_form(a.rows, a.target.elements), b, grid)
 
 
-def _cv_rows_equal(rows_a: IntegerRows, b: KleisliArrow, grid: ProbeGrid | None) -> bool:
+def _cv_rows_equal(rows_a: IntegerRows, b: KleisliArrow, grid: ProbeGrid | None, table_a: list = None) -> bool:
     """``cv_semantically_equal`` with a given as its demonic_prob rows,
-    on b's carriers: a round trip holds pt(f)'s rows already."""
+    on b's carriers: a round trip holds pt(f)'s rows already, and their
+    table at the grid's lattice points (``table_a``) from the synthesis."""
     grid = grid if grid is not None else ProbeGrid.default(b.target)
     lattice = grid.lattice
     if not grid.meets_minimum():
         # a grid that holds its core, as the default grid does, holds every Dirac
         n, one, preds = len(b.target), lattice.one, lattice.preds
         diracs = (_dirac_tuple(n, j, one) for j in range(n))
-        lattice = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ())
+        lattice, table_a = Lattice(one, preds + tuple(d for d in diracs if d not in preds), ()), None
     rows_b = builtin_modality("demonic_prob").closed_form(b.rows, b.target.elements)
-    return _differing_point(rows_a, rows_b, lattice) is None
+    return _differing_point(rows_a, rows_b, lattice, table_a) is None
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +572,16 @@ def _resynthesize(f: KleisliArrow, row: Modality, grid: ProbeGrid | None) -> tup
     return synthesize(row, phi, grid), grid, phi
 
 
-def _arrow_sides(instance: str, row: Modality, normalized: KleisliArrow, arrow: KleisliArrow, grid, phi) -> list:
+def _arrow_sides(instance: str, row: Modality, normalized: KleisliArrow, result: SynthesisResult, grid, phi) -> list:
     """The round trip's arrow comparison, as (witness args, synth(pt f), f
     normalized) triples: one per state, or one for polytopes, whose sides
     are the arrows' reprs where they disagree on the grid
-    (``cv_semantically_equal`` on phi = pt(f)'s rows, ``_cv_rows_equal``,
-    as f needs no normalization there), else f normalized on both sides."""
+    (``cv_semantically_equal`` on phi = pt(f)'s rows and the table of them
+    the synthesis read, ``_cv_rows_equal``, as f needs no normalization
+    there), else f normalized on both sides."""
+    arrow = result.arrow
     if row.monad == MonadKind.CV_DIST:
-        if _cv_rows_equal(phi.rows, arrow, grid):
+        if _cv_rows_equal(phi.rows, arrow, grid, result.bounds):
             return [({"instance": instance}, normalized, normalized)]
         return [({"instance": instance}, repr(arrow), repr(normalized))]
     states = zip(normalized.source.elements, arrow.rows, normalized.rows)
@@ -543,7 +601,7 @@ def roundtrip_verify(f: KleisliArrow, instance: str = None, grid: ProbeGrid = No
             return result.residual
         return Verdict.unhealthy(result.residual.witness, result.residual.checked)
     normalized, flags = _normalize_arrow(row, f)
-    for args, lhs, rhs in _arrow_sides(instance, row, normalized, result.arrow, grid, phi):
+    for args, lhs, rhs in _arrow_sides(instance, row, normalized, result, grid, phi):
         if lhs != rhs:
             return Verdict.unhealthy(Witness("roundtrip.arrow", args, lhs, rhs), 0)
     # the transformer direction pt(synth(pt f)) = pt(f) is the residual,
@@ -568,7 +626,7 @@ def _law_roundtrip_arrow(subject, args):
     f, grid = subject
     row = INSTANCES[args["instance"]]
     result, grid, phi = _resynthesize(f, row, grid)
-    sides = _arrow_sides(args["instance"], row, _normalize_arrow(row, f)[0], result.arrow, grid, phi)
+    sides = _arrow_sides(args["instance"], row, _normalize_arrow(row, f)[0], result, grid, phi)
     return next((lhs, rhs) for at, lhs, rhs in sides if at == args)
 
 

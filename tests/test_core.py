@@ -83,8 +83,11 @@ def test_stream_index_identity(nx, ny):
 
 
 def _reads(text) -> bool:
-    """Whether text is read as parse_rational has always read it: an int, a
-    Fraction, or a string "p/q" or "k" whose parts int() reads, q > 0."""
+    """Whether text is read as parse_rational reads it: an int that is not a
+    bool, a Fraction, or a string "p/q" or "k" whose parts int() reads,
+    q > 0."""
+    if isinstance(text, bool):
+        return False
     if isinstance(text, (int, Fraction)):
         return True
     num, slash, den = str(text).strip().partition("/")
@@ -115,6 +118,15 @@ def test_is_rational_decides_what_parse_rational_reads(text):
     else:
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_bools_are_no_rationals():
+    # Python counts a bool as an int, so parse_rational read True as 1
+    for value in (True, False):
+        assert not is_rational(value)
+        with pytest.raises(ValueError):
+            parse_rational(value)
+    assert parse_rational(1) == 1 and is_rational(0)
 
 
 def test_is_rational_keeps_the_digit_limit():

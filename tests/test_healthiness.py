@@ -339,6 +339,24 @@ def test_explicit_grid_rejects_values_outside_the_unit_interval(Y2):
             make()
 
 
+def test_probe_grids_and_predicates_refuse_bools(Y2):
+    # a bool is an int to Python: explicit held (True, False) as the Dirac
+    # (1, 0), and the constructor took it as one
+    core = list(ProbeGrid.default(Y2, random_count=0).predicates)
+    for make in (
+        lambda: ProbeGrid.explicit(Y2, [(True, False)]),
+        lambda: ProbeGrid.explicit(Y2, core, scalars=(0, True)),
+        lambda: ProbeGrid(Y2, tuple(core) + ((True, 0),), DEFAULT_SCALARS),
+        lambda: ProbeGrid(Y2, tuple(core), (F(0), False)),
+    ):
+        with pytest.raises(TypeError, match="bool|not an int"):
+            make()
+    assert ProbeGrid.explicit(Y2, [(1, 0)]).predicates == ((F(1), F(0)),)
+    # nor is a bool a predicate value
+    with pytest.raises(TypeError, match="bool"):
+        RationalTransformer(Y2, Y2, lambda v: tuple(v)).apply_values((True, 0))
+
+
 def test_run_condition_names(Y2):
     assert run_condition("join", identity_transformer(Y2)).is_healthy
     with pytest.raises(ValueError):

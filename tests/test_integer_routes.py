@@ -19,11 +19,14 @@ input.  A vertex list that no arrow can hold (no vertex, support outside
 the carrier, a weight past one) raises ``ValueError``.
 ``synth_polytope`` runs on integers from bound to certificate: it
 reads its bounds off the rows' columns, or off a rule at each lattice
-point, clips on homogeneous integer rows (``synthesis._clip_ints``) and
-certifies each minimum on the integer vertices.  Its reference clips
-and certifies in Fractions, on closed forms and on the same forms behind
-plain Python rules; the clipper core and its Fraction front end
-``_clip_region`` are checked against the Fraction clipper they replaced.
+point, clips on the half-spaces' slack columns
+(``synthesis._clip_columns``) and certifies each minimum with the least
+slack over the integer vertices.  Its reference clips and certifies in
+Fractions, on closed forms and on the same forms behind plain Python
+rules; the clipper core, its front end on rows ``_clip_ints`` and its
+Fraction front end ``_clip_region`` are checked against the Fraction
+clipper they replaced, and the core's minima against the slacks of its
+vertices.
 """
 
 import dataclasses
@@ -732,6 +735,23 @@ def test_same_values_shortcut_needs_one_bounded_vertex_per_output(monkeypatch):
     assert not calls
 
 
+def test_same_rows_reads_equal_dens_unscaled(monkeypatch):
+    # over one den, vertex rows are compared as they are, in any order; the
+    # same integers over another den are other values, and rows scaled up
+    # to another den are the same values
+    rows = [[(ZERO, (F(1, 2), F(1, 2))), (F(1, 4), (F(3, 4), ZERO))], [(ZERO, (ZERO, F(1, 3)))]]
+    a, b = IntegerRows(rows, 2), IntegerRows([rows[0][::-1], rows[1]], 2)
+    assert a.den == b.den and a._same_rows(b) and b._same_rows(a)
+    other_den = IntegerRows._of_ints(a.rows, 2 * a.den, 2)
+    doubled = tuple(tuple((2 * c0, tuple(2 * c for c in cs)) for c0, cs in verts) for verts in a.rows)
+    scaled = IntegerRows._of_ints(doubled, 2 * a.den, 2)
+    lattice = ProbeGrid.default(FinSet("Y", ("y0", "y1")), seed=4).lattice
+    for c, same in ((other_den, False), (scaled, True)):
+        assert a._same_rows(c) == c._same_rows(a) == same
+        assert (monads._differing_point(a, c, lattice) is None) == same
+        assert _loop_difference(monkeypatch, a, c, lattice)[0] == monads._differing_point(a, c, lattice)
+
+
 def _bounded_vertex(rng, width, den):
     """A vertex row over den with entries >= 0 and sum at most one."""
     left, cs = den, []
@@ -843,6 +863,44 @@ def test_closed_forms_and_opaque_rules_synthesize_the_same_polytopes(monkeypatch
     assert statuses == {"healthy", "inconclusive"}
 
 
+def _corrupted(phi, grid, rng):
+    """phi behind a rule that moves its value at one state and one grid
+    predicate by a nonzero multiple of 1/16, kept in [0, 1]."""
+    p, i = rng.choice(grid.predicates), rng.randrange(len(phi.target))
+    v = phi.apply_values(p)[i]
+    moved = rng.choice([q for q in (v + F(k, 16) for k in (-3, -2, -1, 1, 2, 3)) if 0 <= q <= 1])
+
+    def rule(values):
+        out = phi.apply_values(values)
+        return out[:i] + (moved,) + out[i + 1 :] if tuple(values) == p else out
+
+    return RationalTransformer(phi.source, phi.target, rule)
+
+
+def test_seeded_polytope_syntheses_match_the_fraction_reference(monkeypatch):
+    # 300 seeded cv arrows (100 per |Y|) and 120 corrupted copies of their
+    # transformers: the slack-column clipper gives the Fraction reference's
+    # arrow (to its repr and pickle bytes), checked count and witness
+    monkeypatch.setattr(synthesis, "_guard", lambda verdict, condition: None)
+    mod, outcomes = builtin_modality("demonic_prob"), set()
+    for n in SIZES:
+        Y, rng = _carrier(n), Random(340 + n)
+        grid = ProbeGrid.default(Y, seed=n)
+        for trial in range(100):
+            phi = pt_modality(mod, random_arrow(MonadKind.CV_DIST, rng, X, Y, max_den=8))
+            for subject in [phi] + ([_corrupted(phi, grid, rng)] if trial < 40 else []):
+                result, reference = synth_polytope(subject, grid), fraction_synth_polytope(subject, grid)
+                assert result == reference
+                assert result.residual.checked == reference.residual.checked
+                assert result.residual.witness == reference.residual.witness
+                assert repr(result.arrow) == repr(reference.arrow)
+                assert pickle.dumps(result.arrow) == pickle.dumps(reference.arrow)
+                if result.residual.witness:
+                    assert witness_is_sound(subject, result.residual.witness)
+                outcomes.add((subject is phi, result.residual.status if result.residual.checked else "empty"))
+    assert {(True, "healthy"), (False, "inconclusive"), (False, "empty")} <= outcomes, outcomes
+
+
 def _opaque(phi):
     """phi's closed form behind a plain Python rule: ``rows`` is None, so
     synth_polytope reads its bounds through ``apply_values``."""
@@ -910,15 +968,44 @@ def _integer_rows(draw):
     return n, draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=6))
 
 
+def _clip_both_ways(n, rows):
+    """The clipper core on the rows' columns against the Fraction clipper:
+    the same vertices, gcd-normalized, as ``_clip_ints`` finds, and per row
+    w the least w . m over them, none below 0; the vertices and minima."""
+    vertices, mins = synthesis._clip_columns(n, [[w[y] for w in rows] for y in range(n)])
+    assert vertices == synthesis._clip_ints(n, rows)
+    assert all(min(m) >= 0 and sum(m) > 0 and math.gcd(*m) == 1 for m in vertices)
+    halfspaces = tuple((tuple(map(F, w)), ZERO) for w in rows)
+    assert [tuple(F(c, sum(m)) for c in m) for m in vertices] == fraction_clip_region(n, halfspaces)
+    slack = lambda w, m: sum(a * b for a, b in zip(w, m))
+    assert list(mins) == ([min(slack(w, m) for m in vertices) for w in rows] if vertices else [])
+    assert all(least >= 0 for least in mins)
+    return vertices, mins
+
+
 @settings(max_examples=400, deadline=None)
 @given(_integer_rows())
 def test_integer_clipper_core_matches_the_fraction_clipper(case):
     # a row w is the half-space <w, mu> >= 0 of the Fraction clipper
-    n, rows = case
-    vertices = synthesis._clip_ints(n, rows)
-    assert all(min(m) >= 0 and sum(m) > 0 and math.gcd(*m) == 1 for m in vertices)
-    halfspaces = tuple((tuple(map(F, w)), ZERO) for w in rows)
-    assert [tuple(F(c, sum(m)) for c in m) for m in vertices] == fraction_clip_region(n, halfspaces)
+    _clip_both_ways(*case)
+
+
+def test_the_clipper_core_on_repeated_collapsed_and_empty_regions():
+    # a segment is cut twice at one point, once per direction of its edge,
+    # and the point is kept once, in the order of its first visit
+    assert _clip_both_ways(2, [(1, -1)]) == ([(1, 1), (1, 0)], [0])
+    flat = [(1, 1, -1), (-1, -1, 1)]  # m2 = m0 + m1: a segment of the simplex
+    vertices, mins = _clip_both_ways(3, flat + [(1, -1, 0)])
+    assert vertices == [(1, 0, 1), (1, 1, 2)] and mins == [0, 0, 0]
+    # four cuts leave one point, the centre, tight at every row
+    centre = [(1, -1, 0), (-1, 1, 0), (0, 1, -1), (0, -1, 1), (2, 1, 1)]
+    assert _clip_both_ways(3, centre) == ([(1, 1, 1)], [0, 0, 0, 0, 4])
+    assert _clip_both_ways(1, [(3,), (0,)]) == ([(1,)], [3, 0])
+    # the region empties at its third row: no vertex and no minimum
+    for n in SIZES:
+        assert _clip_both_ways(n, [(1,) * n, (0,) * n, (-1,) * n, (5,) * n]) == ([], [])
+    # no row: the simplex itself, with no minimum to take
+    assert _clip_both_ways(3, []) == ([(0, 0, 1), (1, 0, 0), (0, 1, 0)], [])
 
 
 def test_the_clipper_core_refuses_other_sizes():

@@ -443,6 +443,17 @@ def test_float_weights_are_refused():
     assert DistV({"a": "3/10", "b": Fraction(7, 10)}) == DistV({"a": Fraction(3, 10), "b": Fraction(7, 10)})
 
 
+def test_bool_weights_are_refused():
+    # a bool is an int to Python, so True once made a Dirac and False no point
+    a, b = DistV.dirac("a"), DistV.dirac("b")
+    for weight in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            DistV({"a": weight})
+        with pytest.raises(TypeError, match="bool"):
+            DistV.mix([(weight, a), (Fraction(1, 2), b)])
+    assert DistV({"a": 1}) == a and DistV.mix([(1, a)]) == a
+
+
 def _is_reduced(d):
     return d._den > 0 and all(n > 0 for n in d._nums.values()) and math.gcd(d._den, *d._nums.values()) == 1
 

@@ -312,9 +312,10 @@ def test_roundtrip_defaults_to_the_first_row_of_the_monad_and_the_default_grid(Y
 
 
 def test_roundtrip_passes_an_inconclusive_synthesis_on(monkeypatch, Y2):
-    # a seeded fault: the clipper finds every region empty, which no arrow's
-    # region is, so the synthesis is inconclusive and the round trip says so
-    monkeypatch.setattr(synthesis, "_clip_ints", lambda n, rows: [])
+    # a seeded fault: the clipper core finds every region empty, which no
+    # arrow's region is, so the synthesis is inconclusive and the round trip
+    # says so
+    monkeypatch.setattr(synthesis, "_clip_columns", lambda n, columns: ([], []))
     f = random_arrow("cv_dist", Random(31), FinSet("X", ("x",)), Y2)
     verdict = roundtrip_verify(f, "cv_sublinear")
     assert verdict.status == "inconclusive"
@@ -505,6 +506,24 @@ def test_a_polytope_round_trip_compiles_each_arrow_once(monkeypatch, X2, Y2):
     calls.clear()
     assert witness_is_sound((f, grid), verdict.witness)
     assert len(calls) == 2
+
+
+def test_a_polytope_round_trip_tables_pt_f_once(monkeypatch, X2, Y3):
+    # the synthesis reads its bounds off pt(f)'s rows at the grid's lattice
+    # points and hands that table to the arrow comparison, which tables the
+    # synthesized arrow's rows alone
+    tabled, table = [], IntegerRows.table
+    monkeypatch.setattr(IntegerRows, "table", lambda self, lattice: tabled.append((self, lattice)) or table(self, lattice))
+    grid, compared = ProbeGrid.default(Y3), 0
+    for f in (random_arrow("cv_dist", Random(k), X2, Y3) for k in range(8)):
+        pt_f = pt_modality(INSTANCES["cv_sublinear"], f).rows
+        tabled.clear()
+        assert roundtrip_verify(f, "cv_sublinear", grid).is_healthy
+        assert all(lattice is grid.lattice for _, lattice in tabled)
+        assert [(rows.rows, rows.den) for rows, _ in tabled].count((pt_f.rows, pt_f.den)) == 1
+        compared += len(tabled) == 2
+    # most round trips compare other rows, so the comparison reads columns
+    assert compared >= 4
 
 
 # The Boolean inverses read each state's accepted predicates.  The probe
