@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -626,6 +627,12 @@ STRUCTURE_CLASSES = {
 }
 
 
+# the predicates j one pair mask covers (``LawCheck._pair_masks``): a
+# window keeps every mask and prefix a word, so a scan holds a few ints per
+# predicate however many predicates a grid has
+_PAIR_WINDOW = 64
+
+
 class LawCheck:
     """Checks rational table laws of a map F over probe predicates and scalars.
 
@@ -708,49 +715,67 @@ class LawCheck:
     def _pairs(self, shape: str) -> tuple:
         """Per predicate i, the j >= i that make (i, j) an argument of a
         pair shape.  They depend on the lattice alone, so each shape is
-        scanned once per lattice and kept there (``Lattice.pairs``)."""
+        built once per lattice and kept there (``Lattice.pairs``)."""
         cache = self._lattice.pairs
         rows = cache.get(shape)
         if rows is None:
             rows = cache[shape] = tuple(self._pair_rows(shape))
         return rows
 
-    def _pair_rows(self, shape: str):
-        """``_pairs`` one predicate at a time: whether probes i and j sum
-        (dual: sum minus one) into [0, 1]; the extreme values decide most
-        pairs without a pointwise scan."""
-        ints, U = self._lattice.preds, self._lattice.one
-        hi = [max(p, default=0) for p in ints]
-        lo = [min(p, default=0) for p in ints]
-        k = len(ints)
+    def _pair_rows(self, shape: str) -> list:
+        """``_pairs`` one predicate at a time, read off ``_pair_masks``."""
+        rows = [[] for _ in self._lattice.preds]
+        for i, j0, m in self._pair_masks(shape):
+            rows[i] += [j0 + b for b in range(max(i - j0, 0), m.bit_length()) if m >> b & 1]
         # each row from a list, at its final size (see the monads docstring)
-        for i in range(k):
-            if shape == "dual_sum":
-                yield tuple([
-                    j
-                    for j in range(i, k)
-                    if lo[i] + lo[j] >= U
-                    or (hi[i] + hi[j] >= U and min(map(add, ints[i], ints[j])) >= U)
-                ])
-            else:
-                yield tuple([
-                    j
-                    for j in range(i, k)
-                    if hi[i] + hi[j] <= U
-                    or (lo[i] + lo[j] <= U and max(map(add, ints[i], ints[j])) <= U)
-                ])
+        return [tuple(row) for row in rows]
+
+    def _pair_masks(self, shape: str):
+        """(i, j0, mask) per predicate i and window of ``_PAIR_WINDOW``
+        predicates j0 <= j < j0 + W: the bit mask (bit b for j0 + b) of the
+        j in the window whose sum with i (dual: sum minus one) lies in
+        [0, 1] at every coordinate.  Per coordinate the window is sorted by
+        its values there, so the j with a_j <= one - a_i (dual: >=) are a
+        prefix (suffix) of that order, found by bisection, and the masks of
+        the coordinates are ANDed.  A window holds a few ints per
+        coordinate, however many predicates there are.  A predicate of
+        width 0 reads as the point 0: all its sums, and none of its dual
+        sums, are defined."""
+        lattice, dual = self._lattice, shape == "dual_sum"
+        one, k = lattice.one, len(lattice.preds)
+        columns = lattice.columns or ((0,) * k,)
+        for j0 in range(0, k, _PAIR_WINDOW):
+            full = (1 << min(_PAIR_WINDOW, k - j0)) - 1
+            tables = []  # per coordinate, the window's sorted values and prefix masks
+            for col in columns:
+                window = col[j0 : j0 + _PAIR_WINDOW]
+                order = sorted(range(len(window)), key=window.__getitem__)
+                prefix = [0]  # prefix[m]: the first m of the order
+                for b in order:
+                    prefix.append(prefix[-1] | 1 << b)
+                tables.append(([window[b] for b in order], prefix))
+            for i, point in enumerate(zip(*columns)):
+                m = full
+                for (values, prefix), v in zip(tables, point):
+                    if dual:
+                        m &= full ^ prefix[bisect_left(values, one - v)]
+                    else:
+                        m &= prefix[bisect_right(values, one - v)]
+                yield i, j0, m
 
     def _count(self, shape: str) -> int:
         """The number of arguments of a shape, counted once per lattice: a
-        pair shape's from its kept pairs, or from a scan that keeps none
-        (a check the certificate decides holds no pair)."""
+        pair shape's from its kept pairs, or else as the popcounts of its
+        masks, keeping no pair (a check the certificate decides holds
+        none)."""
         counts = self._lattice.counts
         if shape not in counts:
             if shape in ("bottom", "top", "scale", "shift"):
                 counts[shape] = sum(1 for _ in self.arguments(shape))
+            elif shape in self._lattice.pairs:
+                counts[shape] = sum(map(len, self._lattice.pairs[shape]))
             else:
-                rows = self._lattice.pairs.get(shape)
-                counts[shape] = sum(map(len, self._pair_rows(shape) if rows is None else rows))
+                counts[shape] = sum((m >> max(i - j0, 0)).bit_count() for i, j0, m in self._pair_masks(shape))
         return counts[shape]
 
     @functools.cached_property
@@ -984,6 +1009,12 @@ def check_functional_laws(
     return _rational_functional_laws(lambda p: (F(p),), n, cls, rational_preds or [], scalars)
 
 
+def _group_weight(laws: tuple) -> int:
+    """The instances a law group counts per argument: its definedness law
+    and its law, except that translation counts once."""
+    return 1 if laws[-1].shape == "shift" else len(laws)
+
+
 def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None):
     """The rational branch of ``check_functional_laws`` for F returning a
     1-tuple, F in Fractions; the integer ``rows`` of a closed form, when
@@ -991,7 +1022,7 @@ def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None
     check = LawCheck(F, 1, preds, scalars, n, lattice, rows)
     for laws, _ in cls.groups:
         shape = laws[-1].shape
-        found = check.first_violation(laws, 1 if shape == "shift" else len(laws))
+        found = check.first_violation(laws, _group_weight(laws))
         if found is None:
             continue
         law, args, lhs, rhs, _ = found
@@ -1007,21 +1038,35 @@ def _rational_functional_laws(F, n, cls, preds, scalars, lattice=None, rows=None
 
 
 def _rational_probe_tuples(n: int, seed: int, count: int = 24) -> list:
-    """Deterministic valuation tuples: diracs, constants, and seeded randoms."""
+    """Deterministic valuation tuples: diracs, constants, and seeded randoms,
+    each once, in that order.  They are drawn as multiples of 1/24, the lcm
+    of the denominators drawn, and turned into Fractions once unique."""
     rng = Random(seed)
-    out = [(ZERO,) * n, (ONE,) * n]
+    out = [(0,) * n, (24,) * n]
     for i in range(n):
-        out.append(tuple(ONE if j == i else ZERO for j in range(n)))
-        out.append(tuple(Fraction(1, 2) if j == i else ZERO for j in range(n)))
+        out.append(tuple(24 if j == i else 0 for j in range(n)))
+        out.append(tuple(12 if j == i else 0 for j in range(n)))
     while len(out) < count + 2 + 2 * n:
         den = rng.choice((2, 3, 4, 6, 8))
-        out.append(tuple(Fraction(rng.randint(0, den), den) for _ in range(n)))
-    seen, uniq = set(), []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
+        out.append(tuple(rng.randint(0, den) * (24 // den) for _ in range(n)))
+    values = [Fraction(k, 24) for k in range(25)]
+    return [tuple([values[k] for k in t]) for t in dict.fromkeys(out)]
+
+
+def _stacked_checked(mod: Modality, ts: Sequence, elements: tuple, cls, preds, lattice) -> int | None:
+    """The checked count of the components alpha_n(t) of a closed-form
+    modality at every sampled t at once, or None when some law fails at
+    some t.  The components are the output coordinates of one transformer,
+    the closed form's rows of all of ts, and every law reads one output
+    coordinate, so one law check decides them all: a passing check reads
+    every argument, and counts each group's weight times len(ts) per
+    argument, the sum of the component checks' counts."""
+    rows = mod.closed_form(ts, elements)
+    check = LawCheck(rows, len(ts), preds, DEFAULT_SCALARS, len(elements), lattice, rows)
+    for laws, _ in cls.groups:
+        if check.first_violation(laws, len(ts) * _group_weight(laws)) is not None:
+            return None
+    return check.checked
 
 
 # the largest denominator of a sampled T-value's weights in lifting_check
@@ -1040,8 +1085,13 @@ def lifting_check(
 
     Boolean-enumerable monads sweep all t in T(n); the distribution monads
     draw seeded samples (the domain is infinite).  Under a rational class,
-    alpha_n(t) of a closed-form modality is its one-state transformer at t,
-    whose integer rows may certify law groups on a lattice built once per n.
+    the components of a closed-form modality at n are the outputs of one
+    transformer, whose integer rows hold one output per sampled t and may
+    certify law groups on a lattice built once per n; one law check decides
+    them all (``_stacked_checked``).  When it finds a violation, and for a
+    modality without a closed form, the components are checked one t at a
+    time, in sample order, and the first t that fails names the witness; it
+    comes no later than any t the stacked check saw fail.
     """
     if isinstance(cls, str):
         cls = STRUCTURE_CLASSES[cls]
@@ -1059,6 +1109,11 @@ def lifting_check(
         if cls.carrier == RATIONAL:
             preds = _rational_probe_tuples(n, seed + n)
             lattice = Lattice.of(preds, DEFAULT_SCALARS)
+            if mod.carrier == RATIONAL and mod.closed_form is not None:
+                stacked = _stacked_checked(mod, ts, X.elements, cls, preds, lattice)
+                if stacked is not None:
+                    checked += stacked
+                    continue
         idx = {x: i for i, x in enumerate(X.elements)}
         for t in ts:
             F = lambda tup, t=t: mod.evaluate(t, lambda x: tup[idx[x]])

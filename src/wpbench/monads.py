@@ -540,9 +540,11 @@ class IntegerRows:
         outer.den * den.  With every c_y >= 0 a weighted sum of minima is
         the minimum over the choices, so the composite equals the two
         stages wherever self's outputs lie in [0, 1], which they do at
-        every point of the cube.  Outer must read self's outputs (its width
-        is their number), as the carriers of ``semantics._rows_after``
-        make it."""
+        every point of the cube.  A vertex row that repeats an earlier one
+        of its output is dropped, so the composite holds each row once, as
+        the Kleisli composite's rows do.  Outer must read self's outputs
+        (its width is their number), as the carriers of
+        ``semantics._rows_after`` make it."""
         den, width = self.den, self.width
         out = []
         for verts in outer.rows:
@@ -556,7 +558,7 @@ class IntegerRows:
                         for z, d in enumerate(ds):
                             acc[z] += c * d
                     composite.append((off, tuple(acc)))
-            out.append(tuple(composite))
+            out.append(tuple(dict.fromkeys(composite)))
         return IntegerRows._of_ints(tuple(out), outer.den * den, width)
 
     def _same_rows(self, other: "IntegerRows") -> bool:

@@ -12,9 +12,9 @@ The catalog rows and the built-in tau_r rows carry their closed forms
 by a modality's name.  The four Boolean rows compile each T-value to a
 basis of masks, and a state is in phi(m) iff some basis mask lies inside
 m (``mask_table``); the rational ones compile to integer coefficient rows
-(``monads.IntegerRows``, the same compiler ``lifting_check`` runs on each
-component functional).  Every other modality goes through its generic
-evaluation rule.
+(``monads.IntegerRows``, the same compiler ``lifting_check`` runs on the
+component functionals at every sampled T-value at once).  Every other
+modality goes through its generic evaluation rule.
 """
 
 from __future__ import annotations

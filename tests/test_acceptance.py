@@ -182,6 +182,26 @@ def test_criterion_5_lifting_conditions():
     )
 
 
+def test_criterion_5_rational_lifting_budget():
+    # the four rational catalog rows under their own classes at the CLI's
+    # default of 200 samples per n: one stacked law check per n decides
+    # every sampled component (about 8 ms a call on a 2-core sandbox, 14-23
+    # ms when each sample was checked on its own)
+    t0 = time.perf_counter()
+    checked = {}
+    for name in ("total", "partial", "convex", "demonic_prob"):
+        mod = builtin_modality(name)
+        verdict = lifting_check(mod, mod.structure_class, n_max=3)
+        checked[name] = verdict.checked if verdict.is_healthy else None
+    dt = time.perf_counter() - t0
+    expected = {"total": 164800, "partial": 139600, "convex": 165400, "demonic_prob": 190600}
+    _report(
+        "criterion 5 (rational lifting budget)",
+        checked == expected and dt < 0.15,
+        f"four rational rows healthy at n<=3, 200 samples per n, counts {checked}; {dt * 1000:.0f} ms < 150 ms",
+    )
+
+
 def _mismatch_subject(witness):
     mod = builtin_modality("diamond")
     n, t = witness.args["n"], witness.args["t"]

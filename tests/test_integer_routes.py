@@ -1059,6 +1059,20 @@ def test_then_equals_the_two_stages_at_every_lattice_point(name):
             assert pt_modality(mod, monads.kleisli_compose(f, g)).rows._same_rows(composite)
 
 
+def test_then_holds_each_composite_row_once():
+    # demonic_prob's composites: a row two choices of vertices both make is
+    # held once, so each output has as many rows as the Kleisli composite's
+    mod, rng = builtin_modality("demonic_prob"), Random(27)
+    for _ in range(20):
+        for ny, nz in itertools.product(SIZES, SIZES):
+            Y, Z = _carrier(ny), FinSet("Z", tuple(f"z{k}" for k in range(nz)))
+            f, g = random_arrow(mod.monad, rng, X, Y), random_arrow(mod.monad, rng, Y, Z)
+            composite = pt_modality(mod, g).rows.then(pt_modality(mod, f).rows)
+            kleisli = pt_modality(mod, monads.kleisli_compose(f, g)).rows
+            for verts, expected in zip(composite.rows, kleisli.rows):
+                assert len(set(verts)) == len(verts) == len(expected)
+
+
 def test_only_bounded_rows_compose_within_the_probe_count():
     X1, Y, Z = FinSet("X", ("x",)), FinSet("Y", ("y0", "y1")), FinSet("Z", ("z0", "z1"))
     lattice = semantics._functor_probes(2, 3)[1][1]

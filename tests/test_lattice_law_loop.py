@@ -11,11 +11,13 @@ in the same order.
 
 import json
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpbench import modalities, monads
 from wpbench.cli import parse_spec
 from wpbench.core import FinSet
 from wpbench.healthiness import ProbeGrid, run_condition
@@ -264,3 +266,32 @@ def test_pair_arguments_are_scanned_once_per_lattice(monkeypatch):
     rows = IntegerRows([[(F(0), (F(1, 2), F(1, 4), F(0)))]], 3)
     assert run_condition("gemod_total", RationalTransformer(Y, X, rows, label="rows"), closed).is_healthy
     assert closed.lattice.pairs == {} and closed.lattice.counts
+
+
+@st.composite
+def _integer_lattices(draw):
+    """Lattices over a small ``one`` at width 1-4, with repeated predicates
+    and the all-zero and all-``one`` points among drawn ones."""
+    one, width = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, one)] * width)
+    preds = draw(st.lists(st.one_of(point, st.just((0,) * width), st.just((one,) * width)), max_size=40))
+    preds += draw(st.lists(st.sampled_from(preds), max_size=10)) if preds else []
+    return monads.Lattice(one, tuple(draw(st.permutations(preds))), ())
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_integer_lattices(), st.sampled_from((1, 3, 64)))
+def test_pair_masks_match_the_pointwise_pairs(lattice, window):
+    # the bit-mask pair rows, and the counts by popcount on a lattice that
+    # keeps no pair, are the pairs of a pointwise scan, as are the counts
+    # of the kept rows; small windows split the predicates into several
+    # masks each
+    with mock.patch.object(modalities, "_PAIR_WINDOW", window):
+        for shape in ("sum", "dual_sum"):
+            pairs = _pointwise_pairs(lattice, shape)
+            fresh = monads.Lattice(lattice.one, lattice.preds, ())
+            assert LawCheck(None, 1, lattice=fresh)._count(shape) == len(pairs)
+            assert fresh.pairs == {}
+            check = LawCheck(None, 1, lattice=lattice)
+            assert [(i, j) for i, js in enumerate(check._pairs(shape)) for j in js] == pairs
+            assert check._count(shape) == len(pairs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpbench import modalities
 from wpbench.core import FinSet
 from wpbench.modalities import (
     BOOLEAN,
@@ -261,6 +262,96 @@ def test_lifting_integer_route_agrees_with_generic_route(monkeypatch):
     assert laws["demonic_prob", "emod"] == "sum"
     # a translate witness is re-evaluated in Fractions, off the lattice
     assert laws["total", "emod_sublinear"] == "translate"
+
+
+def _samples(mod, n_max, seed, samples_per_n) -> dict:
+    """n -> the T-values lifting_check draws (or enumerates) at n."""
+    rng, monad, out = Random(seed), MONADS[mod.monad], {}
+    for n in range(1, n_max + 1):
+        X = FinSet(f"n{n}", tuple(f"e{i}" for i in range(n)))
+        if monad.tvalues is not None:
+            out[n] = monad.tvalues(X)
+        else:
+            out[n] = [monad.sample(rng, X, modalities._SAMPLE_MAX_DEN) for _ in range(samples_per_n)]
+    return out
+
+
+def _lifting_one_t_at_a_time(mod, cls, n_max, seed, samples_per_n):
+    """lifting_check as a loop over the components, one sampled t at a
+    time: (status, checked, witness fields)."""
+    cls, checked = STRUCTURE_CLASSES[cls], 0
+    for n, ts in _samples(mod, n_max, seed, samples_per_n).items():
+        elements = tuple(f"e{i}" for i in range(n))
+        preds = modalities._rational_probe_tuples(n, seed + n)
+        for t in ts:
+            F = lambda tup, t=t: mod.evaluate(t, lambda x: tup[int(x[1:])])
+            if cls.carrier == BOOLEAN:
+                witness, c = modalities.check_functional_laws(F, n, cls)
+            else:
+                rows = None
+                if mod.carrier == RATIONAL and mod.closed_form is not None:
+                    rows = mod.closed_form((t,), elements)
+                F1 = (lambda p: (F(p),)) if rows is None else rows
+                witness, c = modalities._rational_functional_laws(
+                    F1, n, cls, preds, modalities.DEFAULT_SCALARS, None, rows
+                )
+            checked += c
+            if witness is not None:
+                args = [*witness.args.items(), ("n", n), ("t", t)]
+                return "unhealthy", checked, (witness.law, args, witness.lhs, witness.rhs)
+    return "healthy", checked, None
+
+
+@pytest.mark.parametrize("name", [*builtin_modality_names(), "tau_r:1/3"])
+def test_the_stacked_lifting_check_equals_the_loop_over_components(name):
+    # every built-in modality under every class: the stacked check, with
+    # its fallback to the loop, gives the loop's status, count and witness
+    # (both computed in one process, so frozensets print in one order), or
+    # raises where the loop does (a Boolean class on Fraction values)
+    mod = builtin_modality(name)
+    for cls in STRUCTURE_CLASSES:
+        for seed in (0, 1, 2):
+            for samples in (1, 5, 20):
+                try:
+                    expected = _lifting_one_t_at_a_time(mod, cls, 3, seed, samples)
+                except TypeError:
+                    with pytest.raises(TypeError):
+                        lifting_check(mod, cls, n_max=3, seed=seed, samples_per_n=samples)
+                    continue
+                verdict = lifting_check(mod, cls, n_max=3, seed=seed, samples_per_n=samples)
+                got = verdict.status, verdict.checked, _verdict_fields(verdict)[2]
+                assert got == expected, (name, cls, seed, samples)
+
+
+def test_a_closed_form_corrupted_at_one_sample_names_that_sample(monkeypatch):
+    # convex's rows with one sampled t (the first past the fifth at n = 2
+    # that no earlier sample equals) given a second vertex row, the dirac
+    # at e0: min(E_t, p(e0)) is homogeneous and unital but not additive.
+    # The stacked check at n = 2 fails, and the loop names that t with its
+    # own count.
+    convex, seed, samples = builtin_modality("convex"), 3, 20
+    ts = _samples(convex, 2, seed, samples)[2]
+    bad = next(t for k, t in enumerate(ts) if k >= 5 and t not in ts[:k])
+    dirac = DistV.dirac("e0")
+
+    def closed_form(tvalues, targets):
+        rows = [[(F(0), t)] + [(F(0), dirac)] * (t == bad) for t in tvalues]
+        return IntegerRows.of_distributions(rows, targets)
+
+    mod = dataclasses.replace(convex, closed_form=closed_form)
+    stacked = []
+    real = modalities._stacked_checked
+    monkeypatch.setattr(
+        modalities, "_stacked_checked", lambda *a: stacked.append(real(*a)) or stacked[-1]
+    )
+    verdict = lifting_check(mod, "emod", n_max=3, seed=seed, samples_per_n=samples)
+    status, checked, witness = _lifting_one_t_at_a_time(mod, "emod", 3, seed, samples)
+    assert verdict.is_unhealthy and status == "unhealthy"
+    assert (verdict.witness.args["n"], verdict.witness.args["t"]) == (2, bad)
+    assert verdict.witness.args["law"] == "sum" and verdict.checked == checked
+    assert _verdict_fields(verdict)[2] == witness
+    # n = 1 passed stacked, n = 2 fell back to the loop, n = 3 was not reached
+    assert len(stacked) == 2 and stacked[0] > 0 and stacked[1] is None
 
 
 def test_lifting_certifies_the_healthy_closed_forms(monkeypatch):
